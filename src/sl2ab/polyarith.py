@@ -8,11 +8,13 @@ degree -1.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import random
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-from typing import Iterable, Iterator
+from math import gcd, isqrt
+from typing import Iterable, Iterator, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +243,110 @@ def _render_poly(coeffs: tuple[int, ...]) -> str:
 
 
 # ---------------------------------------------------------------------------
+# coefficient lists mod m
+#
+# ModPoly arithmetic and the factoring and lifting algorithms share these
+# helpers on plain sequences of residues in [0, m), lowest degree first, with
+# no trailing zeros; results are lists.  Division by a monic polynomial works
+# for any modulus m; gcds and inverses need m prime.
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _ladd(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = (out[i] + c) % m
+    return _trim(out)
+
+
+def _lsub(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = (out[i] - c) % m
+    return _trim(out)
+
+
+def _lmul(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return _trim([c % m for c in out])
+
+
+def _ldivmod(
+    a: Sequence[int], b: Sequence[int], m: int
+) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of a by b; b's leading coefficient is a unit mod m."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return [], list(a)
+    inv = pow(b[-1], -1, m)
+    rem = list(a)
+    q = [0] * (len(a) - db)
+    for i in range(len(a) - db - 1, -1, -1):
+        c = rem[i + db] * inv % m
+        if c:
+            q[i] = c
+            for j in range(db):
+                rem[i + j] -= c * b[j]
+    return q, _trim([c % m for c in rem[:db]])
+
+
+def _lderiv(a: Sequence[int], m: int) -> list[int]:
+    return _trim([i * c % m for i, c in enumerate(a)][1:])
+
+
+def _lmonic(a: Sequence[int], p: int) -> list[int]:
+    if not a or a[-1] == 1:
+        return list(a)
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _lgcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """Monic gcd over F_p."""
+    while b:
+        a, b = b, _ldivmod(a, b, p)[1]
+    return _lmonic(a, p)
+
+
+def _lxgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(s, t) with s a + t b = 1 over F_p, deg s < deg b and deg t < deg a,
+    for coprime a and b of positive degree."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _ldivmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _lsub(s0, _lmul(q, s1, p), p)
+        t0, t1 = t1, _lsub(t0, _lmul(q, t1, p), p)
+    inv = pow(r0[0], -1, p)  # r0 is the gcd, a nonzero constant
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]
+
+
+def _lpowmod(a: Sequence[int], e: int, f: Sequence[int], m: int) -> list[int]:
+    """a**e mod f, for monic f, by square-and-multiply."""
+    result, base = [1], _ldivmod(a, f, m)[1]
+    while e:
+        if e & 1:
+            result = _ldivmod(_lmul(result, base, m), f, m)[1]
+        e >>= 1
+        if e:
+            base = _ldivmod(_lmul(base, base, m), f, m)[1]
+    return result
+
+
+# ---------------------------------------------------------------------------
 # polynomials over F_p
 
 
@@ -298,12 +404,7 @@ class ModPoly:
 
     def __add__(self, other: "ModPoly") -> "ModPoly":
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return ModPoly(
-            self.p,
-            ((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)),
-        )
+        return ModPoly(self.p, _ladd(self.coeffs, other.coeffs, self.p))
 
     def __neg__(self) -> "ModPoly":
         return ModPoly(self.p, (-c for c in self.coeffs))
@@ -313,32 +414,14 @@ class ModPoly:
 
     def __mul__(self, other: "ModPoly") -> "ModPoly":
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return ModPoly(self.p, ())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = (out[i + j] + ai * bj) % self.p
-        return ModPoly(self.p, out)
+        return ModPoly(self.p, _lmul(self.coeffs, other.coeffs, self.p))
 
     def __divmod__(self, g: "ModPoly") -> tuple["ModPoly", "ModPoly"]:
         self._check(g)
         if g.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        p = self.p
-        inv_lc = pow(g.leading, -1, p)
-        rem = list(self.coeffs)
-        dg = g.degree
-        q = [0] * max(len(rem) - dg, 0)
-        for i in range(len(rem) - dg - 1, -1, -1):
-            c = (rem[i + dg] * inv_lc) % p
-            if c:
-                q[i] = c
-                for j, gc in enumerate(g.coeffs):
-                    rem[i + j] = (rem[i + j] - c * gc) % p
-        return ModPoly(p, q), ModPoly(p, rem[:dg])
+        q, r = _ldivmod(self.coeffs, g.coeffs, self.p)
+        return ModPoly(self.p, q), ModPoly(self.p, r)
 
     def __floordiv__(self, g: "ModPoly") -> "ModPoly":
         return divmod(self, g)[0]
@@ -349,17 +432,14 @@ class ModPoly:
     def monic(self) -> "ModPoly":
         if self.is_zero or self.is_monic:
             return self
-        inv = pow(self.leading, -1, self.p)
-        return ModPoly(self.p, (c * inv for c in self.coeffs))
+        return ModPoly(self.p, _lmonic(self.coeffs, self.p))
 
     def gcd(self, other: "ModPoly") -> "ModPoly":
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic()
+        self._check(other)
+        return ModPoly(self.p, _lgcd(self.coeffs, other.coeffs, self.p))
 
     def derivative(self) -> "ModPoly":
-        return ModPoly(self.p, (i * c for i, c in enumerate(self.coeffs) if i))
+        return ModPoly(self.p, _lderiv(self.coeffs, self.p))
 
     def lift(self) -> IntPoly:
         """Integer lift with coefficients in [0, p)."""
@@ -372,10 +452,8 @@ class ModPoly:
         return f"ModPoly({self.p}, {list(self.coeffs)!r})"
 
 
-def _monic_polys(p: int, degree: int) -> Iterator[ModPoly]:
-    """All monic degree-d polynomials over F_p, lexicographic in low coefficients."""
-    for lower in itertools.product(range(p), repeat=degree):
-        yield ModPoly(p, lower + (1,))
+# ---------------------------------------------------------------------------
+# factoring over F_p
 
 
 def _pth_root(f: ModPoly) -> ModPoly:
@@ -415,58 +493,89 @@ def squarefree_decomposition(f: ModPoly) -> list[tuple[ModPoly, int]]:
     return out
 
 
-def _factor_squarefree_monic(f: ModPoly) -> list[ModPoly]:
-    """Irreducible factors of a squarefree monic f, by exhaustive trial division.
+def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """Pairs (g, d): g is the product of the irreducible factors of degree d of
+    a squarefree monic f over F_p (von zur Gathen & Gerhard, Alg. 14.3).
 
-    Candidates are tried in increasing degree, so every successful divisor is
-    irreducible; whatever survives past degree deg/2 is itself irreducible.
+    g = gcd(x^(p^d) - x, f) once the factors of lower degree are divided out;
+    whatever is left when 2d exceeds its degree is irreducible.
     """
-    factors: list[ModPoly] = []
-    rem = f
-    d = 1
-    while rem.degree >= 1:
-        if d > rem.degree // 2:
-            factors.append(rem)
-            return factors
-        for cand in _monic_polys(f.p, d):
-            q, r = divmod(rem, cand)
-            if r.is_zero:
-                factors.append(cand)
-                rem = q
+    out = []
+    h = [0, 1]
+    d = 0
+    while len(f) - 1 >= 2 * (d + 1):
         d += 1
-    return factors
+        h = _lpowmod(h, p, f, p)
+        g = _lgcd(f, _lsub(h, [0, 1], p), p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _ldivmod(f, g, p)[0]
+            h = _ldivmod(h, f, p)[1]
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def _equal_degree(g: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
+    """Irreducible factors of a squarefree monic g over F_p all of whose
+    irreducible factors have degree d (Cantor & Zassenhaus 1981).
+
+    A random a splits g by gcd(a^((p^d-1)/2) - 1, g) for odd p, and by
+    gcd(a + a^2 + a^4 + ... + a^(2^(d-1)), g), the trace map, for p = 2.
+    """
+    n = len(g) - 1
+    if n == d:
+        return [g]
+    while True:
+        a = _trim([rng.randrange(p) for _ in range(n)])
+        if p == 2:
+            b = t = a
+            for _ in range(d - 1):
+                t = _ldivmod(_lmul(t, t, 2), g, 2)[1]
+                b = _ladd(b, t, 2)
+        else:
+            b = _lsub(_lpowmod(a, (p**d - 1) // 2, g, p), [1], p)
+        c = _lgcd(g, b, p)
+        if 0 < len(c) - 1 < n:
+            rest = _ldivmod(g, c, p)[0]
+            return _equal_degree(c, d, p, rng) + _equal_degree(rest, d, p, rng)
+
+
+def _split_parts(parts: list[tuple[list[int], int]], p: int) -> list[list[int]]:
+    """Irreducible factors behind distinct-degree parts over F_p.  The
+    splitting elements come from a generator seeded here, so every run takes
+    the same steps."""
+    rng = random.Random(0)
+    return [c for g, d in parts for c in _equal_degree(g, d, p, rng)]
+
+
+def _factor_squarefree_monic(f: ModPoly) -> list[ModPoly]:
+    """Irreducible factors of a squarefree monic f over F_p, in no fixed order.
+
+    Distinct-degree factorization, then equal-degree splitting of each part:
+    polynomial time in deg f and log p.
+    """
+    parts = _distinct_degree(list(f.coeffs), f.p)
+    return [ModPoly(f.p, c) for c in _split_parts(parts, f.p)]
 
 
 def factor_mod_p(f: ModPoly) -> list[tuple[ModPoly, int]]:
     """Complete factorization of monic f over F_p into (irreducible, multiplicity).
 
-    Squarefree decomposition first, then trial division of each squarefree part.
-    Exhaustive enumeration keeps this honest only for tiny p; callers stay at
-    p in {2, 3} and the function rejects p > 7.
+    Squarefree decomposition first, then distinct-degree factorization and
+    Cantor–Zassenhaus splitting of each squarefree part; any prime p works.
+    The pairs are sorted by degree, then by coefficients (lowest degree first),
+    and the result does not depend on the random splitting elements.
     """
     if f.degree < 1:
         raise ValueError(f"need degree >= 1, got {f!r}")
     if not f.is_monic:
         raise ValueError(f"need a monic polynomial, got {f!r}")
-    if f.p > 7:
-        raise ValueError(f"factor_mod_p supports p <= 7 only, got p = {f.p}")
     found: dict[ModPoly, int] = {}
     for part, mult in squarefree_decomposition(f):
         for irr in _factor_squarefree_monic(part):
             found[irr] = found.get(irr, 0) + mult
     return sorted(found.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs))
-
-
-def _pow_x_mod(f: ModPoly, e: int) -> ModPoly:
-    """x**e reduced mod f, by square-and-multiply."""
-    result = ModPoly.one(f.p)
-    base = ModPoly.x(f.p) % f
-    while e:
-        if e & 1:
-            result = (result * base) % f
-        base = (base * base) % f
-        e >>= 1
-    return result
 
 
 def is_irreducible_mod_p(f: ModPoly) -> bool:
@@ -476,32 +585,157 @@ def is_irreducible_mod_p(f: ModPoly) -> bool:
         return False
     if n == 1:
         return True
-    if not f.is_monic:
-        f = f.monic()
     p = f.p
-    x = ModPoly.x(p)
-    if _pow_x_mod(f, p**n) != x % f:
+    fc = f.monic().coeffs
+    x = [0, 1]
+    if _lpowmod(x, p**n, fc, p) != x:
         return False
     for ell in factorint(n):
-        g = (_pow_x_mod(f, p ** (n // ell)) - x).gcd(f)
-        if g.degree != 0:
+        g = _lgcd(fc, _lsub(_lpowmod(x, p ** (n // ell), fc, p), x, p), p)
+        if len(g) > 1:
             return False
     return True
 
 
-_IRREDUCIBILITY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+# ---------------------------------------------------------------------------
+# irreducibility over Q
+
+# Good primes (f mod p squarefree) whose distinct-degree pattern is read
+# before Zassenhaus's algorithm runs at the one with the fewest factors.
+# More cost a distinct-degree factorization each and rarely pay: on the
+# Phi_n(x + k) of the poly-split workload and on random polynomials, one was
+# fastest and four or more slowest, but one prime can leave many factors
+# where the next leaves few.
+_PATTERN_PRIMES = 3
+# Primes at which f mod p has a repeated factor before f itself is tested for
+# one over Q; a squarefree f has only finitely many such primes.
+_BAD_PRIMES_BEFORE_GCD = 8
 
 
-def irreducible_over_q_check(f: IntPoly) -> bool | None:
-    """Best-effort irreducibility verdict over Q for monic f.
+def _primes() -> Iterator[int]:
+    return (p for p in itertools.count(2) if is_prime(p))
 
-    True: certified irreducible (irreducible mod some p <= 19).
-    False: certified reducible (an integer root exists and degree > 1).
-    None: inconclusive; the caller should treat irreducibility as user-asserted.
+
+def _squarefree_over_q(f: IntPoly) -> bool:
+    fq = [Fraction(c) for c in f.coeffs]
+    return len(_frac_gcd(fq, _frac_deriv(fq))) == 1
+
+
+def _degree_mask(parts: list[tuple[list[int], int]]) -> int:
+    """Bit k set when a product of the irreducible factors behind the
+    distinct-degree parts has degree k."""
+    mask = 1
+    for g, d in parts:
+        for _ in range((len(g) - 1) // d):
+            mask |= mask << d
+    return mask
+
+
+def _hensel_step(
+    f: list[int],
+    g: list[int],
+    h: list[int],
+    s: list[int],
+    t: list[int],
+    m: int,
+    lift_inverse: bool,
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Quadratic Hensel step (von zur Gathen & Gerhard, Alg. 15.10): from
+    f = g h and s g + t h = 1 mod m, with g and h monic, to the same mod m^2.
+    The inverse pair (s, t) is lifted only when a further step needs it."""
+    m2 = m * m
+    e = _lsub(f, _lmul(g, h, m2), m2)
+    q, r = _ldivmod(_lmul(s, e, m2), h, m2)
+    g = _ladd(g, _ladd(_lmul(t, e, m2), _lmul(q, g, m2), m2), m2)
+    h = _ladd(h, r, m2)
+    if lift_inverse:
+        b = _lsub(_ladd(_lmul(s, g, m2), _lmul(t, h, m2), m2), [1], m2)
+        c, d = _ldivmod(_lmul(s, b, m2), h, m2)
+        s = _lsub(s, d, m2)
+        t = _lsub(t, _ladd(_lmul(t, b, m2), _lmul(c, g, m2), m2), m2)
+    return g, h, s, t
+
+
+def _hensel_lift(
+    f: list[int], factors: list[list[int]], p: int, modulus: int
+) -> list[list[int]]:
+    """Monic factors of f mod modulus = p^(2^j) lifting the pairwise coprime
+    monic factors mod p whose product is f mod p, along a balanced factor
+    tree (von zur Gathen & Gerhard, Alg. 15.17)."""
+    if len(factors) == 1:
+        return [f]
+    half = len(factors) // 2
+    g = functools.reduce(lambda a, b: _lmul(a, b, p), factors[:half])
+    h = functools.reduce(lambda a, b: _lmul(a, b, p), factors[half:])
+    s, t = _lxgcd(g, h, p)
+    m = p
+    while m < modulus:
+        g, h, s, t = _hensel_step(f, g, h, s, t, m, m * m < modulus)
+        m *= m
+    return _hensel_lift(g, factors[:half], p, modulus) + _hensel_lift(
+        h, factors[half:], p, modulus
+    )
+
+
+def _has_factor_over_z(
+    f: IntPoly, factors: list[list[int]], p: int, degrees: int
+) -> bool:
+    """Zassenhaus recombination: does f have a monic factor over Z of degree
+    strictly between 0 and deg f?
+
+    factors are the irreducible factors of f mod p, f squarefree mod p, and
+    degrees is a bit mask of the factor degrees still possible.  Every
+    coefficient of a factor of f is at most B = 2^n ||f||_2 in absolute value
+    (Mignotte), so once lifted mod p^k > 2B, the product of a subset of the
+    lifted factors, in symmetric residues, is the factor itself when it is
+    one.  A factor or its cofactor comes from at most half of the factors.
+    """
+    bound = 2 * 2**f.degree * (isqrt(sum(c * c for c in f.coeffs)) + 1)
+    modulus = p
+    while modulus <= bound:
+        modulus *= modulus
+    lifted = _hensel_lift([c % modulus for c in f.coeffs], factors, p, modulus)
+    half = modulus // 2
+    c0 = f.coeffs[0]
+    r = len(lifted)
+    for size in range(1, r // 2 + 1):
+        for subset in itertools.combinations(range(r), size):
+            if 2 * size == r and subset[0]:
+                break  # the rest are the complements of subsets already tried
+            if not degrees >> sum(len(lifted[i]) - 1 for i in subset) & 1:
+                continue
+            const = 1
+            for i in subset:
+                const = const * lifted[i][0] % modulus
+            if const > half:
+                const -= modulus
+            if const == 0 or c0 % const:
+                continue
+            prod = [1]
+            for i in subset:
+                prod = _lmul(prod, lifted[i], modulus)
+            g = IntPoly(c - modulus if c > half else c for c in prod)
+            if f.divmod_monic(g)[1].is_zero:
+                return True
+    return False
+
+
+def irreducible_over_q_check(f: IntPoly) -> bool:
+    """Exact irreducibility of a monic integer polynomial over Q.
+
+    Cheap certificates come first: degree 1; a zero constant term; an integer
+    root, searched when |f(0)| <= 10^6 (without one, degree 2 or 3 is
+    irreducible); a good prime p (f mod p squarefree) at which f has one
+    irreducible factor, or good primes whose factor degrees leave no degree a
+    proper factor over Z could have.  Otherwise Zassenhaus's algorithm decides
+    at the good prime with the fewest factors: split f fully mod p, lift the
+    factors quadratically past twice a Mignotte bound, and try the products of
+    at most half of them as factors over Z.
     """
     if not f.is_monic or f.degree < 1:
         raise ValueError("check needs a monic polynomial of degree >= 1")
-    if f.degree == 1:
+    n = f.degree
+    if n == 1:
         return True
     c0 = f.coeffs[0]
     if c0 == 0:
@@ -513,10 +747,31 @@ def irreducible_over_q_check(f: IntPoly) -> bool | None:
         for d in sorted(divisors):
             if f(d) == 0 or f(-d) == 0:
                 return False
-    for p in _IRREDUCIBILITY_PRIMES:
-        if is_irreducible_mod_p(f.reduce_mod(p)):
+        if n <= 3:
             return True
-    return None
+    degrees = (1 << n) - 2  # bit mask of the degrees a proper factor may have
+    best: tuple[int, int, list] | None = None  # (factor count, p, parts)
+    bad = good = 0
+    for p in _primes():
+        fp = [c % p for c in f.coeffs]
+        if len(_lgcd(fp, _lderiv(fp, p), p)) > 1:
+            bad += 1
+            if best is None and bad == _BAD_PRIMES_BEFORE_GCD:
+                if not _squarefree_over_q(f):
+                    return False
+            continue
+        parts = _distinct_degree(fp, p)
+        degrees &= _degree_mask(parts)
+        if not degrees:  # no degree is left for a proper factor
+            return True
+        count = sum((len(g) - 1) // d for g, d in parts)
+        if best is None or count < best[0]:
+            best = (count, p, parts)
+        good += 1
+        if good == _PATTERN_PRIMES or count == 2:  # two factors: one subset to try
+            break
+    _, p, parts = best
+    return not _has_factor_over_z(f, _split_parts(parts, p), p, degrees)
 
 
 # ---------------------------------------------------------------------------

@@ -140,7 +140,7 @@ class Cyclotomic:
 
 @dataclass(frozen=True)
 class GeneralPoly:
-    """Q[x]/(f) for monic f, asserted irreducible by the caller.
+    """Q[x]/(f) for monic f; compute() rejects an f reducible over Q.
 
     The ring used downstream is Z[x]/(f); splitting at 2 and 3 goes through
     the Dedekind criterion and fails loudly when Z[theta] is not maximal there.

@@ -438,7 +438,7 @@ def compute(ring: ArithmeticRingSpec) -> ComputeOutcome:
 
     Raises FiniteUnitsError when the unit group is finite and no known case
     applies, NotPMaximalError when a polynomial form is not 2- or 3-maximal,
-    and ValueError for invalid inputs.
+    and ValueError for invalid inputs, a polynomial reducible over Q among them.
     """
     spec = ring.field
     s = ring.s
@@ -466,17 +466,10 @@ def compute(ring: ArithmeticRingSpec) -> ComputeOutcome:
             splittings=tuple(places),
         )
 
-    if isinstance(spec, GeneralPoly):
-        verdict = irreducible_over_q_check(spec.poly)
-        if verdict is False:
-            raise ValueError(
-                f"{spec.poly} is reducible over Q and does not define a field"
-            )
-        if verdict is None:
-            warnings.append(
-                "irreducibility of the defining polynomial is user-asserted "
-                "(best-effort check inconclusive)"
-            )
+    if isinstance(spec, GeneralPoly) and not irreducible_over_q_check(spec.poly):
+        raise ValueError(
+            f"{spec.poly} is reducible over Q and does not define a field"
+        )
 
     sig = signature(spec)
     split2 = split_at(spec, 2)

@@ -4,6 +4,7 @@ round-trips, and the exit-code contract."""
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -17,6 +18,8 @@ from sl2ab.cli import (
     dump_json,
     run,
 )
+from sl2ab.polyarith import cyclotomic_polynomial
+from sl2ab.verify import cyclotomic_reference
 
 
 def invoke(capsys, *argv):
@@ -87,6 +90,23 @@ class TestComputeCommand:
         assert "  [1] (2, x^2+x+1): e=1, f=2" in out
         assert "  [0] (3, x+1): e=3, f=1" in out
         assert "group: Z/12  (= Z/3 + Z/4)" in out
+
+    def test_reducible_poly_exit(self, capsys):
+        # (x^2+1)(x^2+2): reducible over Q, yet without a rational root
+        code, out, err = invoke(capsys, "compute", "--poly=2,0,3,0,1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "is reducible over Q" in err
+
+    @pytest.mark.parametrize("n", [23, 29, 35])
+    def test_poly_cyclotomic_bounded_run(self, capsys, n):
+        coeffs = ",".join(str(c) for c in cyclotomic_polynomial(n).coeffs)
+        start = time.perf_counter()
+        code, out, _ = invoke(capsys, "compute", f"--poly={coeffs}", "--json")
+        elapsed = time.perf_counter() - start
+        assert code == EXIT_OK
+        assert json.loads(out)["group"] == cyclotomic_reference(n).to_json()
+        assert elapsed < 5.0, f"Phi_{n} took {elapsed:.2f}s"
 
     def test_cyclotomic(self, capsys):
         code, out, _ = invoke(capsys, "compute", "--cyclotomic", "8")

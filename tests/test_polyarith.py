@@ -1,6 +1,9 @@
 """Exact arithmetic tests: integer helpers, polynomials over Z and F_p,
 factorization, irreducibility, Sturm chains, cyclotomic polynomials."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -213,6 +216,36 @@ def _product(factors):
     return out
 
 
+def _trial_division_squarefree(f):
+    """Reference: irreducible factors of a squarefree monic f over F_p by
+    exhaustive trial division.  Candidates are tried in increasing degree, so
+    every successful divisor is irreducible; whatever survives past degree
+    deg/2 is itself irreducible.  Exponential in deg f: small inputs only."""
+    factors = []
+    rem = f
+    d = 1
+    while rem.degree >= 1:
+        if d > rem.degree // 2:
+            factors.append(rem)
+            return factors
+        for lower in itertools.product(range(f.p), repeat=d):
+            cand = ModPoly(f.p, lower + (1,))
+            q, r = divmod(rem, cand)
+            if r.is_zero:
+                factors.append(cand)
+                rem = q
+        d += 1
+    return factors
+
+
+def _reference_factor_mod_p(f):
+    found = {}
+    for part, mult in squarefree_decomposition(f):
+        for irr in _trial_division_squarefree(part):
+            found[irr] = found.get(irr, 0) + mult
+    return sorted(found.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs))
+
+
 class TestFactorModP:
     def test_known_factorizations(self):
         # x^3 - 5 = (x+1)(x^2+x+1) mod 2
@@ -232,8 +265,12 @@ class TestFactorModP:
         assert factor_mod_p(ModPoly(2, (1, 0, 0, 0, 1))) == [(ModPoly(2, (1, 1)), 4)]
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            factor_mod_p(ModPoly(11, (1, 0, 1)))
+        # any prime is accepted: x^2+1 is irreducible mod 11, x^2-1 splits
+        assert factor_mod_p(ModPoly(11, (1, 0, 1))) == [(ModPoly(11, (1, 0, 1)), 1)]
+        assert factor_mod_p(ModPoly(11, (-1, 0, 1))) == [
+            (ModPoly(11, (1, 1)), 1),
+            (ModPoly(11, (10, 1)), 1),
+        ]
         with pytest.raises(ValueError):
             factor_mod_p(ModPoly(2, (1,)))
         with pytest.raises(ValueError):
@@ -249,6 +286,41 @@ class TestFactorModP:
         # p-th power branch: (x+1)^2 over F_2 has zero derivative
         sq = ModPoly(2, (1, 1)) * ModPoly(2, (1, 1))
         assert squarefree_decomposition(sq) == [(ModPoly(2, (1, 1)), 2)]
+
+    @given(
+        st.sampled_from([2, 3, 5, 7]),
+        st.lists(st.integers(0, 6), min_size=1, max_size=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_trial_division_reference(self, p, lower):
+        f = ModPoly(p, lower + [1])
+        assert factor_mod_p(f) == _reference_factor_mod_p(f)
+
+    def test_equal_degree_splitting(self):
+        # p = 2 (trace map): the three irreducible quartics over F_2
+        quartics = [
+            (ModPoly(2, c), 1) for c in ((1, 0, 0, 1, 1), (1, 1, 0, 0, 1), (1, 1, 1, 1, 1))
+        ]
+        f = _product(quartics)
+        assert factor_mod_p(f) == quartics == _reference_factor_mod_p(f)
+        # the two degree-1 factors over F_2, and x^2+x+1 squared alongside
+        f = _product(
+            [(ModPoly(2, (0, 1)), 1), (ModPoly(2, (1, 1)), 1), (ModPoly(2, (1, 1, 1)), 2)]
+        )
+        assert factor_mod_p(f) == _reference_factor_mod_p(f)
+        # odd p: two irreducible cubics over F_3, x^3-x+1 and x^3-x-1
+        cubics = [(ModPoly(3, (1, 2, 0, 1)), 1), (ModPoly(3, (2, 2, 0, 1)), 1)]
+        f = _product(cubics)
+        assert factor_mod_p(f) == cubics == _reference_factor_mod_p(f)
+
+    def test_large_prime_and_degree(self):
+        # x^p - x is the product of all x - a over F_p
+        p = 101
+        f = ModPoly(p, [0, -1] + [0] * (p - 2) + [1])
+        assert factor_mod_p(f) == [(ModPoly(p, (a, 1)), 1) for a in range(p)]
+        # Phi_29 mod 3: 3 has order 28 mod 29, so it stays irreducible
+        phi29 = cyclotomic_polynomial(29).reduce_mod(3)
+        assert factor_mod_p(phi29) == [(phi29, 1)]
 
     @given(
         st.sampled_from([2, 3]),
@@ -280,10 +352,48 @@ class TestIrreducibility:
         assert irreducible_over_q_check(IntPoly((-1, 0, 1))) is False  # x^2-1
         assert irreducible_over_q_check(IntPoly((0, 0, 1))) is False  # x^2
         # x^4+1 is irreducible over Q but reducible mod every prime
-        assert irreducible_over_q_check(IntPoly((1, 0, 0, 0, 1))) is None
+        assert irreducible_over_q_check(IntPoly((1, 0, 0, 0, 1))) is True
         assert irreducible_over_q_check(IntPoly((7, 1))) is True
         with pytest.raises(ValueError):
             irreducible_over_q_check(IntPoly((1, 2)))
+
+    def test_over_q_check_is_exact(self):
+        # reducible mod every prime, irreducible over Q: needs recombination
+        assert irreducible_over_q_check(IntPoly((1, 0, -10, 0, 1))) is True
+        for n in (15, 21, 24, 32, 33, 35, 44, 66):
+            assert irreducible_over_q_check(cyclotomic_polynomial(n)) is True
+        # (x^2+1)(x^2+2): no rational root, no small-prime certificate
+        assert irreducible_over_q_check(IntPoly((2, 0, 3, 0, 1))) is False
+        for a, b in ((3, 4), (5, 7), (5, 12), (8, 9), (15, 20)):
+            f = cyclotomic_polynomial(a) * cyclotomic_polynomial(b)
+            assert irreducible_over_q_check(f) is False
+        # a repeated factor leaves no prime at which f is squarefree
+        phi15 = cyclotomic_polynomial(15)
+        assert irreducible_over_q_check(phi15 * phi15) is False
+        # constant term beyond the rational-root search
+        assert irreducible_over_q_check(IntPoly((10**7 + 19, 0, 1))) is True
+        assert irreducible_over_q_check(IntPoly((-(10**4 + 7) ** 2, 0, 1))) is False
+
+    @given(
+        st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+        st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_products_are_reducible(self, ac, bc):
+        f = IntPoly(ac + [1]) * IntPoly(bc + [1])
+        assert irreducible_over_q_check(f) is False
+
+    def test_agrees_with_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(2)
+        for _ in range(150):
+            f = IntPoly([rng.randint(-30, 30) for _ in range(rng.randint(1, 8))] + [1])
+            if rng.random() < 0.4:
+                g = IntPoly([rng.randint(-6, 6) for _ in range(rng.randint(1, 4))] + [1])
+                f = f * g
+            expected = sympy.Poly(list(reversed(f.coeffs)), x).is_irreducible
+            assert irreducible_over_q_check(f) is expected, f
 
 
 class TestSturm:

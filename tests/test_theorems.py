@@ -326,12 +326,14 @@ class TestComputePipeline:
         assert out.group == Z12
         assert not out.warnings
         assert [c.prime for c in out.contributions] == ["(2, x+1)", "(3, x+1)"]
-        # x^4 + 1: irreducibility check is inconclusive, warning attached
+        # x^4 + 1: reducible mod every prime, certified irreducible over Q
         out = compute(ArithmeticRingSpec(GeneralPoly(IntPoly((1, 0, 0, 0, 1)))))
         assert out.group == V4
-        assert any("user-asserted" in w for w in out.warnings)
+        assert not out.warnings
         with pytest.raises(ValueError):
             compute(ArithmeticRingSpec(GeneralPoly(IntPoly((-1, 0, 1)))))
+        with pytest.raises(ValueError, match="reducible over Q"):
+            compute(ArithmeticRingSpec(GeneralPoly(IntPoly((2, 0, 3, 0, 1)))))
         with pytest.raises(NotPMaximalError):
             compute(ArithmeticRingSpec(GeneralPoly(IntPoly((-5, 0, 1)))))
         with pytest.raises(FiniteUnitsError):
