@@ -44,31 +44,23 @@ from .splitting import (
     RationalFunction,
     Signature,
     SplittingData,
-    UserSupplied,
+    UserFunctionField,
+    UserNumberField,
     cyclotomic_split,
     dedekind_split,
     quadratic_min_poly,
     quadratic_split,
     rational_function_split,
-    split_at,
 )
 from .theorems import (
     ArithmeticRingSpec,
-    BetaFlags,
     ComputeOutcome,
     Contribution,
     FiniteUnitsError,
     SSet,
     compute,
-    galois_result,
     known_small_cases,
     s_for_inverted,
-    sl2ab_char0,
-    sl2ab_charp,
-    sl2ab_cyclotomic,
-    sl2ab_galois,
-    sl2ab_quadratic_negative,
-    sl2ab_quadratic_positive,
 )
 from .verify import CaseResult, SUITES, run_suite
 
@@ -77,7 +69,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AbelianGroup",
     "ArithmeticRingSpec",
-    "BetaFlags",
     "BudgetExceededError",
     "CaseResult",
     "ComputeOutcome",
@@ -103,7 +94,8 @@ __all__ = [
     "Signature",
     "SplittingData",
     "TRIVIAL_GROUP",
-    "UserSupplied",
+    "UserFunctionField",
+    "UserNumberField",
     "ZmodPK",
     "abelianization",
     "canonicalize",
@@ -116,7 +108,6 @@ __all__ = [
     "enumerate_sl2_direct",
     "factor_mod_p",
     "from_order_statistics",
-    "galois_result",
     "generate_from_elementary",
     "known_small_cases",
     "prop_local_formula",
@@ -126,11 +117,4 @@ __all__ = [
     "run_suite",
     "s_for_inverted",
     "sl2_abelianization",
-    "sl2ab_char0",
-    "sl2ab_charp",
-    "sl2ab_cyclotomic",
-    "sl2ab_galois",
-    "sl2ab_quadratic_negative",
-    "sl2ab_quadratic_positive",
-    "split_at",
 ]

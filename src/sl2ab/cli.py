@@ -26,8 +26,10 @@ from .oracle import (
     prop_local_formula,
     sl2_abelianization,
 )
-from .polyarith import IntPoly, euler_phi, is_squarefree, primes_dividing
+from .polyarith import IntPoly
 from .splitting import (
+    CYCLOTOMIC_LIMIT,
+    INTEGER_LIMIT,
     Cyclotomic,
     FieldSpec,
     GeneralPoly,
@@ -35,19 +37,16 @@ from .splitting import (
     Quadratic,
     Rational,
     RationalFunction,
-    field_degree,
-    field_spec_to_json,
-    signature,
+    check_limit,
 )
 from .theorems import (
+    EMPTY_S,
     ArithmeticRingSpec,
     ComputeOutcome,
     FiniteUnitsError,
     SSet,
     compute,
     s_for_inverted,
-    sl2ab_cyclotomic,
-    sl2ab_quadratic_positive,
 )
 from .verify import SUITES
 
@@ -199,24 +198,16 @@ def _field_from_args(args: argparse.Namespace) -> FieldSpec:
 
 
 def _s_from_args(args: argparse.Namespace) -> SSet:
-    removed2: set[int] = set()
-    removed3: set[int] = set()
-    other = args.extra_s_primes
+    inverted = EMPTY_S
     if args.invert is not None:
         if not args.rational:
             raise CliError(
                 "--invert applies only to --rational; use --remove-prime P:IDX"
             )
-        inverted: set[int] = set()
-        for n in _parse_int_list(args.invert, "--invert"):
-            if n < 2:
-                raise CliError(f"--invert: need integers >= 2, got {n}")
-            inverted.update(primes_dividing(n))
-        if 2 in inverted:
-            removed2.add(0)
-        if 3 in inverted:
-            removed3.add(0)
-        other += len(inverted - {2, 3})
+        inverted = s_for_inverted(*_parse_int_list(args.invert, "--invert"))
+    removed2 = set(inverted.removed_above_2)
+    removed3 = set(inverted.removed_above_3)
+    other = inverted.other_finite_primes + args.extra_s_primes
     for item in args.remove_prime:
         for part in item.split(","):
             part = part.strip()
@@ -238,20 +229,6 @@ def _s_from_args(args: argparse.Namespace) -> SSet:
     return SSet(frozenset(removed2), frozenset(removed3), other)
 
 
-def _field_str(spec: FieldSpec) -> str:
-    if isinstance(spec, Rational):
-        return "Q"
-    if isinstance(spec, Quadratic):
-        return f"Q(sqrt({spec.d}))"
-    if isinstance(spec, Cyclotomic):
-        return f"Q(zeta_{spec.n})"
-    if isinstance(spec, GeneralPoly):
-        return f"Q[x]/({spec.poly})"
-    if isinstance(spec, RationalFunction):
-        return f"F_{spec.q}(t)"
-    return f"user-supplied field of degree {field_degree(spec)}"
-
-
 def _s_str(s: SSet, infinite_places: int) -> str:
     parts = [f"{infinite_places} infinite place(s)"]
     if s.removed_above_2:
@@ -265,13 +242,12 @@ def _s_str(s: SSet, infinite_places: int) -> str:
     return "; ".join(parts)
 
 
-def _print_compute_report(
-    field: FieldSpec, s: SSet, outcome: ComputeOutcome
-) -> None:
-    print(f"field: {_field_str(field)}")
-    if isinstance(field, RationalFunction):
+def _print_compute_report(outcome: ComputeOutcome) -> None:
+    field, s = outcome.ring.field, outcome.ring.s
+    print(f"field: {field}")
+    if field.characteristic:
         print(f"characteristic: {field.characteristic} (q = {field.q})")
-        print(f"S: {_s_str(s, 1)}")
+        print(f"S: {_s_str(s, field.infinite_places)}")
         places = [q for sp in outcome.splittings for q in sp.primes]
         if places:
             print("degree-one places with small residue field:")
@@ -280,8 +256,8 @@ def _print_compute_report(
         else:
             print("degree-one places with small residue field: none (q >= 4)")
     else:
-        sig = signature(field)
-        print(f"degree: {field_degree(field)}; signature: ({sig.r1}, {sig.r2})")
+        sig = field.signature
+        print(f"degree: {field.degree}; signature: ({sig.r1}, {sig.r2})")
         print(f"S: {_s_str(s, sig.infinite_places)}")
         for sp in outcome.splittings:
             print(f"splitting of {sp.p}:")
@@ -305,24 +281,11 @@ def _print_compute_report(
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    field = _field_from_args(args)
-    s = _s_from_args(args)
-    outcome = compute(ArithmeticRingSpec(field, s))
+    outcome = compute(ArithmeticRingSpec(_field_from_args(args), _s_from_args(args)))
     if args.json:
-        doc = {
-            "input": {"field": field_spec_to_json(field), "s": s.to_json()},
-            "route": outcome.route,
-            "group": outcome.group.to_json(),
-            "contributions": [
-                {"prime": c.prime, "summand": c.summand}
-                for c in outcome.contributions
-            ],
-            "warnings": list(outcome.warnings),
-            "splittings": [sp.to_json() for sp in outcome.splittings],
-        }
-        sys.stdout.write(dump_json(doc))
+        sys.stdout.write(dump_json(outcome.to_json()))
     else:
-        _print_compute_report(field, s, outcome)
+        _print_compute_report(outcome)
     return EXIT_OK
 
 
@@ -397,18 +360,24 @@ def _cmd_table(args: argparse.Namespace) -> int:
             raise CliError(
                 f"need 1 < d_min <= d_max, got {args.d_min}..{args.d_max}"
             )
+        check_limit(args.d_max, INTEGER_LIMIT, "d_max")
         print(f"{'d':>5}  {'d mod 24':>8}  group")
         for d in range(args.d_min, args.d_max + 1):
-            if not is_squarefree(d):
+            try:
+                spec = Quadratic(d)
+            except ValueError:
                 print(f"{d:>5}  {d % 24:>8}  (skipped: not squarefree)")
                 continue
-            print(f"{d:>5}  {d % 24:>8}  {sl2ab_quadratic_positive(d)}")
+            print(f"{d:>5}  {d % 24:>8}  {compute(ArithmeticRingSpec(spec)).group}")
     elif args.table_kind == "cyclotomic":
         if args.n_max < 1:
             raise CliError(f"need N_max >= 1, got {args.n_max}")
+        check_limit(args.n_max, CYCLOTOMIC_LIMIT, "N_max")
         print(f"{'N':>4}  {'phi(N)':>6}  group")
         for n in range(1, args.n_max + 1):
-            print(f"{n:>4}  {euler_phi(n):>6}  {sl2ab_cyclotomic(n)}")
+            spec = Cyclotomic(n)
+            group = compute(ArithmeticRingSpec(spec)).group
+            print(f"{n:>4}  {spec.degree:>6}  {group}")
     else:
         if args.n_max < 2:
             raise CliError(f"need n_max >= 2, got {args.n_max}")

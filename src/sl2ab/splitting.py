@@ -1,16 +1,18 @@
-"""Splitting of the rational primes 2 and 3 in rings of integers.
+"""Splitting of the rational primes 2 and 3 in rings of integers, and the
+field forms that carry it.
 
 The group-structure formulas downstream consume only the multiset of
 (ramification index e, inertia degree f) pairs above 2 and above 3, bundled
 here as SplittingData.  Three independent routes produce it: the Dedekind
 criterion on a defining polynomial, congruence rules for quadratic fields,
 and the closed form for cyclotomic fields.  The routes double-check each
-other in the test suite.
+other in the test suite.  Each field form knows its own degree, signature
+(or places), splitting, JSON form and display name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Union
 
 from .polyarith import (
@@ -18,11 +20,33 @@ from .polyarith import (
     ModPoly,
     euler_phi,
     factor_mod_p,
+    irreducible_over_q_check,
     is_prime_power,
     is_squarefree,
     multiplicative_order,
     sturm_real_roots,
 )
+
+# Inputs that reach trial division (factorint) or the order loop of
+# multiplicative_order are bounded, so that every such run is short.
+INTEGER_LIMIT = 10**12
+CYCLOTOMIC_LIMIT = 10**6
+
+
+def check_limit(value: int, limit: int, name: str) -> None:
+    """Raise ValueError when |value| exceeds limit."""
+    if abs(value) > limit:
+        raise ValueError(f"|{name}| must be at most {limit}, got {value}")
+
+
+def _check_p(p: int) -> None:
+    if p not in (2, 3):
+        raise ValueError(f"splitting is computed at p in {{2, 3}} only, got {p}")
+
+
+def _check_radicand(d: int) -> None:
+    if d in (0, 1) or not is_squarefree(d):
+        raise ValueError(f"radicand must be squarefree and not 0 or 1: {d}")
 
 
 class NotPMaximalError(Exception):
@@ -83,6 +107,20 @@ class SplittingData:
         }
 
     @classmethod
+    def uniform(cls, p: int, degree: int, e: int, f: int) -> "SplittingData":
+        """p splits into degree / (e f) primes that all share (e, f), as in
+        a Galois field or a cyclotomic one."""
+        if e < 1 or f < 1 or degree % (e * f):
+            raise ValueError(
+                f"invalid decomposition at {p}: e*f = {e}*{f} must divide n = {degree}"
+            )
+        count = degree // (e * f)
+        primes = tuple(
+            PrimeAbove(p, e, f, f"({p}, #{i + 1} of {count})") for i in range(count)
+        )
+        return cls(p, degree, primes)
+
+    @classmethod
     def from_json(cls, data: Mapping) -> "SplittingData":
         p = data["p"]
         primes = tuple(
@@ -108,119 +146,6 @@ class Signature:
 
 
 # ---------------------------------------------------------------------------
-# field descriptions
-
-
-@dataclass(frozen=True)
-class Rational:
-    """The field Q."""
-
-
-@dataclass(frozen=True)
-class Quadratic:
-    """Q(sqrt(d)) for squarefree d not in {0, 1}."""
-
-    d: int
-
-    def __post_init__(self) -> None:
-        if self.d in (0, 1) or not is_squarefree(self.d):
-            raise ValueError(f"radicand must be squarefree and not 0 or 1: {self.d}")
-
-
-@dataclass(frozen=True)
-class Cyclotomic:
-    """Q(zeta_n), n >= 1.  n = 2 mod 4 is normalized to n/2 internally."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
-
-
-@dataclass(frozen=True)
-class GeneralPoly:
-    """Q[x]/(f) for monic f; compute() rejects an f reducible over Q.
-
-    The ring used downstream is Z[x]/(f); splitting at 2 and 3 goes through
-    the Dedekind criterion and fails loudly when Z[theta] is not maximal there.
-    """
-
-    poly: IntPoly
-
-    def __post_init__(self) -> None:
-        if not self.poly.is_monic or self.poly.degree < 1:
-            raise ValueError(f"need a monic polynomial of degree >= 1: {self.poly!r}")
-
-
-@dataclass(frozen=True)
-class RationalFunction:
-    """F_q(t) for a prime power q."""
-
-    q: int
-
-    def __post_init__(self) -> None:
-        if is_prime_power(self.q) is None:
-            raise ValueError(f"q must be a prime power, got {self.q}")
-
-    @property
-    def characteristic(self) -> int:
-        pw = is_prime_power(self.q)
-        assert pw is not None
-        return pw[0]
-
-
-@dataclass(frozen=True)
-class UserSupplied:
-    """Explicitly given degree, signature/characteristic, and splitting data.
-
-    Number-field case: signature, split2 and split3 are required.  Function-
-    field case: q is required and split_t lists the decomposition of each
-    degree-one place t - a that matters; infinite_places counts the places at
-    infinity (1 for F_q(t) itself).
-    """
-
-    degree: int
-    signature_: Signature | None = None
-    q: int | None = None
-    split2: SplittingData | None = None
-    split3: SplittingData | None = None
-    split_t: tuple[SplittingData, ...] = ()
-    infinite_places: int = 1
-
-    def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise ValueError(f"degree must be >= 1, got {self.degree}")
-        if (self.q is None) == (self.signature_ is None):
-            raise ValueError("give exactly one of signature (char 0) or q (char p)")
-        if self.q is not None:
-            if is_prime_power(self.q) is None:
-                raise ValueError(f"q must be a prime power, got {self.q}")
-            for sp in self.split_t:
-                if sp.degree != self.degree:
-                    raise ValueError("split_t degree mismatch")
-            if self.infinite_places < 1:
-                raise ValueError("need at least one infinite place")
-        else:
-            sig = self.signature_
-            assert sig is not None
-            if sig.r1 + 2 * sig.r2 != self.degree:
-                raise ValueError(
-                    f"signature ({sig.r1}, {sig.r2}) does not match degree {self.degree}"
-                )
-            if self.split2 is None or self.split3 is None:
-                raise ValueError("char-0 user spec needs split2 and split3")
-            for sp in (self.split2, self.split3):
-                if sp.degree != self.degree:
-                    raise ValueError("splitting degree mismatch")
-
-
-FieldSpec = Union[
-    Rational, Quadratic, Cyclotomic, GeneralPoly, RationalFunction, UserSupplied
-]
-
-
-# ---------------------------------------------------------------------------
 # Dedekind's criterion
 
 
@@ -231,8 +156,7 @@ def dedekind_split(f: IntPoly, p: int) -> SplittingData:
     failure raises NotPMaximalError rather than returning wrong (e, f) data.
     Labels name the ideals (p, g_i(theta)) by their generator polynomials.
     """
-    if p not in (2, 3):
-        raise ValueError(f"splitting is computed at p in {{2, 3}} only, got {p}")
+    _check_p(p)
     if not f.is_monic or f.degree < 1:
         raise ValueError(f"need a monic polynomial of degree >= 1: {f!r}")
     fbar = f.reduce_mod(p)
@@ -266,8 +190,7 @@ def quadratic_min_poly(d: int) -> IntPoly:
     Using x^2 - d for d = 1 mod 4 would describe an index-2 subring and give
     wrong splitting at 2.
     """
-    if d in (0, 1) or not is_squarefree(d):
-        raise ValueError(f"radicand must be squarefree and not 0 or 1: {d}")
+    _check_radicand(d)
     if d % 4 == 1:
         return IntPoly(((1 - d) // 4, -1, 1))
     return IntPoly((-d, 0, 1))
@@ -279,16 +202,14 @@ def quadratic_split(d: int, p: int) -> SplittingData:
     p = 2: inert when d = 5 mod 8, split when d = 1 mod 8, ramified otherwise.
     p = 3: inert when d = 2 mod 3, split when d = 1 mod 3, ramified when 3 | d.
     """
-    if d in (0, 1) or not is_squarefree(d):
-        raise ValueError(f"radicand must be squarefree and not 0 or 1: {d}")
+    _check_radicand(d)
+    _check_p(p)
     if p == 2:
         r = d % 8
         kind = "inert" if r == 5 else "split" if r == 1 else "ramified"
-    elif p == 3:
+    else:
         r = d % 3
         kind = "inert" if r == 2 else "split" if r == 1 else "ramified"
-    else:
-        raise ValueError(f"splitting is computed at p in {{2, 3}} only, got {p}")
     if kind == "inert":
         primes = (PrimeAbove(p, 1, 2, f"({p}, inert)"),)
     elif kind == "split":
@@ -318,22 +239,15 @@ def cyclotomic_split(n: int, p: int) -> SplittingData:
     Writing the normalized n as p^a * s with p not dividing s, there are
     phi(n) / (e f) primes above p, all with the same (e, f).
     """
-    if p not in (2, 3):
-        raise ValueError(f"splitting is computed at p in {{2, 3}} only, got {p}")
+    _check_p(p)
     n = _normalize_cyclotomic(n)
-    degree = euler_phi(n)
     a = 0
     s = n
     while s % p == 0:
         a += 1
         s //= p
-    e = euler_phi(p**a)
-    f = multiplicative_order(p, s)
-    count = degree // (e * f)
-    primes = tuple(
-        PrimeAbove(p, e, f, f"({p}, #{i + 1} of {count})") for i in range(count)
-    )
-    return SplittingData(p, degree, primes)
+    e = (p - 1) * p ** (a - 1) if a else 1  # phi(p^a)
+    return SplittingData.uniform(p, euler_phi(n), e, multiplicative_order(p, s))
 
 
 # ---------------------------------------------------------------------------
@@ -357,107 +271,264 @@ def rational_function_split(q: int) -> list[SplittingData]:
 
 
 # ---------------------------------------------------------------------------
-# dispatch over field specs
+# field forms
 
 
-def field_degree(spec: FieldSpec) -> int:
-    if isinstance(spec, Rational):
-        return 1
-    if isinstance(spec, Quadratic):
-        return 2
-    if isinstance(spec, Cyclotomic):
-        return euler_phi(_normalize_cyclotomic(spec.n))
-    if isinstance(spec, GeneralPoly):
-        return spec.poly.degree
-    if isinstance(spec, RationalFunction):
-        return 1
-    if isinstance(spec, UserSupplied):
-        return spec.degree
-    raise TypeError(f"not a field spec: {spec!r}")
+_REAL_QUADRATIC = Signature(2, 0)
+_IMAGINARY_QUADRATIC = Signature(0, 1)
 
 
-def signature(spec: FieldSpec) -> Signature:
-    """Signature (r1, r2) of a number-field spec.
+class NumberField:
+    """Base of the number-field forms.
 
-    Rational function fields have no archimedean signature; asking is an error.
-    For a general polynomial the real-root count comes from a Sturm chain.
+    Each form gives its degree, its signature and split_at(p) for p = 2, 3;
+    route names the splitting rule it uses.
     """
-    if isinstance(spec, Rational):
-        return Signature(1, 0)
-    if isinstance(spec, Quadratic):
-        return Signature(2, 0) if spec.d > 0 else Signature(0, 1)
-    if isinstance(spec, Cyclotomic):
-        n = _normalize_cyclotomic(spec.n)
-        return Signature(1, 0) if n <= 2 else Signature(0, euler_phi(n) // 2)
-    if isinstance(spec, GeneralPoly):
-        r1 = sturm_real_roots(spec.poly)
-        return Signature(r1, (spec.poly.degree - r1) // 2)
-    if isinstance(spec, UserSupplied):
-        if spec.signature_ is None:
-            raise ValueError("char-p user spec has no archimedean signature")
-        return spec.signature_
-    if isinstance(spec, RationalFunction):
-        raise ValueError("rational function fields have no archimedean signature")
-    raise TypeError(f"not a field spec: {spec!r}")
+
+    characteristic = 0
+    route = "Main"
+
+    @property
+    def infinite_places(self) -> int:
+        return self.signature.infinite_places
+
+    def splittings(self) -> tuple[SplittingData, ...]:
+        return (self.split_at(2), self.split_at(3))
 
 
-def split_at(spec: FieldSpec, p: int) -> SplittingData:
-    """SplittingData of p in the given number field (p = 2 or 3)."""
-    if p not in (2, 3):
-        raise ValueError(f"splitting is computed at p in {{2, 3}} only, got {p}")
-    if isinstance(spec, Rational):
+@dataclass(frozen=True)
+class FunctionField:
+    """Base of the function-field forms, extensions of F_q(t) for a prime
+    power q <= INTEGER_LIMIT.
+
+    Each form gives q, its degree, infinite_places and splittings(): the
+    decomposition of the degree-one places t - a that can contribute.
+    """
+
+    characteristic: int = field(init=False, repr=False, compare=False)
+    route = "main2"
+
+    def __post_init__(self) -> None:
+        check_limit(self.q, INTEGER_LIMIT, "q")
+        pw = is_prime_power(self.q)
+        if pw is None:
+            raise ValueError(f"q must be a prime power, got {self.q}")
+        object.__setattr__(self, "characteristic", pw[0])
+
+
+@dataclass(frozen=True)
+class Rational(NumberField):
+    """The field Q."""
+
+    degree = 1
+    signature = Signature(1, 0)
+
+    def split_at(self, p: int) -> SplittingData:
+        _check_p(p)
         return SplittingData(p, 1, (PrimeAbove(p, 1, 1, f"({p})"),))
-    if isinstance(spec, Quadratic):
-        return quadratic_split(spec.d, p)
-    if isinstance(spec, Cyclotomic):
-        return cyclotomic_split(spec.n, p)
-    if isinstance(spec, GeneralPoly):
-        return dedekind_split(spec.poly, p)
-    if isinstance(spec, UserSupplied):
-        if spec.q is not None:
-            raise ValueError("char-p user spec splits at t - a places, not at 2 or 3")
-        data = spec.split2 if p == 2 else spec.split3
-        assert data is not None
-        return data
-    if isinstance(spec, RationalFunction):
-        raise ValueError("use rational_function_split for function fields")
-    raise TypeError(f"not a field spec: {spec!r}")
 
-
-# ---------------------------------------------------------------------------
-# JSON forms
-
-
-def signature_to_json(sig: Signature) -> dict:
-    return {"r1": sig.r1, "r2": sig.r2}
-
-
-def field_spec_to_json(spec: FieldSpec) -> dict:
-    if isinstance(spec, Rational):
+    def to_json(self) -> dict:
         return {"kind": "rational"}
-    if isinstance(spec, Quadratic):
-        return {"kind": "quadratic", "d": spec.d}
-    if isinstance(spec, Cyclotomic):
-        return {"kind": "cyclotomic", "n": spec.n}
-    if isinstance(spec, GeneralPoly):
-        return {"kind": "poly", "coefficients": list(spec.poly.coeffs)}
-    if isinstance(spec, RationalFunction):
-        return {"kind": "function_field", "q": spec.q}
-    if isinstance(spec, UserSupplied):
-        out: dict = {"kind": "user", "degree": spec.degree}
-        if spec.signature_ is not None:
-            out["signature"] = signature_to_json(spec.signature_)
-        if spec.q is not None:
-            out["q"] = spec.q
-            out["infinite_places"] = spec.infinite_places
-        if spec.split2 is not None:
-            out["split2"] = spec.split2.to_json()
-        if spec.split3 is not None:
-            out["split3"] = spec.split3.to_json()
-        if spec.split_t:
-            out["split_t"] = [sp.to_json() for sp in spec.split_t]
-        return out
-    raise TypeError(f"not a field spec: {spec!r}")
+
+    def __str__(self) -> str:
+        return "Q"
+
+
+@dataclass(frozen=True)
+class Quadratic(NumberField):
+    """Q(sqrt(d)) for squarefree d not in {0, 1}, |d| <= INTEGER_LIMIT."""
+
+    d: int
+    degree = 2
+    route = "quadratic"
+
+    def __post_init__(self) -> None:
+        check_limit(self.d, INTEGER_LIMIT, "d")
+        _check_radicand(self.d)
+
+    @property
+    def signature(self) -> Signature:
+        return _REAL_QUADRATIC if self.d > 0 else _IMAGINARY_QUADRATIC
+
+    def split_at(self, p: int) -> SplittingData:
+        return quadratic_split(self.d, p)
+
+    def to_json(self) -> dict:
+        return {"kind": "quadratic", "d": self.d}
+
+    def __str__(self) -> str:
+        return f"Q(sqrt({self.d}))"
+
+
+@dataclass(frozen=True)
+class Cyclotomic(NumberField):
+    """Q(zeta_n) for 1 <= n <= CYCLOTOMIC_LIMIT.
+
+    n = 2 mod 4 gives the same field as n/2, so forms compare by that
+    normalized n; the normalized n and the degree phi(n) are computed once.
+    """
+
+    n: int = field(compare=False)
+    normalized: int = field(init=False, repr=False)
+    degree: int = field(init=False, repr=False, compare=False)
+    route = "cyclotomic"
+
+    def __post_init__(self) -> None:
+        check_limit(self.n, CYCLOTOMIC_LIMIT, "n")
+        normalized = _normalize_cyclotomic(self.n)
+        object.__setattr__(self, "normalized", normalized)
+        object.__setattr__(self, "degree", euler_phi(normalized))
+
+    @property
+    def signature(self) -> Signature:
+        if self.normalized <= 2:
+            return Signature(1, 0)
+        return Signature(0, self.degree // 2)
+
+    def split_at(self, p: int) -> SplittingData:
+        return cyclotomic_split(self.normalized, p)
+
+    def to_json(self) -> dict:
+        return {"kind": "cyclotomic", "n": self.n}
+
+    def __str__(self) -> str:
+        return f"Q(zeta_{self.n})"
+
+
+@dataclass(frozen=True)
+class GeneralPoly(NumberField):
+    """Q[x]/(f) for monic f irreducible over Q (checked on construction).
+
+    The ring used downstream is Z[x]/(f); splitting at 2 and 3 goes through
+    the Dedekind criterion and fails loudly when Z[theta] is not maximal there.
+    """
+
+    poly: IntPoly
+
+    def __post_init__(self) -> None:
+        if not self.poly.is_monic or self.poly.degree < 1:
+            raise ValueError(f"need a monic polynomial of degree >= 1: {self.poly!r}")
+        if not irreducible_over_q_check(self.poly):
+            raise ValueError(
+                f"{self.poly} is reducible over Q and does not define a field"
+            )
+
+    @property
+    def degree(self) -> int:
+        return self.poly.degree
+
+    @property
+    def signature(self) -> Signature:
+        """(r1, r2), with r1 counted by a Sturm chain."""
+        r1 = sturm_real_roots(self.poly)
+        return Signature(r1, (self.poly.degree - r1) // 2)
+
+    def split_at(self, p: int) -> SplittingData:
+        return dedekind_split(self.poly, p)
+
+    def to_json(self) -> dict:
+        return {"kind": "poly", "coefficients": list(self.poly.coeffs)}
+
+    def __str__(self) -> str:
+        return f"Q[x]/({self.poly})"
+
+
+@dataclass(frozen=True)
+class UserNumberField(NumberField):
+    """A number field given by its degree, signature and the splitting of 2
+    and 3, for instance a Galois field through SplittingData.uniform."""
+
+    degree: int
+    signature: Signature
+    split2: SplittingData
+    split3: SplittingData
+
+    def __post_init__(self) -> None:
+        if self.degree < 1:
+            raise ValueError(f"degree must be >= 1, got {self.degree}")
+        sig = self.signature
+        if sig.r1 + 2 * sig.r2 != self.degree:
+            raise ValueError(
+                f"signature ({sig.r1}, {sig.r2}) does not match degree {self.degree}"
+            )
+        if self.split2.p != 2 or self.split3.p != 3:
+            raise ValueError("split2 must split 2 and split3 must split 3")
+        for sp in (self.split2, self.split3):
+            if sp.degree != self.degree:
+                raise ValueError("splitting degree mismatch")
+
+    def split_at(self, p: int) -> SplittingData:
+        _check_p(p)
+        return self.split2 if p == 2 else self.split3
+
+    def to_json(self) -> dict:
+        return {
+            "kind": "user",
+            "degree": self.degree,
+            "signature": {"r1": self.signature.r1, "r2": self.signature.r2},
+            "split2": self.split2.to_json(),
+            "split3": self.split3.to_json(),
+        }
+
+    def __str__(self) -> str:
+        return f"user-supplied field of degree {self.degree}"
+
+
+@dataclass(frozen=True)
+class RationalFunction(FunctionField):
+    """F_q(t) for a prime power q."""
+
+    q: int
+    degree = 1
+    infinite_places = 1
+
+    def splittings(self) -> tuple[SplittingData, ...]:
+        return tuple(rational_function_split(self.q))
+
+    def to_json(self) -> dict:
+        return {"kind": "function_field", "q": self.q}
+
+    def __str__(self) -> str:
+        return f"F_{self.q}(t)"
+
+
+@dataclass(frozen=True)
+class UserFunctionField(FunctionField):
+    """A degree-n extension of F_q(t) given by split_t, the decomposition of
+    each degree-one place t - a that matters; infinite_places counts the
+    places at infinity (1 for F_q(t) itself)."""
+
+    degree: int
+    q: int
+    split_t: tuple[SplittingData, ...] = ()
+    infinite_places: int = 1
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.degree < 1:
+            raise ValueError(f"degree must be >= 1, got {self.degree}")
+        if any(sp.degree != self.degree for sp in self.split_t):
+            raise ValueError("split_t degree mismatch")
+        if self.infinite_places < 1:
+            raise ValueError("need at least one infinite place")
+
+    def splittings(self) -> tuple[SplittingData, ...]:
+        return self.split_t
+
+    def to_json(self) -> dict:
+        return {
+            "kind": "user",
+            "degree": self.degree,
+            "q": self.q,
+            "infinite_places": self.infinite_places,
+            "split_t": [sp.to_json() for sp in self.split_t],
+        }
+
+    def __str__(self) -> str:
+        return f"user-supplied field of degree {self.degree}"
+
+
+FieldSpec = Union[NumberField, FunctionField]
 
 
 def field_spec_from_json(data: Mapping) -> FieldSpec:
@@ -472,17 +543,21 @@ def field_spec_from_json(data: Mapping) -> FieldSpec:
         return GeneralPoly(IntPoly(data["coefficients"]))
     if kind == "function_field":
         return RationalFunction(data["q"])
-    if kind == "user":
-        sig = data.get("signature")
-        return UserSupplied(
+    if kind == "user" and "q" in data:
+        return UserFunctionField(
             degree=data["degree"],
-            signature_=Signature(sig["r1"], sig["r2"]) if sig else None,
-            q=data.get("q"),
-            split2=SplittingData.from_json(data["split2"]) if "split2" in data else None,
-            split3=SplittingData.from_json(data["split3"]) if "split3" in data else None,
+            q=data["q"],
             split_t=tuple(
                 SplittingData.from_json(sp) for sp in data.get("split_t", ())
             ),
             infinite_places=data.get("infinite_places", 1),
+        )
+    if kind == "user":
+        sig = data["signature"]
+        return UserNumberField(
+            degree=data["degree"],
+            signature=Signature(sig["r1"], sig["r2"]),
+            split2=SplittingData.from_json(data["split2"]),
+            split3=SplittingData.from_json(data["split3"]),
         )
     raise ValueError(f"unknown field spec kind: {kind!r}")

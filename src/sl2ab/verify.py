@@ -23,22 +23,17 @@ from .oracle import (
     prop_local_formula,
     sl2_abelianization,
 )
-from .polyarith import (
-    ModPoly,
-    cyclotomic_polynomial,
-    euler_phi,
-    is_squarefree,
-    primes_dividing,
+from .polyarith import ModPoly, cyclotomic_polynomial, is_squarefree, primes_dividing
+from .splitting import (
+    Cyclotomic,
+    GeneralPoly,
+    Quadratic,
+    Rational,
+    cyclotomic_split,
+    dedekind_split,
+    quadratic_min_poly,
 )
-from .splitting import Rational, cyclotomic_split, dedekind_split, quadratic_min_poly
-from .theorems import (
-    ArithmeticRingSpec,
-    compute,
-    s_for_inverted,
-    sl2ab_char0,
-    sl2ab_cyclotomic,
-    sl2ab_quadratic_positive,
-)
+from .theorems import ArithmeticRingSpec, compute, s_for_inverted
 
 
 @dataclass(frozen=True)
@@ -160,19 +155,16 @@ GE2_RINGS: tuple[tuple[str, FiniteRingSpec], ...] = tuple(
 
 def suite_quadratic_table() -> list[CaseResult]:
     """Real quadratic d in (1, 500]: congruence path == mod-24 table == the
-    path through the factorization criterion on the minimal polynomial."""
+    general-polynomial path on the minimal polynomial (irreducibility, Sturm
+    count and the factorization criterion)."""
     out: list[CaseResult] = []
     for d in range(2, 501):
         if not is_squarefree(d):
             continue
         table = quadratic_reference(d)
-        live = sl2ab_quadratic_positive(d)
-        poly = quadratic_min_poly(d)
-        via_criterion = sl2ab_char0(
-            dedekind_split(poly, 2),
-            dedekind_split(poly, 3),
-            infinite_places=2,
-        )
+        live = compute(ArithmeticRingSpec(Quadratic(d))).group
+        poly = GeneralPoly(quadratic_min_poly(d))
+        via_criterion = compute(ArithmeticRingSpec(poly)).group
         ok = live == table == via_criterion
         out.append(
             CaseResult(
@@ -185,26 +177,25 @@ def suite_quadratic_table() -> list[CaseResult]:
 
 
 def suite_cyclotomic_table() -> list[CaseResult]:
-    """Z[zeta_N] for N <= 60: live result == four-case classification, and for
-    phi(N) <= 16 the generic minimal-polynomial splitting agrees with the
-    closed-form cyclotomic splitting at 2 and 3 (as e-f multisets)."""
+    """Z[zeta_N] for N <= 60: live result == four-case classification, and
+    the generic minimal-polynomial splitting agrees with the closed-form
+    cyclotomic splitting at 2 and 3 (as e-f multisets)."""
     out: list[CaseResult] = []
     for n in range(1, 61):
         expected = cyclotomic_reference(n)
-        got = sl2ab_cyclotomic(n)
+        got = compute(ArithmeticRingSpec(Cyclotomic(n))).group
         ok = got == expected
         detail = f"live {got} | table {expected}"
-        if euler_phi(n) <= 16:
-            phi_n = cyclotomic_polynomial(n)
-            for p in (2, 3):
-                generic = dedekind_split(phi_n, p).ef_multiset()
-                closed = cyclotomic_split(n, p).ef_multiset()
-                if generic != closed:
-                    ok = False
-                    detail += (
-                        f" | splitting of {p} disagrees: generic {generic}, "
-                        f"closed-form {closed}"
-                    )
+        phi_n = cyclotomic_polynomial(n)
+        for p in (2, 3):
+            generic = dedekind_split(phi_n, p).ef_multiset()
+            closed = cyclotomic_split(n, p).ef_multiset()
+            if generic != closed:
+                ok = False
+                detail += (
+                    f" | splitting of {p} disagrees: generic {generic}, "
+                    f"closed-form {closed}"
+                )
         out.append(CaseResult(f"N={n}", ok, detail))
     return out
 

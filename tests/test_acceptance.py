@@ -8,20 +8,21 @@ import time
 from collections import Counter
 from math import gcd, lcm
 
+import pytest
+
 from sl2ab.abgroup import TRIVIAL_GROUP, AbelianGroup, canonicalize, from_order_statistics
 from sl2ab.cli import run
 from sl2ab.polyarith import IntPoly, factorint, primes_dividing
-from sl2ab.splitting import GeneralPoly, PrimeAbove, SplittingData, rational_function_split
-from sl2ab.theorems import (
-    ArithmeticRingSpec,
-    BetaFlags,
-    SSet,
-    compute,
-    sl2ab_char0,
-    sl2ab_charp,
-    sl2ab_galois,
-    sl2ab_quadratic_negative,
+from sl2ab.splitting import (
+    GeneralPoly,
+    PrimeAbove,
+    Quadratic,
+    RationalFunction,
+    Signature,
+    SplittingData,
+    UserNumberField,
 )
+from sl2ab.theorems import ArithmeticRingSpec, FiniteUnitsError, SSet, compute
 from sl2ab.verify import (
     suite_cyclotomic_table,
     suite_ge2,
@@ -91,10 +92,15 @@ def test_criterion_4_named_examples():
     at2, at3 = outcome.splittings
     assert [q.label for q in at2.primes] == ["(2, x+1)", "(2, x^2+x+1)"]
     assert [q.label for q in at3.primes] == ["(3, x+1)"]
-    assert sl2ab_galois(4, 4, 1, 2, 1) == AbelianGroup(0, (6, 6))
-    assert sl2ab_quadratic_negative(-15, BetaFlags((1, 0), (1,))) == AbelianGroup(
-        0, (12,)
+    galois = UserNumberField(
+        4,
+        Signature(0, 2),
+        SplittingData.uniform(2, 4, 4, 1),
+        SplittingData.uniform(3, 4, 2, 1),
     )
+    assert compute(ArithmeticRingSpec(galois)).group == AbelianGroup(0, (6, 6))
+    minus_15 = ArithmeticRingSpec(Quadratic(-15), SSet(frozenset({1})))
+    assert compute(minus_15).group == AbelianGroup(0, (12,))
     print("ACCEPTANCE 4 (named worked examples): PASS")
 
 
@@ -132,8 +138,7 @@ def test_criterion_7_product_lemma_and_order_formula():
 # --- criterion 8: randomized property suites ------------------------------
 
 
-def _random_splitting(rng: random.Random, p: int, max_degree: int = 8) -> SplittingData:
-    degree = rng.randint(1, max_degree)
+def _random_splitting(rng: random.Random, p: int, degree: int) -> SplittingData:
     remaining = degree
     primes = []
     while remaining:
@@ -182,33 +187,45 @@ def test_criterion_8_property_suites():
     start = time.perf_counter()
     rng = random.Random(20260816)
 
-    # (a) 1000 random char-0 inputs: the result is finite of exponent dividing 12
+    # (a) 1000 random char-0 inputs: the result is finite of exponent
+    # dividing 12, or the unit gate fails when |S| < 2
+    gated = 0
     for _ in range(1000):
-        split2 = _random_splitting(rng, 2)
-        split3 = _random_splitting(rng, 3)
+        degree = rng.randint(1, 8)
+        split2 = _random_splitting(rng, 2, degree)
+        split3 = _random_splitting(rng, 3, degree)
         assert sum(q.e * q.f for q in split2.primes) == split2.degree
         assert sum(q.e * q.f for q in split3.primes) == split3.degree
+        r2 = rng.randint(0, degree // 2)
+        field = UserNumberField(degree, Signature(degree - 2 * r2, r2), split2, split3)
         s = SSet(
             _random_removals(rng, split2),
             _random_removals(rng, split3),
             rng.randint(0, 2),
         )
-        g = sl2ab_char0(split2, split3, s, infinite_places=rng.randint(2, 5))
+        ring = ArithmeticRingSpec(field, s)
+        if field.infinite_places + s.finite_count < 2:
+            gated += 1
+            with pytest.raises(FiniteUnitsError):
+                compute(ring)
+            continue
+        g = compute(ring).group
         assert g.free_rank == 0
         assert 12 % g.exponent() == 0
+    assert gated > 0
 
     # (b) random char-p inputs: exponent divides 6
     for _ in range(300):
         q = rng.choice([2, 3, 4, 5, 8, 9, 16, 25])
-        places = rational_function_split(q)
-        n_places = sum(len(sp.primes) for sp in places)
+        field = RationalFunction(q)
+        n_places = sum(len(sp.primes) for sp in field.splittings())
         removed = frozenset(i for i in range(n_places) if rng.random() < 0.3)
         s = SSet(
             removed_above_2=removed if q % 2 == 0 and q <= 3 else frozenset(),
             removed_above_3=removed if q % 3 == 0 and q <= 3 else frozenset(),
             other_finite_primes=rng.randint(1, 3),
         )
-        g = sl2ab_charp(q, places, s, infinite_places=1)
+        g = compute(ArithmeticRingSpec(field, s)).group
         assert g.free_rank == 0
         assert 6 % g.exponent() == 0
 

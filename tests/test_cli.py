@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +20,14 @@ from sl2ab.cli import (
     run,
 )
 from sl2ab.polyarith import cyclotomic_polynomial
+from sl2ab.splitting import field_spec_from_json
+from sl2ab.theorems import ArithmeticRingSpec, SSet, compute
 from sl2ab.verify import cyclotomic_reference
+
+# The README's compute examples with their full text report and --json
+# document.  These outputs are part of the CLI contract: a change to any of
+# them must be deliberate.
+GOLDEN = json.loads((Path(__file__).parent / "compute_golden.json").read_text())
 
 
 def invoke(capsys, *argv):
@@ -171,6 +179,51 @@ class TestComputeCommand:
         assert out_a == out_b
         assert "inverted above 2: indexes [0]" in out_a
         assert "inverted above 3: indexes [0]" in out_a
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["args"]))
+    def test_text_report(self, capsys, case):
+        code, out, err = invoke(capsys, "compute", *case["args"])
+        assert (code, err) == (EXIT_OK, "")
+        assert out == case["text"]
+
+    @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["args"]))
+    def test_json_document(self, capsys, case):
+        code, out, err = invoke(capsys, "compute", *case["args"], "--json")
+        assert (code, err) == (EXIT_OK, "")
+        assert out == dump_json(case["json"])
+        given = case["json"]["input"]
+        ring = ArithmeticRingSpec(
+            field_spec_from_json(given["field"]), SSet.from_json(given["s"])
+        )
+        assert compute(ring).to_json() == case["json"]
+
+
+class TestInputLimits:
+    """Integers that reach trial division are bounded: one past the limit
+    exits 4 at once instead of running for minutes."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compute", "--quadratic", "1000000000000000003"),
+            ("compute", "--cyclotomic", "1000000007"),
+            ("compute", "--function-field", "1000000000000000003"),
+            ("compute", "--rational", "--invert", "1000000000000000003"),
+            ("compute", "--rational", "--invert", "6,1000000000001"),
+            ("table", "quadratic", "2", "1000000000001"),
+            ("table", "cyclotomic", "1000001"),
+        ],
+    )
+    def test_exit_4_in_under_a_second(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "must be at most" in err
+        assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
 
 class TestOracleCommand:

@@ -16,17 +16,14 @@ from sl2ab.splitting import (
     RationalFunction,
     Signature,
     SplittingData,
-    UserSupplied,
+    UserFunctionField,
+    UserNumberField,
     cyclotomic_split,
     dedekind_split,
-    field_degree,
     field_spec_from_json,
-    field_spec_to_json,
     quadratic_min_poly,
     quadratic_split,
     rational_function_split,
-    signature,
-    split_at,
 )
 
 SQUAREFREE_RANGE = [
@@ -193,37 +190,39 @@ class TestRationalFunction:
 
 class TestFieldSpecDispatch:
     def test_degrees(self):
-        assert field_degree(Rational()) == 1
-        assert field_degree(Quadratic(-15)) == 2
-        assert field_degree(Cyclotomic(8)) == 4
-        assert field_degree(Cyclotomic(6)) == 2
-        assert field_degree(GeneralPoly(IntPoly((-5, 0, 0, 1)))) == 3
-        assert field_degree(RationalFunction(9)) == 1
+        assert Rational().degree == 1
+        assert Quadratic(-15).degree == 2
+        assert Cyclotomic(8).degree == 4
+        assert Cyclotomic(6).degree == 2
+        assert GeneralPoly(IntPoly((-5, 0, 0, 1))).degree == 3
+        assert RationalFunction(9).degree == 1
 
     def test_signatures(self):
-        assert signature(Rational()) == Signature(1, 0)
-        assert signature(Quadratic(17)) == Signature(2, 0)
-        assert signature(Quadratic(-1)) == Signature(0, 1)
-        assert signature(Cyclotomic(1)) == Signature(1, 0)
-        assert signature(Cyclotomic(5)) == Signature(0, 2)
-        assert signature(Cyclotomic(8)) == Signature(0, 2)
+        assert Rational().signature == Signature(1, 0)
+        assert Quadratic(17).signature == Signature(2, 0)
+        assert Quadratic(-1).signature == Signature(0, 1)
+        assert Cyclotomic(1).signature == Signature(1, 0)
+        assert Cyclotomic(5).signature == Signature(0, 2)
+        assert Cyclotomic(8).signature == Signature(0, 2)
         # via Sturm chains:
-        assert signature(GeneralPoly(IntPoly((-5, 0, 0, 1)))) == Signature(1, 1)
-        assert signature(GeneralPoly(IntPoly((-2, 0, 1)))) == Signature(2, 0)
-        assert signature(GeneralPoly(IntPoly((1, 0, 1)))) == Signature(0, 1)
-        with pytest.raises(ValueError):
-            signature(RationalFunction(2))
+        assert GeneralPoly(IntPoly((-5, 0, 0, 1))).signature == Signature(1, 1)
+        assert GeneralPoly(IntPoly((-2, 0, 1))).signature == Signature(2, 0)
+        assert GeneralPoly(IntPoly((1, 0, 1))).signature == Signature(0, 1)
+        # function fields have places at infinity, no archimedean signature
+        assert not hasattr(RationalFunction(2), "signature")
+        assert RationalFunction(2).infinite_places == 1
 
     def test_split_at(self):
-        assert split_at(Rational(), 2) == SplittingData(
+        assert Rational().split_at(2) == SplittingData(
             2, 1, (PrimeAbove(2, 1, 1, "(2)"),)
         )
-        assert split_at(Quadratic(17), 3) == quadratic_split(17, 3)
-        assert split_at(Cyclotomic(8), 2) == cyclotomic_split(8, 2)
+        assert Quadratic(17).split_at(3) == quadratic_split(17, 3)
+        assert Cyclotomic(8).split_at(2) == cyclotomic_split(8, 2)
         with pytest.raises(ValueError):
-            split_at(Rational(), 5)
-        with pytest.raises(ValueError):
-            split_at(RationalFunction(2), 2)
+            Rational().split_at(5)
+        # function fields list their t - a places instead
+        assert not hasattr(RationalFunction(2), "split_at")
+        assert RationalFunction(2).splittings() == tuple(rational_function_split(2))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -234,45 +233,69 @@ class TestFieldSpecDispatch:
             Cyclotomic(0)
         with pytest.raises(ValueError):
             GeneralPoly(IntPoly((1, 2)))  # not monic
+        with pytest.raises(ValueError, match="reducible over Q"):
+            GeneralPoly(IntPoly((2, 0, 3, 0, 1)))  # (x^2+1)(x^2+2)
         with pytest.raises(ValueError):
             RationalFunction(12)
 
+    def test_input_limits(self):
+        # the largest inputs are accepted ...
+        assert Quadratic(999999999989).d == 999999999989
+        assert Cyclotomic(10**6).n == 10**6
+        assert RationalFunction(999999999989).characteristic == 999999999989
+        # ... and one past the limit is refused before any factoring
+        for make, value in (
+            (Quadratic, 10**12 + 1),
+            (Quadratic, -(10**12) - 1),
+            (Cyclotomic, 10**6 + 1),
+            (RationalFunction, 10**12 + 1),
+        ):
+            with pytest.raises(ValueError, match="at most"):
+                make(value)
+
+    def test_cyclotomic_forms_compare_by_field(self):
+        assert Cyclotomic(6) == Cyclotomic(3)
+        assert hash(Cyclotomic(10)) == hash(Cyclotomic(5))
+        assert Cyclotomic(6).n == 6
+        assert str(Cyclotomic(6)) == "Q(zeta_6)"
+        assert Cyclotomic(4) != Cyclotomic(8)
+
     def test_user_supplied_char0(self):
-        spec = UserSupplied(
+        spec = UserNumberField(
             degree=2,
-            signature_=Signature(2, 0),
+            signature=Signature(2, 0),
             split2=quadratic_split(3, 2),
             split3=quadratic_split(3, 3),
         )
-        assert split_at(spec, 2) == quadratic_split(3, 2)
-        assert signature(spec) == Signature(2, 0)
+        assert spec.split_at(2) == quadratic_split(3, 2)
+        assert spec.signature == Signature(2, 0)
+        assert spec.splittings() == (quadratic_split(3, 2), quadratic_split(3, 3))
         with pytest.raises(ValueError):
-            UserSupplied(degree=2, signature_=Signature(1, 0), q=2)
-        with pytest.raises(ValueError):
-            UserSupplied(degree=2, signature_=Signature(2, 0))  # missing splits
-        with pytest.raises(ValueError):
-            UserSupplied(degree=3, signature_=Signature(2, 0))  # r1+2r2 != degree
-        with pytest.raises(ValueError):
-            UserSupplied(
+            UserNumberField(
                 degree=3,
-                signature_=Signature(3, 0),
+                signature=Signature(2, 0),  # r1 + 2 r2 != degree
+                split2=quadratic_split(3, 2),
+                split3=quadratic_split(3, 3),
+            )
+        with pytest.raises(ValueError):
+            UserNumberField(
+                degree=3,
+                signature=Signature(3, 0),
                 split2=quadratic_split(3, 2),  # degree-2 data on a cubic
                 split3=quadratic_split(3, 3),
             )
 
     def test_user_supplied_charp(self):
-        spec = UserSupplied(
-            degree=1, q=4, split_t=(), infinite_places=2
-        )
-        assert field_degree(spec) == 1
+        spec = UserFunctionField(degree=1, q=4, split_t=(), infinite_places=2)
+        assert spec.degree == 1
+        assert spec.characteristic == 2
+        assert spec.splittings() == ()
         with pytest.raises(ValueError):
-            signature(spec)
+            UserFunctionField(degree=1, q=6)
         with pytest.raises(ValueError):
-            split_at(spec, 2)
+            UserFunctionField(degree=1, q=2, infinite_places=0)
         with pytest.raises(ValueError):
-            UserSupplied(degree=1, q=6)
-        with pytest.raises(ValueError):
-            UserSupplied(degree=1, q=2, infinite_places=0)
+            UserFunctionField(degree=2, q=2, split_t=tuple(rational_function_split(2)))
 
     def test_json_round_trips(self):
         specs = [
@@ -281,13 +304,13 @@ class TestFieldSpecDispatch:
             Cyclotomic(12),
             GeneralPoly(IntPoly((-5, 0, 0, 1))),
             RationalFunction(9),
-            UserSupplied(
+            UserNumberField(
                 degree=2,
-                signature_=Signature(2, 0),
+                signature=Signature(2, 0),
                 split2=quadratic_split(3, 2),
                 split3=quadratic_split(3, 3),
             ),
-            UserSupplied(
+            UserFunctionField(
                 degree=1,
                 q=2,
                 split_t=tuple(rational_function_split(2)),
@@ -295,7 +318,11 @@ class TestFieldSpecDispatch:
             ),
         ]
         for spec in specs:
-            assert field_spec_from_json(field_spec_to_json(spec)) == spec
+            assert field_spec_from_json(spec.to_json()) == spec
+        # a function-field document without places still loads
+        assert field_spec_from_json(
+            {"kind": "user", "degree": 1, "q": 4, "infinite_places": 2}
+        ) == UserFunctionField(degree=1, q=4, infinite_places=2)
         with pytest.raises(ValueError):
             field_spec_from_json({"kind": "nonsense"})
 

@@ -1,6 +1,6 @@
-"""Tests for the structure formulas: the unit-rank gate, per-prime summand
-rules in characteristic 0 and p, the convenience wrappers, and the full
-compute pipeline with its routing and warnings."""
+"""Tests for the structure formulas: the unit-rank gate, the per-prime
+summand rules in characteristic 0 and p, and the compute pipeline with its
+routing and warnings.  Every group here comes from compute()."""
 
 import pytest
 from hypothesis import given, settings
@@ -18,32 +18,40 @@ from sl2ab.splitting import (
     RationalFunction,
     Signature,
     SplittingData,
-    UserSupplied,
+    UserFunctionField,
+    UserNumberField,
     quadratic_split,
     rational_function_split,
 )
 from sl2ab.theorems import (
     EMPTY_S,
     ArithmeticRingSpec,
-    BetaFlags,
     FiniteUnitsError,
     SSet,
     compute,
-    galois_result,
     known_small_cases,
     s_for_inverted,
-    sl2ab_char0,
-    sl2ab_charp,
-    sl2ab_cyclotomic,
-    sl2ab_galois,
-    sl2ab_quadratic_negative,
-    sl2ab_quadratic_positive,
     units_infinite,
 )
 
 Z12 = AbelianGroup(0, (12,))
 Z3 = AbelianGroup(0, (3,))
 V4 = AbelianGroup(0, (2, 2))
+
+
+def group_of(field, s=EMPTY_S):
+    return compute(ArithmeticRingSpec(field, s)).group
+
+
+def user_field(split2, split3, sig):
+    return UserNumberField(split2.degree, sig, split2, split3)
+
+
+def galois_field(n, e2, f2, e3, f3, sig):
+    """A degree-n field in which all primes above p share (e_p, f_p)."""
+    return user_field(
+        SplittingData.uniform(2, n, e2, f2), SplittingData.uniform(3, n, e3, f3), sig
+    )
 
 
 class TestSSet:
@@ -67,35 +75,49 @@ class TestSSet:
         assert s_for_inverted(9) == SSet(frozenset(), frozenset({0}), 0)
         assert s_for_inverted(35) == SSet(frozenset(), frozenset(), 2)
         assert s_for_inverted(30) == SSet(frozenset({0}), frozenset({0}), 1)
+        # several integers: the union of their prime divisors
+        assert s_for_inverted(10, 5, 21) == SSet(frozenset({0}), frozenset({0}), 2)
         with pytest.raises(ValueError):
             s_for_inverted(1)
+        with pytest.raises(ValueError):
+            s_for_inverted(6, 0)
+
+    def test_s_for_inverted_bound(self):
+        assert s_for_inverted(10**12) == SSet(frozenset({0}), frozenset(), 1)
+        with pytest.raises(ValueError, match="at most"):
+            s_for_inverted(10**12 + 1)
 
     def test_units_infinite(self):
-        assert not units_infinite(Signature(1, 0), EMPTY_S)
-        assert units_infinite(Signature(2, 0), EMPTY_S)
-        assert units_infinite(Signature(0, 1), SSet(other_finite_primes=1))
-        assert not units_infinite(Signature(0, 1), EMPTY_S)
+        assert not units_infinite(Signature(1, 0).infinite_places, EMPTY_S)
+        assert units_infinite(Signature(2, 0).infinite_places, EMPTY_S)
+        assert units_infinite(
+            Signature(0, 1).infinite_places, SSet(other_finite_primes=1)
+        )
+        assert not units_infinite(Signature(0, 1).infinite_places, EMPTY_S)
 
 
 class TestChar0Formula:
     def test_argument_order_is_checked(self):
         with pytest.raises(ValueError):
-            sl2ab_char0(
-                quadratic_split(17, 3), quadratic_split(17, 2), infinite_places=2
+            UserNumberField(
+                2, Signature(2, 0), quadratic_split(17, 3), quadratic_split(17, 2)
             )
 
     def test_finite_units_gate(self):
         with pytest.raises(FiniteUnitsError) as exc:
-            sl2ab_char0(
-                quadratic_split(-7, 2), quadratic_split(-7, 3), infinite_places=1
-            )
+            compute(ArithmeticRingSpec(Quadratic(-7)))
         assert str(exc.value) == (
             "infinitely many units are required (|S| >= 2), but |S| = 1 "
-            "(1 infinite place(s), 0 finite)"
+            "(1 infinite place(s), 0 finite); no known case covers this ring"
         )
+        # a number field has at least one infinite place: a signature with
+        # none matches no degree >= 1
         with pytest.raises(ValueError):
-            sl2ab_char0(
-                quadratic_split(5, 2), quadratic_split(5, 3), infinite_places=0
+            UserNumberField(
+                1,
+                Signature(0, 0),
+                SplittingData(2, 1, (PrimeAbove(2, 1, 1, "(2)"),)),
+                SplittingData(3, 1, (PrimeAbove(3, 1, 1, "(3)"),)),
             )
 
     def test_summand_rules(self):
@@ -103,35 +125,30 @@ class TestChar0Formula:
         split2 = SplittingData(2, 1, (PrimeAbove(2, 1, 1, "(2)"),))
         split3 = SplittingData(3, 1, (PrimeAbove(3, 1, 1, "(3)"),))
         s = SSet(other_finite_primes=1)
-        assert sl2ab_char0(split2, split3, s, infinite_places=1) == Z12
+        assert group_of(user_field(split2, split3, Signature(1, 0)), s) == Z12
         # ramified prime above 2 (e > 1, f = 1) gives Z/2 + Z/2 instead of Z/4
         ram2 = SplittingData(2, 2, (PrimeAbove(2, 2, 1, "(2, ramified)"),))
         inert3 = SplittingData(3, 2, (PrimeAbove(3, 1, 2, "(3, inert)"),))
-        assert sl2ab_char0(ram2, inert3, s, infinite_places=1) == V4
+        assert group_of(user_field(ram2, inert3, Signature(0, 1)), s) == V4
         # residue degree >= 2 contributes nothing on either side
         inert2 = SplittingData(2, 2, (PrimeAbove(2, 1, 2, "(2, inert)"),))
         assert (
-            sl2ab_char0(inert2, inert3, s, infinite_places=1) == TRIVIAL_GROUP
+            group_of(user_field(inert2, inert3, Signature(0, 1)), s) == TRIVIAL_GROUP
         )
 
     def test_removal_semantics(self):
-        split2 = quadratic_split(17, 2)  # split: two primes, each -> Z/4
-        split3 = quadratic_split(17, 3)  # 17 = 2 mod 3: inert, nothing
-        assert sl2ab_char0(split2, split3, EMPTY_S, infinite_places=2) == AbelianGroup(
-            0, (4, 4)
-        )
+        # 17: 2 splits (two primes, each -> Z/4); 17 = 2 mod 3: 3 inert, nothing
+        assert group_of(Quadratic(17)) == AbelianGroup(0, (4, 4))
         one_removed = SSet(removed_above_2=frozenset({0}))
-        assert sl2ab_char0(
-            split2, split3, one_removed, infinite_places=2
-        ) == AbelianGroup(0, (4,))
+        assert group_of(Quadratic(17), one_removed) == AbelianGroup(0, (4,))
         with pytest.raises(ValueError) as exc:
-            sl2ab_char0(
-                split2, split3, SSet(removed_above_2=frozenset({2})), infinite_places=2
-            )
+            group_of(Quadratic(17), SSet(removed_above_2=frozenset({2})))
         assert str(exc.value) == "removal index 2 out of range: only 2 prime(s) above 2"
 
 
 class TestQuadraticWrappers:
+    """Quadratic rings through compute()."""
+
     def test_real_quadratic_values(self):
         expected = {
             5: TRIVIAL_GROUP,
@@ -144,109 +161,98 @@ class TestQuadraticWrappers:
             3: AbelianGroup(0, (2, 6)),
         }
         for d, group in expected.items():
-            assert sl2ab_quadratic_positive(d) == group, f"d={d}"
+            assert group_of(Quadratic(d)) == group, f"d={d}"
         with pytest.raises(ValueError):
-            sl2ab_quadratic_positive(12)
-        with pytest.raises(ValueError):
-            sl2ab_quadratic_positive(-5)
+            Quadratic(12)
 
     def test_depends_only_on_d_mod_24(self):
         by_residue: dict[int, set[AbelianGroup]] = {}
         for d in range(2, 1001):
             if is_squarefree(d):
-                by_residue.setdefault(d % 24, set()).add(sl2ab_quadratic_positive(d))
+                by_residue.setdefault(d % 24, set()).add(group_of(Quadratic(d)))
         for residue, groups in by_residue.items():
             assert len(groups) == 1, f"residue {residue} gives {groups}"
 
     def test_imaginary_with_flags(self):
-        # d = -15: prime above 2 inverted, the ramified prime above 3 stays
-        assert sl2ab_quadratic_negative(-15, BetaFlags((1, 0), (1,))) == Z12
-        # d = -5: prime above 2 inverted, both split primes above 3 stay
-        assert sl2ab_quadratic_negative(-5, BetaFlags((0,), (1, 1))) == AbelianGroup(
+        # d = -15: the second prime above 2 inverted, the ramified prime above 3 stays
+        assert group_of(Quadratic(-15), SSet(frozenset({1}))) == Z12
+        # d = -5: the prime above 2 inverted, both split primes above 3 stay
+        assert group_of(Quadratic(-5), SSet(frozenset({0}))) == AbelianGroup(
             0, (3, 3)
         )
         # inverting one of the primes above 3 drops one Z/3 summand
-        assert sl2ab_quadratic_negative(-5, BetaFlags((0,), (1, 0))) == Z3
+        assert group_of(Quadratic(-5), SSet(frozenset({0}), frozenset({1}))) == Z3
 
     def test_imaginary_unit_gate_and_flag_validation(self):
         with pytest.raises(FiniteUnitsError):
-            sl2ab_quadratic_negative(-1, BetaFlags((1,), (1,)))
-        assert (
-            sl2ab_quadratic_negative(-1, BetaFlags((0,), (1,))) == TRIVIAL_GROUP
-        )
-        assert sl2ab_quadratic_negative(-1, BetaFlags((1,), (1,)), 1) == V4
+            group_of(Quadratic(-5))
+        assert group_of(Quadratic(-1), SSet(frozenset({0}))) == TRIVIAL_GROUP
+        assert group_of(Quadratic(-1), SSet(other_finite_primes=1)) == V4
         with pytest.raises(ValueError):
-            sl2ab_quadratic_negative(-5, BetaFlags((0, 0), (1, 1)))
-        with pytest.raises(ValueError):
-            sl2ab_quadratic_negative(-5, BetaFlags((0,), (1,)))
-        with pytest.raises(ValueError):
-            sl2ab_quadratic_negative(6, BetaFlags((1,), (1,)))
-        with pytest.raises(ValueError):
-            BetaFlags((2,), ())
+            group_of(Quadratic(-5), SSet(frozenset({0, 1}), frozenset({0, 1})))
 
 
 class TestCharPFormula:
     def test_finite_units_gate(self):
         with pytest.raises(FiniteUnitsError):
-            sl2ab_charp(2, rational_function_split(2))
+            group_of(RationalFunction(2))
 
     def test_q2_and_q3(self):
-        places2 = rational_function_split(2)
         s = SSet(removed_above_2=frozenset({0}))
-        assert sl2ab_charp(2, places2, s) == V4  # (t-1) survives
+        assert group_of(RationalFunction(2), s) == V4  # (t-1) survives
         both = SSet(removed_above_2=frozenset({0, 1}))
-        assert sl2ab_charp(2, places2, both) == TRIVIAL_GROUP
+        assert group_of(RationalFunction(2), both) == TRIVIAL_GROUP
         extra = SSet(other_finite_primes=1)
-        assert sl2ab_charp(2, places2, extra) == AbelianGroup(0, (2, 2, 2, 2))
-        places3 = rational_function_split(3)
-        assert sl2ab_charp(3, places3, extra) == AbelianGroup(0, (3, 3, 3))
-        assert (
-            sl2ab_charp(3, places3, SSet(removed_above_3=frozenset({1})))
-            == AbelianGroup(0, (3, 3))
-        )
+        assert group_of(RationalFunction(2), extra) == AbelianGroup(0, (2, 2, 2, 2))
+        assert group_of(RationalFunction(3), extra) == AbelianGroup(0, (3, 3, 3))
+        assert group_of(
+            RationalFunction(3), SSet(removed_above_3=frozenset({1}))
+        ) == AbelianGroup(0, (3, 3))
 
     def test_large_q_is_trivial(self):
         extra = SSet(other_finite_primes=1)
         for q in (4, 5, 8, 9, 25):
-            assert sl2ab_charp(q, rational_function_split(q), extra) == TRIVIAL_GROUP
+            assert group_of(RationalFunction(q), extra) == TRIVIAL_GROUP
 
     def test_wrong_slot_and_range_errors(self):
         with pytest.raises(ValueError) as exc:
-            sl2ab_charp(
-                2, rational_function_split(2), SSet(removed_above_3=frozenset({0}))
-            )
+            group_of(RationalFunction(2), SSet(removed_above_3=frozenset({0})))
         assert "characteristic-2 slot" in str(exc.value)
         with pytest.raises(ValueError):
-            sl2ab_charp(
-                5, rational_function_split(5), SSet(removed_above_2=frozenset({0}))
-            )
+            group_of(RationalFunction(5), SSet(removed_above_2=frozenset({0})))
         with pytest.raises(ValueError) as exc:
-            sl2ab_charp(
-                2, rational_function_split(2), SSet(removed_above_2=frozenset({2}))
-            )
+            group_of(RationalFunction(2), SSet(removed_above_2=frozenset({2})))
         assert "only 2 relevant place(s)" in str(exc.value)
         with pytest.raises(ValueError):
-            sl2ab_charp(6, [], SSet(other_finite_primes=1))
+            UserFunctionField(degree=1, q=6, infinite_places=2)
 
 
 class TestGaloisWrapper:
+    """Galois fields as user number fields through compute()."""
+
     def test_known_values(self):
-        assert sl2ab_galois(3, 1, 1, 1, 1) == AbelianGroup(0, (12, 12, 12))
-        assert sl2ab_galois(4, 4, 1, 2, 1) == AbelianGroup(0, (6, 6))
-        assert sl2ab_galois(4, 1, 2, 1, 2) == TRIVIAL_GROUP
+        assert group_of(galois_field(3, 1, 1, 1, 1, Signature(3, 0))) == AbelianGroup(
+            0, (12, 12, 12)
+        )
+        assert group_of(galois_field(4, 4, 1, 2, 1, Signature(0, 2))) == AbelianGroup(
+            0, (6, 6)
+        )
+        assert group_of(galois_field(4, 1, 2, 1, 2, Signature(4, 0))) == TRIVIAL_GROUP
         # two ramified primes above 2 (Z/2+Z/2 each), four split above 3
-        assert sl2ab_galois(4, 2, 1, 1, 1) == AbelianGroup(0, (6, 6, 6, 6))
+        assert group_of(galois_field(4, 2, 1, 1, 1, Signature(0, 2))) == AbelianGroup(
+            0, (6, 6, 6, 6)
+        )
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            sl2ab_galois(2, 1, 1, 1, 1)
+            SplittingData.uniform(2, 4, 3, 1)  # 3 does not divide 4
         with pytest.raises(ValueError):
-            sl2ab_galois(4, 3, 1, 1, 1)  # 3 does not divide 4
-        with pytest.raises(ValueError):
-            sl2ab_galois(4, 0, 1, 1, 1)
+            SplittingData.uniform(2, 4, 0, 1)
 
 
 class TestCyclotomicWrapper:
+    """Cyclotomic rings through compute()."""
+
     def test_values(self):
         expected = {
             1: Z12,
@@ -263,11 +269,11 @@ class TestCyclotomicWrapper:
             24: TRIVIAL_GROUP,  # f = 2 above both 2 and 3
         }
         for n, group in expected.items():
-            assert sl2ab_cyclotomic(n) == group, f"n={n}"
+            assert group_of(Cyclotomic(n)) == group, f"n={n}"
 
     def test_normalization(self):
         for n in (5, 9, 15):
-            assert sl2ab_cyclotomic(2 * n) == sl2ab_cyclotomic(n)
+            assert group_of(Cyclotomic(2 * n)) == group_of(Cyclotomic(n))
 
 
 class TestKnownSmallCases:
@@ -357,16 +363,16 @@ class TestComputePipeline:
         assert out.splittings == ()
 
     def test_user_supplied_routes(self):
-        char0 = UserSupplied(
+        char0 = UserNumberField(
             degree=2,
-            signature_=Signature(2, 0),
+            signature=Signature(2, 0),
             split2=quadratic_split(3, 2),
             split3=quadratic_split(3, 3),
         )
         out = compute(ArithmeticRingSpec(char0))
         assert out.route == "Main"
-        assert out.group == sl2ab_quadratic_positive(3)
-        charp = UserSupplied(
+        assert out.group == group_of(Quadratic(3))
+        charp = UserFunctionField(
             degree=1,
             q=2,
             split_t=tuple(rational_function_split(2)),
@@ -382,10 +388,20 @@ class TestComputePipeline:
         assert doc["route"] == "Main"
         assert doc["group"] == {"free_rank": 0, "invariant_factors": []}
         assert doc["contributions"] == []
+        assert doc["input"] == {
+            "field": {"kind": "rational"},
+            "s": {
+                "other_finite_primes": 0,
+                "removed_above_2": [0],
+                "removed_above_3": [0],
+            },
+        }
+        assert doc["warnings"] == []
+        assert [sp["p"] for sp in doc["splittings"]] == [2, 3]
 
     def test_galois_result(self):
-        out = galois_result(3, 1, 1, 1, 1)
-        assert out.route == "Galois"
+        out = compute(ArithmeticRingSpec(galois_field(3, 1, 1, 1, 1, Signature(3, 0))))
+        assert out.route == "Main"
         assert out.group == AbelianGroup(0, (12, 12, 12))
         assert [c.prime for c in out.contributions] == [
             "(2, #1 of 3)",
@@ -398,8 +414,7 @@ class TestComputePipeline:
 
 
 @st.composite
-def splitting_strategy(draw, p):
-    degree = draw(st.integers(1, 8))
+def splitting_strategy(draw, p, degree):
     remaining = degree
     primes = []
     while remaining:
@@ -411,11 +426,29 @@ def splitting_strategy(draw, p):
     return SplittingData(p, degree, tuple(primes))
 
 
+@st.composite
+def number_field_strategy(draw):
+    """A user number field: one degree for both primes, r1 + 2 r2 = degree."""
+    degree = draw(st.integers(1, 8))
+    r2 = draw(st.integers(0, degree // 2))
+    return UserNumberField(
+        degree,
+        Signature(degree - 2 * r2, r2),
+        draw(splitting_strategy(2, degree)),
+        draw(splitting_strategy(3, degree)),
+    )
+
+
 class TestFormulaProperties:
-    @given(splitting_strategy(2), splitting_strategy(3), st.integers(2, 5))
+    @given(number_field_strategy(), st.integers(0, 3))
     @settings(max_examples=200)
-    def test_char0_exponent_divides_12(self, split2, split3, infinite):
-        g = sl2ab_char0(split2, split3, infinite_places=infinite)
+    def test_char0_exponent_divides_12(self, field, extra):
+        s = SSet(other_finite_primes=extra)
+        if field.infinite_places + extra < 2:
+            with pytest.raises(FiniteUnitsError):
+                group_of(field, s)
+            return
+        g = group_of(field, s)
         assert g.free_rank == 0
         assert 12 % g.exponent() == 0
 
@@ -426,18 +459,23 @@ class TestFormulaProperties:
     )
     @settings(max_examples=150)
     def test_charp_exponent_divides_6(self, q, infinite, extra):
-        places = rational_function_split(q)
+        field = UserFunctionField(
+            degree=1,
+            q=q,
+            split_t=tuple(rational_function_split(q)),
+            infinite_places=infinite,
+        )
         s = SSet(other_finite_primes=extra)
         if infinite + extra < 2:
             with pytest.raises(FiniteUnitsError):
-                sl2ab_charp(q, places, s, infinite_places=infinite)
+                group_of(field, s)
             return
-        g = sl2ab_charp(q, places, s, infinite_places=infinite)
+        g = group_of(field, s)
         assert 6 % g.exponent() == 0
 
     @given(st.integers(2, 500))
     def test_real_quadratic_exponent_divides_12(self, d):
         if not is_squarefree(d):
             return
-        g = sl2ab_quadratic_positive(d)
+        g = group_of(Quadratic(d))
         assert 12 % g.exponent() == 0
