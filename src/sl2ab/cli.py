@@ -7,7 +7,7 @@ tables over a range), and `verify` (cross-validation suites).
 Exit codes: 0 success; 1 a verification or comparison found a mismatch;
 2 theorem precondition failure (finite unit group with no known case);
 3 the polynomial order is not maximal at 2 or 3; 4 usage or validation error;
-5 oracle budget exceeded.
+5 budget exceeded.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ from .oracle import (
     DEFAULT_RING_CAP,
     BudgetExceededError,
     FiniteRingSpec,
-    enumerate_sl2_direct,
+    _sl2_indices_cached,
     prop_local_formula,
+    ring_for,
     sl2_abelianization,
 )
 from .polyarith import IntPoly
@@ -145,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_RING_CAP,
         metavar="B",
-        help=f"ring-order budget for the |R|^4 scan (default {DEFAULT_RING_CAP})",
+        help=f"ring-order budget for the SL2 enumeration (default {DEFAULT_RING_CAP})",
     )
     p_oracle.add_argument("--json", action="store_true", help="emit a JSON report")
 
@@ -314,8 +315,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.cap < 1:
         raise CliError(f"--cap must be >= 1, got {args.cap}")
     spec = _ring_spec_from_args(args)
-    group = enumerate_sl2_direct(spec, cap=args.cap)
     ab = sl2_abelianization(spec, cap=args.cap)
+    # counted on the oracle's cached index matrices, not as Mat2 values
+    sl2_order = len(_sl2_indices_cached(ring_for(spec)))
     match = True
     formula = None
     if args.compare:
@@ -329,7 +331,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         doc = {
             "ring": spec.to_json(),
             "ring_order": spec.order,
-            "sl2_order": len(group),
+            "sl2_order": sl2_order,
             "group": ab.to_json(),
         }
         if formula is not None:
@@ -337,7 +339,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         sys.stdout.write(dump_json(doc))
     else:
         print(f"ring: {spec.describe()} (order {spec.order})")
-        print(f"|SL2(R)| = {len(group)}")
+        print(f"|SL2(R)| = {sl2_order}")
         print(f"abelianization: {ab}")
         if formula is not None:
             if match:

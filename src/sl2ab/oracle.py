@@ -4,26 +4,23 @@ The supported rings are finite products of Z/p^k and F_p[x]/(h) factors.  At
 the scale this package cares about (ring order <= 16 by default) everything is
 done by exhaustive enumeration over precomputed index-space addition and
 multiplication tables: enumerate SL2 directly, generate it from elementary
-matrices, form the commutator subgroup from all pairwise commutators, and read
-off the abelianization from the order statistics of the quotient.  These
-routines are the ground truth the structure formulas are tested against.
+matrices, find the commutator subgroup as the normal closure of the
+commutators of a generating set, and read off the abelianization from the
+order statistics of the quotient.  These routines are the ground truth the
+structure formulas are tested against.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .abgroup import AbelianGroup, from_order_statistics
-from .polyarith import ModPoly, factorint
+from .polyarith import BudgetExceededError, ModPoly, factorint
 
 DEFAULT_RING_CAP = 16
 _CONSTRUCTION_CAP = 1024
-
-
-class BudgetExceededError(Exception):
-    """Ring too large for the |R|^4 enumeration budget."""
 
 
 @dataclass(frozen=True)
@@ -187,33 +184,22 @@ class FiniteRing:
             for combo in itertools.product(*(_factor_domain(f) for f in factors))
         ]
         self.index: dict[Element, int] = {v: i for i, v in enumerate(self.elements)}
-        n = self.order
-        add_value = [
-            tuple(_factor_add(f, a[j], b[j]) for j, f in enumerate(factors))
-            for a in self.elements
-            for b in self.elements
-        ]
-        mul_value = [
-            tuple(_factor_mul(f, a[j], b[j]) for j, f in enumerate(factors))
-            for a in self.elements
-            for b in self.elements
-        ]
-        idx = self.index
-        self.add_table = [
-            [idx[add_value[i * n + j]] for j in range(n)] for i in range(n)
-        ]
-        self.mul_table = [
-            [idx[mul_value[i * n + j]] for j in range(n)] for i in range(n)
-        ]
+        els, idx = self.elements, self.index
+
+        def table(op) -> list[list[int]]:
+            return [
+                [idx[tuple(op(f, x, y) for f, x, y in zip(factors, a, b))] for b in els]
+                for a in els
+            ]
+
+        self.add_table = table(_factor_add)
+        self.mul_table = table(_factor_mul)
         zero = tuple(
             0 if isinstance(f, ZmodPK) else (0,) * f.h.degree for f in factors
         )
         self.zero_index = idx[zero]
         self.one_index = idx[tuple(_factor_one(f) for f in factors)]
-        self.neg = [0] * n
-        for i in range(n):
-            row = self.add_table[i]
-            self.neg[i] = row.index(self.zero_index)
+        self.neg = [row.index(self.zero_index) for row in self.add_table]
 
     def element_str(self, value: Element) -> str:
         parts = [
@@ -255,12 +241,6 @@ def _mmul(x: _IndexMat, y: _IndexMat, M, A) -> _IndexMat:
     )
 
 
-def _det_is_one(m: _IndexMat, ring: FiniteRing) -> bool:
-    a, b, c, d = m
-    M, A = ring.mul_table, ring.add_table
-    return A[M[a][d]][ring.neg[M[b][c]]] == ring.one_index
-
-
 def _identity(ring: FiniteRing) -> _IndexMat:
     return (ring.one_index, ring.zero_index, ring.zero_index, ring.one_index)
 
@@ -270,6 +250,36 @@ def _inverse(m: _IndexMat, ring: FiniteRing) -> _IndexMat:
     a, b, c, d = m
     neg = ring.neg
     return (d, neg[b], neg[c], a)
+
+
+def _elementary(ring: FiniteRing) -> list[_IndexMat]:
+    """E12(a) and E21(a) for every a, sorted (E12(0) = E21(0) = 1)."""
+    one, zero = ring.one_index, ring.zero_index
+    upper = {(one, a, zero, one) for a in range(ring.order)}
+    return sorted(upper | {(one, zero, a, one) for a in range(ring.order)})
+
+
+def _close(
+    ring: FiniteRing,
+    start: Iterable[_IndexMat],
+    gens: Sequence[_IndexMat],
+    conj: Sequence[_IndexMat] = (),
+) -> set[_IndexMat]:
+    """Smallest superset of start closed under s -> s g for g in gens and
+    s -> x^-1 s x for x in conj.  From {1} it is the subgroup gens generate."""
+    M, A = ring.mul_table, ring.add_table
+    pairs = [(_inverse(x, ring), x) for x in conj]
+    seen = set(start)
+    queue = list(seen)
+    while queue:
+        s = queue.pop()
+        images = [_mmul(s, g, M, A) for g in gens]
+        images += [_mmul(_mmul(xi, s, M, A), x, M, A) for xi, x in pairs]
+        for y in images:
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return seen
 
 
 def _to_value_mat(ring: FiniteRing, m: _IndexMat) -> Mat2:
@@ -282,7 +292,9 @@ def _to_index_mat(ring: FiniteRing, m: Mat2) -> _IndexMat:
         im = (ring.index[m.a], ring.index[m.b], ring.index[m.c], ring.index[m.d])
     except KeyError as exc:
         raise ValueError(f"matrix entry {exc.args[0]!r} is not a ring element") from None
-    if not _det_is_one(im, ring):
+    a, b, c, d = im
+    M, A = ring.mul_table, ring.add_table
+    if A[M[a][d]][ring.neg[M[b][c]]] != ring.one_index:
         raise ValueError(f"matrix {m} does not have determinant 1")
     return im
 
@@ -297,20 +309,20 @@ def _check_budget(order: int, cap: int) -> None:
 
 
 def _sl2_indices(ring: FiniteRing) -> list[_IndexMat]:
+    """(a, b, c, d) with a d = 1 + b c, in lexicographic order: for each a,
+    the d solving a d = x are listed once per x, so the scan takes |R|^3 steps."""
     n = ring.order
-    M, A = ring.mul_table, ring.add_table
-    neg, one = ring.neg, ring.one_index
+    M, one_plus = ring.mul_table, ring.add_table[ring.one_index]
     out: list[_IndexMat] = []
     rng = range(n)
     for a in rng:
-        Ma = M[a]
+        solutions: list[list[int]] = [[] for _ in rng]
+        for d, x in enumerate(M[a]):
+            solutions[x].append(d)
         for b in rng:
-            negMb = [neg[x] for x in M[b]]
+            Mb = M[b]
             for c in rng:
-                nbc = negMb[c]
-                for d in rng:
-                    if A[Ma[d]][nbc] == one:
-                        out.append((a, b, c, d))
+                out.extend((a, b, c, d) for d in solutions[one_plus[Mb[c]]])
     return out
 
 
@@ -327,7 +339,8 @@ def _sl2_indices_cached(ring: FiniteRing) -> list[_IndexMat]:
 def enumerate_sl2_direct(
     ring: FiniteRing | FiniteRingSpec, cap: int = DEFAULT_RING_CAP
 ) -> list[Mat2]:
-    """All of SL2(R) by scanning R^4 for determinant one, in scan order."""
+    """All of SL2(R): every (a, b, c, d) in R^4 with determinant one, in
+    lexicographic order."""
     r = _as_ring(ring)
     _check_budget(r.order, cap)
     return [_to_value_mat(r, m) for m in _sl2_indices_cached(r)]
@@ -343,50 +356,36 @@ def generate_from_elementary(
     """
     r = _as_ring(ring)
     _check_budget(r.order, cap)
-    M, A = r.mul_table, r.add_table
-    one, zero = r.one_index, r.zero_index
-    gens: set[_IndexMat] = set()
-    for a in range(r.order):
-        gens.add((one, a, zero, one))
-        gens.add((one, zero, a, one))
-    gen_list = sorted(gens)
-    seen: set[_IndexMat] = {_identity(r)}
-    queue: list[_IndexMat] = list(seen)
-    while queue:
-        x = queue.pop()
-        for g in gen_list:
-            y = _mmul(x, g, M, A)
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return [_to_value_mat(r, m) for m in sorted(seen)]
+    closed = _close(r, [_identity(r)], _elementary(r))
+    return [_to_value_mat(r, m) for m in sorted(closed)]
 
 
-def _group_to_indices(ring: FiniteRing, group: Iterable[Mat2]) -> list[_IndexMat]:
-    return [_to_index_mat(ring, m) for m in group]
+def _generators(ring: FiniteRing, group_idx: list[_IndexMat]) -> list[_IndexMat]:
+    """Generators taken from the group itself, so it need not be all of SL2:
+    each elementary matrix in it, then each element, joins when the subgroup
+    generated so far lacks it, until that subgroup is the whole group."""
+    members = set(group_idx)
+    gens: list[_IndexMat] = []
+    closed = {_identity(ring)}
+    for g in itertools.chain(_elementary(ring), group_idx):
+        if len(closed) == len(members):
+            break
+        if g in members and g not in closed:
+            gens.append(g)
+            closed = _close(ring, closed, gens)
+    return gens
 
 
 def _commutator_closure(ring: FiniteRing, group_idx: list[_IndexMat]) -> set[_IndexMat]:
+    """[G, G] as the normal closure in G of the commutators of generators of G."""
     M, A = ring.mul_table, ring.add_table
-    inverses = [_inverse(m, ring) for m in group_idx]
-    comms: set[_IndexMat] = set()
-    add = comms.add
-    for g, g_inv in zip(group_idx, inverses):
-        for h, h_inv in zip(group_idx, inverses):
-            add(_mmul(_mmul(_mmul(g, h, M, A), g_inv, M, A), h_inv, M, A))
-    # commutator values need not form a subgroup on their own; close them
-    gens = sorted(comms)
-    closed: set[_IndexMat] = set(comms)
-    closed.add(_identity(ring))
-    queue = list(closed)
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            y = _mmul(x, g, M, A)
-            if y not in closed:
-                closed.add(y)
-                queue.append(y)
-    return closed
+    gens = _generators(ring, group_idx)
+    comms = {
+        _mmul(_mmul(_mmul(x, y, M, A), _inverse(x, ring), M, A), _inverse(y, ring), M, A)
+        for x in gens
+        for y in gens
+    }
+    return _close(ring, comms | {_identity(ring)}, sorted(comms), gens)
 
 
 def commutator_subgroup(
@@ -398,19 +397,13 @@ def commutator_subgroup(
     SL2); the result is then automatically normal in it.
     """
     r = _as_ring(ring)
-    closed = _commutator_closure(r, _group_to_indices(r, group))
+    closed = _commutator_closure(r, [_to_index_mat(r, m) for m in group])
     return {_to_value_mat(r, m) for m in closed}
 
 
-def abelianization(
-    ring: FiniteRing | FiniteRingSpec, group: Iterable[Mat2]
-) -> AbelianGroup:
-    """Abelianization of a finite matrix group: quotient by the commutator
-    subgroup, identified through its element-order statistics."""
-    r = _as_ring(ring)
-    group_idx = _group_to_indices(r, group)
-    M, A = r.mul_table, r.add_table
-    commutators = _commutator_closure(r, group_idx)
+def _abelianization(ring: FiniteRing, group_idx: list[_IndexMat]) -> AbelianGroup:
+    M, A = ring.mul_table, ring.add_table
+    commutators = _commutator_closure(ring, group_idx)
     coset_of: dict[_IndexMat, int] = {}
     reps: list[_IndexMat] = []
     for g in group_idx:
@@ -420,7 +413,7 @@ def abelianization(
         reps.append(g)
         for n in commutators:
             coset_of[_mmul(g, n, M, A)] = rid
-    identity_coset = coset_of[_identity(r)]
+    identity_coset = coset_of[_identity(ring)]
     profile: dict[int, int] = {}
     for rep in reps:
         k = 1
@@ -430,6 +423,15 @@ def abelianization(
             k += 1
         profile[k] = profile.get(k, 0) + 1
     return from_order_statistics(profile)
+
+
+def abelianization(
+    ring: FiniteRing | FiniteRingSpec, group: Iterable[Mat2]
+) -> AbelianGroup:
+    """Abelianization of a finite matrix group: quotient by the commutator
+    subgroup, identified through its element-order statistics."""
+    r = _as_ring(ring)
+    return _abelianization(r, [_to_index_mat(r, m) for m in group])
 
 
 _sl2ab_cache: dict[FiniteRingSpec, AbelianGroup] = {}
@@ -443,10 +445,7 @@ def sl2_abelianization(
     _check_budget(ring.order, cap)
     got = _sl2ab_cache.get(spec)
     if got is None:
-        group = _sl2_indices_cached(ring)
-        got = _sl2ab_cache[spec] = abelianization(
-            ring, [_to_value_mat(ring, m) for m in group]
-        )
+        got = _sl2ab_cache[spec] = _abelianization(ring, _sl2_indices_cached(ring))
     return got
 
 

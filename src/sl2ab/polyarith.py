@@ -17,6 +17,11 @@ from math import gcd, isqrt
 from typing import Iterable, Iterator, Sequence
 
 
+class BudgetExceededError(Exception):
+    """A search would run past its fixed budget: the ring is too large for
+    the oracle's enumeration, or recombination would try too many subsets."""
+
+
 # ---------------------------------------------------------------------------
 # integer helpers
 
@@ -610,6 +615,10 @@ _PATTERN_PRIMES = 3
 # Primes at which f mod p has a repeated factor before f itself is tested for
 # one over Q; a squarefree f has only finitely many such primes.
 _BAD_PRIMES_BEFORE_GCD = 8
+# Subsets Zassenhaus recombination may try, a few microseconds each.  r
+# factors mod p need up to 2^(r-1) - 1 of them: the degree-32 Swinnerton-Dyer
+# polynomial (r = 16) needs 32767, the degree-64 one (r = 32) about 2^31.
+RECOMBINATION_BUDGET = 1 << 18
 
 
 def _primes() -> Iterator[int]:
@@ -689,6 +698,7 @@ def _has_factor_over_z(
     (Mignotte), so once lifted mod p^k > 2B, the product of a subset of the
     lifted factors, in symmetric residues, is the factor itself when it is
     one.  A factor or its cofactor comes from at most half of the factors.
+    Raises BudgetExceededError past RECOMBINATION_BUDGET subsets.
     """
     bound = 2 * 2**f.degree * (isqrt(sum(c * c for c in f.coeffs)) + 1)
     modulus = p
@@ -698,10 +708,17 @@ def _has_factor_over_z(
     half = modulus // 2
     c0 = f.coeffs[0]
     r = len(lifted)
+    tried = 0
     for size in range(1, r // 2 + 1):
         for subset in itertools.combinations(range(r), size):
             if 2 * size == r and subset[0]:
                 break  # the rest are the complements of subsets already tried
+            tried += 1
+            if tried > RECOMBINATION_BUDGET:
+                raise BudgetExceededError(
+                    f"recombining {r} factors mod {p} would try more than "
+                    f"{RECOMBINATION_BUDGET} subsets"
+                )
             if not degrees >> sum(len(lifted[i]) - 1 for i in subset) & 1:
                 continue
             const = 1

@@ -125,19 +125,27 @@ def _fq(p: int, coeffs: list[int]) -> PolyQuot:
     return PolyQuot(p, ModPoly(p, coeffs))
 
 
-# Every supported local ring of order <= 9, smallest first.
+# Local rings of order <= 16, smallest first: every supported one of order
+# <= 13 up to isomorphism, then Z/16, F_16 and F_2[x]/(x^4).
 LOCAL_RINGS: tuple[tuple[str, RingFactor], ...] = (
     ("F_2", ZmodPK(2, 1)),
     ("F_3", ZmodPK(3, 1)),
     ("Z/4", ZmodPK(2, 2)),
     ("F_4", _fq(2, [1, 1, 1])),
     ("F_2[x]/(x^2)", _fq(2, [0, 0, 1])),
+    ("F_5", ZmodPK(5, 1)),
+    ("F_7", ZmodPK(7, 1)),
     ("Z/8", ZmodPK(2, 3)),
     ("F_8", _fq(2, [1, 1, 0, 1])),
     ("F_2[x]/(x^3)", _fq(2, [0, 0, 0, 1])),
     ("Z/9", ZmodPK(3, 2)),
     ("F_9", _fq(3, [1, 0, 1])),
     ("F_3[x]/(x^2)", _fq(3, [0, 0, 1])),
+    ("F_11", ZmodPK(11, 1)),
+    ("F_13", ZmodPK(13, 1)),
+    ("Z/16", ZmodPK(2, 4)),
+    ("F_16", _fq(2, [1, 1, 0, 0, 1])),
+    ("F_2[x]/(x^4)", _fq(2, [0, 0, 0, 0, 1])),
 )
 
 GE2_RINGS: tuple[tuple[str, FiniteRingSpec], ...] = tuple(
@@ -227,8 +235,8 @@ def suite_z_inv_n() -> list[CaseResult]:
 
 
 def suite_oracle_local() -> list[CaseResult]:
-    """Brute-force abelianization == local-ring formula, for every supported
-    local ring of order <= 9."""
+    """Brute-force abelianization == local-ring formula, for every local ring
+    in LOCAL_RINGS."""
     out: list[CaseResult] = []
     for label, factor in LOCAL_RINGS:
         spec = FiniteRingSpec((factor,))
@@ -265,7 +273,7 @@ def suite_ge2() -> list[CaseResult]:
 def suite_product_lemma() -> list[CaseResult]:
     """SL2 over a product ring decomposes: the Z/12 abelianization equals the
     direct sum of its Z/4 and Z/3 local results, and the direct enumeration
-    matches the |SL2(Z/n)| order formula for n <= 12."""
+    matches the |SL2(Z/n)| order formula for n <= 16."""
     out: list[CaseResult] = []
     ab12 = sl2_abelianization(FiniteRingSpec.zmod(12))
     ab4 = sl2_abelianization(FiniteRingSpec.zmod(4))
@@ -279,7 +287,7 @@ def suite_product_lemma() -> list[CaseResult]:
             f"Z/12 gives {ab12} | factors give {combined} | expected {expected}",
         )
     )
-    for n in range(2, 13):
+    for n in range(2, 17):
         counted = len(enumerate_sl2_direct(FiniteRingSpec.zmod(n)))
         predicted = sl2_order_zmod(n)
         out.append(

@@ -1,6 +1,11 @@
 """Tests for the brute-force SL2 engine: ring construction, enumeration,
 generation by elementary matrices, commutator subgroups, abelianizations,
-the enumeration budget, and the local-ring closed form."""
+the enumeration budget, and the local-ring closed form.  The normal closure
+and the |R|^3 enumeration are compared with test-only references: the
+closure of all pairwise commutators and the |R|^4 determinant scan."""
+
+import random
+from functools import reduce
 
 import pytest
 
@@ -19,8 +24,16 @@ from sl2ab.oracle import (
     prop_local_formula,
     ring_for,
     sl2_abelianization,
+    _commutator_closure,
+    _identity,
+    _inverse,
+    _mmul,
+    _sl2_indices,
+    _sl2_indices_cached,
+    _to_value_mat,
 )
 from sl2ab.polyarith import ModPoly, euler_phi
+from sl2ab.verify import GE2_RINGS, LOCAL_RINGS
 
 F2 = FiniteRingSpec((ZmodPK(2, 1),))
 F3 = FiniteRingSpec((ZmodPK(3, 1),))
@@ -257,3 +270,133 @@ class TestLocalFormula:
         with pytest.raises(ValueError) as exc:
             prop_local_formula(FiniteRingSpec.zmod(6))
         assert "single factor" in str(exc.value)
+
+
+# --------------------------------------------------------------------------
+# test-only references for the production algorithms
+
+
+def _sl2_indices_r4(ring):
+    """SL2(R) by scanning all of R^4 for determinant one, in scan order."""
+    n = ring.order
+    M, A = ring.mul_table, ring.add_table
+    neg, one = ring.neg, ring.one_index
+    out = []
+    rng = range(n)
+    for a in rng:
+        Ma = M[a]
+        for b in rng:
+            negMb = [neg[x] for x in M[b]]
+            for c in rng:
+                nbc = negMb[c]
+                for d in rng:
+                    if A[Ma[d]][nbc] == one:
+                        out.append((a, b, c, d))
+    return out
+
+
+def _all_pairs_commutator_closure(ring, group_idx):
+    """[G, G] as the multiplicative closure of the commutators g h g^-1 h^-1
+    of all pairs of elements.  Unordered pairs suffice, because [h, g] is the
+    inverse of [g, h] and a finite group is closed under inverses anyway."""
+    M, A = ring.mul_table, ring.add_table
+    inverses = [_inverse(m, ring) for m in group_idx]
+    comms = set()
+    add = comms.add
+    for i, (g, g_inv) in enumerate(zip(group_idx, inverses)):
+        for h, h_inv in zip(group_idx[i:], inverses[i:]):
+            add(_mmul(_mmul(_mmul(g, h, M, A), g_inv, M, A), h_inv, M, A))
+    gens = sorted(comms)
+    closed = set(comms)
+    closed.add(_identity(ring))
+    queue = list(closed)
+    while queue:
+        x = queue.pop()
+        for g in gens:
+            y = _mmul(x, g, M, A)
+            if y not in closed:
+                closed.add(y)
+                queue.append(y)
+    return closed
+
+
+def _generated_subgroup(ring, gens):
+    M, A = ring.mul_table, ring.add_table
+    closed = {_identity(ring)}
+    queue = list(closed)
+    while queue:
+        x = queue.pop()
+        for g in gens:
+            y = _mmul(x, g, M, A)
+            if y not in closed:
+                closed.add(y)
+                queue.append(y)
+    return sorted(closed)
+
+
+_LOCAL = dict(LOCAL_RINGS)
+
+# The rings of order <= 12 that are not Z/n, as products of local factors
+# (the --ring requests of the oracle-cold benchmark workload).
+PRODUCT_RINGS = tuple(
+    FiniteRingSpec(tuple(_LOCAL[name] for name in names))
+    for names in (
+        ("F_4",), ("F_2[x]/(x^2)",), ("F_2", "F_2"),
+        ("F_8",), ("F_2[x]/(x^3)",), ("F_2", "Z/4"), ("F_2", "F_4"),
+        ("F_2", "F_2[x]/(x^2)"), ("F_2", "F_2", "F_2"),
+        ("F_9",), ("F_3[x]/(x^2)",), ("F_3", "F_3"),
+        ("F_4", "F_3"), ("F_2[x]/(x^2)", "F_3"), ("F_2", "F_2", "F_3"),
+    )
+)
+
+
+class TestAgainstReferences:
+    def test_normal_closure_matches_all_pairs_on_sl2(self):
+        # the all-pairs reference takes |G|^2 steps: 17M for SL2(F_16), so
+        # the rings of order 13 to 16 are left to the local-formula checks
+        specs = [spec for _, spec in GE2_RINGS if spec.order <= 12]
+        specs += [spec for spec in PRODUCT_RINGS if spec not in specs]
+        assert len(specs) == 25
+        for spec in specs:
+            ring = ring_for(spec)
+            group = _sl2_indices_cached(ring)
+            expected = _all_pairs_commutator_closure(ring, group)
+            assert _commutator_closure(ring, group) == expected, spec.describe()
+
+    def test_normal_closure_matches_all_pairs_on_subgroups(self):
+        rng = random.Random(4)
+        for n in (6, 8):
+            ring = ring_for(FiniteRingSpec.zmod(n))
+            sl2 = _sl2_indices_cached(ring)
+            sizes = set()
+            for _ in range(25):
+                subgroup = _generated_subgroup(ring, rng.sample(sl2, 2))
+                sizes.add(len(subgroup))
+                expected = _all_pairs_commutator_closure(ring, subgroup)
+                assert _commutator_closure(ring, subgroup) == expected
+                values = [_to_value_mat(ring, m) for m in subgroup]
+                assert commutator_subgroup(ring, values) == {
+                    _to_value_mat(ring, m) for m in expected
+                }
+            assert len(sizes) >= 4, sizes  # proper subgroups of several sizes
+
+    def test_derived_subgroup_abelianization(self):
+        # SL2(F_3)' is the quaternion group Q8, whose abelianization is Z/2 + Z/2
+        derived = commutator_subgroup(F3, enumerate_sl2_direct(F3))
+        assert abelianization(F3, derived) == AbelianGroup(0, (2, 2))
+        assert len(commutator_subgroup(F3, derived)) == 2
+
+    def test_sl2_abelianization_is_the_sum_of_local_formulas(self):
+        for n in (13, 14, 15, 16):
+            spec = FiniteRingSpec.zmod(n)
+            expected = reduce(
+                direct_sum, (prop_local_formula(f) for f in spec.factors), TRIVIAL_GROUP
+            )
+            assert sl2_abelianization(spec) == expected, n
+
+    def test_cubic_enumeration_matches_quartic_scan(self):
+        specs = [FiniteRingSpec.zmod(n) for n in range(2, 17)]
+        specs += [spec for _, spec in GE2_RINGS] + list(PRODUCT_RINGS)
+        for spec in specs:
+            ring = ring_for(spec)
+            assert _sl2_indices(ring) == _sl2_indices_r4(ring), spec.describe()

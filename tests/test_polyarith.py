@@ -3,12 +3,15 @@ factorization, irreducibility, Sturm chains, cyclotomic polynomials."""
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sl2ab.cli import EXIT_BUDGET, run
 from sl2ab.polyarith import (
+    RECOMBINATION_BUDGET,
     IntPoly,
     ModPoly,
     cyclotomic_polynomial,
@@ -338,6 +341,20 @@ class TestFactorModP:
             assert is_irreducible_mod_p(g)
 
 
+def swinnerton_dyer(primes) -> IntPoly:
+    """The product of x - (+-sqrt(p1) +- sqrt(p2) ...) over all signs, built
+    in integers: each p turns f into f(x + sqrt p) f(x - sqrt p) = A^2 - p B^2,
+    where f(x + sqrt p) = A + B sqrt p is expanded by Horner's rule."""
+    x = IntPoly((0, 1))
+    f = x
+    for p in primes:
+        a = b = IntPoly(())
+        for c in reversed(f.coeffs):
+            a, b = a * x + IntPoly((p,)) * b + IntPoly((c,)), a + b * x
+        f = a * a - IntPoly((p,)) * b * b
+    return f
+
+
 class TestIrreducibility:
     def test_is_irreducible_mod_p(self):
         assert is_irreducible_mod_p(ModPoly(2, (1, 1, 1)))
@@ -373,6 +390,26 @@ class TestIrreducibility:
         # constant term beyond the rational-root search
         assert irreducible_over_q_check(IntPoly((10**7 + 19, 0, 1))) is True
         assert irreducible_over_q_check(IntPoly((-(10**4 + 7) ** 2, 0, 1))) is False
+
+    def test_swinnerton_dyer_certified(self):
+        # irreducible, but a product of linear and quadratic factors mod every
+        # prime: recombination tries up to 2^(r-1) - 1 subsets of r factors
+        assert swinnerton_dyer([2, 3]) == IntPoly((1, 0, -10, 0, 1))
+        assert irreducible_over_q_check(swinnerton_dyer([2, 3, 5, 7])) is True
+        degree_32 = swinnerton_dyer([2, 3, 5, 7, 11])
+        assert degree_32.degree == 32
+        assert irreducible_over_q_check(degree_32) is True
+
+    def test_recombination_budget_exits_5(self, capsys):
+        degree_64 = swinnerton_dyer([2, 3, 5, 7, 11, 13])
+        assert degree_64.degree == 64
+        start = time.perf_counter()
+        code = run(["compute", f"--poly={degree_64.csv()}"])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == EXIT_BUDGET == 5, err
+        assert f"more than {RECOMBINATION_BUDGET} subsets" in err
+        assert elapsed < 30.0, f"took {elapsed:.2f}s"
 
     @given(
         st.lists(st.integers(-9, 9), min_size=1, max_size=4),

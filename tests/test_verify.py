@@ -60,11 +60,11 @@ class TestReferenceTables:
             sl2_order_zmod(1)
 
     def test_ring_menagerie_shape(self):
-        assert len(LOCAL_RINGS) == 11
+        assert len(LOCAL_RINGS) == 18
         assert [order for _, f in LOCAL_RINGS for order in (f.order,)] == [
-            2, 3, 4, 4, 4, 8, 8, 8, 9, 9, 9,
+            2, 3, 4, 4, 4, 5, 7, 8, 8, 8, 9, 9, 9, 11, 13, 16, 16, 16,
         ]
-        assert len(GE2_RINGS) == 13
+        assert len(GE2_RINGS) == 20
         assert [name for name, _ in GE2_RINGS[-2:]] == ["Z/6", "Z/12"]
 
 
