@@ -252,11 +252,25 @@ def _inverse(m: _IndexMat, ring: FiniteRing) -> _IndexMat:
     return (d, neg[b], neg[c], a)
 
 
-def _elementary(ring: FiniteRing) -> list[_IndexMat]:
-    """E12(a) and E21(a) for every a, sorted (E12(0) = E21(0) = 1)."""
+def _elementary(ring: FiniteRing, entries: Sequence[int]) -> list[_IndexMat]:
+    """E12(a) and E21(a) for every a in entries, sorted (E12(0) = E21(0) = 1)."""
     one, zero = ring.one_index, ring.zero_index
-    upper = {(one, a, zero, one) for a in range(ring.order)}
-    return sorted(upper | {(one, zero, a, one) for a in range(ring.order)})
+    upper = {(one, a, zero, one) for a in entries}
+    return sorted(upper | {(one, zero, a, one) for a in entries})
+
+
+def _additive_generators(ring: FiniteRing) -> list[int]:
+    """A generating set of (R, +): each element, in index order, joins when
+    the subgroup generated so far lacks it."""
+    A = ring.add_table
+    gens: list[int] = []
+    span = {ring.zero_index}
+    for a in range(ring.order):
+        if a not in span:
+            gens.append(a)
+            while (shifted := {A[s][a] for s in span}) != span:
+                span |= shifted
+    return gens
 
 
 def _close(
@@ -303,8 +317,8 @@ def _check_budget(order: int, cap: int) -> None:
     if order > cap:
         raise BudgetExceededError(
             f"ring order {order} exceeds the enumeration cap {cap} "
-            f"({order}^4 = {order**4} candidate matrices); raise the cap explicitly "
-            "to override"
+            f"(enumerating SL2 takes {order}^3 = {order**3} steps); raise the cap "
+            "explicitly to override"
         )
 
 
@@ -349,14 +363,13 @@ def enumerate_sl2_direct(
 def generate_from_elementary(
     ring: FiniteRing | FiniteRingSpec, cap: int = DEFAULT_RING_CAP
 ) -> list[Mat2]:
-    """Closure of the elementary matrices E12(a), E21(a) under multiplication.
-
-    For the finite rings supported here this equals all of SL2(R); the test
-    suite checks that equality rather than assuming it.
-    """
+    """The group the elementary matrices E12(a), E21(a) generate, closed from
+    a in an additive generating set of R (E12 and E21 are homomorphisms from
+    (R, +)).  For the finite rings supported here it is all of SL2(R); the
+    test suite checks that equality rather than assuming it."""
     r = _as_ring(ring)
     _check_budget(r.order, cap)
-    closed = _close(r, [_identity(r)], _elementary(r))
+    closed = _close(r, [_identity(r)], _elementary(r, _additive_generators(r)))
     return [_to_value_mat(r, m) for m in sorted(closed)]
 
 
@@ -367,7 +380,7 @@ def _generators(ring: FiniteRing, group_idx: list[_IndexMat]) -> list[_IndexMat]
     members = set(group_idx)
     gens: list[_IndexMat] = []
     closed = {_identity(ring)}
-    for g in itertools.chain(_elementary(ring), group_idx):
+    for g in itertools.chain(_elementary(ring, range(ring.order)), group_idx):
         if len(closed) == len(members):
             break
         if g in members and g not in closed:

@@ -1,8 +1,8 @@
 """Exact polynomial arithmetic over Z and F_p, plus small number-theory helpers.
 
-Everything is arbitrary-precision integer (or Fraction) arithmetic; no floats
-enter any code path.  Polynomials store coefficients lowest degree first with
-no trailing zeros, so the zero polynomial has an empty coefficient tuple and
+Everything is arbitrary-precision integer arithmetic; no floats enter any
+code path.  Polynomials store coefficients lowest degree first with no
+trailing zeros, so the zero polynomial has an empty coefficient tuple and
 degree -1.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterable, Iterator, Sequence
@@ -626,8 +625,8 @@ def _primes() -> Iterator[int]:
 
 
 def _squarefree_over_q(f: IntPoly) -> bool:
-    fq = [Fraction(c) for c in f.coeffs]
-    return len(_frac_gcd(fq, _frac_deriv(fq))) == 1
+    """gcd(f, f') is a constant, for deg f >= 1."""
+    return len(_sturm_sequence(f)[-1]) == 1
 
 
 def _degree_mask(parts: list[tuple[list[int], int]]) -> int:
@@ -792,87 +791,58 @@ def irreducible_over_q_check(f: IntPoly) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Sturm chains
-
-_FracPoly = list[Fraction]
+# Sturm sequences over Z
 
 
-def _frac_strip(cs: _FracPoly) -> _FracPoly:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def _frac_deriv(cs: _FracPoly) -> _FracPoly:
-    return _frac_strip([i * c for i, c in enumerate(cs)][1:])
-
-
-def _frac_rem(a: _FracPoly, b: _FracPoly) -> _FracPoly:
+def _neg_pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """The primitive part of -(|lc b|^k a mod b), k = deg a - deg b + 1: a
+    positive multiple of -(a mod b) over Q, computed in integers."""
+    if b[-1] < 0:
+        b = [-c for c in b]  # same remainder, positive leading coefficient
     rem = list(a)
     db = len(b) - 1
-    lead = b[-1]
     for i in range(len(rem) - db - 1, -1, -1):
-        c = rem[i + db] / lead
-        if c:
-            for j, bc in enumerate(b):
-                rem[i + j] -= c * bc
-    return _frac_strip(rem[:db])
+        c = rem.pop()
+        rem = [b[-1] * x for x in rem]
+        for j in range(db):
+            rem[i + j] -= c * b[j]
+    rem = _trim(rem)
+    content = gcd(*rem)
+    return [-x // content for x in rem]
 
 
-def _frac_gcd(a: _FracPoly, b: _FracPoly) -> _FracPoly:
-    while b:
-        a, b = b, _frac_rem(a, b)
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def _frac_exact_div(a: _FracPoly, b: _FracPoly) -> _FracPoly:
-    rem = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    q = [Fraction(0)] * max(len(rem) - db, 0)
-    for i in range(len(rem) - db - 1, -1, -1):
-        c = rem[i + db] / lead
-        q[i] = c
-        if c:
-            for j, bc in enumerate(b):
-                rem[i + j] -= c * bc
-    assert not _frac_strip(rem), "division was not exact"
-    return _frac_strip(q)
+def _sturm_sequence(f: IntPoly) -> list[list[int]]:
+    """f, f' and negated pseudo-remainders, for deg f >= 1 (Cohen, GTM 138,
+    section 3.3).  Each term is a positive multiple of the one a Sturm chain
+    over Q would have; the last is gcd(f, f') up to a nonzero factor."""
+    seq = [list(f.coeffs), list(f.derivative().coeffs)]
+    while len(seq[-1]) > 1:
+        r = _neg_pseudo_remainder(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append(r)
+    return seq
 
 
 def _sign_variations(signs: list[int]) -> int:
-    nz = [s for s in signs if s]
-    return sum(1 for a, b in zip(nz, nz[1:]) if a != b)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def sturm_real_roots(f: IntPoly) -> int:
-    """Number of distinct real roots of f, by a Sturm chain over Q.
+    """Number of distinct real roots of f, by a Sturm sequence over Z.
 
-    The polynomial is first divided by gcd(f, f') so repeated roots count once.
-    Signs at the two infinities come from leading coefficients alone.
+    Divided by its last term g, gcd(f, f') up to a factor, the sequence is a
+    Sturm chain of f / g, which has each root of f once; the division flips
+    all signs at an infinity alike, so the sign changes there, read from
+    leading coefficients, stay the same.
     """
     if f.is_zero:
         raise ValueError("zero polynomial has no root count")
-    fq: _FracPoly = [Fraction(c) for c in f.coeffs]
-    if len(fq) - 1 >= 1:
-        g = _frac_gcd(fq, _frac_deriv(fq))
-        if len(g) - 1 >= 1:
-            fq = _frac_exact_div(fq, g)
-    if len(fq) - 1 < 1:
+    if f.degree < 1:
         return 0
-    chain: list[_FracPoly] = [fq, _frac_deriv(fq)]
-    while len(chain[-1]) - 1 > 0:
-        r = [-c for c in _frac_rem(chain[-2], chain[-1])]
-        if not r:
-            break
-        chain.append(r)
-    at_pos = [1 if cs[-1] > 0 else -1 for cs in chain if cs]
-    at_neg = [
-        (1 if cs[-1] > 0 else -1) * (-1) ** (len(cs) - 1) for cs in chain if cs
-    ]
+    seq = _sturm_sequence(f)
+    at_pos = [1 if cs[-1] > 0 else -1 for cs in seq]
+    at_neg = [s if len(cs) % 2 else -s for s, cs in zip(at_pos, seq)]
     return _sign_variations(at_neg) - _sign_variations(at_pos)
 
 

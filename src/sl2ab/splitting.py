@@ -13,6 +13,7 @@ other in the test suite.  Each field form knows its own degree, signature
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Union
 
 from .polyarith import (
@@ -203,6 +204,11 @@ def quadratic_split(d: int, p: int) -> SplittingData:
     p = 3: inert when d = 2 mod 3, split when d = 1 mod 3, ramified when 3 | d.
     """
     _check_radicand(d)
+    return _quadratic_split(d, p)
+
+
+def _quadratic_split(d: int, p: int) -> SplittingData:
+    """quadratic_split for a radicand already checked."""
     _check_p(p)
     if p == 2:
         r = d % 8
@@ -239,15 +245,20 @@ def cyclotomic_split(n: int, p: int) -> SplittingData:
     Writing the normalized n as p^a * s with p not dividing s, there are
     phi(n) / (e f) primes above p, all with the same (e, f).
     """
-    _check_p(p)
     n = _normalize_cyclotomic(n)
+    return _cyclotomic_split(n, euler_phi(n), p)
+
+
+def _cyclotomic_split(n: int, degree: int, p: int) -> SplittingData:
+    """cyclotomic_split for a normalized n of totient degree."""
+    _check_p(p)
     a = 0
     s = n
     while s % p == 0:
         a += 1
         s //= p
     e = (p - 1) * p ** (a - 1) if a else 1  # phi(p^a)
-    return SplittingData.uniform(p, euler_phi(n), e, multiplicative_order(p, s))
+    return SplittingData.uniform(p, degree, e, multiplicative_order(p, s))
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +273,11 @@ def rational_function_split(q: int) -> list[SplittingData]:
     """
     if is_prime_power(q) is None:
         raise ValueError(f"q must be a prime power, got {q}")
+    return _rational_function_split(q)
+
+
+def _rational_function_split(q: int) -> list[SplittingData]:
+    """rational_function_split for a q already known to be a prime power."""
     if q > 3:
         return []
     labels = ["(t)", "(t-1)", "(t-2)"][:q]
@@ -351,7 +367,7 @@ class Quadratic(NumberField):
         return _REAL_QUADRATIC if self.d > 0 else _IMAGINARY_QUADRATIC
 
     def split_at(self, p: int) -> SplittingData:
-        return quadratic_split(self.d, p)
+        return _quadratic_split(self.d, p)
 
     def to_json(self) -> dict:
         return {"kind": "quadratic", "d": self.d}
@@ -386,7 +402,7 @@ class Cyclotomic(NumberField):
         return Signature(0, self.degree // 2)
 
     def split_at(self, p: int) -> SplittingData:
-        return cyclotomic_split(self.normalized, p)
+        return _cyclotomic_split(self.normalized, self.degree, p)
 
     def to_json(self) -> dict:
         return {"kind": "cyclotomic", "n": self.n}
@@ -417,9 +433,9 @@ class GeneralPoly(NumberField):
     def degree(self) -> int:
         return self.poly.degree
 
-    @property
+    @cached_property
     def signature(self) -> Signature:
-        """(r1, r2), with r1 counted by a Sturm chain."""
+        """(r1, r2), with r1 counted by a Sturm sequence once per form."""
         r1 = sturm_real_roots(self.poly)
         return Signature(r1, (self.poly.degree - r1) // 2)
 
@@ -483,7 +499,7 @@ class RationalFunction(FunctionField):
     infinite_places = 1
 
     def splittings(self) -> tuple[SplittingData, ...]:
-        return tuple(rational_function_split(self.q))
+        return tuple(_rational_function_split(self.q))
 
     def to_json(self) -> dict:
         return {"kind": "function_field", "q": self.q}

@@ -176,8 +176,8 @@ class TestEnumeration:
         with pytest.raises(BudgetExceededError) as exc:
             enumerate_sl2_direct(FiniteRingSpec.zmod(20))
         assert str(exc.value) == (
-            "ring order 20 exceeds the enumeration cap 16 (20^4 = 160000 "
-            "candidate matrices); raise the cap explicitly to override"
+            "ring order 20 exceeds the enumeration cap 16 (enumerating SL2 "
+            "takes 20^3 = 8000 steps); raise the cap explicitly to override"
         )
         assert DEFAULT_RING_CAP == 16
         group = enumerate_sl2_direct(FiniteRingSpec.zmod(17), cap=17)

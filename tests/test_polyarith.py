@@ -1,9 +1,10 @@
 """Exact arithmetic tests: integer helpers, polynomials over Z and F_p,
-factorization, irreducibility, Sturm chains, cyclotomic polynomials."""
+factorization, irreducibility, Sturm sequences, cyclotomic polynomials."""
 
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from sl2ab.polyarith import (
     primes_dividing,
     squarefree_decomposition,
     sturm_real_roots,
+    _squarefree_over_q,
 )
 
 
@@ -433,6 +435,67 @@ class TestIrreducibility:
             assert irreducible_over_q_check(f) is expected, f
 
 
+def _reference_sturm(f):
+    """Reference: (distinct real roots, squarefree) of f by the Sturm chain
+    over Q.  f is first divided by the monic gcd(f, f') so that repeated
+    roots count once; signs at the two infinities come from leading
+    coefficients alone."""
+
+    def strip(cs):
+        while cs and cs[-1] == 0:
+            cs.pop()
+        return cs
+
+    def deriv(cs):
+        return strip([i * c for i, c in enumerate(cs)][1:])
+
+    def divmod_(a, b):
+        r = list(a)
+        db = len(b) - 1
+        q = [Fraction(0)] * max(len(r) - db, 0)
+        for i in range(len(r) - db - 1, -1, -1):
+            q[i] = c = r[i + db] / b[-1]
+            for j, bc in enumerate(b):
+                r[i + j] -= c * bc
+        return strip(q), strip(r[:db])
+
+    fq = [Fraction(c) for c in f.coeffs]
+    a, b = fq, deriv(fq)
+    while b:
+        a, b = b, divmod_(a, b)[1]
+    g = [c / a[-1] for c in a]
+    if len(g) > 1:
+        fq, r = divmod_(fq, g)
+        assert not r, "division was not exact"
+    chain = [fq, deriv(fq)]
+    while len(chain[-1]) > 1:
+        r = [-c for c in divmod_(chain[-2], chain[-1])[1]]
+        if not r:
+            break
+        chain.append(r)
+    at_pos = [1 if cs[-1] > 0 else -1 for cs in chain]
+    at_neg = [s * (-1) ** (len(cs) - 1) for s, cs in zip(at_pos, chain)]
+    changes = lambda signs: sum(a != b for a, b in zip(signs, signs[1:]))  # noqa: E731
+    return changes(at_neg) - changes(at_pos), len(g) == 1
+
+
+def _shift(f, k):
+    """f(x + k), by Horner's rule."""
+    out = IntPoly(())
+    for c in reversed(f.coeffs):
+        out = out * IntPoly((k, 1)) + IntPoly((c,))
+    return out
+
+
+def _int_polys(max_degree):
+    """Integer polynomials of degree 1 to max_degree, mostly not monic."""
+    return (
+        st.lists(st.integers(-30, 30), min_size=2, max_size=max_degree + 1)
+        .filter(lambda cs: cs[-1] != 0)
+        .map(IntPoly)
+    )
+
+
 class TestSturm:
     def test_root_counts(self):
         assert sturm_real_roots(IntPoly((-2, 0, 1))) == 2  # x^2-2
@@ -441,6 +504,8 @@ class TestSturm:
         assert sturm_real_roots(IntPoly((0, -1, 0, 1))) == 3  # x^3-x
         assert sturm_real_roots(IntPoly((1, -2, 1))) == 1  # (x-1)^2, counted once
         assert sturm_real_roots(IntPoly((3,))) == 0
+        assert sturm_real_roots(IntPoly((-3, -2))) == 1  # negative leading coefficient
+        assert sturm_real_roots(IntPoly((1, 0, -1))) == 2  # 1 - x^2
         with pytest.raises(ValueError):
             sturm_real_roots(IntPoly(()))
 
@@ -456,6 +521,51 @@ class TestSturm:
         for r in roots:
             f = f * IntPoly((-r, 1))
         assert sturm_real_roots(f) == len(set(roots))
+
+    @given(_int_polys(10))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, f):
+        count, squarefree = _reference_sturm(f)
+        assert sturm_real_roots(f) == count
+        assert _squarefree_over_q(f) is squarefree
+
+    @given(_int_polys(6), _int_polys(2))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_with_squared_factor(self, h, g):
+        f = h * g * g  # degree <= 10
+        count, squarefree = _reference_sturm(f)
+        assert not squarefree
+        assert sturm_real_roots(f) == count
+        assert _squarefree_over_q(f) is False
+
+    def test_shifted_cyclotomics_have_no_real_root(self):
+        ns = [n for n in range(3, 100) if 4 <= euler_phi(n) <= 20]
+        assert len(ns) == 36
+        for n in ns:
+            for k in (-17, -11, 7, 13, 19):
+                assert sturm_real_roots(_shift(cyclotomic_polynomial(n), k)) == 0, (n, k)
+
+    def test_swinnerton_dyer_roots_are_all_real(self):
+        for primes in ([2, 3, 5, 7], [2, 3, 5, 7, 11], [2, 3, 5, 7, 11, 13]):
+            f = swinnerton_dyer(primes)
+            assert sturm_real_roots(f) == f.degree == 2 ** len(primes)
+            if f.degree <= 32:
+                assert sturm_real_roots(f * f) == f.degree
+                assert _squarefree_over_q(f) and not _squarefree_over_q(f * f)
+
+    def test_agrees_with_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(3)
+        for _ in range(200):
+            f = IntPoly([rng.randint(-30, 30) for _ in range(rng.randint(2, 9))])
+            if rng.random() < 0.3:
+                g = IntPoly([rng.randint(-6, 6) for _ in range(rng.randint(2, 3))])
+                f = f * g * g
+            if f.degree < 1:
+                continue
+            sqf = sympy.Poly(list(reversed(f.coeffs)), x).sqf_part()
+            assert sturm_real_roots(f) == sqf.count_roots(), f
 
 
 class TestCyclotomic:

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sl2ab import splitting
+from sl2ab.cli import run
 from sl2ab.polyarith import IntPoly, euler_phi, is_squarefree
 from sl2ab.splitting import (
     Cyclotomic,
@@ -259,6 +261,24 @@ class TestFieldSpecDispatch:
         assert Cyclotomic(6).n == 6
         assert str(Cyclotomic(6)) == "Q(zeta_6)"
         assert Cyclotomic(4) != Cyclotomic(8)
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["--quadratic", "999999999989"], "is_squarefree"),
+            (["--cyclotomic", "60"], "euler_phi"),
+            (["--function-field", "3", "--remove-prime", "3:0"], "is_prime_power"),
+            (["--poly=-5,0,0,1"], "sturm_real_roots"),
+        ],
+    )
+    def test_text_report_checks_each_integer_once(self, argv, name, monkeypatch, capsys):
+        # split_at, splittings and the second read of a signature reuse what
+        # the form computed once
+        calls = []
+        fn = getattr(splitting, name)
+        monkeypatch.setattr(splitting, name, lambda *a: calls.append(a) or fn(*a))
+        assert run(["compute", *argv]) == 0, capsys.readouterr().err
+        assert len(calls) == 1
 
     def test_user_supplied_char0(self):
         spec = UserNumberField(
