@@ -9,6 +9,7 @@ equal, so dataclass equality is isomorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
@@ -103,7 +104,18 @@ def canonicalize(factors: Iterable[int], free_rank: int = 0) -> AbelianGroup:
     Factors may arrive in any order and need not divide each other; they are
     split into prime powers and reassembled into a divisibility chain.  Any
     factor <= 1 is rejected (a trivial summand is expressed by omission).
+    Results are memoized on the factor multiset and the free rank.
     """
+    return _canonicalize(tuple(sorted(factors)), free_rank)
+
+
+# The formulas' sums are multisets of 2, 3 and 4 with few distinct shapes,
+# so a small cache holds them all; AbelianGroup is frozen, so sharing is safe.
+_CANONICALIZE_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=_CANONICALIZE_CACHE_SIZE)
+def _canonicalize(factors: tuple[int, ...], free_rank: int) -> AbelianGroup:
     exps_by_prime: dict[int, list[int]] = {}
     for f in factors:
         if f < 2:

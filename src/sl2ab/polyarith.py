@@ -12,7 +12,7 @@ import functools
 import itertools
 import random
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Sequence
 
 
@@ -87,18 +87,21 @@ def euler_phi(n: int) -> int:
 
 
 def multiplicative_order(a: int, s: int) -> int:
-    """Least f >= 1 with a**f = 1 mod s.  Defined only for gcd(a, s) = 1."""
+    """Least f >= 1 with a**f = 1 mod s.  Defined only for gcd(a, s) = 1.
+
+    The order divides the Carmichael exponent lambda(s), so each prime is
+    divided out of lambda(s) for as long as a still has order dividing the rest.
+    """
     if s < 1:
         raise ValueError(f"modulus must be >= 1, got {s}")
     if gcd(a, s) != 1:
         raise ValueError(f"multiplicative order undefined: gcd({a}, {s}) != 1")
-    if s == 1:
-        return 1
-    x = a % s
     f = 1
-    while x != 1:
-        x = (x * a) % s
-        f += 1
+    for p, k in factorint(s).items():
+        f = lcm(f, 2 ** (k - 2) if p == 2 and k >= 3 else (p - 1) * p ** (k - 1))
+    for p in factorint(f):
+        while f % p == 0 and pow(a, f // p, s) == 1:
+            f //= p
     return f
 
 

@@ -28,8 +28,8 @@ from .polyarith import (
     sturm_real_roots,
 )
 
-# Inputs that reach trial division (factorint) or the order loop of
-# multiplicative_order are bounded, so that every such run is short.
+# Inputs that reach trial division (factorint) are bounded, so that every
+# such run is short; a cyclotomic form also lists up to phi(n) primes.
 INTEGER_LIMIT = 10**12
 CYCLOTOMIC_LIMIT = 10**6
 
@@ -207,6 +207,19 @@ def quadratic_split(d: int, p: int) -> SplittingData:
     return _quadratic_split(d, p)
 
 
+# p = 2 and p = 3 each decompose in one of three ways in a quadratic field,
+# so every quadratic splitting is one of these six shared values.
+_QUADRATIC_SPLITS = {
+    (p, kind): SplittingData(p, 2, primes)
+    for p in (2, 3)
+    for kind, primes in (
+        ("inert", (PrimeAbove(p, 1, 2, f"({p}, inert)"),)),
+        ("split", tuple(PrimeAbove(p, 1, 1, f"({p}, split #{i})") for i in (1, 2))),
+        ("ramified", (PrimeAbove(p, 2, 1, f"({p}, ramified)"),)),
+    )
+}
+
+
 def _quadratic_split(d: int, p: int) -> SplittingData:
     """quadratic_split for a radicand already checked."""
     _check_p(p)
@@ -216,16 +229,7 @@ def _quadratic_split(d: int, p: int) -> SplittingData:
     else:
         r = d % 3
         kind = "inert" if r == 2 else "split" if r == 1 else "ramified"
-    if kind == "inert":
-        primes = (PrimeAbove(p, 1, 2, f"({p}, inert)"),)
-    elif kind == "split":
-        primes = (
-            PrimeAbove(p, 1, 1, f"({p}, split #1)"),
-            PrimeAbove(p, 1, 1, f"({p}, split #2)"),
-        )
-    else:
-        primes = (PrimeAbove(p, 2, 1, f"({p}, ramified)"),)
-    return SplittingData(p, 2, primes)
+    return _QUADRATIC_SPLITS[p, kind]
 
 
 # ---------------------------------------------------------------------------
@@ -273,23 +277,31 @@ def rational_function_split(q: int) -> list[SplittingData]:
     """
     if is_prime_power(q) is None:
         raise ValueError(f"q must be a prime power, got {q}")
-    return _rational_function_split(q)
+    return list(_rational_function_split(q))
 
 
-def _rational_function_split(q: int) -> list[SplittingData]:
+# The places t - a of F_2(t) and F_3(t), built once and shared.
+_RATIONAL_FUNCTION_SPLITS = {
+    q: tuple(
+        SplittingData(q, 1, (PrimeAbove(q, 1, 1, label),))
+        for label in ("(t)", "(t-1)", "(t-2)")[:q]
+    )
+    for q in (2, 3)
+}
+
+
+def _rational_function_split(q: int) -> tuple[SplittingData, ...]:
     """rational_function_split for a q already known to be a prime power."""
-    if q > 3:
-        return []
-    labels = ["(t)", "(t-1)", "(t-2)"][:q]
-    return [
-        SplittingData(q, 1, (PrimeAbove(q, 1, 1, label),)) for label in labels
-    ]
+    return _RATIONAL_FUNCTION_SPLITS.get(q, ())
 
 
 # ---------------------------------------------------------------------------
 # field forms
 
 
+_RATIONAL_SPLITS = {
+    p: SplittingData(p, 1, (PrimeAbove(p, 1, 1, f"({p})"),)) for p in (2, 3)
+}
 _REAL_QUADRATIC = Signature(2, 0)
 _IMAGINARY_QUADRATIC = Signature(0, 1)
 
@@ -341,7 +353,7 @@ class Rational(NumberField):
 
     def split_at(self, p: int) -> SplittingData:
         _check_p(p)
-        return SplittingData(p, 1, (PrimeAbove(p, 1, 1, f"({p})"),))
+        return _RATIONAL_SPLITS[p]
 
     def to_json(self) -> dict:
         return {"kind": "rational"}
@@ -499,7 +511,7 @@ class RationalFunction(FunctionField):
     infinite_places = 1
 
     def splittings(self) -> tuple[SplittingData, ...]:
-        return tuple(_rational_function_split(self.q))
+        return _rational_function_split(self.q)
 
     def to_json(self) -> dict:
         return {"kind": "function_field", "q": self.q}

@@ -10,15 +10,15 @@ unit group is finite the formulas do not apply and only a short ledger of
 known literature values is available.
 
 compute() is the one route from a field form plus S to a group: it lists
-the contribution of each surviving prime once and takes their direct sum.
+the contribution of each surviving prime once and takes their direct sum in
+one canonicalize call over all their torsion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
-from .abgroup import AbelianGroup, TRIVIAL_GROUP, direct_sum
+from .abgroup import AbelianGroup, canonicalize
 from .polyarith import primes_dividing
 from .splitting import (
     INTEGER_LIMIT,
@@ -241,5 +241,5 @@ def compute(ring: ArithmeticRingSpec) -> ComputeOutcome:
         )
         return ComputeOutcome(ring, known, "known-case", (), (warning,), splittings)
     contributions = _contributions(spec, splittings, s)
-    group = reduce(direct_sum, (c.group for c in contributions), TRIVIAL_GROUP)
+    group = canonicalize([d for c in contributions for d in c.group.torsion])
     return ComputeOutcome(ring, group, spec.route, contributions, (), splittings)

@@ -70,6 +70,17 @@ class TestConstruction:
         ) == AbelianGroup(0, (12,))
 
 
+def reference_canonicalize(factors, free_rank=0):
+    """Invariant factors by pairwise (gcd, lcm) exchange, with no memo: after
+    row i, entry i divides every later entry, and each exchange keeps the
+    multiset of prime powers."""
+    fs = list(factors)
+    for i in range(len(fs)):
+        for j in range(i + 1, len(fs)):
+            fs[i], fs[j] = gcd(fs[i], fs[j]), lcm(fs[i], fs[j])
+    return AbelianGroup(free_rank, tuple(f for f in fs if f > 1))
+
+
 class TestCanonicalize:
     def test_known_forms(self):
         assert canonicalize([12, 4]) == AbelianGroup(0, (4, 12))
@@ -85,6 +96,23 @@ class TestCanonicalize:
             canonicalize([1, 2])
         with pytest.raises(ValueError):
             canonicalize([0])
+        # a rejected input is not memoized: it raises again
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                canonicalize([1])
+
+    @given(
+        st.lists(st.integers(2, 64), max_size=8),
+        st.integers(0, 3),
+        st.randoms(use_true_random=False),
+    )
+    def test_memoized_matches_reference(self, factors, free_rank, rng):
+        want = reference_canonicalize(factors, free_rank)
+        shuffled = list(factors)
+        rng.shuffle(shuffled)
+        assert canonicalize(shuffled, free_rank) == want
+        assert canonicalize((f for f in factors), free_rank) == want
+        assert canonicalize(factors, free_rank) == want
 
     @given(st.lists(st.integers(2, 40), max_size=6))
     def test_idempotent_and_order_preserving(self, factors):

@@ -1,6 +1,7 @@
 """Command-line interface tests: argument handling, report formats, JSON
 round-trips, and the exit-code contract."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -28,6 +29,9 @@ from sl2ab.verify import cyclotomic_reference
 # document.  These outputs are part of the CLI contract: a change to any of
 # them must be deliberate.
 GOLDEN = json.loads((Path(__file__).parent / "compute_golden.json").read_text())
+# Full classification tables, stored as the sha256 and line count of their
+# stdout: every row of a long table must stay byte-identical.
+TABLE_GOLDEN = json.loads((Path(__file__).parent / "table_golden.json").read_text())
 
 
 def invoke(capsys, *argv):
@@ -198,6 +202,15 @@ class TestGoldenOutput:
             field_spec_from_json(given["field"]), SSet.from_json(given["s"])
         )
         assert compute(ring).to_json() == case["json"]
+
+
+class TestGoldenTables:
+    @pytest.mark.parametrize("case", TABLE_GOLDEN, ids=lambda c: " ".join(c["args"]))
+    def test_table_stdout(self, capsys, case):
+        code, out, err = invoke(capsys, *case["args"])
+        assert (code, err) == (EXIT_OK, "")
+        assert out.count("\n") == case["lines"]
+        assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
 
 
 class TestInputLimits:

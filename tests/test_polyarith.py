@@ -5,6 +5,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -94,6 +95,22 @@ class TestIntegerHelpers:
         assert multiplicative_order(5, 1) == 1
         with pytest.raises(ValueError):
             multiplicative_order(2, 8)
+        with pytest.raises(ValueError):
+            multiplicative_order(2, 0)
+
+    def test_order_matches_the_loop(self):
+        # the loop that multiplicative_order once ran, kept as the reference:
+        # it finds the least order, not just one that divides phi(s)
+        def loop_order(a, s):
+            x, f = a % s, 1
+            while x != 1 % s:
+                x, f = (x * a) % s, f + 1
+            return f
+
+        for s in range(1, 2001):
+            for a in (2, 3, 5, 7, 10):
+                if gcd(a, s) == 1:
+                    assert multiplicative_order(a, s) == loop_order(a, s), (a, s)
 
     @given(st.integers(2, 400))
     def test_order_divides_phi(self, s):

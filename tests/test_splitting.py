@@ -101,6 +101,23 @@ class TestDedekind:
             dedekind_split(IntPoly((2, 2)), 2)  # not monic
 
 
+def built_quadratic_split(d, p):
+    """A quadratic splitting built from its primes on every call, as the
+    congruence rule reads: the reference for the shared values."""
+    r = d % 8 if p == 2 else d % 3
+    inert, split = (5, 1) if p == 2 else (2, 1)
+    if r == inert:
+        primes = (PrimeAbove(p, 1, 2, f"({p}, inert)"),)
+    elif r == split:
+        primes = (
+            PrimeAbove(p, 1, 1, f"({p}, split #1)"),
+            PrimeAbove(p, 1, 1, f"({p}, split #2)"),
+        )
+    else:
+        primes = (PrimeAbove(p, 2, 1, f"({p}, ramified)"),)
+    return SplittingData(p, 2, primes)
+
+
 class TestQuadratic:
     def test_min_poly_forms(self):
         assert quadratic_min_poly(17) == IntPoly((-4, -1, 1))
@@ -124,6 +141,18 @@ class TestQuadratic:
         assert quadratic_split(7, 3).ef_multiset() == ((1, 1), (1, 1))  # 7 = 1 mod 3
         assert quadratic_split(5, 3).ef_multiset() == ((1, 2),)  # 5 = 2 mod 3
         assert quadratic_split(33, 3).ef_multiset() == ((2, 1),)  # 3 | 33
+
+    def test_shared_values_match_a_fresh_build(self):
+        # every class of d mod 24, with both signs
+        for sign in (1, -1):
+            for r in range(24):
+                ds = [d for d in range(r, 2000, 24) if is_squarefree(d) and d != 1]
+                if not ds:
+                    continue
+                for p in (2, 3):
+                    values = [Quadratic(sign * d).split_at(p) for d in ds[:3]]
+                    assert values[0] == built_quadratic_split(sign * ds[0], p)
+                    assert all(v is values[0] for v in values), (sign, r, p)
 
     def test_congruences_match_dedekind(self):
         # the residue rules and the factorization of the true minimal
@@ -189,6 +218,15 @@ class TestRationalFunction:
         (first, _) = rational_function_split(2)
         assert first == SplittingData(2, 1, (PrimeAbove(2, 1, 1, "(t)"),))
 
+    def test_shared_places_match_a_fresh_build(self):
+        for q in (2, 3):
+            built = tuple(
+                SplittingData(q, 1, (PrimeAbove(q, 1, 1, label),))
+                for label in ["(t)", "(t-1)", "(t-2)"][:q]
+            )
+            assert RationalFunction(q).splittings() == built
+            assert RationalFunction(q).splittings() is RationalFunction(q).splittings()
+
 
 class TestFieldSpecDispatch:
     def test_degrees(self):
@@ -215,9 +253,11 @@ class TestFieldSpecDispatch:
         assert RationalFunction(2).infinite_places == 1
 
     def test_split_at(self):
-        assert Rational().split_at(2) == SplittingData(
-            2, 1, (PrimeAbove(2, 1, 1, "(2)"),)
-        )
+        for p in (2, 3):
+            assert Rational().split_at(p) == SplittingData(
+                p, 1, (PrimeAbove(p, 1, 1, f"({p})"),)
+            )
+            assert Rational().split_at(p) is Rational().split_at(p)
         assert Quadratic(17).split_at(3) == quadratic_split(17, 3)
         assert Cyclotomic(8).split_at(2) == cyclotomic_split(8, 2)
         with pytest.raises(ValueError):
