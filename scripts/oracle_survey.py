@@ -9,6 +9,10 @@ local rings) compare against the closed local-ring formula.
 import argparse
 import sys
 import time
+from pathlib import Path
+
+# run from a checkout: this checkout's package comes before any installed one
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sl2ab.oracle import (
     enumerate_sl2_direct,

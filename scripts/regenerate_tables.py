@@ -8,6 +8,10 @@ on the fly; nothing here reads the hardcoded verification tables.
 
 import argparse
 import sys
+from pathlib import Path
+
+# run from a checkout: this checkout's package comes before any installed one
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sl2ab.cli import run
 

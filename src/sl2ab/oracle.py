@@ -2,12 +2,13 @@
 
 The supported rings are finite products of Z/p^k and F_p[x]/(h) factors.  At
 the scale this package cares about (ring order <= 16 by default) everything is
-done by exhaustive enumeration over precomputed index-space addition and
-multiplication tables: enumerate SL2 directly, generate it from elementary
-matrices, find the commutator subgroup as the normal closure of the
-commutators of a generating set, and read off the abelianization from the
-order statistics of the quotient.  These routines are the ground truth the
-structure formulas are tested against.
+done over precomputed index-space addition and multiplication tables:
+enumerate SL2 directly, generate it from elementary matrices, find the
+commutator subgroup as the normal closure of the commutators of a generating
+set, and read off the abelianization from the order statistics of the
+quotient.  Closures grow one generator at a time, each paying only for the
+cosets it opens.  These routines are the ground truth the structure
+formulas are tested against.
 """
 
 from __future__ import annotations
@@ -273,27 +274,23 @@ def _additive_generators(ring: FiniteRing) -> list[int]:
     return gens
 
 
-def _close(
-    ring: FiniteRing,
-    start: Iterable[_IndexMat],
-    gens: Sequence[_IndexMat],
-    conj: Sequence[_IndexMat] = (),
+def _extend(
+    ring: FiniteRing, closed: set[_IndexMat], gens: list[_IndexMat], g: _IndexMat
 ) -> set[_IndexMat]:
-    """Smallest superset of start closed under s -> s g for g in gens and
-    s -> x^-1 s x for x in conj.  From {1} it is the subgroup gens generate."""
+    """Grow closed = <gens> = H in place to <gens, g>, append g to gens and
+    return closed.  The new group is a union of cosets H r (Dimino's
+    algorithm): each new coset is filled at once, and only its
+    representative r is multiplied by the generators to find the next."""
     M, A = ring.mul_table, ring.add_table
-    pairs = [(_inverse(x, ring), x) for x in conj]
-    seen = set(start)
-    queue = list(seen)
+    old = list(closed)
+    gens.append(g)
+    queue = [g]
     while queue:
-        s = queue.pop()
-        images = [_mmul(s, g, M, A) for g in gens]
-        images += [_mmul(_mmul(xi, s, M, A), x, M, A) for xi, x in pairs]
-        for y in images:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen
+        r = queue.pop()
+        if r not in closed:
+            closed.update([_mmul(h, r, M, A) for h in old])
+            queue += [_mmul(r, x, M, A) for x in gens]
+    return closed
 
 
 def _to_value_mat(ring: FiniteRing, m: _IndexMat) -> Mat2:
@@ -355,8 +352,8 @@ def enumerate_sl2_direct(
 ) -> list[Mat2]:
     """All of SL2(R): every (a, b, c, d) in R^4 with determinant one, in
     lexicographic order."""
+    _check_budget(ring.order, cap)
     r = _as_ring(ring)
-    _check_budget(r.order, cap)
     return [_to_value_mat(r, m) for m in _sl2_indices_cached(r)]
 
 
@@ -367,38 +364,51 @@ def generate_from_elementary(
     a in an additive generating set of R (E12 and E21 are homomorphisms from
     (R, +)).  For the finite rings supported here it is all of SL2(R); the
     test suite checks that equality rather than assuming it."""
+    _check_budget(ring.order, cap)
     r = _as_ring(ring)
-    _check_budget(r.order, cap)
-    closed = _close(r, [_identity(r)], _elementary(r, _additive_generators(r)))
+    closed, gens = {_identity(r)}, []
+    for g in _elementary(r, _additive_generators(r)):
+        if g not in closed:
+            _extend(r, closed, gens, g)
     return [_to_value_mat(r, m) for m in sorted(closed)]
 
 
 def _generators(ring: FiniteRing, group_idx: list[_IndexMat]) -> list[_IndexMat]:
-    """Generators taken from the group itself, so it need not be all of SL2:
-    each elementary matrix in it, then each element, joins when the subgroup
-    generated so far lacks it, until that subgroup is the whole group."""
+    """Generators from the group itself, so it need not be all of SL2: the
+    elementary matrices of an additive generating set of R, then all the
+    others, then each element, each joining when it lies in the group but
+    not in the subgroup generated so far, until that subgroup is the group."""
     members = set(group_idx)
     gens: list[_IndexMat] = []
     closed = {_identity(ring)}
-    for g in itertools.chain(_elementary(ring, range(ring.order)), group_idx):
+    first = _elementary(ring, _additive_generators(ring))
+    for g in itertools.chain(first, _elementary(ring, range(ring.order)), group_idx):
         if len(closed) == len(members):
             break
         if g in members and g not in closed:
-            gens.append(g)
-            closed = _close(ring, closed, gens)
+            _extend(ring, closed, gens, g)
     return gens
 
 
 def _commutator_closure(ring: FiniteRing, group_idx: list[_IndexMat]) -> set[_IndexMat]:
-    """[G, G] as the normal closure in G of the commutators of generators of G."""
+    """[G, G] as the normal closure N of the [x, y], x != y in generators X of
+    G: an element n outside N joins N's generators and queues each x^-1 n x.
+    Then X normalizes N, G/N is abelian and N <= [G, G], so N = [G, G]."""
     M, A = ring.mul_table, ring.add_table
-    gens = _generators(ring, group_idx)
-    comms = {
-        _mmul(_mmul(_mmul(x, y, M, A), _inverse(x, ring), M, A), _inverse(y, ring), M, A)
-        for x in gens
-        for y in gens
-    }
-    return _close(ring, comms | {_identity(ring)}, sorted(comms), gens)
+    xs = _generators(ring, group_idx)
+    pairs = [(_inverse(x, ring), x) for x in xs]
+    work = [
+        _mmul(_mmul(_mmul(x, y, M, A), xi, M, A), _inverse(y, ring), M, A)
+        for i, (xi, x) in enumerate(pairs)
+        for y in xs[i + 1 :]
+    ]
+    closed, gens = {_identity(ring)}, []
+    while work:
+        n = work.pop()
+        if n not in closed:
+            _extend(ring, closed, gens, n)
+            work += [_mmul(_mmul(xi, n, M, A), x, M, A) for xi, x in pairs]
+    return closed
 
 
 def commutator_subgroup(
@@ -454,8 +464,8 @@ def sl2_abelianization(
     spec: FiniteRingSpec, cap: int = DEFAULT_RING_CAP
 ) -> AbelianGroup:
     """Abelianization of SL2(R), fully by enumeration (cached per ring)."""
+    _check_budget(spec.order, cap)
     ring = ring_for(spec)
-    _check_budget(ring.order, cap)
     got = _sl2ab_cache.get(spec)
     if got is None:
         got = _sl2ab_cache[spec] = _abelianization(ring, _sl2_indices_cached(ring))

@@ -12,8 +12,8 @@ import functools
 import itertools
 import random
 from functools import lru_cache
-from math import gcd, isqrt, lcm
-from typing import Iterable, Iterator, Sequence
+from math import gcd, isqrt, lcm, prod
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class BudgetExceededError(Exception):
@@ -80,24 +80,30 @@ def euler_phi(n: int) -> int:
     """Euler totient by trial-division factorization."""
     if n < 1:
         raise ValueError(f"euler_phi needs n >= 1, got {n}")
-    out = 1
-    for p, e in factorint(n).items():
-        out *= p ** (e - 1) * (p - 1)
-    return out
+    return euler_phi_factored(factorint(n))
+
+
+def euler_phi_factored(factors: Mapping[int, int]) -> int:
+    """Euler totient of the integer with prime factorization {p: k}."""
+    return prod((p - 1) * p ** (k - 1) for p, k in factors.items())
 
 
 def multiplicative_order(a: int, s: int) -> int:
-    """Least f >= 1 with a**f = 1 mod s.  Defined only for gcd(a, s) = 1.
-
-    The order divides the Carmichael exponent lambda(s), so each prime is
-    divided out of lambda(s) for as long as a still has order dividing the rest.
-    """
+    """Least f >= 1 with a**f = 1 mod s.  Defined only for gcd(a, s) = 1."""
     if s < 1:
         raise ValueError(f"modulus must be >= 1, got {s}")
     if gcd(a, s) != 1:
         raise ValueError(f"multiplicative order undefined: gcd({a}, {s}) != 1")
-    f = 1
-    for p, k in factorint(s).items():
+    return multiplicative_order_factored(a, factorint(s))
+
+
+def multiplicative_order_factored(a: int, factors: Mapping[int, int]) -> int:
+    """multiplicative_order(a, s) for s = prod p^k over {p: k}, a prime to s.
+    The order divides the Carmichael exponent lambda(s), so each prime is
+    divided out of lambda(s) for as long as a still has order dividing the rest."""
+    s = f = 1
+    for p, k in factors.items():
+        s *= p**k
         f = lcm(f, 2 ** (k - 2) if p == 2 and k >= 3 else (p - 1) * p ** (k - 1))
     for p in factorint(f):
         while f % p == 0 and pow(a, f // p, s) == 1:

@@ -19,12 +19,13 @@ from typing import Mapping, Union
 from .polyarith import (
     IntPoly,
     ModPoly,
-    euler_phi,
+    euler_phi_factored,
     factor_mod_p,
+    factorint,
     irreducible_over_q_check,
     is_prime_power,
     is_squarefree,
-    multiplicative_order,
+    multiplicative_order_factored,
     sturm_real_roots,
 )
 
@@ -83,7 +84,13 @@ class PrimeAbove:
 
 @dataclass(frozen=True)
 class SplittingData:
-    """Decomposition of one rational prime in a degree-n field."""
+    """Decomposition of one rational prime in a degree-n field.
+
+    count is the number of primes and degree_one the (index, prime) pairs of
+    inertia degree one, the only ones a summand reads.  A uniform() splitting
+    with f > 1 labels its primes only when primes is first read (for display,
+    JSON or comparison).
+    """
 
     p: int
     degree: int
@@ -95,6 +102,17 @@ class SplittingData:
             raise ValueError(
                 f"sum of e*f is {total}, must equal the field degree {self.degree}"
             )
+        # derived values, not fields; the class is frozen, so set in __dict__
+        ones = tuple((i, q) for i, q in enumerate(self.primes) if q.f == 1)
+        self.__dict__.update(count=len(self.primes), degree_one=ones)
+
+    def __getattr__(self, name: str):
+        # reached only while a uniform() splitting has not built its primes
+        shape = self.__dict__.get("_shape")
+        if name != "primes" or shape is None:
+            raise AttributeError(name)
+        self.__dict__["primes"] = primes = _uniform_primes(self.p, *shape)
+        return primes
 
     def ef_multiset(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted((q.e, q.f) for q in self.primes))
@@ -110,16 +128,19 @@ class SplittingData:
     @classmethod
     def uniform(cls, p: int, degree: int, e: int, f: int) -> "SplittingData":
         """p splits into degree / (e f) primes that all share (e, f), as in
-        a Galois field or a cyclotomic one."""
+        a Galois field or a cyclotomic one; they are labelled "(p, #i of k)"."""
         if e < 1 or f < 1 or degree % (e * f):
             raise ValueError(
                 f"invalid decomposition at {p}: e*f = {e}*{f} must divide n = {degree}"
             )
         count = degree // (e * f)
-        primes = tuple(
-            PrimeAbove(p, e, f, f"({p}, #{i + 1} of {count})") for i in range(count)
+        if f == 1:  # every prime gives a summand, so all are read
+            return cls(p, degree, _uniform_primes(p, e, f, count))
+        out = object.__new__(cls)  # primes is built by __getattr__ when read
+        out.__dict__.update(
+            p=p, degree=degree, count=count, degree_one=(), _shape=(e, f, count)
         )
-        return cls(p, degree, primes)
+        return out
 
     @classmethod
     def from_json(cls, data: Mapping) -> "SplittingData":
@@ -128,6 +149,12 @@ class SplittingData:
             PrimeAbove(p, q["e"], q["f"], q["label"]) for q in data["primes"]
         )
         return cls(p, sum(q.e * q.f for q in primes), primes)
+
+
+def _uniform_primes(p: int, e: int, f: int, count: int) -> tuple[PrimeAbove, ...]:
+    return tuple(
+        PrimeAbove(p, e, f, f"({p}, #{i + 1} of {count})") for i in range(count)
+    )
 
 
 @dataclass(frozen=True)
@@ -249,20 +276,18 @@ def cyclotomic_split(n: int, p: int) -> SplittingData:
     Writing the normalized n as p^a * s with p not dividing s, there are
     phi(n) / (e f) primes above p, all with the same (e, f).
     """
-    n = _normalize_cyclotomic(n)
-    return _cyclotomic_split(n, euler_phi(n), p)
+    factors = factorint(_normalize_cyclotomic(n))
+    return _cyclotomic_split(factors, euler_phi_factored(factors), p)
 
 
-def _cyclotomic_split(n: int, degree: int, p: int) -> SplittingData:
-    """cyclotomic_split for a normalized n of totient degree."""
+def _cyclotomic_split(factors: Mapping[int, int], degree: int, p: int) -> SplittingData:
+    """cyclotomic_split for the normalized n = prod q^k over factors {q: k},
+    of totient degree."""
     _check_p(p)
-    a = 0
-    s = n
-    while s % p == 0:
-        a += 1
-        s //= p
+    a = factors.get(p, 0)
     e = (p - 1) * p ** (a - 1) if a else 1  # phi(p^a)
-    return SplittingData.uniform(p, degree, e, multiplicative_order(p, s))
+    s = {q: k for q, k in factors.items() if q != p}
+    return SplittingData.uniform(p, degree, e, multiplicative_order_factored(p, s))
 
 
 # ---------------------------------------------------------------------------
@@ -393,19 +418,23 @@ class Cyclotomic(NumberField):
     """Q(zeta_n) for 1 <= n <= CYCLOTOMIC_LIMIT.
 
     n = 2 mod 4 gives the same field as n/2, so forms compare by that
-    normalized n; the normalized n and the degree phi(n) are computed once.
+    normalized n; the normalized n, its factorization and the degree phi(n)
+    are computed once.
     """
 
     n: int = field(compare=False)
     normalized: int = field(init=False, repr=False)
     degree: int = field(init=False, repr=False, compare=False)
+    factors: dict[int, int] = field(init=False, repr=False, compare=False)
     route = "cyclotomic"
 
     def __post_init__(self) -> None:
         check_limit(self.n, CYCLOTOMIC_LIMIT, "n")
         normalized = _normalize_cyclotomic(self.n)
+        factors = factorint(normalized)
         object.__setattr__(self, "normalized", normalized)
-        object.__setattr__(self, "degree", euler_phi(normalized))
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "degree", euler_phi_factored(factors))
 
     @property
     def signature(self) -> Signature:
@@ -414,7 +443,7 @@ class Cyclotomic(NumberField):
         return Signature(0, self.degree // 2)
 
     def split_at(self, p: int) -> SplittingData:
-        return _cyclotomic_split(self.normalized, self.degree, p)
+        return _cyclotomic_split(self.factors, self.degree, p)
 
     def to_json(self) -> dict:
         return {"kind": "cyclotomic", "n": self.n}

@@ -153,7 +153,8 @@ def _contributions(
 
     In characteristic 0 the removal indices count the primes above 2 and
     above 3 separately; in characteristic p they count all listed places, in
-    the slot of the characteristic.
+    the slot of the characteristic.  Only the counts and the primes of
+    inertia degree one are read.
     """
     removed = {2: s.removed_above_2, 3: s.removed_above_3}
     char = spec.characteristic
@@ -163,22 +164,26 @@ def _contributions(
                 f"no removable places in the characteristic-{char} slot; "
                 "count other S members via other_finite_primes"
             )
-        slots = [(char, tuple(prime for sp in splittings for prime in sp.primes))]
+        ones, count = [], 0
+        for sp in splittings:  # the places of all splittings, numbered in turn
+            ones += [(count + i, prime) for i, prime in sp.degree_one]
+            count += sp.count
+        slots = [(char, count, ones)]
     else:
-        slots = [(sp.p, sp.primes) for sp in splittings]
+        slots = [(sp.p, sp.count, sp.degree_one) for sp in splittings]
     out: list[Contribution] = []
-    for p, primes in slots:
+    for p, count, ones in slots:
         gone = removed.get(p, frozenset())
-        if gone and max(gone) >= len(primes):
+        if gone and max(gone) >= count:
             noun = "relevant place(s)" if char else f"prime(s) above {p}"
             raise ValueError(
-                f"removal index {max(gone)} out of range: only {len(primes)} {noun}"
+                f"removal index {max(gone)} out of range: only {count} {noun}"
             )
         residue = spec.q if char else p  # residue field size when f = 1
         if residue > 3:
             continue
-        for idx, prime in enumerate(primes):
-            if prime.f != 1 or idx in gone:
+        for idx, prime in ones:
+            if idx in gone:
                 continue
             if residue == 3:
                 summand = _Z3

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from sl2ab import oracle
 from sl2ab.cli import (
     EXIT_BUDGET,
     EXIT_MISMATCH,
@@ -299,6 +300,27 @@ class TestOracleCommand:
         assert "exceeds the enumeration cap 16" in err
         code, _, err = invoke(capsys, "oracle", "--zmod", "4", "--cap", "0")
         assert code == EXIT_USAGE
+
+    def test_budget_is_checked_before_the_ring_tables(self, capsys, monkeypatch):
+        # building the tables of a ring of order 1000 would take seconds
+        def refuse(self, spec):
+            raise AssertionError("ring tables built")
+
+        monkeypatch.setattr(oracle.FiniteRing, "__init__", refuse)
+        monkeypatch.setattr(oracle, "_ring_cache", {})
+        code, _, err = invoke(capsys, "oracle", "--zmod", "1000")
+        assert code == EXIT_BUDGET
+        assert err == (
+            "error: ring order 1000 exceeds the enumeration cap 16 (enumerating "
+            "SL2 takes 1000^3 = 1000000000 steps); raise the cap explicitly to "
+            "override\n"
+        )
+        assert oracle._ring_cache == {}
+        spec = oracle.FiniteRingSpec.zmod(1000)
+        for call in (oracle.enumerate_sl2_direct, oracle.generate_from_elementary):
+            with pytest.raises(oracle.BudgetExceededError):
+                call(spec)
+        assert oracle._ring_cache == {}
 
 
 class TestTableCommand:

@@ -1,9 +1,12 @@
 """Tests for the brute-force SL2 engine: ring construction, enumeration,
 generation by elementary matrices, commutator subgroups, abelianizations,
-the enumeration budget, and the local-ring closed form.  The normal closure
-and the |R|^3 enumeration are compared with test-only references: the
+the enumeration budget, and the local-ring closed form.  The incremental
+closures, the normal closure and the |R|^3 enumeration are compared with
+test-only references: the earlier generator search and normal closure that
+multiplied every element by every generator again whenever one joined, the
 closure of all pairwise commutators and the |R|^4 determinant scan."""
 
+import itertools
 import random
 from functools import reduce
 
@@ -25,11 +28,14 @@ from sl2ab.oracle import (
     ring_for,
     sl2_abelianization,
     _commutator_closure,
+    _elementary,
+    _generators,
     _identity,
     _inverse,
     _mmul,
     _sl2_indices,
     _sl2_indices_cached,
+    _to_index_mat,
     _to_value_mat,
 )
 from sl2ab.polyarith import ModPoly, euler_phi
@@ -320,6 +326,54 @@ def _all_pairs_commutator_closure(ring, group_idx):
     return closed
 
 
+def _close_reference(ring, start, gens, conj=()):
+    """Smallest superset of start closed under s -> s g for g in gens and
+    s -> x^-1 s x for x in conj, every element meeting every map."""
+    M, A = ring.mul_table, ring.add_table
+    pairs = [(_inverse(x, ring), x) for x in conj]
+    seen = set(start)
+    queue = list(seen)
+    while queue:
+        s = queue.pop()
+        images = [_mmul(s, g, M, A) for g in gens]
+        images += [_mmul(_mmul(xi, s, M, A), x, M, A) for xi, x in pairs]
+        for y in images:
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return seen
+
+
+def _generators_reference(ring, group_idx):
+    """Each elementary matrix in the group, then each element, joins when the
+    subgroup generated so far lacks it; that subgroup is closed again from
+    the start with every generator each time one joins."""
+    members = set(group_idx)
+    gens = []
+    closed = {_identity(ring)}
+    for g in itertools.chain(_elementary(ring, range(ring.order)), group_idx):
+        if len(closed) == len(members):
+            break
+        if g in members and g not in closed:
+            gens.append(g)
+            closed = _close_reference(ring, closed, gens)
+    return gens
+
+
+def _normal_closure_reference(ring, group_idx):
+    """[G, G] as the closure of the commutators of all ordered pairs of
+    generators under right multiplication by each of them and conjugation by
+    the generators of G."""
+    M, A = ring.mul_table, ring.add_table
+    gens = _generators_reference(ring, group_idx)
+    comms = {
+        _mmul(_mmul(_mmul(x, y, M, A), _inverse(x, ring), M, A), _inverse(y, ring), M, A)
+        for x in gens
+        for y in gens
+    }
+    return _close_reference(ring, comms | {_identity(ring)}, sorted(comms), gens)
+
+
 def _generated_subgroup(ring, gens):
     M, A = ring.mul_table, ring.add_table
     closed = {_identity(ring)}
@@ -380,6 +434,33 @@ class TestAgainstReferences:
                 }
             assert len(sizes) >= 4, sizes  # proper subgroups of several sizes
 
+    def test_incremental_closures_match_references(self):
+        # every ring the oracle handles under the default cap, and two past it
+        specs = [spec for _, spec in GE2_RINGS] + list(PRODUCT_RINGS)
+        specs += [FiniteRingSpec.zmod(n) for n in (13, 14, 15, 16, 25, 27)]
+        for spec in dict.fromkeys(specs):
+            ring = ring_for(spec)
+            group = [_to_index_mat(ring, m) for m in enumerate_sl2_direct(spec, cap=27)]
+            gens = _generators(ring, group)
+            assert _generated_subgroup(ring, gens) == sorted(group), spec.describe()
+            expected = _normal_closure_reference(ring, group)
+            assert _commutator_closure(ring, group) == expected, spec.describe()
+
+    def test_incremental_closures_match_references_on_subgroups(self):
+        rng = random.Random(11)
+        sizes = set()
+        for spec in PRODUCT_RINGS:
+            ring = ring_for(spec)
+            sl2 = _sl2_indices_cached(ring)
+            for k in (2, 3, 2, 3):
+                subgroup = _generated_subgroup(ring, rng.sample(sl2, k))
+                sizes.add(len(subgroup))
+                gens = _generators(ring, subgroup)
+                assert _generated_subgroup(ring, gens) == subgroup, spec.describe()
+                expected = _normal_closure_reference(ring, subgroup)
+                assert _commutator_closure(ring, subgroup) == expected, spec.describe()
+        assert len(sizes) >= 10, sizes  # proper subgroups of many sizes
+
     def test_derived_subgroup_abelianization(self):
         # SL2(F_3)' is the quaternion group Q8, whose abelianization is Z/2 + Z/2
         derived = commutator_subgroup(F3, enumerate_sl2_direct(F3))
@@ -387,12 +468,12 @@ class TestAgainstReferences:
         assert len(commutator_subgroup(F3, derived)) == 2
 
     def test_sl2_abelianization_is_the_sum_of_local_formulas(self):
-        for n in (13, 14, 15, 16):
+        for n in (13, 14, 15, 16, 25, 27):
             spec = FiniteRingSpec.zmod(n)
             expected = reduce(
                 direct_sum, (prop_local_formula(f) for f in spec.factors), TRIVIAL_GROUP
             )
-            assert sl2_abelianization(spec) == expected, n
+            assert sl2_abelianization(spec, cap=n) == expected, n
 
     def test_cubic_enumeration_matches_quartic_scan(self):
         specs = [FiniteRingSpec.zmod(n) for n in range(2, 17)]

@@ -306,7 +306,7 @@ class TestFieldSpecDispatch:
         "argv, name",
         [
             (["--quadratic", "999999999989"], "is_squarefree"),
-            (["--cyclotomic", "60"], "euler_phi"),
+            (["--cyclotomic", "60"], "factorint"),
             (["--function-field", "3", "--remove-prime", "3:0"], "is_prime_power"),
             (["--poly=-5,0,0,1"], "sturm_real_roots"),
         ],
