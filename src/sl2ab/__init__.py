@@ -24,8 +24,7 @@ from .oracle import (
     FiniteRing,
     FiniteRingSpec,
     Mat2,
-    PolyQuot,
-    ZmodPK,
+    RingFactor,
     abelianization,
     commutator_subgroup,
     enumerate_sl2_direct,
@@ -84,11 +83,11 @@ __all__ = [
     "Mat2",
     "ModPoly",
     "NotPMaximalError",
-    "PolyQuot",
     "PrimeAbove",
     "Quadratic",
     "Rational",
     "RationalFunction",
+    "RingFactor",
     "SSet",
     "SUITES",
     "Signature",
@@ -96,7 +95,6 @@ __all__ = [
     "TRIVIAL_GROUP",
     "UserFunctionField",
     "UserNumberField",
-    "ZmodPK",
     "abelianization",
     "canonicalize",
     "commutator_subgroup",

@@ -421,27 +421,25 @@ _HANDLERS = {
 }
 
 
+# exception class -> exit code, tried in order
+_EXIT_CODES = {
+    CliError: EXIT_USAGE,
+    ValueError: EXIT_USAGE,
+    FiniteUnitsError: EXIT_PRECONDITION,
+    NotPMaximalError: EXIT_NOT_MAXIMAL,
+    BudgetExceededError: EXIT_BUDGET,
+}
+
+
 def run(argv: list[str] | None = None) -> int:
     """Parse and execute one command line; return the exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
-    except CliError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FiniteUnitsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except NotPMaximalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_MAXIMAL
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 def main() -> None:

@@ -1,70 +1,102 @@
 """Brute-force SL2 computations over small finite commutative rings.
 
-The supported rings are finite products of Z/p^k and F_p[x]/(h) factors.  At
-the scale this package cares about (ring order <= 16 by default) everything is
-done over precomputed index-space addition and multiplication tables:
-enumerate SL2 directly, generate it from elementary matrices, find the
-commutator subgroup as the normal closure of the commutators of a generating
-set, and read off the abelianization from the order statistics of the
-quotient.  Closures grow one generator at a time, each paying only for the
-cosets it opens.  These routines are the ground truth the structure
-formulas are tested against.
+The supported rings are finite products of factors (Z/p^k)[x]/(h) with h
+monic: Z/p^k when h = x, F_p[x]/(h) when k = 1, and mixed ones such as the
+Galois ring GR(4, 2) = (Z/4)[x]/(x^2+x+1).  A factor element is its tuple of
+deg h coefficients mod p^k; products are reduced mod h.  At the scale this
+package cares about (ring order <= 16 by default) everything is done over
+precomputed index-space addition and multiplication tables: enumerate SL2
+directly, generate it from elementary matrices, find the commutator subgroup
+as the normal closure of the commutators of a generating set, and read off
+the abelianization from the order statistics of the quotient.  Closures grow
+one generator at a time, each paying only for the cosets it opens.  These
+routines are the ground truth the structure formulas are tested against.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from functools import reduce
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .abgroup import AbelianGroup, from_order_statistics
-from .polyarith import BudgetExceededError, ModPoly, factorint
+from .polyarith import (
+    BudgetExceededError,
+    _ldivmod,
+    _lmul,
+    _render_poly,
+    _trim,
+    factorint,
+    is_prime,
+)
 
 DEFAULT_RING_CAP = 16
 _CONSTRUCTION_CAP = 1024
 
 
 @dataclass(frozen=True)
-class ZmodPK:
-    """The factor ring Z/p^k."""
+class RingFactor:
+    """The factor ring (Z/p^k)[x]/(h), for h monic of degree >= 1 with
+    coefficients mod p^k, lowest degree first.  The default h = x gives Z/p^k;
+    k = 1 gives F_p[x]/(h)."""
 
     p: int
-    k: int
+    k: int = 1
+    h: tuple[int, ...] = (0, 1)
 
     def __post_init__(self) -> None:
-        if self.k < 1 or factorint(self.p) != {self.p: 1}:
+        if self.k < 1 or not is_prime(self.p):
             raise ValueError(f"need prime p and k >= 1, got p={self.p} k={self.k}")
+        h = tuple(_trim([c % self.modulus for c in self.h]))
+        if len(h) < 2 or h[-1] != 1:
+            raise ValueError(f"h must be monic of degree >= 1, got {list(self.h)}")
+        object.__setattr__(self, "h", h)
 
     @property
-    def order(self) -> int:
+    def modulus(self) -> int:
         return self.p**self.k
 
-    def to_json(self) -> dict:
-        return {"kind": "zmodpk", "p": self.p, "k": self.k}
-
-
-@dataclass(frozen=True)
-class PolyQuot:
-    """The factor ring F_p[x]/(h) for monic h of degree >= 1."""
-
-    p: int
-    h: ModPoly
-
-    def __post_init__(self) -> None:
-        if self.h.p != self.p:
-            raise ValueError(f"h is over F_{self.h.p}, expected F_{self.p}")
-        if not self.h.is_monic or self.h.degree < 1:
-            raise ValueError(f"h must be monic of degree >= 1, got {self.h!r}")
+    @property
+    def degree(self) -> int:
+        return len(self.h) - 1
 
     @property
     def order(self) -> int:
-        return self.p**self.h.degree
+        return self.modulus**self.degree
+
+    def elements(self) -> list[tuple[int, ...]]:
+        """Every element as its coefficient tuple, in lexicographic order."""
+        return list(itertools.product(range(self.modulus), repeat=self.degree))
+
+    def tables(self) -> tuple[list[list[int]], ...]:
+        """The addition and multiplication tables on element indexes."""
+        m, n, h = self.modulus, self.degree, self.h
+        els = self.elements()
+        idx = {v: i for i, v in enumerate(els)}
+
+        def add(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+            return idx[tuple((x + y) % m for x, y in zip(a, b))]
+
+        def mul(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+            r = _ldivmod(_lmul(a, b, m), h, m)[1]
+            return idx[tuple(r) + (0,) * (n - len(r))]
+
+        return tuple([[op(a, b) for b in els] for a in els] for op in (add, mul))
+
+    def __str__(self) -> str:
+        if self.h == (0, 1):
+            return f"Z/{self.modulus}"
+        base = f"F_{self.p}" if self.k == 1 else f"(Z/{self.modulus})"
+        return f"{base}[x]/({_render_poly(self.h)})"
 
     def to_json(self) -> dict:
-        return {"kind": "polyquot", "p": self.p, "h": list(self.h.coeffs)}
-
-
-RingFactor = Union[ZmodPK, PolyQuot]
+        if self.h == (0, 1):
+            return {"kind": "zmodpk", "p": self.p, "k": self.k}
+        doc = {"kind": "polyquot", "p": self.p, "h": list(self.h)}
+        if self.k > 1:
+            doc["k"] = self.k
+        return doc
 
 
 @dataclass(frozen=True)
@@ -82,7 +114,7 @@ class FiniteRingSpec:
         """Z/n as its product of prime-power parts (CRT)."""
         if n < 2:
             raise ValueError(f"need n >= 2, got {n}")
-        return cls(tuple(ZmodPK(p, k) for p, k in sorted(factorint(n).items())))
+        return cls(tuple(RingFactor(p, k) for p, k in sorted(factorint(n).items())))
 
     @property
     def order(self) -> int:
@@ -92,13 +124,7 @@ class FiniteRingSpec:
         return out
 
     def describe(self) -> str:
-        parts = []
-        for f in self.factors:
-            if isinstance(f, ZmodPK):
-                parts.append(f"Z/{f.order}")
-            else:
-                parts.append(f"F_{f.p}[x]/({f.h})")
-        return " x ".join(parts)
+        return " x ".join(map(str, self.factors))
 
     def to_json(self) -> dict:
         return {"factors": [f.to_json() for f in self.factors]}
@@ -111,15 +137,15 @@ class FiniteRingSpec:
         for fd in data["factors"]:
             kind = fd.get("kind")
             if kind == "zmodpk":
-                factors.append(ZmodPK(fd["p"], fd["k"]))
+                factors.append(RingFactor(fd["p"], fd["k"]))
             elif kind == "polyquot":
-                factors.append(PolyQuot(fd["p"], ModPoly(fd["p"], fd["h"])))
+                factors.append(RingFactor(fd["p"], fd.get("k", 1), fd["h"]))
             else:
                 raise ValueError(f"unknown ring factor kind: {kind!r}")
         return cls(tuple(factors))
 
 
-Element = tuple  # one component per factor: int for Z/p^k, coeff tuple for F_p[x]/(h)
+Element = tuple  # one coefficient tuple per factor
 
 
 class Mat2(NamedTuple):
@@ -131,37 +157,11 @@ class Mat2(NamedTuple):
     d: Element
 
 
-def _factor_domain(factor: RingFactor) -> list:
-    if isinstance(factor, ZmodPK):
-        return list(range(factor.order))
-    return [tuple(c) for c in itertools.product(range(factor.p), repeat=factor.h.degree)]
-
-
-def _factor_add(factor: RingFactor, a, b):
-    if isinstance(factor, ZmodPK):
-        return (a + b) % factor.order
-    p = factor.p
-    return tuple((x + y) % p for x, y in zip(a, b))
-
-
-def _factor_mul(factor: RingFactor, a, b):
-    if isinstance(factor, ZmodPK):
-        return (a * b) % factor.order
-    prod = (ModPoly(factor.p, a) * ModPoly(factor.p, b)) % factor.h
-    coeffs = prod.coeffs + (0,) * (factor.h.degree - len(prod.coeffs))
-    return coeffs
-
-
-def _factor_one(factor: RingFactor):
-    if isinstance(factor, ZmodPK):
-        return 1 % factor.order
-    return (1,) + (0,) * (factor.h.degree - 1)
-
-
-def _factor_str(factor: RingFactor, value) -> str:
-    if isinstance(factor, ZmodPK):
-        return str(value)
-    return str(ModPoly(factor.p, value))
+def _product_table(t1: list[list[int]], t2: list[list[int]]) -> list[list[int]]:
+    """The table of R1 x R2 from those of R1 and R2, pairs numbered
+    lexicographically: (i, j) is i * |R2| + j."""
+    n2 = len(t2)
+    return [[x * n2 + y for x in r1 for y in r2] for r1 in t1 for r2 in t2]
 
 
 class FiniteRing:
@@ -180,32 +180,20 @@ class FiniteRing:
         self.spec = spec
         self.order = spec.order
         factors = spec.factors
-        self.elements: list[Element] = [
-            tuple(combo)
-            for combo in itertools.product(*(_factor_domain(f) for f in factors))
-        ]
-        self.index: dict[Element, int] = {v: i for i, v in enumerate(self.elements)}
-        els, idx = self.elements, self.index
-
-        def table(op) -> list[list[int]]:
-            return [
-                [idx[tuple(op(f, x, y) for f, x, y in zip(factors, a, b))] for b in els]
-                for a in els
-            ]
-
-        self.add_table = table(_factor_add)
-        self.mul_table = table(_factor_mul)
-        zero = tuple(
-            0 if isinstance(f, ZmodPK) else (0,) * f.h.degree for f in factors
+        self.elements: list[Element] = list(
+            itertools.product(*(f.elements() for f in factors))
         )
-        self.zero_index = idx[zero]
-        self.one_index = idx[tuple(_factor_one(f) for f in factors)]
+        self.index: dict[Element, int] = {v: i for i, v in enumerate(self.elements)}
+        adds, muls = zip(*(f.tables() for f in factors))
+        self.add_table = reduce(_product_table, adds)
+        self.mul_table = reduce(_product_table, muls)
+        self.zero_index = self.index[tuple((0,) * f.degree for f in factors)]
+        one = tuple((1,) + (0,) * (f.degree - 1) for f in factors)
+        self.one_index = self.index[one]
         self.neg = [row.index(self.zero_index) for row in self.add_table]
 
     def element_str(self, value: Element) -> str:
-        parts = [
-            _factor_str(f, value[j]) for j, f in enumerate(self.spec.factors)
-        ]
+        parts = [_render_poly(v) or "0" for v in value]
         return parts[0] if len(parts) == 1 else "(" + ", ".join(parts) + ")"
 
     def is_unit_index(self, i: int) -> bool:
@@ -260,18 +248,21 @@ def _elementary(ring: FiniteRing, entries: Sequence[int]) -> list[_IndexMat]:
     return sorted(upper | {(one, zero, a, one) for a in entries})
 
 
-def _additive_generators(ring: FiniteRing) -> list[int]:
-    """A generating set of (R, +): each element, in index order, joins when
-    the subgroup generated so far lacks it."""
+def _additive_span(
+    ring: FiniteRing, candidates: Iterable[int]
+) -> tuple[list[int], set[int]]:
+    """The subgroup of (R, +) the candidates generate, and a generating set
+    of it: each candidate, in turn, joins when the subgroup generated so far
+    lacks it."""
     A = ring.add_table
     gens: list[int] = []
     span = {ring.zero_index}
-    for a in range(ring.order):
+    for a in candidates:
         if a not in span:
             gens.append(a)
             while (shifted := {A[s][a] for s in span}) != span:
                 span |= shifted
-    return gens
+    return gens, span
 
 
 def _extend(
@@ -367,7 +358,7 @@ def generate_from_elementary(
     _check_budget(ring.order, cap)
     r = _as_ring(ring)
     closed, gens = {_identity(r)}, []
-    for g in _elementary(r, _additive_generators(r)):
+    for g in _elementary(r, _additive_span(r, range(r.order))[0]):
         if g not in closed:
             _extend(r, closed, gens, g)
     return [_to_value_mat(r, m) for m in sorted(closed)]
@@ -381,7 +372,7 @@ def _generators(ring: FiniteRing, group_idx: list[_IndexMat]) -> list[_IndexMat]
     members = set(group_idx)
     gens: list[_IndexMat] = []
     closed = {_identity(ring)}
-    first = _elementary(ring, _additive_generators(ring))
+    first = _elementary(ring, _additive_span(ring, range(ring.order))[0])
     for g in itertools.chain(first, _elementary(ring, range(ring.order)), group_idx):
         if len(closed) == len(members):
             break
@@ -424,28 +415,41 @@ def commutator_subgroup(
     return {_to_value_mat(r, m) for m in closed}
 
 
-def _abelianization(ring: FiniteRing, group_idx: list[_IndexMat]) -> AbelianGroup:
-    M, A = ring.mul_table, ring.add_table
-    commutators = _commutator_closure(ring, group_idx)
-    coset_of: dict[_IndexMat, int] = {}
-    reps: list[_IndexMat] = []
-    for g in group_idx:
+def _quotient_profile(
+    elements: Iterable, subgroup: Iterable, op, identity
+) -> AbelianGroup:
+    """An abelian quotient G/N from its order statistics: the elements of G
+    are split into cosets g N, and each representative's powers under the
+    group operation op are walked back to the identity coset."""
+    coset_of: dict = {}
+    reps: list = []
+    for g in elements:
         if g in coset_of:
             continue
         rid = len(reps)
         reps.append(g)
-        for n in commutators:
-            coset_of[_mmul(g, n, M, A)] = rid
-    identity_coset = coset_of[_identity(ring)]
+        for n in subgroup:
+            coset_of[op(g, n)] = rid
+    identity_coset = coset_of[identity]
     profile: dict[int, int] = {}
     for rep in reps:
         k = 1
         cur = rep
         while coset_of[cur] != identity_coset:
-            cur = _mmul(cur, rep, M, A)
+            cur = op(cur, rep)
             k += 1
         profile[k] = profile.get(k, 0) + 1
     return from_order_statistics(profile)
+
+
+def _abelianization(ring: FiniteRing, group_idx: list[_IndexMat]) -> AbelianGroup:
+    M, A = ring.mul_table, ring.add_table
+    return _quotient_profile(
+        group_idx,
+        _commutator_closure(ring, group_idx),
+        lambda x, y: _mmul(x, y, M, A),
+        _identity(ring),
+    )
 
 
 def abelianization(
@@ -476,10 +480,11 @@ def prop_local_formula(factor: RingFactor | FiniteRingSpec) -> AbelianGroup:
     """Closed-form abelianization of SL2 over a local ring, from A/m^2.
 
     Residue field of order >= 4: trivial.  Of order 3: Z/3 (the additive group
-    of the residue field).  Of order 2: the additive group of A/m^2, which is
-    Z/4 exactly when the image of 2 there is nonzero, else Z/2 + Z/2 (or Z/2
-    for A = F_2 itself).  The maximal ideal is detected as the non-unit set,
-    verified closed under addition; anything non-local is rejected.
+    of the residue field).  Of order 2: the additive group of A/m^2; when m is
+    principal that is Z/4 exactly when the image of 2 there is nonzero, else
+    Z/2 + Z/2 (or Z/2 for A = F_2 itself).  The maximal ideal is detected as
+    the non-unit set, verified closed under addition; anything non-local is
+    rejected.
     """
     if isinstance(factor, FiniteRingSpec):
         if len(factor.factors) != 1:
@@ -505,35 +510,7 @@ def prop_local_formula(factor: RingFactor | FiniteRingSpec) -> AbelianGroup:
         return AbelianGroup()
     if residue == 3:
         return AbelianGroup(0, (3,))
-    # residue field F_2: compute the additive group of A/m^2
+    # residue field F_2: the additive group of A/m^2
     M = ring.mul_table
-    msq: set[int] = {ring.zero_index}
-    frontier = {M[a][b] for a in nonunits for b in nonunits}
-    queue = list(frontier | msq)
-    msq |= frontier
-    while queue:
-        x = queue.pop()
-        for y in list(msq):
-            z = A[x][y]
-            if z not in msq:
-                msq.add(z)
-                queue.append(z)
-    coset_of: dict[int, int] = {}
-    reps: list[int] = []
-    for i in range(n):
-        if i in coset_of:
-            continue
-        rid = len(reps)
-        reps.append(i)
-        for m in msq:
-            coset_of[A[i][m]] = rid
-    zero_coset = coset_of[ring.zero_index]
-    profile: dict[int, int] = {}
-    for rep in reps:
-        k = 1
-        cur = rep
-        while coset_of[cur] != zero_coset:
-            cur = A[cur][rep]
-            k += 1
-        profile[k] = profile.get(k, 0) + 1
-    return from_order_statistics(profile)
+    _, msq = _additive_span(ring, {M[a][b] for a in nonunits for b in nonunits})
+    return _quotient_profile(range(n), msq, lambda a, b: A[a][b], ring.zero_index)

@@ -15,15 +15,13 @@ from dataclasses import dataclass
 from .abgroup import AbelianGroup, TRIVIAL_GROUP, direct_sum
 from .oracle import (
     FiniteRingSpec,
-    PolyQuot,
     RingFactor,
-    ZmodPK,
     enumerate_sl2_direct,
     generate_from_elementary,
     prop_local_formula,
     sl2_abelianization,
 )
-from .polyarith import ModPoly, cyclotomic_polynomial, is_squarefree, primes_dividing
+from .polyarith import cyclotomic_polynomial, is_squarefree, primes_dividing
 from .splitting import (
     Cyclotomic,
     GeneralPoly,
@@ -121,31 +119,27 @@ def sl2_order_zmod(n: int) -> int:
 # --------------------------------------------------------------------------
 
 
-def _fq(p: int, coeffs: list[int]) -> PolyQuot:
-    return PolyQuot(p, ModPoly(p, coeffs))
-
-
 # Local rings of order <= 16, smallest first: every supported one of order
 # <= 13 up to isomorphism, then Z/16, F_16 and F_2[x]/(x^4).
 LOCAL_RINGS: tuple[tuple[str, RingFactor], ...] = (
-    ("F_2", ZmodPK(2, 1)),
-    ("F_3", ZmodPK(3, 1)),
-    ("Z/4", ZmodPK(2, 2)),
-    ("F_4", _fq(2, [1, 1, 1])),
-    ("F_2[x]/(x^2)", _fq(2, [0, 0, 1])),
-    ("F_5", ZmodPK(5, 1)),
-    ("F_7", ZmodPK(7, 1)),
-    ("Z/8", ZmodPK(2, 3)),
-    ("F_8", _fq(2, [1, 1, 0, 1])),
-    ("F_2[x]/(x^3)", _fq(2, [0, 0, 0, 1])),
-    ("Z/9", ZmodPK(3, 2)),
-    ("F_9", _fq(3, [1, 0, 1])),
-    ("F_3[x]/(x^2)", _fq(3, [0, 0, 1])),
-    ("F_11", ZmodPK(11, 1)),
-    ("F_13", ZmodPK(13, 1)),
-    ("Z/16", ZmodPK(2, 4)),
-    ("F_16", _fq(2, [1, 1, 0, 0, 1])),
-    ("F_2[x]/(x^4)", _fq(2, [0, 0, 0, 0, 1])),
+    ("F_2", RingFactor(2, 1)),
+    ("F_3", RingFactor(3, 1)),
+    ("Z/4", RingFactor(2, 2)),
+    ("F_4", RingFactor(2, 1, (1, 1, 1))),
+    ("F_2[x]/(x^2)", RingFactor(2, 1, (0, 0, 1))),
+    ("F_5", RingFactor(5, 1)),
+    ("F_7", RingFactor(7, 1)),
+    ("Z/8", RingFactor(2, 3)),
+    ("F_8", RingFactor(2, 1, (1, 1, 0, 1))),
+    ("F_2[x]/(x^3)", RingFactor(2, 1, (0, 0, 0, 1))),
+    ("Z/9", RingFactor(3, 2)),
+    ("F_9", RingFactor(3, 1, (1, 0, 1))),
+    ("F_3[x]/(x^2)", RingFactor(3, 1, (0, 0, 1))),
+    ("F_11", RingFactor(11, 1)),
+    ("F_13", RingFactor(13, 1)),
+    ("Z/16", RingFactor(2, 4)),
+    ("F_16", RingFactor(2, 1, (1, 1, 0, 0, 1))),
+    ("F_2[x]/(x^4)", RingFactor(2, 1, (0, 0, 0, 0, 1))),
 )
 
 GE2_RINGS: tuple[tuple[str, FiniteRingSpec], ...] = tuple(

@@ -7,6 +7,7 @@ multiplied every element by every generator again whenever one joined, the
 closure of all pairwise commutators and the |R|^4 determinant scan."""
 
 import itertools
+import json
 import random
 from functools import reduce
 
@@ -18,8 +19,7 @@ from sl2ab.oracle import (
     BudgetExceededError,
     FiniteRingSpec,
     Mat2,
-    PolyQuot,
-    ZmodPK,
+    RingFactor,
     abelianization,
     commutator_subgroup,
     enumerate_sl2_direct,
@@ -38,57 +38,93 @@ from sl2ab.oracle import (
     _to_index_mat,
     _to_value_mat,
 )
-from sl2ab.polyarith import ModPoly, euler_phi
+from sl2ab.cli import dump_json
+from sl2ab.polyarith import euler_phi
 from sl2ab.verify import GE2_RINGS, LOCAL_RINGS
 
-F2 = FiniteRingSpec((ZmodPK(2, 1),))
-F3 = FiniteRingSpec((ZmodPK(3, 1),))
-F5 = FiniteRingSpec((ZmodPK(5, 1),))
-Z4 = FiniteRingSpec((ZmodPK(2, 2),))
-Z8 = FiniteRingSpec((ZmodPK(2, 3),))
-F4 = FiniteRingSpec((PolyQuot(2, ModPoly(2, (1, 1, 1))),))
-EPS2 = FiniteRingSpec((PolyQuot(2, ModPoly(2, (0, 0, 1))),))  # F_2[x]/(x^2)
+F2 = FiniteRingSpec((RingFactor(2, 1),))
+F3 = FiniteRingSpec((RingFactor(3, 1),))
+F5 = FiniteRingSpec((RingFactor(5, 1),))
+Z4 = FiniteRingSpec((RingFactor(2, 2),))
+Z8 = FiniteRingSpec((RingFactor(2, 3),))
+F4 = FiniteRingSpec((RingFactor(2, 1, (1, 1, 1)),))
+EPS2 = FiniteRingSpec((RingFactor(2, 1, (0, 0, 1)),))  # F_2[x]/(x^2)
+GR4_2 = FiniteRingSpec((RingFactor(2, 2, (1, 1, 1)),))  # the Galois ring GR(4, 2)
+Z4_RAMIFIED = FiniteRingSpec((RingFactor(2, 2, (-2, 0, 1)),))  # (Z/4)[x]/(x^2-2)
+
+# the local factor documents of the oracle-cold benchmark workload
+BENCHMARK_FACTORS = [
+    {"kind": "zmodpk", "p": 2, "k": 1},
+    {"kind": "zmodpk", "p": 3, "k": 1},
+    {"kind": "zmodpk", "p": 2, "k": 2},
+    {"kind": "polyquot", "p": 2, "h": [1, 1, 1]},
+    {"kind": "polyquot", "p": 2, "h": [0, 0, 1]},
+    {"kind": "zmodpk", "p": 2, "k": 3},
+    {"kind": "polyquot", "p": 2, "h": [1, 1, 0, 1]},
+    {"kind": "polyquot", "p": 2, "h": [0, 0, 0, 1]},
+    {"kind": "zmodpk", "p": 3, "k": 2},
+    {"kind": "polyquot", "p": 3, "h": [1, 0, 1]},
+    {"kind": "polyquot", "p": 3, "h": [0, 0, 1]},
+]
 
 
 class TestSpecs:
     def test_factor_validation(self):
-        with pytest.raises(ValueError):
-            ZmodPK(4, 1)
-        with pytest.raises(ValueError):
-            ZmodPK(2, 0)
-        with pytest.raises(ValueError):
-            PolyQuot(2, ModPoly(3, (1, 1)))  # characteristic mismatch
-        with pytest.raises(ValueError):
-            PolyQuot(3, ModPoly(3, (1, 2)))  # not monic
-        with pytest.raises(ValueError):
-            PolyQuot(3, ModPoly(3, (1,)))  # degree 0
+        bad = [
+            (4, 1, (0, 1)),  # p not prime
+            (2, 0, (0, 1)),  # k < 1
+            (3, 1, (1, 2)),  # not monic
+            (2, 2, (1, 1, 2)),  # not monic mod 4
+            (3, 1, (1,)),  # constant
+            (3, 1, (2, 0, 3)),  # constant once reduced mod 3
+        ]
+        for p, k, h in bad:
+            with pytest.raises(ValueError):
+                RingFactor(p, k, h)
         with pytest.raises(ValueError):
             FiniteRingSpec(())
 
     def test_orders_and_describe(self):
-        assert ZmodPK(2, 3).order == 8
-        assert PolyQuot(3, ModPoly(3, (1, 0, 1))).order == 9
+        assert RingFactor(2, 3).order == 8
+        assert RingFactor(3, 1, (1, 0, 1)).order == 9
         assert FiniteRingSpec.zmod(12).order == 12
         assert FiniteRingSpec.zmod(12).describe() == "Z/4 x Z/3"
         assert F4.describe() == "F_2[x]/(x^2+x+1)"
+        assert GR4_2.order == 16
+        assert GR4_2.describe() == "(Z/4)[x]/(x^2+x+1)"
+        assert Z4_RAMIFIED.describe() == "(Z/4)[x]/(x^2+2)"
+        assert RingFactor(5, 1, (0, 1)) == RingFactor(5, 1)  # F_5[x]/(x) is Z/5
+        assert str(RingFactor(5, 1, (5, 1))) == "Z/5"
         with pytest.raises(ValueError):
             FiniteRingSpec.zmod(1)
 
     def test_zmod_uses_prime_power_factors(self):
-        assert FiniteRingSpec.zmod(12).factors == (ZmodPK(2, 2), ZmodPK(3, 1))
-        assert FiniteRingSpec.zmod(7).factors == (ZmodPK(7, 1),)
+        assert FiniteRingSpec.zmod(12).factors == (RingFactor(2, 2), RingFactor(3, 1))
+        assert FiniteRingSpec.zmod(7).factors == (RingFactor(7, 1),)
 
     def test_json_round_trips(self):
-        for spec in (F2, F4, FiniteRingSpec.zmod(12), EPS2):
+        for spec in (F2, F4, FiniteRingSpec.zmod(12), EPS2, GR4_2, Z4_RAMIFIED):
             assert FiniteRingSpec.from_json(spec.to_json()) == spec
         assert FiniteRingSpec.from_json({"zmod": 12}) == FiniteRingSpec.zmod(12)
         with pytest.raises(ValueError):
             FiniteRingSpec.from_json({"factors": [{"kind": "mystery"}]})
+        # the README example, the local factors of the oracle-cold benchmark
+        # workload and a polyquot over Z/4 each dump as they were read
+        documents = [
+            {"factors": [{"kind": "zmodpk", "p": 2, "k": 2},
+                         {"kind": "polyquot", "p": 3, "h": [1, 0, 1]}]},
+            {"factors": [{"kind": "polyquot", "p": 2, "k": 2, "h": [1, 1, 1]}]},
+        ]
+        documents += [{"factors": [factor]} for factor in BENCHMARK_FACTORS]
+        for doc in documents:
+            text = dump_json(doc)
+            spec = FiniteRingSpec.from_json(json.loads(text))
+            assert dump_json(spec.to_json()) == text
 
 
 class TestFiniteRing:
     def test_table_sanity(self):
-        for spec in (FiniteRingSpec.zmod(6), F4):
+        for spec in (FiniteRingSpec.zmod(6), F4, GR4_2, Z4_RAMIFIED):
             ring = ring_for(spec)
             n = ring.order
             add, mul = ring.add_table, ring.mul_table
@@ -114,6 +150,7 @@ class TestFiniteRing:
         assert {ring.element_str(v) for v in ring.elements} == {"0", "1", "x", "x+1"}
         ring6 = ring_for(FiniteRingSpec.zmod(6))
         assert ring6.element_str(ring6.elements[ring6.one_index]) == "(1, 1)"
+        assert ring_for(GR4_2).element_str(((2, 3),)) == "3x+2"
 
     def test_ring_cache(self):
         assert ring_for(F4) is ring_for(F4)
@@ -191,10 +228,10 @@ class TestEnumeration:
 
     def test_matrix_validation(self):
         with pytest.raises(ValueError) as exc:
-            commutator_subgroup(F3, [Mat2((1,), (0,), (0,), (2,))])
+            commutator_subgroup(F3, [Mat2(((1,),), ((0,),), ((0,),), ((2,),))])
         assert "determinant 1" in str(exc.value)
         with pytest.raises(ValueError) as exc:
-            commutator_subgroup(F3, [Mat2((7,), (0,), (0,), (1,))])
+            commutator_subgroup(F3, [Mat2(((7,),), ((0,),), ((0,),), ((1,),))])
         assert "not a ring element" in str(exc.value)
 
 
@@ -252,26 +289,31 @@ class TestCommutatorsAndAbelianization:
 class TestLocalFormula:
     def test_frozen_values(self):
         cases = [
-            (ZmodPK(2, 1), AbelianGroup(0, (2,))),
-            (ZmodPK(3, 1), AbelianGroup(0, (3,))),
-            (ZmodPK(2, 2), AbelianGroup(0, (4,))),
-            (PolyQuot(2, ModPoly(2, (1, 1, 1))), TRIVIAL_GROUP),
-            (PolyQuot(2, ModPoly(2, (0, 0, 1))), AbelianGroup(0, (2, 2))),
-            (ZmodPK(2, 3), AbelianGroup(0, (4,))),
-            (PolyQuot(2, ModPoly(2, (1, 1, 0, 1))), TRIVIAL_GROUP),
-            (PolyQuot(2, ModPoly(2, (0, 0, 0, 1))), AbelianGroup(0, (2, 2))),
-            (ZmodPK(3, 2), AbelianGroup(0, (3,))),
-            (PolyQuot(3, ModPoly(3, (1, 0, 1))), TRIVIAL_GROUP),
-            (PolyQuot(3, ModPoly(3, (0, 0, 1))), AbelianGroup(0, (3,))),
+            (RingFactor(2, 1), AbelianGroup(0, (2,))),
+            (RingFactor(3, 1), AbelianGroup(0, (3,))),
+            (RingFactor(2, 2), AbelianGroup(0, (4,))),
+            (RingFactor(2, 1, (1, 1, 1)), TRIVIAL_GROUP),
+            (RingFactor(2, 1, (0, 0, 1)), AbelianGroup(0, (2, 2))),
+            (RingFactor(2, 3), AbelianGroup(0, (4,))),
+            (RingFactor(2, 1, (1, 1, 0, 1)), TRIVIAL_GROUP),
+            (RingFactor(2, 1, (0, 0, 0, 1)), AbelianGroup(0, (2, 2))),
+            (RingFactor(3, 2), AbelianGroup(0, (3,))),
+            (RingFactor(3, 1, (1, 0, 1)), TRIVIAL_GROUP),
+            (RingFactor(3, 1, (0, 0, 1)), AbelianGroup(0, (3,))),
+            # over Z/4: GR(4, 2), (Z/4)[x]/(x^2) and (Z/4)[x]/(x^2-2)
+            (RingFactor(2, 2, (1, 1, 1)), TRIVIAL_GROUP),
+            (RingFactor(2, 2, (0, 0, 1)), AbelianGroup(0, (2, 4))),
+            (RingFactor(2, 2, (-2, 0, 1)), AbelianGroup(0, (2, 2))),
         ]
         for factor, expected in cases:
             assert prop_local_formula(factor) == expected, factor
             single = FiniteRingSpec((factor,))
             assert prop_local_formula(single) == expected
+            assert sl2_abelianization(single) == expected, factor
 
     def test_rejects_non_local_rings(self):
         with pytest.raises(ValueError) as exc:
-            prop_local_formula(PolyQuot(2, ModPoly(2, (0, 1, 1))))  # x(x+1)
+            prop_local_formula(RingFactor(2, 1, (0, 1, 1)))  # x(x+1)
         assert "not local" in str(exc.value)
         with pytest.raises(ValueError) as exc:
             prop_local_formula(FiniteRingSpec.zmod(6))
@@ -388,6 +430,34 @@ def _generated_subgroup(ring, gens):
     return sorted(closed)
 
 
+def _factor_mul_reference(factor, a, b):
+    """a b in (Z/p^k)[x]/(h): a schoolbook product whose terms of degree
+    d >= n = deg h are rewritten, top down, by x^d = x^d - x^(d-n) h."""
+    m, n = factor.modulus, factor.degree
+    prod = [0] * (2 * n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for d in range(2 * n - 2, n - 1, -1):
+        c = prod[d]
+        for i, hc in enumerate(factor.h):
+            prod[d - n + i] -= c * hc
+    return tuple(c % m for c in prod[:n])
+
+
+def _tables_reference(ring):
+    """Both ring tables, one element pair at a time, factor by factor."""
+    els, idx, factors = ring.elements, ring.index, ring.spec.factors
+
+    def add(factor, a, b):
+        return tuple((x + y) % factor.modulus for x, y in zip(a, b))
+
+    def table(op):
+        return [[idx[tuple(map(op, factors, a, b))] for b in els] for a in els]
+
+    return [table(add), table(_factor_mul_reference)]
+
+
 _LOCAL = dict(LOCAL_RINGS)
 
 # The rings of order <= 12 that are not Z/n, as products of local factors
@@ -474,6 +544,15 @@ class TestAgainstReferences:
                 direct_sum, (prop_local_formula(f) for f in spec.factors), TRIVIAL_GROUP
             )
             assert sl2_abelianization(spec, cap=n) == expected, n
+
+    def test_ring_tables_match_elementwise_reference(self):
+        specs = [spec for _, spec in GE2_RINGS] + list(PRODUCT_RINGS)
+        specs += [GR4_2, Z4_RAMIFIED, FiniteRingSpec((RingFactor(3, 2, (0, 0, 1)),))]
+        specs.append(FiniteRingSpec(GR4_2.factors + F3.factors + EPS2.factors))
+        for spec in specs:
+            ring = ring_for(spec)
+            expected = _tables_reference(ring)
+            assert [ring.add_table, ring.mul_table] == expected, spec.describe()
 
     def test_cubic_enumeration_matches_quartic_scan(self):
         specs = [FiniteRingSpec.zmod(n) for n in range(2, 17)]
