@@ -45,11 +45,8 @@ from .splitting import (
     SplittingData,
     UserFunctionField,
     UserNumberField,
-    cyclotomic_split,
     dedekind_split,
     quadratic_min_poly,
-    quadratic_split,
-    rational_function_split,
 )
 from .theorems import (
     ArithmeticRingSpec,
@@ -100,7 +97,6 @@ __all__ = [
     "commutator_subgroup",
     "compute",
     "cyclotomic_polynomial",
-    "cyclotomic_split",
     "dedekind_split",
     "direct_sum",
     "enumerate_sl2_direct",
@@ -110,8 +106,6 @@ __all__ = [
     "known_small_cases",
     "prop_local_formula",
     "quadratic_min_poly",
-    "quadratic_split",
-    "rational_function_split",
     "run_suite",
     "s_for_inverted",
     "sl2_abelianization",

@@ -15,22 +15,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import reduce
 
-from .abgroup import TRIVIAL_GROUP, direct_sum
+from .abgroup import canonicalize
 from .oracle import (
     DEFAULT_RING_CAP,
     BudgetExceededError,
     FiniteRingSpec,
-    _sl2_indices_cached,
     prop_local_formula,
     ring_for,
     sl2_abelianization,
 )
-from .polyarith import IntPoly
+from .polyarith import INTEGER_LIMIT, IntPoly, check_limit
 from .splitting import (
     CYCLOTOMIC_LIMIT,
-    INTEGER_LIMIT,
     Cyclotomic,
     FieldSpec,
     GeneralPoly,
@@ -38,7 +35,6 @@ from .splitting import (
     Quadratic,
     Rational,
     RationalFunction,
-    check_limit,
 )
 from .theorems import (
     EMPTY_S,
@@ -317,14 +313,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     spec = _ring_spec_from_args(args)
     ab = sl2_abelianization(spec, cap=args.cap)
     # counted on the oracle's cached index matrices, not as Mat2 values
-    sl2_order = len(_sl2_indices_cached(ring_for(spec)))
+    sl2_order = len(ring_for(spec).sl2_indices)
     match = True
     formula = None
     if args.compare:
-        formula = reduce(
-            direct_sum,
-            (prop_local_formula(f) for f in spec.factors),
-            TRIVIAL_GROUP,
+        formula = canonicalize(
+            [d for f in spec.factors for d in prop_local_formula(f).torsion]
         )
         match = formula == ab
     if args.json:

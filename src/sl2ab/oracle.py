@@ -16,23 +16,28 @@ routines are the ground truth the structure formulas are tested against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .abgroup import AbelianGroup, from_order_statistics
 from .polyarith import (
+    INTEGER_LIMIT,
     BudgetExceededError,
     _ldivmod,
     _lmul,
     _render_poly,
     _trim,
+    check_limit,
     factorint,
     is_prime,
 )
 
 DEFAULT_RING_CAP = 16
 _CONSTRUCTION_CAP = 1024
+# 2^e > INTEGER_LIMIT for every larger exponent e, so a factor order
+# p^(k deg h) past it is past INTEGER_LIMIT too.
+_EXPONENT_LIMIT = INTEGER_LIMIT.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -46,6 +51,10 @@ class RingFactor:
     h: tuple[int, ...] = (0, 1)
 
     def __post_init__(self) -> None:
+        # bounded before is_prime divides p or any p^k is formed
+        check_limit(self.p, INTEGER_LIMIT, "p")
+        degree = len(_trim(list(self.h))) - 1
+        check_limit(self.k * degree, _EXPONENT_LIMIT, "k * deg h")
         if self.k < 1 or not is_prime(self.p):
             raise ValueError(f"need prime p and k >= 1, got p={self.p} k={self.k}")
         h = tuple(_trim([c % self.modulus for c in self.h]))
@@ -104,24 +113,24 @@ class FiniteRingSpec:
     """A finite commutative ring given as a product of supported factors."""
 
     factors: tuple[RingFactor, ...]
+    order: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.factors:
             raise ValueError("need at least one ring factor")
+        order = 1
+        for f in self.factors:  # checked as it grows, so it stays printable
+            order *= f.order
+            check_limit(order, INTEGER_LIMIT, "ring order")
+        object.__setattr__(self, "order", order)
 
     @classmethod
     def zmod(cls, n: int) -> "FiniteRingSpec":
         """Z/n as its product of prime-power parts (CRT)."""
         if n < 2:
             raise ValueError(f"need n >= 2, got {n}")
+        check_limit(n, INTEGER_LIMIT, "n")
         return cls(tuple(RingFactor(p, k) for p, k in sorted(factorint(n).items())))
-
-    @property
-    def order(self) -> int:
-        out = 1
-        for f in self.factors:
-            out *= f.order
-        return out
 
     def describe(self) -> str:
         return " x ".join(map(str, self.factors))
@@ -169,6 +178,7 @@ class FiniteRing:
 
     Elements are numbered in the lexicographic order of their factor
     components; all group-level work downstream runs on the integer indexes.
+    SL2(R) and its abelianization are computed once, on first use.
     """
 
     def __init__(self, spec: FiniteRingSpec):
@@ -199,6 +209,14 @@ class FiniteRing:
     def is_unit_index(self, i: int) -> bool:
         one = self.one_index
         return any(x == one for x in self.mul_table[i])
+
+    @cached_property
+    def sl2_indices(self) -> list[_IndexMat]:
+        return _sl2_indices(self)
+
+    @cached_property
+    def sl2ab(self) -> AbelianGroup:
+        return _abelianization(self, self.sl2_indices)
 
 
 _ring_cache: dict[FiniteRingSpec, FiniteRing] = {}
@@ -328,16 +346,6 @@ def _sl2_indices(ring: FiniteRing) -> list[_IndexMat]:
     return out
 
 
-_sl2_cache: dict[FiniteRingSpec, list[_IndexMat]] = {}
-
-
-def _sl2_indices_cached(ring: FiniteRing) -> list[_IndexMat]:
-    got = _sl2_cache.get(ring.spec)
-    if got is None:
-        got = _sl2_cache[ring.spec] = _sl2_indices(ring)
-    return got
-
-
 def enumerate_sl2_direct(
     ring: FiniteRing | FiniteRingSpec, cap: int = DEFAULT_RING_CAP
 ) -> list[Mat2]:
@@ -345,7 +353,7 @@ def enumerate_sl2_direct(
     lexicographic order."""
     _check_budget(ring.order, cap)
     r = _as_ring(ring)
-    return [_to_value_mat(r, m) for m in _sl2_indices_cached(r)]
+    return [_to_value_mat(r, m) for m in r.sl2_indices]
 
 
 def generate_from_elementary(
@@ -461,19 +469,12 @@ def abelianization(
     return _abelianization(r, [_to_index_mat(r, m) for m in group])
 
 
-_sl2ab_cache: dict[FiniteRingSpec, AbelianGroup] = {}
-
-
 def sl2_abelianization(
     spec: FiniteRingSpec, cap: int = DEFAULT_RING_CAP
 ) -> AbelianGroup:
     """Abelianization of SL2(R), fully by enumeration (cached per ring)."""
     _check_budget(spec.order, cap)
-    ring = ring_for(spec)
-    got = _sl2ab_cache.get(spec)
-    if got is None:
-        got = _sl2ab_cache[spec] = _abelianization(ring, _sl2_indices_cached(ring))
-    return got
+    return ring_for(spec).sl2ab
 
 
 def prop_local_formula(factor: RingFactor | FiniteRingSpec) -> AbelianGroup:

@@ -24,6 +24,16 @@ class BudgetExceededError(Exception):
 # ---------------------------------------------------------------------------
 # integer helpers
 
+# Inputs that reach trial division (factorint, is_prime) are bounded, so that
+# every such run is short.
+INTEGER_LIMIT = 10**12
+
+
+def check_limit(value: int, limit: int, name: str) -> None:
+    """Raise ValueError when |value| exceeds limit."""
+    if abs(value) > limit:
+        raise ValueError(f"|{name}| must be at most {limit}, got {value}")
+
 
 def factorint(n: int) -> dict[int, int]:
     """Prime factorization of |n| by trial division, as {prime: exponent}."""

@@ -3,11 +3,14 @@ field forms that carry it.
 
 The group-structure formulas downstream consume only the multiset of
 (ramification index e, inertia degree f) pairs above 2 and above 3, bundled
-here as SplittingData.  Three independent routes produce it: the Dedekind
-criterion on a defining polynomial, congruence rules for quadratic fields,
-and the closed form for cyclotomic fields.  The routes double-check each
-other in the test suite.  Each field form knows its own degree, signature
-(or places), splitting, JSON form and display name.
+here as SplittingData.  Each field form knows its own degree, signature (or
+places), splitting, JSON form and display name, and owns its splitting
+route: dedekind_split, the Dedekind criterion on a defining polynomial,
+behind GeneralPoly.split_at; the congruence rules for quadratic fields in
+Quadratic.split_at; the closed form for cyclotomic fields in
+Cyclotomic.split_at; and the shared degree-one places of F_2(t) and F_3(t)
+in RationalFunction.splittings.  The closed forms and the criterion
+double-check each other in the test suite.
 """
 
 from __future__ import annotations
@@ -17,8 +20,10 @@ from functools import cached_property
 from typing import Mapping, Union
 
 from .polyarith import (
+    INTEGER_LIMIT,
     IntPoly,
     ModPoly,
+    check_limit,
     euler_phi_factored,
     factor_mod_p,
     factorint,
@@ -29,16 +34,9 @@ from .polyarith import (
     sturm_real_roots,
 )
 
-# Inputs that reach trial division (factorint) are bounded, so that every
-# such run is short; a cyclotomic form also lists up to phi(n) primes.
-INTEGER_LIMIT = 10**12
+# A cyclotomic form lists up to phi(n) primes, so n is bounded more tightly
+# than the INTEGER_LIMIT on other inputs that reach trial division.
 CYCLOTOMIC_LIMIT = 10**6
-
-
-def check_limit(value: int, limit: int, name: str) -> None:
-    """Raise ValueError when |value| exceeds limit."""
-    if abs(value) > limit:
-        raise ValueError(f"|{name}| must be at most {limit}, got {value}")
 
 
 def _check_p(p: int) -> None:
@@ -207,10 +205,6 @@ def dedekind_split(f: IntPoly, p: int) -> SplittingData:
     return SplittingData(p, f.degree, primes)
 
 
-# ---------------------------------------------------------------------------
-# quadratic fields, by congruence
-
-
 def quadratic_min_poly(d: int) -> IntPoly:
     """Minimal polynomial of the standard integral generator of Q(sqrt(d)).
 
@@ -224,18 +218,13 @@ def quadratic_min_poly(d: int) -> IntPoly:
     return IntPoly((-d, 0, 1))
 
 
-def quadratic_split(d: int, p: int) -> SplittingData:
-    """Splitting of p in Q(sqrt(d)) for p = 2, 3, by residue of d.
-
-    p = 2: inert when d = 5 mod 8, split when d = 1 mod 8, ramified otherwise.
-    p = 3: inert when d = 2 mod 3, split when d = 1 mod 3, ramified when 3 | d.
-    """
-    _check_radicand(d)
-    return _quadratic_split(d, p)
+# ---------------------------------------------------------------------------
+# field forms
 
 
-# p = 2 and p = 3 each decompose in one of three ways in a quadratic field,
-# so every quadratic splitting is one of these six shared values.
+# The splittings every form of a kind shares, built once: p = 2 and p = 3
+# each decompose in one of three ways in a quadratic field, and F_2(t) and
+# F_3(t) have two and three places t - a.
 _QUADRATIC_SPLITS = {
     (p, kind): SplittingData(p, 2, primes)
     for p in (2, 3)
@@ -245,67 +234,6 @@ _QUADRATIC_SPLITS = {
         ("ramified", (PrimeAbove(p, 2, 1, f"({p}, ramified)"),)),
     )
 }
-
-
-def _quadratic_split(d: int, p: int) -> SplittingData:
-    """quadratic_split for a radicand already checked."""
-    _check_p(p)
-    if p == 2:
-        r = d % 8
-        kind = "inert" if r == 5 else "split" if r == 1 else "ramified"
-    else:
-        r = d % 3
-        kind = "inert" if r == 2 else "split" if r == 1 else "ramified"
-    return _QUADRATIC_SPLITS[p, kind]
-
-
-# ---------------------------------------------------------------------------
-# cyclotomic fields, closed form
-
-
-def _normalize_cyclotomic(n: int) -> int:
-    """Q(zeta_n) = Q(zeta_{n/2}) when n = 2 mod 4."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return n // 2 if n % 4 == 2 else n
-
-
-def cyclotomic_split(n: int, p: int) -> SplittingData:
-    """Splitting of p in Q(zeta_n): e = phi(p^a), f = ord of p mod the rest.
-
-    Writing the normalized n as p^a * s with p not dividing s, there are
-    phi(n) / (e f) primes above p, all with the same (e, f).
-    """
-    factors = factorint(_normalize_cyclotomic(n))
-    return _cyclotomic_split(factors, euler_phi_factored(factors), p)
-
-
-def _cyclotomic_split(factors: Mapping[int, int], degree: int, p: int) -> SplittingData:
-    """cyclotomic_split for the normalized n = prod q^k over factors {q: k},
-    of totient degree."""
-    _check_p(p)
-    a = factors.get(p, 0)
-    e = (p - 1) * p ** (a - 1) if a else 1  # phi(p^a)
-    s = {q: k for q, k in factors.items() if q != p}
-    return SplittingData.uniform(p, degree, e, multiplicative_order_factored(p, s))
-
-
-# ---------------------------------------------------------------------------
-# rational function fields
-
-
-def rational_function_split(q: int) -> list[SplittingData]:
-    """The degree-one places t - a of F_q(t) whose residue field is F_2 or F_3.
-
-    Only q = 2 and q = 3 have any (the residue field at t - a is F_q); for
-    q >= 4 the list is empty and the structure results are trivial.
-    """
-    if is_prime_power(q) is None:
-        raise ValueError(f"q must be a prime power, got {q}")
-    return list(_rational_function_split(q))
-
-
-# The places t - a of F_2(t) and F_3(t), built once and shared.
 _RATIONAL_FUNCTION_SPLITS = {
     q: tuple(
         SplittingData(q, 1, (PrimeAbove(q, 1, 1, label),))
@@ -313,17 +241,6 @@ _RATIONAL_FUNCTION_SPLITS = {
     )
     for q in (2, 3)
 }
-
-
-def _rational_function_split(q: int) -> tuple[SplittingData, ...]:
-    """rational_function_split for a q already known to be a prime power."""
-    return _RATIONAL_FUNCTION_SPLITS.get(q, ())
-
-
-# ---------------------------------------------------------------------------
-# field forms
-
-
 _RATIONAL_SPLITS = {
     p: SplittingData(p, 1, (PrimeAbove(p, 1, 1, f"({p})"),)) for p in (2, 3)
 }
@@ -404,7 +321,17 @@ class Quadratic(NumberField):
         return _REAL_QUADRATIC if self.d > 0 else _IMAGINARY_QUADRATIC
 
     def split_at(self, p: int) -> SplittingData:
-        return _quadratic_split(self.d, p)
+        """p = 2: inert when d = 5 mod 8, split when d = 1 mod 8, ramified
+        otherwise.  p = 3: inert when d = 2 mod 3, split when d = 1 mod 3,
+        ramified when 3 | d."""
+        _check_p(p)
+        if p == 2:
+            r = self.d % 8
+            kind = "inert" if r == 5 else "split" if r == 1 else "ramified"
+        else:
+            r = self.d % 3
+            kind = "inert" if r == 2 else "split" if r == 1 else "ramified"
+        return _QUADRATIC_SPLITS[p, kind]
 
     def to_json(self) -> dict:
         return {"kind": "quadratic", "d": self.d}
@@ -430,7 +357,9 @@ class Cyclotomic(NumberField):
 
     def __post_init__(self) -> None:
         check_limit(self.n, CYCLOTOMIC_LIMIT, "n")
-        normalized = _normalize_cyclotomic(self.n)
+        if self.n < 1:
+            raise ValueError(f"need n >= 1, got {self.n}")
+        normalized = self.n // 2 if self.n % 4 == 2 else self.n
         factors = factorint(normalized)
         object.__setattr__(self, "normalized", normalized)
         object.__setattr__(self, "factors", factors)
@@ -443,7 +372,15 @@ class Cyclotomic(NumberField):
         return Signature(0, self.degree // 2)
 
     def split_at(self, p: int) -> SplittingData:
-        return _cyclotomic_split(self.factors, self.degree, p)
+        """e = phi(p^a) and f = the order of p mod s, writing the normalized
+        n as p^a s with p not dividing s; the phi(n) / (e f) primes above p
+        all share (e, f)."""
+        _check_p(p)
+        a = self.factors.get(p, 0)
+        e = (p - 1) * p ** (a - 1) if a else 1  # phi(p^a)
+        s = {q: k for q, k in self.factors.items() if q != p}
+        f = multiplicative_order_factored(p, s)
+        return SplittingData.uniform(p, self.degree, e, f)
 
     def to_json(self) -> dict:
         return {"kind": "cyclotomic", "n": self.n}
@@ -540,7 +477,12 @@ class RationalFunction(FunctionField):
     infinite_places = 1
 
     def splittings(self) -> tuple[SplittingData, ...]:
-        return _rational_function_split(self.q)
+        """The degree-one places t - a whose residue field is F_2 or F_3.
+
+        The residue field at t - a is F_q, so only q = 2 and q = 3 have any;
+        for q >= 4 there are none and the structure results are trivial.
+        """
+        return _RATIONAL_FUNCTION_SPLITS.get(self.q, ())
 
     def to_json(self) -> dict:
         return {"kind": "function_field", "q": self.q}

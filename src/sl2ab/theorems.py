@@ -19,16 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abgroup import AbelianGroup, canonicalize
-from .polyarith import primes_dividing
-from .splitting import (
-    INTEGER_LIMIT,
-    Cyclotomic,
-    FieldSpec,
-    Quadratic,
-    Rational,
-    SplittingData,
-    check_limit,
-)
+from .polyarith import INTEGER_LIMIT, check_limit, primes_dividing
+from .splitting import Cyclotomic, FieldSpec, Quadratic, Rational, SplittingData
 
 
 class FiniteUnitsError(Exception):
@@ -38,8 +30,6 @@ class FiniteUnitsError(Exception):
 _Z4 = AbelianGroup(0, (4,))
 _V4 = AbelianGroup(0, (2, 2))
 _Z3 = AbelianGroup(0, (3,))
-
-_SUMMAND_STR = {_Z4: "Z/4", _V4: "(Z/2)^2", _Z3: "Z/3"}
 
 
 @dataclass(frozen=True)
@@ -113,8 +103,12 @@ class ArithmeticRingSpec:
 @dataclass(frozen=True)
 class Contribution:
     prime: str
-    summand: str
     group: AbelianGroup
+
+    @property
+    def summand(self) -> str:
+        """The summand's name, such as "Z/4" or "(Z/2)^2"."""
+        return self.group.primary_str()
 
 
 @dataclass(frozen=True)
@@ -191,7 +185,7 @@ def _contributions(
                 summand = _Z4
             else:  # ramified above 2, or characteristic 2
                 summand = _V4
-            out.append(Contribution(prime.label, _SUMMAND_STR[summand], summand))
+            out.append(Contribution(prime.label, summand))
     return tuple(out)
 
 

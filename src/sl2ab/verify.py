@@ -27,7 +27,6 @@ from .splitting import (
     GeneralPoly,
     Quadratic,
     Rational,
-    cyclotomic_split,
     dedekind_split,
     quadratic_min_poly,
 )
@@ -185,13 +184,14 @@ def suite_cyclotomic_table() -> list[CaseResult]:
     out: list[CaseResult] = []
     for n in range(1, 61):
         expected = cyclotomic_reference(n)
-        got = compute(ArithmeticRingSpec(Cyclotomic(n))).group
+        spec = Cyclotomic(n)
+        got = compute(ArithmeticRingSpec(spec)).group
         ok = got == expected
         detail = f"live {got} | table {expected}"
         phi_n = cyclotomic_polynomial(n)
         for p in (2, 3):
             generic = dedekind_split(phi_n, p).ef_multiset()
-            closed = cyclotomic_split(n, p).ef_multiset()
+            closed = spec.split_at(p).ef_multiset()
             if generic != closed:
                 ok = False
                 detail += (

@@ -214,9 +214,14 @@ class TestGoldenTables:
         assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
 
 
+def _zmodpk_ring(p, k):
+    return {"factors": [{"kind": "zmodpk", "p": p, "k": k}]}
+
+
 class TestInputLimits:
     """Integers that reach trial division are bounded: one past the limit
-    exits 4 at once instead of running for minutes."""
+    exits 4 at once instead of running for minutes.  So are the exponents
+    of an oracle ring, whose order would otherwise be too large to print."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -228,11 +233,23 @@ class TestInputLimits:
             ("compute", "--rational", "--invert", "6,1000000000001"),
             ("table", "quadratic", "2", "1000000000001"),
             ("table", "cyclotomic", "1000001"),
+            ("oracle", "--zmod", str(2**61 - 1)),
+            ("oracle", "--ring", {"zmod": 2**61 - 1}),
+            ("oracle", "--ring", _zmodpk_ring(2**61 - 1, 1)),
+            ("oracle", "--ring", _zmodpk_ring(2, 20000)),
+            ("oracle", "--ring", _zmodpk_ring(2, 10**9)),
         ],
     )
-    def test_exit_4_in_under_a_second(self, capsys, argv):
+    def test_exit_4_in_under_a_second(self, capsys, tmp_path, argv):
+        path = tmp_path / "ring.json"
+        args = []
+        for arg in argv:
+            if isinstance(arg, dict):  # a ring document, passed as a file
+                path.write_text(json.dumps(arg))
+                arg = str(path)
+            args.append(arg)
         start = time.perf_counter()
-        code, out, err = invoke(capsys, *argv)
+        code, out, err = invoke(capsys, *args)
         elapsed = time.perf_counter() - start
         assert code == EXIT_USAGE
         assert out == ""
@@ -375,6 +392,13 @@ class TestVerifyCommand:
 
 
 class TestEntryPoint:
+    def test_public_names_resolve(self):
+        import sl2ab
+
+        assert len(set(sl2ab.__all__)) == len(sl2ab.__all__)
+        for name in sl2ab.__all__:
+            assert hasattr(sl2ab, name), name
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "sl2ab", "compute", "--rational", "--invert", "7"],

@@ -34,7 +34,6 @@ from sl2ab.oracle import (
     _inverse,
     _mmul,
     _sl2_indices,
-    _sl2_indices_cached,
     _to_index_mat,
     _to_value_mat,
 )
@@ -83,6 +82,18 @@ class TestSpecs:
                 RingFactor(p, k, h)
         with pytest.raises(ValueError):
             FiniteRingSpec(())
+        # p, k deg h and the ring order are bounded before any is worked with
+        assert RingFactor(2, 39).order == 2**39
+        assert RingFactor(2, 13, (1, 1, 0, 1)).order == 2**39
+        for make in (
+            lambda: RingFactor(10**12 + 39),
+            lambda: RingFactor(2, 40),
+            lambda: RingFactor(2, 20, (1, 1, 1)),
+            lambda: FiniteRingSpec((RingFactor(2, 39), RingFactor(2))),
+            lambda: FiniteRingSpec.zmod(10**12 + 1),
+        ):
+            with pytest.raises(ValueError, match="must be at most"):
+                make()
 
     def test_orders_and_describe(self):
         assert RingFactor(2, 3).order == 8
@@ -154,6 +165,11 @@ class TestFiniteRing:
 
     def test_ring_cache(self):
         assert ring_for(F4) is ring_for(F4)
+        # each ring enumerates SL2 and abelianizes it once, however reached
+        ring = ring_for(F4)
+        assert sl2_abelianization(F4) is ring.sl2ab is sl2_abelianization(F4)
+        assert ring.sl2_indices is ring.sl2_indices
+        assert len(enumerate_sl2_direct(F4)) == len(ring.sl2_indices) == 60
 
     def test_construction_cap(self):
         with pytest.raises(BudgetExceededError) as exc:
@@ -483,7 +499,7 @@ class TestAgainstReferences:
         assert len(specs) == 25
         for spec in specs:
             ring = ring_for(spec)
-            group = _sl2_indices_cached(ring)
+            group = ring.sl2_indices
             expected = _all_pairs_commutator_closure(ring, group)
             assert _commutator_closure(ring, group) == expected, spec.describe()
 
@@ -491,7 +507,7 @@ class TestAgainstReferences:
         rng = random.Random(4)
         for n in (6, 8):
             ring = ring_for(FiniteRingSpec.zmod(n))
-            sl2 = _sl2_indices_cached(ring)
+            sl2 = ring.sl2_indices
             sizes = set()
             for _ in range(25):
                 subgroup = _generated_subgroup(ring, rng.sample(sl2, 2))
@@ -521,7 +537,7 @@ class TestAgainstReferences:
         sizes = set()
         for spec in PRODUCT_RINGS:
             ring = ring_for(spec)
-            sl2 = _sl2_indices_cached(ring)
+            sl2 = ring.sl2_indices
             for k in (2, 3, 2, 3):
                 subgroup = _generated_subgroup(ring, rng.sample(sl2, k))
                 sizes.add(len(subgroup))

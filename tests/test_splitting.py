@@ -20,12 +20,9 @@ from sl2ab.splitting import (
     SplittingData,
     UserFunctionField,
     UserNumberField,
-    cyclotomic_split,
     dedekind_split,
     field_spec_from_json,
     quadratic_min_poly,
-    quadratic_split,
-    rational_function_split,
 )
 
 SQUAREFREE_RANGE = [
@@ -49,12 +46,12 @@ class TestDataTypes:
             SplittingData(2, 2, ())
 
     def test_ef_multiset(self):
-        data = quadratic_split(17, 2)
+        data = Quadratic(17).split_at(2)
         assert data.ef_multiset() == ((1, 1), (1, 1))
-        assert quadratic_split(5, 2).ef_multiset() == ((1, 2),)
+        assert Quadratic(5).split_at(2).ef_multiset() == ((1, 2),)
 
     def test_json_round_trip(self):
-        data = quadratic_split(10, 3)
+        data = Quadratic(10).split_at(3)
         again = SplittingData.from_json(data.to_json())
         assert again == data
         assert data.to_json()["p"] == 3
@@ -129,18 +126,18 @@ class TestQuadratic:
             quadratic_min_poly(1)
 
     def test_congruence_cases_at_2(self):
-        assert [q.label for q in quadratic_split(17, 2).primes] == [
+        assert [q.label for q in Quadratic(17).split_at(2).primes] == [
             "(2, split #1)",
             "(2, split #2)",
         ]
-        assert quadratic_split(5, 2).ef_multiset() == ((1, 2),)  # inert
-        assert quadratic_split(10, 2).ef_multiset() == ((2, 1),)  # ramified
-        assert quadratic_split(10, 2).primes[0].label == "(2, ramified)"
+        assert Quadratic(5).split_at(2).ef_multiset() == ((1, 2),)  # inert
+        assert Quadratic(10).split_at(2).ef_multiset() == ((2, 1),)  # ramified
+        assert Quadratic(10).split_at(2).primes[0].label == "(2, ramified)"
 
     def test_congruence_cases_at_3(self):
-        assert quadratic_split(7, 3).ef_multiset() == ((1, 1), (1, 1))  # 7 = 1 mod 3
-        assert quadratic_split(5, 3).ef_multiset() == ((1, 2),)  # 5 = 2 mod 3
-        assert quadratic_split(33, 3).ef_multiset() == ((2, 1),)  # 3 | 33
+        assert Quadratic(7).split_at(3).ef_multiset() == ((1, 1), (1, 1))  # 7 = 1 mod 3
+        assert Quadratic(5).split_at(3).ef_multiset() == ((1, 2),)  # 5 = 2 mod 3
+        assert Quadratic(33).split_at(3).ef_multiset() == ((2, 1),)  # 3 | 33
 
     def test_shared_values_match_a_fresh_build(self):
         # every class of d mod 24, with both signs
@@ -161,32 +158,32 @@ class TestQuadratic:
             f = quadratic_min_poly(d)
             for p in (2, 3):
                 assert (
-                    quadratic_split(d, p).ef_multiset()
+                    Quadratic(d).split_at(p).ef_multiset()
                     == dedekind_split(f, p).ef_multiset()
                 ), f"disagreement at d={d}, p={p}"
 
 
 class TestCyclotomic:
     def test_known_shapes(self):
-        assert cyclotomic_split(8, 2).ef_multiset() == ((4, 1),)
-        assert cyclotomic_split(8, 3).ef_multiset() == ((1, 2), (1, 2))
-        assert cyclotomic_split(9, 3).ef_multiset() == ((6, 1),)
-        assert cyclotomic_split(12, 2).ef_multiset() == ((2, 2),)
-        assert cyclotomic_split(12, 3).ef_multiset() == ((2, 2),)
-        assert cyclotomic_split(5, 2).ef_multiset() == ((1, 4),)
-        assert cyclotomic_split(1, 2).ef_multiset() == ((1, 1),)
-        assert cyclotomic_split(2, 3).ef_multiset() == ((1, 1),)
+        assert Cyclotomic(8).split_at(2).ef_multiset() == ((4, 1),)
+        assert Cyclotomic(8).split_at(3).ef_multiset() == ((1, 2), (1, 2))
+        assert Cyclotomic(9).split_at(3).ef_multiset() == ((6, 1),)
+        assert Cyclotomic(12).split_at(2).ef_multiset() == ((2, 2),)
+        assert Cyclotomic(12).split_at(3).ef_multiset() == ((2, 2),)
+        assert Cyclotomic(5).split_at(2).ef_multiset() == ((1, 4),)
+        assert Cyclotomic(1).split_at(2).ef_multiset() == ((1, 1),)
+        assert Cyclotomic(2).split_at(3).ef_multiset() == ((1, 1),)
 
     def test_labels(self):
-        assert [q.label for q in cyclotomic_split(8, 3).primes] == [
+        assert [q.label for q in Cyclotomic(8).split_at(3).primes] == [
             "(3, #1 of 2)",
             "(3, #2 of 2)",
         ]
 
     def test_n_2_mod_4_normalization(self):
         for p in (2, 3):
-            assert cyclotomic_split(6, p) == cyclotomic_split(3, p)
-            assert cyclotomic_split(10, p) == cyclotomic_split(5, p)
+            assert Cyclotomic(6).split_at(p) == Cyclotomic(3).split_at(p)
+            assert Cyclotomic(10).split_at(p) == Cyclotomic(5).split_at(p)
 
     def test_closed_form_matches_dedekind(self):
         from sl2ab.polyarith import cyclotomic_polynomial
@@ -197,25 +194,25 @@ class TestCyclotomic:
             f = cyclotomic_polynomial(n)
             for p in (2, 3):
                 assert (
-                    cyclotomic_split(n, p).ef_multiset()
+                    Cyclotomic(n).split_at(p).ef_multiset()
                     == dedekind_split(f, p).ef_multiset()
                 ), f"disagreement at n={n}, p={p}"
 
 
 class TestRationalFunction:
     def test_tracked_places(self):
-        assert [sp.primes[0].label for sp in rational_function_split(2)] == [
+        assert [sp.primes[0].label for sp in RationalFunction(2).splittings()] == [
             "(t)",
             "(t-1)",
         ]
-        assert len(rational_function_split(3)) == 3
+        assert len(RationalFunction(3).splittings()) == 3
         for q in (4, 5, 8, 9, 25):
-            assert rational_function_split(q) == []
+            assert RationalFunction(q).splittings() == ()
         with pytest.raises(ValueError):
-            rational_function_split(6)
+            RationalFunction(6)
 
     def test_place_shape(self):
-        (first, _) = rational_function_split(2)
+        (first, _) = RationalFunction(2).splittings()
         assert first == SplittingData(2, 1, (PrimeAbove(2, 1, 1, "(t)"),))
 
     def test_shared_places_match_a_fresh_build(self):
@@ -258,13 +255,20 @@ class TestFieldSpecDispatch:
                 p, 1, (PrimeAbove(p, 1, 1, f"({p})"),)
             )
             assert Rational().split_at(p) is Rational().split_at(p)
-        assert Quadratic(17).split_at(3) == quadratic_split(17, 3)
-        assert Cyclotomic(8).split_at(2) == cyclotomic_split(8, 2)
+        assert Quadratic(17).split_at(3) == SplittingData(  # 17 = 2 mod 3
+            3, 2, (PrimeAbove(3, 1, 2, "(3, inert)"),)
+        )
+        assert Cyclotomic(8).split_at(2) == SplittingData(
+            2, 4, (PrimeAbove(2, 4, 1, "(2, #1 of 1)"),)
+        )
         with pytest.raises(ValueError):
             Rational().split_at(5)
         # function fields list their t - a places instead
         assert not hasattr(RationalFunction(2), "split_at")
-        assert RationalFunction(2).splittings() == tuple(rational_function_split(2))
+        assert RationalFunction(2).splittings() == tuple(
+            SplittingData(2, 1, (PrimeAbove(2, 1, 1, label),))
+            for label in ("(t)", "(t-1)")
+        )
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -321,28 +325,26 @@ class TestFieldSpecDispatch:
         assert len(calls) == 1
 
     def test_user_supplied_char0(self):
+        split2, split3 = Quadratic(3).splittings()
         spec = UserNumberField(
-            degree=2,
-            signature=Signature(2, 0),
-            split2=quadratic_split(3, 2),
-            split3=quadratic_split(3, 3),
+            degree=2, signature=Signature(2, 0), split2=split2, split3=split3
         )
-        assert spec.split_at(2) == quadratic_split(3, 2)
+        assert spec.split_at(2) is split2
         assert spec.signature == Signature(2, 0)
-        assert spec.splittings() == (quadratic_split(3, 2), quadratic_split(3, 3))
+        assert spec.splittings() == (split2, split3)
         with pytest.raises(ValueError):
             UserNumberField(
                 degree=3,
                 signature=Signature(2, 0),  # r1 + 2 r2 != degree
-                split2=quadratic_split(3, 2),
-                split3=quadratic_split(3, 3),
+                split2=split2,
+                split3=split3,
             )
         with pytest.raises(ValueError):
             UserNumberField(
                 degree=3,
                 signature=Signature(3, 0),
-                split2=quadratic_split(3, 2),  # degree-2 data on a cubic
-                split3=quadratic_split(3, 3),
+                split2=split2,  # degree-2 data on a cubic
+                split3=split3,
             )
 
     def test_user_supplied_charp(self):
@@ -355,7 +357,7 @@ class TestFieldSpecDispatch:
         with pytest.raises(ValueError):
             UserFunctionField(degree=1, q=2, infinite_places=0)
         with pytest.raises(ValueError):
-            UserFunctionField(degree=2, q=2, split_t=tuple(rational_function_split(2)))
+            UserFunctionField(degree=2, q=2, split_t=RationalFunction(2).splittings())
 
     def test_json_round_trips(self):
         specs = [
@@ -367,13 +369,13 @@ class TestFieldSpecDispatch:
             UserNumberField(
                 degree=2,
                 signature=Signature(2, 0),
-                split2=quadratic_split(3, 2),
-                split3=quadratic_split(3, 3),
+                split2=Quadratic(3).split_at(2),
+                split3=Quadratic(3).split_at(3),
             ),
             UserFunctionField(
                 degree=1,
                 q=2,
-                split_t=tuple(rational_function_split(2)),
+                split_t=RationalFunction(2).splittings(),
                 infinite_places=1,
             ),
         ]
@@ -409,10 +411,10 @@ class TestSplittingProperties:
 
     @given(st.sampled_from(SQUAREFREE_RANGE), st.sampled_from([2, 3]))
     def test_quadratic_identity(self, d, p):
-        data = quadratic_split(d, p)
+        data = Quadratic(d).split_at(p)
         assert sum(q.e * q.f for q in data.primes) == 2
 
     @given(st.integers(1, 60), st.sampled_from([2, 3]))
     def test_cyclotomic_identity(self, n, p):
-        data = cyclotomic_split(n, p)
+        data = Cyclotomic(n).split_at(p)
         assert sum(q.e * q.f for q in data.primes) == data.degree

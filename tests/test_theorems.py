@@ -20,8 +20,6 @@ from sl2ab.splitting import (
     SplittingData,
     UserFunctionField,
     UserNumberField,
-    quadratic_split,
-    rational_function_split,
 )
 from sl2ab.theorems import (
     EMPTY_S,
@@ -98,10 +96,9 @@ class TestSSet:
 
 class TestChar0Formula:
     def test_argument_order_is_checked(self):
+        split2, split3 = Quadratic(17).splittings()
         with pytest.raises(ValueError):
-            UserNumberField(
-                2, Signature(2, 0), quadratic_split(17, 3), quadratic_split(17, 2)
-            )
+            UserNumberField(2, Signature(2, 0), split3, split2)
 
     def test_finite_units_gate(self):
         with pytest.raises(FiniteUnitsError) as exc:
@@ -366,8 +363,8 @@ class TestComputePipeline:
         char0 = UserNumberField(
             degree=2,
             signature=Signature(2, 0),
-            split2=quadratic_split(3, 2),
-            split3=quadratic_split(3, 3),
+            split2=Quadratic(3).split_at(2),
+            split3=Quadratic(3).split_at(3),
         )
         out = compute(ArithmeticRingSpec(char0))
         assert out.route == "Main"
@@ -375,7 +372,7 @@ class TestComputePipeline:
         charp = UserFunctionField(
             degree=1,
             q=2,
-            split_t=tuple(rational_function_split(2)),
+            split_t=RationalFunction(2).splittings(),
             infinite_places=2,
         )
         out = compute(ArithmeticRingSpec(charp))
@@ -462,7 +459,7 @@ class TestFormulaProperties:
         field = UserFunctionField(
             degree=1,
             q=q,
-            split_t=tuple(rational_function_split(q)),
+            split_t=RationalFunction(q).splittings(),
             infinite_places=infinite,
         )
         s = SSet(other_finite_primes=extra)
