@@ -58,7 +58,7 @@ from .theorems import (
     known_small_cases,
     s_for_inverted,
 )
-from .verify import CaseResult, SUITES, run_suite
+from .verify import CaseResult, SUITES
 
 __version__ = "0.1.0"
 
@@ -106,7 +106,6 @@ __all__ = [
     "known_small_cases",
     "prop_local_formula",
     "quadratic_min_poly",
-    "run_suite",
     "s_for_inverted",
     "sl2_abelianization",
 ]

@@ -39,10 +39,6 @@ class AbelianGroup:
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
 
-    @property
-    def is_finite(self) -> bool:
-        return self.free_rank == 0
-
     def order(self) -> int | None:
         """Group order, or None when infinite."""
         if self.free_rank:
@@ -138,10 +134,6 @@ def _canonicalize(factors: tuple[int, ...], free_rank: int) -> AbelianGroup:
 
 def direct_sum(a: AbelianGroup, b: AbelianGroup) -> AbelianGroup:
     return canonicalize(a.torsion + b.torsion, a.free_rank + b.free_rank)
-
-
-def exponent(g: AbelianGroup) -> int | None:
-    return g.exponent()
 
 
 def _profile_of_chain(torsion: tuple[int, ...]) -> dict[int, int]:

@@ -301,10 +301,7 @@ def _ring_spec_from_args(args: argparse.Namespace) -> FiniteRingSpec:
         raise CliError(f"cannot read ring spec file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise CliError(f"ring spec file is not valid JSON: {exc}") from None
-    try:
-        return FiniteRingSpec.from_json(data)
-    except (KeyError, TypeError) as exc:
-        raise CliError(f"malformed ring spec: {exc!r}") from None
+    return FiniteRingSpec.from_json(data)
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
@@ -377,6 +374,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     else:
         if args.n_max < 2:
             raise CliError(f"need n_max >= 2, got {args.n_max}")
+        check_limit(args.n_max, INTEGER_LIMIT, "n_max")
         print(f"{'n':>4}  {'2|n':>4}  {'3|n':>4}  group")
         for n in range(2, args.n_max + 1):
             outcome = compute(ArithmeticRingSpec(Rational(), s_for_inverted(n)))

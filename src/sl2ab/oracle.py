@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .abgroup import AbelianGroup, from_order_statistics
 from .polyarith import (
@@ -139,19 +139,46 @@ class FiniteRingSpec:
         return {"factors": [f.to_json() for f in self.factors]}
 
     @classmethod
-    def from_json(cls, data: Mapping) -> "FiniteRingSpec":
+    def from_json(cls, data: object) -> "FiniteRingSpec":
+        """The inverse of to_json; {"zmod": N} also reads as Z/N.  A document
+        of any other shape raises ValueError("malformed ring spec: ...")."""
+        if not isinstance(data, dict):
+            raise ValueError("malformed ring spec: the document must be an object")
         if "zmod" in data:
-            return cls.zmod(data["zmod"])
+            return cls.zmod(_json_int(data, "zmod"))
+        fds = data.get("factors")
+        if not isinstance(fds, list) or not all(isinstance(fd, dict) for fd in fds):
+            raise ValueError('malformed ring spec: "factors" must be a list of objects')
         factors: list[RingFactor] = []
-        for fd in data["factors"]:
+        for fd in fds:
             kind = fd.get("kind")
             if kind == "zmodpk":
-                factors.append(RingFactor(fd["p"], fd["k"]))
+                factors.append(RingFactor(_json_int(fd, "p"), _json_int(fd, "k")))
             elif kind == "polyquot":
-                factors.append(RingFactor(fd["p"], fd.get("k", 1), fd["h"]))
+                h = fd.get("h")
+                if not isinstance(h, list) or not all(map(_is_json_int, h)):
+                    raise ValueError(
+                        'malformed ring spec: "h" must be a list of integers, '
+                        f"got {h!r}"
+                    )
+                p, k = _json_int(fd, "p"), _json_int(fd, "k", 1)
+                factors.append(RingFactor(p, k, h))
             else:
                 raise ValueError(f"unknown ring factor kind: {kind!r}")
         return cls(tuple(factors))
+
+
+def _is_json_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _json_int(doc: dict, key: str, default: int | None = None) -> int:
+    value = doc.get(key, default)
+    if not _is_json_int(value):
+        raise ValueError(
+            f'malformed ring spec: "{key}" must be an integer, got {value!r}'
+        )
+    return value
 
 
 Element = tuple  # one coefficient tuple per factor
@@ -227,10 +254,6 @@ def ring_for(spec: FiniteRingSpec) -> FiniteRing:
     if ring is None:
         ring = _ring_cache[spec] = FiniteRing(spec)
     return ring
-
-
-def _as_ring(ring: FiniteRing | FiniteRingSpec) -> FiniteRing:
-    return ring if isinstance(ring, FiniteRing) else ring_for(ring)
 
 
 _IndexMat = tuple[int, int, int, int]
@@ -347,24 +370,24 @@ def _sl2_indices(ring: FiniteRing) -> list[_IndexMat]:
 
 
 def enumerate_sl2_direct(
-    ring: FiniteRing | FiniteRingSpec, cap: int = DEFAULT_RING_CAP
+    spec: FiniteRingSpec, cap: int = DEFAULT_RING_CAP
 ) -> list[Mat2]:
     """All of SL2(R): every (a, b, c, d) in R^4 with determinant one, in
     lexicographic order."""
-    _check_budget(ring.order, cap)
-    r = _as_ring(ring)
+    _check_budget(spec.order, cap)
+    r = ring_for(spec)
     return [_to_value_mat(r, m) for m in r.sl2_indices]
 
 
 def generate_from_elementary(
-    ring: FiniteRing | FiniteRingSpec, cap: int = DEFAULT_RING_CAP
+    spec: FiniteRingSpec, cap: int = DEFAULT_RING_CAP
 ) -> list[Mat2]:
     """The group the elementary matrices E12(a), E21(a) generate, closed from
     a in an additive generating set of R (E12 and E21 are homomorphisms from
     (R, +)).  For the finite rings supported here it is all of SL2(R); the
     test suite checks that equality rather than assuming it."""
-    _check_budget(ring.order, cap)
-    r = _as_ring(ring)
+    _check_budget(spec.order, cap)
+    r = ring_for(spec)
     closed, gens = {_identity(r)}, []
     for g in _elementary(r, _additive_span(r, range(r.order))[0]):
         if g not in closed:
@@ -410,15 +433,13 @@ def _commutator_closure(ring: FiniteRing, group_idx: list[_IndexMat]) -> set[_In
     return closed
 
 
-def commutator_subgroup(
-    ring: FiniteRing | FiniteRingSpec, group: Iterable[Mat2]
-) -> set[Mat2]:
+def commutator_subgroup(spec: FiniteRingSpec, group: Iterable[Mat2]) -> set[Mat2]:
     """Subgroup generated by all pairwise commutators g h g^-1 h^-1.
 
     The input must be closed under multiplication and inverse (a subgroup of
     SL2); the result is then automatically normal in it.
     """
-    r = _as_ring(ring)
+    r = ring_for(spec)
     closed = _commutator_closure(r, [_to_index_mat(r, m) for m in group])
     return {_to_value_mat(r, m) for m in closed}
 
@@ -460,12 +481,10 @@ def _abelianization(ring: FiniteRing, group_idx: list[_IndexMat]) -> AbelianGrou
     )
 
 
-def abelianization(
-    ring: FiniteRing | FiniteRingSpec, group: Iterable[Mat2]
-) -> AbelianGroup:
+def abelianization(spec: FiniteRingSpec, group: Iterable[Mat2]) -> AbelianGroup:
     """Abelianization of a finite matrix group: quotient by the commutator
     subgroup, identified through its element-order statistics."""
-    r = _as_ring(ring)
+    r = ring_for(spec)
     return _abelianization(r, [_to_index_mat(r, m) for m in group])
 
 
@@ -477,7 +496,7 @@ def sl2_abelianization(
     return ring_for(spec).sl2ab
 
 
-def prop_local_formula(factor: RingFactor | FiniteRingSpec) -> AbelianGroup:
+def prop_local_formula(factor: RingFactor) -> AbelianGroup:
     """Closed-form abelianization of SL2 over a local ring, from A/m^2.
 
     Residue field of order >= 4: trivial.  Of order 3: Z/3 (the additive group
@@ -487,13 +506,7 @@ def prop_local_formula(factor: RingFactor | FiniteRingSpec) -> AbelianGroup:
     the non-unit set, verified closed under addition; anything non-local is
     rejected.
     """
-    if isinstance(factor, FiniteRingSpec):
-        if len(factor.factors) != 1:
-            raise ValueError("the local formula applies to a single factor ring")
-        spec = factor
-    else:
-        spec = FiniteRingSpec((factor,))
-    ring = ring_for(spec)
+    ring = ring_for(FiniteRingSpec((factor,)))
     n = ring.order
     A = ring.add_table
     nonunits = [i for i in range(n) if not ring.is_unit_index(i)]
@@ -503,7 +516,7 @@ def prop_local_formula(factor: RingFactor | FiniteRingSpec) -> AbelianGroup:
         for b in nonunits:
             if row[b] not in nonunit_set:
                 raise ValueError(
-                    f"{spec.describe()} is not local: non-units are not closed "
+                    f"{factor} is not local: non-units are not closed "
                     "under addition"
                 )
     residue = n // len(nonunits)

@@ -388,10 +388,6 @@ class ModPoly:
         self.coeffs: tuple[int, ...] = tuple(cs)
 
     @classmethod
-    def x(cls, p: int) -> "ModPoly":
-        return cls(p, (0, 1))
-
-    @classmethod
     def one(cls, p: int) -> "ModPoly":
         return cls(p, (1,))
 
@@ -406,10 +402,6 @@ class ModPoly:
     @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    @property
-    def leading(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -302,17 +302,3 @@ SUITES = {
     "ge2": suite_ge2,
     "product-lemma": suite_product_lemma,
 }
-
-
-def run_suite(name: str) -> list[CaseResult]:
-    """Run one named suite, or all of them in declaration order."""
-    if name == "all":
-        out: list[CaseResult] = []
-        for fn in SUITES.values():
-            out.extend(fn())
-        return out
-    if name not in SUITES:
-        raise ValueError(
-            f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all"
-        )
-    return SUITES[name]()

@@ -3,6 +3,7 @@ round-trips, and the exit-code contract."""
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -238,6 +239,7 @@ class TestInputLimits:
             ("oracle", "--ring", _zmodpk_ring(2**61 - 1, 1)),
             ("oracle", "--ring", _zmodpk_ring(2, 20000)),
             ("oracle", "--ring", _zmodpk_ring(2, 10**9)),
+            ("table", "z-inv-n", "1000000000001"),
         ],
     )
     def test_exit_4_in_under_a_second(self, capsys, tmp_path, argv):
@@ -310,6 +312,21 @@ class TestOracleCommand:
         unknown.write_text(json.dumps({"factors": [{"kind": "mystery"}]}))
         code, _, err = invoke(capsys, "oracle", "--ring", str(unknown))
         assert code == EXIT_USAGE
+        # wrong JSON types are refused before any table is built: no traceback,
+        # and no float or bool read as an integer
+        for doc in (
+            {"factors": [1]},
+            {"factors": {"a": 1}},
+            {"zmod": 12.5},
+            {"factors": [{"kind": "zmodpk", "p": 2.0, "k": 1}]},
+            {"factors": [{"kind": "zmodpk", "p": 2, "k": 2.0}]},
+            {"factors": [{"kind": "zmodpk", "p": 2, "k": True}]},
+            {"factors": [{"kind": "polyquot", "p": 2, "h": [1, 1.5, 1]}]},
+        ):
+            malformed.write_text(json.dumps(doc))
+            code, out, err = invoke(capsys, "oracle", "--ring", str(malformed))
+            assert (code, out) == (EXIT_USAGE, ""), doc
+            assert err.startswith("error: malformed ring spec"), doc
 
     def test_budget_exit(self, capsys):
         code, _, err = invoke(capsys, "oracle", "--zmod", "20")
@@ -407,6 +424,25 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert b"Z/12" in proc.stdout
+
+    def test_verify_all_standard_library_only(self):
+        # -S leaves site-packages off the path, so the suites can only pass
+        # if the package imports nothing outside the standard library
+        code = (
+            "import sys; sys.path.insert(0, 'src'); from sl2ab.cli import run; "
+            "raise SystemExit(run(['verify', 'all']))"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            cwd=Path(__file__).resolve().parent.parent,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith(" passed, 0 failed\n")
 
     def test_exit_code_constants(self):
         assert (

@@ -217,7 +217,7 @@ class TestEnumeration:
 
     def test_contains_identity_and_is_closed(self):
         ring = ring_for(F3)
-        group = enumerate_sl2_direct(ring)
+        group = enumerate_sl2_direct(F3)
         one = ring.elements[ring.one_index]
         zero = ring.elements[ring.zero_index]
         assert Mat2(one, zero, zero, one) in group
@@ -323,17 +323,12 @@ class TestLocalFormula:
         ]
         for factor, expected in cases:
             assert prop_local_formula(factor) == expected, factor
-            single = FiniteRingSpec((factor,))
-            assert prop_local_formula(single) == expected
-            assert sl2_abelianization(single) == expected, factor
+            assert sl2_abelianization(FiniteRingSpec((factor,))) == expected, factor
 
     def test_rejects_non_local_rings(self):
         with pytest.raises(ValueError) as exc:
             prop_local_formula(RingFactor(2, 1, (0, 1, 1)))  # x(x+1)
         assert "not local" in str(exc.value)
-        with pytest.raises(ValueError) as exc:
-            prop_local_formula(FiniteRingSpec.zmod(6))
-        assert "single factor" in str(exc.value)
 
 
 # --------------------------------------------------------------------------
@@ -506,7 +501,8 @@ class TestAgainstReferences:
     def test_normal_closure_matches_all_pairs_on_subgroups(self):
         rng = random.Random(4)
         for n in (6, 8):
-            ring = ring_for(FiniteRingSpec.zmod(n))
+            spec = FiniteRingSpec.zmod(n)
+            ring = ring_for(spec)
             sl2 = ring.sl2_indices
             sizes = set()
             for _ in range(25):
@@ -515,7 +511,7 @@ class TestAgainstReferences:
                 expected = _all_pairs_commutator_closure(ring, subgroup)
                 assert _commutator_closure(ring, subgroup) == expected
                 values = [_to_value_mat(ring, m) for m in subgroup]
-                assert commutator_subgroup(ring, values) == {
+                assert commutator_subgroup(spec, values) == {
                     _to_value_mat(ring, m) for m in expected
                 }
             assert len(sizes) >= 4, sizes  # proper subgroups of several sizes

@@ -1,11 +1,12 @@
-"""Tests for the verification module's reference tables and suite runner.
+"""Tests for the verification module's reference tables and suite registry.
 
 The suites themselves are executed end to end by the acceptance tests; here
-the focus is the fixed reference data and the dispatch plumbing."""
+the focus is the fixed reference data and the `sl2ab verify` dispatch."""
 
 import pytest
 
 from sl2ab.abgroup import TRIVIAL_GROUP, AbelianGroup
+from sl2ab.cli import EXIT_OK, run
 from sl2ab.oracle import enumerate_sl2_direct, Mat2  # noqa: F401 (parity check below)
 from sl2ab.verify import (
     GE2_RINGS,
@@ -13,7 +14,6 @@ from sl2ab.verify import (
     SUITES,
     cyclotomic_reference,
     quadratic_reference,
-    run_suite,
     sl2_order_zmod,
     suite_z_inv_n,
 )
@@ -86,13 +86,19 @@ class TestSuiteRunner:
         names = [c.name for c in cases]
         assert any("Z[1/30]" in name for name in names)
 
-    def test_run_suite_dispatch(self):
-        cases = run_suite("z-inv-n")
-        assert all(c.ok for c in cases)
-        with pytest.raises(ValueError) as exc:
-            run_suite("bogus")
-        assert "unknown suite" in str(exc.value)
+    def test_verify_one_suite(self, capsys):
+        assert run(["verify", "z-inv-n"]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "suite z-inv-n:"
+        assert len(out) == 11  # header, 9 cases, summary
+        assert all(line.startswith("  PASS ") for line in out[1:-1])
+        assert out[-1] == "9/9 passed, 0 failed"
 
-    def test_run_all_concatenates(self):
+    def test_run_all_concatenates(self, capsys):
         sizes = {name: len(fn()) for name, fn in SUITES.items()}
-        assert len(run_suite("all")) == sum(sizes.values())
+        assert run(["verify", "all"]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        headers = [line for line in out if line.startswith("suite ")]
+        assert headers == [f"suite {name}:" for name in SUITES]
+        total = sum(sizes.values())
+        assert out[-1] == f"{total}/{total} passed, 0 failed"
