@@ -54,6 +54,9 @@ EXIT_NOT_MAXIMAL = 3
 EXIT_USAGE = 4
 EXIT_BUDGET = 5
 
+# rows a `table` command may print, so that every table ends within seconds
+TABLE_ROW_LIMIT = 100_000
+
 
 class CliError(Exception):
     """Usage or validation error at the command layer (exit code 4)."""
@@ -347,6 +350,14 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _check_rows(rows: int) -> None:
+    if rows > TABLE_ROW_LIMIT:
+        raise BudgetExceededError(
+            f"the table would have {rows} rows, past the row budget "
+            f"{TABLE_ROW_LIMIT}; print it in ranges of at most that many"
+        )
+
+
 def _cmd_table(args: argparse.Namespace) -> int:
     if args.table_kind == "quadratic":
         if args.d_min <= 1 or args.d_min > args.d_max:
@@ -354,6 +365,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
                 f"need 1 < d_min <= d_max, got {args.d_min}..{args.d_max}"
             )
         check_limit(args.d_max, INTEGER_LIMIT, "d_max")
+        _check_rows(args.d_max - args.d_min + 1)
         print(f"{'d':>5}  {'d mod 24':>8}  group")
         for d in range(args.d_min, args.d_max + 1):
             try:
@@ -366,6 +378,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         if args.n_max < 1:
             raise CliError(f"need N_max >= 1, got {args.n_max}")
         check_limit(args.n_max, CYCLOTOMIC_LIMIT, "N_max")
+        _check_rows(args.n_max)
         print(f"{'N':>4}  {'phi(N)':>6}  group")
         for n in range(1, args.n_max + 1):
             spec = Cyclotomic(n)
@@ -375,6 +388,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         if args.n_max < 2:
             raise CliError(f"need n_max >= 2, got {args.n_max}")
         check_limit(args.n_max, INTEGER_LIMIT, "n_max")
+        _check_rows(args.n_max - 1)
         print(f"{'n':>4}  {'2|n':>4}  {'3|n':>4}  group")
         for n in range(2, args.n_max + 1):
             outcome = compute(ArithmeticRingSpec(Rational(), s_for_inverted(n)))

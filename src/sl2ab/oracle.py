@@ -5,12 +5,15 @@ monic: Z/p^k when h = x, F_p[x]/(h) when k = 1, and mixed ones such as the
 Galois ring GR(4, 2) = (Z/4)[x]/(x^2+x+1).  A factor element is its tuple of
 deg h coefficients mod p^k; products are reduced mod h.  At the scale this
 package cares about (ring order <= 16 by default) everything is done over
-precomputed index-space addition and multiplication tables: enumerate SL2
-directly, generate it from elementary matrices, find the commutator subgroup
-as the normal closure of the commutators of a generating set, and read off
-the abelianization from the order statistics of the quotient.  Closures grow
-one generator at a time, each paying only for the cosets it opens.  These
-routines are the ground truth the structure formulas are tested against.
+index-space addition and multiplication tables, built by digit arithmetic
+mod p^k.  SL2(R) is enumerated once, for its order.  Its abelianization
+never walks the group again: X, the elementary matrices of an additive
+generating set of R, has G' as the normal closure of its commutators, and
+the cosets of G' are found as words in X.  |words| |G'| = |SL2(R)|
+certifies that X generates, and the invariants are read off the orders of
+the words in the quotient.  Closures grow one generator at a time, each
+paying only for the cosets it opens.  These routines are the ground truth
+the structure formulas are tested against.
 """
 
 from __future__ import annotations
@@ -18,19 +21,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from typing import Iterable, NamedTuple, Sequence
+from typing import Container, Iterable, NamedTuple, Sequence
 
 from .abgroup import AbelianGroup, from_order_statistics
 from .polyarith import (
     INTEGER_LIMIT,
     BudgetExceededError,
-    _ldivmod,
-    _lmul,
     _render_poly,
     _trim,
     check_limit,
     factorint,
     is_prime,
+    json_list,
+    json_object,
+    json_value,
 )
 
 DEFAULT_RING_CAP = 16
@@ -77,21 +81,6 @@ class RingFactor:
     def elements(self) -> list[tuple[int, ...]]:
         """Every element as its coefficient tuple, in lexicographic order."""
         return list(itertools.product(range(self.modulus), repeat=self.degree))
-
-    def tables(self) -> tuple[list[list[int]], ...]:
-        """The addition and multiplication tables on element indexes."""
-        m, n, h = self.modulus, self.degree, self.h
-        els = self.elements()
-        idx = {v: i for i, v in enumerate(els)}
-
-        def add(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-            return idx[tuple((x + y) % m for x, y in zip(a, b))]
-
-        def mul(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-            r = _ldivmod(_lmul(a, b, m), h, m)[1]
-            return idx[tuple(r) + (0,) * (n - len(r))]
-
-        return tuple([[op(a, b) for b in els] for a in els] for op in (add, mul))
 
     def __str__(self) -> str:
         if self.h == (0, 1):
@@ -142,43 +131,22 @@ class FiniteRingSpec:
     def from_json(cls, data: object) -> "FiniteRingSpec":
         """The inverse of to_json; {"zmod": N} also reads as Z/N.  A document
         of any other shape raises ValueError("malformed ring spec: ...")."""
-        if not isinstance(data, dict):
-            raise ValueError("malformed ring spec: the document must be an object")
-        if "zmod" in data:
-            return cls.zmod(_json_int(data, "zmod"))
-        fds = data.get("factors")
-        if not isinstance(fds, list) or not all(isinstance(fd, dict) for fd in fds):
-            raise ValueError('malformed ring spec: "factors" must be a list of objects')
+        what = "ring spec"
+        doc = json_object(data, what)
+        if "zmod" in doc:
+            return cls.zmod(json_value(doc, "zmod", what))
         factors: list[RingFactor] = []
-        for fd in fds:
+        for fd in json_list(doc, "factors", what, dict):
             kind = fd.get("kind")
-            if kind == "zmodpk":
-                factors.append(RingFactor(_json_int(fd, "p"), _json_int(fd, "k")))
-            elif kind == "polyquot":
-                h = fd.get("h")
-                if not isinstance(h, list) or not all(map(_is_json_int, h)):
-                    raise ValueError(
-                        'malformed ring spec: "h" must be a list of integers, '
-                        f"got {h!r}"
-                    )
-                p, k = _json_int(fd, "p"), _json_int(fd, "k", 1)
-                factors.append(RingFactor(p, k, h))
-            else:
+            if kind not in ("zmodpk", "polyquot"):
                 raise ValueError(f"unknown ring factor kind: {kind!r}")
+            p = json_value(fd, "p", what)
+            if kind == "zmodpk":
+                factors.append(RingFactor(p, json_value(fd, "k", what)))
+            else:
+                k = json_value(fd, "k", what, default=1)
+                factors.append(RingFactor(p, k, json_list(fd, "h", what)))
         return cls(tuple(factors))
-
-
-def _is_json_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _json_int(doc: dict, key: str, default: int | None = None) -> int:
-    value = doc.get(key, default)
-    if not _is_json_int(value):
-        raise ValueError(
-            f'malformed ring spec: "{key}" must be an integer, got {value!r}'
-        )
-    return value
 
 
 Element = tuple  # one coefficient tuple per factor
@@ -198,6 +166,34 @@ def _product_table(t1: list[list[int]], t2: list[list[int]]) -> list[list[int]]:
     lexicographically: (i, j) is i * |R2| + j."""
     n2 = len(t2)
     return [[x * n2 + y for x in r1 for y in r2] for r1 in t1 for r2 in t2]
+
+
+_Table = list[list[int]]
+
+
+def _factor_tables(factor: RingFactor) -> tuple[_Table, _Table]:
+    """The addition and multiplication tables of a factor on element indexes,
+    by digit arithmetic mod m = p^k.  The element c_0 + c_1 x + ... +
+    c_(n-1) x^(n-1) is numbered as the digits c_0 ... c_(n-1) in base m, so
+    the sum table is the n-th power of that of Z/m, and row a of the product
+    table is read off the multiples of a, a x, ..., a x^(n-1)."""
+    m, n, h = factor.modulus, factor.degree, factor.h
+    zmod_add = [[(i + j) % m for j in range(m)] for i in range(m)]
+    add = reduce(_product_table, [zmod_add] * n)
+    mul = []
+    for a in factor.elements():
+        row, v = [0], list(a)
+        for _ in range(n):
+            multiples, acc = [], 0
+            vi = reduce(lambda i, c: i * m + c, v, 0)
+            for _ in range(m):
+                multiples.append(acc)
+                acc = add[acc][vi]
+            row = [add[r][t] for r in row for t in multiples]
+            # v x, its x^n term rewritten as x^n - h
+            v = [(c - v[-1] * hc) % m for c, hc in zip([0] + v[:-1], h)]
+        mul.append(row)
+    return add, mul
 
 
 class FiniteRing:
@@ -221,7 +217,7 @@ class FiniteRing:
             itertools.product(*(f.elements() for f in factors))
         )
         self.index: dict[Element, int] = {v: i for i, v in enumerate(self.elements)}
-        adds, muls = zip(*(f.tables() for f in factors))
+        adds, muls = zip(*map(_factor_tables, factors))
         self.add_table = reduce(_product_table, adds)
         self.mul_table = reduce(_product_table, muls)
         self.zero_index = self.index[tuple((0,) * f.degree for f in factors)]
@@ -243,7 +239,7 @@ class FiniteRing:
 
     @cached_property
     def sl2ab(self) -> AbelianGroup:
-        return _abelianization(self, self.sl2_indices)
+        return _abelianization(self, _sl2_quotient(self))
 
 
 _ring_cache: dict[FiniteRingSpec, FiniteRing] = {}
@@ -311,7 +307,8 @@ def _extend(
 ) -> set[_IndexMat]:
     """Grow closed = <gens> = H in place to <gens, g>, append g to gens and
     return closed.  The new group is a union of cosets H r (Dimino's
-    algorithm): each new coset is filled at once, and only its
+    algorithm): each new coset is filled at once, from the rows of r's
+    entries in the symmetric multiplication table, and only its
     representative r is multiplied by the generators to find the next."""
     M, A = ring.mul_table, ring.add_table
     old = list(closed)
@@ -320,7 +317,13 @@ def _extend(
     while queue:
         r = queue.pop()
         if r not in closed:
-            closed.update([_mmul(h, r, M, A) for h in old])
+            Me, Mf, Mg, Mh = M[r[0]], M[r[1]], M[r[2]], M[r[3]]
+            closed.update(
+                [
+                    (A[Me[a]][Mg[b]], A[Mf[a]][Mh[b]], A[Me[c]][Mg[d]], A[Mf[c]][Mh[d]])
+                    for a, b, c, d in old
+                ]
+            )
             queue += [_mmul(r, x, M, A) for x in gens]
     return closed
 
@@ -364,8 +367,7 @@ def _sl2_indices(ring: FiniteRing) -> list[_IndexMat]:
             solutions[x].append(d)
         for b in rng:
             Mb = M[b]
-            for c in rng:
-                out.extend((a, b, c, d) for d in solutions[one_plus[Mb[c]]])
+            out += [(a, b, c, d) for c in rng for d in solutions[one_plus[Mb[c]]]]
     return out
 
 
@@ -389,103 +391,163 @@ def generate_from_elementary(
     _check_budget(spec.order, cap)
     r = ring_for(spec)
     closed, gens = {_identity(r)}, []
-    for g in _elementary(r, _additive_span(r, range(r.order))[0]):
+    for g in _elementary_gens(r):
         if g not in closed:
             _extend(r, closed, gens, g)
     return [_to_value_mat(r, m) for m in sorted(closed)]
 
 
-def _generators(ring: FiniteRing, group_idx: list[_IndexMat]) -> list[_IndexMat]:
-    """Generators from the group itself, so it need not be all of SL2: the
-    elementary matrices of an additive generating set of R, then all the
-    others, then each element, each joining when it lies in the group but
-    not in the subgroup generated so far, until that subgroup is the group."""
-    members = set(group_idx)
-    gens: list[_IndexMat] = []
-    closed = {_identity(ring)}
-    first = _elementary(ring, _additive_span(ring, range(ring.order))[0])
-    for g in itertools.chain(first, _elementary(ring, range(ring.order)), group_idx):
-        if len(closed) == len(members):
-            break
-        if g in members and g not in closed:
-            _extend(ring, closed, gens, g)
-    return gens
+class _Quotient(NamedTuple):
+    """G/G' for a group G = <gens>: derived is G', and reps holds one word in
+    gens per coset of G'."""
+
+    gens: list[_IndexMat]
+    derived: set[_IndexMat]
+    reps: list[_IndexMat]
 
 
-def _commutator_closure(ring: FiniteRing, group_idx: list[_IndexMat]) -> set[_IndexMat]:
-    """[G, G] as the normal closure N of the [x, y], x != y in generators X of
-    G: an element n outside N joins N's generators and queues each x^-1 n x.
-    Then X normalizes N, G/N is abelian and N <= [G, G], so N = [G, G]."""
+def _coset_reps(
+    ring: FiniteRing, derived: set[_IndexMat], gens: list[_IndexMat]
+) -> tuple[list[_IndexMat], list[_IndexMat]]:
+    """One word in gens per coset of N = derived in <gens>, which normalizes
+    N, and the inverse of each: breadth first from 1, a product r x joins
+    when r x s^-1 lies outside N for every word s found so far."""
     M, A = ring.mul_table, ring.add_table
-    xs = _generators(ring, group_idx)
-    pairs = [(_inverse(x, ring), x) for x in xs]
-    work = [
-        _mmul(_mmul(_mmul(x, y, M, A), xi, M, A), _inverse(y, ring), M, A)
-        for i, (xi, x) in enumerate(pairs)
-        for y in xs[i + 1 :]
-    ]
-    closed, gens = {_identity(ring)}, []
-    while work:
-        n = work.pop()
-        if n not in closed:
-            _extend(ring, closed, gens, n)
-            work += [_mmul(_mmul(xi, n, M, A), x, M, A) for xi, x in pairs]
-    return closed
+    reps = [_identity(ring)]
+    inverses = list(reps)
+    for r in reps:  # reps grows while it is read
+        for x in gens:
+            y = _mmul(r, x, M, A)
+            if all(_mmul(y, s, M, A) not in derived for s in inverses):
+                reps.append(y)
+                inverses.append(_inverse(y, ring))
+    return reps, inverses
+
+
+def _derived_quotient(
+    ring: FiniteRing,
+    order: int,
+    first: Iterable[_IndexMat],
+    rest: Iterable[_IndexMat],
+) -> _Quotient:
+    """G/G' for the group G of the given order that the matrices of first
+    and rest, all in G, generate.
+
+    X starts as first.  N is the normal closure of the commutators
+    [x, y] = x y x^-1 y^-1 of X: an element n outside N joins N's generators
+    and queues each x^-1 n x.  Then X normalizes N, <X>/N is abelian and
+    N <= <X>', so N = <X>'.  The cosets of N are found as words in X, and
+    |words| |N| = |<X>| = order certifies <X> = G.  Until it does, the next
+    matrix of rest outside <X> joins X, and N grows from where it stood.
+    If rest runs out first, no group of that order contains them all, and
+    ValueError is raised."""
+    M, A = ring.mul_table, ring.add_table
+    one = _identity(ring)
+    xs: list[_IndexMat] = []
+    pairs: list[tuple[_IndexMat, _IndexMat]] = []  # (x^-1, x) for x in X
+    derived, dgens = {one}, []
+    reps, inverses = [one], [one]
+    batches = itertools.chain([first], ([g] for g in rest))
+    while len(reps) * len(derived) != order:
+        batch = next(batches, None)
+        if batch is None:
+            raise ValueError(f"the {order} matrices given do not form a group")
+        known = len(xs)
+        work: list[_IndexMat] = []
+        for g in batch:
+            if any(_mmul(g, s, M, A) in derived for s in inverses):
+                continue  # g lies in <X> already
+            gi = _inverse(g, ring)
+            work += [
+                _mmul(_mmul(_mmul(x, g, M, A), xi, M, A), gi, M, A) for xi, x in pairs
+            ]
+            work += [_mmul(_mmul(gi, n, M, A), g, M, A) for n in dgens]
+            xs.append(g)
+            pairs.append((gi, g))
+        if len(xs) == known:
+            continue
+        while work:
+            n = work.pop()
+            if n not in derived:
+                _extend(ring, derived, dgens, n)
+                work += [_mmul(_mmul(xi, n, M, A), x, M, A) for xi, x in pairs]
+        reps, inverses = _coset_reps(ring, derived, xs)
+    return _Quotient(xs, derived, reps)
+
+
+def _elementary_gens(ring: FiniteRing) -> list[_IndexMat]:
+    """The elementary matrices of an additive generating set of R."""
+    return _elementary(ring, _additive_span(ring, range(ring.order))[0])
+
+
+def _sl2_quotient(ring: FiniteRing) -> _Quotient:
+    """SL2(R)/SL2(R)', X starting as _elementary_gens.  E12 and E21 are
+    homomorphisms from (R, +), so every other elementary matrix lies in <X>
+    already: SL2's own elements are the only candidates left to join X."""
+    group_idx = ring.sl2_indices
+    return _derived_quotient(ring, len(group_idx), _elementary_gens(ring), group_idx)
+
+
+def _quotient(ring: FiniteRing, group_idx: list[_IndexMat]) -> _Quotient:
+    """G/G' for the group G that group_idx lists.  X starts as the matrices
+    of _elementary_gens that lie in G; the other elementary matrices in G,
+    then G's own elements, are the candidates to join X.  Once |<X>| is the
+    number of matrices listed, each must lie in <X>, or they do not form a
+    group and ValueError is raised."""
+    M, A = ring.mul_table, ring.add_table
+    members = set(group_idx)
+    first = [g for g in _elementary_gens(ring) if g in members]
+    more = [g for g in _elementary(ring, range(ring.order)) if g in members]
+    quotient = _derived_quotient(
+        ring, len(members), first, itertools.chain(more, group_idx)
+    )
+    derived, inverses = quotient.derived, [_inverse(r, ring) for r in quotient.reps]
+    for g in members:
+        if all(_mmul(g, s, M, A) not in derived for s in inverses):
+            raise ValueError(f"the {len(members)} matrices given do not form a group")
+    return quotient
 
 
 def commutator_subgroup(spec: FiniteRingSpec, group: Iterable[Mat2]) -> set[Mat2]:
     """Subgroup generated by all pairwise commutators g h g^-1 h^-1.
 
     The input must be closed under multiplication and inverse (a subgroup of
-    SL2); the result is then automatically normal in it.
+    SL2), or ValueError is raised; the result is then automatically normal
+    in it.
     """
     r = ring_for(spec)
-    closed = _commutator_closure(r, [_to_index_mat(r, m) for m in group])
-    return {_to_value_mat(r, m) for m in closed}
+    derived = _quotient(r, [_to_index_mat(r, m) for m in group]).derived
+    return {_to_value_mat(r, m) for m in derived}
 
 
-def _quotient_profile(
-    elements: Iterable, subgroup: Iterable, op, identity
-) -> AbelianGroup:
-    """An abelian quotient G/N from its order statistics: the elements of G
-    are split into cosets g N, and each representative's powers under the
-    group operation op are walked back to the identity coset."""
-    coset_of: dict = {}
-    reps: list = []
-    for g in elements:
-        if g in coset_of:
-            continue
-        rid = len(reps)
-        reps.append(g)
-        for n in subgroup:
-            coset_of[op(g, n)] = rid
-    identity_coset = coset_of[identity]
+def _quotient_profile(reps: Iterable, subgroup: Container, op) -> AbelianGroup:
+    """An abelian quotient G/N from its order statistics, given one
+    representative per coset of N: each representative's powers under the
+    group operation op are walked back into N."""
     profile: dict[int, int] = {}
     for rep in reps:
         k = 1
         cur = rep
-        while coset_of[cur] != identity_coset:
+        while cur not in subgroup:
             cur = op(cur, rep)
             k += 1
         profile[k] = profile.get(k, 0) + 1
     return from_order_statistics(profile)
 
 
-def _abelianization(ring: FiniteRing, group_idx: list[_IndexMat]) -> AbelianGroup:
+def _abelianization(ring: FiniteRing, quotient: _Quotient) -> AbelianGroup:
     M, A = ring.mul_table, ring.add_table
     return _quotient_profile(
-        group_idx,
-        _commutator_closure(ring, group_idx),
-        lambda x, y: _mmul(x, y, M, A),
-        _identity(ring),
+        quotient.reps, quotient.derived, lambda x, y: _mmul(x, y, M, A)
     )
 
 
 def abelianization(spec: FiniteRingSpec, group: Iterable[Mat2]) -> AbelianGroup:
-    """Abelianization of a finite matrix group: quotient by the commutator
-    subgroup, identified through its element-order statistics."""
+    """Abelianization of a finite matrix group (ValueError if the matrices
+    do not form one): quotient by the commutator subgroup, identified
+    through its element-order statistics."""
     r = ring_for(spec)
-    return _abelianization(r, [_to_index_mat(r, m) for m in group])
+    return _abelianization(r, _quotient(r, [_to_index_mat(r, m) for m in group]))
 
 
 def sl2_abelianization(
@@ -525,6 +587,10 @@ def prop_local_formula(factor: RingFactor) -> AbelianGroup:
     if residue == 3:
         return AbelianGroup(0, (3,))
     # residue field F_2: the additive group of A/m^2
-    M = ring.mul_table
+    M, neg = ring.mul_table, ring.neg
     _, msq = _additive_span(ring, {M[a][b] for a in nonunits for b in nonunits})
-    return _quotient_profile(range(n), msq, lambda a, b: A[a][b], ring.zero_index)
+    reps: list[int] = []
+    for a in range(n):
+        if all(A[a][neg[r]] not in msq for r in reps):
+            reps.append(a)
+    return _quotient_profile(reps, msq, lambda a, b: A[a][b])

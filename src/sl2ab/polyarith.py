@@ -35,6 +35,51 @@ def check_limit(value: int, limit: int, name: str) -> None:
         raise ValueError(f"|{name}| must be at most {limit}, got {value}")
 
 
+# JSON documents read from outside are checked key by key, so that no float,
+# bool or string is taken for an integer; `what` names the document in the
+# ValueError("malformed <what>: ...") they raise.
+
+_JSON_KINDS = {
+    int: ("an integer", "integers"),
+    str: ("a string", "strings"),
+    dict: ("an object", "objects"),
+}
+
+
+def _is_json(value: object, kind: type) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def json_object(value: object, what: str) -> dict:
+    """value, when it is a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"malformed {what}: the document must be an object")
+    return value
+
+
+def json_value(doc: dict, key: str, what: str, kind: type = int, default=None):
+    """doc[key], or default when the key is absent, when it is of the given
+    kind: int (never a bool), str or dict."""
+    value = doc.get(key, default)
+    if not _is_json(value, kind):
+        raise ValueError(
+            f'malformed {what}: "{key}" must be {_JSON_KINDS[kind][0]}, got {value!r}'
+        )
+    return value
+
+
+def json_list(doc: dict, key: str, what: str, kind: type = int, default=None) -> list:
+    """doc[key], or default when the key is absent, when it is a list of
+    values of the given kind."""
+    value = doc.get(key, default)
+    if not isinstance(value, list) or not all(_is_json(v, kind) for v in value):
+        raise ValueError(
+            f'malformed {what}: "{key}" must be a list of {_JSON_KINDS[kind][1]}, '
+            f"got {value!r}"
+        )
+    return value
+
+
 def factorint(n: int) -> dict[int, int]:
     """Prime factorization of |n| by trial division, as {prime: exponent}."""
     n = abs(n)

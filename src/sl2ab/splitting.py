@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Union
+from typing import Union
 
 from .polyarith import (
     INTEGER_LIMIT,
@@ -30,6 +30,9 @@ from .polyarith import (
     irreducible_over_q_check,
     is_prime_power,
     is_squarefree,
+    json_list,
+    json_object,
+    json_value,
     multiplicative_order_factored,
     sturm_real_roots,
 )
@@ -52,7 +55,8 @@ def _check_radicand(d: int) -> None:
 class NotPMaximalError(Exception):
     """Z[theta] is not maximal at p, so the factorization of p is unreliable.
 
-    Recoverable by supplying explicit splitting data or a special field form.
+    Recoverable through sl2ab.UserNumberField, which takes the splitting of 2
+    and 3 as data, or through a quadratic or cyclotomic form.
     """
 
     def __init__(self, p: int, poly: IntPoly, obstruction: ModPoly):
@@ -62,7 +66,8 @@ class NotPMaximalError(Exception):
         super().__init__(
             f"Z[x]/({poly}) is not maximal at {p} "
             f"(Dedekind criterion obstruction: {obstruction}); "
-            "supply explicit splitting data or use a quadratic/cyclotomic form"
+            "give its splitting of 2 and 3 through sl2ab.UserNumberField, or "
+            "use --quadratic or --cyclotomic when the field is one of those"
         )
 
 
@@ -141,10 +146,20 @@ class SplittingData:
         return out
 
     @classmethod
-    def from_json(cls, data: Mapping) -> "SplittingData":
-        p = data["p"]
+    def from_json(cls, data: object) -> "SplittingData":
+        """The inverse of to_json.  A document of any other shape raises
+        ValueError("malformed splitting: ...")."""
+        what = "splitting"
+        doc = json_object(data, what)
+        p = json_value(doc, "p", what)
         primes = tuple(
-            PrimeAbove(p, q["e"], q["f"], q["label"]) for q in data["primes"]
+            PrimeAbove(
+                p,
+                json_value(q, "e", what),
+                json_value(q, "f", what),
+                json_value(q, "label", what, str),
+            )
+            for q in json_list(doc, "primes", what, dict)
         )
         return cls(p, sum(q.e * q.f for q in primes), primes)
 
@@ -530,33 +545,37 @@ class UserFunctionField(FunctionField):
 FieldSpec = Union[NumberField, FunctionField]
 
 
-def field_spec_from_json(data: Mapping) -> FieldSpec:
-    kind = data.get("kind")
+def field_spec_from_json(data: object) -> FieldSpec:
+    """The inverse of the field forms' to_json.  A document of any other
+    shape raises ValueError("malformed field spec: ...")."""
+    what = "field spec"
+    doc = json_object(data, what)
+    kind = doc.get("kind")
     if kind == "rational":
         return Rational()
     if kind == "quadratic":
-        return Quadratic(data["d"])
+        return Quadratic(json_value(doc, "d", what))
     if kind == "cyclotomic":
-        return Cyclotomic(data["n"])
+        return Cyclotomic(json_value(doc, "n", what))
     if kind == "poly":
-        return GeneralPoly(IntPoly(data["coefficients"]))
+        return GeneralPoly(IntPoly(json_list(doc, "coefficients", what)))
     if kind == "function_field":
-        return RationalFunction(data["q"])
-    if kind == "user" and "q" in data:
+        return RationalFunction(json_value(doc, "q", what))
+    if kind == "user" and "q" in doc:
+        split_t = json_list(doc, "split_t", what, dict, [])
         return UserFunctionField(
-            degree=data["degree"],
-            q=data["q"],
-            split_t=tuple(
-                SplittingData.from_json(sp) for sp in data.get("split_t", ())
-            ),
-            infinite_places=data.get("infinite_places", 1),
+            degree=json_value(doc, "degree", what),
+            q=json_value(doc, "q", what),
+            split_t=tuple(map(SplittingData.from_json, split_t)),
+            infinite_places=json_value(doc, "infinite_places", what, default=1),
         )
     if kind == "user":
-        sig = data["signature"]
+        sig = json_value(doc, "signature", what, dict)
+        r1, r2 = json_value(sig, "r1", what), json_value(sig, "r2", what)
         return UserNumberField(
-            degree=data["degree"],
-            signature=Signature(sig["r1"], sig["r2"]),
-            split2=SplittingData.from_json(data["split2"]),
-            split3=SplittingData.from_json(data["split3"]),
+            degree=json_value(doc, "degree", what),
+            signature=Signature(r1, r2),
+            split2=SplittingData.from_json(json_value(doc, "split2", what, dict)),
+            split3=SplittingData.from_json(json_value(doc, "split3", what, dict)),
         )
     raise ValueError(f"unknown field spec kind: {kind!r}")

@@ -19,7 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abgroup import AbelianGroup, canonicalize
-from .polyarith import INTEGER_LIMIT, check_limit, primes_dividing
+from .polyarith import (
+    INTEGER_LIMIT,
+    check_limit,
+    json_list,
+    json_object,
+    json_value,
+    primes_dividing,
+)
 from .splitting import Cyclotomic, FieldSpec, Quadratic, Rational, SplittingData
 
 
@@ -64,11 +71,15 @@ class SSet:
         }
 
     @classmethod
-    def from_json(cls, data) -> "SSet":
+    def from_json(cls, data: object) -> "SSet":
+        """The inverse of to_json, each key optional.  A document of any other
+        shape raises ValueError("malformed S-set: ...")."""
+        what = "S-set"
+        doc = json_object(data, what)
         return cls(
-            frozenset(data.get("removed_above_2", ())),
-            frozenset(data.get("removed_above_3", ())),
-            data.get("other_finite_primes", 0),
+            frozenset(json_list(doc, "removed_above_2", what, default=[])),
+            frozenset(json_list(doc, "removed_above_3", what, default=[])),
+            json_value(doc, "other_finite_primes", what, default=0),
         )
 
 

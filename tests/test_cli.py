@@ -19,6 +19,7 @@ from sl2ab.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_USAGE,
+    TABLE_ROW_LIMIT,
     dump_json,
     run,
 )
@@ -94,6 +95,8 @@ class TestComputeCommand:
         code, _, err = invoke(capsys, "compute", "--poly=-5,0,1")
         assert code == EXIT_NOT_MAXIMAL
         assert "not maximal at 2" in err
+        # the message names routes that exist: the library form or a flag
+        assert "sl2ab.UserNumberField" in err and "--quadratic" in err
 
     def test_poly_report(self, capsys):
         code, out, _ = invoke(capsys, "compute", "--poly=-5,0,0,1")
@@ -392,6 +395,29 @@ class TestTableCommand:
         )
         code, _, _ = invoke(capsys, "table", "z-inv-n", "1")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("quadratic", "2", "1000000000000"),
+            ("quadratic", "2", str(TABLE_ROW_LIMIT + 2)),
+            ("cyclotomic", "1000000"),
+            ("cyclotomic", str(TABLE_ROW_LIMIT + 1)),
+            ("z-inv-n", "1000000000000"),
+            ("z-inv-n", str(TABLE_ROW_LIMIT + 2)),
+        ],
+    )
+    def test_row_budget_exits_5_before_the_header(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "table", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_BUDGET
+        assert out == ""
+        assert f"past the row budget {TABLE_ROW_LIMIT}" in err
+
+    def test_row_budget_holds_the_longest_golden_table(self):
+        assert TABLE_ROW_LIMIT == 100_000
+        assert max(entry["lines"] for entry in TABLE_GOLDEN) - 1 <= TABLE_ROW_LIMIT
 
 
 class TestVerifyCommand:

@@ -1,10 +1,12 @@
 """Tests for the brute-force SL2 engine: ring construction, enumeration,
 generation by elementary matrices, commutator subgroups, abelianizations,
-the enumeration budget, and the local-ring closed form.  The incremental
-closures, the normal closure and the |R|^3 enumeration are compared with
-test-only references: the earlier generator search and normal closure that
-multiplied every element by every generator again whenever one joined, the
-closure of all pairwise commutators and the |R|^4 determinant scan."""
+the enumeration budget, and the local-ring closed form.  The quotient by the
+normal closure, its certified generating set, the ring tables and the |R|^3
+enumeration are compared with test-only references: a generator search and
+normal closure that multiply every element by every generator again whenever
+one joins, the closure of all pairwise commutators, an order profile read
+from a coset dict over the whole group, elementwise ring tables and the
+|R|^4 determinant scan."""
 
 import itertools
 import json
@@ -13,7 +15,13 @@ from functools import reduce
 
 import pytest
 
-from sl2ab.abgroup import TRIVIAL_GROUP, AbelianGroup, direct_sum
+from sl2ab import oracle
+from sl2ab.abgroup import (
+    TRIVIAL_GROUP,
+    AbelianGroup,
+    direct_sum,
+    from_order_statistics,
+)
 from sl2ab.oracle import (
     DEFAULT_RING_CAP,
     BudgetExceededError,
@@ -27,12 +35,12 @@ from sl2ab.oracle import (
     prop_local_formula,
     ring_for,
     sl2_abelianization,
-    _commutator_closure,
     _elementary,
-    _generators,
     _identity,
     _inverse,
     _mmul,
+    _quotient,
+    _sl2_quotient,
     _sl2_indices,
     _to_index_mat,
     _to_value_mat,
@@ -170,6 +178,33 @@ class TestFiniteRing:
         assert sl2_abelianization(F4) is ring.sl2ab is sl2_abelianization(F4)
         assert ring.sl2_indices is ring.sl2_indices
         assert len(enumerate_sl2_direct(F4)) == len(ring.sl2_indices) == 60
+
+    def test_every_memo_is_a_cache_dict(self):
+        # a cold start empties the module dicts named *_cache (as the
+        # oracle-cold benchmark workload does); any other memo would survive
+        spec = FiniteRingSpec((RingFactor(2, 2), RingFactor(3)))
+        ring = ring_for(spec)
+        assert ring.sl2ab == AbelianGroup(0, (12,))
+        state = {
+            name: value
+            for name, value in vars(oracle).items()
+            if not name.startswith("__")
+        }
+        memos = {
+            name
+            for name, value in state.items()
+            if isinstance(value, (dict, list, set)) and value
+        }
+        assert memos == {"_ring_cache"}
+        assert not [
+            name
+            for name, value in state.items()
+            if getattr(value, "__module__", None) == oracle.__name__
+            and hasattr(value, "cache_info")
+        ]
+        _empty_oracle_caches()
+        assert not oracle._ring_cache
+        assert ring_for(spec) is not ring
 
     def test_construction_cap(self):
         with pytest.raises(BudgetExceededError) as exc:
@@ -469,6 +504,34 @@ def _tables_reference(ring):
     return [table(add), table(_factor_mul_reference)]
 
 
+def _full_group_profile_reference(ring, group_idx, subgroup):
+    """G/N from its order statistics, every element of G filed in a coset
+    dict first, and each representative's powers walked back to N's coset."""
+    M, A = ring.mul_table, ring.add_table
+    coset_of = {}
+    reps = []
+    for g in group_idx:
+        if g not in coset_of:
+            for n in subgroup:
+                coset_of[_mmul(g, n, M, A)] = len(reps)
+            reps.append(g)
+    identity_coset = coset_of[_identity(ring)]
+    profile = {}
+    for rep in reps:
+        k, cur = 1, rep
+        while coset_of[cur] != identity_coset:
+            cur = _mmul(cur, rep, M, A)
+            k += 1
+        profile[k] = profile.get(k, 0) + 1
+    return from_order_statistics(profile)
+
+
+def _empty_oracle_caches():
+    for name, value in vars(oracle).items():
+        if name.endswith("_cache") and isinstance(value, dict):
+            value.clear()
+
+
 _LOCAL = dict(LOCAL_RINGS)
 
 # The rings of order <= 12 that are not Z/n, as products of local factors
@@ -485,6 +548,19 @@ PRODUCT_RINGS = tuple(
 )
 
 
+def _check_quotient(ring, group, quotient):
+    """The quotient's generators generate the group, its derived subgroup is
+    the reference normal closure, and its words meet each coset once."""
+    M, A = ring.mul_table, ring.add_table
+    assert _generated_subgroup(ring, quotient.gens) == sorted(group)
+    derived = quotient.derived
+    assert derived == _normal_closure_reference(ring, group)
+    reps = quotient.reps
+    assert len(reps) * len(derived) == len(group)
+    cosets = {frozenset(_mmul(r, n, M, A) for n in derived) for r in reps}
+    assert len(cosets) == len(reps)
+
+
 class TestAgainstReferences:
     def test_normal_closure_matches_all_pairs_on_sl2(self):
         # the all-pairs reference takes |G|^2 steps: 17M for SL2(F_16), so
@@ -496,7 +572,8 @@ class TestAgainstReferences:
             ring = ring_for(spec)
             group = ring.sl2_indices
             expected = _all_pairs_commutator_closure(ring, group)
-            assert _commutator_closure(ring, group) == expected, spec.describe()
+            assert _sl2_quotient(ring).derived == expected, spec.describe()
+            assert _quotient(ring, group).derived == expected, spec.describe()
 
     def test_normal_closure_matches_all_pairs_on_subgroups(self):
         rng = random.Random(4)
@@ -509,7 +586,7 @@ class TestAgainstReferences:
                 subgroup = _generated_subgroup(ring, rng.sample(sl2, 2))
                 sizes.add(len(subgroup))
                 expected = _all_pairs_commutator_closure(ring, subgroup)
-                assert _commutator_closure(ring, subgroup) == expected
+                assert _quotient(ring, subgroup).derived == expected
                 values = [_to_value_mat(ring, m) for m in subgroup]
                 assert commutator_subgroup(spec, values) == {
                     _to_value_mat(ring, m) for m in expected
@@ -523,10 +600,10 @@ class TestAgainstReferences:
         for spec in dict.fromkeys(specs):
             ring = ring_for(spec)
             group = [_to_index_mat(ring, m) for m in enumerate_sl2_direct(spec, cap=27)]
-            gens = _generators(ring, group)
-            assert _generated_subgroup(ring, gens) == sorted(group), spec.describe()
-            expected = _normal_closure_reference(ring, group)
-            assert _commutator_closure(ring, group) == expected, spec.describe()
+            quotient = _sl2_quotient(ring)
+            # X is the elementary matrices of an additive generating set
+            assert set(quotient.gens) <= set(_elementary(ring, range(ring.order)))
+            _check_quotient(ring, group, quotient)
 
     def test_incremental_closures_match_references_on_subgroups(self):
         rng = random.Random(11)
@@ -537,11 +614,50 @@ class TestAgainstReferences:
             for k in (2, 3, 2, 3):
                 subgroup = _generated_subgroup(ring, rng.sample(sl2, k))
                 sizes.add(len(subgroup))
-                gens = _generators(ring, subgroup)
-                assert _generated_subgroup(ring, gens) == subgroup, spec.describe()
-                expected = _normal_closure_reference(ring, subgroup)
-                assert _commutator_closure(ring, subgroup) == expected, spec.describe()
+                _check_quotient(ring, subgroup, _quotient(ring, subgroup))
         assert len(sizes) >= 10, sizes  # proper subgroups of many sizes
+
+    def test_abelianization_matches_full_group_profile_on_subgroups(self):
+        rng = random.Random(7)
+        seen = set()
+        for spec in (FiniteRingSpec.zmod(6), Z8, F4, EPS2) + PRODUCT_RINGS[:6]:
+            ring = ring_for(spec)
+            sl2 = ring.sl2_indices
+            for k in (1, 2, 2, 3):
+                subgroup = _generated_subgroup(ring, rng.sample(sl2, k))
+                expected = _full_group_profile_reference(
+                    ring, subgroup, _all_pairs_commutator_closure(ring, subgroup)
+                )
+                values = [_to_value_mat(ring, m) for m in reversed(subgroup)]
+                assert abelianization(spec, values) == expected, spec.describe()
+                seen.add(expected)
+        assert len(seen) >= 5, seen  # several abelianizations, not one
+
+    def test_rejects_matrices_that_are_not_a_group(self):
+        group = enumerate_sl2_direct(F3)
+        with pytest.raises(ValueError, match="do not form a group"):
+            abelianization(F3, group[:10])  # <X> overshoots the list
+        # <E12(1)> has four elements, as many as the list, but lacks E12(3)
+        # and holds no -I
+        z4 = FiniteRingSpec.zmod(4)
+        one, zero, minus = ((1,),), ((0,),), ((3,),)
+        listed = [Mat2(one, zero, zero, one), Mat2(minus, zero, zero, minus)]
+        listed += [Mat2(one, ((b,),), zero, one) for b in (1, 2)]
+        for call in (abelianization, commutator_subgroup):
+            with pytest.raises(ValueError, match="do not form a group"):
+                call(z4, listed)
+
+    def test_residue_field_f9_rings(self):
+        # order 81, past the default cap: GR(9, 2) and F_3[x]/((x^2+1)^2)
+        factors = (RingFactor(3, 2, (1, 0, 1)), RingFactor(3, 1, (1, 0, 2, 0, 1)))
+        try:
+            for factor in factors:
+                spec = FiniteRingSpec((factor,))
+                assert sl2_abelianization(spec, cap=81) == prop_local_formula(factor)
+                # |A|^3 (1 - |k|^-2) with |A| = 81, k = F_9
+                assert len(ring_for(spec).sl2_indices) == 81**3 - 81**2
+        finally:
+            _empty_oracle_caches()
 
     def test_derived_subgroup_abelianization(self):
         # SL2(F_3)' is the quaternion group Q8, whose abelianization is Z/2 + Z/2

@@ -388,6 +388,40 @@ class TestFieldSpecDispatch:
         with pytest.raises(ValueError):
             field_spec_from_json({"kind": "nonsense"})
 
+    def test_json_documents_are_checked(self):
+        # wrong JSON types are refused, with no float or bool read as an integer
+        user = {"kind": "user", "degree": 1, "signature": {"r1": 1, "r2": 0}}
+        bad_fields = [
+            [],
+            {"kind": "quadratic", "d": 5.0},
+            {"kind": "quadratic", "d": True},
+            {"kind": "quadratic"},
+            {"kind": "cyclotomic", "n": "8"},
+            {"kind": "poly", "coefficients": [-5, 0, 1.0]},
+            {"kind": "poly", "coefficients": "-5,0,1"},
+            {"kind": "function_field", "q": 2.0},
+            {"kind": "user", "degree": 1, "q": 2, "infinite_places": True},
+            {"kind": "user", "degree": 1, "q": 2, "split_t": {"p": 2}},
+            {**user, "signature": [1, 0]},
+            {**user, "split2": None},
+        ]
+        for doc in bad_fields:
+            with pytest.raises(ValueError, match="^malformed field spec"):
+                field_spec_from_json(doc)
+        good = Rational().split_at(2).to_json()
+        bad_splittings = [
+            None,
+            {**good, "p": 2.0},
+            {**good, "primes": [{"e": 1, "f": True, "label": "(2)"}]},
+            {**good, "primes": [{"e": 1, "f": 1, "label": 2}]},
+            {**good, "primes": [[1, 1, "(2)"]]},
+        ]
+        for doc in bad_splittings:
+            with pytest.raises(ValueError, match="^malformed splitting"):
+                SplittingData.from_json(doc)
+        with pytest.raises(ValueError, match="^malformed splitting"):
+            field_spec_from_json({**user, "split2": {**good, "p": "2"}})
+
 
 @st.composite
 def splitting_strategy(draw, p):

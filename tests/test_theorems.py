@@ -66,6 +66,15 @@ class TestSSet:
         s = SSet(frozenset({1}), frozenset(), 3)
         assert SSet.from_json(s.to_json()) == s
         assert SSet.from_json({}) == EMPTY_S
+        for doc in (
+            [],
+            {"other_finite_primes": True},
+            {"other_finite_primes": 1.0},
+            {"removed_above_2": 0},
+            {"removed_above_3": [0.0]},
+        ):
+            with pytest.raises(ValueError, match="^malformed S-set"):
+                SSet.from_json(doc)
 
     def test_s_for_inverted(self):
         assert s_for_inverted(6) == SSet(frozenset({0}), frozenset({0}), 0)
