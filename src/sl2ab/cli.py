@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_RING_CAP,
         metavar="B",
-        help=f"ring-order budget for the SL2 enumeration (default {DEFAULT_RING_CAP})",
+        help=f"ring-order budget, about B^3 steps (default {DEFAULT_RING_CAP})",
     )
     p_oracle.add_argument("--json", action="store_true", help="emit a JSON report")
 
@@ -312,8 +312,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         raise CliError(f"--cap must be >= 1, got {args.cap}")
     spec = _ring_spec_from_args(args)
     ab = sl2_abelianization(spec, cap=args.cap)
-    # counted on the oracle's cached index matrices, not as Mat2 values
-    sl2_order = len(ring_for(spec).sl2_indices)
+    sl2_order = ring_for(spec).sl2_order
     match = True
     formula = None
     if args.compare:

@@ -6,22 +6,23 @@ Galois ring GR(4, 2) = (Z/4)[x]/(x^2+x+1).  A factor element is its tuple of
 deg h coefficients mod p^k; products are reduced mod h.  At the scale this
 package cares about (ring order <= 16 by default) everything is done over
 index-space addition and multiplication tables, built by digit arithmetic
-mod p^k.  SL2(R) is enumerated once, for its order.  Its abelianization
-never walks the group again: X, the elementary matrices of an additive
-generating set of R, has G' as the normal closure of its commutators, and
-the cosets of G' are found as words in X.  |words| |G'| = |SL2(R)|
-certifies that X generates, and the invariants are read off the orders of
-the words in the quotient.  Closures grow one generator at a time, each
-paying only for the cosets it opens.  These routines are the ground truth
-the structure formulas are tested against.
+mod p^k.  |SL2(R)| is counted from the multiplication table; only
+enumerate_sl2_direct lists the group.  The abelianization walks G' and its
+cosets: X, the elementary matrices of an additive generating set of R, has
+G' as the normal closure of its commutators, and the cosets are words in X.
+|words| |G'| = |SL2(R)| certifies that X generates, and the invariants are
+read off the orders of the words in the quotient.  Closures grow one
+generator at a time, each paying only for the cosets it opens.  These
+routines are the ground truth the structure formulas are tested against.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from typing import Container, Iterable, NamedTuple, Sequence
+from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
 from .abgroup import AbelianGroup, from_order_statistics
 from .polyarith import (
@@ -201,7 +202,7 @@ class FiniteRing:
 
     Elements are numbered in the lexicographic order of their factor
     components; all group-level work downstream runs on the integer indexes.
-    SL2(R) and its abelianization are computed once, on first use.
+    |SL2(R)| and its abelianization are computed once, on first use.
     """
 
     def __init__(self, spec: FiniteRingSpec):
@@ -234,8 +235,11 @@ class FiniteRing:
         return any(x == one for x in self.mul_table[i])
 
     @cached_property
-    def sl2_indices(self) -> list[_IndexMat]:
-        return _sl2_indices(self)
+    def sl2_order(self) -> int:
+        """|SL2(R)| = sum over y of #{(a, d): a d = 1 + y} #{(b, c): b c = y}."""
+        products = Counter(itertools.chain.from_iterable(self.mul_table))
+        one_plus = self.add_table[self.one_index]
+        return sum(products[one_plus[y]] * count for y, count in products.items())
 
     @cached_property
     def sl2ab(self) -> AbelianGroup:
@@ -354,21 +358,18 @@ def _check_budget(order: int, cap: int) -> None:
         )
 
 
-def _sl2_indices(ring: FiniteRing) -> list[_IndexMat]:
+def _sl2_indices(ring: FiniteRing) -> Iterator[_IndexMat]:
     """(a, b, c, d) with a d = 1 + b c, in lexicographic order: for each a,
     the d solving a d = x are listed once per x, so the scan takes |R|^3 steps."""
-    n = ring.order
     M, one_plus = ring.mul_table, ring.add_table[ring.one_index]
-    out: list[_IndexMat] = []
-    rng = range(n)
+    rng = range(ring.order)
     for a in rng:
         solutions: list[list[int]] = [[] for _ in rng]
         for d, x in enumerate(M[a]):
             solutions[x].append(d)
         for b in rng:
             Mb = M[b]
-            out += [(a, b, c, d) for c in rng for d in solutions[one_plus[Mb[c]]]]
-    return out
+            yield from [(a, b, c, d) for c in rng for d in solutions[one_plus[Mb[c]]]]
 
 
 def enumerate_sl2_direct(
@@ -378,7 +379,7 @@ def enumerate_sl2_direct(
     lexicographic order."""
     _check_budget(spec.order, cap)
     r = ring_for(spec)
-    return [_to_value_mat(r, m) for m in r.sl2_indices]
+    return [_to_value_mat(r, m) for m in _sl2_indices(r)]
 
 
 def generate_from_elementary(
@@ -483,9 +484,9 @@ def _elementary_gens(ring: FiniteRing) -> list[_IndexMat]:
 def _sl2_quotient(ring: FiniteRing) -> _Quotient:
     """SL2(R)/SL2(R)', X starting as _elementary_gens.  E12 and E21 are
     homomorphisms from (R, +), so every other elementary matrix lies in <X>
-    already: SL2's own elements are the only candidates left to join X."""
-    group_idx = ring.sl2_indices
-    return _derived_quotient(ring, len(group_idx), _elementary_gens(ring), group_idx)
+    already: SL2's elements, listed lazily, are the only candidates left."""
+    order, gens = ring.sl2_order, _elementary_gens(ring)
+    return _derived_quotient(ring, order, gens, _sl2_indices(ring))
 
 
 def _quotient(ring: FiniteRing, group_idx: list[_IndexMat]) -> _Quotient:

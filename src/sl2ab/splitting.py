@@ -40,6 +40,10 @@ from .polyarith import (
 # A cyclotomic form lists up to phi(n) primes, so n is bounded more tightly
 # than the INTEGER_LIMIT on other inputs that reach trial division.
 CYCLOTOMIC_LIMIT = 10**6
+# Past these bounds a --poly input could keep the irreducibility certificate
+# and the Sturm count busy for minutes; random inputs at them take seconds.
+POLY_DEGREE_LIMIT = 64
+POLY_COEFFICIENT_LIMIT = 10**40
 
 
 def _check_p(p: int) -> None:
@@ -406,7 +410,8 @@ class Cyclotomic(NumberField):
 
 @dataclass(frozen=True)
 class GeneralPoly(NumberField):
-    """Q[x]/(f) for monic f irreducible over Q (checked on construction).
+    """Q[x]/(f) for monic f irreducible over Q (checked on construction), of
+    degree <= POLY_DEGREE_LIMIT with |coefficients| <= POLY_COEFFICIENT_LIMIT.
 
     The ring used downstream is Z[x]/(f); splitting at 2 and 3 goes through
     the Dedekind criterion and fails loudly when Z[theta] is not maximal there.
@@ -417,6 +422,9 @@ class GeneralPoly(NumberField):
     def __post_init__(self) -> None:
         if not self.poly.is_monic or self.poly.degree < 1:
             raise ValueError(f"need a monic polynomial of degree >= 1: {self.poly!r}")
+        check_limit(self.poly.degree, POLY_DEGREE_LIMIT, "degree")
+        for c in self.poly.coeffs:
+            check_limit(c, POLY_COEFFICIENT_LIMIT, "coefficient")
         if not irreducible_over_q_check(self.poly):
             raise ValueError(
                 f"{self.poly} is reducible over Q and does not define a field"

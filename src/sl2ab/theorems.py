@@ -85,11 +85,17 @@ class SSet:
 
 EMPTY_S = SSet()
 
+# Each inverted integer is factored by trial division, about 0.07 s near
+# 10^12, so the number of them is bounded as well as their size.
+INVERTED_COUNT_LIMIT = 32
+
 
 def s_for_inverted(*ns: int) -> SSet:
     """S-set of Z[1/(n1 n2 ...)]: the rational primes dividing any of the
     given integers, sorted into the slots the structure formulas read (2 and
-    3 by index, the rest by count).  Each integer must lie in [2, 10^12]."""
+    3 by index, the rest by count).  Each integer must lie in [2, 10^12],
+    and at most INVERTED_COUNT_LIMIT are given."""
+    check_limit(len(ns), INVERTED_COUNT_LIMIT, "number of integers")
     ps: set[int] = set()
     for n in ns:
         if n < 2:

@@ -19,6 +19,7 @@ from .oracle import (
     enumerate_sl2_direct,
     generate_from_elementary,
     prop_local_formula,
+    ring_for,
     sl2_abelianization,
 )
 from .polyarith import cyclotomic_polynomial, is_squarefree, primes_dividing
@@ -267,7 +268,8 @@ def suite_ge2() -> list[CaseResult]:
 def suite_product_lemma() -> list[CaseResult]:
     """SL2 over a product ring decomposes: the Z/12 abelianization equals the
     direct sum of its Z/4 and Z/3 local results, and the direct enumeration
-    matches the |SL2(Z/n)| order formula for n <= 16."""
+    and the count from the ring tables match the |SL2(Z/n)| order formula
+    for n <= 16."""
     out: list[CaseResult] = []
     ab12 = sl2_abelianization(FiniteRingSpec.zmod(12))
     ab4 = sl2_abelianization(FiniteRingSpec.zmod(4))
@@ -282,13 +284,15 @@ def suite_product_lemma() -> list[CaseResult]:
         )
     )
     for n in range(2, 17):
-        counted = len(enumerate_sl2_direct(FiniteRingSpec.zmod(n)))
+        spec = FiniteRingSpec.zmod(n)
+        listed = len(enumerate_sl2_direct(spec))
+        counted = ring_for(spec).sl2_order
         predicted = sl2_order_zmod(n)
         out.append(
             CaseResult(
                 f"|SL2(Z/{n})|",
-                counted == predicted,
-                f"counted {counted} | formula {predicted}",
+                listed == counted == predicted,
+                f"listed {listed} | counted {counted} | formula {predicted}",
             )
         )
     return out

@@ -218,6 +218,10 @@ class TestGoldenTables:
         assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
 
 
+def _poly_arg(coeffs):
+    return "--poly=" + ",".join(map(str, coeffs))
+
+
 def _zmodpk_ring(p, k):
     return {"factors": [{"kind": "zmodpk", "p": p, "k": k}]}
 
@@ -225,7 +229,9 @@ def _zmodpk_ring(p, k):
 class TestInputLimits:
     """Integers that reach trial division are bounded: one past the limit
     exits 4 at once instead of running for minutes.  So are the exponents
-    of an oracle ring, whose order would otherwise be too large to print."""
+    of an oracle ring, whose order would otherwise be too large to print,
+    the degree and coefficients of a --poly input, and the number of
+    --invert integers."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -243,6 +249,15 @@ class TestInputLimits:
             ("oracle", "--ring", _zmodpk_ring(2, 20000)),
             ("oracle", "--ring", _zmodpk_ring(2, 10**9)),
             ("table", "z-inv-n", "1000000000001"),
+            # --poly: degree past 64, a coefficient past 10^40
+            ("compute", _poly_arg([2] + [0] * 64 + [1])),
+            ("compute", _poly_arg([2] + [0] * 399 + [1])),
+            ("compute", _poly_arg([1, 10**40 + 1, 1])),
+            ("compute", _poly_arg([-(10**40) - 1, 0, 0, 1])),
+            ("compute", _poly_arg([10**3999] * 20 + [1])),
+            # --invert: more than 32 integers, each of them factored
+            ("compute", "--rational", "--invert", ",".join(["999999999989"] * 33)),
+            ("compute", "--rational", "--invert", ",".join(["999999999989"] * 100)),
         ],
     )
     def test_exit_4_in_under_a_second(self, capsys, tmp_path, argv):
@@ -260,6 +275,26 @@ class TestInputLimits:
         assert out == ""
         assert "must be at most" in err
         assert elapsed < 1.0, f"took {elapsed:.2f}s"
+
+    def test_inputs_at_the_limits_still_compute(self, capsys):
+        for argv in (
+            _poly_arg([2] + [0] * 63 + [1]),  # x^64 + 2, Eisenstein at 2
+            _poly_arg([1, 10**40, 1]),
+            _poly_arg([1, -(10**40), 1]),
+        ):
+            code, out, err = invoke(capsys, "compute", argv)
+            assert (code, err) == (EXIT_OK, ""), argv
+            assert out.startswith("field: Q[x]/(x^")
+        code, out, err = invoke(
+            capsys, "compute", "--rational", "--invert", ",".join(["35"] * 32)
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert "2 other inverted prime(s)" in out
+        code, _, err = invoke(
+            capsys, "compute", "--rational", "--invert", ",".join(["35"] * 33)
+        )
+        assert code == EXIT_USAGE
+        assert err == "error: |number of integers| must be at most 32, got 33\n"
 
 
 class TestOracleCommand:
@@ -282,6 +317,33 @@ class TestOracleCommand:
         assert doc["sl2_order"] == 48
         assert doc["group"] == {"free_rank": 0, "invariant_factors": [4]}
         assert doc["compare"]["match"] is True
+
+    def test_sl2_is_counted_not_listed(self, capsys, monkeypatch):
+        # the request walks G' and the coset words only: the lazy list of
+        # SL2(R), the fallback candidates, is never pulled
+        def refuse(ring):
+            raise AssertionError("SL2(R) listed")
+            yield
+
+        monkeypatch.setattr(oracle, "_sl2_indices", refuse)
+        monkeypatch.setattr(oracle, "_ring_cache", {})
+        code, out, err = invoke(capsys, "oracle", "--zmod", "12", "--compare", "--json")
+        assert (code, err) == (EXIT_OK, "")
+        group = {"free_rank": 0, "invariant_factors": [12]}
+        assert out == dump_json(
+            {
+                "compare": {"formula_group": group, "match": True},
+                "group": group,
+                "ring": {
+                    "factors": [
+                        {"k": 2, "kind": "zmodpk", "p": 2},
+                        {"k": 1, "kind": "zmodpk", "p": 3},
+                    ]
+                },
+                "ring_order": 12,
+                "sl2_order": 1152,
+            }
+        )
 
     def test_ring_file(self, capsys, tmp_path):
         path = tmp_path / "f4.json"

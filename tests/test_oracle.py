@@ -11,7 +11,7 @@ from a coset dict over the whole group, elementwise ring tables and the
 import itertools
 import json
 import random
-from functools import reduce
+from functools import cached_property, reduce
 
 import pytest
 
@@ -173,11 +173,17 @@ class TestFiniteRing:
 
     def test_ring_cache(self):
         assert ring_for(F4) is ring_for(F4)
-        # each ring enumerates SL2 and abelianizes it once, however reached
+        # each ring counts SL2 and abelianizes it once, however reached, and
+        # keeps no list of the group
         ring = ring_for(F4)
         assert sl2_abelianization(F4) is ring.sl2ab is sl2_abelianization(F4)
-        assert ring.sl2_indices is ring.sl2_indices
-        assert len(enumerate_sl2_direct(F4)) == len(ring.sl2_indices) == 60
+        assert ring.sl2_order == len(enumerate_sl2_direct(F4)) == 60
+        memos = [
+            name
+            for name, value in vars(oracle.FiniteRing).items()
+            if isinstance(value, cached_property)
+        ]
+        assert memos == ["sl2_order", "sl2ab"]
 
     def test_every_memo_is_a_cache_dict(self):
         # a cold start empties the module dicts named *_cache (as the
@@ -570,7 +576,7 @@ class TestAgainstReferences:
         assert len(specs) == 25
         for spec in specs:
             ring = ring_for(spec)
-            group = ring.sl2_indices
+            group = list(_sl2_indices(ring))
             expected = _all_pairs_commutator_closure(ring, group)
             assert _sl2_quotient(ring).derived == expected, spec.describe()
             assert _quotient(ring, group).derived == expected, spec.describe()
@@ -580,7 +586,7 @@ class TestAgainstReferences:
         for n in (6, 8):
             spec = FiniteRingSpec.zmod(n)
             ring = ring_for(spec)
-            sl2 = ring.sl2_indices
+            sl2 = list(_sl2_indices(ring))
             sizes = set()
             for _ in range(25):
                 subgroup = _generated_subgroup(ring, rng.sample(sl2, 2))
@@ -610,7 +616,7 @@ class TestAgainstReferences:
         sizes = set()
         for spec in PRODUCT_RINGS:
             ring = ring_for(spec)
-            sl2 = ring.sl2_indices
+            sl2 = list(_sl2_indices(ring))
             for k in (2, 3, 2, 3):
                 subgroup = _generated_subgroup(ring, rng.sample(sl2, k))
                 sizes.add(len(subgroup))
@@ -622,7 +628,7 @@ class TestAgainstReferences:
         seen = set()
         for spec in (FiniteRingSpec.zmod(6), Z8, F4, EPS2) + PRODUCT_RINGS[:6]:
             ring = ring_for(spec)
-            sl2 = ring.sl2_indices
+            sl2 = list(_sl2_indices(ring))
             for k in (1, 2, 2, 3):
                 subgroup = _generated_subgroup(ring, rng.sample(sl2, k))
                 expected = _full_group_profile_reference(
@@ -655,7 +661,8 @@ class TestAgainstReferences:
                 spec = FiniteRingSpec((factor,))
                 assert sl2_abelianization(spec, cap=81) == prop_local_formula(factor)
                 # |A|^3 (1 - |k|^-2) with |A| = 81, k = F_9
-                assert len(ring_for(spec).sl2_indices) == 81**3 - 81**2
+                ring = ring_for(spec)
+                assert ring.sl2_order == len(list(_sl2_indices(ring))) == 81**3 - 81**2
         finally:
             _empty_oracle_caches()
 
@@ -687,4 +694,23 @@ class TestAgainstReferences:
         specs += [spec for _, spec in GE2_RINGS] + list(PRODUCT_RINGS)
         for spec in specs:
             ring = ring_for(spec)
-            assert _sl2_indices(ring) == _sl2_indices_r4(ring), spec.describe()
+            assert list(_sl2_indices(ring)) == _sl2_indices_r4(ring), spec.describe()
+
+    def test_sl2_order_counts_the_enumeration(self):
+        specs = [spec for _, spec in GE2_RINGS] + list(PRODUCT_RINGS)
+        specs += [FiniteRingSpec.zmod(n) for n in (13, 14, 15, 16)]
+        specs += [GR4_2, Z4_RAMIFIED, FiniteRingSpec((RingFactor(2, 2, (0, 0, 1)),))]
+        specs += [FiniteRingSpec.zmod(n) for n in (25, 27)]  # past the default cap
+        for spec in dict.fromkeys(specs):
+            ring = ring_for(spec)
+            listed = enumerate_sl2_direct(spec, cap=27)
+            assert ring.sl2_order == len(list(_sl2_indices(ring))) == len(listed)
+            # and the closed form: |A|^3 (1 - q^-2) per local factor A, with
+            # q = |A| / |m| the order of its residue field
+            expected = 1
+            for factor in spec.factors:
+                local = ring_for(FiniteRingSpec((factor,)))
+                units = sum(map(local.is_unit_index, range(local.order)))
+                q = local.order // (local.order - units)
+                expected *= local.order**3 * (q * q - 1) // (q * q)
+            assert ring.sl2_order == expected, spec.describe()
