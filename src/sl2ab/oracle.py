@@ -11,9 +11,11 @@ enumerate_sl2_direct lists the group.  The abelianization walks G' and its
 cosets: X, the elementary matrices of an additive generating set of R, has
 G' as the normal closure of its commutators, and the cosets are words in X.
 |words| |G'| = |SL2(R)| certifies that X generates, and the invariants are
-read off the orders of the words in the quotient.  Closures grow one
-generator at a time, each paying only for the cosets it opens.  These
-routines are the ground truth the structure formulas are tested against.
+read off the orders of the words in the quotient.  For a listed subgroup, X
+is the generating set its closure picks, and the list is a group exactly
+when that closure equals it.  Closures grow one generator at a time, each
+paying only for the cosets it opens.  These routines are the ground truth
+the structure formulas are tested against.
 """
 
 from __future__ import annotations
@@ -391,10 +393,7 @@ def generate_from_elementary(
     test suite checks that equality rather than assuming it."""
     _check_budget(spec.order, cap)
     r = ring_for(spec)
-    closed, gens = {_identity(r)}, []
-    for g in _elementary_gens(r):
-        if g not in closed:
-            _extend(r, closed, gens, g)
+    closed, _ = _closure(r, _elementary_gens(r))
     return [_to_value_mat(r, m) for m in sorted(closed)]
 
 
@@ -407,72 +406,50 @@ class _Quotient(NamedTuple):
     reps: list[_IndexMat]
 
 
-def _coset_reps(
-    ring: FiniteRing, derived: set[_IndexMat], gens: list[_IndexMat]
-) -> tuple[list[_IndexMat], list[_IndexMat]]:
-    """One word in gens per coset of N = derived in <gens>, which normalizes
-    N, and the inverse of each: breadth first from 1, a product r x joins
-    when r x s^-1 lies outside N for every word s found so far."""
+def _closure(
+    ring: FiniteRing, candidates: Iterable[_IndexMat], bound: int | None = None
+) -> tuple[set[_IndexMat], list[_IndexMat]]:
+    """The group the candidates generate, and a generating set of it: each
+    candidate, in turn, joins the generators when the group so far lacks it.
+    Once the group outgrows bound, the walk stops with what it has."""
+    closed, gens = {_identity(ring)}, []
+    for g in candidates:
+        if g not in closed:
+            _extend(ring, closed, gens, g)
+            if bound is not None and len(closed) > bound:
+                break
+    return closed, gens
+
+
+def _derived_quotient(ring: FiniteRing, xs: list[_IndexMat]) -> _Quotient:
+    """G/G' for the group G = <X> that the matrices xs generate.
+
+    N is the normal closure of the commutators [x, y] = x y x^-1 y^-1 of X:
+    an element n outside N joins N's generators and queues each x^-1 n x.
+    Then X normalizes N, <X>/N is abelian and N <= <X>', so N = <X>'.  The
+    cosets of N are found as words in X, breadth first from 1: a product
+    r x joins when r x s^-1 lies outside N for every word s found so far."""
     M, A = ring.mul_table, ring.add_table
-    reps = [_identity(ring)]
-    inverses = list(reps)
+    one = _identity(ring)
+    pairs = [(_inverse(x, ring), x) for x in xs]
+    work = [
+        _mmul(_mmul(_mmul(x, g, M, A), xi, M, A), gi, M, A)
+        for j, (gi, g) in enumerate(pairs)
+        for xi, x in pairs[:j]
+    ]
+    derived, dgens = {one}, []
+    while work:
+        n = work.pop()
+        if n not in derived:
+            _extend(ring, derived, dgens, n)
+            work += [_mmul(_mmul(xi, n, M, A), x, M, A) for xi, x in pairs]
+    reps, inverses = [one], [one]
     for r in reps:  # reps grows while it is read
-        for x in gens:
+        for x in xs:
             y = _mmul(r, x, M, A)
             if all(_mmul(y, s, M, A) not in derived for s in inverses):
                 reps.append(y)
                 inverses.append(_inverse(y, ring))
-    return reps, inverses
-
-
-def _derived_quotient(
-    ring: FiniteRing,
-    order: int,
-    first: Iterable[_IndexMat],
-    rest: Iterable[_IndexMat],
-) -> _Quotient:
-    """G/G' for the group G of the given order that the matrices of first
-    and rest, all in G, generate.
-
-    X starts as first.  N is the normal closure of the commutators
-    [x, y] = x y x^-1 y^-1 of X: an element n outside N joins N's generators
-    and queues each x^-1 n x.  Then X normalizes N, <X>/N is abelian and
-    N <= <X>', so N = <X>'.  The cosets of N are found as words in X, and
-    |words| |N| = |<X>| = order certifies <X> = G.  Until it does, the next
-    matrix of rest outside <X> joins X, and N grows from where it stood.
-    If rest runs out first, no group of that order contains them all, and
-    ValueError is raised."""
-    M, A = ring.mul_table, ring.add_table
-    one = _identity(ring)
-    xs: list[_IndexMat] = []
-    pairs: list[tuple[_IndexMat, _IndexMat]] = []  # (x^-1, x) for x in X
-    derived, dgens = {one}, []
-    reps, inverses = [one], [one]
-    batches = itertools.chain([first], ([g] for g in rest))
-    while len(reps) * len(derived) != order:
-        batch = next(batches, None)
-        if batch is None:
-            raise ValueError(f"the {order} matrices given do not form a group")
-        known = len(xs)
-        work: list[_IndexMat] = []
-        for g in batch:
-            if any(_mmul(g, s, M, A) in derived for s in inverses):
-                continue  # g lies in <X> already
-            gi = _inverse(g, ring)
-            work += [
-                _mmul(_mmul(_mmul(x, g, M, A), xi, M, A), gi, M, A) for xi, x in pairs
-            ]
-            work += [_mmul(_mmul(gi, n, M, A), g, M, A) for n in dgens]
-            xs.append(g)
-            pairs.append((gi, g))
-        if len(xs) == known:
-            continue
-        while work:
-            n = work.pop()
-            if n not in derived:
-                _extend(ring, derived, dgens, n)
-                work += [_mmul(_mmul(xi, n, M, A), x, M, A) for xi, x in pairs]
-        reps, inverses = _coset_reps(ring, derived, xs)
     return _Quotient(xs, derived, reps)
 
 
@@ -482,31 +459,28 @@ def _elementary_gens(ring: FiniteRing) -> list[_IndexMat]:
 
 
 def _sl2_quotient(ring: FiniteRing) -> _Quotient:
-    """SL2(R)/SL2(R)', X starting as _elementary_gens.  E12 and E21 are
-    homomorphisms from (R, +), so every other elementary matrix lies in <X>
-    already: SL2's elements, listed lazily, are the only candidates left."""
-    order, gens = ring.sl2_order, _elementary_gens(ring)
-    return _derived_quotient(ring, order, gens, _sl2_indices(ring))
+    """SL2(R)/SL2(R)', X being _elementary_gens.  SL2 = E2 over every finite
+    commutative ring, a product of local rings, so X generates; the count
+    |words| |G'| = |SL2(R)| certifies it, and RuntimeError is raised if it
+    ever fails."""
+    quotient = _derived_quotient(ring, _elementary_gens(ring))
+    found = len(quotient.reps) * len(quotient.derived)
+    if found != ring.sl2_order:
+        r = ring.spec.describe()
+        raise RuntimeError(f"X generates {found} of |SL2({r})| = {ring.sl2_order}")
+    return quotient
 
 
 def _quotient(ring: FiniteRing, group_idx: list[_IndexMat]) -> _Quotient:
-    """G/G' for the group G that group_idx lists.  X starts as the matrices
-    of _elementary_gens that lie in G; the other elementary matrices in G,
-    then G's own elements, are the candidates to join X.  Once |<X>| is the
-    number of matrices listed, each must lie in <X>, or they do not form a
-    group and ValueError is raised."""
-    M, A = ring.mul_table, ring.add_table
+    """G/G' for the group G that group_idx lists, X being the generating set
+    _closure picks from the list.  The list is a group exactly when its
+    closure equals it; if not, ValueError is raised, as soon as the closure
+    outgrows the list."""
     members = set(group_idx)
-    first = [g for g in _elementary_gens(ring) if g in members]
-    more = [g for g in _elementary(ring, range(ring.order)) if g in members]
-    quotient = _derived_quotient(
-        ring, len(members), first, itertools.chain(more, group_idx)
-    )
-    derived, inverses = quotient.derived, [_inverse(r, ring) for r in quotient.reps]
-    for g in members:
-        if all(_mmul(g, s, M, A) not in derived for s in inverses):
-            raise ValueError(f"the {len(members)} matrices given do not form a group")
-    return quotient
+    closed, xs = _closure(ring, group_idx, len(members))
+    if closed != members:
+        raise ValueError(f"the {len(members)} matrices given do not form a group")
+    return _derived_quotient(ring, xs)
 
 
 def commutator_subgroup(spec: FiniteRingSpec, group: Iterable[Mat2]) -> set[Mat2]:
@@ -554,7 +528,8 @@ def abelianization(spec: FiniteRingSpec, group: Iterable[Mat2]) -> AbelianGroup:
 def sl2_abelianization(
     spec: FiniteRingSpec, cap: int = DEFAULT_RING_CAP
 ) -> AbelianGroup:
-    """Abelianization of SL2(R), fully by enumeration (cached per ring)."""
+    """Abelianization of SL2(R) from the cosets of its commutator subgroup,
+    without listing the group (cached per ring)."""
     _check_budget(spec.order, cap)
     return ring_for(spec).sl2ab
 

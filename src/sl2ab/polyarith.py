@@ -29,10 +29,25 @@ class BudgetExceededError(Exception):
 INTEGER_LIMIT = 10**12
 
 
+# Error messages show an input in full only up to this many characters.
+_SHOWN_LENGTH = 50
+
+
+def _digit_count(n: int) -> int:
+    """Decimal digits of n >= 1, counted without str(), which has a limit."""
+    d = (n.bit_length() - 1) * 3 // 10  # 10^d <= 2^(bit_length - 1) <= n
+    while 10**d <= n:
+        d += 1
+    return d
+
+
 def check_limit(value: int, limit: int, name: str) -> None:
-    """Raise ValueError when |value| exceeds limit."""
+    """Raise ValueError when |value| exceeds limit; a long value is named by
+    its digit count."""
     if abs(value) > limit:
-        raise ValueError(f"|{name}| must be at most {limit}, got {value}")
+        long = abs(value) >= 10**_SHOWN_LENGTH
+        shown = f"a {_digit_count(abs(value))}-digit number" if long else value
+        raise ValueError(f"|{name}| must be at most {limit}, got {shown}")
 
 
 # JSON documents read from outside are checked key by key, so that no float,
@@ -190,10 +205,16 @@ class IntPoly:
         body = text.replace("−", "-").strip()
         if not body:
             raise ValueError("empty polynomial")
-        try:
-            return cls(int(part.strip()) for part in body.split(","))
-        except ValueError:
-            raise ValueError(f"bad polynomial coefficient list: {text!r}") from None
+        coeffs = []
+        for part in body.split(","):
+            try:
+                coeffs.append(int(part))
+            except ValueError:  # also a run of digits past the parse limit
+                part = part.strip()
+                long = len(part) > _SHOWN_LENGTH
+                shown = f"of {len(part)} characters" if long else repr(part)
+                raise ValueError(f"bad polynomial coefficient {shown}") from None
+        return cls(coeffs)
 
     @classmethod
     def x_power_minus_one(cls, n: int) -> "IntPoly":

@@ -226,6 +226,10 @@ def _zmodpk_ring(p, k):
     return {"factors": [{"kind": "zmodpk", "p": p, "k": k}]}
 
 
+def _polyquot_ring(p, k, h):
+    return {"factors": [{"kind": "polyquot", "p": p, "k": k, "h": h}]}
+
+
 class TestInputLimits:
     """Integers that reach trial division are bounded: one past the limit
     exits 4 at once instead of running for minutes.  So are the exponents
@@ -258,6 +262,12 @@ class TestInputLimits:
             # --invert: more than 32 integers, each of them factored
             ("compute", "--rational", "--invert", ",".join(["999999999989"] * 33)),
             ("compute", "--rational", "--invert", ",".join(["999999999989"] * 100)),
+            # values of thousands of digits, named by their digit count
+            ("compute", _poly_arg([-int("1" * 4000), 1])),
+            ("compute", "--quadratic", "1" * 4000),
+            ("oracle", "--zmod", "1" * 4000),
+            # k * deg h has 4301 digits, past Python's limit for printing an int
+            ("oracle", "--ring", _polyquot_ring(2, 10**4299, [0] * 10 + [1])),
         ],
     )
     def test_exit_4_in_under_a_second(self, capsys, tmp_path, argv):
@@ -274,6 +284,7 @@ class TestInputLimits:
         assert code == EXIT_USAGE
         assert out == ""
         assert "must be at most" in err
+        assert len(err.encode()) < 200 and err.count("\n") == 1, err
         assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
     def test_inputs_at_the_limits_still_compute(self, capsys):
@@ -295,6 +306,15 @@ class TestInputLimits:
         )
         assert code == EXIT_USAGE
         assert err == "error: |number of integers| must be at most 32, got 33\n"
+
+    @pytest.mark.parametrize(
+        "coefficient", ["1" * 5000, "x" * 5000], ids=["digits", "text"]
+    )
+    def test_unreadable_coefficient_gives_a_short_error(self, capsys, coefficient):
+        # 5000 digits is past Python's 4300-digit limit for reading an int
+        code, out, err = invoke(capsys, "compute", _poly_arg([coefficient, 0, 1]))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: bad polynomial coefficient of 5000 characters\n"
 
 
 class TestOracleCommand:
@@ -320,7 +340,7 @@ class TestOracleCommand:
 
     def test_sl2_is_counted_not_listed(self, capsys, monkeypatch):
         # the request walks G' and the coset words only: the lazy list of
-        # SL2(R), the fallback candidates, is never pulled
+        # SL2(R) is never pulled
         def refuse(ring):
             raise AssertionError("SL2(R) listed")
             yield

@@ -653,6 +653,15 @@ class TestAgainstReferences:
             with pytest.raises(ValueError, match="do not form a group"):
                 call(z4, listed)
 
+    def test_closure_stops_once_it_outgrows_the_bound(self):
+        # a listed non-group is refused from a closure just past its length,
+        # not from all of SL2(Z/64)
+        ring = ring_for(FiniteRingSpec.zmod(64))
+        gens = _elementary(ring, [ring.one_index])
+        closed, xs = oracle._closure(ring, gens, 2)
+        assert (len(closed), xs) == (64, gens[:1])
+        assert len(oracle._closure(ring, gens)[0]) == ring.sl2_order
+
     def test_residue_field_f9_rings(self):
         # order 81, past the default cap: GR(9, 2) and F_3[x]/((x^2+1)^2)
         factors = (RingFactor(3, 2, (1, 0, 1)), RingFactor(3, 1, (1, 0, 2, 0, 1)))
@@ -663,6 +672,24 @@ class TestAgainstReferences:
                 # |A|^3 (1 - |k|^-2) with |A| = 81, k = F_9
                 ring = ring_for(spec)
                 assert ring.sl2_order == len(list(_sl2_indices(ring))) == 81**3 - 81**2
+        finally:
+            _empty_oracle_caches()
+
+    def test_sl2_certificate_failure_raises(self, monkeypatch):
+        # with only the E12 matrices, X generates the upper unitriangular
+        # group: |words| |G'| = |R| falls short of |SL2(R)|, and the quotient
+        # must be refused, not returned
+        elementary_gens = oracle._elementary_gens
+
+        def upper_only(ring):
+            return [g for g in elementary_gens(ring) if g[2] == ring.zero_index]
+
+        monkeypatch.setattr(oracle, "_elementary_gens", upper_only)
+        _empty_oracle_caches()
+        try:
+            for spec in (F2, Z4, FiniteRingSpec.zmod(6)):
+                with pytest.raises(RuntimeError, match="generate"):
+                    _sl2_quotient(ring_for(spec))
         finally:
             _empty_oracle_caches()
 
