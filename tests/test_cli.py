@@ -35,6 +35,10 @@ GOLDEN = json.loads((Path(__file__).parent / "compute_golden.json").read_text())
 # Full classification tables, stored as the sha256 and line count of their
 # stdout: every row of a long table must stay byte-identical.
 TABLE_GOLDEN = json.loads((Path(__file__).parent / "table_golden.json").read_text())
+# Oracle requests with their exit code and the sha256 of stdout and stderr:
+# `oracle --zmod N` bare, with --compare, --json and both, and ring documents
+# (an object in args, passed as a file) with --compare --json.
+ORACLE_GOLDEN = json.loads((Path(__file__).parent / "oracle_golden.json").read_text())
 
 
 def invoke(capsys, *argv):
@@ -216,6 +220,29 @@ class TestGoldenTables:
         assert (code, err) == (EXIT_OK, "")
         assert out.count("\n") == case["lines"]
         assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+
+
+def _golden_id(case):
+    return " ".join(
+        a if isinstance(a, str) else json.dumps(a, separators=(",", ":"))
+        for a in case["args"]
+    )
+
+
+class TestGoldenOracle:
+    @pytest.mark.parametrize("case", ORACLE_GOLDEN, ids=_golden_id)
+    def test_oracle_output(self, capsys, tmp_path, case):
+        path = tmp_path / "ring.json"
+        args = []
+        for arg in case["args"]:
+            if isinstance(arg, dict):
+                path.write_text(json.dumps(arg))
+                arg = str(path)
+            args.append(arg)
+        code, out, err = invoke(capsys, *args)
+        assert code == case["exit"]
+        assert hashlib.sha256(out.encode()).hexdigest() == case["stdout_sha256"]
+        assert hashlib.sha256(err.encode()).hexdigest() == case["stderr_sha256"], err
 
 
 def _poly_arg(coeffs):
