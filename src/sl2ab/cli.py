@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .abgroup import canonicalize
@@ -25,7 +26,7 @@ from .oracle import (
     ring_for,
     sl2_abelianization,
 )
-from .polyarith import INTEGER_LIMIT, IntPoly, check_limit
+from .polyarith import INTEGER_LIMIT, SHOWN_LENGTH, IntPoly, brief, check_limit
 from .splitting import (
     CYCLOTOMIC_LIMIT,
     Cyclotomic,
@@ -62,11 +63,19 @@ class CliError(Exception):
     """Usage or validation error at the command layer (exit code 4)."""
 
 
+# a refused value as argparse echoes it: quoted after ": " (invalid int
+# value, invalid choice) or bare (unrecognized arguments)
+_ECHOED = re.compile(
+    rf":? '([^']{{{SHOWN_LENGTH + 1},}})'|:? ([^\s']{{{SHOWN_LENGTH + 1},}})"
+)
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage, which would collide with the
     # precondition-failure exit code; raise instead and map to 4 in run().
+    # A long refused value is named by its length, not echoed.
     def error(self, message: str):  # type: ignore[override]
-        raise CliError(message)
+        raise CliError(_ECHOED.sub(lambda m: " " + brief(m[1] or m[2]), message))
 
 
 def dump_json(obj) -> str:
@@ -179,7 +188,7 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         try:
             out.append(int(chunk))
         except ValueError:
-            raise CliError(f"{flag}: {chunk!r} is not an integer") from None
+            raise CliError(f"{flag}: entry {brief(chunk)} is not an integer") from None
     if not out:
         raise CliError(f"{flag}: empty list")
     return out
@@ -219,13 +228,15 @@ def _s_from_args(args: argparse.Namespace) -> SSet:
             except ValueError:
                 sep = ""
             if not sep:
-                raise CliError(f"--remove-prime: expected P:IDX, got {part!r}")
+                raise CliError(
+                    f"--remove-prime: entry {brief(part)} is not of the form P:IDX"
+                )
             if p == 2:
                 removed2.add(idx)
             elif p == 3:
                 removed3.add(idx)
             else:
-                raise CliError(f"--remove-prime: P must be 2 or 3, got {p}")
+                raise CliError(f"--remove-prime: P must be 2 or 3, got {brief(p)}")
     return SSet(frozenset(removed2), frozenset(removed3), other)
 
 

@@ -8,14 +8,15 @@ package cares about (ring order <= 16 by default) everything is done over
 index-space addition and multiplication tables, built by digit arithmetic
 mod p^k.  |SL2(R)| is counted from the multiplication table; only
 enumerate_sl2_direct lists the group.  The abelianization walks G' and its
-cosets: X, the elementary matrices of an additive generating set of R, has
-G' as the normal closure of its commutators, and the cosets are words in X.
+cosets: X, the elementary matrices of the additive basis of R, has G' as
+the normal closure of its commutators, and the cosets are words in X.
 |words| |G'| = |SL2(R)| certifies that X generates, and the invariants are
 read off the orders of the words in the quotient.  For a listed subgroup, X
 is the generating set its closure picks, and the list is a group exactly
 when that closure equals it.  Closures grow one generator at a time, each
 paying only for the cosets it opens.  These routines are the ground truth
-the structure formulas are tested against.
+the structure formulas are tested against; prop_local_formula, the formula
+for a local factor, is read off (p, k, h) alone and shares no code with them.
 """
 
 from __future__ import annotations
@@ -24,15 +25,17 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from typing import Container, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .abgroup import AbelianGroup, from_order_statistics
 from .polyarith import (
     INTEGER_LIMIT,
     BudgetExceededError,
+    ModPoly,
     _render_poly,
     _trim,
     check_limit,
+    factor_mod_p,
     factorint,
     is_prime,
     json_list,
@@ -232,10 +235,6 @@ class FiniteRing:
         parts = [_render_poly(v) or "0" for v in value]
         return parts[0] if len(parts) == 1 else "(" + ", ".join(parts) + ")"
 
-    def is_unit_index(self, i: int) -> bool:
-        one = self.one_index
-        return any(x == one for x in self.mul_table[i])
-
     @cached_property
     def sl2_order(self) -> int:
         """|SL2(R)| = sum over y of #{(a, d): a d = 1 + y} #{(b, c): b c = y}."""
@@ -289,23 +288,6 @@ def _elementary(ring: FiniteRing, entries: Sequence[int]) -> list[_IndexMat]:
     one, zero = ring.one_index, ring.zero_index
     upper = {(one, a, zero, one) for a in entries}
     return sorted(upper | {(one, zero, a, one) for a in entries})
-
-
-def _additive_span(
-    ring: FiniteRing, candidates: Iterable[int]
-) -> tuple[list[int], set[int]]:
-    """The subgroup of (R, +) the candidates generate, and a generating set
-    of it: each candidate, in turn, joins when the subgroup generated so far
-    lacks it."""
-    A = ring.add_table
-    gens: list[int] = []
-    span = {ring.zero_index}
-    for a in candidates:
-        if a not in span:
-            gens.append(a)
-            while (shifted := {A[s][a] for s in span}) != span:
-                span |= shifted
-    return gens, span
 
 
 def _extend(
@@ -454,8 +436,11 @@ def _derived_quotient(ring: FiniteRing, xs: list[_IndexMat]) -> _Quotient:
 
 
 def _elementary_gens(ring: FiniteRing) -> list[_IndexMat]:
-    """The elementary matrices of an additive generating set of R."""
-    return _elementary(ring, _additive_span(ring, range(ring.order))[0])
+    """The elementary matrices of the additive basis of R: x^i in one factor
+    (Z/p^k)[x]/(h), for i < deg h, and 0 in the others, which are the
+    elements whose coefficients sum to 1."""
+    basis = [i for i, v in enumerate(ring.elements) if sum(map(sum, v)) == 1]
+    return _elementary(ring, basis)
 
 
 def _sl2_quotient(ring: FiniteRing) -> _Quotient:
@@ -495,26 +480,18 @@ def commutator_subgroup(spec: FiniteRingSpec, group: Iterable[Mat2]) -> set[Mat2
     return {_to_value_mat(r, m) for m in derived}
 
 
-def _quotient_profile(reps: Iterable, subgroup: Container, op) -> AbelianGroup:
-    """An abelian quotient G/N from its order statistics, given one
-    representative per coset of N: each representative's powers under the
-    group operation op are walked back into N."""
-    profile: dict[int, int] = {}
-    for rep in reps:
-        k = 1
-        cur = rep
-        while cur not in subgroup:
-            cur = op(cur, rep)
-            k += 1
-        profile[k] = profile.get(k, 0) + 1
-    return from_order_statistics(profile)
-
-
 def _abelianization(ring: FiniteRing, quotient: _Quotient) -> AbelianGroup:
+    """G/G' from its order statistics: the powers of each coset word are
+    walked back into G'."""
     M, A = ring.mul_table, ring.add_table
-    return _quotient_profile(
-        quotient.reps, quotient.derived, lambda x, y: _mmul(x, y, M, A)
-    )
+    profile: Counter[int] = Counter()
+    for rep in quotient.reps:
+        k, cur = 1, rep
+        while cur not in quotient.derived:
+            cur = _mmul(cur, rep, M, A)
+            k += 1
+        profile[k] += 1
+    return from_order_statistics(profile)
 
 
 def abelianization(spec: FiniteRingSpec, group: Iterable[Mat2]) -> AbelianGroup:
@@ -535,38 +512,39 @@ def sl2_abelianization(
 
 
 def prop_local_formula(factor: RingFactor) -> AbelianGroup:
-    """Closed-form abelianization of SL2 over a local ring, from A/m^2.
+    """Closed-form abelianization of SL2 over a local factor
+    A = (Z/p^k)[x]/(h), read off (p, k, h) without building A.
 
-    Residue field of order >= 4: trivial.  Of order 3: Z/3 (the additive group
-    of the residue field).  Of order 2: the additive group of A/m^2; when m is
-    principal that is Z/4 exactly when the image of 2 there is nonzero, else
-    Z/2 + Z/2 (or Z/2 for A = F_2 itself).  The maximal ideal is detected as
-    the non-unit set, verified closed under addition; anything non-local is
-    rejected.
+    A is local exactly when h mod p = g^e for a single irreducible g; its
+    maximal ideal is then m = (p, g), with residue field F_p[x]/(g) of order
+    q = p^deg g.  Any other factor raises ValueError ("... is not local").
+    SL2(A)^ab is trivial when q >= 4, Z/3 when q = 3, and the additive group
+    of A/m^2 when q = 2.  Then g = x - a; with y = x - a, m^2 = (4, 2y, y^2):
+    - k = 1: A = F_2[y]/(y^e), so A/m^2 is (Z/2)^min(e, 2);
+    - e = 1: A = Z/2^k with k >= 2, so A/m^2 = Z/4;
+    - otherwise h(y + a) = y^e mod 2 makes h(a) and h'(a) even, so h(y + a)
+      = h(a) mod m^2 and A/m^2 = Z[y]/(4, 2y, y^2, h(a)): Z/2 + Z/4 when
+      4 divides h(a), Z/2 + Z/2 when not.
     """
-    ring = ring_for(FiniteRingSpec((factor,)))
-    n = ring.order
-    A = ring.add_table
-    nonunits = [i for i in range(n) if not ring.is_unit_index(i)]
-    nonunit_set = set(nonunits)
-    for a in nonunits:
-        row = A[a]
-        for b in nonunits:
-            if row[b] not in nonunit_set:
-                raise ValueError(
-                    f"{factor} is not local: non-units are not closed "
-                    "under addition"
-                )
-    residue = n // len(nonunits)
-    if residue >= 4:
+    p, k, h = factor.p, factor.k, factor.h
+    h_mod_p = ModPoly(p, h)
+    # a linear h is irreducible: Z/p^k needs no factoring
+    irreducibles = factor_mod_p(h_mod_p) if factor.degree > 1 else [(h_mod_p, 1)]
+    if len(irreducibles) > 1:
+        raise ValueError(
+            f"{factor} is not local: h mod {p} has {len(irreducibles)} distinct "
+            "irreducible factors"
+        )
+    ((g, e),) = irreducibles
+    q = p**g.degree
+    if q >= 4:
         return AbelianGroup()
-    if residue == 3:
+    if q == 3:
         return AbelianGroup(0, (3,))
-    # residue field F_2: the additive group of A/m^2
-    M, neg = ring.mul_table, ring.neg
-    _, msq = _additive_span(ring, {M[a][b] for a in nonunits for b in nonunits})
-    reps: list[int] = []
-    for a in range(n):
-        if all(A[a][neg[r]] not in msq for r in reps):
-            reps.append(a)
-    return _quotient_profile(reps, msq, lambda a, b: A[a][b])
+    if k == 1:
+        return AbelianGroup(0, (2,) * min(e, 2))
+    if e == 1:
+        return AbelianGroup(0, (4,))
+    a = g.coeffs[0]  # x - a = x + a over F_2
+    h_a = sum(c * a**i for i, c in enumerate(h))
+    return AbelianGroup(0, (2, 4) if h_a % 4 == 0 else (2, 2))

@@ -30,7 +30,7 @@ INTEGER_LIMIT = 10**12
 
 
 # Error messages show an input in full only up to this many characters.
-_SHOWN_LENGTH = 50
+SHOWN_LENGTH = 50
 
 
 def _digit_count(n: int) -> int:
@@ -41,13 +41,24 @@ def _digit_count(n: int) -> int:
     return d
 
 
+def brief(value: int | str) -> str:
+    """value as an error message names it: in full up to SHOWN_LENGTH
+    characters, a string quoted; past that, a number by its digit count ("a
+    4000-digit number") and a string, after the noun it follows, by its
+    length ("of 5000 characters")."""
+    if isinstance(value, str):
+        if len(value) <= SHOWN_LENGTH:
+            return repr(value)
+        return f"of {len(value)} characters"
+    if abs(value) < 10**SHOWN_LENGTH:
+        return str(value)
+    return f"a {_digit_count(abs(value))}-digit number"
+
+
 def check_limit(value: int, limit: int, name: str) -> None:
-    """Raise ValueError when |value| exceeds limit; a long value is named by
-    its digit count."""
+    """Raise ValueError when |value| exceeds limit."""
     if abs(value) > limit:
-        long = abs(value) >= 10**_SHOWN_LENGTH
-        shown = f"a {_digit_count(abs(value))}-digit number" if long else value
-        raise ValueError(f"|{name}| must be at most {limit}, got {shown}")
+        raise ValueError(f"|{name}| must be at most {limit}, got {brief(value)}")
 
 
 # JSON documents read from outside are checked key by key, so that no float,
@@ -210,9 +221,7 @@ class IntPoly:
             try:
                 coeffs.append(int(part))
             except ValueError:  # also a run of digits past the parse limit
-                part = part.strip()
-                long = len(part) > _SHOWN_LENGTH
-                shown = f"of {len(part)} characters" if long else repr(part)
+                shown = brief(part.strip())
                 raise ValueError(f"bad polynomial coefficient {shown}") from None
         return cls(coeffs)
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .abgroup import AbelianGroup, canonicalize
 from .polyarith import (
     INTEGER_LIMIT,
+    brief,
     check_limit,
     json_list,
     json_object,
@@ -188,7 +189,7 @@ def _contributions(
         if gone and max(gone) >= count:
             noun = "relevant place(s)" if char else f"prime(s) above {p}"
             raise ValueError(
-                f"removal index {max(gone)} out of range: only {count} {noun}"
+                f"removal index {brief(max(gone))} out of range: only {count} {noun}"
             )
         residue = spec.q if char else p  # residue field size when f = 1
         if residue > 3:

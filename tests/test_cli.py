@@ -4,6 +4,7 @@ round-trips, and the exit-code contract."""
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -249,6 +250,10 @@ def _poly_arg(coeffs):
     return "--poly=" + ",".join(map(str, coeffs))
 
 
+# a run of one character, named by its length in test ids
+_RUN = re.compile(r"(.)\1{19,}")
+
+
 def _zmodpk_ring(p, k):
     return {"factors": [{"kind": "zmodpk", "p": p, "k": k}]}
 
@@ -342,6 +347,33 @@ class TestInputLimits:
         code, out, err = invoke(capsys, "compute", _poly_arg([coefficient, 0, 1]))
         assert (code, out) == (EXIT_USAGE, "")
         assert err == "error: bad polynomial coefficient of 5000 characters\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # argparse: invalid int value, 5000 digits being past the parse limit
+            ("compute", "--quadratic", "1" * 5000),
+            ("compute", "--rational", "--extra-s-primes", "1" * 5000),
+            ("oracle", "--zmod", "4", "--cap", "1" * 5000),
+            ("table", "cyclotomic", "1" * 5000),
+            # argparse: invalid choice and unrecognized arguments
+            ("verify", "x" * 5000),
+            ("x" * 5000,),
+            ("table", "x" * 5000),
+            ("compute", "--quadratic", "5", "x" * 5000),
+            # the CLI's own parsers, and the removal index checked by compute
+            ("compute", "--rational", "--invert", "1" * 5000),
+            ("compute", "--rational", "--remove-prime", "2:" + "1" * 5000),
+            ("compute", "--rational", "--remove-prime", "1" * 4000 + ":0"),
+            ("compute", "--rational", "--remove-prime", "2:" + "1" * 4000),
+        ],
+        ids=lambda argv: _RUN.sub(lambda m: f"<{len(m[0])}>", " ".join(argv)),
+    )
+    def test_usage_error_names_a_long_value_by_its_length(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ")
+        assert len(err.encode()) < 200 and err.count("\n") == 1, err
 
 
 class TestOracleCommand:

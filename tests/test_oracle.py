@@ -46,7 +46,6 @@ from sl2ab.oracle import (
     _to_value_mat,
 )
 from sl2ab.cli import dump_json
-from sl2ab.polyarith import euler_phi
 from sl2ab.verify import GE2_RINGS, LOCAL_RINGS
 
 F2 = FiniteRingSpec((RingFactor(2, 1),))
@@ -155,14 +154,6 @@ class TestFiniteRing:
                 for j in range(n):
                     assert add[i][j] == add[j][i]
                     assert mul[i][j] == mul[j][i]
-
-    def test_unit_counts(self):
-        for n in (4, 6, 9, 12):
-            ring = ring_for(FiniteRingSpec.zmod(n))
-            units = sum(ring.is_unit_index(i) for i in range(ring.order))
-            assert units == euler_phi(n)
-        ring = ring_for(F4)
-        assert sum(ring.is_unit_index(i) for i in range(4)) == 3
 
     def test_element_str(self):
         ring = ring_for(F4)
@@ -343,6 +334,17 @@ class TestCommutatorsAndAbelianization:
             ), product.describe()
 
 
+# every factor (Z/p^k)[x]/(h) with p^(k deg h) <= 16
+SMALL_FACTORS = [
+    RingFactor(p, k, (*low, 1))
+    for p in (2, 3, 5, 7, 11, 13)
+    for k in range(1, 5)
+    for n in range(1, 5)
+    if p ** (k * n) <= 16
+    for low in itertools.product(range(p**k), repeat=n)
+]
+
+
 class TestLocalFormula:
     def test_frozen_values(self):
         cases = [
@@ -370,6 +372,38 @@ class TestLocalFormula:
         with pytest.raises(ValueError) as exc:
             prop_local_formula(RingFactor(2, 1, (0, 1, 1)))  # x(x+1)
         assert "not local" in str(exc.value)
+        assert "h mod 2 has 2 distinct irreducible factors" in str(exc.value)
+
+    def test_every_factor_of_order_at_most_16(self):
+        # local exactly when the non-units are closed under addition, read
+        # off the ring tables; then the formula must be the oracle's answer
+        local = 0
+        for factor in SMALL_FACTORS:
+            ring = ring_for(FiniteRingSpec((factor,)))
+            A, one = ring.add_table, ring.one_index
+            nonunits = [i for i, row in enumerate(ring.mul_table) if one not in row]
+            sums = {A[a][b] for a in nonunits for b in nonunits}
+            if sums <= set(nonunits):
+                local += 1
+                expected = sl2_abelianization(FiniteRingSpec((factor,)))
+                assert prop_local_formula(factor) == expected, factor
+            else:
+                with pytest.raises(ValueError, match="not local"):
+                    prop_local_formula(factor)
+        assert (len(SMALL_FACTORS), local) == (131, 109)
+
+    def test_factors_past_the_construction_cap(self, monkeypatch):
+        def refuse(self, spec):
+            raise AssertionError("ring tables built")
+
+        monkeypatch.setattr(oracle.FiniteRing, "__init__", refuse)
+        cases = [
+            (RingFactor(2, 20), AbelianGroup(0, (4,))),  # Z/2^20
+            (RingFactor(2, 11, (0, 0, 1)), AbelianGroup(0, (2, 4))),  # h(0) = 0
+            (RingFactor(2, 11, (2, 0, 1)), AbelianGroup(0, (2, 2))),  # h(0) = 2
+        ]
+        for factor, expected in cases:
+            assert prop_local_formula(factor) == expected, factor
 
 
 # --------------------------------------------------------------------------
@@ -737,7 +771,7 @@ class TestAgainstReferences:
             expected = 1
             for factor in spec.factors:
                 local = ring_for(FiniteRingSpec((factor,)))
-                units = sum(map(local.is_unit_index, range(local.order)))
+                units = sum(local.one_index in row for row in local.mul_table)
                 q = local.order // (local.order - units)
                 expected *= local.order**3 * (q * q - 1) // (q * q)
             assert ring.sl2_order == expected, spec.describe()
