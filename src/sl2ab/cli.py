@@ -4,6 +4,10 @@ Subcommands: `compute` (structure formulas for a field form plus S), `oracle`
 (brute-force enumeration over a small finite ring), `table` (classification
 tables over a range), and `verify` (cross-validation suites).
 
+`run(argv)` executes one command line in process and returns its exit code.
+It builds the parser of the named command only, so an in-process caller pays
+for one command's arguments per call.
+
 Exit codes: 0 success; 1 a verification or comparison found a mismatch;
 2 theorem precondition failure (finite unit group with no known case);
 3 the polynomial order is not maximal at 2 or 3; 4 usage or validation error;
@@ -84,7 +88,12 @@ def dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The root parser with the subparser of `command` alone, or of every
+    command when `command` is None.  A subparser reads the same either way:
+    its prog is "sl2ab <command>" whichever others exist."""
+    if command is not None and command not in _COMMANDS:
+        raise ValueError(f"no command {command!r}")
     parser = _ArgumentParser(
         prog="sl2ab",
         description=(
@@ -93,10 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
+        if command is None or name == command:
+            add_arguments(sub.add_parser(name, help=help_text))
+    return parser
 
-    p_compute = sub.add_parser(
-        "compute", help="compute the abelianization for a field form plus S"
-    )
+
+def _compute_arguments(p_compute: argparse.ArgumentParser) -> None:
     which = p_compute.add_mutually_exclusive_group(required=True)
     which.add_argument("--rational", action="store_true", help="the field Q")
     which.add_argument(
@@ -136,9 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_compute.add_argument("--json", action="store_true", help="emit a JSON report")
 
-    p_oracle = sub.add_parser(
-        "oracle", help="brute-force the abelianization over a small finite ring"
-    )
+
+def _oracle_arguments(p_oracle: argparse.ArgumentParser) -> None:
     ring = p_oracle.add_mutually_exclusive_group(required=True)
     ring.add_argument("--zmod", type=int, metavar="N", help="the ring Z/N")
     ring.add_argument(
@@ -158,7 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_oracle.add_argument("--json", action="store_true", help="emit a JSON report")
 
-    p_table = sub.add_parser("table", help="print a classification table")
+
+def _table_arguments(p_table: argparse.ArgumentParser) -> None:
     tsub = p_table.add_subparsers(dest="table_kind", required=True, metavar="kind")
     t_quad = tsub.add_parser("quadratic", help="real quadratic fields by radicand")
     t_quad.add_argument("d_min", type=int)
@@ -168,10 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
     t_zinv = tsub.add_parser("z-inv-n", help="the rings Z[1/n]")
     t_zinv.add_argument("n_max", type=int)
 
-    p_verify = sub.add_parser("verify", help="run a cross-validation suite")
-    p_verify.add_argument("suite", choices=[*SUITES, "all"])
 
-    return parser
+def _verify_arguments(p_verify: argparse.ArgumentParser) -> None:
+    p_verify.add_argument("suite", choices=[*SUITES, "all"])
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +440,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if failed == 0 else EXIT_MISMATCH
 
 
-_HANDLERS = {
-    "compute": _cmd_compute,
-    "oracle": _cmd_oracle,
-    "table": _cmd_table,
-    "verify": _cmd_verify,
+# command name -> (help text, argument builder, handler), in help order
+_COMMANDS = {
+    "compute": (
+        "compute the abelianization for a field form plus S",
+        _compute_arguments,
+        _cmd_compute,
+    ),
+    "oracle": (
+        "brute-force the abelianization over a small finite ring",
+        _oracle_arguments,
+        _cmd_oracle,
+    ),
+    "table": ("print a classification table", _table_arguments, _cmd_table),
+    "verify": ("run a cross-validation suite", _verify_arguments, _cmd_verify),
 }
 
 
@@ -448,11 +468,18 @@ _EXIT_CODES = {
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Parse and execute one command line; return the exit code."""
-    parser = build_parser()
+    """Parse and execute one command line; return the exit code.
+
+    Only the parser of the command argv[0] names is built.  When it names
+    none (help, an empty or an unknown command line) every command is built,
+    so that help and the invalid-choice error list them all."""
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = build_parser(command)
     try:
         args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))

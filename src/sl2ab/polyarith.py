@@ -456,11 +456,22 @@ class ModPoly:
     def __init__(self, p: int, coeffs: Iterable[int]):
         if p < 2 or not is_prime(p):
             raise ValueError(f"modulus must be prime, got {p}")
+        self._fill(p, coeffs)
+
+    def _fill(self, p: int, coeffs: Iterable[int]) -> None:
         cs = [c % p for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.p = p
         self.coeffs: tuple[int, ...] = tuple(cs)
+
+    def _new(self, coeffs: Iterable[int]) -> "ModPoly":
+        """A polynomial over this one's F_p.  The modulus was checked prime
+        when this polynomial came in, so it is not checked again: trial
+        division costs sqrt(p), on every arithmetic result."""
+        poly = ModPoly.__new__(ModPoly)
+        poly._fill(self.p, coeffs)
+        return poly
 
     @classmethod
     def one(cls, p: int) -> "ModPoly":
@@ -494,24 +505,24 @@ class ModPoly:
 
     def __add__(self, other: "ModPoly") -> "ModPoly":
         self._check(other)
-        return ModPoly(self.p, _ladd(self.coeffs, other.coeffs, self.p))
+        return self._new(_ladd(self.coeffs, other.coeffs, self.p))
 
     def __neg__(self) -> "ModPoly":
-        return ModPoly(self.p, (-c for c in self.coeffs))
+        return self._new(-c for c in self.coeffs)
 
     def __sub__(self, other: "ModPoly") -> "ModPoly":
         return self + (-other)
 
     def __mul__(self, other: "ModPoly") -> "ModPoly":
         self._check(other)
-        return ModPoly(self.p, _lmul(self.coeffs, other.coeffs, self.p))
+        return self._new(_lmul(self.coeffs, other.coeffs, self.p))
 
     def __divmod__(self, g: "ModPoly") -> tuple["ModPoly", "ModPoly"]:
         self._check(g)
         if g.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         q, r = _ldivmod(self.coeffs, g.coeffs, self.p)
-        return ModPoly(self.p, q), ModPoly(self.p, r)
+        return self._new(q), self._new(r)
 
     def __floordiv__(self, g: "ModPoly") -> "ModPoly":
         return divmod(self, g)[0]
@@ -522,14 +533,14 @@ class ModPoly:
     def monic(self) -> "ModPoly":
         if self.is_zero or self.is_monic:
             return self
-        return ModPoly(self.p, _lmonic(self.coeffs, self.p))
+        return self._new(_lmonic(self.coeffs, self.p))
 
     def gcd(self, other: "ModPoly") -> "ModPoly":
         self._check(other)
-        return ModPoly(self.p, _lgcd(self.coeffs, other.coeffs, self.p))
+        return self._new(_lgcd(self.coeffs, other.coeffs, self.p))
 
     def derivative(self) -> "ModPoly":
-        return ModPoly(self.p, _lderiv(self.coeffs, self.p))
+        return self._new(_lderiv(self.coeffs, self.p))
 
     def lift(self) -> IntPoly:
         """Integer lift with coefficients in [0, p)."""
@@ -551,7 +562,7 @@ def _pth_root(f: ModPoly) -> ModPoly:
     p = f.p
     if any(c and i % p for i, c in enumerate(f.coeffs)):
         raise ValueError(f"{f} is not a p-th power over F_{p}")
-    return ModPoly(p, f.coeffs[::p])
+    return f._new(f.coeffs[::p])
 
 
 def squarefree_decomposition(f: ModPoly) -> list[tuple[ModPoly, int]]:
@@ -646,7 +657,7 @@ def _factor_squarefree_monic(f: ModPoly) -> list[ModPoly]:
     polynomial time in deg f and log p.
     """
     parts = _distinct_degree(list(f.coeffs), f.p)
-    return [ModPoly(f.p, c) for c in _split_parts(parts, f.p)]
+    return [f._new(c) for c in _split_parts(parts, f.p)]
 
 
 def factor_mod_p(f: ModPoly) -> list[tuple[ModPoly, int]]:

@@ -1,6 +1,7 @@
 """Command-line interface tests: argument handling, report formats, JSON
 round-trips, and the exit-code contract."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from sl2ab import oracle
+from sl2ab import cli, oracle
 from sl2ab.cli import (
     EXIT_BUDGET,
     EXIT_MISMATCH,
@@ -21,6 +22,7 @@ from sl2ab.cli import (
     EXIT_PRECONDITION,
     EXIT_USAGE,
     TABLE_ROW_LIMIT,
+    build_parser,
     dump_json,
     run,
 )
@@ -40,6 +42,11 @@ TABLE_GOLDEN = json.loads((Path(__file__).parent / "table_golden.json").read_tex
 # `oracle --zmod N` bare, with --compare, --json and both, and ring documents
 # (an object in args, passed as a file) with --compare --json.
 ORACLE_GOLDEN = json.loads((Path(__file__).parent / "oracle_golden.json").read_text())
+# Help and usage-error requests with their exit code and the sha256 of stdout
+# and stderr, at a terminal width of 80.  argparse words its help and errors a
+# little differently from one Python version to the next, so the hashes are
+# compared only on the version they were recorded with.
+USAGE_GOLDEN = json.loads((Path(__file__).parent / "usage_golden.json").read_text())
 
 
 def invoke(capsys, *argv):
@@ -244,6 +251,76 @@ class TestGoldenOracle:
         assert code == case["exit"]
         assert hashlib.sha256(out.encode()).hexdigest() == case["stdout_sha256"]
         assert hashlib.sha256(err.encode()).hexdigest() == case["stderr_sha256"], err
+
+
+def _usage_id(case):
+    return " ".join(case["args"]) or "(empty)"
+
+
+def invoke_help(capsys, *argv):
+    """invoke(), where the SystemExit of a help request gives the exit code."""
+    try:
+        code = run(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestGoldenUsage:
+    @pytest.mark.parametrize("case", USAGE_GOLDEN["cases"], ids=_usage_id)
+    def test_exit_code(self, capsys, monkeypatch, case):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, _, _ = invoke_help(capsys, *case["args"])
+        assert code == case["exit"]
+
+    @pytest.mark.skipif(
+        "%d.%d" % sys.version_info[:2] != USAGE_GOLDEN["python"],
+        reason=f"hashes recorded with Python {USAGE_GOLDEN['python']}",
+    )
+    @pytest.mark.parametrize("case", USAGE_GOLDEN["cases"], ids=_usage_id)
+    def test_output(self, capsys, monkeypatch, case):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = invoke_help(capsys, *case["args"])
+        assert code == case["exit"]
+        assert hashlib.sha256(out.encode()).hexdigest() == case["stdout_sha256"], out
+        assert hashlib.sha256(err.encode()).hexdigest() == case["stderr_sha256"], err
+
+
+
+def _commands(parser):
+    (action,) = (
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return list(action.choices)
+
+
+class TestParserPerCommand:
+    def test_named_command_alone(self):
+        assert _commands(build_parser("oracle")) == ["oracle"]
+        assert _commands(build_parser()) == ["compute", "oracle", "table", "verify"]
+        with pytest.raises(ValueError):
+            build_parser("nonsense")
+
+    @pytest.mark.parametrize("case", USAGE_GOLDEN["cases"], ids=_usage_id)
+    def test_same_text_as_every_command_built(self, capsys, monkeypatch, case):
+        # on any Python: what run() prints with one command's parser is what
+        # it prints with the whole tree
+        monkeypatch.setenv("COLUMNS", "80")
+        expected = invoke_help(capsys, *case["args"])
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+        assert invoke_help(capsys, *case["args"]) == expected
+
+    def test_argv_none_reads_sys_argv(self, capsys, monkeypatch):
+        # the console-script path: main() calls run() with no argv
+        argv = ["sl2ab", "compute", "--rational", "--invert", "7"]
+        monkeypatch.setattr(sys, "argv", argv)
+        assert run() == EXIT_OK
+        assert capsys.readouterr().out.endswith("group: Z/12  (= Z/3 + Z/4)\n")
+        monkeypatch.setattr(sys, "argv", ["sl2ab", "nonsense"])
+        assert run() == EXIT_USAGE
+        assert "nonsense" in capsys.readouterr().err
 
 
 def _poly_arg(coeffs):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sl2ab import polyarith
 from sl2ab.cli import EXIT_BUDGET, run
 from sl2ab.polyarith import (
     RECOMBINATION_BUDGET,
@@ -216,6 +217,21 @@ class TestModPoly:
 
     def test_lift(self):
         assert ModPoly(3, (-1, 4)).lift() == IntPoly((2, 1))
+
+    def test_modulus_is_checked_once(self, monkeypatch):
+        # trial division costs sqrt(p): the modulus is checked when a
+        # polynomial is built from outside, not for each arithmetic result
+        checked = []
+        monkeypatch.setattr(
+            polyarith, "is_prime", lambda n: checked.append(n) or is_prime(n)
+        )
+        p = 999999999989
+        f = ModPoly(p, [1, 0, 1])
+        assert checked == [p]
+        assert [g.degree for g, _ in factor_mod_p(f)] == [1, 1]
+        assert checked == [p]
+        with pytest.raises(ValueError, match="modulus must be prime"):
+            ModPoly(4, [1, 1])
 
     @given(
         st.sampled_from([2, 3, 5]),
