@@ -12,11 +12,10 @@ small finite rings.
 
 from .abgroup import (
     AbelianGroup,
-    InvalidProfileError,
     TRIVIAL_GROUP,
     canonicalize,
     direct_sum,
-    from_order_statistics,
+    from_relations,
 )
 from .oracle import (
     BudgetExceededError,
@@ -25,10 +24,7 @@ from .oracle import (
     FiniteRingSpec,
     Mat2,
     RingFactor,
-    abelianization,
-    commutator_subgroup,
     enumerate_sl2_direct,
-    generate_from_elementary,
     prop_local_formula,
     sl2_abelianization,
 )
@@ -76,7 +72,6 @@ __all__ = [
     "FiniteUnitsError",
     "GeneralPoly",
     "IntPoly",
-    "InvalidProfileError",
     "Mat2",
     "ModPoly",
     "NotPMaximalError",
@@ -92,17 +87,14 @@ __all__ = [
     "TRIVIAL_GROUP",
     "UserFunctionField",
     "UserNumberField",
-    "abelianization",
     "canonicalize",
-    "commutator_subgroup",
     "compute",
     "cyclotomic_polynomial",
     "dedekind_split",
     "direct_sum",
     "enumerate_sl2_direct",
     "factor_mod_p",
-    "from_order_statistics",
-    "generate_from_elementary",
+    "from_relations",
     "known_small_cases",
     "prop_local_formula",
     "quadratic_min_poly",

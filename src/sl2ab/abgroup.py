@@ -10,14 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, lcm
-from typing import Iterable, Mapping
+from math import lcm
+from typing import Iterable, Mapping, Sequence
 
 from .polyarith import factorint
-
-
-class InvalidProfileError(ValueError):
-    """An order profile that no finite abelian group realizes."""
 
 
 @dataclass(frozen=True)
@@ -136,68 +132,36 @@ def direct_sum(a: AbelianGroup, b: AbelianGroup) -> AbelianGroup:
     return canonicalize(a.torsion + b.torsion, a.free_rank + b.free_rank)
 
 
-def _profile_of_chain(torsion: tuple[int, ...]) -> dict[int, int]:
-    """Exact element-order counts of (+) Z/d, via F(m) = prod gcd(m, d_i)."""
-    exp = lcm(*torsion) if torsion else 1
-    divisors = sorted(m for m in range(1, exp + 1) if exp % m == 0)
-    annihilated: dict[int, int] = {}
-    for m in divisors:
-        count = 1
-        for d in torsion:
-            count *= gcd(m, d)
-        annihilated[m] = count
-    profile: dict[int, int] = {}
-    for m in divisors:
-        profile[m] = annihilated[m] - sum(
-            profile[t] for t in divisors if t < m and m % t == 0
-        )
-    return {m: c for m, c in profile.items() if c}
-
-
-def from_order_statistics(counts: Mapping[int, int]) -> AbelianGroup:
-    """Reconstruct a finite abelian group from its exact order profile.
-
-    counts maps element order -> number of elements of that order, covering the
-    whole group.  For each prime p, the count of elements of order dividing p^k
-    is p to the sum of min(k, lambda_i) over the partition lambda of the p-part,
-    so consecutive quotients reveal the conjugate partition.  The reconstructed
-    group's profile is recomputed and compared, so any profile no abelian group
-    realizes raises InvalidProfileError.
-    """
-    cleaned: dict[int, int] = {}
-    for order, count in counts.items():
-        if not isinstance(order, int) or order < 1:
-            raise InvalidProfileError(f"bad element order {order!r}")
-        if not isinstance(count, int) or count < 1:
-            raise InvalidProfileError(f"bad count {count!r} for order {order}")
-        cleaned[order] = count
-    if cleaned.get(1) != 1:
-        raise InvalidProfileError("profile must contain exactly one identity")
-    n = sum(cleaned.values())
-
-    prime_powers: list[int] = []
-    for p, a in factorint(n).items():
-        # counts of elements with order dividing p^k, k = 0..a
-        s_prev = 0
-        conjugate: list[int] = []
-        running = 1
-        for k in range(1, a + 1):
-            running += cleaned.get(p**k, 0)
-            fac = factorint(running)
-            if running != 1 and (len(fac) != 1 or p not in fac):
-                raise InvalidProfileError(
-                    f"{running} elements of order dividing {p}^{k}: not a power of {p}"
-                )
-            s_k = fac.get(p, 0)
-            conjugate.append(s_k - s_prev)
-            s_prev = s_k
-        if any(c2 > c1 for c1, c2 in zip(conjugate, conjugate[1:])):
-            raise InvalidProfileError(f"order counts at p={p} are not a valid partition")
-        conjugate.append(0)
-        for k in range(1, a + 1):
-            prime_powers.extend([p**k] * (conjugate[k - 1] - conjugate[k]))
-
-    group = canonicalize(prime_powers)
-    if group.order() != n or _profile_of_chain(group.torsion) != cleaned:
-        raise InvalidProfileError("profile is not realized by any abelian group")
-    return group
+def from_relations(rows: Iterable[Sequence[int]], n: int) -> AbelianGroup:
+    """Z^n / <rows>, for integer rows of length n.  Repeated and zero rows
+    are dropped; integer row and column operations bring the rest to a
+    diagonal, one column at a time: the least nonzero entry of the column is
+    the pivot, the others are reduced mod it, and a remainder left in the
+    pivot row is swapped into the column as a smaller pivot.  Rows that do
+    not span a lattice of rank n (an infinite quotient) raise ValueError."""
+    matrix = [list(row) for row in dict.fromkeys(map(tuple, rows)) if any(row)]
+    diagonal: list[int] = []
+    for c in range(n):
+        while True:
+            live = [row for row in matrix if row[c]]
+            if not live:
+                raise ValueError(f"the relations do not span a lattice of rank {n}")
+            pivot = min(live, key=lambda row: abs(row[c]))
+            p = pivot[c]
+            for row in live:
+                if row is not pivot:
+                    q = row[c] // p
+                    row[c:] = [a - q * b for a, b in zip(row[c:], pivot[c:])]
+            if any(row[c] for row in live if row is not pivot):
+                continue
+            # column c holds p alone, so subtracting multiples of it from
+            # the other columns changes the pivot row only
+            pivot[c + 1 :] = [a % p for a in pivot[c + 1 :]]
+            rest = [j for j in range(c + 1, n) if pivot[j]]
+            if not rest:
+                break
+            for row in matrix:
+                row[c], row[rest[0]] = row[rest[0]], row[c]
+        diagonal.append(abs(p))
+        matrix = [row for row in matrix if row is not pivot]
+    return canonicalize([d for d in diagonal if d > 1])

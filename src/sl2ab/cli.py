@@ -4,7 +4,8 @@ Subcommands: `compute` (structure formulas for a field form plus S), `oracle`
 (brute-force enumeration over a small finite ring), `table` (classification
 tables over a range), and `verify` (cross-validation suites).
 
-`run(argv)` executes one command line in process and returns its exit code.
+`run(argv)` executes one command line in process and returns its exit code,
+for a help request too.
 It builds the parser of the named command only, so an in-process caller pays
 for one command's arguments per call.
 
@@ -67,6 +68,10 @@ class CliError(Exception):
     """Usage or validation error at the command layer (exit code 4)."""
 
 
+class _HelpShown(Exception):
+    """argparse printed the help a command line asked for (exit code 0)."""
+
+
 # a refused value as argparse echoes it: quoted after ": " (invalid int
 # value, invalid choice) or bare (unrecognized arguments)
 _ECHOED = re.compile(
@@ -80,6 +85,10 @@ class _ArgumentParser(argparse.ArgumentParser):
     # A long refused value is named by its length, not echoed.
     def error(self, message: str):  # type: ignore[override]
         raise CliError(_ECHOED.sub(lambda m: " " + brief(m[1] or m[2]), message))
+
+    # -h/--help exits after printing; run() returns 0 instead
+    def exit(self, status: int = 0, message: str | None = None):  # type: ignore[override]
+        raise _HelpShown
 
 
 def dump_json(obj) -> str:
@@ -480,6 +489,8 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command][2](args)
+    except _HelpShown:
+        return EXIT_OK
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))

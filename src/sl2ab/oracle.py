@@ -9,14 +9,13 @@ index-space addition and multiplication tables, built by digit arithmetic
 mod p^k.  |SL2(R)| is counted from the multiplication table; only
 enumerate_sl2_direct lists the group.  The abelianization walks G' and its
 cosets: X, the elementary matrices of the additive basis of R, has G' as
-the normal closure of its commutators, and the cosets are words in X.
-|words| |G'| = |SL2(R)| certifies that X generates, and the invariants are
-read off the orders of the words in the quotient.  For a listed subgroup, X
-is the generating set its closure picks, and the list is a group exactly
-when that closure equals it.  Closures grow one generator at a time, each
-paying only for the cosets it opens.  These routines are the ground truth
-the structure formulas are tested against; prop_local_formula, the formula
-for a local factor, is read off (p, k, h) alone and shares no code with them.
+the normal closure of its commutators, and the cosets are words in X, found
+breadth first.  |words| |G'| = |SL2(R)| certifies that X generates.  A word
+r x that lands in the coset of a word s found before is a relation of G/G'
+in the exponents of X, and these relations present it: the invariants are
+Z^X modulo them.  These routines are the ground truth the structure formulas
+are tested against; prop_local_formula, the formula for a local factor, is
+read off (p, k, h) alone and shares no code with them.
 """
 
 from __future__ import annotations
@@ -25,9 +24,10 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from operator import sub
+from typing import Iterator, NamedTuple, Sequence
 
-from .abgroup import AbelianGroup, from_order_statistics
+from .abgroup import AbelianGroup, from_relations
 from .polyarith import (
     INTEGER_LIMIT,
     BudgetExceededError,
@@ -244,7 +244,8 @@ class FiniteRing:
 
     @cached_property
     def sl2ab(self) -> AbelianGroup:
-        return _abelianization(self, _sl2_quotient(self))
+        quotient = _sl2_quotient(self)
+        return from_relations(quotient.relations, len(quotient.gens))
 
 
 _ring_cache: dict[FiniteRingSpec, FiniteRing] = {}
@@ -321,18 +322,6 @@ def _to_value_mat(ring: FiniteRing, m: _IndexMat) -> Mat2:
     return Mat2(els[m[0]], els[m[1]], els[m[2]], els[m[3]])
 
 
-def _to_index_mat(ring: FiniteRing, m: Mat2) -> _IndexMat:
-    try:
-        im = (ring.index[m.a], ring.index[m.b], ring.index[m.c], ring.index[m.d])
-    except KeyError as exc:
-        raise ValueError(f"matrix entry {exc.args[0]!r} is not a ring element") from None
-    a, b, c, d = im
-    M, A = ring.mul_table, ring.add_table
-    if A[M[a][d]][ring.neg[M[b][c]]] != ring.one_index:
-        raise ValueError(f"matrix {m} does not have determinant 1")
-    return im
-
-
 def _check_budget(order: int, cap: int) -> None:
     if order > cap:
         raise BudgetExceededError(
@@ -366,41 +355,15 @@ def enumerate_sl2_direct(
     return [_to_value_mat(r, m) for m in _sl2_indices(r)]
 
 
-def generate_from_elementary(
-    spec: FiniteRingSpec, cap: int = DEFAULT_RING_CAP
-) -> list[Mat2]:
-    """The group the elementary matrices E12(a), E21(a) generate, closed from
-    a in an additive generating set of R (E12 and E21 are homomorphisms from
-    (R, +)).  For the finite rings supported here it is all of SL2(R); the
-    test suite checks that equality rather than assuming it."""
-    _check_budget(spec.order, cap)
-    r = ring_for(spec)
-    closed, _ = _closure(r, _elementary_gens(r))
-    return [_to_value_mat(r, m) for m in sorted(closed)]
-
-
 class _Quotient(NamedTuple):
-    """G/G' for a group G = <gens>: derived is G', and reps holds one word in
-    gens per coset of G'."""
+    """G/G' for a group G = <gens>: derived is G', reps holds one word in
+    gens per coset of G', and each row of relations is a difference of
+    exponent vectors in Z^gens of two words in one coset."""
 
     gens: list[_IndexMat]
     derived: set[_IndexMat]
     reps: list[_IndexMat]
-
-
-def _closure(
-    ring: FiniteRing, candidates: Iterable[_IndexMat], bound: int | None = None
-) -> tuple[set[_IndexMat], list[_IndexMat]]:
-    """The group the candidates generate, and a generating set of it: each
-    candidate, in turn, joins the generators when the group so far lacks it.
-    Once the group outgrows bound, the walk stops with what it has."""
-    closed, gens = {_identity(ring)}, []
-    for g in candidates:
-        if g not in closed:
-            _extend(ring, closed, gens, g)
-            if bound is not None and len(closed) > bound:
-                break
-    return closed, gens
+    relations: list[tuple[int, ...]]
 
 
 def _derived_quotient(ring: FiniteRing, xs: list[_IndexMat]) -> _Quotient:
@@ -409,8 +372,12 @@ def _derived_quotient(ring: FiniteRing, xs: list[_IndexMat]) -> _Quotient:
     N is the normal closure of the commutators [x, y] = x y x^-1 y^-1 of X:
     an element n outside N joins N's generators and queues each x^-1 n x.
     Then X normalizes N, <X>/N is abelian and N <= <X>', so N = <X>'.  The
-    cosets of N are found as words in X, breadth first from 1: a product
-    r x joins when r x s^-1 lies outside N for every word s found so far."""
+    cosets of N are found as words in X, breadth first from 1, each with its
+    exponent vector w in Z^X: a product r x joins, with w(r) + e_x, when
+    r x s^-1 lies outside N for every word s found so far, and otherwise
+    gives the relation w(r) + e_x - w(s).  Those are the relations of every
+    edge outside the search tree of the Cayley graph of <X>/N, so they span
+    the kernel of Z^X -> <X>/N (Schreier's lemma)."""
     M, A = ring.mul_table, ring.add_table
     one = _identity(ring)
     pairs = [(_inverse(x, ring), x) for x in xs]
@@ -425,14 +392,22 @@ def _derived_quotient(ring: FiniteRing, xs: list[_IndexMat]) -> _Quotient:
         if n not in derived:
             _extend(ring, derived, dgens, n)
             work += [_mmul(_mmul(xi, n, M, A), x, M, A) for xi, x in pairs]
-    reps, inverses = [one], [one]
-    for r in reps:  # reps grows while it is read
-        for x in xs:
+    reps, inverses, words = [one], [one], [[0] * len(xs)]
+    relations = []
+    for r, w in zip(reps, words):  # both grow while they are read
+        for j, x in enumerate(xs):
             y = _mmul(r, x, M, A)
-            if all(_mmul(y, s, M, A) not in derived for s in inverses):
+            wy = w.copy()
+            wy[j] += 1
+            for t, ws in zip(inverses, words):
+                if _mmul(y, t, M, A) in derived:
+                    relations.append(tuple(map(sub, wy, ws)))
+                    break
+            else:
                 reps.append(y)
                 inverses.append(_inverse(y, ring))
-    return _Quotient(xs, derived, reps)
+                words.append(wy)
+    return _Quotient(xs, derived, reps, relations)
 
 
 def _elementary_gens(ring: FiniteRing) -> list[_IndexMat]:
@@ -454,52 +429,6 @@ def _sl2_quotient(ring: FiniteRing) -> _Quotient:
         r = ring.spec.describe()
         raise RuntimeError(f"X generates {found} of |SL2({r})| = {ring.sl2_order}")
     return quotient
-
-
-def _quotient(ring: FiniteRing, group_idx: list[_IndexMat]) -> _Quotient:
-    """G/G' for the group G that group_idx lists, X being the generating set
-    _closure picks from the list.  The list is a group exactly when its
-    closure equals it; if not, ValueError is raised, as soon as the closure
-    outgrows the list."""
-    members = set(group_idx)
-    closed, xs = _closure(ring, group_idx, len(members))
-    if closed != members:
-        raise ValueError(f"the {len(members)} matrices given do not form a group")
-    return _derived_quotient(ring, xs)
-
-
-def commutator_subgroup(spec: FiniteRingSpec, group: Iterable[Mat2]) -> set[Mat2]:
-    """Subgroup generated by all pairwise commutators g h g^-1 h^-1.
-
-    The input must be closed under multiplication and inverse (a subgroup of
-    SL2), or ValueError is raised; the result is then automatically normal
-    in it.
-    """
-    r = ring_for(spec)
-    derived = _quotient(r, [_to_index_mat(r, m) for m in group]).derived
-    return {_to_value_mat(r, m) for m in derived}
-
-
-def _abelianization(ring: FiniteRing, quotient: _Quotient) -> AbelianGroup:
-    """G/G' from its order statistics: the powers of each coset word are
-    walked back into G'."""
-    M, A = ring.mul_table, ring.add_table
-    profile: Counter[int] = Counter()
-    for rep in quotient.reps:
-        k, cur = 1, rep
-        while cur not in quotient.derived:
-            cur = _mmul(cur, rep, M, A)
-            k += 1
-        profile[k] += 1
-    return from_order_statistics(profile)
-
-
-def abelianization(spec: FiniteRingSpec, group: Iterable[Mat2]) -> AbelianGroup:
-    """Abelianization of a finite matrix group (ValueError if the matrices
-    do not form one): quotient by the commutator subgroup, identified
-    through its element-order statistics."""
-    r = ring_for(spec)
-    return _abelianization(r, _quotient(r, [_to_index_mat(r, m) for m in group]))
 
 
 def sl2_abelianization(

@@ -1,7 +1,5 @@
 """Tests for finitely generated abelian groups in invariant-factor form."""
 
-import itertools
-from collections import Counter
 from math import gcd, lcm
 
 import pytest
@@ -11,10 +9,9 @@ from hypothesis import strategies as st
 from sl2ab.abgroup import (
     TRIVIAL_GROUP,
     AbelianGroup,
-    InvalidProfileError,
     canonicalize,
     direct_sum,
-    from_order_statistics,
+    from_relations,
 )
 
 
@@ -155,42 +152,61 @@ class TestDirectSum:
         assert direct_sum(a, b) == direct_sum(b, a)
 
 
-def brute_order_profile(torsion):
-    """Element-order census of Z/d1 x ... x Z/dk by direct enumeration."""
-    counts = Counter()
-    for tup in itertools.product(*(range(d) for d in torsion)):
-        o = 1
-        for x, d in zip(tup, torsion):
-            o = lcm(o, d // gcd(x, d))
-        counts[o] += 1
-    return dict(counts)
+def unimodular(rng, n):
+    """A random n x n integer matrix of determinant +-1: the identity after
+    random row additions, swaps and sign changes."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        q = rng.randint(-3, 3)
+        m[i] = [a + q * b for a, b in zip(m[i], m[j])]
+        if rng.random() < 0.3:
+            m[i], m[j] = [-a for a in m[j]], m[i]
+    return m
 
 
-class TestFromOrderStatistics:
-    def test_known_profiles(self):
-        assert from_order_statistics(
-            {1: 1, 2: 1, 3: 2, 4: 2, 6: 2, 12: 4}
-        ) == AbelianGroup(0, (12,))
-        assert from_order_statistics({1: 1, 2: 3, 4: 4}) == AbelianGroup(0, (2, 4))
-        assert from_order_statistics({1: 1}) == TRIVIAL_GROUP
-        assert from_order_statistics({1: 1, 2: 3}) == AbelianGroup(0, (2, 2))
+def matmul(x, y):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)] for row in x]
 
-    def test_rejects_nonabelian_profiles(self):
-        # the quaternion group of order 8: one element of order 2, six of order 4
-        with pytest.raises(InvalidProfileError):
-            from_order_statistics({1: 1, 2: 1, 4: 6})
-        with pytest.raises(InvalidProfileError):
-            from_order_statistics({1: 2, 2: 2})
-        with pytest.raises(InvalidProfileError):
-            from_order_statistics({2: 3})
-        with pytest.raises(InvalidProfileError):
-            from_order_statistics({1: 1, 2: 2})  # 3 elements of 2-power order
-        assert issubclass(InvalidProfileError, ValueError)
 
-    @given(st.lists(st.integers(2, 16), max_size=4))
+def mixed_relations(rng, diagonal):
+    """Rows presenting Z^n / <diagonal>, n = len(diagonal), in other bases:
+    U D V for random unimodular U and V, plus a repeated row and the sum of
+    the first two, which add nothing to the lattice."""
+    n = len(diagonal)
+    d = [[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = matmul(matmul(unimodular(rng, n), d), unimodular(rng, n))
+    if n > 1:
+        rows += [rows[0], [a + b for a, b in zip(rows[0], rows[1])]]
+    rng.shuffle(rows)
+    return rows
+
+
+class TestFromRelations:
+    def test_known_groups(self):
+        assert from_relations([[12]], 1) == AbelianGroup(0, (12,))
+        assert from_relations([[2, 0], [0, 4]], 2) == AbelianGroup(0, (2, 4))
+        assert from_relations([], 0) == TRIVIAL_GROUP
+        assert from_relations([[2, 0], [0, 2]], 2) == AbelianGroup(0, (2, 2))
+        # not diagonal: gcd of the entries 2 and determinant -20
+        assert from_relations([[4, 6], [6, 4]], 2) == AbelianGroup(0, (2, 10))
+        assert from_relations([[2, 4], [0, 6]], 2) == AbelianGroup(0, (2, 6))
+        assert from_relations([[1, 5], [0, 7]], 2) == AbelianGroup(0, (7,))
+        # repeated and zero rows add nothing
+        rows = [[3, 0], [3, 0], [0, 0], [0, -1], [6, 5]]
+        assert from_relations(rows, 2) == AbelianGroup(0, (3,))
+        assert from_relations(iter([(5, 0), (0, 5)]), 2) == AbelianGroup(0, (5, 5))
+
+    def test_rejects_relations_not_of_full_rank(self):
+        # Z^2 / <(2, 4)> is Z/2 + Z, and Z / <> is Z: infinite quotients
+        for rows, n in (([[2, 4]], 2), ([[1, 1], [2, 2]], 2), ([], 1), ([[0, 0]], 2)):
+            with pytest.raises(ValueError, match="rank"):
+                from_relations(rows, n)
+
+    @given(st.lists(st.integers(2, 16), max_size=4), st.integers(0, 2), st.randoms())
     @settings(max_examples=120)
-    def test_inverts_direct_enumeration(self, factors):
+    def test_inverts_mixed_diagonal_relations(self, factors, extra, rng):
+        # extra generators killed by a relation 1 mix with the others
         g = canonicalize(factors)
-        if g.order() > 400:
-            return
-        assert from_order_statistics(brute_order_profile(g.torsion)) == g
+        rows = mixed_relations(rng, list(factors) + [1] * extra)
+        assert from_relations(rows, len(factors) + extra) == g

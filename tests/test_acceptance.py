@@ -5,12 +5,10 @@ import itertools
 import json
 import random
 import time
-from collections import Counter
-from math import gcd, lcm
 
 import pytest
 
-from sl2ab.abgroup import TRIVIAL_GROUP, AbelianGroup, canonicalize, from_order_statistics
+from sl2ab.abgroup import TRIVIAL_GROUP, AbelianGroup, canonicalize, from_relations
 from sl2ab.cli import run
 from sl2ab.polyarith import IntPoly, factorint, primes_dividing
 from sl2ab.splitting import (
@@ -173,14 +171,18 @@ def _abelian_groups_of_order(n: int):
         yield canonicalize([p**k for p, part in combo for k in part])
 
 
-def _brute_profile(torsion):
-    counts: Counter = Counter()
-    for tup in itertools.product(*(range(d) for d in torsion)):
-        o = 1
-        for x, d in zip(tup, torsion):
-            o = lcm(o, d // gcd(x, d))
-        counts[o] += 1
-    return dict(counts)
+def _mixed_relations(rng: random.Random, diagonal: list[int]) -> list[list[int]]:
+    """The rows of diag(diagonal) under random unimodular row and column
+    operations: a presentation of the same group in other bases."""
+    n = len(diagonal)
+    rows = [[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(4 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        q = rng.randint(-3, 3)
+        rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]  # row i += q row j
+        for row in rows:  # column j += q column i
+            row[j] += q * row[i]
+    return rows
 
 
 def test_criterion_8_property_suites():
@@ -235,14 +237,20 @@ def test_criterion_8_property_suites():
         g = canonicalize(factors, free_rank=rng.randint(0, 2))
         assert canonicalize(g.torsion, g.free_rank) == g
 
-    # (d) order statistics invert the invariant-factor form for every
-    # abelian group of order <= 200 (profile taken by direct enumeration)
+    # (d) relations invert the invariant-factor form for every abelian group
+    # of order <= 200: its primary parts and one generator killed outright,
+    # mixed by random unimodular operations; and relations of less than
+    # full rank are refused
     checked = 0
     for n in range(1, 201):
         for g in _abelian_groups_of_order(n):
             assert g.order() == n
-            assert from_order_statistics(_brute_profile(g.torsion)) == g
+            diagonal = [p**e for p, e in g.primary_parts()] + [1]
+            rows = _mixed_relations(rng, diagonal)
+            assert from_relations(rows, len(diagonal)) == g
             checked += 1
+    with pytest.raises(ValueError, match="rank"):
+        from_relations(_mixed_relations(rng, [2, 3, 0]), 3)
     # known count: sum over n <= 200 of prod(partition(a)) over p^a || n
     assert checked == 389
     assert sum(1 for _ in _abelian_groups_of_order(8)) == 3

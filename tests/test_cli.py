@@ -257,21 +257,11 @@ def _usage_id(case):
     return " ".join(case["args"]) or "(empty)"
 
 
-def invoke_help(capsys, *argv):
-    """invoke(), where the SystemExit of a help request gives the exit code."""
-    try:
-        code = run(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 class TestGoldenUsage:
     @pytest.mark.parametrize("case", USAGE_GOLDEN["cases"], ids=_usage_id)
     def test_exit_code(self, capsys, monkeypatch, case):
         monkeypatch.setenv("COLUMNS", "80")
-        code, _, _ = invoke_help(capsys, *case["args"])
+        code, _, _ = invoke(capsys, *case["args"])
         assert code == case["exit"]
 
     @pytest.mark.skipif(
@@ -281,7 +271,7 @@ class TestGoldenUsage:
     @pytest.mark.parametrize("case", USAGE_GOLDEN["cases"], ids=_usage_id)
     def test_output(self, capsys, monkeypatch, case):
         monkeypatch.setenv("COLUMNS", "80")
-        code, out, err = invoke_help(capsys, *case["args"])
+        code, out, err = invoke(capsys, *case["args"])
         assert code == case["exit"]
         assert hashlib.sha256(out.encode()).hexdigest() == case["stdout_sha256"], out
         assert hashlib.sha256(err.encode()).hexdigest() == case["stderr_sha256"], err
@@ -307,10 +297,17 @@ class TestParserPerCommand:
         # on any Python: what run() prints with one command's parser is what
         # it prints with the whole tree
         monkeypatch.setenv("COLUMNS", "80")
-        expected = invoke_help(capsys, *case["args"])
+        expected = invoke(capsys, *case["args"])
         full = cli.build_parser
         monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
-        assert invoke_help(capsys, *case["args"]) == expected
+        assert invoke(capsys, *case["args"]) == expected
+
+    def test_help_returns_zero(self, capsys):
+        # help is an exit code like any other outcome, not a SystemExit
+        for argv in (["--help"], ["-h"], ["compute", "--help"], ["table", "z-inv-n", "-h"]):
+            code, out, err = invoke(capsys, *argv)
+            assert (code, err) == (EXIT_OK, "")
+            assert out.startswith("usage: sl2ab")
 
     def test_argv_none_reads_sys_argv(self, capsys, monkeypatch):
         # the console-script path: main() calls run() with no argv
@@ -572,7 +569,7 @@ class TestOracleCommand:
         )
         assert oracle._ring_cache == {}
         spec = oracle.FiniteRingSpec.zmod(1000)
-        for call in (oracle.enumerate_sl2_direct, oracle.generate_from_elementary):
+        for call in (oracle.enumerate_sl2_direct, oracle.sl2_abelianization):
             with pytest.raises(oracle.BudgetExceededError):
                 call(spec)
         assert oracle._ring_cache == {}

@@ -12,37 +12,30 @@ import itertools
 import json
 import random
 from functools import cached_property, reduce
+from math import gcd, lcm
 
 import pytest
 
 from sl2ab import oracle
-from sl2ab.abgroup import (
-    TRIVIAL_GROUP,
-    AbelianGroup,
-    direct_sum,
-    from_order_statistics,
-)
+from sl2ab.abgroup import TRIVIAL_GROUP, AbelianGroup, direct_sum, from_relations
 from sl2ab.oracle import (
     DEFAULT_RING_CAP,
     BudgetExceededError,
     FiniteRingSpec,
     Mat2,
     RingFactor,
-    abelianization,
-    commutator_subgroup,
     enumerate_sl2_direct,
-    generate_from_elementary,
     prop_local_formula,
     ring_for,
     sl2_abelianization,
+    _derived_quotient,
     _elementary,
+    _elementary_gens,
     _identity,
     _inverse,
     _mmul,
-    _quotient,
     _sl2_quotient,
     _sl2_indices,
-    _to_index_mat,
     _to_value_mat,
 )
 from sl2ab.cli import dump_json
@@ -261,7 +254,9 @@ class TestEnumeration:
 
     def test_elementary_matrices_generate(self):
         for spec in (F2, F3, Z4, F4, EPS2, FiniteRingSpec.zmod(6)):
-            assert generate_from_elementary(spec) == enumerate_sl2_direct(spec)
+            ring = ring_for(spec)
+            generated = _generated_subgroup(ring, _elementary_gens(ring))
+            assert [_to_value_mat(ring, m) for m in generated] == enumerate_sl2_direct(spec)
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError) as exc:
@@ -274,39 +269,28 @@ class TestEnumeration:
         group = enumerate_sl2_direct(FiniteRingSpec.zmod(17), cap=17)
         assert len(group) == 4896  # 17^3 (1 - 17^-2)
 
-    def test_matrix_validation(self):
-        with pytest.raises(ValueError) as exc:
-            commutator_subgroup(F3, [Mat2(((1,),), ((0,),), ((0,),), ((2,),))])
-        assert "determinant 1" in str(exc.value)
-        with pytest.raises(ValueError) as exc:
-            commutator_subgroup(F3, [Mat2(((7,),), ((0,),), ((0,),), ((1,),))])
-        assert "not a ring element" in str(exc.value)
-
 
 class TestCommutatorsAndAbelianization:
     def test_sl2_f2_is_symmetric_group_s3(self):
-        group = enumerate_sl2_direct(F2)
-        derived = commutator_subgroup(F2, group)
+        derived = _sl2_quotient(ring_for(F2)).derived
         assert len(derived) == 3
-        assert abelianization(F2, group) == AbelianGroup(0, (2,))
+        assert sl2_abelianization(F2) == AbelianGroup(0, (2,))
 
     def test_sl2_f4_is_perfect(self):
-        group = enumerate_sl2_direct(F4)
-        derived = commutator_subgroup(F4, group)
-        assert len(derived) == len(group) == 60
-        assert abelianization(F4, group) == TRIVIAL_GROUP
+        derived = _sl2_quotient(ring_for(F4)).derived
+        assert len(derived) == len(enumerate_sl2_direct(F4)) == 60
+        assert sl2_abelianization(F4) == TRIVIAL_GROUP
 
     def test_sl2_f3_derived_is_quaternion(self):
-        group = enumerate_sl2_direct(F3)
-        derived = commutator_subgroup(F3, group)
+        derived = _sl2_quotient(ring_for(F3)).derived
         assert len(derived) == 8
-        assert abelianization(F3, group) == AbelianGroup(0, (3,))
+        assert sl2_abelianization(F3) == AbelianGroup(0, (3,))
 
     def test_commutator_subgroup_is_normal(self):
         for spec in (F3, Z4, FiniteRingSpec.zmod(6), Z8):
             ring = ring_for(spec)
             group = enumerate_sl2_direct(spec)
-            derived = commutator_subgroup(spec, group)
+            derived = {_to_value_mat(ring, m) for m in _sl2_quotient(ring).derived}
             for g in group:
                 ginv = _mat_inv(ring, g)
                 for n in derived:
@@ -545,8 +529,9 @@ def _tables_reference(ring):
 
 
 def _full_group_profile_reference(ring, group_idx, subgroup):
-    """G/N from its order statistics, every element of G filed in a coset
-    dict first, and each representative's powers walked back to N's coset."""
+    """The order profile of G/N (element order -> count), every element of G
+    filed in a coset dict first, and each representative's powers walked back
+    to N's coset."""
     M, A = ring.mul_table, ring.add_table
     coset_of = {}
     reps = []
@@ -563,7 +548,16 @@ def _full_group_profile_reference(ring, group_idx, subgroup):
             cur = _mmul(cur, rep, M, A)
             k += 1
         profile[k] = profile.get(k, 0) + 1
-    return from_order_statistics(profile)
+    return profile
+
+
+def _order_profile(torsion):
+    """The order profile of Z/d1 + ... + Z/dk, by listing its elements."""
+    profile = {}
+    for element in itertools.product(*(range(d) for d in torsion)):
+        k = lcm(*(d // gcd(x, d) for x, d in zip(element, torsion)))
+        profile[k] = profile.get(k, 0) + 1
+    return profile
 
 
 def _empty_oracle_caches():
@@ -590,7 +584,8 @@ PRODUCT_RINGS = tuple(
 
 def _check_quotient(ring, group, quotient):
     """The quotient's generators generate the group, its derived subgroup is
-    the reference normal closure, and its words meet each coset once."""
+    the reference normal closure, its words meet each coset once, and its
+    relations present a group with one element per word."""
     M, A = ring.mul_table, ring.add_table
     assert _generated_subgroup(ring, quotient.gens) == sorted(group)
     derived = quotient.derived
@@ -599,6 +594,7 @@ def _check_quotient(ring, group, quotient):
     assert len(reps) * len(derived) == len(group)
     cosets = {frozenset(_mmul(r, n, M, A) for n in derived) for r in reps}
     assert len(cosets) == len(reps)
+    assert from_relations(quotient.relations, len(quotient.gens)).order() == len(reps)
 
 
 class TestAgainstReferences:
@@ -613,7 +609,8 @@ class TestAgainstReferences:
             group = list(_sl2_indices(ring))
             expected = _all_pairs_commutator_closure(ring, group)
             assert _sl2_quotient(ring).derived == expected, spec.describe()
-            assert _quotient(ring, group).derived == expected, spec.describe()
+            xs = _generators_reference(ring, group)
+            assert _derived_quotient(ring, xs).derived == expected, spec.describe()
 
     def test_normal_closure_matches_all_pairs_on_subgroups(self):
         rng = random.Random(4)
@@ -623,14 +620,11 @@ class TestAgainstReferences:
             sl2 = list(_sl2_indices(ring))
             sizes = set()
             for _ in range(25):
-                subgroup = _generated_subgroup(ring, rng.sample(sl2, 2))
+                gens = rng.sample(sl2, 2)
+                subgroup = _generated_subgroup(ring, gens)
                 sizes.add(len(subgroup))
                 expected = _all_pairs_commutator_closure(ring, subgroup)
-                assert _quotient(ring, subgroup).derived == expected
-                values = [_to_value_mat(ring, m) for m in subgroup]
-                assert commutator_subgroup(spec, values) == {
-                    _to_value_mat(ring, m) for m in expected
-                }
+                assert _derived_quotient(ring, gens).derived == expected
             assert len(sizes) >= 4, sizes  # proper subgroups of several sizes
 
     def test_incremental_closures_match_references(self):
@@ -639,7 +633,7 @@ class TestAgainstReferences:
         specs += [FiniteRingSpec.zmod(n) for n in (13, 14, 15, 16, 25, 27)]
         for spec in dict.fromkeys(specs):
             ring = ring_for(spec)
-            group = [_to_index_mat(ring, m) for m in enumerate_sl2_direct(spec, cap=27)]
+            group = list(_sl2_indices(ring))
             quotient = _sl2_quotient(ring)
             # X is the elementary matrices of an additive generating set
             assert set(quotient.gens) <= set(_elementary(ring, range(ring.order)))
@@ -652,9 +646,10 @@ class TestAgainstReferences:
             ring = ring_for(spec)
             sl2 = list(_sl2_indices(ring))
             for k in (2, 3, 2, 3):
-                subgroup = _generated_subgroup(ring, rng.sample(sl2, k))
+                gens = rng.sample(sl2, k)
+                subgroup = _generated_subgroup(ring, gens)
                 sizes.add(len(subgroup))
-                _check_quotient(ring, subgroup, _quotient(ring, subgroup))
+                _check_quotient(ring, subgroup, _derived_quotient(ring, gens))
         assert len(sizes) >= 10, sizes  # proper subgroups of many sizes
 
     def test_abelianization_matches_full_group_profile_on_subgroups(self):
@@ -664,37 +659,16 @@ class TestAgainstReferences:
             ring = ring_for(spec)
             sl2 = list(_sl2_indices(ring))
             for k in (1, 2, 2, 3):
-                subgroup = _generated_subgroup(ring, rng.sample(sl2, k))
+                gens = rng.sample(sl2, k)
+                subgroup = _generated_subgroup(ring, gens)
                 expected = _full_group_profile_reference(
                     ring, subgroup, _all_pairs_commutator_closure(ring, subgroup)
                 )
-                values = [_to_value_mat(ring, m) for m in reversed(subgroup)]
-                assert abelianization(spec, values) == expected, spec.describe()
-                seen.add(expected)
+                quotient = _derived_quotient(ring, gens)
+                got = from_relations(quotient.relations, len(gens))
+                assert _order_profile(got.torsion) == expected, spec.describe()
+                seen.add(got)
         assert len(seen) >= 5, seen  # several abelianizations, not one
-
-    def test_rejects_matrices_that_are_not_a_group(self):
-        group = enumerate_sl2_direct(F3)
-        with pytest.raises(ValueError, match="do not form a group"):
-            abelianization(F3, group[:10])  # <X> overshoots the list
-        # <E12(1)> has four elements, as many as the list, but lacks E12(3)
-        # and holds no -I
-        z4 = FiniteRingSpec.zmod(4)
-        one, zero, minus = ((1,),), ((0,),), ((3,),)
-        listed = [Mat2(one, zero, zero, one), Mat2(minus, zero, zero, minus)]
-        listed += [Mat2(one, ((b,),), zero, one) for b in (1, 2)]
-        for call in (abelianization, commutator_subgroup):
-            with pytest.raises(ValueError, match="do not form a group"):
-                call(z4, listed)
-
-    def test_closure_stops_once_it_outgrows_the_bound(self):
-        # a listed non-group is refused from a closure just past its length,
-        # not from all of SL2(Z/64)
-        ring = ring_for(FiniteRingSpec.zmod(64))
-        gens = _elementary(ring, [ring.one_index])
-        closed, xs = oracle._closure(ring, gens, 2)
-        assert (len(closed), xs) == (64, gens[:1])
-        assert len(oracle._closure(ring, gens)[0]) == ring.sl2_order
 
     def test_residue_field_f9_rings(self):
         # order 81, past the default cap: GR(9, 2) and F_3[x]/((x^2+1)^2)
@@ -729,9 +703,11 @@ class TestAgainstReferences:
 
     def test_derived_subgroup_abelianization(self):
         # SL2(F_3)' is the quaternion group Q8, whose abelianization is Z/2 + Z/2
-        derived = commutator_subgroup(F3, enumerate_sl2_direct(F3))
-        assert abelianization(F3, derived) == AbelianGroup(0, (2, 2))
-        assert len(commutator_subgroup(F3, derived)) == 2
+        ring = ring_for(F3)
+        xs = _generators_reference(ring, sorted(_sl2_quotient(ring).derived))
+        quotient = _derived_quotient(ring, xs)
+        assert from_relations(quotient.relations, len(xs)) == AbelianGroup(0, (2, 2))
+        assert len(quotient.derived) == 2
 
     def test_sl2_abelianization_is_the_sum_of_local_formulas(self):
         for n in (13, 14, 15, 16, 25, 27):

@@ -5,9 +5,9 @@ the focus is the fixed reference data and the `sl2ab verify` dispatch."""
 
 import pytest
 
+from sl2ab import oracle
 from sl2ab.abgroup import TRIVIAL_GROUP, AbelianGroup
 from sl2ab.cli import EXIT_OK, run
-from sl2ab.oracle import enumerate_sl2_direct, Mat2  # noqa: F401 (parity check below)
 from sl2ab.verify import (
     GE2_RINGS,
     LOCAL_RINGS,
@@ -15,6 +15,7 @@ from sl2ab.verify import (
     cyclotomic_reference,
     quadratic_reference,
     sl2_order_zmod,
+    suite_ge2,
     suite_z_inv_n,
 )
 
@@ -102,3 +103,26 @@ class TestSuiteRunner:
         assert headers == [f"suite {name}:" for name in SUITES]
         total = sum(sizes.values())
         assert out[-1] == f"{total}/{total} passed, 0 failed"
+
+    def test_ge2_detail(self):
+        cases = suite_ge2()
+        assert len(cases) == 20 and all(c.ok for c in cases)
+        assert cases[1].name == "SL2(F_3)"
+        assert cases[1].detail == (
+            "direct 24 element(s) | generated 3 word(s) x 8 in G' = 24"
+        )
+
+    def test_ge2_reports_failures(self, monkeypatch):
+        # with only the E12 matrices, X generates the upper unitriangular
+        # group, abelian of order |R|: every ring fails, as rows, without raising
+        elementary_gens = oracle._elementary_gens
+
+        def upper_only(ring):
+            return [g for g in elementary_gens(ring) if g[2] == ring.zero_index]
+
+        monkeypatch.setattr(oracle, "_elementary_gens", upper_only)
+        cases = suite_ge2()
+        assert len(cases) == 20 and not any(c.ok for c in cases)
+        assert cases[1].detail == (
+            "direct 24 element(s) | generated 3 word(s) x 1 in G' = 3"
+        )
