@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .polyarith import factorint
 
@@ -30,10 +30,6 @@ class AbelianGroup:
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a:
                 raise ValueError(f"not a divisibility chain: {self.torsion}")
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
 
     def order(self) -> int | None:
         """Group order, or None when infinite."""
@@ -59,10 +55,6 @@ class AbelianGroup:
 
     def to_json(self) -> dict:
         return {"free_rank": self.free_rank, "invariant_factors": list(self.torsion)}
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "AbelianGroup":
-        return canonicalize(data["invariant_factors"], data["free_rank"])
 
     def __str__(self) -> str:
         parts = [f"Z/{d}" for d in self.torsion]

@@ -34,13 +34,11 @@ from .polyarith import (
     ModPoly,
     _render_poly,
     _trim,
+    brief,
     check_limit,
     factor_mod_p,
     factorint,
     is_prime,
-    json_list,
-    json_object,
-    json_value,
 )
 
 DEFAULT_RING_CAP = 16
@@ -136,23 +134,68 @@ class FiniteRingSpec:
     @classmethod
     def from_json(cls, data: object) -> "FiniteRingSpec":
         """The inverse of to_json; {"zmod": N} also reads as Z/N.  A document
-        of any other shape raises ValueError("malformed ring spec: ...")."""
-        what = "ring spec"
-        doc = json_object(data, what)
+        of any other shape, or with a key it does not read, raises
+        ValueError("malformed ring spec: ...")."""
+        doc = _json_object(data, "zmod", "factors")
         if "zmod" in doc:
-            return cls.zmod(json_value(doc, "zmod", what))
+            _json_object(doc, "zmod")
+            return cls.zmod(_json_value(doc, "zmod"))
         factors: list[RingFactor] = []
-        for fd in json_list(doc, "factors", what, dict):
+        for fd in _json_list(doc, "factors", dict):
             kind = fd.get("kind")
-            if kind not in ("zmodpk", "polyquot"):
-                raise ValueError(f"unknown ring factor kind: {kind!r}")
-            p = json_value(fd, "p", what)
             if kind == "zmodpk":
-                factors.append(RingFactor(p, json_value(fd, "k", what)))
+                _json_object(fd, "kind", "p", "k")
+                factor = RingFactor(_json_value(fd, "p"), _json_value(fd, "k"))
+            elif kind == "polyquot":
+                _json_object(fd, "kind", "p", "k", "h")
+                p, k = _json_value(fd, "p"), _json_value(fd, "k", default=1)
+                factor = RingFactor(p, k, _json_list(fd, "h"))
             else:
-                k = json_value(fd, "k", what, default=1)
-                factors.append(RingFactor(p, k, json_list(fd, "h", what)))
+                raise ValueError(f"unknown ring factor kind: {kind!r}")
+            factors.append(factor)
         return cls(tuple(factors))
+
+
+# A ring document is checked key by key before any ring is built, so that no
+# float, bool or string is taken for an integer and no key is passed over.
+
+
+def _is_json(value: object, kind: type) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _json_object(value: object, *keys: str) -> dict:
+    """value, when it is a JSON object whose keys are all among keys."""
+    if not isinstance(value, dict):
+        raise ValueError("malformed ring spec: the document must be an object")
+    for key in value:
+        if key not in keys:
+            raise ValueError(
+                f"malformed ring spec: unexpected key {brief(key)} "
+                f"(this object reads {', '.join(map(repr, keys))})"
+            )
+    return value
+
+
+def _json_value(doc: dict, key: str, default=None) -> int:
+    """doc[key], or default when the key is absent, when it is an integer."""
+    value = doc.get(key, default)
+    if not _is_json(value, int):
+        raise ValueError(
+            f'malformed ring spec: "{key}" must be an integer, got {value!r}'
+        )
+    return value
+
+
+def _json_list(doc: dict, key: str, kind: type = int) -> list:
+    """doc[key] when it is a list of values of the given kind, int or dict."""
+    value = doc.get(key)
+    if not isinstance(value, list) or not all(_is_json(v, kind) for v in value):
+        noun = "integers" if kind is int else "objects"
+        raise ValueError(
+            f'malformed ring spec: "{key}" must be a list of {noun}, got {value!r}'
+        )
+    return value
 
 
 Element = tuple  # one coefficient tuple per factor
@@ -230,10 +273,6 @@ class FiniteRing:
         one = tuple((1,) + (0,) * (f.degree - 1) for f in factors)
         self.one_index = self.index[one]
         self.neg = [row.index(self.zero_index) for row in self.add_table]
-
-    def element_str(self, value: Element) -> str:
-        parts = [_render_poly(v) or "0" for v in value]
-        return parts[0] if len(parts) == 1 else "(" + ", ".join(parts) + ")"
 
     @cached_property
     def sl2_order(self) -> int:

@@ -61,51 +61,6 @@ def check_limit(value: int, limit: int, name: str) -> None:
         raise ValueError(f"|{name}| must be at most {limit}, got {brief(value)}")
 
 
-# JSON documents read from outside are checked key by key, so that no float,
-# bool or string is taken for an integer; `what` names the document in the
-# ValueError("malformed <what>: ...") they raise.
-
-_JSON_KINDS = {
-    int: ("an integer", "integers"),
-    str: ("a string", "strings"),
-    dict: ("an object", "objects"),
-}
-
-
-def _is_json(value: object, kind: type) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def json_object(value: object, what: str) -> dict:
-    """value, when it is a JSON object."""
-    if not isinstance(value, dict):
-        raise ValueError(f"malformed {what}: the document must be an object")
-    return value
-
-
-def json_value(doc: dict, key: str, what: str, kind: type = int, default=None):
-    """doc[key], or default when the key is absent, when it is of the given
-    kind: int (never a bool), str or dict."""
-    value = doc.get(key, default)
-    if not _is_json(value, kind):
-        raise ValueError(
-            f'malformed {what}: "{key}" must be {_JSON_KINDS[kind][0]}, got {value!r}'
-        )
-    return value
-
-
-def json_list(doc: dict, key: str, what: str, kind: type = int, default=None) -> list:
-    """doc[key], or default when the key is absent, when it is a list of
-    values of the given kind."""
-    value = doc.get(key, default)
-    if not isinstance(value, list) or not all(_is_json(v, kind) for v in value):
-        raise ValueError(
-            f'malformed {what}: "{key}" must be a list of {_JSON_KINDS[kind][1]}, '
-            f"got {value!r}"
-        )
-    return value
-
-
 def factorint(n: int) -> dict[int, int]:
     """Prime factorization of |n| by trial division, as {prime: exponent}."""
     n = abs(n)
@@ -157,31 +112,16 @@ def primes_dividing(n: int) -> tuple[int, ...]:
     return tuple(sorted(factorint(n)))
 
 
-def euler_phi(n: int) -> int:
-    """Euler totient by trial-division factorization."""
-    if n < 1:
-        raise ValueError(f"euler_phi needs n >= 1, got {n}")
-    return euler_phi_factored(factorint(n))
-
-
 def euler_phi_factored(factors: Mapping[int, int]) -> int:
     """Euler totient of the integer with prime factorization {p: k}."""
     return prod((p - 1) * p ** (k - 1) for p, k in factors.items())
 
 
-def multiplicative_order(a: int, s: int) -> int:
-    """Least f >= 1 with a**f = 1 mod s.  Defined only for gcd(a, s) = 1."""
-    if s < 1:
-        raise ValueError(f"modulus must be >= 1, got {s}")
-    if gcd(a, s) != 1:
-        raise ValueError(f"multiplicative order undefined: gcd({a}, {s}) != 1")
-    return multiplicative_order_factored(a, factorint(s))
-
-
 def multiplicative_order_factored(a: int, factors: Mapping[int, int]) -> int:
-    """multiplicative_order(a, s) for s = prod p^k over {p: k}, a prime to s.
-    The order divides the Carmichael exponent lambda(s), so each prime is
-    divided out of lambda(s) for as long as a still has order dividing the rest."""
+    """The least f >= 1 with a^f = 1 mod s, for s = prod p^k over {p: k} and
+    a prime to s.  The order divides the Carmichael exponent lambda(s), so
+    each prime is divided out of lambda(s) for as long as a still has order
+    dividing the rest."""
     s = f = 1
     for p, k in factors.items():
         s *= p**k
@@ -309,9 +249,6 @@ class IntPoly:
 
     def reduce_mod(self, p: int) -> "ModPoly":
         return ModPoly(p, self.coeffs)
-
-    def csv(self) -> str:
-        return ",".join(str(c) for c in self.coeffs) if self.coeffs else "0"
 
     def __str__(self) -> str:
         return _render_poly(self.coeffs)

@@ -30,9 +30,6 @@ from .polyarith import (
     irreducible_over_q_check,
     is_prime_power,
     is_squarefree,
-    json_list,
-    json_object,
-    json_value,
     multiplicative_order_factored,
     sturm_real_roots,
 )
@@ -148,24 +145,6 @@ class SplittingData:
             p=p, degree=degree, count=count, degree_one=(), _shape=(e, f, count)
         )
         return out
-
-    @classmethod
-    def from_json(cls, data: object) -> "SplittingData":
-        """The inverse of to_json.  A document of any other shape raises
-        ValueError("malformed splitting: ...")."""
-        what = "splitting"
-        doc = json_object(data, what)
-        p = json_value(doc, "p", what)
-        primes = tuple(
-            PrimeAbove(
-                p,
-                json_value(q, "e", what),
-                json_value(q, "f", what),
-                json_value(q, "label", what, str),
-            )
-            for q in json_list(doc, "primes", what, dict)
-        )
-        return cls(p, sum(q.e * q.f for q in primes), primes)
 
 
 def _uniform_primes(p: int, e: int, f: int, count: int) -> tuple[PrimeAbove, ...]:
@@ -551,39 +530,3 @@ class UserFunctionField(FunctionField):
 
 
 FieldSpec = Union[NumberField, FunctionField]
-
-
-def field_spec_from_json(data: object) -> FieldSpec:
-    """The inverse of the field forms' to_json.  A document of any other
-    shape raises ValueError("malformed field spec: ...")."""
-    what = "field spec"
-    doc = json_object(data, what)
-    kind = doc.get("kind")
-    if kind == "rational":
-        return Rational()
-    if kind == "quadratic":
-        return Quadratic(json_value(doc, "d", what))
-    if kind == "cyclotomic":
-        return Cyclotomic(json_value(doc, "n", what))
-    if kind == "poly":
-        return GeneralPoly(IntPoly(json_list(doc, "coefficients", what)))
-    if kind == "function_field":
-        return RationalFunction(json_value(doc, "q", what))
-    if kind == "user" and "q" in doc:
-        split_t = json_list(doc, "split_t", what, dict, [])
-        return UserFunctionField(
-            degree=json_value(doc, "degree", what),
-            q=json_value(doc, "q", what),
-            split_t=tuple(map(SplittingData.from_json, split_t)),
-            infinite_places=json_value(doc, "infinite_places", what, default=1),
-        )
-    if kind == "user":
-        sig = json_value(doc, "signature", what, dict)
-        r1, r2 = json_value(sig, "r1", what), json_value(sig, "r2", what)
-        return UserNumberField(
-            degree=json_value(doc, "degree", what),
-            signature=Signature(r1, r2),
-            split2=SplittingData.from_json(json_value(doc, "split2", what, dict)),
-            split3=SplittingData.from_json(json_value(doc, "split3", what, dict)),
-        )
-    raise ValueError(f"unknown field spec kind: {kind!r}")

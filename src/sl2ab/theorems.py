@@ -23,9 +23,6 @@ from .polyarith import (
     INTEGER_LIMIT,
     brief,
     check_limit,
-    json_list,
-    json_object,
-    json_value,
     primes_dividing,
 )
 from .splitting import Cyclotomic, FieldSpec, Quadratic, Rational, SplittingData
@@ -70,18 +67,6 @@ class SSet:
             "removed_above_3": sorted(self.removed_above_3),
             "other_finite_primes": self.other_finite_primes,
         }
-
-    @classmethod
-    def from_json(cls, data: object) -> "SSet":
-        """The inverse of to_json, each key optional.  A document of any other
-        shape raises ValueError("malformed S-set: ...")."""
-        what = "S-set"
-        doc = json_object(data, what)
-        return cls(
-            frozenset(json_list(doc, "removed_above_2", what, default=[])),
-            frozenset(json_list(doc, "removed_above_3", what, default=[])),
-            json_value(doc, "other_finite_primes", what, default=0),
-        )
 
 
 EMPTY_S = SSet()
@@ -171,10 +156,12 @@ def _contributions(
     removed = {2: s.removed_above_2, 3: s.removed_above_3}
     char = spec.characteristic
     if char:
-        if any(idx for p, idx in removed.items() if p != char):
+        wrong = [p for p, idx in removed.items() if idx and p != char]
+        if wrong:
+            fix = f"use slot {char}" if char in removed else "no place is removable"
             raise ValueError(
-                f"no removable places in the characteristic-{char} slot; "
-                "count other S members via other_finite_primes"
+                f"removal indexes in slot {wrong[0]} do not apply in characteristic "
+                f"{char} ({fix}); count other S members via other_finite_primes"
             )
         ones, count = [], 0
         for sp in splittings:  # the places of all splittings, numbered in turn

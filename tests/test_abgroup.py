@@ -37,8 +37,6 @@ class TestConstruction:
         free = AbelianGroup(1, (2,))
         assert free.order() is None
         assert free.exponent() is None
-        assert not free.is_trivial
-        assert TRIVIAL_GROUP.is_trivial
 
     def test_primary_parts(self):
         assert AbelianGroup(0, (12,)).primary_parts() == ((2, 2), (3, 1))
@@ -57,14 +55,9 @@ class TestConstruction:
         assert AbelianGroup(0, (2, 6)).primary_str() == "(Z/2)^2 + Z/3"
         assert TRIVIAL_GROUP.primary_str() == "0"
 
-    def test_json_round_trip(self):
+    def test_json_document(self):
         g = AbelianGroup(1, (2, 6))
         assert g.to_json() == {"free_rank": 1, "invariant_factors": [2, 6]}
-        assert AbelianGroup.from_json(g.to_json()) == g
-        # non-chain input is canonicalized on the way in
-        assert AbelianGroup.from_json(
-            {"free_rank": 0, "invariant_factors": [4, 3]}
-        ) == AbelianGroup(0, (12,))
 
 
 def reference_canonicalize(factors, free_rank=0):

@@ -27,8 +27,6 @@ from sl2ab.cli import (
     run,
 )
 from sl2ab.polyarith import cyclotomic_polynomial
-from sl2ab.splitting import field_spec_from_json
-from sl2ab.theorems import ArithmeticRingSpec, SSet, compute
 from sl2ab.verify import cyclotomic_reference
 
 # The README's compute examples with their full text report and --json
@@ -162,6 +160,17 @@ class TestComputeCommand:
         assert "none (q >= 4)" in out
         assert "group: 0" in out
 
+    def test_function_field_wrong_slot(self, capsys):
+        # the places (t) and (t-1) of F_2(t) are numbered in slot 2
+        code, out, err = invoke(
+            capsys, "compute", "--function-field", "2", "--remove-prime", "3:0"
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            "error: removal indexes in slot 3 do not apply in characteristic 2 "
+            "(use slot 2); count other S members via other_finite_primes\n"
+        )
+
     def test_usage_errors(self, capsys):
         cases = [
             ("compute", "--quadratic", "12"),  # not squarefree
@@ -214,11 +223,6 @@ class TestGoldenOutput:
         code, out, err = invoke(capsys, "compute", *case["args"], "--json")
         assert (code, err) == (EXIT_OK, "")
         assert out == dump_json(case["json"])
-        given = case["json"]["input"]
-        ring = ArithmeticRingSpec(
-            field_spec_from_json(given["field"]), SSet.from_json(given["s"])
-        )
-        assert compute(ring).to_json() == case["json"]
 
 
 class TestGoldenTables:
@@ -540,6 +544,10 @@ class TestOracleCommand:
             {"factors": [{"kind": "zmodpk", "p": 2, "k": 2.0}]},
             {"factors": [{"kind": "zmodpk", "p": 2, "k": True}]},
             {"factors": [{"kind": "polyquot", "p": 2, "h": [1, 1.5, 1]}]},
+            # keys the reader does not read
+            {"zmod": 6, "factors": [{"kind": "zmodpk", "p": 2, "k": 3}]},
+            {"factors": [{"kind": "zmodpk", "p": 2, "k": 2, "h": [1, 1, 1]}]},
+            {"factors": [{"kind": "zmodpk", "p": 2, "k": 2}], "order": 4},
         ):
             malformed.write_text(json.dumps(doc))
             code, out, err = invoke(capsys, "oracle", "--ring", str(malformed))
@@ -552,6 +560,19 @@ class TestOracleCommand:
         assert "exceeds the enumeration cap 16" in err
         code, _, err = invoke(capsys, "oracle", "--zmod", "4", "--cap", "0")
         assert code == EXIT_USAGE
+
+    def test_construction_cap(self, capsys, monkeypatch):
+        # --cap raises the enumeration cap only: past order 1024 no ring is
+        # built, whatever the cap
+        def refuse(factor):
+            raise AssertionError("ring tables built")
+
+        monkeypatch.setattr(oracle, "_factor_tables", refuse)
+        monkeypatch.setattr(oracle, "_ring_cache", {})
+        code, out, err = invoke(capsys, "oracle", "--zmod", "1031", "--cap", "2000")
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert err == "error: ring of order 1031 exceeds the construction cap 1024\n"
+        assert oracle._ring_cache == {}
 
     def test_budget_is_checked_before_the_ring_tables(self, capsys, monkeypatch):
         # building the tables of a ring of order 1000 would take seconds

@@ -148,13 +148,6 @@ class TestFiniteRing:
                     assert add[i][j] == add[j][i]
                     assert mul[i][j] == mul[j][i]
 
-    def test_element_str(self):
-        ring = ring_for(F4)
-        assert {ring.element_str(v) for v in ring.elements} == {"0", "1", "x", "x+1"}
-        ring6 = ring_for(FiniteRingSpec.zmod(6))
-        assert ring6.element_str(ring6.elements[ring6.one_index]) == "(1, 1)"
-        assert ring_for(GR4_2).element_str(((2, 3),)) == "3x+2"
-
     def test_ring_cache(self):
         assert ring_for(F4) is ring_for(F4)
         # each ring counts SL2 and abelianizes it once, however reached, and

@@ -62,19 +62,13 @@ class TestSSet:
         with pytest.raises(ValueError):
             SSet(removed_above_2=frozenset({-1}))
 
-    def test_json_round_trip(self):
+    def test_json_document(self):
         s = SSet(frozenset({1}), frozenset(), 3)
-        assert SSet.from_json(s.to_json()) == s
-        assert SSet.from_json({}) == EMPTY_S
-        for doc in (
-            [],
-            {"other_finite_primes": True},
-            {"other_finite_primes": 1.0},
-            {"removed_above_2": 0},
-            {"removed_above_3": [0.0]},
-        ):
-            with pytest.raises(ValueError, match="^malformed S-set"):
-                SSet.from_json(doc)
+        assert s.to_json() == {
+            "removed_above_2": [1],
+            "removed_above_3": [],
+            "other_finite_primes": 3,
+        }
 
     def test_s_for_inverted(self):
         assert s_for_inverted(6) == SSet(frozenset({0}), frozenset({0}), 0)
@@ -223,7 +217,7 @@ class TestCharPFormula:
     def test_wrong_slot_and_range_errors(self):
         with pytest.raises(ValueError) as exc:
             group_of(RationalFunction(2), SSet(removed_above_3=frozenset({0})))
-        assert "characteristic-2 slot" in str(exc.value)
+        assert "slot 3 do not apply in characteristic 2 (use slot 2)" in str(exc.value)
         with pytest.raises(ValueError):
             group_of(RationalFunction(5), SSet(removed_above_2=frozenset({0})))
         with pytest.raises(ValueError) as exc:
