@@ -234,6 +234,9 @@ def _s_from_args(args: argparse.Namespace) -> SSet:
                 "--invert applies only to --rational; use --remove-prime P:IDX"
             )
         inverted = s_for_inverted(*_parse_int_list(args.invert, "--invert"))
+    if args.extra_s_primes < 0:
+        shown = brief(args.extra_s_primes)
+        raise CliError(f"--extra-s-primes must be >= 0, got {shown}")
     removed2 = set(inverted.removed_above_2)
     removed3 = set(inverted.removed_above_3)
     other = inverted.other_finite_primes + args.extra_s_primes

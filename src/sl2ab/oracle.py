@@ -30,6 +30,7 @@ from typing import Iterator, NamedTuple, Sequence
 from .abgroup import AbelianGroup, from_relations
 from .polyarith import (
     INTEGER_LIMIT,
+    SHOWN_LENGTH,
     BudgetExceededError,
     ModPoly,
     _render_poly,
@@ -151,7 +152,7 @@ class FiniteRingSpec:
                 p, k = _json_value(fd, "p"), _json_value(fd, "k", default=1)
                 factor = RingFactor(p, k, _json_list(fd, "h"))
             else:
-                raise ValueError(f"unknown ring factor kind: {kind!r}")
+                raise ValueError(f"unknown ring factor kind: {_shown(kind)}")
             factors.append(factor)
         return cls(tuple(factors))
 
@@ -162,6 +163,18 @@ class FiniteRingSpec:
 
 def _is_json(value: object, kind: type) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _shown(value: object) -> str:
+    """A document value as an error names it: a number as brief does, any
+    other value by its repr, and past SHOWN_LENGTH characters (of its repr,
+    or of a string) by its length ("a list of 100000 items")."""
+    if isinstance(value, (list, dict)) and len(repr(value)) > SHOWN_LENGTH:
+        noun = "a list" if isinstance(value, list) else "an object"
+        return f"{noun} of {len(value)} items"
+    if isinstance(value, str) and len(value) > SHOWN_LENGTH:
+        return f"a string {brief(value)}"
+    return brief(value) if _is_json(value, int) else repr(value)
 
 
 def _json_object(value: object, *keys: str) -> dict:
@@ -182,7 +195,7 @@ def _json_value(doc: dict, key: str, default=None) -> int:
     value = doc.get(key, default)
     if not _is_json(value, int):
         raise ValueError(
-            f'malformed ring spec: "{key}" must be an integer, got {value!r}'
+            f'malformed ring spec: "{key}" must be an integer, got {_shown(value)}'
         )
     return value
 
@@ -192,8 +205,9 @@ def _json_list(doc: dict, key: str, kind: type = int) -> list:
     value = doc.get(key)
     if not isinstance(value, list) or not all(_is_json(v, kind) for v in value):
         noun = "integers" if kind is int else "objects"
+        shown = _shown(value)
         raise ValueError(
-            f'malformed ring spec: "{key}" must be a list of {noun}, got {value!r}'
+            f'malformed ring spec: "{key}" must be a list of {noun}, got {shown}'
         )
     return value
 

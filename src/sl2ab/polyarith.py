@@ -1,4 +1,5 @@
-"""Exact polynomial arithmetic over Z and F_p, plus small number-theory helpers.
+"""Exact polynomial arithmetic over Z (IntPoly), factoring over F_p on coefficient
+lists (ModPoly at the boundary), plus small number-theory helpers.
 
 Everything is arbitrary-precision integer arithmetic; no floats enter any
 code path.  Polynomials store coefficients lowest degree first with no
@@ -241,12 +242,6 @@ class IntPoly:
             raise ValueError(f"{self} is not divisible by {g}")
         return q
 
-    def scale_div(self, k: int) -> "IntPoly":
-        """Divide every coefficient by k, which must divide exactly."""
-        if any(c % k for c in self.coeffs):
-            raise ValueError(f"coefficients of {self} not divisible by {k}")
-        return IntPoly(c // k for c in self.coeffs)
-
     def reduce_mod(self, p: int) -> "ModPoly":
         return ModPoly(p, self.coeffs)
 
@@ -280,7 +275,7 @@ def _render_poly(coeffs: tuple[int, ...]) -> str:
 # ---------------------------------------------------------------------------
 # coefficient lists mod m
 #
-# ModPoly arithmetic and the factoring and lifting algorithms share these
+# The factoring and lifting algorithms, and ModPoly division, share these
 # helpers on plain sequences of residues in [0, m), lowest degree first, with
 # no trailing zeros; results are lists.  Division by a monic polynomial works
 # for any modulus m; gcds and inverses need m prime.
@@ -405,14 +400,10 @@ class ModPoly:
     def _new(self, coeffs: Iterable[int]) -> "ModPoly":
         """A polynomial over this one's F_p.  The modulus was checked prime
         when this polynomial came in, so it is not checked again: trial
-        division costs sqrt(p), on every arithmetic result."""
+        division costs sqrt(p), on every quotient and factor returned."""
         poly = ModPoly.__new__(ModPoly)
         poly._fill(self.p, coeffs)
         return poly
-
-    @classmethod
-    def one(cls, p: int) -> "ModPoly":
-        return cls(p, (1,))
 
     @property
     def degree(self) -> int:
@@ -440,48 +431,12 @@ class ModPoly:
         if self.p != other.p:
             raise ValueError(f"mixed moduli {self.p} and {other.p}")
 
-    def __add__(self, other: "ModPoly") -> "ModPoly":
-        self._check(other)
-        return self._new(_ladd(self.coeffs, other.coeffs, self.p))
-
-    def __neg__(self) -> "ModPoly":
-        return self._new(-c for c in self.coeffs)
-
-    def __sub__(self, other: "ModPoly") -> "ModPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "ModPoly") -> "ModPoly":
-        self._check(other)
-        return self._new(_lmul(self.coeffs, other.coeffs, self.p))
-
     def __divmod__(self, g: "ModPoly") -> tuple["ModPoly", "ModPoly"]:
         self._check(g)
         if g.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         q, r = _ldivmod(self.coeffs, g.coeffs, self.p)
         return self._new(q), self._new(r)
-
-    def __floordiv__(self, g: "ModPoly") -> "ModPoly":
-        return divmod(self, g)[0]
-
-    def __mod__(self, g: "ModPoly") -> "ModPoly":
-        return divmod(self, g)[1]
-
-    def monic(self) -> "ModPoly":
-        if self.is_zero or self.is_monic:
-            return self
-        return self._new(_lmonic(self.coeffs, self.p))
-
-    def gcd(self, other: "ModPoly") -> "ModPoly":
-        self._check(other)
-        return self._new(_lgcd(self.coeffs, other.coeffs, self.p))
-
-    def derivative(self) -> "ModPoly":
-        return self._new(_lderiv(self.coeffs, self.p))
-
-    def lift(self) -> IntPoly:
-        """Integer lift with coefficients in [0, p)."""
-        return IntPoly(self.coeffs)
 
     def __str__(self) -> str:
         return _render_poly(self.coeffs)
@@ -494,41 +449,29 @@ class ModPoly:
 # factoring over F_p
 
 
-def _pth_root(f: ModPoly) -> ModPoly:
-    """g with g**p = f, for f in F_p[x^p].  Uses a**p = a on coefficients."""
-    p = f.p
-    if any(c and i % p for i, c in enumerate(f.coeffs)):
-        raise ValueError(f"{f} is not a p-th power over F_{p}")
-    return f._new(f.coeffs[::p])
+def _squarefree_parts(f: Sequence[int], p: int) -> list[tuple[list[int], int]]:
+    """Pairs (g, m): the monic squarefree pairwise-coprime parts g of a monic f
+    over F_p with multiplicities m, product f; none for f = 1.
 
-
-def squarefree_decomposition(f: ModPoly) -> list[tuple[ModPoly, int]]:
-    """Monic squarefree pairwise-coprime parts with multiplicities, product f.
-
-    Characteristic-p aware: a vanishing derivative means f is a p-th power and
-    the p-th root is decomposed recursively.  Mandatory for p = 2 and 3, where
-    repeated factors routinely kill the derivative.
+    Yun's algorithm, characteristic-p aware (mandatory for p = 2 and 3, where
+    repeated factors often kill the derivative): what it leaves of gcd(f, f')
+    lies in F_p[x^p], the p-th power of the polynomial of its coefficients at
+    multiples of p (a^p = a on F_p), and is decomposed recursively.
     """
-    if not f.is_monic:
-        raise ValueError("squarefree decomposition needs a monic polynomial")
-    out: list[tuple[ModPoly, int]] = []
-    deriv = f.derivative()
-    if deriv.is_zero:
-        return [(g, m * f.p) for g, m in squarefree_decomposition(_pth_root(f))]
-    c = f.gcd(deriv)
-    w = f // c
+    if len(f) < 2:
+        return []
+    out = []
+    c = _lgcd(f, _lderiv(f, p), p)
+    w = _ldivmod(f, c, p)[0]
     i = 1
-    while w.degree > 0:
-        y = w.gcd(c)
-        z = w // y
-        if z.degree > 0:
+    while len(w) > 1:
+        y = _lgcd(w, c, p)
+        z = _ldivmod(w, y, p)[0]
+        if len(z) > 1:
             out.append((z, i))
         i += 1
-        w = y
-        c = c // y
-    if c.degree > 0:
-        out.extend((g, m * f.p) for g, m in squarefree_decomposition(_pth_root(c)))
-    return out
+        w, c = y, _ldivmod(c, y, p)[0]
+    return out + [(g, m * p) for g, m in _squarefree_parts(c[::p], p)]
 
 
 def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
@@ -587,14 +530,12 @@ def _split_parts(parts: list[tuple[list[int], int]], p: int) -> list[list[int]]:
     return [c for g, d in parts for c in _equal_degree(g, d, p, rng)]
 
 
-def _factor_squarefree_monic(f: ModPoly) -> list[ModPoly]:
-    """Irreducible factors of a squarefree monic f over F_p, in no fixed order.
-
-    Distinct-degree factorization, then equal-degree splitting of each part:
-    polynomial time in deg f and log p.
-    """
-    parts = _distinct_degree(list(f.coeffs), f.p)
-    return [f._new(c) for c in _split_parts(parts, f.p)]
+def squarefree_decomposition(f: ModPoly) -> list[tuple[ModPoly, int]]:
+    """Monic squarefree pairwise-coprime parts with multiplicities, product f;
+    empty for f = 1.  See _squarefree_parts."""
+    if not f.is_monic:
+        raise ValueError("squarefree decomposition needs a monic polynomial")
+    return [(f._new(g), m) for g, m in _squarefree_parts(f.coeffs, f.p)]
 
 
 def factor_mod_p(f: ModPoly) -> list[tuple[ModPoly, int]]:
@@ -609,30 +550,14 @@ def factor_mod_p(f: ModPoly) -> list[tuple[ModPoly, int]]:
         raise ValueError(f"need degree >= 1, got {f!r}")
     if not f.is_monic:
         raise ValueError(f"need a monic polynomial, got {f!r}")
-    found: dict[ModPoly, int] = {}
-    for part, mult in squarefree_decomposition(f):
-        for irr in _factor_squarefree_monic(part):
-            found[irr] = found.get(irr, 0) + mult
-    return sorted(found.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs))
-
-
-def is_irreducible_mod_p(f: ModPoly) -> bool:
-    """Rabin's irreducibility test over F_p.  Works for any prime p."""
-    n = f.degree
-    if n < 1:
-        return False
-    if n == 1:
-        return True
     p = f.p
-    fc = f.monic().coeffs
-    x = [0, 1]
-    if _lpowmod(x, p**n, fc, p) != x:
-        return False
-    for ell in factorint(n):
-        g = _lgcd(fc, _lsub(_lpowmod(x, p ** (n // ell), fc, p), x, p), p)
-        if len(g) > 1:
-            return False
-    return True
+    found = [
+        (g, m)
+        for part, m in _squarefree_parts(f.coeffs, p)
+        for g in _split_parts(_distinct_degree(part, p), p)
+    ]
+    found.sort(key=lambda gm: (len(gm[0]), gm[0]))
+    return [(f._new(g), m) for g, m in found]
 
 
 # ---------------------------------------------------------------------------

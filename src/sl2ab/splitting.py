@@ -17,12 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Union
+from typing import Sequence, Union
 
 from .polyarith import (
     INTEGER_LIMIT,
     IntPoly,
     ModPoly,
+    _lgcd,
+    _lmul,
+    _lsub,
     check_limit,
     euler_phi_factored,
     factor_mod_p,
@@ -60,13 +63,13 @@ class NotPMaximalError(Exception):
     and 3 as data, or through a quadratic or cyclotomic form.
     """
 
-    def __init__(self, p: int, poly: IntPoly, obstruction: ModPoly):
+    def __init__(self, p: int, poly: IntPoly, obstruction: Sequence[int]):
         self.p = p
         self.poly = poly
-        self.obstruction = obstruction
+        self.obstruction = ModPoly(p, obstruction)
         super().__init__(
             f"Z[x]/({poly}) is not maximal at {p} "
-            f"(Dedekind criterion obstruction: {obstruction}); "
+            f"(Dedekind criterion obstruction: {self.obstruction}); "
             "give its splitting of 2 and 3 through sl2ab.UserNumberField, or "
             "use --quadratic or --cyclotomic when the field is one of those"
         )
@@ -183,19 +186,17 @@ def dedekind_split(f: IntPoly, p: int) -> SplittingData:
     _check_p(p)
     if not f.is_monic or f.degree < 1:
         raise ValueError(f"need a monic polynomial of degree >= 1: {f!r}")
-    fbar = f.reduce_mod(p)
-    factors = factor_mod_p(fbar)
-    radical = ModPoly.one(p)
-    cofactor = ModPoly.one(p)
+    factors = factor_mod_p(f.reduce_mod(p))
+    radical = cofactor = [1]
     for gbar, e in factors:
-        radical = radical * gbar
+        radical = _lmul(radical, gbar.coeffs, p)
         for _ in range(e - 1):
-            cofactor = cofactor * gbar
-    g_lift = radical.lift()
-    h_lift = cofactor.lift()
-    t_poly = (g_lift * h_lift - f).scale_div(p)
-    common = t_poly.reduce_mod(p).gcd(radical).gcd(cofactor)
-    if common.degree != 0:
+            cofactor = _lmul(cofactor, gbar.coeffs, p)
+    # t = (g h - f) / p mod p for the radical g and cofactor h lifted to [0, p)
+    p2 = p * p
+    t = [c // p for c in _lsub(_lmul(radical, cofactor, p2), f.coeffs, p2)]
+    common = _lgcd(_lgcd(t, radical, p), cofactor, p)
+    if len(common) != 1:
         raise NotPMaximalError(p, f, common)
     primes = tuple(
         PrimeAbove(p, e, gbar.degree, f"({p}, {gbar})") for gbar, e in factors

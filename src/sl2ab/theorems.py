@@ -161,7 +161,7 @@ def _contributions(
             fix = f"use slot {char}" if char in removed else "no place is removable"
             raise ValueError(
                 f"removal indexes in slot {wrong[0]} do not apply in characteristic "
-                f"{char} ({fix}); count other S members via other_finite_primes"
+                f"{char} ({fix})"
             )
         ones, count = [], 0
         for sp in splittings:  # the places of all splittings, numbered in turn

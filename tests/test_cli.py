@@ -168,8 +168,15 @@ class TestComputeCommand:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == (
             "error: removal indexes in slot 3 do not apply in characteristic 2 "
-            "(use slot 2); count other S members via other_finite_primes\n"
+            "(use slot 2)\n"
         )
+        # the CLI names its flag, not the library field behind it
+        code, out, err_negative = invoke(
+            capsys, "compute", "--quadratic", "5", "--extra-s-primes", "-1"
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err_negative == "error: --extra-s-primes must be >= 0, got -1\n"
+        assert "other_finite_primes" not in err + err_negative
 
     def test_usage_errors(self, capsys):
         cases = [
@@ -553,6 +560,16 @@ class TestOracleCommand:
             code, out, err = invoke(capsys, "oracle", "--ring", str(malformed))
             assert (code, out) == (EXIT_USAGE, ""), doc
             assert err.startswith("error: malformed ring spec"), doc
+        # a long value is named by its length, not echoed
+        for doc in (
+            {"factors": [{"kind": "polyquot", "p": 2, "h": [0.5] * 100000}]},
+            {"zmod": "x" * 100000},
+            {"factors": [{"kind": "x" * 100000}]},
+        ):
+            malformed.write_text(json.dumps(doc))
+            code, out, err = invoke(capsys, "oracle", "--ring", str(malformed))
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err.count("\n") == 1 and len(err.encode()) < 200, err[:200]
 
     def test_budget_exit(self, capsys):
         code, _, err = invoke(capsys, "oracle", "--zmod", "20")
