@@ -133,6 +133,27 @@ class TestSpecs:
             assert dump_json(spec.to_json()) == text
 
 
+    def test_malformed_values_shown_up_to_shown_length(self):
+        # a value is echoed in full up to SHOWN_LENGTH characters and named by
+        # its length past that
+        h_short, h_long = [0.5] * 10, [0.5] * 11  # reprs of 50 and 55 characters
+        cases = [
+            ({"zmod": "x" * 50}, f"got {'x' * 50!r}"),
+            ({"zmod": "x" * 51}, "got a string of 51 characters"),
+            ({"zmod": 0.5}, "got 0.5"),
+            ({"factors": [{"kind": "polyquot", "p": 2, "h": h_short}]},
+             f"got {h_short!r}"),
+            ({"factors": [{"kind": "polyquot", "p": 2, "h": h_long}]},
+             "got a list of 11 items"),
+            ({"factors": [{"kind": "y" * 50}]}, f"kind: {'y' * 50!r}"),
+            ({"factors": [{"kind": "y" * 51}]}, "kind: a string of 51 characters"),
+        ]
+        for doc, tail in cases:
+            with pytest.raises(ValueError) as exc:
+                FiniteRingSpec.from_json(doc)
+            assert str(exc.value).endswith(tail), (doc, str(exc.value))
+
+
 class TestFiniteRing:
     def test_table_sanity(self):
         for spec in (FiniteRingSpec.zmod(6), F4, GR4_2, Z4_RAMIFIED):

@@ -311,6 +311,21 @@ class TestFactorModP:
         for p in (2, 3):
             assert squarefree_decomposition(ModPoly(p, [1])) == []
 
+    def test_squarefree_decomposition_nested_pth_powers(self):
+        # multiplicities divisible by p, by p^2, and past p but prime to it,
+        # all in one polynomial: the p-th root recursion meets Yun's loop
+        cases = {
+            2: {1: (0, 1), 3: (1, 1, 1), 4: (1, 1), 5: (1, 1, 0, 1)},
+            3: {1: (0, 1), 2: (2, 1), 3: (1, 0, 1), 4: (1, 2, 0, 1), 9: (1, 1)},
+        }
+        for p, expected in cases.items():
+            f = _product([(ModPoly(p, g), m) for m, g in expected.items()])
+            parts = dict()
+            for g, m in squarefree_decomposition(f):
+                assert g.is_monic and g.degree >= 1
+                parts[m] = _lmul(parts.get(m, [1]), g.coeffs, p)
+            assert parts == {m: list(g) for m, g in expected.items()}, p
+
     @given(
         st.sampled_from([2, 3, 5, 7]),
         st.lists(st.integers(0, 6), min_size=1, max_size=8),

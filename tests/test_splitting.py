@@ -1,6 +1,7 @@
 """Tests for prime splitting data: the maximality criterion, the quadratic
 congruence rules, the cyclotomic closed form, and the field-spec dispatch."""
 
+import itertools
 import json
 
 import pytest
@@ -9,7 +10,15 @@ from hypothesis import strategies as st
 
 from sl2ab import splitting
 from sl2ab.cli import run
-from sl2ab.polyarith import IntPoly, euler_phi_factored, factorint, is_squarefree
+from sl2ab.polyarith import (
+    IntPoly,
+    ModPoly,
+    _lmul,
+    euler_phi_factored,
+    factor_mod_p,
+    factorint,
+    is_squarefree,
+)
 from sl2ab.splitting import (
     Cyclotomic,
     GeneralPoly,
@@ -89,6 +98,38 @@ class TestDedekind:
         ]
         at3 = dedekind_split(f, 3)
         assert [(q.e, q.f, q.label) for q in at3.primes] == [(3, 1, "(3, x+1)")]
+
+    def test_criterion_matches_integer_reference(self):
+        # Dedekind's criterion in its textbook form, on integers: with g the
+        # radical and h the cofactor of f mod p lifted to [0, p), and
+        # t = (g h - f) / p, Z[x]/(f) is p-maximal unless some repeated factor
+        # of f mod p divides t mod p, and the obstruction is their product
+        checked = 0
+        for p in (2, 3):
+            for degree in (1, 2, 3):
+                for tail in itertools.product(range(-2, 3), repeat=degree):
+                    f = IntPoly(tail + (1,))
+                    factors = factor_mod_p(f.reduce_mod(p))
+                    g = h = IntPoly((1,))
+                    for gbar, e in factors:
+                        g = g * IntPoly(gbar.coeffs)
+                        for _ in range(e - 1):
+                            h = h * IntPoly(gbar.coeffs)
+                    diff = g * h - f
+                    assert all(c % p == 0 for c in diff.coeffs), f
+                    t = ModPoly(p, [c // p for c in diff.coeffs])
+                    obstruction = [1]
+                    for gbar, e in factors:
+                        if e > 1 and divmod(t, gbar)[1].is_zero:
+                            obstruction = _lmul(obstruction, gbar.coeffs, p)
+                    if obstruction == [1]:
+                        assert dedekind_split(f, p).primes, (f, p)
+                    else:
+                        with pytest.raises(NotPMaximalError) as exc:
+                            dedekind_split(f, p)
+                        assert exc.value.obstruction == ModPoly(p, obstruction)
+                        checked += 1
+        assert checked > 0
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
