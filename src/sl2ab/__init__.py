@@ -22,7 +22,6 @@ from .oracle import (
     DEFAULT_RING_CAP,
     FiniteRing,
     FiniteRingSpec,
-    Mat2,
     RingFactor,
     enumerate_sl2_direct,
     prop_local_formula,
@@ -72,7 +71,6 @@ __all__ = [
     "FiniteUnitsError",
     "GeneralPoly",
     "IntPoly",
-    "Mat2",
     "ModPoly",
     "NotPMaximalError",
     "PrimeAbove",

@@ -120,8 +120,15 @@ def _canonicalize(factors: tuple[int, ...], free_rank: int) -> AbelianGroup:
     return AbelianGroup(free_rank, tuple(chain))
 
 
-def direct_sum(a: AbelianGroup, b: AbelianGroup) -> AbelianGroup:
-    return canonicalize(a.torsion + b.torsion, a.free_rank + b.free_rank)
+def direct_sum(*groups: AbelianGroup) -> AbelianGroup:
+    """The direct sum of any number of groups (the trivial group for none),
+    in one canonicalize call over all their torsion."""
+    torsion: list[int] = []
+    free_rank = 0
+    for g in groups:
+        torsion += g.torsion
+        free_rank += g.free_rank
+    return canonicalize(torsion, free_rank)
 
 
 def from_relations(rows: Iterable[Sequence[int]], n: int) -> AbelianGroup:

@@ -22,14 +22,13 @@ import json
 import re
 import sys
 
-from .abgroup import canonicalize
+from .abgroup import direct_sum
 from .oracle import (
     DEFAULT_RING_CAP,
     BudgetExceededError,
+    FiniteRing,
     FiniteRingSpec,
     prop_local_formula,
-    ring_for,
-    sl2_abelianization,
 )
 from .polyarith import INTEGER_LIMIT, SHOWN_LENGTH, IntPoly, brief, check_limit
 from .splitting import (
@@ -345,14 +344,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.cap < 1:
         raise CliError(f"--cap must be >= 1, got {args.cap}")
     spec = _ring_spec_from_args(args)
-    ab = sl2_abelianization(spec, cap=args.cap)
-    sl2_order = ring_for(spec).sl2_order
+    ring = FiniteRing(spec, cap=args.cap)
+    ab, sl2_order = ring.sl2ab, ring.sl2_order
     match = True
     formula = None
     if args.compare:
-        formula = canonicalize(
-            [d for f in spec.factors for d in prop_local_formula(f).torsion]
-        )
+        formula = direct_sum(*map(prop_local_formula, spec.factors))
         match = formula == ab
     if args.json:
         doc = {

@@ -6,8 +6,10 @@ Galois ring GR(4, 2) = (Z/4)[x]/(x^2+x+1).  A factor element is its tuple of
 deg h coefficients mod p^k; products are reduced mod h.  At the scale this
 package cares about (ring order <= 16 by default) everything is done over
 index-space addition and multiplication tables, built by digit arithmetic
-mod p^k.  |SL2(R)| is counted from the multiplication table; only
-enumerate_sl2_direct lists the group.  The abelianization walks G' and its
+mod p^k.  FiniteRing(spec, cap) holds them and is the one budget check:
+each call builds its own ring, and the module keeps no memo between calls.
+|SL2(R)| is counted from the multiplication table; only enumerate_sl2_direct
+lists the group, as index tuples.  The abelianization walks G' and its
 cosets: X, the elementary matrices of the additive basis of R, has G' as
 the normal closure of its commutators, and the cosets are words in X, found
 breadth first.  |words| |G'| = |SL2(R)| certifies that X generates.  A word
@@ -212,18 +214,6 @@ def _json_list(doc: dict, key: str, kind: type = int) -> list:
     return value
 
 
-Element = tuple  # one coefficient tuple per factor
-
-
-class Mat2(NamedTuple):
-    """A 2x2 matrix over a finite ring, entries as canonical element values."""
-
-    a: Element
-    b: Element
-    c: Element
-    d: Element
-
-
 def _product_table(t1: list[list[int]], t2: list[list[int]]) -> list[list[int]]:
     """The table of R1 x R2 from those of R1 and R2, pairs numbered
     lexicographically: (i, j) is i * |R2| + j."""
@@ -260,32 +250,37 @@ def _factor_tables(factor: RingFactor) -> tuple[_Table, _Table]:
 
 
 class FiniteRing:
-    """Index-space arithmetic tables for a FiniteRingSpec.
-
-    Elements are numbered in the lexicographic order of their factor
-    components; all group-level work downstream runs on the integer indexes.
-    |SL2(R)| and its abelianization are computed once, on first use.
+    """Index-space arithmetic tables for a FiniteRingSpec, within budget:
+    past the enumeration cap cap, or the construction cap whatever cap is,
+    BudgetExceededError is raised before any table is built.  Elements are
+    numbered in the lexicographic order of their factor components; all
+    group-level work downstream runs on the integer indexes.  |SL2(R)| and
+    its abelianization are computed once per ring, on first use.
     """
 
-    def __init__(self, spec: FiniteRingSpec):
-        if spec.order > _CONSTRUCTION_CAP:
+    def __init__(self, spec: FiniteRingSpec, cap: int = DEFAULT_RING_CAP):
+        order = spec.order
+        if order > cap:
             raise BudgetExceededError(
-                f"ring of order {spec.order} exceeds the construction cap "
+                f"ring order {order} exceeds the enumeration cap {cap} "
+                f"(enumerating SL2 takes {order}^3 = {order**3} steps); raise the "
+                "cap explicitly to override"
+            )
+        if order > _CONSTRUCTION_CAP:
+            raise BudgetExceededError(
+                f"ring of order {order} exceeds the construction cap "
                 f"{_CONSTRUCTION_CAP}"
             )
         self.spec = spec
-        self.order = spec.order
+        self.order = order
         factors = spec.factors
-        self.elements: list[Element] = list(
-            itertools.product(*(f.elements() for f in factors))
-        )
-        self.index: dict[Element, int] = {v: i for i, v in enumerate(self.elements)}
+        self.elements = list(itertools.product(*(f.elements() for f in factors)))
         adds, muls = zip(*map(_factor_tables, factors))
         self.add_table = reduce(_product_table, adds)
         self.mul_table = reduce(_product_table, muls)
-        self.zero_index = self.index[tuple((0,) * f.degree for f in factors)]
+        self.zero_index = 0  # every coefficient 0 comes first
         one = tuple((1,) + (0,) * (f.degree - 1) for f in factors)
-        self.one_index = self.index[one]
+        self.one_index = self.elements.index(one)
         self.neg = [row.index(self.zero_index) for row in self.add_table]
 
     @cached_property
@@ -299,16 +294,6 @@ class FiniteRing:
     def sl2ab(self) -> AbelianGroup:
         quotient = _sl2_quotient(self)
         return from_relations(quotient.relations, len(quotient.gens))
-
-
-_ring_cache: dict[FiniteRingSpec, FiniteRing] = {}
-
-
-def ring_for(spec: FiniteRingSpec) -> FiniteRing:
-    ring = _ring_cache.get(spec)
-    if ring is None:
-        ring = _ring_cache[spec] = FiniteRing(spec)
-    return ring
 
 
 _IndexMat = tuple[int, int, int, int]
@@ -370,20 +355,6 @@ def _extend(
     return closed
 
 
-def _to_value_mat(ring: FiniteRing, m: _IndexMat) -> Mat2:
-    els = ring.elements
-    return Mat2(els[m[0]], els[m[1]], els[m[2]], els[m[3]])
-
-
-def _check_budget(order: int, cap: int) -> None:
-    if order > cap:
-        raise BudgetExceededError(
-            f"ring order {order} exceeds the enumeration cap {cap} "
-            f"(enumerating SL2 takes {order}^3 = {order**3} steps); raise the cap "
-            "explicitly to override"
-        )
-
-
 def _sl2_indices(ring: FiniteRing) -> Iterator[_IndexMat]:
     """(a, b, c, d) with a d = 1 + b c, in lexicographic order: for each a,
     the d solving a d = x are listed once per x, so the scan takes |R|^3 steps."""
@@ -400,12 +371,10 @@ def _sl2_indices(ring: FiniteRing) -> Iterator[_IndexMat]:
 
 def enumerate_sl2_direct(
     spec: FiniteRingSpec, cap: int = DEFAULT_RING_CAP
-) -> list[Mat2]:
-    """All of SL2(R): every (a, b, c, d) in R^4 with determinant one, in
-    lexicographic order."""
-    _check_budget(spec.order, cap)
-    r = ring_for(spec)
-    return [_to_value_mat(r, m) for m in _sl2_indices(r)]
+) -> list[_IndexMat]:
+    """All of SL2(R): every (a, b, c, d) in R^4 with determinant one, as
+    indexes into FiniteRing(spec).elements, in lexicographic order."""
+    return list(_sl2_indices(FiniteRing(spec, cap)))
 
 
 class _Quotient(NamedTuple):
@@ -488,9 +457,8 @@ def sl2_abelianization(
     spec: FiniteRingSpec, cap: int = DEFAULT_RING_CAP
 ) -> AbelianGroup:
     """Abelianization of SL2(R) from the cosets of its commutator subgroup,
-    without listing the group (cached per ring)."""
-    _check_budget(spec.order, cap)
-    return ring_for(spec).sl2ab
+    without listing the group."""
+    return FiniteRing(spec, cap).sl2ab
 
 
 def prop_local_formula(factor: RingFactor) -> AbelianGroup:

@@ -56,6 +56,17 @@ def brief(value: int | str) -> str:
     return f"a {_digit_count(abs(value))}-digit number"
 
 
+def brief_poly(f: "IntPoly | ModPoly", render=str) -> str:
+    """f as an error message names it: render(f) in full up to SHOWN_LENGTH
+    characters, past that by its degree ("a polynomial of degree 64").  A
+    coefficient that long is not rendered, as str() may refuse it."""
+    if all(abs(c) < 10**SHOWN_LENGTH for c in f.coeffs):
+        text = render(f)
+        if len(text) <= SHOWN_LENGTH:
+            return text
+    return f"a polynomial of degree {f.degree}"
+
+
 def check_limit(value: int, limit: int, name: str) -> None:
     """Raise ValueError when |value| exceeds limit."""
     if abs(value) > limit:
@@ -547,9 +558,9 @@ def factor_mod_p(f: ModPoly) -> list[tuple[ModPoly, int]]:
     and the result does not depend on the random splitting elements.
     """
     if f.degree < 1:
-        raise ValueError(f"need degree >= 1, got {f!r}")
+        raise ValueError(f"need degree >= 1, got {brief_poly(f, repr)}")
     if not f.is_monic:
-        raise ValueError(f"need a monic polynomial, got {f!r}")
+        raise ValueError(f"need a monic polynomial, got {brief_poly(f, repr)}")
     p = f.p
     found = [
         (g, m)

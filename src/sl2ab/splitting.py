@@ -26,6 +26,7 @@ from .polyarith import (
     _lgcd,
     _lmul,
     _lsub,
+    brief_poly,
     check_limit,
     euler_phi_factored,
     factor_mod_p,
@@ -52,6 +53,7 @@ def _check_p(p: int) -> None:
 
 
 def _check_radicand(d: int) -> None:
+    check_limit(d, INTEGER_LIMIT, "d")  # before is_squarefree divides d
     if d in (0, 1) or not is_squarefree(d):
         raise ValueError(f"radicand must be squarefree and not 0 or 1: {d}")
 
@@ -68,8 +70,8 @@ class NotPMaximalError(Exception):
         self.poly = poly
         self.obstruction = ModPoly(p, obstruction)
         super().__init__(
-            f"Z[x]/({poly}) is not maximal at {p} "
-            f"(Dedekind criterion obstruction: {self.obstruction}); "
+            f"Z[x]/({brief_poly(poly)}) is not maximal at {p} "
+            f"(Dedekind criterion obstruction: {brief_poly(self.obstruction)}); "
             "give its splitting of 2 and 3 through sl2ab.UserNumberField, or "
             "use --quadratic or --cyclotomic when the field is one of those"
         )
@@ -185,7 +187,9 @@ def dedekind_split(f: IntPoly, p: int) -> SplittingData:
     """
     _check_p(p)
     if not f.is_monic or f.degree < 1:
-        raise ValueError(f"need a monic polynomial of degree >= 1: {f!r}")
+        raise ValueError(
+            f"need a monic polynomial of degree >= 1: {brief_poly(f, repr)}"
+        )
     factors = factor_mod_p(f.reduce_mod(p))
     radical = cofactor = [1]
     for gbar, e in factors:
@@ -312,7 +316,6 @@ class Quadratic(NumberField):
     route = "quadratic"
 
     def __post_init__(self) -> None:
-        check_limit(self.d, INTEGER_LIMIT, "d")
         _check_radicand(self.d)
 
     @property
@@ -400,14 +403,17 @@ class GeneralPoly(NumberField):
     poly: IntPoly
 
     def __post_init__(self) -> None:
-        if not self.poly.is_monic or self.poly.degree < 1:
-            raise ValueError(f"need a monic polynomial of degree >= 1: {self.poly!r}")
+        # the limits first, so that no message renders a polynomial past them
         check_limit(self.poly.degree, POLY_DEGREE_LIMIT, "degree")
         for c in self.poly.coeffs:
             check_limit(c, POLY_COEFFICIENT_LIMIT, "coefficient")
+        if not self.poly.is_monic or self.poly.degree < 1:
+            shown = brief_poly(self.poly, repr)
+            raise ValueError(f"need a monic polynomial of degree >= 1: {shown}")
         if not irreducible_over_q_check(self.poly):
             raise ValueError(
-                f"{self.poly} is reducible over Q and does not define a field"
+                f"{brief_poly(self.poly)} is reducible over Q and does not define "
+                "a field"
             )
 
     @property

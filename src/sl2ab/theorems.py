@@ -10,15 +10,14 @@ unit group is finite the formulas do not apply and only a short ledger of
 known literature values is available.
 
 compute() is the one route from a field form plus S to a group: it lists
-the contribution of each surviving prime once and takes their direct sum in
-one canonicalize call over all their torsion.
+the contribution of each surviving prime once and takes their direct sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abgroup import AbelianGroup, canonicalize
+from .abgroup import AbelianGroup, direct_sum
 from .polyarith import (
     INTEGER_LIMIT,
     brief,
@@ -245,5 +244,5 @@ def compute(ring: ArithmeticRingSpec) -> ComputeOutcome:
         )
         return ComputeOutcome(ring, known, "known-case", (), (warning,), splittings)
     contributions = _contributions(spec, splittings, s)
-    group = canonicalize([d for c in contributions for d in c.group.torsion])
+    group = direct_sum(*[c.group for c in contributions])
     return ComputeOutcome(ring, group, spec.route, contributions, (), splittings)

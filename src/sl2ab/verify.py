@@ -15,11 +15,10 @@ from dataclasses import dataclass
 from . import oracle
 from .abgroup import AbelianGroup, TRIVIAL_GROUP, direct_sum
 from .oracle import (
+    FiniteRing,
     FiniteRingSpec,
     RingFactor,
-    enumerate_sl2_direct,
     prop_local_formula,
-    ring_for,
     sl2_abelianization,
 )
 from .polyarith import cyclotomic_polynomial, is_squarefree, primes_dividing
@@ -254,8 +253,8 @@ def suite_ge2() -> list[CaseResult]:
     elements as the direct determinant-one enumeration."""
     out: list[CaseResult] = []
     for label, spec in GE2_RINGS:
-        direct = len(enumerate_sl2_direct(spec))
-        ring = ring_for(spec)
+        ring = FiniteRing(spec)
+        direct = sum(1 for _ in oracle._sl2_indices(ring))
         quotient = oracle._derived_quotient(ring, oracle._elementary_gens(ring))
         words, derived = len(quotient.reps), len(quotient.derived)
         out.append(
@@ -275,9 +274,7 @@ def suite_product_lemma() -> list[CaseResult]:
     and the count from the ring tables match the |SL2(Z/n)| order formula
     for n <= 16."""
     out: list[CaseResult] = []
-    ab12 = sl2_abelianization(FiniteRingSpec.zmod(12))
-    ab4 = sl2_abelianization(FiniteRingSpec.zmod(4))
-    ab3 = sl2_abelianization(FiniteRingSpec.zmod(3))
+    ab12, ab4, ab3 = (FiniteRing(FiniteRingSpec.zmod(n)).sl2ab for n in (12, 4, 3))
     combined = direct_sum(ab4, ab3)
     expected = AbelianGroup(0, (12,))
     out.append(
@@ -289,8 +286,9 @@ def suite_product_lemma() -> list[CaseResult]:
     )
     for n in range(2, 17):
         spec = FiniteRingSpec.zmod(n)
-        listed = len(enumerate_sl2_direct(spec))
-        counted = ring_for(spec).sl2_order
+        ring = FiniteRing(spec)
+        listed = sum(1 for _ in oracle._sl2_indices(ring))
+        counted = ring.sl2_order
         predicted = sl2_order_zmod(n)
         out.append(
             CaseResult(

@@ -135,6 +135,20 @@ class TestDirectSum:
         assert direct_sum(TRIVIAL_GROUP, TRIVIAL_GROUP) == TRIVIAL_GROUP
         assert direct_sum(TRIVIAL_GROUP, AbelianGroup(0, (7,))) == AbelianGroup(0, (7,))
 
+    def test_any_number_of_groups(self):
+        assert direct_sum() == TRIVIAL_GROUP
+        assert direct_sum(AbelianGroup(1, (4,))) == AbelianGroup(1, (4,))
+        groups = [AbelianGroup(0, (4,)), AbelianGroup(0, (2, 2)), AbelianGroup(2, (3,))]
+        assert direct_sum(*groups) == AbelianGroup(2, (2, 2, 12))
+
+    @given(st.lists(st.lists(st.integers(2, 20), max_size=3), max_size=4))
+    def test_equals_the_pairwise_sums(self, factor_lists):
+        groups = [canonicalize(xs, len(xs) % 2) for xs in factor_lists]
+        pairwise = TRIVIAL_GROUP
+        for g in groups:
+            pairwise = direct_sum(pairwise, g)
+        assert direct_sum(*groups) == pairwise
+
     @given(
         st.lists(st.integers(2, 20), max_size=4),
         st.lists(st.integers(2, 20), max_size=4),

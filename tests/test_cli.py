@@ -376,6 +376,9 @@ class TestInputLimits:
             ("compute", _poly_arg([1, 10**40 + 1, 1])),
             ("compute", _poly_arg([-(10**40) - 1, 0, 0, 1])),
             ("compute", _poly_arg([10**3999] * 20 + [1])),
+            # ... checked before whether it is monic
+            ("compute", _poly_arg([7] * 5000 + [2])),
+            ("compute", _poly_arg([1, 10**40 + 1, 2])),
             # --invert: more than 32 integers, each of them factored
             ("compute", "--rational", "--invert", ",".join(["999999999989"] * 33)),
             ("compute", "--rational", "--invert", ",".join(["999999999989"] * 100)),
@@ -423,6 +426,39 @@ class TestInputLimits:
         )
         assert code == EXIT_USAGE
         assert err == "error: |number of integers| must be at most 32, got 33\n"
+
+    def test_poly_past_the_shown_length_is_named_by_its_degree(self, capsys):
+        # degree 64 with coefficients of up to 40 digits, within the limits
+        a, b = 10**19 + 3, 10**20 + 7
+        # (x^32 + a)(x^32 + b)
+        reducible = [a * b] + [0] * 31 + [a + b] + [0] * 31 + [1]
+        code, out, err = invoke(capsys, "compute", _poly_arg(reducible))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            "error: a polynomial of degree 64 is reducible over Q and does not "
+            "define a field\n"
+        )
+        # Eisenstein at 5, and x^64 mod 2 with every other coefficient
+        # divisible by 4: not maximal at 2
+        eisenstein = [20] + [20 * (10**38 + 1)] * 63 + [1]
+        code, out, err = invoke(capsys, "compute", _poly_arg(eisenstein))
+        assert (code, out) == (EXIT_NOT_MAXIMAL, "")
+        assert err.startswith(
+            "error: Z[x]/(a polynomial of degree 64) is not maximal at 2 "
+            "(Dedekind criterion obstruction: x); "
+        )
+        assert err.count("\n") == 1 and len(err.encode()) < 300, err
+
+    def test_short_poly_messages_are_unchanged(self, capsys):
+        for arg, expected in (
+            ("--poly=2,3", "need a monic polynomial of degree >= 1: IntPoly([2, 3])"),
+            (
+                "--poly=2,0,3,0,1",
+                "x^4+3x^2+2 is reducible over Q and does not define a field",
+            ),
+        ):
+            code, out, err = invoke(capsys, "compute", arg)
+            assert (code, out, err) == (EXIT_USAGE, "", f"error: {expected}\n")
 
     @pytest.mark.parametrize(
         "coefficient", ["1" * 5000, "x" * 5000], ids=["digits", "text"]
@@ -490,7 +526,6 @@ class TestOracleCommand:
             yield
 
         monkeypatch.setattr(oracle, "_sl2_indices", refuse)
-        monkeypatch.setattr(oracle, "_ring_cache", {})
         code, out, err = invoke(capsys, "oracle", "--zmod", "12", "--compare", "--json")
         assert (code, err) == (EXIT_OK, "")
         group = {"free_rank": 0, "invariant_factors": [12]}
@@ -585,19 +620,16 @@ class TestOracleCommand:
             raise AssertionError("ring tables built")
 
         monkeypatch.setattr(oracle, "_factor_tables", refuse)
-        monkeypatch.setattr(oracle, "_ring_cache", {})
         code, out, err = invoke(capsys, "oracle", "--zmod", "1031", "--cap", "2000")
         assert (code, out) == (EXIT_BUDGET, "")
         assert err == "error: ring of order 1031 exceeds the construction cap 1024\n"
-        assert oracle._ring_cache == {}
 
     def test_budget_is_checked_before_the_ring_tables(self, capsys, monkeypatch):
         # building the tables of a ring of order 1000 would take seconds
-        def refuse(self, spec):
+        def refuse(factor):
             raise AssertionError("ring tables built")
 
-        monkeypatch.setattr(oracle.FiniteRing, "__init__", refuse)
-        monkeypatch.setattr(oracle, "_ring_cache", {})
+        monkeypatch.setattr(oracle, "_factor_tables", refuse)
         code, _, err = invoke(capsys, "oracle", "--zmod", "1000")
         assert code == EXIT_BUDGET
         assert err == (
@@ -605,12 +637,27 @@ class TestOracleCommand:
             "SL2 takes 1000^3 = 1000000000 steps); raise the cap explicitly to "
             "override\n"
         )
-        assert oracle._ring_cache == {}
-        spec = oracle.FiniteRingSpec.zmod(1000)
-        for call in (oracle.enumerate_sl2_direct, oracle.sl2_abelianization):
-            with pytest.raises(oracle.BudgetExceededError):
-                call(spec)
-        assert oracle._ring_cache == {}
+
+    def test_one_ring_per_request(self, capsys, monkeypatch):
+        # the tables of each factor are built once, and nothing is kept
+        built = []
+        factor_tables = oracle._factor_tables
+
+        def counted(factor):
+            built.append(factor)
+            return factor_tables(factor)
+
+        monkeypatch.setattr(oracle, "_factor_tables", counted)
+        code, out, _ = invoke(capsys, "oracle", "--zmod", "12", "--compare")
+        assert code == EXIT_OK
+        assert "abelianization: Z/12" in out
+        assert built == list(oracle.FiniteRingSpec.zmod(12).factors)
+        assert not [
+            name
+            for name, value in vars(oracle).items()
+            if not name.startswith("__") and isinstance(value, (dict, list, set))
+            and value
+        ]
 
 
 class TestTableCommand:

@@ -11,7 +11,7 @@ from a coset dict over the whole group, elementwise ring tables and the
 import itertools
 import json
 import random
-from functools import cached_property, reduce
+from functools import cached_property
 from math import gcd, lcm
 
 import pytest
@@ -21,12 +21,11 @@ from sl2ab.abgroup import TRIVIAL_GROUP, AbelianGroup, direct_sum, from_relation
 from sl2ab.oracle import (
     DEFAULT_RING_CAP,
     BudgetExceededError,
+    FiniteRing,
     FiniteRingSpec,
-    Mat2,
     RingFactor,
     enumerate_sl2_direct,
     prop_local_formula,
-    ring_for,
     sl2_abelianization,
     _derived_quotient,
     _elementary,
@@ -36,7 +35,6 @@ from sl2ab.oracle import (
     _mmul,
     _sl2_quotient,
     _sl2_indices,
-    _to_value_mat,
 )
 from sl2ab.cli import dump_json
 from sl2ab.verify import GE2_RINGS, LOCAL_RINGS
@@ -154,10 +152,15 @@ class TestSpecs:
             assert str(exc.value).endswith(tail), (doc, str(exc.value))
 
 
+def _ring(spec):
+    """The tables of spec, whatever its order under the construction cap."""
+    return FiniteRing(spec, cap=spec.order)
+
+
 class TestFiniteRing:
     def test_table_sanity(self):
         for spec in (FiniteRingSpec.zmod(6), F4, GR4_2, Z4_RAMIFIED):
-            ring = ring_for(spec)
+            ring = FiniteRing(spec)
             n = ring.order
             add, mul = ring.add_table, ring.mul_table
             for i in range(n):
@@ -169,12 +172,11 @@ class TestFiniteRing:
                     assert add[i][j] == add[j][i]
                     assert mul[i][j] == mul[j][i]
 
-    def test_ring_cache(self):
-        assert ring_for(F4) is ring_for(F4)
-        # each ring counts SL2 and abelianizes it once, however reached, and
-        # keeps no list of the group
-        ring = ring_for(F4)
-        assert sl2_abelianization(F4) is ring.sl2ab is sl2_abelianization(F4)
+    def test_ring_memos(self):
+        # a ring counts SL2 and abelianizes it once, and keeps no list of
+        # the group
+        ring = FiniteRing(F4)
+        assert ring.sl2ab is ring.sl2ab == sl2_abelianization(F4) == TRIVIAL_GROUP
         assert ring.sl2_order == len(enumerate_sl2_direct(F4)) == 60
         memos = [
             name
@@ -183,37 +185,55 @@ class TestFiniteRing:
         ]
         assert memos == ["sl2_order", "sl2ab"]
 
-    def test_every_memo_is_a_cache_dict(self):
-        # a cold start empties the module dicts named *_cache (as the
-        # oracle-cold benchmark workload does); any other memo would survive
+    def test_oracle_keeps_no_module_level_memo(self):
+        # every call builds its own ring, so a new process and a warm one
+        # answer alike and nothing is held between calls
         spec = FiniteRingSpec((RingFactor(2, 2), RingFactor(3)))
-        ring = ring_for(spec)
-        assert ring.sl2ab == AbelianGroup(0, (12,))
+        assert sl2_abelianization(spec) == AbelianGroup(0, (12,))
+        assert len(enumerate_sl2_direct(spec)) == 1152
         state = {
             name: value
             for name, value in vars(oracle).items()
             if not name.startswith("__")
         }
-        memos = {
+        assert not [
             name
             for name, value in state.items()
             if isinstance(value, (dict, list, set)) and value
-        }
-        assert memos == {"_ring_cache"}
+        ]
         assert not [
             name
             for name, value in state.items()
             if getattr(value, "__module__", None) == oracle.__name__
             and hasattr(value, "cache_info")
         ]
-        _empty_oracle_caches()
-        assert not oracle._ring_cache
-        assert ring_for(spec) is not ring
+        for name in ("_ring_cache", "ring_for", "_check_budget", "Mat2"):
+            assert not hasattr(oracle, name), name
 
-    def test_construction_cap(self):
+    def test_budget_is_checked_before_any_table(self, monkeypatch):
+        def refuse(factor):
+            raise AssertionError("ring tables built")
+
+        monkeypatch.setattr(oracle, "_factor_tables", refuse)
         with pytest.raises(BudgetExceededError) as exc:
-            ring_for(FiniteRingSpec.zmod(2048))
-        assert "construction cap" in str(exc.value)
+            FiniteRing(FiniteRingSpec.zmod(1000))
+        assert str(exc.value) == (
+            "ring order 1000 exceeds the enumeration cap 16 (enumerating SL2 "
+            "takes 1000^3 = 1000000000 steps); raise the cap explicitly to override"
+        )
+        # the enumeration cap is checked first, then the construction cap
+        with pytest.raises(BudgetExceededError) as exc:
+            FiniteRing(FiniteRingSpec.zmod(2048))
+        assert "enumeration cap 16" in str(exc.value)
+        for n, cap in ((1031, 2000), (2048, 2048)):
+            with pytest.raises(BudgetExceededError) as exc:
+                FiniteRing(FiniteRingSpec.zmod(n), cap=cap)
+            assert str(exc.value) == (
+                f"ring of order {n} exceeds the construction cap 1024"
+            )
+        for call in (enumerate_sl2_direct, sl2_abelianization):
+            with pytest.raises(BudgetExceededError, match="enumeration cap 16"):
+                call(FiniteRingSpec.zmod(1000))
 
 
 SL2_ORDERS = {
@@ -228,25 +248,26 @@ SL2_ORDERS = {
 }
 
 
-def _mat_mul(ring, x: Mat2, y: Mat2) -> Mat2:
-    add, mul, idx, els = ring.add_table, ring.mul_table, ring.index, ring.elements
+def _mat_mul(ring, x, y):
+    """x y for index 4-tuples, entry by entry from the ring tables."""
+    add, mul = ring.add_table, ring.mul_table
 
     def dot(u1, v1, u2, v2):
-        return els[add[mul[idx[u1]][idx[v1]]][mul[idx[u2]][idx[v2]]]]
+        return add[mul[u1][v1]][mul[u2][v2]]
 
-    return Mat2(
-        dot(x.a, y.a, x.b, y.c),
-        dot(x.a, y.b, x.b, y.d),
-        dot(x.c, y.a, x.d, y.c),
-        dot(x.c, y.b, x.d, y.d),
-    )
+    a, b, c, d = x
+    e, f, g, h = y
+    return (dot(a, e, b, g), dot(a, f, b, h), dot(c, e, d, g), dot(c, f, d, h))
 
 
-def _mat_inv(ring, m: Mat2) -> Mat2:
-    def neg(v):
-        return ring.elements[ring.neg[ring.index[v]]]
+def _mat_inv(ring, m):
+    a, b, c, d = m
+    return (d, ring.neg[b], ring.neg[c], a)
 
-    return Mat2(m.d, neg(m.b), neg(m.c), m.a)
+
+def _mat_value(ring, m):
+    """An index 4-tuple as the element values of its entries."""
+    return tuple(ring.elements[i] for i in m)
 
 
 class TestEnumeration:
@@ -255,22 +276,32 @@ class TestEnumeration:
             assert len(enumerate_sl2_direct(spec)) == size, name
 
     def test_contains_identity_and_is_closed(self):
-        ring = ring_for(F3)
+        ring = FiniteRing(F3)
         group = enumerate_sl2_direct(F3)
-        one = ring.elements[ring.one_index]
-        zero = ring.elements[ring.zero_index]
-        assert Mat2(one, zero, zero, one) in group
+        one, zero = ring.one_index, ring.zero_index
+        assert (one, zero, zero, one) in group
         gset = set(group)
         for x in group[:8]:
-            assert _mat_mul(ring, x, _mat_inv(ring, x)) == Mat2(one, zero, zero, one)
+            assert _mat_mul(ring, x, _mat_inv(ring, x)) == (one, zero, zero, one)
             for y in group:
                 assert _mat_mul(ring, x, y) in gset
 
+    def test_index_tuples_in_lexicographic_order(self):
+        # indexes number the elements lexicographically, so the index tuples
+        # and the matrices of element values are listed in the same order
+        for spec in (F3, F4, FiniteRingSpec.zmod(6)):
+            ring = FiniteRing(spec)
+            group = enumerate_sl2_direct(spec)
+            assert group == sorted(group)
+            values = [_mat_value(ring, m) for m in group]
+            assert values == sorted(values)
+            assert ring.elements == sorted(ring.elements)
+
     def test_elementary_matrices_generate(self):
         for spec in (F2, F3, Z4, F4, EPS2, FiniteRingSpec.zmod(6)):
-            ring = ring_for(spec)
+            ring = FiniteRing(spec)
             generated = _generated_subgroup(ring, _elementary_gens(ring))
-            assert [_to_value_mat(ring, m) for m in generated] == enumerate_sl2_direct(spec)
+            assert generated == enumerate_sl2_direct(spec)
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError) as exc:
@@ -286,25 +317,25 @@ class TestEnumeration:
 
 class TestCommutatorsAndAbelianization:
     def test_sl2_f2_is_symmetric_group_s3(self):
-        derived = _sl2_quotient(ring_for(F2)).derived
+        derived = _sl2_quotient(FiniteRing(F2)).derived
         assert len(derived) == 3
         assert sl2_abelianization(F2) == AbelianGroup(0, (2,))
 
     def test_sl2_f4_is_perfect(self):
-        derived = _sl2_quotient(ring_for(F4)).derived
+        derived = _sl2_quotient(FiniteRing(F4)).derived
         assert len(derived) == len(enumerate_sl2_direct(F4)) == 60
         assert sl2_abelianization(F4) == TRIVIAL_GROUP
 
     def test_sl2_f3_derived_is_quaternion(self):
-        derived = _sl2_quotient(ring_for(F3)).derived
+        derived = _sl2_quotient(FiniteRing(F3)).derived
         assert len(derived) == 8
         assert sl2_abelianization(F3) == AbelianGroup(0, (3,))
 
     def test_commutator_subgroup_is_normal(self):
         for spec in (F3, Z4, FiniteRingSpec.zmod(6), Z8):
-            ring = ring_for(spec)
+            ring = FiniteRing(spec)
             group = enumerate_sl2_direct(spec)
-            derived = {_to_value_mat(ring, m) for m in _sl2_quotient(ring).derived}
+            derived = _sl2_quotient(ring).derived
             for g in group:
                 ginv = _mat_inv(ring, g)
                 for n in derived:
@@ -377,7 +408,7 @@ class TestLocalFormula:
         # off the ring tables; then the formula must be the oracle's answer
         local = 0
         for factor in SMALL_FACTORS:
-            ring = ring_for(FiniteRingSpec((factor,)))
+            ring = FiniteRing(FiniteRingSpec((factor,)))
             A, one = ring.add_table, ring.one_index
             nonunits = [i for i, row in enumerate(ring.mul_table) if one not in row]
             sums = {A[a][b] for a in nonunits for b in nonunits}
@@ -391,10 +422,10 @@ class TestLocalFormula:
         assert (len(SMALL_FACTORS), local) == (131, 109)
 
     def test_factors_past_the_construction_cap(self, monkeypatch):
-        def refuse(self, spec):
+        def refuse(factor):
             raise AssertionError("ring tables built")
 
-        monkeypatch.setattr(oracle.FiniteRing, "__init__", refuse)
+        monkeypatch.setattr(oracle, "_factor_tables", refuse)
         cases = [
             (RingFactor(2, 20), AbelianGroup(0, (4,))),  # Z/2^20
             (RingFactor(2, 11, (0, 0, 1)), AbelianGroup(0, (2, 4))),  # h(0) = 0
@@ -531,7 +562,8 @@ def _factor_mul_reference(factor, a, b):
 
 def _tables_reference(ring):
     """Both ring tables, one element pair at a time, factor by factor."""
-    els, idx, factors = ring.elements, ring.index, ring.spec.factors
+    els, factors = ring.elements, ring.spec.factors
+    idx = {v: i for i, v in enumerate(els)}
 
     def add(factor, a, b):
         return tuple((x + y) % factor.modulus for x, y in zip(a, b))
@@ -574,12 +606,6 @@ def _order_profile(torsion):
     return profile
 
 
-def _empty_oracle_caches():
-    for name, value in vars(oracle).items():
-        if name.endswith("_cache") and isinstance(value, dict):
-            value.clear()
-
-
 _LOCAL = dict(LOCAL_RINGS)
 
 # The rings of order <= 12 that are not Z/n, as products of local factors
@@ -619,7 +645,7 @@ class TestAgainstReferences:
         specs += [spec for spec in PRODUCT_RINGS if spec not in specs]
         assert len(specs) == 25
         for spec in specs:
-            ring = ring_for(spec)
+            ring = _ring(spec)
             group = list(_sl2_indices(ring))
             expected = _all_pairs_commutator_closure(ring, group)
             assert _sl2_quotient(ring).derived == expected, spec.describe()
@@ -630,7 +656,7 @@ class TestAgainstReferences:
         rng = random.Random(4)
         for n in (6, 8):
             spec = FiniteRingSpec.zmod(n)
-            ring = ring_for(spec)
+            ring = _ring(spec)
             sl2 = list(_sl2_indices(ring))
             sizes = set()
             for _ in range(25):
@@ -646,7 +672,7 @@ class TestAgainstReferences:
         specs = [spec for _, spec in GE2_RINGS] + list(PRODUCT_RINGS)
         specs += [FiniteRingSpec.zmod(n) for n in (13, 14, 15, 16, 25, 27)]
         for spec in dict.fromkeys(specs):
-            ring = ring_for(spec)
+            ring = _ring(spec)
             group = list(_sl2_indices(ring))
             quotient = _sl2_quotient(ring)
             # X is the elementary matrices of an additive generating set
@@ -657,7 +683,7 @@ class TestAgainstReferences:
         rng = random.Random(11)
         sizes = set()
         for spec in PRODUCT_RINGS:
-            ring = ring_for(spec)
+            ring = _ring(spec)
             sl2 = list(_sl2_indices(ring))
             for k in (2, 3, 2, 3):
                 gens = rng.sample(sl2, k)
@@ -670,7 +696,7 @@ class TestAgainstReferences:
         rng = random.Random(7)
         seen = set()
         for spec in (FiniteRingSpec.zmod(6), Z8, F4, EPS2) + PRODUCT_RINGS[:6]:
-            ring = ring_for(spec)
+            ring = _ring(spec)
             sl2 = list(_sl2_indices(ring))
             for k in (1, 2, 2, 3):
                 gens = rng.sample(sl2, k)
@@ -687,15 +713,11 @@ class TestAgainstReferences:
     def test_residue_field_f9_rings(self):
         # order 81, past the default cap: GR(9, 2) and F_3[x]/((x^2+1)^2)
         factors = (RingFactor(3, 2, (1, 0, 1)), RingFactor(3, 1, (1, 0, 2, 0, 1)))
-        try:
-            for factor in factors:
-                spec = FiniteRingSpec((factor,))
-                assert sl2_abelianization(spec, cap=81) == prop_local_formula(factor)
-                # |A|^3 (1 - |k|^-2) with |A| = 81, k = F_9
-                ring = ring_for(spec)
-                assert ring.sl2_order == len(list(_sl2_indices(ring))) == 81**3 - 81**2
-        finally:
-            _empty_oracle_caches()
+        for factor in factors:
+            ring = FiniteRing(FiniteRingSpec((factor,)), cap=81)
+            assert ring.sl2ab == prop_local_formula(factor)
+            # |A|^3 (1 - |k|^-2) with |A| = 81, k = F_9
+            assert ring.sl2_order == len(list(_sl2_indices(ring))) == 81**3 - 81**2
 
     def test_sl2_certificate_failure_raises(self, monkeypatch):
         # with only the E12 matrices, X generates the upper unitriangular
@@ -707,17 +729,13 @@ class TestAgainstReferences:
             return [g for g in elementary_gens(ring) if g[2] == ring.zero_index]
 
         monkeypatch.setattr(oracle, "_elementary_gens", upper_only)
-        _empty_oracle_caches()
-        try:
-            for spec in (F2, Z4, FiniteRingSpec.zmod(6)):
-                with pytest.raises(RuntimeError, match="generate"):
-                    _sl2_quotient(ring_for(spec))
-        finally:
-            _empty_oracle_caches()
+        for spec in (F2, Z4, FiniteRingSpec.zmod(6)):
+            with pytest.raises(RuntimeError, match="generate"):
+                _sl2_quotient(FiniteRing(spec))
 
     def test_derived_subgroup_abelianization(self):
         # SL2(F_3)' is the quaternion group Q8, whose abelianization is Z/2 + Z/2
-        ring = ring_for(F3)
+        ring = FiniteRing(F3)
         xs = _generators_reference(ring, sorted(_sl2_quotient(ring).derived))
         quotient = _derived_quotient(ring, xs)
         assert from_relations(quotient.relations, len(xs)) == AbelianGroup(0, (2, 2))
@@ -726,9 +744,7 @@ class TestAgainstReferences:
     def test_sl2_abelianization_is_the_sum_of_local_formulas(self):
         for n in (13, 14, 15, 16, 25, 27):
             spec = FiniteRingSpec.zmod(n)
-            expected = reduce(
-                direct_sum, (prop_local_formula(f) for f in spec.factors), TRIVIAL_GROUP
-            )
+            expected = direct_sum(*map(prop_local_formula, spec.factors))
             assert sl2_abelianization(spec, cap=n) == expected, n
 
     def test_ring_tables_match_elementwise_reference(self):
@@ -736,7 +752,7 @@ class TestAgainstReferences:
         specs += [GR4_2, Z4_RAMIFIED, FiniteRingSpec((RingFactor(3, 2, (0, 0, 1)),))]
         specs.append(FiniteRingSpec(GR4_2.factors + F3.factors + EPS2.factors))
         for spec in specs:
-            ring = ring_for(spec)
+            ring = _ring(spec)
             expected = _tables_reference(ring)
             assert [ring.add_table, ring.mul_table] == expected, spec.describe()
 
@@ -744,7 +760,7 @@ class TestAgainstReferences:
         specs = [FiniteRingSpec.zmod(n) for n in range(2, 17)]
         specs += [spec for _, spec in GE2_RINGS] + list(PRODUCT_RINGS)
         for spec in specs:
-            ring = ring_for(spec)
+            ring = _ring(spec)
             assert list(_sl2_indices(ring)) == _sl2_indices_r4(ring), spec.describe()
 
     def test_sl2_order_counts_the_enumeration(self):
@@ -753,14 +769,14 @@ class TestAgainstReferences:
         specs += [GR4_2, Z4_RAMIFIED, FiniteRingSpec((RingFactor(2, 2, (0, 0, 1)),))]
         specs += [FiniteRingSpec.zmod(n) for n in (25, 27)]  # past the default cap
         for spec in dict.fromkeys(specs):
-            ring = ring_for(spec)
+            ring = _ring(spec)
             listed = enumerate_sl2_direct(spec, cap=27)
             assert ring.sl2_order == len(list(_sl2_indices(ring))) == len(listed)
             # and the closed form: |A|^3 (1 - q^-2) per local factor A, with
             # q = |A| / |m| the order of its residue field
             expected = 1
             for factor in spec.factors:
-                local = ring_for(FiniteRingSpec((factor,)))
+                local = _ring(FiniteRingSpec((factor,)))
                 units = sum(local.one_index in row for row in local.mul_table)
                 q = local.order // (local.order - units)
                 expected *= local.order**3 * (q * q - 1) // (q * q)

@@ -15,6 +15,7 @@ from sl2ab import polyarith
 from sl2ab.cli import EXIT_BUDGET, run
 from sl2ab.polyarith import (
     RECOMBINATION_BUDGET,
+    SHOWN_LENGTH,
     IntPoly,
     ModPoly,
     cyclotomic_polynomial,
@@ -32,6 +33,7 @@ from sl2ab.polyarith import (
     _ladd,
     _lmul,
     _squarefree_over_q,
+    brief_poly,
 )
 
 
@@ -118,6 +120,21 @@ class TestIntegerHelpers:
 
 
 class TestIntPoly:
+    def test_brief_poly(self):
+        # shown in full up to SHOWN_LENGTH characters, past that by degree
+        at = IntPoly([10 ** (SHOWN_LENGTH - 5), 0, 1])  # x^2+ and the constant
+        assert len(str(at)) == SHOWN_LENGTH
+        assert brief_poly(at) == str(at)
+        past = IntPoly([10 ** (SHOWN_LENGTH - 4), 0, 1])
+        assert brief_poly(past) == "a polynomial of degree 2"
+        assert brief_poly(IntPoly([2, 3]), repr) == "IntPoly([2, 3])"
+        assert brief_poly(IntPoly([7] * 5000 + [2]), repr) == (
+            "a polynomial of degree 5000"
+        )
+        # a coefficient past the int-to-string digit limit is not rendered
+        assert brief_poly(IntPoly([10**5000, 1])) == "a polynomial of degree 1"
+        assert brief_poly(ModPoly(2, [1] * 60)) == "a polynomial of degree 59"
+
     def test_normalization_and_degree(self):
         assert IntPoly((1, 2, 0, 0)).coeffs == (1, 2)
         assert IntPoly(()).degree == -1
@@ -296,6 +313,11 @@ class TestFactorModP:
             factor_mod_p(ModPoly(2, (1,)))
         with pytest.raises(ValueError):
             factor_mod_p(ModPoly(5, (1, 2)))  # not monic: 2x + 1
+        with pytest.raises(ValueError) as exc:
+            factor_mod_p(ModPoly(5, (1,) * 100 + (2,)))
+        assert str(exc.value) == (
+            "need a monic polynomial, got a polynomial of degree 100"
+        )
 
     def test_squarefree_decomposition_known(self):
         # (x^2+1)^2 (x+1) over F_3: x^2+1 is squarefree, multiplicity 2

@@ -3,6 +3,7 @@ congruence rules, the cyclotomic closed form, and the field-spec dispatch."""
 
 import itertools
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -333,11 +334,25 @@ class TestFieldSpecDispatch:
         for make, value in (
             (Quadratic, 10**12 + 1),
             (Quadratic, -(10**12) - 1),
+            (quadratic_min_poly, 10**12 + 1),
+            (quadratic_min_poly, -(10**12) - 1),
             (Cyclotomic, 10**6 + 1),
             (RationalFunction, 10**12 + 1),
         ):
             with pytest.raises(ValueError, match="at most"):
                 make(value)
+        assert quadratic_min_poly(999999999989) == IntPoly((-249999999997, -1, 1))
+
+    def test_quadratic_min_poly_refuses_a_large_radicand_at_once(self):
+        # trial division of 10^40 + 1 would not end for minutes
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as exc:
+            quadratic_min_poly(10**40 + 1)
+        assert time.perf_counter() - start < 1.0
+        assert str(exc.value) == (
+            "|d| must be at most 1000000000000, got "
+            "10000000000000000000000000000000000000001"
+        )
 
     def test_cyclotomic_forms_compare_by_field(self):
         assert Cyclotomic(6) == Cyclotomic(3)
