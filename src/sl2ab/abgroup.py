@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Iterable, Sequence
 
-from .polyarith import factorint
+from .polyarith import INTEGER_LIMIT, brief, check_limit, factorint
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,7 @@ class AbelianGroup:
         """Torsion as a sorted multiset of prime powers (p, exponent)."""
         parts: list[tuple[int, int]] = []
         for d in self.torsion:
+            check_limit(d, INTEGER_LIMIT, "invariant factor")  # before factorint
             parts.extend(factorint(d).items())
         return tuple(sorted(parts))
 
@@ -87,7 +88,8 @@ def canonicalize(factors: Iterable[int], free_rank: int = 0) -> AbelianGroup:
 
     Factors may arrive in any order and need not divide each other; they are
     split into prime powers and reassembled into a divisibility chain.  Any
-    factor <= 1 is rejected (a trivial summand is expressed by omission).
+    factor <= 1 is rejected (a trivial summand is expressed by omission), and
+    so is any past INTEGER_LIMIT, which trial division would not finish.
     Results are memoized on the factor multiset and the free rank.
     """
     return _canonicalize(tuple(sorted(factors)), free_rank)
@@ -103,7 +105,8 @@ def _canonicalize(factors: tuple[int, ...], free_rank: int) -> AbelianGroup:
     exps_by_prime: dict[int, list[int]] = {}
     for f in factors:
         if f < 2:
-            raise ValueError(f"torsion factor must be >= 2, got {f}")
+            raise ValueError(f"torsion factor must be >= 2, got {brief(f)}")
+        check_limit(f, INTEGER_LIMIT, "torsion factor")  # before factorint
         for p, e in factorint(f).items():
             exps_by_prime.setdefault(p, []).append(e)
     for exps in exps_by_prime.values():

@@ -16,8 +16,9 @@ breadth first.  |words| |G'| = |SL2(R)| certifies that X generates.  A word
 r x that lands in the coset of a word s found before is a relation of G/G'
 in the exponents of X, and these relations present it: the invariants are
 Z^X modulo them.  These routines are the ground truth the structure formulas
-are tested against; prop_local_formula, the formula for a local factor, is
-read off (p, k, h) alone and shares no code with them.
+are tested against; prop_local_formula, the formula summed over the local
+factors of a ring factor, is read off (p, k, h) alone and shares no code
+with them.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import cached_property, reduce
 from operator import sub
 from typing import Iterator, NamedTuple, Sequence
 
-from .abgroup import AbelianGroup, from_relations
+from .abgroup import AbelianGroup, canonicalize, from_relations
 from .polyarith import (
     INTEGER_LIMIT,
     SHOWN_LENGTH,
@@ -462,39 +463,37 @@ def sl2_abelianization(
 
 
 def prop_local_formula(factor: RingFactor) -> AbelianGroup:
-    """Closed-form abelianization of SL2 over a local factor
-    A = (Z/p^k)[x]/(h), read off (p, k, h) without building A.
+    """Closed-form abelianization of SL2 over a factor A = (Z/p^k)[x]/(h),
+    read off (p, k, h) without building A.
 
-    A is local exactly when h mod p = g^e for a single irreducible g; its
-    maximal ideal is then m = (p, g), with residue field F_p[x]/(g) of order
-    q = p^deg g.  Any other factor raises ValueError ("... is not local").
-    SL2(A)^ab is trivial when q >= 4, Z/3 when q = 3, and the additive group
-    of A/m^2 when q = 2.  Then g = x - a; with y = x - a, m^2 = (4, 2y, y^2):
-    - k = 1: A = F_2[y]/(y^e), so A/m^2 is (Z/2)^min(e, 2);
-    - e = 1: A = Z/2^k with k >= 2, so A/m^2 = Z/4;
-    - otherwise h(y + a) = y^e mod 2 makes h(a) and h'(a) even, so h(y + a)
-      = h(a) mod m^2 and A/m^2 = Z[y]/(4, 2y, y^2, h(a)): Z/2 + Z/4 when
-      4 divides h(a), Z/2 + Z/2 when not.
+    A is the product of its local factors, one for each irreducible g with
+    g^e exactly dividing h mod p: the maximal ideal is m = (p, g), with
+    residue field F_p[x]/(g) of order q = p^deg g.  Each local factor adds
+    nothing when q >= 4, Z/3 when q = 3, and the additive group of A/m^2
+    when q = 2.  Then g = x - a; with y = x - a, m^2 = (4, 2y, y^2):
+    - k = 1: the local factor is F_2[y]/(y^e), so A/m^2 is (Z/2)^min(e, 2);
+    - e = 1: it is Z/2^k with k >= 2, so A/m^2 = Z/4;
+    - otherwise h = y^e u mod 2 with u(a) odd makes h(a) and h'(a) even, so
+      h(y + a) = h(a) mod m^2, and the local factor's part of h is h up to
+      a unit: A/m^2 = Z[y]/(4, 2y, y^2, h(a)), Z/2 + Z/4 when 4 divides
+      h(a), Z/2 + Z/2 when not.  No Hensel lift is needed.
     """
     p, k, h = factor.p, factor.k, factor.h
     h_mod_p = ModPoly(p, h)
     # a linear h is irreducible: Z/p^k needs no factoring
     irreducibles = factor_mod_p(h_mod_p) if factor.degree > 1 else [(h_mod_p, 1)]
-    if len(irreducibles) > 1:
-        raise ValueError(
-            f"{factor} is not local: h mod {p} has {len(irreducibles)} distinct "
-            "irreducible factors"
-        )
-    ((g, e),) = irreducibles
-    q = p**g.degree
-    if q >= 4:
-        return AbelianGroup()
-    if q == 3:
-        return AbelianGroup(0, (3,))
-    if k == 1:
-        return AbelianGroup(0, (2,) * min(e, 2))
-    if e == 1:
-        return AbelianGroup(0, (4,))
-    a = g.coeffs[0]  # x - a = x + a over F_2
-    h_a = sum(c * a**i for i, c in enumerate(h))
-    return AbelianGroup(0, (2, 4) if h_a % 4 == 0 else (2, 2))
+    torsion: list[int] = []
+    for g, e in irreducibles:
+        if p > 3 or g.degree > 1:  # q >= 4
+            continue
+        if p == 3:
+            torsion.append(3)
+        elif k == 1:
+            torsion += [2] * min(e, 2)
+        elif e == 1:
+            torsion.append(4)
+        else:
+            a = g.coeffs[0]  # x - a = x + a over F_2
+            h_a = sum(c * a**i for i, c in enumerate(h))
+            torsion += [2, 4] if h_a % 4 == 0 else [2, 2]
+    return canonicalize(torsion)

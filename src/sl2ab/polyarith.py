@@ -541,14 +541,6 @@ def _split_parts(parts: list[tuple[list[int], int]], p: int) -> list[list[int]]:
     return [c for g, d in parts for c in _equal_degree(g, d, p, rng)]
 
 
-def squarefree_decomposition(f: ModPoly) -> list[tuple[ModPoly, int]]:
-    """Monic squarefree pairwise-coprime parts with multiplicities, product f;
-    empty for f = 1.  See _squarefree_parts."""
-    if not f.is_monic:
-        raise ValueError("squarefree decomposition needs a monic polynomial")
-    return [(f._new(g), m) for g, m in _squarefree_parts(f.coeffs, f.p)]
-
-
 def factor_mod_p(f: ModPoly) -> list[tuple[ModPoly, int]]:
     """Complete factorization of monic f over F_p into (irreducible, multiplicity).
 
@@ -820,9 +812,16 @@ def sturm_real_roots(f: IntPoly) -> int:
 # cyclotomic polynomials
 
 
+# Phi_n takes about 0.05 s at n = 840 and 0.3 s at 2310, and each n is kept,
+# so n is bounded; the memo then holds at most this many polynomials.
+CYCLOTOMIC_POLY_LIMIT = 1000
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> IntPoly:
-    """The n-th cyclotomic polynomial, by iterated exact division of x^n - 1."""
+    """The n-th cyclotomic polynomial, by iterated exact division of x^n - 1,
+    for 1 <= n <= CYCLOTOMIC_POLY_LIMIT."""
+    check_limit(n, CYCLOTOMIC_POLY_LIMIT, "n")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     quotient = IntPoly.x_power_minus_one(n)

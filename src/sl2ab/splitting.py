@@ -26,6 +26,7 @@ from .polyarith import (
     _lgcd,
     _lmul,
     _lsub,
+    brief,
     brief_poly,
     check_limit,
     euler_phi_factored,
@@ -137,7 +138,13 @@ class SplittingData:
     @classmethod
     def uniform(cls, p: int, degree: int, e: int, f: int) -> "SplittingData":
         """p splits into degree / (e f) primes that all share (e, f), as in
-        a Galois field or a cyclotomic one; they are labelled "(p, #i of k)"."""
+        a Galois field or a cyclotomic one; they are labelled "(p, #i of k)".
+        Up to degree primes are built at once, so degree is bounded by
+        CYCLOTOMIC_LIMIT, which no cyclotomic degree phi(n) exceeds."""
+        if degree > CYCLOTOMIC_LIMIT:  # inline: `table cyclotomic` calls this per row
+            raise ValueError(
+                f"|degree| must be at most {CYCLOTOMIC_LIMIT}, got {brief(degree)}"
+            )
         if e < 1 or f < 1 or degree % (e * f):
             raise ValueError(
                 f"invalid decomposition at {p}: e*f = {e}*{f} must divide n = {degree}"

@@ -13,6 +13,7 @@ from sl2ab.abgroup import (
     direct_sum,
     from_relations,
 )
+from sl2ab.polyarith import INTEGER_LIMIT
 
 
 class TestConstruction:
@@ -90,6 +91,19 @@ class TestCanonicalize:
         for _ in range(2):
             with pytest.raises(ValueError):
                 canonicalize([1])
+
+    def test_bounds_factors_before_factoring(self):
+        # 2^40 factors at once, but a prime past INTEGER_LIMIT would run
+        # trial division for minutes: every value past it is refused
+        big = 2**40
+        message = f"must be at most {INTEGER_LIMIT}, got {big}"
+        assert canonicalize([INTEGER_LIMIT]).torsion == (INTEGER_LIMIT,)
+        with pytest.raises(ValueError, match=message):
+            canonicalize([big])
+        with pytest.raises(ValueError, match=message):
+            from_relations([[big]], 1)
+        with pytest.raises(ValueError, match=message):
+            AbelianGroup(0, (big,)).primary_str()
 
     @given(
         st.lists(st.integers(2, 64), max_size=8),

@@ -8,17 +8,39 @@ import time
 
 import pytest
 
-from sl2ab.abgroup import TRIVIAL_GROUP, AbelianGroup, canonicalize, from_relations
+from sl2ab.abgroup import (
+    TRIVIAL_GROUP,
+    AbelianGroup,
+    canonicalize,
+    direct_sum,
+    from_relations,
+)
 from sl2ab.cli import run
-from sl2ab.polyarith import IntPoly, factorint, primes_dividing
+from sl2ab.oracle import (
+    FiniteRingSpec,
+    RingFactor,
+    prop_local_formula,
+    sl2_abelianization,
+)
+from sl2ab.polyarith import (
+    IntPoly,
+    cyclotomic_polynomial,
+    euler_phi_factored,
+    factorint,
+    is_squarefree,
+    primes_dividing,
+)
 from sl2ab.splitting import (
+    Cyclotomic,
     GeneralPoly,
+    NotPMaximalError,
     PrimeAbove,
     Quadratic,
     RationalFunction,
     Signature,
     SplittingData,
     UserNumberField,
+    quadratic_min_poly,
 )
 from sl2ab.theorems import ArithmeticRingSpec, FiniteUnitsError, SSet, compute
 from sl2ab.verify import (
@@ -262,4 +284,90 @@ def test_criterion_8_property_suites():
     print(
         f"ACCEPTANCE 8 (randomized property suites, exponent bounds + "
         f"round-trips): PASS in {elapsed:.2f}s"
+    )
+
+
+# --- criterion 9: compute() end to end against the oracle -----------------
+
+# Two inverted primes away from 2 and 3: |S| >= 2, and every prime above 2
+# and 3 survives, so compute() must equal SL2(O/4O)^ab + SL2(O/3O)^ab with
+# O/4O = (Z/4)[x]/(f) and O/3O = F_3[x]/(f), for f the form's defining
+# polynomial, monogenic and maximal at 2 and 3.
+_TWO_OTHER_PRIMES = SSet(other_finite_primes=2)
+
+
+def _quadratic_forms(bound: int):
+    for d in range(1 - bound, bound):
+        if d not in (0, 1) and is_squarefree(d):
+            yield Quadratic(d), quadratic_min_poly(d)
+
+
+def _oracle_rings(f: IntPoly) -> list[RingFactor]:
+    return [RingFactor(2, 2, f.coeffs), RingFactor(3, 1, f.coeffs)]
+
+
+def _compute_group(field) -> AbelianGroup:
+    return compute(ArithmeticRingSpec(field, _TWO_OTHER_PRIMES)).group
+
+
+def test_criterion_9a_compute_matches_brute_force_oracle():
+    start = time.perf_counter()
+    count = 0
+    for field, f in _quadratic_forms(300):
+        rings = [FiniteRingSpec((factor,)) for factor in _oracle_rings(f)]
+        expected = direct_sum(*map(sl2_abelianization, rings))
+        assert _compute_group(field) == expected, field
+        count += 1
+    assert count == 365
+    elapsed = time.perf_counter() - start
+    assert elapsed < 20.0, f"took {elapsed:.2f}s"
+    print(
+        f"ACCEPTANCE 9a (compute = SL2(O/4O)^ab + SL2(O/3O)^ab by the oracle, "
+        f"{count} quadratic fields): PASS in {elapsed:.2f}s"
+    )
+
+
+def _random_poly_fields(rng: random.Random, count: int):
+    """count seeded random fields Q[x]/(f), f monic of degree 2-8 with
+    coefficients in [-30, 30]; reducible draws are not fields and are
+    drawn again."""
+    fields = []
+    while len(fields) < count:
+        low = [rng.randint(-30, 30) for _ in range(rng.randint(2, 8))]
+        try:
+            fields.append(GeneralPoly(IntPoly(low + [1])))
+        except ValueError:
+            continue
+    return fields
+
+
+def test_criterion_9b_compute_matches_local_formula():
+    # the formula sums one summand per irreducible factor of f mod p, so
+    # (Z/4)[x]/(f) and F_3[x]/(f) need not be local
+    start = time.perf_counter()
+    forms = list(_quadratic_forms(3000))
+    forms += [
+        (Cyclotomic(n), cyclotomic_polynomial(n))
+        for n in range(1, 200)
+        if 2 * euler_phi_factored(factorint(n)) <= 39
+    ]
+    fields = _random_poly_fields(random.Random(9), 400)
+    forms += [(field, field.poly) for field in fields]
+    checked = not_maximal = 0
+    for field, f in forms:
+        try:
+            got = _compute_group(field)
+        except NotPMaximalError:
+            not_maximal += 1
+            continue
+        expected = direct_sum(*map(prop_local_formula, _oracle_rings(f)))
+        assert got == expected, field
+        checked += 1
+    assert (checked, not_maximal) == (3960, 123)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 30.0, f"took {elapsed:.2f}s"
+    print(
+        f"ACCEPTANCE 9b (compute = SL2(O/4O)^ab + SL2(O/3O)^ab by the formula, "
+        f"{checked} fields, {not_maximal} not maximal at 2 or 3): "
+        f"PASS in {elapsed:.2f}s"
     )

@@ -392,33 +392,26 @@ class TestLocalFormula:
             (RingFactor(2, 2, (1, 1, 1)), TRIVIAL_GROUP),
             (RingFactor(2, 2, (0, 0, 1)), AbelianGroup(0, (2, 4))),
             (RingFactor(2, 2, (-2, 0, 1)), AbelianGroup(0, (2, 2))),
+            # not local: x(x+1) over F_2 and Z/4, (x+1)(x+2) over F_3
+            (RingFactor(2, 1, (0, 1, 1)), AbelianGroup(0, (2, 2))),
+            (RingFactor(2, 2, (0, 1, 1)), AbelianGroup(0, (4, 4))),
+            (RingFactor(3, 1, (2, 0, 1)), AbelianGroup(0, (3, 3))),
         ]
         for factor, expected in cases:
             assert prop_local_formula(factor) == expected, factor
             assert sl2_abelianization(FiniteRingSpec((factor,))) == expected, factor
 
-    def test_rejects_non_local_rings(self):
-        with pytest.raises(ValueError) as exc:
-            prop_local_formula(RingFactor(2, 1, (0, 1, 1)))  # x(x+1)
-        assert "not local" in str(exc.value)
-        assert "h mod 2 has 2 distinct irreducible factors" in str(exc.value)
-
     def test_every_factor_of_order_at_most_16(self):
-        # local exactly when the non-units are closed under addition, read
-        # off the ring tables; then the formula must be the oracle's answer
+        # the formula is the oracle's answer on every factor, local or not;
+        # a ring is local exactly when its non-units are closed under
+        # addition, read off the ring tables
         local = 0
         for factor in SMALL_FACTORS:
             ring = FiniteRing(FiniteRingSpec((factor,)))
+            assert prop_local_formula(factor) == ring.sl2ab, factor
             A, one = ring.add_table, ring.one_index
             nonunits = [i for i, row in enumerate(ring.mul_table) if one not in row]
-            sums = {A[a][b] for a in nonunits for b in nonunits}
-            if sums <= set(nonunits):
-                local += 1
-                expected = sl2_abelianization(FiniteRingSpec((factor,)))
-                assert prop_local_formula(factor) == expected, factor
-            else:
-                with pytest.raises(ValueError, match="not local"):
-                    prop_local_formula(factor)
+            local += {A[a][b] for a in nonunits for b in nonunits} <= set(nonunits)
         assert (len(SMALL_FACTORS), local) == (131, 109)
 
     def test_factors_past_the_construction_cap(self, monkeypatch):
@@ -430,6 +423,8 @@ class TestLocalFormula:
             (RingFactor(2, 20), AbelianGroup(0, (4,))),  # Z/2^20
             (RingFactor(2, 11, (0, 0, 1)), AbelianGroup(0, (2, 4))),  # h(0) = 0
             (RingFactor(2, 11, (2, 0, 1)), AbelianGroup(0, (2, 2))),  # h(0) = 2
+            # x^2 (x+1): Z/2 + Z/4 at x, Z/4 at x+1
+            (RingFactor(2, 11, (0, 0, 1, 1)), AbelianGroup(0, (2, 4, 4))),
         ]
         for factor, expected in cases:
             assert prop_local_formula(factor) == expected, factor

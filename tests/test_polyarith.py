@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from sl2ab import polyarith
 from sl2ab.cli import EXIT_BUDGET, run
 from sl2ab.polyarith import (
+    CYCLOTOMIC_POLY_LIMIT,
     RECOMBINATION_BUDGET,
     SHOWN_LENGTH,
     IntPoly,
@@ -28,10 +29,10 @@ from sl2ab.polyarith import (
     is_squarefree,
     multiplicative_order_factored,
     primes_dividing,
-    squarefree_decomposition,
     sturm_real_roots,
     _ladd,
     _lmul,
+    _squarefree_parts,
     _squarefree_over_q,
     brief_poly,
 )
@@ -278,8 +279,8 @@ def _trial_division_squarefree(f):
 
 def _reference_factor_mod_p(f):
     found = {}
-    for part, mult in squarefree_decomposition(f):
-        for irr in _trial_division_squarefree(part):
+    for part, mult in _squarefree_parts(f.coeffs, f.p):
+        for irr in _trial_division_squarefree(ModPoly(f.p, part)):
             found[irr] = found.get(irr, 0) + mult
     return sorted(found.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs))
 
@@ -323,15 +324,15 @@ class TestFactorModP:
         # (x^2+1)^2 (x+1) over F_3: x^2+1 is squarefree, multiplicity 2
         f = _product([(ModPoly(3, (1, 0, 1)), 2), (ModPoly(3, (1, 1)), 1)])
         parts = dict()
-        for g, m in squarefree_decomposition(f):
-            parts[m] = _lmul(parts.get(m, [1]), g.coeffs, 3)
+        for g, m in _squarefree_parts(f.coeffs, 3):
+            parts[m] = _lmul(parts.get(m, [1]), g, 3)
         assert parts == {1: [1, 1], 2: [1, 0, 1]}
         # p-th power branch: (x+1)^2 over F_2 has zero derivative
         sq = _product([(ModPoly(2, (1, 1)), 2)])
-        assert squarefree_decomposition(sq) == [(ModPoly(2, (1, 1)), 2)]
+        assert _squarefree_parts(sq.coeffs, 2) == [([1, 1], 2)]
         # a monic constant is the empty product
         for p in (2, 3):
-            assert squarefree_decomposition(ModPoly(p, [1])) == []
+            assert _squarefree_parts([1], p) == []
 
     def test_squarefree_decomposition_nested_pth_powers(self):
         # multiplicities divisible by p, by p^2, and past p but prime to it,
@@ -343,9 +344,9 @@ class TestFactorModP:
         for p, expected in cases.items():
             f = _product([(ModPoly(p, g), m) for m, g in expected.items()])
             parts = dict()
-            for g, m in squarefree_decomposition(f):
-                assert g.is_monic and g.degree >= 1
-                parts[m] = _lmul(parts.get(m, [1]), g.coeffs, p)
+            for g, m in _squarefree_parts(f.coeffs, p):
+                assert g[-1] == 1 and len(g) >= 2
+                parts[m] = _lmul(parts.get(m, [1]), g, p)
             assert parts == {m: list(g) for m, g in expected.items()}, p
 
     @given(
@@ -625,6 +626,12 @@ class TestCyclotomic:
         assert cyclotomic_polynomial(6) == IntPoly((1, -1, 1))
         assert cyclotomic_polynomial(8) == IntPoly((1, 0, 0, 0, 1))
         assert cyclotomic_polynomial(12) == IntPoly((1, 0, -1, 0, 1))
+
+    def test_bounded(self):
+        assert cyclotomic_polynomial(CYCLOTOMIC_POLY_LIMIT).degree == 400
+        for n in (CYCLOTOMIC_POLY_LIMIT + 1, -1):
+            with pytest.raises(ValueError):
+                cyclotomic_polynomial(n)
 
     def test_degree_is_totient(self):
         for n in range(1, 41):

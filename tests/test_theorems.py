@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sl2ab.abgroup import TRIVIAL_GROUP, AbelianGroup
 from sl2ab.polyarith import IntPoly, is_squarefree
 from sl2ab.splitting import (
+    CYCLOTOMIC_LIMIT,
     Cyclotomic,
     GeneralPoly,
     NotPMaximalError,
@@ -248,6 +249,14 @@ class TestGaloisWrapper:
             SplittingData.uniform(2, 4, 3, 1)  # 3 does not divide 4
         with pytest.raises(ValueError):
             SplittingData.uniform(2, 4, 0, 1)
+
+    def test_degree_bound(self):
+        # up to degree primes are built at once; one prime of a degree past
+        # every cyclotomic one is refused as well
+        limit = CYCLOTOMIC_LIMIT
+        assert SplittingData.uniform(2, limit, limit, 1).count == 1
+        with pytest.raises(ValueError, match=f"at most {limit}, got {limit + 1}"):
+            SplittingData.uniform(2, limit + 1, limit + 1, 1)
 
 
 class TestCyclotomicWrapper:
