@@ -1,5 +1,5 @@
-"""Exact polynomial arithmetic over Z (IntPoly), factoring over F_p on coefficient
-lists (ModPoly at the boundary), plus small number-theory helpers.
+"""Exact polynomial arithmetic over Z and F_p on coefficient lists, with IntPoly
+and ModPoly as the values at the boundary, plus small number-theory helpers.
 
 Everything is arbitrary-precision integer arithmetic; no floats enter any
 code path.  Polynomials store coefficients lowest degree first with no
@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -149,15 +148,14 @@ def multiplicative_order_factored(a: int, factors: Mapping[int, int]) -> int:
 
 
 class IntPoly:
-    """Univariate integer polynomial, coefficients lowest degree first."""
+    """Univariate integer polynomial as a value, coefficients lowest degree
+    first: it parses, evaluates, compares and prints.  Arithmetic in Z[x]
+    runs on coefficient lists."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int]):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[int, ...] = tuple(cs)
+        self.coeffs: tuple[int, ...] = tuple(_trim(list(coeffs)))
 
     @classmethod
     def from_csv(cls, text: str) -> "IntPoly":
@@ -177,17 +175,9 @@ class IntPoly:
                 raise ValueError(f"bad polynomial coefficient {shown}") from None
         return cls(coeffs)
 
-    @classmethod
-    def x_power_minus_one(cls, n: int) -> "IntPoly":
-        return cls([-1] + [0] * (n - 1) + [1])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     @property
     def is_monic(self) -> bool:
@@ -199,62 +189,11 @@ class IntPoly:
     def __hash__(self) -> int:
         return hash(("IntPoly", self.coeffs))
 
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return IntPoly(
-            (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-        )
-
-    def __neg__(self) -> "IntPoly":
-        return IntPoly(-c for c in self.coeffs)
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return IntPoly(out)
-
     def __call__(self, x):
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def derivative(self) -> "IntPoly":
-        return IntPoly(i * c for i, c in enumerate(self.coeffs) if i)
-
-    def divmod_monic(self, g: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
-        """Exact-integer (quotient, remainder) for a monic divisor g."""
-        if not g.is_monic:
-            raise ValueError("divisor must be monic")
-        rem = list(self.coeffs)
-        dg = g.degree
-        q = [0] * max(len(rem) - dg, 0)
-        for i in range(len(rem) - dg - 1, -1, -1):
-            c = rem[i + dg]
-            if c:
-                q[i] = c
-                for j, gc in enumerate(g.coeffs):
-                    rem[i + j] -= c * gc
-        return IntPoly(q), IntPoly(rem[:dg])
-
-    def exact_div_monic(self, g: "IntPoly") -> "IntPoly":
-        q, r = self.divmod_monic(g)
-        if not r.is_zero:
-            raise ValueError(f"{self} is not divisible by {g}")
-        return q
-
-    def reduce_mod(self, p: int) -> "ModPoly":
-        return ModPoly(p, self.coeffs)
 
     def __str__(self) -> str:
         return _render_poly(self.coeffs)
@@ -397,6 +336,7 @@ class ModPoly:
     __slots__ = ("p", "coeffs")
 
     def __init__(self, p: int, coeffs: Iterable[int]):
+        check_limit(p, INTEGER_LIMIT, "p")  # bounded before trial division
         if p < 2 or not is_prime(p):
             raise ValueError(f"modulus must be prime, got {p}")
         self._fill(p, coeffs)
@@ -692,8 +632,8 @@ def _has_factor_over_z(
             prod = [1]
             for i in subset:
                 prod = _lmul(prod, lifted[i], modulus)
-            g = IntPoly(c - modulus if c > half else c for c in prod)
-            if f.divmod_monic(g)[1].is_zero:
+            g = [c - modulus if c > half else c for c in prod]
+            if not _neg_pseudo_remainder(list(f.coeffs), g):  # g monic: exact
                 return True
     return False
 
@@ -777,7 +717,7 @@ def _sturm_sequence(f: IntPoly) -> list[list[int]]:
     """f, f' and negated pseudo-remainders, for deg f >= 1 (Cohen, GTM 138,
     section 3.3).  Each term is a positive multiple of the one a Sturm chain
     over Q would have; the last is gcd(f, f') up to a nonzero factor."""
-    seq = [list(f.coeffs), list(f.derivative().coeffs)]
+    seq = [list(f.coeffs), [i * c for i, c in enumerate(f.coeffs)][1:]]
     while len(seq[-1]) > 1:
         r = _neg_pseudo_remainder(seq[-2], seq[-1])
         if not r:
@@ -798,7 +738,7 @@ def sturm_real_roots(f: IntPoly) -> int:
     all signs at an infinity alike, so the sign changes there, read from
     leading coefficients, stay the same.
     """
-    if f.is_zero:
+    if not f.coeffs:
         raise ValueError("zero polynomial has no root count")
     if f.degree < 1:
         return 0
@@ -812,20 +752,33 @@ def sturm_real_roots(f: IntPoly) -> int:
 # cyclotomic polynomials
 
 
-# Phi_n takes about 0.05 s at n = 840 and 0.3 s at 2310, and each n is kept,
-# so n is bounded; the memo then holds at most this many polynomials.
+# Phi_n is built in about 2^omega(n) n steps, 1.5 ms at n = 840; n is
+# bounded so that every call stays short.
 CYCLOTOMIC_POLY_LIMIT = 1000
 
 
-@lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> IntPoly:
-    """The n-th cyclotomic polynomial, by iterated exact division of x^n - 1,
-    for 1 <= n <= CYCLOTOMIC_POLY_LIMIT."""
+    """The n-th cyclotomic polynomial, for 1 <= n <= CYCLOTOMIC_POLY_LIMIT,
+    as the product of (x^d - 1)^mu(n/d) over the divisors d of n.  The
+    binomials with mu = 1 are multiplied in first, then those with mu = -1
+    divided out exactly; each step is a two-term recurrence."""
     check_limit(n, CYCLOTOMIC_POLY_LIMIT, "n")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    quotient = IntPoly.x_power_minus_one(n)
-    for d in range(1, n):
-        if n % d == 0:
-            quotient = quotient.exact_div_monic(cyclotomic_polynomial(d))
-    return quotient
+    primes = primes_dividing(n)
+    up, down = [], []  # the d with mu(n/d) = 1 and -1
+    for r in range(len(primes) + 1):
+        for ps in itertools.combinations(primes, r):
+            (down if r % 2 else up).append(n // prod(ps))
+    c = [1]
+    for d in up:  # c (x^d - 1)
+        c = [
+            (c[i - d] if i >= d else 0) - (c[i] if i < len(c) else 0)
+            for i in range(len(c) + d)
+        ]
+    for d in down:  # c / (x^d - 1): c[i] = q[i - d] - q[i]
+        q: list[int] = []
+        for i in range(len(c) - d):
+            q.append((q[i - d] if i >= d else 0) - c[i])
+        c = q
+    return IntPoly(c)

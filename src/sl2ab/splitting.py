@@ -197,7 +197,7 @@ def dedekind_split(f: IntPoly, p: int) -> SplittingData:
         raise ValueError(
             f"need a monic polynomial of degree >= 1: {brief_poly(f, repr)}"
         )
-    factors = factor_mod_p(f.reduce_mod(p))
+    factors = factor_mod_p(ModPoly(p, f.coeffs))
     radical = cofactor = [1]
     for gbar, e in factors:
         radical = _lmul(radical, gbar.coeffs, p)

@@ -24,8 +24,11 @@ from sl2ab.oracle import (
 )
 from sl2ab.polyarith import (
     IntPoly,
+    ModPoly,
+    _hensel_lift,
     cyclotomic_polynomial,
     euler_phi_factored,
+    factor_mod_p,
     factorint,
     is_squarefree,
     primes_dividing,
@@ -50,6 +53,7 @@ from sl2ab.verify import (
     suite_product_lemma,
     suite_quadratic_table,
 )
+from zpoly import product
 
 
 def _assert_suite_green(cases):
@@ -370,4 +374,115 @@ def test_criterion_9b_compute_matches_local_formula():
         f"ACCEPTANCE 9b (compute = SL2(O/4O)^ab + SL2(O/3O)^ab by the formula, "
         f"{checked} fields, {not_maximal} not maximal at 2 or 3): "
         f"PASS in {elapsed:.2f}s"
+    )
+
+
+def _compute_report(capsys, argv: list[str]) -> tuple[list[str], AbelianGroup]:
+    """The printed prime labels, in index order, and the group of a
+    `compute --json` run with exit 0."""
+    code = run(["compute", *argv, "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0, argv
+    labels = [q["label"] for sp in doc["splittings"] for q in sp["primes"]]
+    group = doc["group"]
+    return labels, canonicalize(group["invariant_factors"], group["free_rank"])
+
+
+def _power_mod(g: ModPoly, e: int) -> list[int]:
+    return [c % g.p for c in product(*[g] * e).coeffs]
+
+
+def _local_factors(f: IntPoly) -> dict[int, list[tuple[str, RingFactor]]]:
+    """The local factors of O/4O and O/3O with the labels of their primes, in
+    the order dedekind_split lists the primes: at 2 each g^e of f mod 2,
+    lifted to Z/4; at 3 each g^e of f mod 3."""
+    out = {}
+    for p, k in ((2, 2), (3, 1)):
+        factors = factor_mod_p(ModPoly(p, f.coeffs))
+        powers = [_power_mod(g, e) for g, e in factors]
+        if k > 1:
+            modulus = p**k
+            powers = _hensel_lift([c % modulus for c in f.coeffs], powers, p, modulus)
+        out[p] = [
+            (f"({p}, {g})", RingFactor(p, k, h)) for (g, _), h in zip(factors, powers)
+        ]
+    return out
+
+
+def test_criterion_9c_removals_drop_their_local_factor(capsys):
+    # --remove-prime P:i puts the i-th printed prime above P in S, so the
+    # group loses the summand of that prime's local factor and keeps the rest
+    start = time.perf_counter()
+    fields = [GeneralPoly(IntPoly((-5, 0, 0, 1)))]  # 2 = (2, x+1)(2, x^2+x+1)
+    fields += _random_poly_fields(random.Random(93), 200)
+    checked = used = 0
+    for field in fields:
+        try:
+            _compute_group(field)
+        except NotPMaximalError:
+            continue
+        local = {
+            p: [(label, prop_local_formula(factor)) for label, factor in pairs]
+            for p, pairs in _local_factors(field.poly).items()
+        }
+        if all(len({g for _, g in pairs}) == 1 for pairs in local.values()):
+            continue  # every prime above 2 and above 3 adds the same
+        used += 1
+        poly = "--poly=" + ",".join(map(str, field.poly.coeffs))
+        for p, pairs in local.items():
+            for i, (label, _) in enumerate(pairs):
+                argv = [poly, "--extra-s-primes", "2", "--remove-prime", f"{p}:{i}"]
+                labels, got = _compute_report(capsys, argv)
+                assert labels == [label for q in (2, 3) for label, _ in local[q]]
+                kept = [
+                    g
+                    for q in (2, 3)
+                    for j, (_, g) in enumerate(local[q])
+                    if (q, j) != (p, i)
+                ]
+                assert got == direct_sum(*kept), (field, p, i)
+                checked += 1
+    assert (used, checked) == (99, 422)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 20.0, f"took {elapsed:.2f}s"
+    print(
+        f"ACCEPTANCE 9c (each --remove-prime drops its local factor, "
+        f"{checked} removals in {used} fields): PASS in {elapsed:.2f}s"
+    )
+
+
+def _brute_force_group(factor: RingFactor) -> AbelianGroup:
+    return sl2_abelianization(FiniteRingSpec((factor,)))
+
+
+def _squared_places(q: int, kept) -> RingFactor:
+    """F_q[t]/(h), h the product of (t - a)^2 over the kept a."""
+    return RingFactor(q, 1, product(*[(-a, 1) for a in kept for _ in (1, 2)]).coeffs)
+
+
+def test_criterion_9d_function_field_matches_oracle(capsys):
+    # with one finite place in S besides infinity, O_S of F_q(t) has
+    # O/((t^q - t)^2) = F_q[t]/((t^q - t)^2), the product of the local
+    # factors F_q[t]/((t - a)^2); removing the place t - a drops its factor.
+    # q = 2 is checked by brute force, q = 3 (order 729) by the formula
+    start = time.perf_counter()
+    expected = {2: canonicalize([2] * 4), 3: canonicalize([3] * 3)}
+    for q, oracle in ((2, _brute_force_group), (3, prop_local_formula)):
+        spec = ArithmeticRingSpec(RationalFunction(q), SSet(other_finite_primes=1))
+        full = oracle(_squared_places(q, range(q)))
+        assert compute(spec).group == full == expected[q]
+        for i in range(q):
+            argv = [
+                "--function-field", str(q), "--extra-s-primes", "1",
+                "--remove-prime", f"{q}:{i}",
+            ]
+            labels, got = _compute_report(capsys, argv)
+            assert labels[i] == ("(t)" if i == 0 else f"(t-{i})")
+            kept = [a for a in range(q) if a != i]
+            assert got == oracle(_squared_places(q, kept)), (q, i)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, f"took {elapsed:.2f}s"
+    print(
+        f"ACCEPTANCE 9d (F_q(t) = SL2(F_q[t]/((t^q - t)^2))^ab for q = 2, 3, "
+        f"and each removal): PASS in {elapsed:.2f}s"
     )

@@ -36,6 +36,7 @@ from sl2ab.polyarith import (
     _squarefree_over_q,
     brief_poly,
 )
+from zpoly import combination, product
 
 
 class TestIntegerHelpers:
@@ -139,7 +140,7 @@ class TestIntPoly:
     def test_normalization_and_degree(self):
         assert IntPoly((1, 2, 0, 0)).coeffs == (1, 2)
         assert IntPoly(()).degree == -1
-        assert IntPoly(()).is_zero
+        assert IntPoly(()).coeffs == ()
         assert IntPoly((0, 0, 1)).degree == 2
         assert IntPoly((0, 0, 1)).is_monic
         assert not IntPoly((0, 2)).is_monic
@@ -152,33 +153,20 @@ class TestIntPoly:
         with pytest.raises(ValueError):
             IntPoly.from_csv("")
 
-    def test_arithmetic(self):
-        x_plus_1 = IntPoly((1, 1))
-        x_minus_1 = IntPoly((-1, 1))
-        assert x_plus_1 * x_minus_1 == IntPoly((-1, 0, 1))
-        assert x_plus_1 + x_minus_1 == IntPoly((0, 2))
-        assert x_plus_1 - x_plus_1 == IntPoly(())
-        assert (-x_plus_1).coeffs == (-1, -1)
+    def test_is_a_value(self):
+        # it parses, evaluates, compares and prints; Z[x] arithmetic runs on
+        # coefficient lists, so it defines no operators
+        internal = {"__module__", "__doc__", "__slots__", "coeffs"}
+        assert set(vars(IntPoly)) - internal == {
+            "__init__", "from_csv", "degree", "is_monic", "__eq__", "__hash__",
+            "__call__", "__str__", "__repr__",
+        }
+        assert {IntPoly((1, 2)), IntPoly((1, 2, 0))} == {IntPoly([1, 2])}
 
-    def test_evaluate_and_derivative(self):
+    def test_evaluate(self):
         f = IntPoly((-5, 0, 0, 1))  # x^3 - 5
         assert f(2) == 3
         assert f(0) == -5
-        assert f.derivative() == IntPoly((0, 0, 3))
-
-    def test_divmod_monic(self):
-        f = IntPoly((-5, 0, 0, 1))
-        q, r = f.divmod_monic(IntPoly((-1, 1)))  # by x - 1
-        assert q == IntPoly((1, 1, 1))
-        assert r == IntPoly((-4,))
-        with pytest.raises(ValueError):
-            f.divmod_monic(IntPoly((1, 2)))  # non-monic divisor
-
-    def test_exact_div_monic(self):
-        prod = IntPoly((1, 1)) * IntPoly((2, 0, 1))
-        assert prod.exact_div_monic(IntPoly((1, 1))) == IntPoly((2, 0, 1))
-        with pytest.raises(ValueError):
-            IntPoly((1, 1, 1)).exact_div_monic(IntPoly((1, 1)))
 
     def test_str(self):
         assert str(IntPoly((-5, 0, 0, 1))) == "x^3-5"
@@ -187,17 +175,6 @@ class TestIntPoly:
         assert str(IntPoly(())) == "0"
         assert str(IntPoly((3,))) == "3"
         assert IntPoly.from_csv("-4,-1,1") == IntPoly((-4, -1, 1))
-
-    @given(
-        st.lists(st.integers(-9, 9), max_size=6),
-        st.lists(st.integers(-9, 9), max_size=4),
-    )
-    def test_divmod_identity(self, fc, gc):
-        f = IntPoly(fc)
-        g = IntPoly(gc + [1])  # force monic
-        q, r = f.divmod_monic(g)
-        assert q * g + r == f
-        assert r.degree < g.degree
 
 
 class TestModPoly:
@@ -233,6 +210,16 @@ class TestModPoly:
         assert checked == [p]
         with pytest.raises(ValueError, match="modulus must be prime"):
             ModPoly(4, [1, 1])
+
+    def test_modulus_is_bounded(self):
+        # a prime past INTEGER_LIMIT is refused before any trial division,
+        # which near 10^16 takes seconds
+        assert is_prime(10**12 + 39)
+        start = time.perf_counter()
+        for p in (10**12 + 39, 10**16 + 61):
+            with pytest.raises(ValueError, match=r"\|p\| must be at most"):
+                ModPoly(p, [1, 1])
+        assert time.perf_counter() - start < 0.01
 
     @given(
         st.sampled_from([2, 3, 5]),
@@ -381,7 +368,7 @@ class TestFactorModP:
         f = ModPoly(p, [0, -1] + [0] * (p - 2) + [1])
         assert factor_mod_p(f) == [(ModPoly(p, (a, 1)), 1) for a in range(p)]
         # Phi_29 mod 3: 3 has order 28 mod 29, so it stays irreducible
-        phi29 = cyclotomic_polynomial(29).reduce_mod(3)
+        phi29 = ModPoly(3, cyclotomic_polynomial(29).coeffs)
         assert factor_mod_p(phi29) == [(phi29, 1)]
 
     @given(
@@ -404,13 +391,16 @@ def swinnerton_dyer(primes) -> IntPoly:
     """The product of x - (+-sqrt(p1) +- sqrt(p2) ...) over all signs, built
     in integers: each p turns f into f(x + sqrt p) f(x - sqrt p) = A^2 - p B^2,
     where f(x + sqrt p) = A + B sqrt p is expanded by Horner's rule."""
-    x = IntPoly((0, 1))
-    f = x
+    x = (0, 1)
+    f = IntPoly(x)
     for p in primes:
         a = b = IntPoly(())
         for c in reversed(f.coeffs):
-            a, b = a * x + IntPoly((p,)) * b + IntPoly((c,)), a + b * x
-        f = a * a - IntPoly((p,)) * b * b
+            a, b = (
+                combination((1, product(a, x)), (p, b), (c, [1])),
+                combination((1, a), (1, product(b, x))),
+            )
+        f = combination((1, product(a, a)), (-p, product(b, b)))
     return f
 
 
@@ -434,11 +424,11 @@ class TestIrreducibility:
         # (x^2+1)(x^2+2): no rational root, no small-prime certificate
         assert irreducible_over_q_check(IntPoly((2, 0, 3, 0, 1))) is False
         for a, b in ((3, 4), (5, 7), (5, 12), (8, 9), (15, 20)):
-            f = cyclotomic_polynomial(a) * cyclotomic_polynomial(b)
+            f = product(cyclotomic_polynomial(a), cyclotomic_polynomial(b))
             assert irreducible_over_q_check(f) is False
         # a repeated factor leaves no prime at which f is squarefree
         phi15 = cyclotomic_polynomial(15)
-        assert irreducible_over_q_check(phi15 * phi15) is False
+        assert irreducible_over_q_check(product(phi15, phi15)) is False
         # constant term beyond the rational-root search
         assert irreducible_over_q_check(IntPoly((10**7 + 19, 0, 1))) is True
         assert irreducible_over_q_check(IntPoly((-(10**4 + 7) ** 2, 0, 1))) is False
@@ -469,7 +459,7 @@ class TestIrreducibility:
     )
     @settings(max_examples=60, deadline=None)
     def test_products_are_reducible(self, ac, bc):
-        f = IntPoly(ac + [1]) * IntPoly(bc + [1])
+        f = product(ac + [1], bc + [1])
         assert irreducible_over_q_check(f) is False
 
     def test_agrees_with_sympy(self):
@@ -480,7 +470,7 @@ class TestIrreducibility:
             f = IntPoly([rng.randint(-30, 30) for _ in range(rng.randint(1, 8))] + [1])
             if rng.random() < 0.4:
                 g = IntPoly([rng.randint(-6, 6) for _ in range(rng.randint(1, 4))] + [1])
-                f = f * g
+                f = product(f, g)
             expected = sympy.Poly(list(reversed(f.coeffs)), x).is_irreducible
             assert irreducible_over_q_check(f) is expected, f
 
@@ -533,7 +523,7 @@ def _shift(f, k):
     """f(x + k), by Horner's rule."""
     out = IntPoly(())
     for c in reversed(f.coeffs):
-        out = out * IntPoly((k, 1)) + IntPoly((c,))
+        out = combination((1, product(out, (k, 1))), (c, [1]))
     return out
 
 
@@ -561,15 +551,13 @@ class TestSturm:
 
     def test_mixed_product(self):
         # (x^2+1) * (x-2) * (x+3) * x has real roots {2, -3, 0}
-        f = IntPoly((1, 0, 1)) * IntPoly((-2, 1)) * IntPoly((3, 1)) * IntPoly((0, 1))
+        f = product((1, 0, 1), (-2, 1), (3, 1), (0, 1))
         assert sturm_real_roots(f) == 3
 
     @given(st.lists(st.integers(-5, 5), min_size=1, max_size=4))
     @settings(max_examples=100)
     def test_counts_distinct_integer_roots_of_split_polys(self, roots):
-        f = IntPoly((1,))
-        for r in roots:
-            f = f * IntPoly((-r, 1))
+        f = product(*[(-r, 1) for r in roots])
         assert sturm_real_roots(f) == len(set(roots))
 
     @given(_int_polys(10))
@@ -582,7 +570,7 @@ class TestSturm:
     @given(_int_polys(6), _int_polys(2))
     @settings(max_examples=300, deadline=None)
     def test_matches_reference_with_squared_factor(self, h, g):
-        f = h * g * g  # degree <= 10
+        f = product(h, g, g)  # degree <= 10
         count, squarefree = _reference_sturm(f)
         assert not squarefree
         assert sturm_real_roots(f) == count
@@ -601,8 +589,8 @@ class TestSturm:
             f = swinnerton_dyer(primes)
             assert sturm_real_roots(f) == f.degree == 2 ** len(primes)
             if f.degree <= 32:
-                assert sturm_real_roots(f * f) == f.degree
-                assert _squarefree_over_q(f) and not _squarefree_over_q(f * f)
+                assert sturm_real_roots(product(f, f)) == f.degree
+                assert _squarefree_over_q(f) and not _squarefree_over_q(product(f, f))
 
     def test_agrees_with_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -612,7 +600,7 @@ class TestSturm:
             f = IntPoly([rng.randint(-30, 30) for _ in range(rng.randint(2, 9))])
             if rng.random() < 0.3:
                 g = IntPoly([rng.randint(-6, 6) for _ in range(rng.randint(2, 3))])
-                f = f * g * g
+                f = product(f, g, g)
             if f.degree < 1:
                 continue
             sqf = sympy.Poly(list(reversed(f.coeffs)), x).sqf_part()
@@ -638,9 +626,13 @@ class TestCyclotomic:
             assert cyclotomic_polynomial(n).degree == euler_phi_factored(factorint(n))
 
     def test_product_over_divisors(self):
-        for n in (1, 2, 6, 12, 30):
-            prod = IntPoly((1,))
-            for d in range(1, n + 1):
-                if n % d == 0:
-                    prod = prod * cyclotomic_polynomial(d)
-            assert prod == IntPoly.x_power_minus_one(n)
+        # x^n - 1 is the product of Phi_d over d | n, which fixes every Phi_n
+        # by induction on n
+        for n in range(1, 301):
+            phis = [cyclotomic_polynomial(d) for d in range(1, n + 1) if n % d == 0]
+            assert product(*phis) == IntPoly([-1] + [0] * (n - 1) + [1]), n
+
+    def test_not_memoized(self):
+        # built afresh on each call, with no cache to grow
+        assert not hasattr(cyclotomic_polynomial, "cache_info")
+        assert cyclotomic_polynomial(30) is not cyclotomic_polynomial(30)

@@ -35,6 +35,7 @@ from sl2ab.splitting import (
     dedekind_split,
     quadratic_min_poly,
 )
+from zpoly import combination, product
 
 SQUAREFREE_RANGE = [
     d for d in range(-200, 201) if d not in (0, 1) and is_squarefree(d)
@@ -110,13 +111,10 @@ class TestDedekind:
             for degree in (1, 2, 3):
                 for tail in itertools.product(range(-2, 3), repeat=degree):
                     f = IntPoly(tail + (1,))
-                    factors = factor_mod_p(f.reduce_mod(p))
-                    g = h = IntPoly((1,))
-                    for gbar, e in factors:
-                        g = g * IntPoly(gbar.coeffs)
-                        for _ in range(e - 1):
-                            h = h * IntPoly(gbar.coeffs)
-                    diff = g * h - f
+                    factors = factor_mod_p(ModPoly(p, f.coeffs))
+                    g = product(*[gbar for gbar, _ in factors])
+                    h = product(*[gbar for gbar, e in factors for _ in range(e - 1)])
+                    diff = combination((1, product(g, h)), (-1, f))
                     assert all(c % p == 0 for c in diff.coeffs), f
                     t = ModPoly(p, [c // p for c in diff.coeffs])
                     obstruction = [1]
