@@ -326,6 +326,24 @@ def _lpowmod(a: Sequence[int], e: int, f: Sequence[int], m: int) -> list[int]:
     return result
 
 
+# Up to this prime a^p mod f is taken as a(x^p) mod f, the last p at which
+# that beat square-and-multiply at every degree measured (8-64, four random f
+# each, on a Xeon): 1.3-3.4 times as fast at p = 2 and 3, 1.1-2.4 at p = 5.
+# At p = 7 it lost at degree 64, and from p = 11 on at several degrees.
+_FROBENIUS_SPREAD_LIMIT = 5
+
+
+def _lfrobenius(a: Sequence[int], f: Sequence[int], p: int) -> list[int]:
+    """a**p mod f over F_p, for monic f.  For small p it is a(x^p) mod f, the
+    coefficients spread p apart and reduced once, exact since c^p = c on F_p
+    (von zur Gathen & Gerhard, sections 14.3 and 14.5)."""
+    if p > _FROBENIUS_SPREAD_LIMIT:
+        return _lpowmod(a, p, f, p)
+    spread = [0] * (p * (len(a) - 1) + 1)
+    spread[::p] = a
+    return _ldivmod(spread, f, p)[1]
+
+
 # ---------------------------------------------------------------------------
 # polynomials over F_p
 
@@ -437,7 +455,7 @@ def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     d = 0
     while len(f) - 1 >= 2 * (d + 1):
         d += 1
-        h = _lpowmod(h, p, f, p)
+        h = _lfrobenius(h, f, p)
         g = _lgcd(f, _lsub(h, [0, 1], p), p)
         if len(g) > 1:
             out.append((g, d))
@@ -454,6 +472,8 @@ def _equal_degree(g: list[int], d: int, p: int, rng: random.Random) -> list[list
 
     A random a splits g by gcd(a^((p^d-1)/2) - 1, g) for odd p, and by
     gcd(a + a^2 + a^4 + ... + a^(2^(d-1)), g), the trace map, for p = 2.
+    Both run on p-th powers: (p^d-1)/2 = (p-1)/2 (1 + p + ... + p^(d-1)), so
+    for odd p the power is c c^p ... c^(p^(d-1)) with c = a^((p-1)/2).
     """
     n = len(g) - 1
     if n == d:
@@ -463,10 +483,14 @@ def _equal_degree(g: list[int], d: int, p: int, rng: random.Random) -> list[list
         if p == 2:
             b = t = a
             for _ in range(d - 1):
-                t = _ldivmod(_lmul(t, t, 2), g, 2)[1]
+                t = _lfrobenius(t, g, 2)
                 b = _ladd(b, t, 2)
         else:
-            b = _lsub(_lpowmod(a, (p**d - 1) // 2, g, p), [1], p)
+            b = t = _lpowmod(a, (p - 1) // 2, g, p)
+            for _ in range(d - 1):
+                t = _lfrobenius(t, g, p)
+                b = _ldivmod(_lmul(b, t, p), g, p)[1]
+            b = _lsub(b, [1], p)
         c = _lgcd(g, b, p)
         if 0 < len(c) - 1 < n:
             rest = _ldivmod(g, c, p)[0]
@@ -476,19 +500,35 @@ def _equal_degree(g: list[int], d: int, p: int, rng: random.Random) -> list[list
 def _split_parts(parts: list[tuple[list[int], int]], p: int) -> list[list[int]]:
     """Irreducible factors behind distinct-degree parts over F_p.  The
     splitting elements come from a generator seeded here, so every run takes
-    the same steps."""
-    rng = random.Random(0)
-    return [c for g, d in parts for c in _equal_degree(g, d, p, rng)]
+    the same steps; it is built at the first part that holds more than one
+    factor, as a part of one factor draws nothing."""
+    rng = None
+    out = []
+    for g, d in parts:
+        if len(g) - 1 == d:
+            out.append(g)
+            continue
+        if rng is None:
+            rng = random.Random(0)
+        out += _equal_degree(g, d, p, rng)
+    return out
+
+
+# Past this degree factor_mod_p refuses its input: the work grows about eight
+# times per doubling of the degree.  The package's own calls stop at degree 64.
+FACTOR_DEGREE_LIMIT = 128
 
 
 def factor_mod_p(f: ModPoly) -> list[tuple[ModPoly, int]]:
     """Complete factorization of monic f over F_p into (irreducible, multiplicity).
 
     Squarefree decomposition first, then distinct-degree factorization and
-    Cantor–Zassenhaus splitting of each squarefree part; any prime p works.
-    The pairs are sorted by degree, then by coefficients (lowest degree first),
-    and the result does not depend on the random splitting elements.
+    Cantor–Zassenhaus splitting of each squarefree part; any prime p works,
+    and the degree is at most FACTOR_DEGREE_LIMIT.  The pairs are sorted by
+    degree, then by coefficients (lowest degree first), and the result does
+    not depend on the random splitting elements.
     """
+    check_limit(f.degree, FACTOR_DEGREE_LIMIT, "degree")
     if f.degree < 1:
         raise ValueError(f"need degree >= 1, got {brief_poly(f, repr)}")
     if not f.is_monic:
@@ -499,8 +539,13 @@ def factor_mod_p(f: ModPoly) -> list[tuple[ModPoly, int]]:
         for part, m in _squarefree_parts(f.coeffs, p)
         for g in _split_parts(_distinct_degree(part, p), p)
     ]
-    found.sort(key=lambda gm: (len(gm[0]), gm[0]))
+    found.sort(key=lambda gm: _factor_order(gm[0]))
     return [(f._new(g), m) for g, m in found]
+
+
+def _factor_order(g: list[int]) -> tuple[int, list[int]]:
+    """Sort key of a factor: degree, then coefficients lowest degree first."""
+    return len(g), g
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +683,9 @@ def _has_factor_over_z(
     return False
 
 
-def irreducible_over_q_check(f: IntPoly) -> bool:
+def irreducible_over_q_check(
+    f: IntPoly, factorizations: Mapping[int, list[tuple[ModPoly, int]]] | None = None
+) -> bool:
     """Exact irreducibility of a monic integer polynomial over Q.
 
     Cheap certificates come first: degree 1; a zero constant term; an integer
@@ -649,6 +696,10 @@ def irreducible_over_q_check(f: IntPoly) -> bool:
     at the good prime with the fewest factors: split f fully mod p, lift the
     factors quadratically past twice a Mignotte bound, and try the products of
     at most half of them as factors over Z.
+
+    factorizations maps a prime p to factor_mod_p(f mod p), when the caller
+    has it; at those primes the squarefree test, the degree pattern and the
+    factors are read from it rather than computed again.
     """
     if not f.is_monic or f.degree < 1:
         raise ValueError("check needs a monic polynomial of degree >= 1")
@@ -667,29 +718,45 @@ def irreducible_over_q_check(f: IntPoly) -> bool:
                 return False
         if n <= 3:
             return True
+    factorizations = factorizations or {}
     degrees = (1 << n) - 2  # bit mask of the degrees a proper factor may have
-    best: tuple[int, int, list] | None = None  # (factor count, p, parts)
+    # (factor count, p, distinct-degree parts, irreducible factors if known)
+    best: tuple[int, int, list, list | None] | None = None
     bad = good = 0
     for p in _primes():
-        fp = [c % p for c in f.coeffs]
-        if len(_lgcd(fp, _lderiv(fp, p), p)) > 1:
+        known = factorizations.get(p)
+        if known is not None:
+            squarefree = all(m == 1 for _, m in known)
+            factors = [list(g.coeffs) for g, _ in known]
+        else:
+            fp = [c % p for c in f.coeffs]
+            squarefree = len(_lgcd(fp, _lderiv(fp, p), p)) == 1
+            factors = None
+        if not squarefree:
             bad += 1
             if best is None and bad == _BAD_PRIMES_BEFORE_GCD:
                 if not _squarefree_over_q(f):
                     return False
             continue
-        parts = _distinct_degree(fp, p)
+        # an irreducible factor is a distinct-degree part of its own degree
+        parts = (
+            _distinct_degree(fp, p)
+            if factors is None
+            else [(g, len(g) - 1) for g in factors]
+        )
         degrees &= _degree_mask(parts)
         if not degrees:  # no degree is left for a proper factor
             return True
         count = sum((len(g) - 1) // d for g, d in parts)
         if best is None or count < best[0]:
-            best = (count, p, parts)
+            best = (count, p, parts, factors)
         good += 1
         if good == _PATTERN_PRIMES or count == 2:  # two factors: one subset to try
             break
-    _, p, parts = best
-    return not _has_factor_over_z(f, _split_parts(parts, p), p, degrees)
+    _, p, parts, factors = best
+    if factors is None:  # in factor_mod_p's order, as a shared one comes
+        factors = sorted(_split_parts(parts, p), key=_factor_order)
+    return not _has_factor_over_z(f, factors, p, degrees)
 
 
 # ---------------------------------------------------------------------------

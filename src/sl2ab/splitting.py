@@ -185,19 +185,23 @@ class Signature:
 # Dedekind's criterion
 
 
-def dedekind_split(f: IntPoly, p: int) -> SplittingData:
+def dedekind_split(
+    f: IntPoly, p: int, factors: list[tuple[ModPoly, int]] | None = None
+) -> SplittingData:
     """Factorization shape of p in the maximal order, via f mod p.
 
     Requires Z[x]/(f) to be p-maximal; the Dedekind criterion is checked and a
     failure raises NotPMaximalError rather than returning wrong (e, f) data.
     Labels name the ideals (p, g_i(theta)) by their generator polynomials.
+    factors is factor_mod_p(f mod p) when the caller has it already.
     """
     _check_p(p)
     if not f.is_monic or f.degree < 1:
         raise ValueError(
             f"need a monic polynomial of degree >= 1: {brief_poly(f, repr)}"
         )
-    factors = factor_mod_p(ModPoly(p, f.coeffs))
+    if factors is None:
+        factors = factor_mod_p(ModPoly(p, f.coeffs))
     radical = cofactor = [1]
     for gbar, e in factors:
         radical = _lmul(radical, gbar.coeffs, p)
@@ -405,9 +409,14 @@ class GeneralPoly(NumberField):
 
     The ring used downstream is Z[x]/(f); splitting at 2 and 3 goes through
     the Dedekind criterion and fails loudly when Z[theta] is not maximal there.
+    f is factored mod 2 and mod 3 once, on construction, and the irreducibility
+    certificate and the criterion both read those factorizations.
     """
 
     poly: IntPoly
+    factorizations: dict[int, list[tuple[ModPoly, int]]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         # the limits first, so that no message renders a polynomial past them
@@ -417,7 +426,11 @@ class GeneralPoly(NumberField):
         if not self.poly.is_monic or self.poly.degree < 1:
             shown = brief_poly(self.poly, repr)
             raise ValueError(f"need a monic polynomial of degree >= 1: {shown}")
-        if not irreducible_over_q_check(self.poly):
+        factorizations = {
+            p: factor_mod_p(ModPoly(p, self.poly.coeffs)) for p in (2, 3)
+        }
+        object.__setattr__(self, "factorizations", factorizations)
+        if not irreducible_over_q_check(self.poly, factorizations):
             raise ValueError(
                 f"{brief_poly(self.poly)} is reducible over Q and does not define "
                 "a field"
@@ -434,7 +447,7 @@ class GeneralPoly(NumberField):
         return Signature(r1, (self.poly.degree - r1) // 2)
 
     def split_at(self, p: int) -> SplittingData:
-        return dedekind_split(self.poly, p)
+        return dedekind_split(self.poly, p, self.factorizations.get(p))
 
     def to_json(self) -> dict:
         return {"kind": "poly", "coefficients": list(self.poly.coeffs)}

@@ -16,6 +16,7 @@ from sl2ab import polyarith
 from sl2ab.cli import EXIT_BUDGET, run
 from sl2ab.polyarith import (
     CYCLOTOMIC_POLY_LIMIT,
+    FACTOR_DEGREE_LIMIT,
     RECOMBINATION_BUDGET,
     SHOWN_LENGTH,
     IntPoly,
@@ -32,7 +33,9 @@ from sl2ab.polyarith import (
     primes_dividing,
     sturm_real_roots,
     _ladd,
+    _lfrobenius,
     _lmul,
+    _lpowmod,
     _squarefree_parts,
     _squarefree_over_q,
     brief_poly,
@@ -317,6 +320,15 @@ class TestFactorModP:
             "need a monic polynomial, got a polynomial of degree 100"
         )
 
+    def test_degree_is_bounded(self):
+        # refused before any arithmetic: a monic degree-129 polynomial, and
+        # one that is not monic either, get the same one-line error
+        assert FACTOR_DEGREE_LIMIT == 128
+        for lead in (1, 2):
+            with pytest.raises(ValueError) as exc:
+                factor_mod_p(ModPoly(5, (1,) * 129 + (lead,)))
+            assert str(exc.value) == "|degree| must be at most 128, got 129"
+
     def test_squarefree_decomposition_known(self):
         # (x^2+1)^2 (x+1) over F_3: x^2+1 is squarefree, multiplicity 2
         f = _product([(ModPoly(3, (1, 0, 1)), 2), (ModPoly(3, (1, 1)), 1)])
@@ -371,6 +383,18 @@ class TestFactorModP:
         cubics = [(ModPoly(3, (1, 2, 0, 1)), 1), (ModPoly(3, (2, 2, 0, 1)), 1)]
         f = _product(cubics)
         assert factor_mod_p(f) == cubics == _reference_factor_mod_p(f)
+
+    @given(
+        st.sampled_from([2, 3, 5, 7, 11, 13, 17]),
+        st.integers(1, 24),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_frobenius_matches_square_and_multiply(self, p, n, rnd):
+        # spread-and-reduce below the cut, _lpowmod above it
+        f = [rnd.randrange(p) for _ in range(n)] + [1]
+        a = polyarith._trim([rnd.randrange(p) for _ in range(n)])
+        assert _lfrobenius(a, f, p) == _lpowmod(a, p, f, p)
 
     def test_large_prime_and_degree(self):
         # x^p - x is the product of all x - a over F_p

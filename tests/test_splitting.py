@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2ab import splitting
+from sl2ab import polyarith, splitting
 from sl2ab.cli import run
 from sl2ab.polyarith import (
     IntPoly,
@@ -376,6 +376,44 @@ class TestFieldSpecDispatch:
         monkeypatch.setattr(splitting, name, lambda *a: calls.append(a) or fn(*a))
         assert run(["compute", *argv]) == 0, capsys.readouterr().err
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "coeffs, zassenhaus_prime",
+        [
+            ("1,4,14,28,39,36,21,7,1", 2),  # Phi_15(x + 1)
+            ("2,8,28,56,70,56,28,8,1", 3),  # Phi_16(x + 1), x^8 mod 2
+        ],
+    )
+    def test_each_factorization_runs_once(
+        self, coeffs, zassenhaus_prime, monkeypatch, capsys
+    ):
+        # f is factored mod 2 and mod 3 once: the irreducibility certificate
+        # and Dedekind's criterion read those factorizations, also when 2 or 3
+        # is the prime Zassenhaus's algorithm runs at
+        seen, lifted = [], []
+
+        def spy(name):
+            fn = getattr(polyarith, name)
+
+            def wrapper(arg, p):  # arg: f mod p, or its distinct-degree parts
+                seen.append((name, p, repr(arg)))
+                return fn(arg, p)
+
+            monkeypatch.setattr(polyarith, name, wrapper)
+
+        spy("_distinct_degree")
+        spy("_split_parts")
+        zassenhaus = polyarith._has_factor_over_z
+        monkeypatch.setattr(
+            polyarith,
+            "_has_factor_over_z",
+            lambda f, factors, p, degrees: lifted.append(p)
+            or zassenhaus(f, factors, p, degrees),
+        )
+        assert run(["compute", f"--poly={coeffs}"]) == 0, capsys.readouterr().err
+        assert lifted == [zassenhaus_prime]
+        assert any(p == zassenhaus_prime for _, p, _ in seen)
+        assert len(seen) == len(set(seen)), seen
 
     def test_user_supplied_char0(self):
         split2, split3 = Quadratic(3).splittings()
