@@ -44,13 +44,11 @@ from .splitting import (
     quadratic_min_poly,
 )
 from .theorems import (
-    ArithmeticRingSpec,
     ComputeOutcome,
     Contribution,
     FiniteUnitsError,
     SSet,
     compute,
-    known_small_cases,
     s_for_inverted,
 )
 from .verify import CaseResult, SUITES
@@ -59,7 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbelianGroup",
-    "ArithmeticRingSpec",
     "BudgetExceededError",
     "CaseResult",
     "ComputeOutcome",
@@ -93,7 +90,6 @@ __all__ = [
     "enumerate_sl2_direct",
     "factor_mod_p",
     "from_relations",
-    "known_small_cases",
     "prop_local_formula",
     "quadratic_min_poly",
     "s_for_inverted",

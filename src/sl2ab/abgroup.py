@@ -23,10 +23,10 @@ class AbelianGroup:
 
     def __post_init__(self) -> None:
         if self.free_rank < 0:
-            raise ValueError(f"free rank must be >= 0, got {self.free_rank}")
+            raise ValueError(f"free rank must be >= 0, got {brief(self.free_rank)}")
         for d in self.torsion:
             if d < 2:
-                raise ValueError(f"invariant factor must be >= 2, got {d}")
+                raise ValueError(f"invariant factor must be >= 2, got {brief(d)}")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a:
                 raise ValueError(f"not a divisibility chain: {self.torsion}")

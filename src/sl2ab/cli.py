@@ -43,7 +43,6 @@ from .splitting import (
 )
 from .theorems import (
     EMPTY_S,
-    ArithmeticRingSpec,
     ComputeOutcome,
     FiniteUnitsError,
     SSet,
@@ -236,8 +235,7 @@ def _s_from_args(args: argparse.Namespace) -> SSet:
     if args.extra_s_primes < 0:
         shown = brief(args.extra_s_primes)
         raise CliError(f"--extra-s-primes must be >= 0, got {shown}")
-    removed2 = set(inverted.removed_above_2)
-    removed3 = set(inverted.removed_above_3)
+    removed = {2: set(inverted.removed_above_2), 3: set(inverted.removed_above_3)}
     other = inverted.other_finite_primes + args.extra_s_primes
     for item in args.remove_prime:
         for part in item.split(","):
@@ -253,13 +251,10 @@ def _s_from_args(args: argparse.Namespace) -> SSet:
                 raise CliError(
                     f"--remove-prime: entry {brief(part)} is not of the form P:IDX"
                 )
-            if p == 2:
-                removed2.add(idx)
-            elif p == 3:
-                removed3.add(idx)
-            else:
+            if p not in removed:
                 raise CliError(f"--remove-prime: P must be 2 or 3, got {brief(p)}")
-    return SSet(frozenset(removed2), frozenset(removed3), other)
+            removed[p].add(idx)
+    return SSet(frozenset(removed[2]), frozenset(removed[3]), other)
 
 
 def _s_str(s: SSet, infinite_places: int) -> str:
@@ -276,7 +271,7 @@ def _s_str(s: SSet, infinite_places: int) -> str:
 
 
 def _print_compute_report(outcome: ComputeOutcome) -> None:
-    field, s = outcome.ring.field, outcome.ring.s
+    field, s = outcome.field, outcome.s
     print(f"field: {field}")
     if field.characteristic:
         print(f"characteristic: {field.characteristic} (q = {field.q})")
@@ -314,7 +309,7 @@ def _print_compute_report(outcome: ComputeOutcome) -> None:
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    outcome = compute(ArithmeticRingSpec(_field_from_args(args), _s_from_args(args)))
+    outcome = compute(_field_from_args(args), _s_from_args(args))
     if args.json:
         sys.stdout.write(dump_json(outcome.to_json()))
     else:
@@ -342,7 +337,7 @@ def _ring_spec_from_args(args: argparse.Namespace) -> FiniteRingSpec:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.cap < 1:
-        raise CliError(f"--cap must be >= 1, got {args.cap}")
+        raise CliError(f"--cap must be >= 1, got {brief(args.cap)}")
     spec = _ring_spec_from_args(args)
     ring = FiniteRing(spec, cap=args.cap)
     ab, sl2_order = ring.sl2ab, ring.sl2_order
@@ -391,9 +386,8 @@ def _check_rows(rows: int) -> None:
 def _cmd_table(args: argparse.Namespace) -> int:
     if args.table_kind == "quadratic":
         if args.d_min <= 1 or args.d_min > args.d_max:
-            raise CliError(
-                f"need 1 < d_min <= d_max, got {args.d_min}..{args.d_max}"
-            )
+            bounds = f"{brief(args.d_min)}..{brief(args.d_max)}"
+            raise CliError(f"need 1 < d_min <= d_max, got {bounds}")
         check_limit(args.d_max, INTEGER_LIMIT, "d_max")
         _check_rows(args.d_max - args.d_min + 1)
         print(f"{'d':>5}  {'d mod 24':>8}  group")
@@ -403,25 +397,24 @@ def _cmd_table(args: argparse.Namespace) -> int:
             except ValueError:
                 print(f"{d:>5}  {d % 24:>8}  (skipped: not squarefree)")
                 continue
-            print(f"{d:>5}  {d % 24:>8}  {compute(ArithmeticRingSpec(spec)).group}")
+            print(f"{d:>5}  {d % 24:>8}  {compute(spec).group}")
     elif args.table_kind == "cyclotomic":
         if args.n_max < 1:
-            raise CliError(f"need N_max >= 1, got {args.n_max}")
+            raise CliError(f"need N_max >= 1, got {brief(args.n_max)}")
         check_limit(args.n_max, CYCLOTOMIC_LIMIT, "N_max")
         _check_rows(args.n_max)
         print(f"{'N':>4}  {'phi(N)':>6}  group")
         for n in range(1, args.n_max + 1):
             spec = Cyclotomic(n)
-            group = compute(ArithmeticRingSpec(spec)).group
-            print(f"{n:>4}  {spec.degree:>6}  {group}")
+            print(f"{n:>4}  {spec.degree:>6}  {compute(spec).group}")
     else:
         if args.n_max < 2:
-            raise CliError(f"need n_max >= 2, got {args.n_max}")
+            raise CliError(f"need n_max >= 2, got {brief(args.n_max)}")
         check_limit(args.n_max, INTEGER_LIMIT, "n_max")
         _check_rows(args.n_max - 1)
         print(f"{'n':>4}  {'2|n':>4}  {'3|n':>4}  group")
         for n in range(2, args.n_max + 1):
-            outcome = compute(ArithmeticRingSpec(Rational(), s_for_inverted(n)))
+            outcome = compute(Rational(), s_for_inverted(n))
             two = "yes" if n % 2 == 0 else "no"
             three = "yes" if n % 3 == 0 else "no"
             print(f"{n:>4}  {two:>4}  {three:>4}  {outcome.group}")

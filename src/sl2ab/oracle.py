@@ -68,10 +68,12 @@ class RingFactor:
         degree = len(_trim(list(self.h))) - 1
         check_limit(self.k * degree, _EXPONENT_LIMIT, "k * deg h")
         if self.k < 1 or not is_prime(self.p):
-            raise ValueError(f"need prime p and k >= 1, got p={self.p} k={self.k}")
+            k = brief(self.k)  # p passed check_limit above; k has no lower bound
+            raise ValueError(f"need prime p and k >= 1, got p={self.p} k={k}")
         h = tuple(_trim([c % self.modulus for c in self.h]))
         if len(h) < 2 or h[-1] != 1:
-            raise ValueError(f"h must be monic of degree >= 1, got {list(self.h)}")
+            shown = _shown(list(self.h))
+            raise ValueError(f"h must be monic of degree >= 1, got {shown}")
         object.__setattr__(self, "h", h)
 
     @property
@@ -125,7 +127,7 @@ class FiniteRingSpec:
     def zmod(cls, n: int) -> "FiniteRingSpec":
         """Z/n as its product of prime-power parts (CRT)."""
         if n < 2:
-            raise ValueError(f"need n >= 2, got {n}")
+            raise ValueError(f"need n >= 2, got {brief(n)}")
         check_limit(n, INTEGER_LIMIT, "n")
         return cls(tuple(RingFactor(p, k) for p, k in sorted(factorint(n).items())))
 

@@ -50,7 +50,7 @@ POLY_COEFFICIENT_LIMIT = 10**40
 
 def _check_p(p: int) -> None:
     if p not in (2, 3):
-        raise ValueError(f"splitting is computed at p in {{2, 3}} only, got {p}")
+        raise ValueError(f"splitting is computed at p in {{2, 3}} only, got {brief(p)}")
 
 
 def _check_radicand(d: int) -> None:
@@ -89,7 +89,8 @@ class PrimeAbove:
 
     def __post_init__(self) -> None:
         if self.e < 1 or self.f < 1:
-            raise ValueError(f"e and f must be >= 1, got e={self.e} f={self.f}")
+            shown = f"e={brief(self.e)} f={brief(self.f)}"
+            raise ValueError(f"e and f must be >= 1, got {shown}")
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,8 @@ class SplittingData:
         total = sum(q.e * q.f for q in self.primes)
         if total != self.degree:
             raise ValueError(
-                f"sum of e*f is {total}, must equal the field degree {self.degree}"
+                f"sum of e*f is {brief(total)}, must equal the field degree "
+                f"{brief(self.degree)}"
             )
         # derived values, not fields; the class is frozen, so set in __dict__
         ones = tuple((i, q) for i, q in enumerate(self.primes) if q.f == 1)
@@ -147,7 +149,8 @@ class SplittingData:
             )
         if e < 1 or f < 1 or degree % (e * f):
             raise ValueError(
-                f"invalid decomposition at {p}: e*f = {e}*{f} must divide n = {degree}"
+                f"invalid decomposition at {brief(p)}: e*f = {brief(e)}*{brief(f)} "
+                f"must divide n = {brief(degree)}"
             )
         count = degree // (e * f)
         if f == 1:  # every prime gives a summand, so all are read
@@ -174,7 +177,7 @@ class Signature:
 
     def __post_init__(self) -> None:
         if self.r1 < 0 or self.r2 < 0:
-            raise ValueError(f"negative signature ({self.r1}, {self.r2})")
+            raise ValueError(f"negative signature ({brief(self.r1)}, {brief(self.r2)})")
 
     @property
     def infinite_places(self) -> int:
@@ -468,11 +471,12 @@ class UserNumberField(NumberField):
 
     def __post_init__(self) -> None:
         if self.degree < 1:
-            raise ValueError(f"degree must be >= 1, got {self.degree}")
+            raise ValueError(f"degree must be >= 1, got {brief(self.degree)}")
         sig = self.signature
         if sig.r1 + 2 * sig.r2 != self.degree:
             raise ValueError(
-                f"signature ({sig.r1}, {sig.r2}) does not match degree {self.degree}"
+                f"signature ({brief(sig.r1)}, {brief(sig.r2)}) does not match "
+                f"degree {brief(self.degree)}"
             )
         if self.split2.p != 2 or self.split3.p != 3:
             raise ValueError("split2 must split 2 and split3 must split 3")
@@ -534,7 +538,7 @@ class UserFunctionField(FunctionField):
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.degree < 1:
-            raise ValueError(f"degree must be >= 1, got {self.degree}")
+            raise ValueError(f"degree must be >= 1, got {brief(self.degree)}")
         if any(sp.degree != self.degree for sp in self.split_t):
             raise ValueError("split_t degree mismatch")
         if self.infinite_places < 1:

@@ -84,7 +84,7 @@ def s_for_inverted(*ns: int) -> SSet:
     ps: set[int] = set()
     for n in ns:
         if n < 2:
-            raise ValueError(f"need integers >= 2, got {n}")
+            raise ValueError(f"need integers >= 2, got {brief(n)}")
         check_limit(n, INTEGER_LIMIT, "n")
         ps.update(primes_dividing(n))
     return SSet(
@@ -92,14 +92,6 @@ def s_for_inverted(*ns: int) -> SSet:
         removed_above_3=frozenset({0} if 3 in ps else ()),
         other_finite_primes=sum(1 for p in ps if p > 3),
     )
-
-
-@dataclass(frozen=True)
-class ArithmeticRingSpec:
-    """A ring of S-integers: a field form plus the finite part of S."""
-
-    field: FieldSpec
-    s: SSet = EMPTY_S
 
 
 @dataclass(frozen=True)
@@ -115,7 +107,8 @@ class Contribution:
 
 @dataclass(frozen=True)
 class ComputeOutcome:
-    ring: ArithmeticRingSpec
+    field: FieldSpec
+    s: SSet
     group: AbelianGroup
     route: str
     contributions: tuple[Contribution, ...] = ()
@@ -126,7 +119,7 @@ class ComputeOutcome:
         """The document `compute --json` prints: the input, the result and
         the splitting data it came from."""
         return {
-            "input": {"field": self.ring.field.to_json(), "s": self.ring.s.to_json()},
+            "input": {"field": self.field.to_json(), "s": self.s.to_json()},
             "route": self.route,
             "group": self.group.to_json(),
             "contributions": [
@@ -135,11 +128,6 @@ class ComputeOutcome:
             "warnings": list(self.warnings),
             "splittings": [sp.to_json() for sp in self.splittings],
         }
-
-
-def units_infinite(infinite_places: int, s: SSet) -> bool:
-    """Dirichlet rank test: the S-unit group is infinite iff |S| >= 2."""
-    return infinite_places + s.finite_count >= 2
 
 
 def _contributions(
@@ -193,8 +181,9 @@ def _contributions(
     return tuple(out)
 
 
-# Literature values for the finite-units rings, keyed by field form (forms of
-# Q(zeta_n) compare by the normalized n, so Cyclotomic(2) finds Cyclotomic(1)).
+# Literature values for the finite-units rings, keyed by the literal field
+# form, so a GeneralPoly defining Q(i) is not among them (forms of Q(zeta_n)
+# compare by the normalized n, so Cyclotomic(2) finds Cyclotomic(1)).
 _KNOWN_CASES: dict[FieldSpec, AbelianGroup] = {
     Rational(): AbelianGroup(0, (12,)),
     Cyclotomic(1): AbelianGroup(0, (12,)),
@@ -206,32 +195,21 @@ _KNOWN_CASES: dict[FieldSpec, AbelianGroup] = {
 }
 
 
-def known_small_cases(spec: FieldSpec, s: SSet = EMPTY_S) -> AbelianGroup | None:
-    """Literature values for the finite-units cases, keyed by field form.
-
-    Covers exactly: Z (trivial S), the Gaussian and Eisenstein integers, and
-    the d = -15 ring of integers.  Returns None ("not covered") otherwise;
-    None is a value, not an error.  Matching is by the literal field form, so
-    a GeneralPoly that happens to define Q(i) is not recognized.
-    """
-    if s.finite_count:
-        return None
-    return _KNOWN_CASES.get(spec)
-
-
-def compute(ring: ArithmeticRingSpec) -> ComputeOutcome:
+def compute(field: FieldSpec, s: SSet = EMPTY_S) -> ComputeOutcome:
     """Full pipeline: split 2 and 3 (or the t - a places), gate on the unit
-    rank, and take the direct sum of the per-prime contributions.
+    rank (by Dirichlet the S-units are infinite iff |S| >= 2), and take the
+    direct sum of the per-prime contributions.  Below the gate a known case
+    comes back on route "known-case", with a warning.
 
     Raises FiniteUnitsError when the unit group is finite and no known case
     applies, NotPMaximalError when a polynomial form is not 2- or 3-maximal,
     and ValueError for invalid inputs.
     """
-    spec, s = ring.field, ring.s
-    splittings = spec.splittings()
-    infinite = spec.infinite_places
-    if not units_infinite(infinite, s):
-        known = known_small_cases(spec, s)
+    splittings = field.splittings()
+    infinite = field.infinite_places
+    if infinite + s.finite_count < 2:
+        # every field has an infinite place, so here S has no finite prime
+        known = _KNOWN_CASES.get(field)
         if known is None:
             raise FiniteUnitsError(
                 "infinitely many units are required (|S| >= 2), but |S| = "
@@ -242,7 +220,7 @@ def compute(ring: ArithmeticRingSpec) -> ComputeOutcome:
             "the unit group is finite (|S| >= 2 fails); reporting a known "
             "literature value, not a structure-formula result"
         )
-        return ComputeOutcome(ring, known, "known-case", (), (warning,), splittings)
-    contributions = _contributions(spec, splittings, s)
+        return ComputeOutcome(field, s, known, "known-case", (), (warning,), splittings)
+    contributions = _contributions(field, splittings, s)
     group = direct_sum(*[c.group for c in contributions])
-    return ComputeOutcome(ring, group, spec.route, contributions, (), splittings)
+    return ComputeOutcome(field, s, group, field.route, contributions, (), splittings)

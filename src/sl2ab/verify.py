@@ -30,7 +30,7 @@ from .splitting import (
     dedekind_split,
     quadratic_min_poly,
 )
-from .theorems import ArithmeticRingSpec, compute, s_for_inverted
+from .theorems import compute, s_for_inverted
 
 
 @dataclass(frozen=True)
@@ -163,9 +163,8 @@ def suite_quadratic_table() -> list[CaseResult]:
         if not is_squarefree(d):
             continue
         table = quadratic_reference(d)
-        live = compute(ArithmeticRingSpec(Quadratic(d))).group
-        poly = GeneralPoly(quadratic_min_poly(d))
-        via_criterion = compute(ArithmeticRingSpec(poly)).group
+        live = compute(Quadratic(d)).group
+        via_criterion = compute(GeneralPoly(quadratic_min_poly(d))).group
         ok = live == table == via_criterion
         out.append(
             CaseResult(
@@ -185,7 +184,7 @@ def suite_cyclotomic_table() -> list[CaseResult]:
     for n in range(1, 61):
         expected = cyclotomic_reference(n)
         spec = Cyclotomic(n)
-        got = compute(ArithmeticRingSpec(spec)).group
+        got = compute(spec).group
         ok = got == expected
         detail = f"live {got} | table {expected}"
         phi_n = cyclotomic_polynomial(n)
@@ -216,7 +215,7 @@ def suite_z_inv_n() -> list[CaseResult]:
     for label, samples, torsion in _Z_INV_CLASSES:
         expected = AbelianGroup(0, torsion)
         for n in samples:
-            outcome = compute(ArithmeticRingSpec(Rational(), s_for_inverted(n)))
+            outcome = compute(Rational(), s_for_inverted(n))
             ok = outcome.group == expected
             out.append(
                 CaseResult(

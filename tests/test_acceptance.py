@@ -45,7 +45,7 @@ from sl2ab.splitting import (
     UserNumberField,
     quadratic_min_poly,
 )
-from sl2ab.theorems import ArithmeticRingSpec, FiniteUnitsError, SSet, compute
+from sl2ab.theorems import FiniteUnitsError, SSet, compute
 from sl2ab.verify import (
     suite_cyclotomic_table,
     suite_ge2,
@@ -111,7 +111,7 @@ def test_criterion_3_cyclotomic_agreement():
 
 
 def test_criterion_4_named_examples():
-    outcome = compute(ArithmeticRingSpec(GeneralPoly(IntPoly((-5, 0, 0, 1)))))
+    outcome = compute(GeneralPoly(IntPoly((-5, 0, 0, 1))))
     assert outcome.group == AbelianGroup(0, (12,))
     at2, at3 = outcome.splittings
     assert [q.label for q in at2.primes] == ["(2, x+1)", "(2, x^2+x+1)"]
@@ -122,9 +122,8 @@ def test_criterion_4_named_examples():
         SplittingData.uniform(2, 4, 4, 1),
         SplittingData.uniform(3, 4, 2, 1),
     )
-    assert compute(ArithmeticRingSpec(galois)).group == AbelianGroup(0, (6, 6))
-    minus_15 = ArithmeticRingSpec(Quadratic(-15), SSet(frozenset({1})))
-    assert compute(minus_15).group == AbelianGroup(0, (12,))
+    assert compute(galois).group == AbelianGroup(0, (6, 6))
+    assert compute(Quadratic(-15), SSet(frozenset({1}))).group == AbelianGroup(0, (12,))
     print("ACCEPTANCE 4 (named worked examples): PASS")
 
 
@@ -231,13 +230,12 @@ def test_criterion_8_property_suites():
             _random_removals(rng, split3),
             rng.randint(0, 2),
         )
-        ring = ArithmeticRingSpec(field, s)
         if field.infinite_places + s.finite_count < 2:
             gated += 1
             with pytest.raises(FiniteUnitsError):
-                compute(ring)
+                compute(field, s)
             continue
-        g = compute(ring).group
+        g = compute(field, s).group
         assert g.free_rank == 0
         assert 12 % g.exponent() == 0
     assert gated > 0
@@ -253,7 +251,7 @@ def test_criterion_8_property_suites():
             removed_above_3=removed if q % 3 == 0 and q <= 3 else frozenset(),
             other_finite_primes=rng.randint(1, 3),
         )
-        g = compute(ArithmeticRingSpec(field, s)).group
+        g = compute(field, s).group
         assert g.free_rank == 0
         assert 6 % g.exponent() == 0
 
@@ -311,7 +309,7 @@ def _oracle_rings(f: IntPoly) -> list[RingFactor]:
 
 
 def _compute_group(field) -> AbelianGroup:
-    return compute(ArithmeticRingSpec(field, _TWO_OTHER_PRIMES)).group
+    return compute(field, _TWO_OTHER_PRIMES).group
 
 
 def test_criterion_9a_compute_matches_brute_force_oracle():
@@ -468,9 +466,9 @@ def test_criterion_9d_function_field_matches_oracle(capsys):
     start = time.perf_counter()
     expected = {2: canonicalize([2] * 4), 3: canonicalize([3] * 3)}
     for q, oracle in ((2, _brute_force_group), (3, prop_local_formula)):
-        spec = ArithmeticRingSpec(RationalFunction(q), SSet(other_finite_primes=1))
+        s = SSet(other_finite_primes=1)
         full = oracle(_squared_places(q, range(q)))
-        assert compute(spec).group == full == expected[q]
+        assert compute(RationalFunction(q), s).group == full == expected[q]
         for i in range(q):
             argv = [
                 "--function-field", str(q), "--extra-s-primes", "1",

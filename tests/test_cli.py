@@ -347,6 +347,18 @@ def _polyquot_ring(p, k, h):
     return {"factors": [{"kind": "polyquot", "p": p, "k": k, "h": h}]}
 
 
+def _invoke_with_rings(capsys, tmp_path, argv):
+    """invoke(), with each ring document in argv passed as a file."""
+    path = tmp_path / "ring.json"
+    args = []
+    for arg in argv:
+        if isinstance(arg, dict):
+            path.write_text(json.dumps(arg))
+            arg = str(path)
+        args.append(arg)
+    return invoke(capsys, *args)
+
+
 class TestInputLimits:
     """Integers that reach trial division are bounded: one past the limit
     exits 4 at once instead of running for minutes.  So are the exponents
@@ -391,21 +403,47 @@ class TestInputLimits:
         ],
     )
     def test_exit_4_in_under_a_second(self, capsys, tmp_path, argv):
-        path = tmp_path / "ring.json"
-        args = []
-        for arg in argv:
-            if isinstance(arg, dict):  # a ring document, passed as a file
-                path.write_text(json.dumps(arg))
-                arg = str(path)
-            args.append(arg)
         start = time.perf_counter()
-        code, out, err = invoke(capsys, *args)
+        code, out, err = _invoke_with_rings(capsys, tmp_path, argv)
         elapsed = time.perf_counter() - start
         assert code == EXIT_USAGE
         assert out == ""
         assert "must be at most" in err
         assert len(err.encode()) < 200 and err.count("\n") == 1, err
         assert elapsed < 1.0, f"took {elapsed:.2f}s"
+
+    # a value far below a lower bound is named by its digit count or length
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("oracle", "--zmod=12", "--cap=-" + "9" * 4000),
+            ("table", "quadratic", "-" + "9" * 4000, "5"),
+            ("table", "quadratic", "5", "-" + "9" * 4000),
+            ("table", "cyclotomic", "-" + "9" * 4000),
+            ("table", "z-inv-n", "-" + "9" * 4000),
+            ("compute", "--rational", "--invert=-" + "9" * 4000),
+            ("oracle", "--zmod=-" + "9" * 4000),
+            ("oracle", "--ring", {"zmod": -(10**4000)}),
+            ("oracle", "--ring", _polyquot_ring(2, -(10**4000), [1])),
+            ("oracle", "--ring", _polyquot_ring(2, 1, [0] * 100000)),
+        ],
+        ids=[
+            "oracle --cap",
+            "table quadratic d_min",
+            "table quadratic d_max",
+            "table cyclotomic",
+            "table z-inv-n",
+            "compute --invert",
+            "oracle --zmod",
+            "ring zmod",
+            "ring k",
+            "ring h",
+        ],
+    )
+    def test_lower_bound_refusal_is_one_short_line(self, capsys, tmp_path, argv):
+        code, out, err = _invoke_with_rings(capsys, tmp_path, argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert len(err.encode()) < 200 and err.count("\n") == 1, err[:200]
 
     def test_inputs_at_the_limits_still_compute(self, capsys):
         for argv in (

@@ -2,6 +2,10 @@
 summand rules in characteristic 0 and p, and the compute pipeline with its
 routing and warnings.  Every group here comes from compute()."""
 
+import ast
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,13 +28,10 @@ from sl2ab.splitting import (
 )
 from sl2ab.theorems import (
     EMPTY_S,
-    ArithmeticRingSpec,
     FiniteUnitsError,
     SSet,
     compute,
-    known_small_cases,
     s_for_inverted,
-    units_infinite,
 )
 
 Z12 = AbelianGroup(0, (12,))
@@ -39,7 +40,7 @@ V4 = AbelianGroup(0, (2, 2))
 
 
 def group_of(field, s=EMPTY_S):
-    return compute(ArithmeticRingSpec(field, s)).group
+    return compute(field, s).group
 
 
 def user_field(split2, split3, sig):
@@ -89,13 +90,23 @@ class TestSSet:
         with pytest.raises(ValueError, match="at most"):
             s_for_inverted(10**12 + 1)
 
-    def test_units_infinite(self):
-        assert not units_infinite(Signature(1, 0).infinite_places, EMPTY_S)
-        assert units_infinite(Signature(2, 0).infinite_places, EMPTY_S)
-        assert units_infinite(
-            Signature(0, 1).infinite_places, SSet(other_finite_primes=1)
-        )
-        assert not units_infinite(Signature(0, 1).infinite_places, EMPTY_S)
+    def test_unit_rank_gate(self):
+        # |S| = infinite places + finite primes; the formulas need |S| >= 2.
+        # User-supplied fields match no known case, so |S| < 2 is refused.
+        one, two = Rational().splittings(), Quadratic(10).splittings()
+        z6z6 = AbelianGroup(0, (6, 6))
+        for sig, split, s, group in (
+            (Signature(1, 0), one, EMPTY_S, None),
+            (Signature(2, 0), two, EMPTY_S, z6z6),
+            (Signature(0, 1), two, SSet(other_finite_primes=1), z6z6),
+            (Signature(0, 1), two, EMPTY_S, None),
+        ):
+            field = user_field(*split, sig)
+            if group is None:
+                with pytest.raises(FiniteUnitsError):
+                    compute(field, s)
+            else:
+                assert compute(field, s).group == group, sig
 
 
 class TestChar0Formula:
@@ -106,7 +117,7 @@ class TestChar0Formula:
 
     def test_finite_units_gate(self):
         with pytest.raises(FiniteUnitsError) as exc:
-            compute(ArithmeticRingSpec(Quadratic(-7)))
+            compute(Quadratic(-7))
         assert str(exc.value) == (
             "infinitely many units are required (|S| >= 2), but |S| = 1 "
             "(1 infinite place(s), 0 finite); no known case covers this ring"
@@ -285,89 +296,101 @@ class TestCyclotomicWrapper:
             assert group_of(Cyclotomic(2 * n)) == group_of(Cyclotomic(n))
 
 
-class TestKnownSmallCases:
-    def test_covered_rings(self):
-        assert known_small_cases(Rational()) == Z12
-        assert known_small_cases(Quadratic(-1)) == V4
-        assert known_small_cases(Quadratic(-3)) == Z3
-        assert known_small_cases(Quadratic(-15)) == AbelianGroup(2, (12,))
-        assert known_small_cases(Cyclotomic(1)) == Z12
-        assert known_small_cases(Cyclotomic(4)) == V4
-        assert known_small_cases(Cyclotomic(6)) == Z3
+KNOWN_CASE_WARNING = (
+    "the unit group is finite (|S| >= 2 fails); reporting a known "
+    "literature value, not a structure-formula result"
+)
 
-    def test_not_covered_is_none_not_an_error(self):
-        assert known_small_cases(Quadratic(-7)) is None
-        assert known_small_cases(Cyclotomic(5)) is None
+
+class TestKnownCases:
+    def test_covered_rings(self):
+        for field, group in (
+            (Rational(), Z12),
+            (Quadratic(-1), V4),
+            (Quadratic(-3), Z3),
+            (Quadratic(-15), AbelianGroup(2, (12,))),
+            (Cyclotomic(1), Z12),
+            (Cyclotomic(4), V4),
+            (Cyclotomic(6), Z3),
+        ):
+            out = compute(field)
+            assert out.route == "known-case", field
+            assert out.group == group, field
+            assert out.warnings == (KNOWN_CASE_WARNING,), field
+            assert out.contributions == ()
+
+    def test_not_covered(self):
+        with pytest.raises(FiniteUnitsError):
+            compute(Quadratic(-7))
+        # |S| = 2 already: the formula applies, no known case is consulted
+        out = compute(Cyclotomic(5))
+        assert (out.route, out.group, out.warnings) == ("cyclotomic", TRIVIAL_GROUP, ())
         # matching is by literal field form: a polynomial that happens to
         # define the same field as Quadratic(-1) is not recognized
-        assert known_small_cases(GeneralPoly(IntPoly((1, 0, 1)))) is None
-        # a nonempty finite part of S always leaves the covered list
-        assert known_small_cases(Rational(), SSet(other_finite_primes=1)) is None
+        with pytest.raises(FiniteUnitsError):
+            compute(GeneralPoly(IntPoly((1, 0, 1))))
+        # a nonempty finite part of S leaves the known cases for the formula
+        out = compute(Rational(), SSet(other_finite_primes=1))
+        assert (out.route, out.group, out.warnings) == ("Main", Z12, ())
 
 
 class TestComputePipeline:
     def test_rational_routes(self):
-        out = compute(ArithmeticRingSpec(Rational()))
+        out = compute(Rational())
         assert out.route == "known-case"
         assert out.group == Z12
         assert any("literature value" in w for w in out.warnings)
         assert len(out.splittings) == 2
-        out = compute(ArithmeticRingSpec(Rational(), s_for_inverted(5)))
+        out = compute(Rational(), s_for_inverted(5))
         assert out.route == "Main"
         assert out.group == Z12
         assert [c.summand for c in out.contributions] == ["Z/4", "Z/3"]
         assert not out.warnings
 
     def test_quadratic_route(self):
-        out = compute(ArithmeticRingSpec(Quadratic(10)))
+        out = compute(Quadratic(10))
         assert out.route == "quadratic"
         assert out.group == AbelianGroup(0, (6, 6))
-        out = compute(ArithmeticRingSpec(Quadratic(-15)))
+        out = compute(Quadratic(-15))
         assert out.route == "known-case"
         assert out.group == AbelianGroup(2, (12,))
         with pytest.raises(FiniteUnitsError) as exc:
-            compute(ArithmeticRingSpec(Quadratic(-7)))
+            compute(Quadratic(-7))
         assert "no known case covers this ring" in str(exc.value)
 
     def test_cyclotomic_route(self):
-        out = compute(ArithmeticRingSpec(Cyclotomic(8)))
+        out = compute(Cyclotomic(8))
         assert out.route == "cyclotomic"
         assert out.group == V4
-        assert compute(ArithmeticRingSpec(Cyclotomic(4))).route == "known-case"
+        assert compute(Cyclotomic(4)).route == "known-case"
 
     def test_poly_route(self):
-        out = compute(ArithmeticRingSpec(GeneralPoly(IntPoly((-5, 0, 0, 1)))))
+        out = compute(GeneralPoly(IntPoly((-5, 0, 0, 1))))
         assert out.route == "Main"
         assert out.group == Z12
         assert not out.warnings
         assert [c.prime for c in out.contributions] == ["(2, x+1)", "(3, x+1)"]
         # x^4 + 1: reducible mod every prime, certified irreducible over Q
-        out = compute(ArithmeticRingSpec(GeneralPoly(IntPoly((1, 0, 0, 0, 1)))))
+        out = compute(GeneralPoly(IntPoly((1, 0, 0, 0, 1))))
         assert out.group == V4
         assert not out.warnings
         with pytest.raises(ValueError):
-            compute(ArithmeticRingSpec(GeneralPoly(IntPoly((-1, 0, 1)))))
+            compute(GeneralPoly(IntPoly((-1, 0, 1))))
         with pytest.raises(ValueError, match="reducible over Q"):
-            compute(ArithmeticRingSpec(GeneralPoly(IntPoly((2, 0, 3, 0, 1)))))
+            compute(GeneralPoly(IntPoly((2, 0, 3, 0, 1))))
         with pytest.raises(NotPMaximalError):
-            compute(ArithmeticRingSpec(GeneralPoly(IntPoly((-5, 0, 1)))))
+            compute(GeneralPoly(IntPoly((-5, 0, 1))))
         with pytest.raises(FiniteUnitsError):
-            compute(ArithmeticRingSpec(GeneralPoly(IntPoly((5, 0, 1)))))
+            compute(GeneralPoly(IntPoly((5, 0, 1))))
 
     def test_function_field_route(self):
         with pytest.raises(FiniteUnitsError):
-            compute(ArithmeticRingSpec(RationalFunction(2)))
-        out = compute(
-            ArithmeticRingSpec(
-                RationalFunction(2), SSet(removed_above_2=frozenset({0}))
-            )
-        )
+            compute(RationalFunction(2))
+        out = compute(RationalFunction(2), SSet(removed_above_2=frozenset({0})))
         assert out.route == "main2"
         assert out.group == V4
         assert [c.prime for c in out.contributions] == ["(t-1)"]
-        out = compute(
-            ArithmeticRingSpec(RationalFunction(9), SSet(other_finite_primes=1))
-        )
+        out = compute(RationalFunction(9), SSet(other_finite_primes=1))
         assert out.group == TRIVIAL_GROUP
         assert out.splittings == ()
 
@@ -378,7 +401,7 @@ class TestComputePipeline:
             split2=Quadratic(3).split_at(2),
             split3=Quadratic(3).split_at(3),
         )
-        out = compute(ArithmeticRingSpec(char0))
+        out = compute(char0)
         assert out.route == "Main"
         assert out.group == group_of(Quadratic(3))
         charp = UserFunctionField(
@@ -387,12 +410,12 @@ class TestComputePipeline:
             split_t=RationalFunction(2).splittings(),
             infinite_places=2,
         )
-        out = compute(ArithmeticRingSpec(charp))
+        out = compute(charp)
         assert out.route == "main2"
         assert out.group == AbelianGroup(0, (2, 2, 2, 2))
 
     def test_outcome_json_shape(self):
-        out = compute(ArithmeticRingSpec(Rational(), s_for_inverted(6)))
+        out = compute(Rational(), s_for_inverted(6))
         doc = out.to_json()
         assert doc["route"] == "Main"
         assert doc["group"] == {"free_rank": 0, "invariant_factors": []}
@@ -409,7 +432,7 @@ class TestComputePipeline:
         assert [sp["p"] for sp in doc["splittings"]] == [2, 3]
 
     def test_galois_result(self):
-        out = compute(ArithmeticRingSpec(galois_field(3, 1, 1, 1, 1, Signature(3, 0))))
+        out = compute(galois_field(3, 1, 1, 1, 1, Signature(3, 0)))
         assert out.route == "Main"
         assert out.group == AbelianGroup(0, (12, 12, 12))
         assert [c.prime for c in out.contributions] == [
@@ -488,3 +511,22 @@ class TestFormulaProperties:
             return
         g = group_of(Quadratic(d))
         assert 12 % g.exponent() == 0
+
+
+def test_readme_library_block():
+    """The README's Library block runs, and each line commented with an
+    AbelianGroup(...) is that value: its expression is evaluated and compared."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    lines = block.splitlines()
+    namespace: dict = {}
+    checked = 0
+    for stmt in ast.parse(block).body:
+        shown = re.search(r"# (AbelianGroup\(.*\))$", lines[stmt.end_lineno - 1])
+        if shown is None:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+        assert value == eval(shown[1], {"AbelianGroup": AbelianGroup}), shown[1]
+        checked += 1
+    assert checked == block.count("# AbelianGroup(") >= 4
