@@ -29,7 +29,9 @@ class AbelianGroup:
                 raise ValueError(f"invariant factor must be >= 2, got {brief(d)}")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a:
-                raise ValueError(f"not a divisibility chain: {self.torsion}")
+                raise ValueError(
+                    f"not a divisibility chain: {brief(a)} does not divide {brief(b)}"
+                )
 
     def order(self) -> int | None:
         """Group order, or None when infinite."""

@@ -6,8 +6,9 @@ tables over a range), and `verify` (cross-validation suites).
 
 `run(argv)` executes one command line in process and returns its exit code,
 for a help request too.
-It builds the parser of the named command only, so an in-process caller pays
-for one command's arguments per call.
+A command line that names a command costs one parser, that command's alone
+(`table` adds one per table kind); the root help, an empty command line or an
+unknown command builds the whole tree, so that their text lists every command.
 
 Exit codes: 0 success; 1 a verification or comparison found a mismatch;
 2 theorem precondition failure (finite unit group with no known case);
@@ -95,12 +96,9 @@ def dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The root parser with the subparser of `command` alone, or of every
-    command when `command` is None.  A subparser reads the same either way:
-    its prog is "sl2ab <command>" whichever others exist."""
-    if command is not None and command not in _COMMANDS:
-        raise ValueError(f"no command {command!r}")
+def build_parser() -> argparse.ArgumentParser:
+    """The root parser with the subparser of every command.  A subparser reads
+    as the command's own parser does in run(): its prog is "sl2ab <command>"."""
     parser = _ArgumentParser(
         prog="sl2ab",
         description=(
@@ -110,8 +108,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name, (help_text, add_arguments, _) in _COMMANDS.items():
-        if command is None or name == command:
-            add_arguments(sub.add_parser(name, help=help_text))
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -472,16 +469,22 @@ _EXIT_CODES = {
 def run(argv: list[str] | None = None) -> int:
     """Parse and execute one command line; return the exit code.
 
-    Only the parser of the command argv[0] names is built.  When it names
-    none (help, an empty or an unknown command line) every command is built,
-    so that help and the invalid-choice error list them all."""
+    When argv[0] names a command, only that command's parser is built, and
+    it reads the rest of argv.  Otherwise (help, an empty or an unknown
+    command line) the whole tree is, so that help and the invalid-choice
+    error list every command."""
     if argv is None:
         argv = sys.argv[1:]
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    parser = build_parser(command)
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command][2](args)
+        if argv and argv[0] in _COMMANDS:
+            name = argv[0]
+            parser = _ArgumentParser(prog=f"sl2ab {name}")
+            _COMMANDS[name][1](parser)
+            args = parser.parse_args(argv[1:])
+        else:
+            args = build_parser().parse_args(argv)
+            name = args.command
+        return _COMMANDS[name][2](args)
     except _HelpShown:
         return EXIT_OK
     except tuple(_EXIT_CODES) as exc:

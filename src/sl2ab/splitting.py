@@ -143,6 +143,8 @@ class SplittingData:
         a Galois field or a cyclotomic one; they are labelled "(p, #i of k)".
         Up to degree primes are built at once, so degree is bounded by
         CYCLOTOMIC_LIMIT, which no cyclotomic degree phi(n) exceeds."""
+        if degree < 1:
+            raise ValueError(f"degree must be >= 1, got {brief(degree)}")
         if degree > CYCLOTOMIC_LIMIT:  # inline: `table cyclotomic` calls this per row
             raise ValueError(
                 f"|degree| must be at most {CYCLOTOMIC_LIMIT}, got {brief(degree)}"

@@ -39,8 +39,8 @@ _Z3 = AbelianGroup(0, (3,))
 @dataclass(frozen=True)
 class SSet:
     """Finite part of S: removed primes above 2/3 (by index into the splitting)
-    plus a count of other inverted finite primes.  The infinite places are
-    always in S and are counted separately by the caller."""
+    plus a count, at most INTEGER_LIMIT, of other inverted finite primes.  The
+    infinite places are always in S and are counted separately by the caller."""
 
     removed_above_2: frozenset[int] = frozenset()
     removed_above_3: frozenset[int] = frozenset()
@@ -49,6 +49,7 @@ class SSet:
     def __post_init__(self) -> None:
         if self.other_finite_primes < 0:
             raise ValueError("other_finite_primes must be >= 0")
+        check_limit(self.other_finite_primes, INTEGER_LIMIT, "other_finite_primes")
         if any(i < 0 for i in self.removed_above_2 | self.removed_above_3):
             raise ValueError("removal indices must be >= 0")
 

@@ -29,6 +29,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             AbelianGroup(-1, ())
 
+    def test_chain_refusal_names_the_first_bad_pair(self):
+        with pytest.raises(ValueError) as info:
+            AbelianGroup(0, (2, 4, 6, 5))
+        assert str(info.value) == "not a divisibility chain: 4 does not divide 6"
+        # a long torsion tuple is not printed, a long factor is named by its digits
+        with pytest.raises(ValueError) as info:
+            AbelianGroup(0, (2,) * 100_000 + (3,))
+        assert str(info.value) == "not a divisibility chain: 2 does not divide 3"
+        with pytest.raises(ValueError) as info:
+            AbelianGroup(0, (3, 10**4000))
+        assert str(info.value) == (
+            "not a divisibility chain: 3 does not divide a 4001-digit number"
+        )
+
     def test_order_and_exponent(self):
         g = AbelianGroup(0, (4, 12))
         assert g.order() == 48

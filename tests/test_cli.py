@@ -296,22 +296,85 @@ def _commands(parser):
     return list(action.choices)
 
 
-class TestParserPerCommand:
-    def test_named_command_alone(self):
-        assert _commands(build_parser("oracle")) == ["oracle"]
-        assert _commands(build_parser()) == ["compute", "oracle", "table", "verify"]
-        with pytest.raises(ValueError):
-            build_parser("nonsense")
+def _through_whole_tree(argv):
+    """The reference for run(): one parse through the whole tree of
+    build_parser(), then the dispatch."""
+    try:
+        args = build_parser().parse_args(argv)
+        return cli._COMMANDS[args.command][2](args)
+    except cli._HelpShown:
+        return EXIT_OK
+    except tuple(cli._EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(c for cls, c in cli._EXIT_CODES.items() if isinstance(exc, cls))
 
-    @pytest.mark.parametrize("case", USAGE_GOLDEN["cases"], ids=_usage_id)
-    def test_same_text_as_every_command_built(self, capsys, monkeypatch, case):
+
+def _parsers_built(monkeypatch, argv):
+    """The prog of every _ArgumentParser that run(argv) constructs."""
+    progs = []
+    init = cli._ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        progs.append(self.prog)
+
+    monkeypatch.setattr(cli._ArgumentParser, "__init__", spy)
+    run(argv)
+    return progs
+
+
+class TestParserPerCommand:
+    def test_named_command_alone(self, capsys, monkeypatch):
+        assert _commands(build_parser()) == ["compute", "oracle", "table", "verify"]
+        assert _parsers_built(monkeypatch, ["oracle", "--zmod", "2"]) == ["sl2ab oracle"]
+        assert capsys.readouterr().out.startswith("ring: Z/2")
+
+    @pytest.mark.parametrize(
+        "argv, count",
+        [
+            (["compute", "--rational", "--invert", "7"], 1),
+            (["compute", "--quadratic", "5", "--json"], 1),
+            (["oracle", "--zmod", "4", "--compare"], 1),
+            (["verify", "z-inv-n"], 1),
+            (["verify", "nosuch"], 1),
+            (["table", "z-inv-n", "6"], 4),
+            (["table", "quadratic", "2", "7"], 4),
+            (["compute", "--help"], 1),
+            (["--help"], 8),
+            ([], 8),
+            (["nonsense"], 8),
+        ],
+        ids=lambda v: (" ".join(v) or "(empty)") if isinstance(v, list) else None,
+    )
+    def test_parsers_per_run(self, capsys, monkeypatch, argv, count):
+        # a named command builds its own parser (table also its three kind
+        # parsers); only help, an empty or an unknown command line builds the
+        # root, its four commands and table's three kinds
+        assert len(_parsers_built(monkeypatch, argv)) == count
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(case["args"] for case in USAGE_GOLDEN["cases"]),
+            ["oracle", "--zmod", "4", "--nope"],
+            ["table", "quadratic", "2", "5", "--nope"],
+            ["compute", "--json"],
+            ["compute", "--extra-s-primes", "2"],
+            ["table"],
+            ["table", "z-inv-n", "-h"],
+            ["table", "nosuch"],
+            ["verify", "z-inv-n", "extra"],
+            ["compute", "--rational", "--invert", "7"],
+            ["--", "compute", "--rational", "--invert", "7"],
+        ],
+        ids=lambda argv: " ".join(argv) or "(empty)",
+    )
+    def test_same_text_as_every_command_built(self, capsys, monkeypatch, argv):
         # on any Python: what run() prints with one command's parser is what
-        # it prints with the whole tree
+        # a parse through the whole tree and a dispatch print
         monkeypatch.setenv("COLUMNS", "80")
-        expected = invoke(capsys, *case["args"])
-        full = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
-        assert invoke(capsys, *case["args"]) == expected
+        expected = _through_whole_tree(argv), *capsys.readouterr()
+        assert invoke(capsys, *argv) == expected
 
     def test_help_returns_zero(self, capsys):
         # help is an exit code like any other outcome, not a SystemExit
@@ -398,6 +461,8 @@ class TestInputLimits:
             ("compute", _poly_arg([-int("1" * 4000), 1])),
             ("compute", "--quadratic", "1" * 4000),
             ("oracle", "--zmod", "1" * 4000),
+            ("compute", "--rational", "--extra-s-primes", "9" * 4000),
+            ("compute", "--quadratic=5", "--extra-s-primes=1000000000001"),
             # k * deg h has 4301 digits, past Python's limit for printing an int
             ("oracle", "--ring", _polyquot_ring(2, 10**4299, [0] * 10 + [1])),
         ],
@@ -459,6 +524,11 @@ class TestInputLimits:
         )
         assert (code, err) == (EXIT_OK, "")
         assert "2 other inverted prime(s)" in out
+        code, out, err = invoke(
+            capsys, "compute", "--rational", "--extra-s-primes", "1000000000000"
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert "1000000000000 other inverted prime(s)" in out
         code, _, err = invoke(
             capsys, "compute", "--rational", "--invert", ",".join(["35"] * 33)
         )

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl2ab.abgroup import TRIVIAL_GROUP, AbelianGroup
-from sl2ab.polyarith import IntPoly, is_squarefree
+from sl2ab.polyarith import INTEGER_LIMIT, IntPoly, is_squarefree
 from sl2ab.splitting import (
     CYCLOTOMIC_LIMIT,
     Cyclotomic,
@@ -63,6 +63,17 @@ class TestSSet:
             SSet(other_finite_primes=-1)
         with pytest.raises(ValueError):
             SSet(removed_above_2=frozenset({-1}))
+
+    def test_other_primes_bound(self):
+        # the count is printed in reports, so it is bounded like every other
+        # integer a caller supplies, and named by its digit count past it
+        assert SSet(other_finite_primes=INTEGER_LIMIT).finite_count == INTEGER_LIMIT
+        with pytest.raises(ValueError) as info:
+            SSet(other_finite_primes=10**4000)
+        assert str(info.value) == (
+            f"|other_finite_primes| must be at most {INTEGER_LIMIT}, "
+            "got a 4001-digit number"
+        )
 
     def test_json_document(self):
         s = SSet(frozenset({1}), frozenset(), 3)
@@ -260,6 +271,12 @@ class TestGaloisWrapper:
             SplittingData.uniform(2, 4, 3, 1)  # 3 does not divide 4
         with pytest.raises(ValueError):
             SplittingData.uniform(2, 4, 0, 1)
+        # -4 is divisible by e f = 2, but there is no splitting of degree -4
+        negatives = ((0, "0"), (-4, "-4"), (-(10**4000), "a 4001-digit number"))
+        for degree, shown in negatives:
+            with pytest.raises(ValueError) as info:
+                SplittingData.uniform(2, degree, 1, 2)
+            assert str(info.value) == f"degree must be >= 1, got {shown}"
 
     def test_degree_bound(self):
         # up to degree primes are built at once; one prime of a degree past
