@@ -23,9 +23,7 @@ from .oracle import (
     FiniteRing,
     FiniteRingSpec,
     RingFactor,
-    enumerate_sl2_direct,
     prop_local_formula,
-    sl2_abelianization,
 )
 from .polyarith import IntPoly, ModPoly, cyclotomic_polynomial, factor_mod_p
 from .splitting import (
@@ -87,11 +85,9 @@ __all__ = [
     "cyclotomic_polynomial",
     "dedekind_split",
     "direct_sum",
-    "enumerate_sl2_direct",
     "factor_mod_p",
     "from_relations",
     "prop_local_formula",
     "quadratic_min_poly",
     "s_for_inverted",
-    "sl2_abelianization",
 ]

@@ -8,11 +8,12 @@ package cares about (ring order <= 16 by default) everything is done over
 index-space addition and multiplication tables, built by digit arithmetic
 mod p^k.  FiniteRing(spec, cap) holds them and is the one budget check:
 each call builds its own ring, and the module keeps no memo between calls.
-|SL2(R)| is counted from the multiplication table; only enumerate_sl2_direct
-lists the group, as index tuples.  The abelianization walks G' and its
-cosets: X, the elementary matrices of the additive basis of R, has G' as
-the normal closure of its commutators, and the cosets are words in X, found
-breadth first.  |words| |G'| = |SL2(R)| certifies that X generates.  A word
+FiniteRing answers every SL2(R) question: sl2_order counts the group from
+the multiplication table, only sl2_elements() lists it, as index tuples, and
+sl2_quotient walks G' and its cosets: X, the elementary matrices of the
+additive basis of R, has G' as the normal closure of its commutators, and the
+cosets are words in X, found breadth first.  sl2ab certifies that X
+generates by |words| |G'| = |SL2(R)| before it reads the relations.  A word
 r x that lands in the coset of a word s found before is a relation of G/G'
 in the exponents of X, and these relations present it: the invariants are
 Z^X modulo them.  These routines are the ground truth the structure formulas
@@ -35,9 +36,8 @@ from .polyarith import (
     INTEGER_LIMIT,
     SHOWN_LENGTH,
     BudgetExceededError,
+    IntPoly,
     ModPoly,
-    _render_poly,
-    _trim,
     brief,
     check_limit,
     factor_mod_p,
@@ -47,9 +47,12 @@ from .polyarith import (
 
 DEFAULT_RING_CAP = 16
 _CONSTRUCTION_CAP = 1024
-# 2^e > INTEGER_LIMIT for every larger exponent e, so a factor order
-# p^(k deg h) past it is past INTEGER_LIMIT too.
+# 2^k > INTEGER_LIMIT for every larger k, so Z/p^k past it is past
+# INTEGER_LIMIT too.  k and deg h are bounded each on its own, so that
+# prop_local_formula, which never builds the ring, answers any h that --poly
+# takes; a ring's order stays bounded by FiniteRingSpec and FiniteRing.
 _EXPONENT_LIMIT = INTEGER_LIMIT.bit_length() - 1
+_DEGREE_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -65,12 +68,12 @@ class RingFactor:
     def __post_init__(self) -> None:
         # bounded before is_prime divides p or any p^k is formed
         check_limit(self.p, INTEGER_LIMIT, "p")
-        degree = len(_trim(list(self.h))) - 1
-        check_limit(self.k * degree, _EXPONENT_LIMIT, "k * deg h")
+        check_limit(self.k, _EXPONENT_LIMIT, "k")
+        check_limit(IntPoly(self.h).degree, _DEGREE_LIMIT, "deg h")
         if self.k < 1 or not is_prime(self.p):
             k = brief(self.k)  # p passed check_limit above; k has no lower bound
             raise ValueError(f"need prime p and k >= 1, got p={self.p} k={k}")
-        h = tuple(_trim([c % self.modulus for c in self.h]))
+        h = IntPoly(c % self.modulus for c in self.h).coeffs
         if len(h) < 2 or h[-1] != 1:
             shown = _shown(list(self.h))
             raise ValueError(f"h must be monic of degree >= 1, got {shown}")
@@ -96,7 +99,7 @@ class RingFactor:
         if self.h == (0, 1):
             return f"Z/{self.modulus}"
         base = f"F_{self.p}" if self.k == 1 else f"(Z/{self.modulus})"
-        return f"{base}[x]/({_render_poly(self.h)})"
+        return f"{base}[x]/({IntPoly(self.h)})"
 
     def to_json(self) -> dict:
         if self.h == (0, 1):
@@ -257,8 +260,10 @@ class FiniteRing:
     past the enumeration cap cap, or the construction cap whatever cap is,
     BudgetExceededError is raised before any table is built.  Elements are
     numbered in the lexicographic order of their factor components; all
-    group-level work downstream runs on the integer indexes.  |SL2(R)| and
-    its abelianization are computed once per ring, on first use.
+    group-level work downstream runs on the integer indexes, and a matrix is
+    the index tuple (a, b, c, d) of its entries.  |SL2(R)|, the quotient by
+    its commutator subgroup and its abelianization are computed once per
+    ring, on first use.
     """
 
     def __init__(self, spec: FiniteRingSpec, cap: int = DEFAULT_RING_CAP):
@@ -293,9 +298,40 @@ class FiniteRing:
         one_plus = self.add_table[self.one_index]
         return sum(products[one_plus[y]] * count for y, count in products.items())
 
+    def sl2_elements(self) -> Iterator[_IndexMat]:
+        """All of SL2(R), the (a, b, c, d) with a d = 1 + b c, in
+        lexicographic order: for each a, the d solving a d = x are listed once
+        per x, so the scan takes |R|^3 steps."""
+        M, one_plus = self.mul_table, self.add_table[self.one_index]
+        rng = range(self.order)
+        for a in rng:
+            solutions: list[list[int]] = [[] for _ in rng]
+            for d, x in enumerate(M[a]):
+                solutions[x].append(d)
+            for b in rng:
+                Mb = M[b]
+                yield from [
+                    (a, b, c, d) for c in rng for d in solutions[one_plus[Mb[c]]]
+                ]
+
+    @cached_property
+    def sl2_quotient(self) -> _Quotient:
+        """SL2(R)/SL2(R)' for X = the elementary matrices of the additive
+        basis of R, uncertified: X generates the group of |reps| |derived|
+        elements, which sl2ab checks against sl2_order."""
+        return _derived_quotient(self, _elementary_gens(self))
+
     @cached_property
     def sl2ab(self) -> AbelianGroup:
-        quotient = _sl2_quotient(self)
+        """SL2(R)^ab, read from sl2_quotient's relations.  SL2 = E2 over
+        every finite commutative ring, a product of local rings, so X
+        generates; the count |reps| |G'| = |SL2(R)| certifies it, and
+        RuntimeError is raised if it ever fails."""
+        quotient = self.sl2_quotient
+        found = len(quotient.reps) * len(quotient.derived)
+        if found != self.sl2_order:
+            r = self.spec.describe()
+            raise RuntimeError(f"X generates {found} of |SL2({r})| = {self.sl2_order}")
         return from_relations(quotient.relations, len(quotient.gens))
 
 
@@ -356,28 +392,6 @@ def _extend(
             )
             queue += [_mmul(r, x, M, A) for x in gens]
     return closed
-
-
-def _sl2_indices(ring: FiniteRing) -> Iterator[_IndexMat]:
-    """(a, b, c, d) with a d = 1 + b c, in lexicographic order: for each a,
-    the d solving a d = x are listed once per x, so the scan takes |R|^3 steps."""
-    M, one_plus = ring.mul_table, ring.add_table[ring.one_index]
-    rng = range(ring.order)
-    for a in rng:
-        solutions: list[list[int]] = [[] for _ in rng]
-        for d, x in enumerate(M[a]):
-            solutions[x].append(d)
-        for b in rng:
-            Mb = M[b]
-            yield from [(a, b, c, d) for c in rng for d in solutions[one_plus[Mb[c]]]]
-
-
-def enumerate_sl2_direct(
-    spec: FiniteRingSpec, cap: int = DEFAULT_RING_CAP
-) -> list[_IndexMat]:
-    """All of SL2(R): every (a, b, c, d) in R^4 with determinant one, as
-    indexes into FiniteRing(spec).elements, in lexicographic order."""
-    return list(_sl2_indices(FiniteRing(spec, cap)))
 
 
 class _Quotient(NamedTuple):
@@ -441,27 +455,6 @@ def _elementary_gens(ring: FiniteRing) -> list[_IndexMat]:
     elements whose coefficients sum to 1."""
     basis = [i for i, v in enumerate(ring.elements) if sum(map(sum, v)) == 1]
     return _elementary(ring, basis)
-
-
-def _sl2_quotient(ring: FiniteRing) -> _Quotient:
-    """SL2(R)/SL2(R)', X being _elementary_gens.  SL2 = E2 over every finite
-    commutative ring, a product of local rings, so X generates; the count
-    |words| |G'| = |SL2(R)| certifies it, and RuntimeError is raised if it
-    ever fails."""
-    quotient = _derived_quotient(ring, _elementary_gens(ring))
-    found = len(quotient.reps) * len(quotient.derived)
-    if found != ring.sl2_order:
-        r = ring.spec.describe()
-        raise RuntimeError(f"X generates {found} of |SL2({r})| = {ring.sl2_order}")
-    return quotient
-
-
-def sl2_abelianization(
-    spec: FiniteRingSpec, cap: int = DEFAULT_RING_CAP
-) -> AbelianGroup:
-    """Abelianization of SL2(R) from the cosets of its commutator subgroup,
-    without listing the group."""
-    return FiniteRing(spec, cap).sl2ab
 
 
 def prop_local_formula(factor: RingFactor) -> AbelianGroup:

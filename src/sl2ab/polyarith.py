@@ -549,6 +549,29 @@ def _factor_order(g: list[int]) -> tuple[int, list[int]]:
 
 
 # ---------------------------------------------------------------------------
+# Dedekind's criterion
+
+
+def dedekind_obstruction(
+    f: IntPoly, p: int, factors: list[tuple[ModPoly, int]]
+) -> ModPoly:
+    """Dedekind's criterion for a monic f at the prime p, from factors =
+    factor_mod_p(f mod p) (Cohen, GTM 138, section 6.1).  With g the radical
+    and h the cofactor of f mod p, lifted to [0, p), and t = (g h - f) / p,
+    the obstruction is gcd(t, g, h) over F_p, the product of the repeated
+    factors of f mod p that divide t; Z[x]/(f) is p-maximal exactly when it
+    is 1."""
+    radical = cofactor = [1]
+    for gbar, e in factors:
+        radical = _lmul(radical, gbar.coeffs, p)
+        for _ in range(e - 1):
+            cofactor = _lmul(cofactor, gbar.coeffs, p)
+    p2 = p * p
+    t = [c // p for c in _lsub(_lmul(radical, cofactor, p2), f.coeffs, p2)]
+    return ModPoly(p, _lgcd(_lgcd(t, radical, p), cofactor, p))
+
+
+# ---------------------------------------------------------------------------
 # irreducibility over Q
 
 # Good primes (f mod p squarefree) whose distinct-degree pattern is read
@@ -720,18 +743,15 @@ def irreducible_over_q_check(
             return True
     factorizations = factorizations or {}
     degrees = (1 << n) - 2  # bit mask of the degrees a proper factor may have
-    # (factor count, p, distinct-degree parts, irreducible factors if known)
-    best: tuple[int, int, list, list | None] | None = None
+    best: tuple[int, int, list] | None = None  # (factor count, p, parts)
     bad = good = 0
     for p in _primes():
         known = factorizations.get(p)
-        if known is not None:
-            squarefree = all(m == 1 for _, m in known)
-            factors = [list(g.coeffs) for g, _ in known]
-        else:
+        if known is None:
             fp = [c % p for c in f.coeffs]
             squarefree = len(_lgcd(fp, _lderiv(fp, p), p)) == 1
-            factors = None
+        else:
+            squarefree = all(m == 1 for _, m in known)
         if not squarefree:
             bad += 1
             if best is None and bad == _BAD_PRIMES_BEFORE_GCD:
@@ -741,21 +761,21 @@ def irreducible_over_q_check(
         # an irreducible factor is a distinct-degree part of its own degree
         parts = (
             _distinct_degree(fp, p)
-            if factors is None
-            else [(g, len(g) - 1) for g in factors]
+            if known is None
+            else [(list(g.coeffs), g.degree) for g, _ in known]
         )
         degrees &= _degree_mask(parts)
         if not degrees:  # no degree is left for a proper factor
             return True
         count = sum((len(g) - 1) // d for g, d in parts)
         if best is None or count < best[0]:
-            best = (count, p, parts, factors)
+            best = (count, p, parts)
         good += 1
         if good == _PATTERN_PRIMES or count == 2:  # two factors: one subset to try
             break
-    _, p, parts, factors = best
-    if factors is None:  # in factor_mod_p's order, as a shared one comes
-        factors = sorted(_split_parts(parts, p), key=_factor_order)
+    _, p, parts = best
+    # in factor_mod_p's order; a known factorization comes back as it went in
+    factors = sorted(_split_parts(parts, p), key=_factor_order)
     return not _has_factor_over_z(f, factors, p, degrees)
 
 

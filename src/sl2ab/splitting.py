@@ -5,8 +5,9 @@ The group-structure formulas downstream consume only the multiset of
 (ramification index e, inertia degree f) pairs above 2 and above 3, bundled
 here as SplittingData.  Each field form knows its own degree, signature (or
 places), splitting, JSON form and display name, and owns its splitting
-route: dedekind_split, the Dedekind criterion on a defining polynomial,
-behind GeneralPoly.split_at; the congruence rules for quadratic fields in
+route: dedekind_split, which reads Dedekind's criterion on a defining
+polynomial from polyarith's dedekind_obstruction, behind
+GeneralPoly.split_at; the congruence rules for quadratic fields in
 Quadratic.split_at; the closed form for cyclotomic fields in
 Cyclotomic.split_at; and the shared degree-one places of F_2(t) and F_3(t)
 in RationalFunction.splittings.  The closed forms and the criterion
@@ -17,18 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Union
 
 from .polyarith import (
     INTEGER_LIMIT,
     IntPoly,
     ModPoly,
-    _lgcd,
-    _lmul,
-    _lsub,
     brief,
     brief_poly,
     check_limit,
+    dedekind_obstruction,
     euler_phi_factored,
     factor_mod_p,
     factorint,
@@ -66,10 +65,10 @@ class NotPMaximalError(Exception):
     and 3 as data, or through a quadratic or cyclotomic form.
     """
 
-    def __init__(self, p: int, poly: IntPoly, obstruction: Sequence[int]):
+    def __init__(self, p: int, poly: IntPoly, obstruction: ModPoly):
         self.p = p
         self.poly = poly
-        self.obstruction = ModPoly(p, obstruction)
+        self.obstruction = obstruction
         super().__init__(
             f"Z[x]/({brief_poly(poly)}) is not maximal at {p} "
             f"(Dedekind criterion obstruction: {brief_poly(self.obstruction)}); "
@@ -187,7 +186,7 @@ class Signature:
 
 
 # ---------------------------------------------------------------------------
-# Dedekind's criterion
+# splitting by Dedekind's criterion
 
 
 def dedekind_split(
@@ -195,8 +194,9 @@ def dedekind_split(
 ) -> SplittingData:
     """Factorization shape of p in the maximal order, via f mod p.
 
-    Requires Z[x]/(f) to be p-maximal; the Dedekind criterion is checked and a
-    failure raises NotPMaximalError rather than returning wrong (e, f) data.
+    Requires Z[x]/(f) to be p-maximal; Dedekind's criterion is checked
+    (dedekind_obstruction) and a failure raises NotPMaximalError rather than
+    returning wrong (e, f) data.
     Labels name the ideals (p, g_i(theta)) by their generator polynomials.
     factors is factor_mod_p(f mod p) when the caller has it already.
     """
@@ -207,17 +207,9 @@ def dedekind_split(
         )
     if factors is None:
         factors = factor_mod_p(ModPoly(p, f.coeffs))
-    radical = cofactor = [1]
-    for gbar, e in factors:
-        radical = _lmul(radical, gbar.coeffs, p)
-        for _ in range(e - 1):
-            cofactor = _lmul(cofactor, gbar.coeffs, p)
-    # t = (g h - f) / p mod p for the radical g and cofactor h lifted to [0, p)
-    p2 = p * p
-    t = [c // p for c in _lsub(_lmul(radical, cofactor, p2), f.coeffs, p2)]
-    common = _lgcd(_lgcd(t, radical, p), cofactor, p)
-    if len(common) != 1:
-        raise NotPMaximalError(p, f, common)
+    obstruction = dedekind_obstruction(f, p, factors)
+    if obstruction.coeffs != (1,):
+        raise NotPMaximalError(p, f, obstruction)
     primes = tuple(
         PrimeAbove(p, e, gbar.degree, f"({p}, {gbar})") for gbar, e in factors
     )

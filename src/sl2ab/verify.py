@@ -12,15 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import oracle
 from .abgroup import AbelianGroup, TRIVIAL_GROUP, direct_sum
-from .oracle import (
-    FiniteRing,
-    FiniteRingSpec,
-    RingFactor,
-    prop_local_formula,
-    sl2_abelianization,
-)
+from .oracle import FiniteRing, FiniteRingSpec, RingFactor, prop_local_formula
 from .polyarith import cyclotomic_polynomial, is_squarefree, primes_dividing
 from .splitting import (
     Cyclotomic,
@@ -232,8 +225,7 @@ def suite_oracle_local() -> list[CaseResult]:
     in LOCAL_RINGS."""
     out: list[CaseResult] = []
     for label, factor in LOCAL_RINGS:
-        spec = FiniteRingSpec((factor,))
-        enumerated = sl2_abelianization(spec)
+        enumerated = FiniteRing(FiniteRingSpec((factor,))).sl2ab
         formula = prop_local_formula(factor)
         out.append(
             CaseResult(
@@ -253,8 +245,8 @@ def suite_ge2() -> list[CaseResult]:
     out: list[CaseResult] = []
     for label, spec in GE2_RINGS:
         ring = FiniteRing(spec)
-        direct = sum(1 for _ in oracle._sl2_indices(ring))
-        quotient = oracle._derived_quotient(ring, oracle._elementary_gens(ring))
+        direct = sum(1 for _ in ring.sl2_elements())
+        quotient = ring.sl2_quotient
         words, derived = len(quotient.reps), len(quotient.derived)
         out.append(
             CaseResult(
@@ -284,9 +276,8 @@ def suite_product_lemma() -> list[CaseResult]:
         )
     )
     for n in range(2, 17):
-        spec = FiniteRingSpec.zmod(n)
-        ring = FiniteRing(spec)
-        listed = sum(1 for _ in oracle._sl2_indices(ring))
+        ring = FiniteRing(FiniteRingSpec.zmod(n))
+        listed = sum(1 for _ in ring.sl2_elements())
         counted = ring.sl2_order
         predicted = sl2_order_zmod(n)
         out.append(

@@ -633,7 +633,7 @@ class TestOracleCommand:
             raise AssertionError("SL2(R) listed")
             yield
 
-        monkeypatch.setattr(oracle, "_sl2_indices", refuse)
+        monkeypatch.setattr(oracle.FiniteRing, "sl2_elements", refuse)
         code, out, err = invoke(capsys, "oracle", "--zmod", "12", "--compare", "--json")
         assert (code, err) == (EXIT_OK, "")
         group = {"free_rank": 0, "invariant_factors": [12]}

@@ -24,19 +24,16 @@ from sl2ab.oracle import (
     FiniteRing,
     FiniteRingSpec,
     RingFactor,
-    enumerate_sl2_direct,
     prop_local_formula,
-    sl2_abelianization,
     _derived_quotient,
     _elementary,
     _elementary_gens,
     _identity,
     _inverse,
     _mmul,
-    _sl2_quotient,
-    _sl2_indices,
 )
 from sl2ab.cli import dump_json
+from sl2ab.polyarith import cyclotomic_polynomial
 from sl2ab.verify import GE2_RINGS, LOCAL_RINGS
 
 F2 = FiniteRingSpec((RingFactor(2, 1),))
@@ -80,13 +77,16 @@ class TestSpecs:
                 RingFactor(p, k, h)
         with pytest.raises(ValueError):
             FiniteRingSpec(())
-        # p, k deg h and the ring order are bounded before any is worked with
+        # p, k, deg h and the ring order are bounded before any is worked
+        # with; k and deg h each on its own, the order by FiniteRingSpec
         assert RingFactor(2, 39).order == 2**39
         assert RingFactor(2, 13, (1, 1, 0, 1)).order == 2**39
+        assert RingFactor(2, 39, (0,) * 64 + (1,)).order == 2 ** (39 * 64)
         for make in (
             lambda: RingFactor(10**12 + 39),
             lambda: RingFactor(2, 40),
-            lambda: RingFactor(2, 20, (1, 1, 1)),
+            lambda: RingFactor(2, 1, (0,) * 65 + (1,)),
+            lambda: FiniteRingSpec((RingFactor(2, 20, (1, 1, 1)),)),
             lambda: FiniteRingSpec((RingFactor(2, 39), RingFactor(2))),
             lambda: FiniteRingSpec.zmod(10**12 + 1),
         ):
@@ -173,24 +173,25 @@ class TestFiniteRing:
                     assert mul[i][j] == mul[j][i]
 
     def test_ring_memos(self):
-        # a ring counts SL2 and abelianizes it once, and keeps no list of
-        # the group
+        # a ring counts SL2, walks its quotient and abelianizes it once, and
+        # keeps no list of the group: sl2_elements() lists it on each call
         ring = FiniteRing(F4)
-        assert ring.sl2ab is ring.sl2ab == sl2_abelianization(F4) == TRIVIAL_GROUP
-        assert ring.sl2_order == len(enumerate_sl2_direct(F4)) == 60
+        assert ring.sl2_quotient is ring.sl2_quotient
+        assert ring.sl2ab is ring.sl2ab == TRIVIAL_GROUP
+        assert ring.sl2_order == len(list(ring.sl2_elements())) == 60
         memos = [
             name
             for name, value in vars(oracle.FiniteRing).items()
             if isinstance(value, cached_property)
         ]
-        assert memos == ["sl2_order", "sl2ab"]
+        assert memos == ["sl2_order", "sl2_quotient", "sl2ab"]
 
     def test_oracle_keeps_no_module_level_memo(self):
         # every call builds its own ring, so a new process and a warm one
         # answer alike and nothing is held between calls
         spec = FiniteRingSpec((RingFactor(2, 2), RingFactor(3)))
-        assert sl2_abelianization(spec) == AbelianGroup(0, (12,))
-        assert len(enumerate_sl2_direct(spec)) == 1152
+        assert FiniteRing(spec).sl2ab == AbelianGroup(0, (12,))
+        assert len(list(FiniteRing(spec).sl2_elements())) == 1152
         state = {
             name: value
             for name, value in vars(oracle).items()
@@ -207,7 +208,13 @@ class TestFiniteRing:
             if getattr(value, "__module__", None) == oracle.__name__
             and hasattr(value, "cache_info")
         ]
-        for name in ("_ring_cache", "ring_for", "_check_budget", "Mat2"):
+        # FiniteRing is the one way in: no wrapper restates it
+        removed = (
+            "_ring_cache", "ring_for", "_check_budget", "Mat2",
+            "sl2_abelianization", "enumerate_sl2_direct",
+            "_sl2_quotient", "_sl2_indices",
+        )
+        for name in removed:
             assert not hasattr(oracle, name), name
 
     def test_budget_is_checked_before_any_table(self, monkeypatch):
@@ -231,9 +238,6 @@ class TestFiniteRing:
             assert str(exc.value) == (
                 f"ring of order {n} exceeds the construction cap 1024"
             )
-        for call in (enumerate_sl2_direct, sl2_abelianization):
-            with pytest.raises(BudgetExceededError, match="enumeration cap 16"):
-                call(FiniteRingSpec.zmod(1000))
 
 
 SL2_ORDERS = {
@@ -273,11 +277,11 @@ def _mat_value(ring, m):
 class TestEnumeration:
     def test_known_group_orders(self):
         for name, (spec, size) in SL2_ORDERS.items():
-            assert len(enumerate_sl2_direct(spec)) == size, name
+            assert len(list(FiniteRing(spec).sl2_elements())) == size, name
 
     def test_contains_identity_and_is_closed(self):
         ring = FiniteRing(F3)
-        group = enumerate_sl2_direct(F3)
+        group = list(ring.sl2_elements())
         one, zero = ring.one_index, ring.zero_index
         assert (one, zero, zero, one) in group
         gset = set(group)
@@ -291,7 +295,7 @@ class TestEnumeration:
         # and the matrices of element values are listed in the same order
         for spec in (F3, F4, FiniteRingSpec.zmod(6)):
             ring = FiniteRing(spec)
-            group = enumerate_sl2_direct(spec)
+            group = list(ring.sl2_elements())
             assert group == sorted(group)
             values = [_mat_value(ring, m) for m in group]
             assert values == sorted(values)
@@ -301,51 +305,51 @@ class TestEnumeration:
         for spec in (F2, F3, Z4, F4, EPS2, FiniteRingSpec.zmod(6)):
             ring = FiniteRing(spec)
             generated = _generated_subgroup(ring, _elementary_gens(ring))
-            assert generated == enumerate_sl2_direct(spec)
+            assert generated == list(ring.sl2_elements())
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError) as exc:
-            enumerate_sl2_direct(FiniteRingSpec.zmod(20))
+            FiniteRing(FiniteRingSpec.zmod(20))
         assert str(exc.value) == (
             "ring order 20 exceeds the enumeration cap 16 (enumerating SL2 "
             "takes 20^3 = 8000 steps); raise the cap explicitly to override"
         )
         assert DEFAULT_RING_CAP == 16
-        group = enumerate_sl2_direct(FiniteRingSpec.zmod(17), cap=17)
+        group = list(FiniteRing(FiniteRingSpec.zmod(17), cap=17).sl2_elements())
         assert len(group) == 4896  # 17^3 (1 - 17^-2)
 
 
 class TestCommutatorsAndAbelianization:
     def test_sl2_f2_is_symmetric_group_s3(self):
-        derived = _sl2_quotient(FiniteRing(F2)).derived
-        assert len(derived) == 3
-        assert sl2_abelianization(F2) == AbelianGroup(0, (2,))
+        ring = FiniteRing(F2)
+        assert len(ring.sl2_quotient.derived) == 3
+        assert ring.sl2ab == AbelianGroup(0, (2,))
 
     def test_sl2_f4_is_perfect(self):
-        derived = _sl2_quotient(FiniteRing(F4)).derived
-        assert len(derived) == len(enumerate_sl2_direct(F4)) == 60
-        assert sl2_abelianization(F4) == TRIVIAL_GROUP
+        ring = FiniteRing(F4)
+        assert len(ring.sl2_quotient.derived) == len(list(ring.sl2_elements())) == 60
+        assert ring.sl2ab == TRIVIAL_GROUP
 
     def test_sl2_f3_derived_is_quaternion(self):
-        derived = _sl2_quotient(FiniteRing(F3)).derived
-        assert len(derived) == 8
-        assert sl2_abelianization(F3) == AbelianGroup(0, (3,))
+        ring = FiniteRing(F3)
+        assert len(ring.sl2_quotient.derived) == 8
+        assert ring.sl2ab == AbelianGroup(0, (3,))
 
     def test_commutator_subgroup_is_normal(self):
         for spec in (F3, Z4, FiniteRingSpec.zmod(6), Z8):
             ring = FiniteRing(spec)
-            group = enumerate_sl2_direct(spec)
-            derived = _sl2_quotient(ring).derived
+            group = list(ring.sl2_elements())
+            derived = ring.sl2_quotient.derived
             for g in group:
                 ginv = _mat_inv(ring, g)
                 for n in derived:
                     assert _mat_mul(ring, _mat_mul(ring, g, n), ginv) in derived
 
     def test_sl2_abelianization_values(self):
-        assert sl2_abelianization(F3) == AbelianGroup(0, (3,))
-        assert sl2_abelianization(Z4) == AbelianGroup(0, (4,))
-        assert sl2_abelianization(EPS2) == AbelianGroup(0, (2, 2))
-        assert sl2_abelianization(FiniteRingSpec.zmod(6)) == AbelianGroup(0, (6,))
+        assert FiniteRing(F3).sl2ab == AbelianGroup(0, (3,))
+        assert FiniteRing(Z4).sl2ab == AbelianGroup(0, (4,))
+        assert FiniteRing(EPS2).sl2ab == AbelianGroup(0, (2, 2))
+        assert FiniteRing(FiniteRingSpec.zmod(6)).sl2ab == AbelianGroup(0, (6,))
 
     def test_abelianization_of_products_is_the_direct_sum(self):
         pairs = [
@@ -358,8 +362,8 @@ class TestCommutatorsAndAbelianization:
         ]
         for left, right in pairs:
             product = FiniteRingSpec(left.factors + right.factors)
-            assert sl2_abelianization(product) == direct_sum(
-                sl2_abelianization(left), sl2_abelianization(right)
+            assert FiniteRing(product).sl2ab == direct_sum(
+                FiniteRing(left).sl2ab, FiniteRing(right).sl2ab
             ), product.describe()
 
 
@@ -399,7 +403,7 @@ class TestLocalFormula:
         ]
         for factor, expected in cases:
             assert prop_local_formula(factor) == expected, factor
-            assert sl2_abelianization(FiniteRingSpec((factor,))) == expected, factor
+            assert FiniteRing(FiniteRingSpec((factor,))).sl2ab == expected, factor
 
     def test_every_factor_of_order_at_most_16(self):
         # the formula is the oracle's answer on every factor, local or not;
@@ -425,7 +429,15 @@ class TestLocalFormula:
             (RingFactor(2, 11, (2, 0, 1)), AbelianGroup(0, (2, 2))),  # h(0) = 2
             # x^2 (x+1): Z/2 + Z/4 at x, Z/4 at x+1
             (RingFactor(2, 11, (0, 0, 1, 1)), AbelianGroup(0, (2, 4, 4))),
+            # x^62 (x+1)^2 over Z/4, k deg h = 128: h(0) = 0 and h(1) = 4
+            (RingFactor(2, 2, (0,) * 62 + (1, 2, 1)), AbelianGroup(0, (2, 2, 4, 4))),
         ]
+        # Phi_n mod 4 with phi(n) = 20, k deg h = 40: 2 is inert in
+        # Q(zeta_25), has two primes of degree 10 in Q(zeta_33) and one
+        # ramified of degree 10 in Q(zeta_44), so no residue field is F_2
+        for n in (25, 33, 44):
+            h = cyclotomic_polynomial(n).coeffs
+            cases.append((RingFactor(2, 2, h), TRIVIAL_GROUP))
         for factor, expected in cases:
             assert prop_local_formula(factor) == expected, factor
 
@@ -641,9 +653,9 @@ class TestAgainstReferences:
         assert len(specs) == 25
         for spec in specs:
             ring = _ring(spec)
-            group = list(_sl2_indices(ring))
+            group = list(ring.sl2_elements())
             expected = _all_pairs_commutator_closure(ring, group)
-            assert _sl2_quotient(ring).derived == expected, spec.describe()
+            assert ring.sl2_quotient.derived == expected, spec.describe()
             xs = _generators_reference(ring, group)
             assert _derived_quotient(ring, xs).derived == expected, spec.describe()
 
@@ -652,7 +664,7 @@ class TestAgainstReferences:
         for n in (6, 8):
             spec = FiniteRingSpec.zmod(n)
             ring = _ring(spec)
-            sl2 = list(_sl2_indices(ring))
+            sl2 = list(ring.sl2_elements())
             sizes = set()
             for _ in range(25):
                 gens = rng.sample(sl2, 2)
@@ -668,8 +680,8 @@ class TestAgainstReferences:
         specs += [FiniteRingSpec.zmod(n) for n in (13, 14, 15, 16, 25, 27)]
         for spec in dict.fromkeys(specs):
             ring = _ring(spec)
-            group = list(_sl2_indices(ring))
-            quotient = _sl2_quotient(ring)
+            group = list(ring.sl2_elements())
+            quotient = ring.sl2_quotient
             # X is the elementary matrices of an additive generating set
             assert set(quotient.gens) <= set(_elementary(ring, range(ring.order)))
             _check_quotient(ring, group, quotient)
@@ -679,7 +691,7 @@ class TestAgainstReferences:
         sizes = set()
         for spec in PRODUCT_RINGS:
             ring = _ring(spec)
-            sl2 = list(_sl2_indices(ring))
+            sl2 = list(ring.sl2_elements())
             for k in (2, 3, 2, 3):
                 gens = rng.sample(sl2, k)
                 subgroup = _generated_subgroup(ring, gens)
@@ -692,7 +704,7 @@ class TestAgainstReferences:
         seen = set()
         for spec in (FiniteRingSpec.zmod(6), Z8, F4, EPS2) + PRODUCT_RINGS[:6]:
             ring = _ring(spec)
-            sl2 = list(_sl2_indices(ring))
+            sl2 = list(ring.sl2_elements())
             for k in (1, 2, 2, 3):
                 gens = rng.sample(sl2, k)
                 subgroup = _generated_subgroup(ring, gens)
@@ -712,12 +724,12 @@ class TestAgainstReferences:
             ring = FiniteRing(FiniteRingSpec((factor,)), cap=81)
             assert ring.sl2ab == prop_local_formula(factor)
             # |A|^3 (1 - |k|^-2) with |A| = 81, k = F_9
-            assert ring.sl2_order == len(list(_sl2_indices(ring))) == 81**3 - 81**2
+            assert ring.sl2_order == len(list(ring.sl2_elements())) == 81**3 - 81**2
 
     def test_sl2_certificate_failure_raises(self, monkeypatch):
         # with only the E12 matrices, X generates the upper unitriangular
-        # group: |words| |G'| = |R| falls short of |SL2(R)|, and the quotient
-        # must be refused, not returned
+        # group: |words| |G'| = |R| falls short of |SL2(R)|, and the
+        # abelianization must be refused, not read from the quotient
         elementary_gens = oracle._elementary_gens
 
         def upper_only(ring):
@@ -726,12 +738,12 @@ class TestAgainstReferences:
         monkeypatch.setattr(oracle, "_elementary_gens", upper_only)
         for spec in (F2, Z4, FiniteRingSpec.zmod(6)):
             with pytest.raises(RuntimeError, match="generate"):
-                _sl2_quotient(FiniteRing(spec))
+                FiniteRing(spec).sl2ab
 
     def test_derived_subgroup_abelianization(self):
         # SL2(F_3)' is the quaternion group Q8, whose abelianization is Z/2 + Z/2
         ring = FiniteRing(F3)
-        xs = _generators_reference(ring, sorted(_sl2_quotient(ring).derived))
+        xs = _generators_reference(ring, sorted(ring.sl2_quotient.derived))
         quotient = _derived_quotient(ring, xs)
         assert from_relations(quotient.relations, len(xs)) == AbelianGroup(0, (2, 2))
         assert len(quotient.derived) == 2
@@ -740,7 +752,7 @@ class TestAgainstReferences:
         for n in (13, 14, 15, 16, 25, 27):
             spec = FiniteRingSpec.zmod(n)
             expected = direct_sum(*map(prop_local_formula, spec.factors))
-            assert sl2_abelianization(spec, cap=n) == expected, n
+            assert FiniteRing(spec, cap=n).sl2ab == expected, n
 
     def test_ring_tables_match_elementwise_reference(self):
         specs = [spec for _, spec in GE2_RINGS] + list(PRODUCT_RINGS)
@@ -756,7 +768,7 @@ class TestAgainstReferences:
         specs += [spec for _, spec in GE2_RINGS] + list(PRODUCT_RINGS)
         for spec in specs:
             ring = _ring(spec)
-            assert list(_sl2_indices(ring)) == _sl2_indices_r4(ring), spec.describe()
+            assert list(ring.sl2_elements()) == _sl2_indices_r4(ring), spec.describe()
 
     def test_sl2_order_counts_the_enumeration(self):
         specs = [spec for _, spec in GE2_RINGS] + list(PRODUCT_RINGS)
@@ -765,8 +777,7 @@ class TestAgainstReferences:
         specs += [FiniteRingSpec.zmod(n) for n in (25, 27)]  # past the default cap
         for spec in dict.fromkeys(specs):
             ring = _ring(spec)
-            listed = enumerate_sl2_direct(spec, cap=27)
-            assert ring.sl2_order == len(list(_sl2_indices(ring))) == len(listed)
+            assert ring.sl2_order == len(list(ring.sl2_elements()))
             # and the closed form: |A|^3 (1 - q^-2) per local factor A, with
             # q = |A| / |m| the order of its residue field
             expected = 1
