@@ -17,8 +17,8 @@ generates by |words| |G'| = |SL2(R)| before it reads the relations.  A word
 r x that lands in the coset of a word s found before is a relation of G/G'
 in the exponents of X, and these relations present it: the invariants are
 Z^X modulo them.  These routines are the ground truth the structure formulas
-are tested against; prop_local_formula, the formula summed over the local
-factors of a ring factor, is read off (p, k, h) alone and shares no code
+are tested against; prop_local_formula, the formula summed over the roots
+of h mod p at p = 2 and 3, is read off (p, k, h) alone and shares no code
 with them.
 """
 
@@ -31,28 +31,25 @@ from functools import cached_property, reduce
 from operator import sub
 from typing import Iterator, NamedTuple, Sequence
 
-from .abgroup import AbelianGroup, canonicalize, from_relations
+from .abgroup import TRIVIAL_GROUP, AbelianGroup, canonicalize, from_relations
 from .polyarith import (
     INTEGER_LIMIT,
+    POLY_DEGREE_LIMIT,
     SHOWN_LENGTH,
     BudgetExceededError,
     IntPoly,
-    ModPoly,
     brief,
     check_limit,
-    factor_mod_p,
     factorint,
     is_prime,
 )
 
 DEFAULT_RING_CAP = 16
 _CONSTRUCTION_CAP = 1024
-# 2^k > INTEGER_LIMIT for every larger k, so Z/p^k past it is past
-# INTEGER_LIMIT too.  k and deg h are bounded each on its own, so that
-# prop_local_formula, which never builds the ring, answers any h that --poly
-# takes; a ring's order stays bounded by FiniteRingSpec and FiniteRing.
+# 2^k > INTEGER_LIMIT for every larger k, so Z/p^k past it is past INTEGER_LIMIT
+# too.  deg h has --poly's bound, so prop_local_formula answers any h --poly takes;
+# a ring's order is bounded by FiniteRingSpec and FiniteRing.
 _EXPONENT_LIMIT = INTEGER_LIMIT.bit_length() - 1
-_DEGREE_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -69,7 +66,7 @@ class RingFactor:
         # bounded before is_prime divides p or any p^k is formed
         check_limit(self.p, INTEGER_LIMIT, "p")
         check_limit(self.k, _EXPONENT_LIMIT, "k")
-        check_limit(IntPoly(self.h).degree, _DEGREE_LIMIT, "deg h")
+        check_limit(IntPoly(self.h).degree, POLY_DEGREE_LIMIT, "deg h")
         if self.k < 1 or not is_prime(self.p):
             k = brief(self.k)  # p passed check_limit above; k has no lower bound
             raise ValueError(f"need prime p and k >= 1, got p={self.p} k={k}")
@@ -465,7 +462,8 @@ def prop_local_formula(factor: RingFactor) -> AbelianGroup:
     g^e exactly dividing h mod p: the maximal ideal is m = (p, g), with
     residue field F_p[x]/(g) of order q = p^deg g.  Each local factor adds
     nothing when q >= 4, Z/3 when q = 3, and the additive group of A/m^2
-    when q = 2.  Then g = x - a; with y = x - a, m^2 = (4, 2y, y^2):
+    when q = 2.  So only p <= 3 and g = x - a count: the sum runs over the
+    roots a of h mod p.  With y = x - a and q = 2, m^2 = (4, 2y, y^2):
     - k = 1: the local factor is F_2[y]/(y^e), so A/m^2 is (Z/2)^min(e, 2);
     - e = 1: it is Z/2^k with k >= 2, so A/m^2 = Z/4;
     - otherwise h = y^e u mod 2 with u(a) odd makes h(a) and h'(a) even, so
@@ -474,21 +472,21 @@ def prop_local_formula(factor: RingFactor) -> AbelianGroup:
       h(a), Z/2 + Z/2 when not.  No Hensel lift is needed.
     """
     p, k, h = factor.p, factor.k, factor.h
-    h_mod_p = ModPoly(p, h)
-    # a linear h is irreducible: Z/p^k needs no factoring
-    irreducibles = factor_mod_p(h_mod_p) if factor.degree > 1 else [(h_mod_p, 1)]
+    if p > 3:  # q >= 4
+        return TRIVIAL_GROUP
     torsion: list[int] = []
-    for g, e in irreducibles:
-        if p > 3 or g.degree > 1:  # q >= 4
-            continue
+    for a in range(p):
+        # e = how often x - a divides h mod p, by synthetic division (Horner)
+        e, high, rem = -1, h[::-1], 0
+        while rem == 0:
+            *high, rem = itertools.accumulate(high, lambda r, c: (r * a + c) % p)
+            e += 1
         if p == 3:
-            torsion.append(3)
+            torsion += [3] * min(e, 1)
         elif k == 1:
             torsion += [2] * min(e, 2)
         elif e == 1:
             torsion.append(4)
-        else:
-            a = g.coeffs[0]  # x - a = x + a over F_2
-            h_a = sum(c * a**i for i, c in enumerate(h))
-            torsion += [2, 4] if h_a % 4 == 0 else [2, 2]
+        elif e > 1:
+            torsion += [2, 4] if IntPoly(h)(a) % 4 == 0 else [2, 2]
     return canonicalize(torsion)

@@ -514,8 +514,9 @@ def _split_parts(parts: list[tuple[list[int], int]], p: int) -> list[list[int]]:
     return out
 
 
+POLY_DEGREE_LIMIT = 64  # of a --poly input and of a ring factor's h
 # Past this degree factor_mod_p refuses its input: the work grows about eight
-# times per doubling of the degree.  The package's own calls stop at degree 64.
+# times per doubling of the degree.  The package's own calls stop at POLY_DEGREE_LIMIT.
 FACTOR_DEGREE_LIMIT = 128
 
 

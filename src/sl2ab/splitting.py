@@ -22,6 +22,7 @@ from typing import Union
 
 from .polyarith import (
     INTEGER_LIMIT,
+    POLY_DEGREE_LIMIT,
     IntPoly,
     ModPoly,
     brief,
@@ -41,9 +42,8 @@ from .polyarith import (
 # A cyclotomic form lists up to phi(n) primes, so n is bounded more tightly
 # than the INTEGER_LIMIT on other inputs that reach trial division.
 CYCLOTOMIC_LIMIT = 10**6
-# Past these bounds a --poly input could keep the irreducibility certificate
-# and the Sturm count busy for minutes; random inputs at them take seconds.
-POLY_DEGREE_LIMIT = 64
+# Past POLY_DEGREE_LIMIT or this bound a --poly input could keep the irreducibility
+# certificate and the Sturm count busy for minutes; random inputs at them take seconds.
 POLY_COEFFICIENT_LIMIT = 10**40
 
 

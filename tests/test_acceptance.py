@@ -18,6 +18,7 @@ from sl2ab.abgroup import (
 from sl2ab.cli import run
 from sl2ab.oracle import FiniteRing, FiniteRingSpec, RingFactor, prop_local_formula
 from sl2ab.polyarith import (
+    POLY_DEGREE_LIMIT,
     IntPoly,
     ModPoly,
     _hensel_lift,
@@ -338,14 +339,14 @@ def _random_poly_fields(rng: random.Random, count: int):
 
 
 def test_criterion_9b_compute_matches_local_formula():
-    # the formula sums one summand per irreducible factor of f mod p, so
+    # the formula sums one summand per root of f mod p, so
     # (Z/4)[x]/(f) and F_3[x]/(f) need not be local
     start = time.perf_counter()
     forms = list(_quadratic_forms(3000))
     cyclotomic = [
         (Cyclotomic(n), cyclotomic_polynomial(n))
         for n in range(1, 200)
-        if euler_phi_factored(factorint(n)) <= 64  # --poly's degree bound
+        if euler_phi_factored(factorint(n)) <= POLY_DEGREE_LIMIT
     ]
     assert len(cyclotomic) == 124
     forms += cyclotomic

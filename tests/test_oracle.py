@@ -5,8 +5,9 @@ normal closure, its certified generating set, the ring tables and the |R|^3
 enumeration are compared with test-only references: a generator search and
 normal closure that multiply every element by every generator again whenever
 one joins, the closure of all pairwise commutators, an order profile read
-from a coset dict over the whole group, elementwise ring tables and the
-|R|^4 determinant scan."""
+from a coset dict over the whole group, elementwise ring tables, the
+|R|^4 determinant scan and a local formula that sums over the irreducible
+factors of h mod p."""
 
 import itertools
 import json
@@ -16,8 +17,14 @@ from math import gcd, lcm
 
 import pytest
 
-from sl2ab import oracle
-from sl2ab.abgroup import TRIVIAL_GROUP, AbelianGroup, direct_sum, from_relations
+from sl2ab import oracle, polyarith
+from sl2ab.abgroup import (
+    TRIVIAL_GROUP,
+    AbelianGroup,
+    canonicalize,
+    direct_sum,
+    from_relations,
+)
 from sl2ab.oracle import (
     DEFAULT_RING_CAP,
     BudgetExceededError,
@@ -33,7 +40,7 @@ from sl2ab.oracle import (
     _mmul,
 )
 from sl2ab.cli import dump_json
-from sl2ab.polyarith import cyclotomic_polynomial
+from sl2ab.polyarith import ModPoly, cyclotomic_polynomial, factor_mod_p
 from sl2ab.verify import GE2_RINGS, LOCAL_RINGS
 
 F2 = FiniteRingSpec((RingFactor(2, 1),))
@@ -419,10 +426,14 @@ class TestLocalFormula:
         assert (len(SMALL_FACTORS), local) == (131, 109)
 
     def test_factors_past_the_construction_cap(self, monkeypatch):
-        def refuse(factor):
-            raise AssertionError("ring tables built")
+        # the formula reads the roots of h mod 2 and 3: it builds no ring
+        # table and factors nothing
+        def refuse(*args):
+            raise AssertionError("ring tables built or h factored")
 
         monkeypatch.setattr(oracle, "_factor_tables", refuse)
+        monkeypatch.setattr(polyarith, "factor_mod_p", refuse)
+        monkeypatch.setattr(polyarith, "_squarefree_parts", refuse)
         cases = [
             (RingFactor(2, 20), AbelianGroup(0, (4,))),  # Z/2^20
             (RingFactor(2, 11, (0, 0, 1)), AbelianGroup(0, (2, 4))),  # h(0) = 0
@@ -438,6 +449,10 @@ class TestLocalFormula:
         for n in (25, 33, 44):
             h = cyclotomic_polynomial(n).coeffs
             cases.append((RingFactor(2, 2, h), TRIVIAL_GROUP))
+        # every residue field of a large p has q >= 4
+        p, rng = 999999999989, random.Random(26)
+        h = [rng.randrange(p) for _ in range(64)] + [1]
+        cases.append((RingFactor(p, 1, h), TRIVIAL_GROUP))
         for factor, expected in cases:
             assert prop_local_formula(factor) == expected, factor
 
@@ -581,6 +596,28 @@ def _tables_reference(ring):
     return [table(add), table(_factor_mul_reference)]
 
 
+def _local_formula_reference(factor):
+    """The local formula summed over the irreducible factors (g, e) of h mod
+    p: a summand only when the residue field F_p[x]/(g) has q <= 3 elements,
+    with the case analysis of prop_local_formula at the root a of g = x - a."""
+    p, k, h = factor.p, factor.k, factor.h
+    torsion = []
+    for g, e in factor_mod_p(ModPoly(p, h)):
+        if p > 3 or g.degree > 1:  # q >= 4
+            continue
+        if p == 3:
+            torsion.append(3)
+        elif k == 1:
+            torsion += [2] * min(e, 2)
+        elif e == 1:
+            torsion.append(4)
+        else:
+            a = g.coeffs[0]  # x - a = x + a over F_2
+            h_a = sum(c * a**i for i, c in enumerate(h))
+            torsion += [2, 4] if h_a % 4 == 0 else [2, 2]
+    return canonicalize(torsion)
+
+
 def _full_group_profile_reference(ring, group_idx, subgroup):
     """The order profile of G/N (element order -> count), every element of G
     filed in a coset dict first, and each representative's powers walked back
@@ -645,6 +682,25 @@ def _check_quotient(ring, group, quotient):
 
 
 class TestAgainstReferences:
+    def test_local_formula_matches_factoring_reference(self):
+        # every monic h of degree n >= 1 over Z/p^k up to these degrees
+        bounds = {(2, 1): 7, (2, 2): 5, (2, 3): 4, (3, 1): 5, (3, 2): 3, (5, 1): 3}
+        factors = [
+            RingFactor(p, k, (*low, 1))
+            for (p, k), top in bounds.items()
+            for n in range(1, top + 1)
+            for low in itertools.product(range(p**k), repeat=n)
+        ]
+        assert len(factors) == 7635
+        rng = random.Random(16)
+        for _ in range(3000):
+            p, k, n = rng.choice((2, 3, 5, 7)), rng.randint(1, 3), rng.randint(1, 8)
+            low = [rng.randrange(p**k) for _ in range(n)]
+            factors.append(RingFactor(p, k, (*low, 1)))
+        for factor in factors:
+            expected = _local_formula_reference(factor)
+            assert prop_local_formula(factor) == expected, factor
+
     def test_normal_closure_matches_all_pairs_on_sl2(self):
         # the all-pairs reference takes |G|^2 steps: 17M for SL2(F_16), so
         # the rings of order 13 to 16 are left to the local-formula checks
