@@ -6,9 +6,11 @@ tables over a range), and `verify` (cross-validation suites).
 
 `run(argv)` executes one command line in process and returns its exit code,
 for a help request too.
-A command line that names a command costs one parser, that command's alone
-(`table` adds one per table kind); the root help, an empty command line or an
-unknown command builds the whole tree, so that their text lists every command.
+A command line that names a command costs one parser, that command's alone,
+and `table <kind>` costs one, that kind's alone.  `table` with no kind, with
+help or with an unknown kind builds table's parser and one per table kind; the
+root help, an empty command line or an unknown command builds the whole tree,
+so that their text lists every command.
 
 Exit codes: 0 success; 1 a verification or comparison found a mismatch;
 2 theorem precondition failure (finite unit group with no known case);
@@ -176,13 +178,25 @@ def _oracle_arguments(p_oracle: argparse.ArgumentParser) -> None:
 
 def _table_arguments(p_table: argparse.ArgumentParser) -> None:
     tsub = p_table.add_subparsers(dest="table_kind", required=True, metavar="kind")
-    t_quad = tsub.add_parser("quadratic", help="real quadratic fields by radicand")
-    t_quad.add_argument("d_min", type=int)
-    t_quad.add_argument("d_max", type=int)
-    t_cyc = tsub.add_parser("cyclotomic", help="cyclotomic fields Q(zeta_N)")
-    t_cyc.add_argument("n_max", type=int)
-    t_zinv = tsub.add_parser("z-inv-n", help="the rings Z[1/n]")
-    t_zinv.add_argument("n_max", type=int)
+    for kind, (help_text, add_arguments) in _TABLE_KINDS.items():
+        add_arguments(tsub.add_parser(kind, help=help_text))
+
+
+def _table_range_arguments(p_kind: argparse.ArgumentParser) -> None:
+    p_kind.add_argument("d_min", type=int)
+    p_kind.add_argument("d_max", type=int)
+
+
+def _table_bound_argument(p_kind: argparse.ArgumentParser) -> None:
+    p_kind.add_argument("n_max", type=int)
+
+
+# table kind -> (help text, argument builder), in help order
+_TABLE_KINDS = {
+    "quadratic": ("real quadratic fields by radicand", _table_range_arguments),
+    "cyclotomic": ("cyclotomic fields Q(zeta_N)", _table_bound_argument),
+    "z-inv-n": ("the rings Z[1/n]", _table_bound_argument),
+}
 
 
 def _verify_arguments(p_verify: argparse.ArgumentParser) -> None:
@@ -470,17 +484,23 @@ def run(argv: list[str] | None = None) -> int:
     """Parse and execute one command line; return the exit code.
 
     When argv[0] names a command, only that command's parser is built, and
-    it reads the rest of argv.  Otherwise (help, an empty or an unknown
-    command line) the whole tree is, so that help and the invalid-choice
-    error list every command."""
+    it reads the rest of argv; when it is `table` and argv[1] names a table
+    kind, only that kind's parser is, and it reads what follows the kind.
+    Otherwise (help, an empty or an unknown command line) the whole tree is,
+    so that help and the invalid-choice error list every command."""
     if argv is None:
         argv = sys.argv[1:]
     try:
         if argv and argv[0] in _COMMANDS:
-            name = argv[0]
-            parser = _ArgumentParser(prog=f"sl2ab {name}")
-            _COMMANDS[name][1](parser)
-            args = parser.parse_args(argv[1:])
+            name, rest, args = argv[0], argv[1:], argparse.Namespace()
+            prog, add_arguments = f"sl2ab {name}", _COMMANDS[name][1]
+            if name == "table" and rest and rest[0] in _TABLE_KINDS:
+                kind, rest = rest[0], rest[1:]
+                args.table_kind = kind
+                prog, add_arguments = f"{prog} {kind}", _TABLE_KINDS[kind][1]
+            parser = _ArgumentParser(prog=prog)
+            add_arguments(parser)
+            args = parser.parse_args(rest, args)
         else:
             args = build_parser().parse_args(argv)
             name = args.command

@@ -78,14 +78,22 @@ def factorint(n: int) -> dict[int, int]:
     if n < 2:
         return {}
     out: dict[int, int] = {}
-    for p in itertools.chain((2,), itertools.count(3, 2)):
-        if p * p > n:
-            break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
+    twos = (n & -n).bit_length() - 1  # the 2s are the trailing zero bits
+    if twos:
+        out[2] = twos
+        n >>= twos
+    p = 3
+    while p * p <= n:
+        if n % p == 0:
             n //= p
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+            k = 1
+            while n % p == 0:
+                n //= p
+                k += 1
+            out[p] = k
+        p += 2
+    if n > 1:  # a prime past the square root of what is left
+        out[n] = 1
     return out
 
 
@@ -743,10 +751,15 @@ def irreducible_over_q_check(
         if n <= 3:
             return True
     factorizations = factorizations or {}
+    last_known = max(factorizations, default=0)
     degrees = (1 << n) - 2  # bit mask of the degrees a proper factor may have
     best: tuple[int, int, list] | None = None  # (factor count, p, parts)
     bad = good = 0
     for p in _primes():
+        # two factors leave one subset to try; but a factorization the caller
+        # gave may settle f at no cost, so every one is read first
+        if best is not None and best[0] == 2 and p > last_known:
+            break
         known = factorizations.get(p)
         if known is None:
             fp = [c % p for c in f.coeffs]
@@ -772,7 +785,7 @@ def irreducible_over_q_check(
         if best is None or count < best[0]:
             best = (count, p, parts)
         good += 1
-        if good == _PATTERN_PRIMES or count == 2:  # two factors: one subset to try
+        if good == _PATTERN_PRIMES:
             break
     _, p, parts = best
     # in factor_mod_p's order; a known factorization comes back as it went in

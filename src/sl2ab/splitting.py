@@ -255,6 +255,7 @@ _RATIONAL_FUNCTION_SPLITS = {
 _RATIONAL_SPLITS = {
     p: SplittingData(p, 1, (PrimeAbove(p, 1, 1, f"({p})"),)) for p in (2, 3)
 }
+_RATIONAL = Signature(1, 0)
 _REAL_QUADRATIC = Signature(2, 0)
 _IMAGINARY_QUADRATIC = Signature(0, 1)
 
@@ -302,7 +303,7 @@ class Rational(NumberField):
     """The field Q."""
 
     degree = 1
-    signature = Signature(1, 0)
+    signature = _RATIONAL
 
     def split_at(self, p: int) -> SplittingData:
         _check_p(p)
@@ -355,13 +356,14 @@ class Cyclotomic(NumberField):
     """Q(zeta_n) for 1 <= n <= CYCLOTOMIC_LIMIT.
 
     n = 2 mod 4 gives the same field as n/2, so forms compare by that
-    normalized n; the normalized n, its factorization and the degree phi(n)
-    are computed once.
+    normalized n; the normalized n, its factorization, the degree phi(n) and
+    the signature are computed once.
     """
 
     n: int = field(compare=False)
     normalized: int = field(init=False, repr=False)
     degree: int = field(init=False, repr=False, compare=False)
+    signature: Signature = field(init=False, repr=False, compare=False)
     factors: dict[int, int] = field(init=False, repr=False, compare=False)
     route = "cyclotomic"
 
@@ -371,15 +373,13 @@ class Cyclotomic(NumberField):
             raise ValueError(f"need n >= 1, got {self.n}")
         normalized = self.n // 2 if self.n % 4 == 2 else self.n
         factors = factorint(normalized)
+        degree = euler_phi_factored(factors)
+        # Q(zeta_1) = Q(zeta_2) = Q; every other Q(zeta_n) is totally imaginary
+        signature = _RATIONAL if normalized <= 2 else Signature(0, degree // 2)
         object.__setattr__(self, "normalized", normalized)
         object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "degree", euler_phi_factored(factors))
-
-    @property
-    def signature(self) -> Signature:
-        if self.normalized <= 2:
-            return Signature(1, 0)
-        return Signature(0, self.degree // 2)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "signature", signature)
 
     def split_at(self, p: int) -> SplittingData:
         """e = phi(p^a) and f = the order of p mod s, writing the normalized
@@ -388,7 +388,7 @@ class Cyclotomic(NumberField):
         _check_p(p)
         a = self.factors.get(p, 0)
         e = (p - 1) * p ** (a - 1) if a else 1  # phi(p^a)
-        s = {q: k for q, k in self.factors.items() if q != p}
+        s = {q: k for q, k in self.factors.items() if q != p} if a else self.factors
         f = multiplicative_order_factored(p, s)
         return SplittingData.uniform(p, self.degree, e, f)
 

@@ -22,7 +22,7 @@ from .polyarith import (
     INTEGER_LIMIT,
     brief,
     check_limit,
-    primes_dividing,
+    factorint,
 )
 from .splitting import Cyclotomic, FieldSpec, Quadratic, Rational, SplittingData
 
@@ -70,6 +70,9 @@ class SSet:
 
 
 EMPTY_S = SSet()
+# the index sets of Z[1/n]: Q has one prime above 2 and one above 3
+_NO_PRIME: frozenset[int] = frozenset()
+_FIRST_PRIME = frozenset({0})
 
 # Each inverted integer is factored by trial division, about 0.07 s near
 # 10^12, so the number of them is bounded as well as their size.
@@ -87,11 +90,12 @@ def s_for_inverted(*ns: int) -> SSet:
         if n < 2:
             raise ValueError(f"need integers >= 2, got {brief(n)}")
         check_limit(n, INTEGER_LIMIT, "n")
-        ps.update(primes_dividing(n))
+        ps.update(factorint(n))
+    two, three = 2 in ps, 3 in ps
     return SSet(
-        removed_above_2=frozenset({0} if 2 in ps else ()),
-        removed_above_3=frozenset({0} if 3 in ps else ()),
-        other_finite_primes=sum(1 for p in ps if p > 3),
+        removed_above_2=_FIRST_PRIME if two else _NO_PRIME,
+        removed_above_3=_FIRST_PRIME if three else _NO_PRIME,
+        other_finite_primes=len(ps) - two - three,
     )
 
 
@@ -141,12 +145,12 @@ def _contributions(
     the slot of the characteristic.  Only the counts and the primes of
     inertia degree one are read.
     """
-    removed = {2: s.removed_above_2, 3: s.removed_above_3}
     char = spec.characteristic
     if char:
-        wrong = [p for p, idx in removed.items() if idx and p != char]
+        removed = ((2, s.removed_above_2), (3, s.removed_above_3))
+        wrong = [p for p, idx in removed if idx and p != char]
         if wrong:
-            fix = f"use slot {char}" if char in removed else "no place is removable"
+            fix = f"use slot {char}" if char in (2, 3) else "no place is removable"
             raise ValueError(
                 f"removal indexes in slot {wrong[0]} do not apply in characteristic "
                 f"{char} ({fix})"
@@ -160,14 +164,14 @@ def _contributions(
         slots = [(sp.p, sp.count, sp.degree_one) for sp in splittings]
     out: list[Contribution] = []
     for p, count, ones in slots:
-        gone = removed.get(p, frozenset())
+        gone = s.removed_above_2 if p == 2 else s.removed_above_3 if p == 3 else ()
         if gone and max(gone) >= count:
             noun = "relevant place(s)" if char else f"prime(s) above {p}"
             raise ValueError(
                 f"removal index {brief(max(gone))} out of range: only {count} {noun}"
             )
         residue = spec.q if char else p  # residue field size when f = 1
-        if residue > 3:
+        if not ones or residue > 3:
             continue
         for idx, prime in ones:
             if idx in gone:

@@ -328,6 +328,9 @@ class TestParserPerCommand:
         assert _commands(build_parser()) == ["compute", "oracle", "table", "verify"]
         assert _parsers_built(monkeypatch, ["oracle", "--zmod", "2"]) == ["sl2ab oracle"]
         assert capsys.readouterr().out.startswith("ring: Z/2")
+        argv = ["table", "z-inv-n", "3"]
+        assert _parsers_built(monkeypatch, argv) == ["sl2ab table z-inv-n"]
+        assert capsys.readouterr().out.endswith("   3    no   yes  Z/4\n")
 
     @pytest.mark.parametrize(
         "argv, count",
@@ -337,8 +340,11 @@ class TestParserPerCommand:
             (["oracle", "--zmod", "4", "--compare"], 1),
             (["verify", "z-inv-n"], 1),
             (["verify", "nosuch"], 1),
-            (["table", "z-inv-n", "6"], 4),
-            (["table", "quadratic", "2", "7"], 4),
+            (["table", "z-inv-n", "6"], 1),
+            (["table", "quadratic", "2", "7"], 1),
+            (["table", "quadratic", "-h"], 1),
+            (["table", "-h"], 4),
+            (["table", "nosuch"], 4),
             (["compute", "--help"], 1),
             (["--help"], 8),
             ([], 8),
@@ -347,9 +353,10 @@ class TestParserPerCommand:
         ids=lambda v: (" ".join(v) or "(empty)") if isinstance(v, list) else None,
     )
     def test_parsers_per_run(self, capsys, monkeypatch, argv, count):
-        # a named command builds its own parser (table also its three kind
-        # parsers); only help, an empty or an unknown command line builds the
-        # root, its four commands and table's three kinds
+        # a named command builds its own parser, and a named table kind its
+        # own alone; table without a kind builds its parser and its three
+        # kinds', and only help, an empty or an unknown command line builds
+        # the root, its four commands and table's three kinds
         assert len(_parsers_built(monkeypatch, argv)) == count
 
     @pytest.mark.parametrize(
@@ -358,6 +365,9 @@ class TestParserPerCommand:
             *(case["args"] for case in USAGE_GOLDEN["cases"]),
             ["oracle", "--zmod", "4", "--nope"],
             ["table", "quadratic", "2", "5", "--nope"],
+            ["table", "quadratic", "2"],
+            ["table", "cyclotomic", "x"],
+            ["table", "quadratic", "-h"],
             ["compute", "--json"],
             ["compute", "--extra-s-primes", "2"],
             ["table"],

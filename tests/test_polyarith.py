@@ -59,6 +59,29 @@ class TestIntegerHelpers:
             prod *= p**e
         assert prod == n
 
+    def test_powers_of_two(self):
+        for k in range(40):
+            for n in (2**k, -(2**k)):
+                assert factorint(n) == ({2: k} if k else {}), n
+                assert is_squarefree(n) == (k <= 1), n
+                assert primes_dividing(n) == ((2,) if k else ()), n
+
+    def test_primes_near_a_million(self):
+        # trial division runs up to the smaller prime factor, about 10^6
+        # here, so the cases are few
+        near = [p for p in range(10**6 - 30, 10**6 + 35) if is_prime(p)]
+        assert near == [999979, 999983, 1000003, 1000033]
+        for p in near:
+            assert factorint(p * p) == {p: 2}, p
+            assert not is_squarefree(p * p), p
+            assert primes_dividing(p * p) == (p,), p
+        for p, q in ((999979, 1000033), (999983, 1000003)):
+            for n, rest in ((-p * q, {}), (12 * p * q, {2: 2, 3: 1})):
+                fac = factorint(n)
+                assert fac == {**rest, p: 1, q: 1} and list(fac) == [*rest, p, q]
+                assert is_squarefree(n) == (not rest), n
+                assert primes_dividing(n) == (*rest, p, q), n
+
     def test_is_prime(self):
         primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
         for n in range(-3, 50):
@@ -466,6 +489,24 @@ class TestIrreducibility:
         # constant term beyond the rational-root search
         assert irreducible_over_q_check(IntPoly((10**7 + 19, 0, 1))) is True
         assert irreducible_over_q_check(IntPoly((-(10**4 + 7) ** 2, 0, 1))) is False
+
+    @pytest.mark.parametrize("n, k", [(17, 19), (34, -17), (7, 7)])
+    def test_given_factorizations_are_all_read(self, monkeypatch, n, k):
+        # two factors mod 2, one mod 3: the factorization mod 3 the caller
+        # gave settles irreducibility, so nothing is lifted
+        f = _shift(cyclotomic_polynomial(n), k)
+        known = {p: factor_mod_p(ModPoly(p, f.coeffs)) for p in (2, 3)}
+        assert [len(known[p]) for p in (2, 3)] == [2, 1]
+        assert irreducible_over_q_check(f) is True
+        lifts = []
+        has_factor = polyarith._has_factor_over_z
+        monkeypatch.setattr(
+            polyarith,
+            "_has_factor_over_z",
+            lambda *args: lifts.append(args) or has_factor(*args),
+        )
+        assert irreducible_over_q_check(f, known) is True
+        assert lifts == []
 
     def test_swinnerton_dyer_certified(self):
         # irreducible, but a product of linear and quadratic factors mod every
