@@ -9,7 +9,7 @@ equal, so dataclass equality is isomorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -60,6 +60,10 @@ class AbelianGroup:
         return {"free_rank": self.free_rank, "invariant_factors": list(self.torsion)}
 
     def __str__(self) -> str:
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:  # the formulas share a few groups; tables print them
         parts = [f"Z/{d}" for d in self.torsion]
         if self.free_rank == 1:
             parts.append("Z")
@@ -133,7 +137,7 @@ def direct_sum(*groups: AbelianGroup) -> AbelianGroup:
     for g in groups:
         torsion += g.torsion
         free_rank += g.free_rank
-    return canonicalize(torsion, free_rank)
+    return _canonicalize(tuple(sorted(torsion)), free_rank)
 
 
 def from_relations(rows: Iterable[Sequence[int]], n: int) -> AbelianGroup:

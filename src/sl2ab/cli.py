@@ -15,13 +15,15 @@ so that their text lists every command.
 Exit codes: 0 success; 1 a verification or comparison found a mismatch;
 2 theorem precondition failure (finite unit group with no known case);
 3 the polynomial order is not maximal at 2 or 3; 4 usage or validation error;
-5 budget exceeded.
+5 budget exceeded.  main() also exits 141 (128 + SIGPIPE), with no traceback,
+when the reader of standard output closes it early, as `| head -1` does.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -60,6 +62,7 @@ EXIT_PRECONDITION = 2
 EXIT_NOT_MAXIMAL = 3
 EXIT_USAGE = 4
 EXIT_BUDGET = 5
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process it killed
 
 # rows a `table` command may print, so that every table ends within seconds
 TABLE_ROW_LIMIT = 100_000
@@ -401,34 +404,36 @@ def _cmd_table(args: argparse.Namespace) -> int:
             raise CliError(f"need 1 < d_min <= d_max, got {bounds}")
         check_limit(args.d_max, INTEGER_LIMIT, "d_max")
         _check_rows(args.d_max - args.d_min + 1)
-        print(f"{'d':>5}  {'d mod 24':>8}  group")
+        rows = [f"{'d':>5}  {'d mod 24':>8}  group"]
         for d in range(args.d_min, args.d_max + 1):
             try:
                 spec = Quadratic(d)
             except ValueError:
-                print(f"{d:>5}  {d % 24:>8}  (skipped: not squarefree)")
-                continue
-            print(f"{d:>5}  {d % 24:>8}  {compute(spec).group}")
+                rows.append(f"{d:>5}  {d % 24:>8}  (skipped: not squarefree)")
+            else:
+                rows.append(f"{d:>5}  {d % 24:>8}  {compute(spec).group}")
     elif args.table_kind == "cyclotomic":
         if args.n_max < 1:
             raise CliError(f"need N_max >= 1, got {brief(args.n_max)}")
         check_limit(args.n_max, CYCLOTOMIC_LIMIT, "N_max")
         _check_rows(args.n_max)
-        print(f"{'N':>4}  {'phi(N)':>6}  group")
+        rows = [f"{'N':>4}  {'phi(N)':>6}  group"]
         for n in range(1, args.n_max + 1):
             spec = Cyclotomic(n)
-            print(f"{n:>4}  {spec.degree:>6}  {compute(spec).group}")
+            rows.append(f"{n:>4}  {spec.degree:>6}  {compute(spec).group}")
     else:
         if args.n_max < 2:
             raise CliError(f"need n_max >= 2, got {brief(args.n_max)}")
         check_limit(args.n_max, INTEGER_LIMIT, "n_max")
         _check_rows(args.n_max - 1)
-        print(f"{'n':>4}  {'2|n':>4}  {'3|n':>4}  group")
+        rows = [f"{'n':>4}  {'2|n':>4}  {'3|n':>4}  group"]
+        rational = Rational()
         for n in range(2, args.n_max + 1):
-            outcome = compute(Rational(), s_for_inverted(n))
+            group = compute(rational, s_for_inverted(n)).group
             two = "yes" if n % 2 == 0 else "no"
             three = "yes" if n % 3 == 0 else "no"
-            print(f"{n:>4}  {two:>4}  {three:>4}  {outcome.group}")
+            rows.append(f"{n:>4}  {two:>4}  {three:>4}  {group}")
+    print("\n".join(rows))
     return EXIT_OK
 
 
@@ -513,4 +518,10 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # here, not at exit, so that a closed pipe is caught
+    except BrokenPipeError:  # stdout to devnull: the flush at exit fails no more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CLOSED_PIPE
+    sys.exit(code)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -109,11 +109,22 @@ def is_prime(n: int) -> bool:
 
 
 def is_squarefree(n: int) -> bool:
-    """True when no prime square divides n (|n| taken; 0 is not squarefree)."""
+    """True when no prime square divides n (|n| taken; 0 is not squarefree).
+    Trial division runs to the cube root of what is left: a cofactor with no
+    prime factor below it has at most two, so only a square is not squarefree."""
     n = abs(n)
-    if n == 0:
+    if n % 4 == 0:  # 0 too
         return False
-    return all(e == 1 for e in factorint(n).values())
+    if n % 2 == 0:
+        n //= 2
+    p = 3
+    while p * p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return False
+        p += 2
+    return n == 1 or isqrt(n) ** 2 != n
 
 
 def is_prime_power(q: int) -> tuple[int, int] | None:
@@ -136,19 +147,17 @@ def euler_phi_factored(factors: Mapping[int, int]) -> int:
     return prod((p - 1) * p ** (k - 1) for p, k in factors.items())
 
 
-def multiplicative_order_factored(a: int, factors: Mapping[int, int]) -> int:
-    """The least f >= 1 with a^f = 1 mod s, for s = prod p^k over {p: k} and
-    a prime to s.  The order divides the Carmichael exponent lambda(s), so
-    each prime is divided out of lambda(s) for as long as a still has order
-    dividing the rest."""
-    s = f = 1
-    for p, k in factors.items():
-        s *= p**k
-        f = lcm(f, 2 ** (k - 2) if p == 2 and k >= 3 else (p - 1) * p ** (k - 1))
-    for p in factorint(f):
-        while f % p == 0 and pow(a, f // p, s) == 1:
-            f //= p
-    return f
+def multiplicative_order(a: int, s: int, exponent: int) -> int:
+    """The least f >= 1 with a^f = 1 mod s, from an exponent >= 1 with
+    a^exponent = 1 mod s (phi(s) for a prime to s; otherwise ValueError):
+    each prime is divided out of it while a's order still divides the rest."""
+    one = 1 % s
+    if exponent < 1 or pow(a, exponent, s) != one:
+        raise ValueError(f"{brief(a)}^{brief(exponent)} is not 1 mod {brief(s)}")
+    for p in factorint(exponent):
+        while exponent % p == 0 and pow(a, exponent // p, s) == one:
+            exponent //= p
+    return exponent
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ double-check each other in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Union
 
 from .polyarith import (
@@ -35,7 +35,7 @@ from .polyarith import (
     irreducible_over_q_check,
     is_prime_power,
     is_squarefree,
-    multiplicative_order_factored,
+    multiplicative_order,
     sturm_real_roots,
 )
 
@@ -97,9 +97,10 @@ class SplittingData:
     """Decomposition of one rational prime in a degree-n field.
 
     count is the number of primes and degree_one the (index, prime) pairs of
-    inertia degree one, the only ones a summand reads.  A uniform() splitting
-    with f > 1 labels its primes only when primes is first read (for display,
-    JSON or comparison).
+    inertia degree one, the only ones a summand reads.  A splitting whose
+    primes all have f > 1 (from uniform() or a cyclotomic form) counts and
+    labels them only when count or primes is first read (for display, JSON,
+    comparison or an index check); a cyclotomic form finds f only then.
     """
 
     p: int
@@ -118,12 +119,14 @@ class SplittingData:
         self.__dict__.update(count=len(self.primes), degree_one=ones)
 
     def __getattr__(self, name: str):
-        # reached only while a uniform() splitting has not built its primes
+        # reached only while a splitting with f > 1 has not built its primes
         shape = self.__dict__.get("_shape")
-        if name != "primes" or shape is None:
+        if name not in ("count", "primes") or shape is None:
             raise AttributeError(name)
-        self.__dict__["primes"] = primes = _uniform_primes(self.p, *shape)
-        return primes
+        e, inertia = shape
+        primes = _uniform_primes(self.p, self.degree, e, inertia())
+        self.__dict__.update(count=len(primes), primes=primes)
+        return self.__dict__[name]
 
     def ef_multiset(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted((q.e, q.f) for q in self.primes))
@@ -144,7 +147,7 @@ class SplittingData:
         CYCLOTOMIC_LIMIT, which no cyclotomic degree phi(n) exceeds."""
         if degree < 1:
             raise ValueError(f"degree must be >= 1, got {brief(degree)}")
-        if degree > CYCLOTOMIC_LIMIT:  # inline: `table cyclotomic` calls this per row
+        if degree > CYCLOTOMIC_LIMIT:
             raise ValueError(
                 f"|degree| must be at most {CYCLOTOMIC_LIMIT}, got {brief(degree)}"
             )
@@ -153,17 +156,21 @@ class SplittingData:
                 f"invalid decomposition at {brief(p)}: e*f = {brief(e)}*{brief(f)} "
                 f"must divide n = {brief(degree)}"
             )
-        count = degree // (e * f)
         if f == 1:  # every prime gives a summand, so all are read
-            return cls(p, degree, _uniform_primes(p, e, f, count))
-        out = object.__new__(cls)  # primes is built by __getattr__ when read
-        out.__dict__.update(
-            p=p, degree=degree, count=count, degree_one=(), _shape=(e, f, count)
-        )
+            return cls(p, degree, _uniform_primes(p, degree, e, f))
+        return cls._unread(p, degree, e, partial(int, f))  # f; a lambda won't pickle
+
+    @classmethod
+    def _unread(cls, p: int, degree: int, e: int, inertia) -> "SplittingData":
+        """p splits into primes that share (e, f) with f = inertia() > 1, so
+        that no summand reads them; count and primes are built by __getattr__."""
+        out = object.__new__(cls)
+        out.__dict__.update(p=p, degree=degree, degree_one=(), _shape=(e, inertia))
         return out
 
 
-def _uniform_primes(p: int, e: int, f: int, count: int) -> tuple[PrimeAbove, ...]:
+def _uniform_primes(p: int, degree: int, e: int, f: int) -> tuple[PrimeAbove, ...]:
+    count = degree // (e * f)
     return tuple(
         PrimeAbove(p, e, f, f"({p}, #{i + 1} of {count})") for i in range(count)
     )
@@ -376,21 +383,23 @@ class Cyclotomic(NumberField):
         degree = euler_phi_factored(factors)
         # Q(zeta_1) = Q(zeta_2) = Q; every other Q(zeta_n) is totally imaginary
         signature = _RATIONAL if normalized <= 2 else Signature(0, degree // 2)
-        object.__setattr__(self, "normalized", normalized)
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "signature", signature)
+        self.__dict__.update(  # the class is frozen; set the derived fields
+            normalized=normalized, factors=factors, degree=degree, signature=signature
+        )
 
     def split_at(self, p: int) -> SplittingData:
         """e = phi(p^a) and f = the order of p mod s, writing the normalized
         n as p^a s with p not dividing s; the phi(n) / (e f) primes above p
-        all share (e, f)."""
+        all share (e, f).  Unless p = 1 mod s, f > 1 is found from phi(s) =
+        phi(n) / e only when the primes are read, as no summand reads them."""
         _check_p(p)
-        a = self.factors.get(p, 0)
-        e = (p - 1) * p ** (a - 1) if a else 1  # phi(p^a)
-        s = {q: k for q, k in self.factors.items() if q != p} if a else self.factors
-        f = multiplicative_order_factored(p, s)
-        return SplittingData.uniform(p, self.degree, e, f)
+        pa = p ** self.factors.get(p, 0)
+        e = pa - pa // p  # phi(p^a), 1 when a = 0
+        s = self.normalized // pa
+        if p % s == 1 % s:
+            return SplittingData.uniform(p, self.degree, e, 1)
+        inertia = partial(multiplicative_order, p, s, self.degree // e)
+        return SplittingData._unread(p, self.degree, e, inertia)
 
     def to_json(self) -> dict:
         return {"kind": "cyclotomic", "n": self.n}

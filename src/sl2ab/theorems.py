@@ -16,6 +16,7 @@ the contribution of each surviving prime once and takes their direct sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .abgroup import AbelianGroup, direct_sum
 from .polyarith import (
@@ -50,7 +51,9 @@ class SSet:
         if self.other_finite_primes < 0:
             raise ValueError("other_finite_primes must be >= 0")
         check_limit(self.other_finite_primes, INTEGER_LIMIT, "other_finite_primes")
-        if any(i < 0 for i in self.removed_above_2 | self.removed_above_3):
+        if (self.removed_above_2 or self.removed_above_3) and min(
+            self.removed_above_2 | self.removed_above_3
+        ) < 0:
             raise ValueError("removal indices must be >= 0")
 
     @property
@@ -93,14 +96,13 @@ def s_for_inverted(*ns: int) -> SSet:
         ps.update(factorint(n))
     two, three = 2 in ps, 3 in ps
     return SSet(
-        removed_above_2=_FIRST_PRIME if two else _NO_PRIME,
-        removed_above_3=_FIRST_PRIME if three else _NO_PRIME,
-        other_finite_primes=len(ps) - two - three,
+        _FIRST_PRIME if two else _NO_PRIME,
+        _FIRST_PRIME if three else _NO_PRIME,
+        len(ps) - two - three,
     )
 
 
-@dataclass(frozen=True)
-class Contribution:
+class Contribution(NamedTuple):
     prime: str
     group: AbelianGroup
 
@@ -110,8 +112,7 @@ class Contribution:
         return self.group.primary_str()
 
 
-@dataclass(frozen=True)
-class ComputeOutcome:
+class ComputeOutcome(NamedTuple):
     field: FieldSpec
     s: SSet
     group: AbelianGroup
@@ -142,8 +143,8 @@ def _contributions(
 
     In characteristic 0 the removal indices count the primes above 2 and
     above 3 separately; in characteristic p they count all listed places, in
-    the slot of the characteristic.  Only the counts and the primes of
-    inertia degree one are read.
+    the slot of the characteristic.  Only the primes of inertia degree one
+    are read, and a count only when a removal index is checked against it.
     """
     char = spec.characteristic
     if char:
@@ -159,31 +160,32 @@ def _contributions(
         for sp in splittings:  # the places of all splittings, numbered in turn
             ones += [(count + i, prime) for i, prime in sp.degree_one]
             count += sp.count
-        slots = [(char, count, ones)]
-    else:
-        slots = [(sp.p, sp.count, sp.degree_one) for sp in splittings]
+        gone = s.removed_above_2 if char == 2 else s.removed_above_3  # empty past 3
+        _check_indices(gone, count, "relevant place(s)")
+        if spec.q > 3:  # the residue field of a place t - a is F_q
+            return ()
+        summand = _Z3 if spec.q == 3 else _V4  # the 2-adic summand flattens
+        return tuple(
+            Contribution(prime.label, summand) for i, prime in ones if i not in gone
+        )
     out: list[Contribution] = []
-    for p, count, ones in slots:
-        gone = s.removed_above_2 if p == 2 else s.removed_above_3 if p == 3 else ()
-        if gone and max(gone) >= count:
-            noun = "relevant place(s)" if char else f"prime(s) above {p}"
-            raise ValueError(
-                f"removal index {brief(max(gone))} out of range: only {count} {noun}"
-            )
-        residue = spec.q if char else p  # residue field size when f = 1
-        if not ones or residue > 3:
-            continue
-        for idx, prime in ones:
-            if idx in gone:
-                continue
-            if residue == 3:
-                summand = _Z3
-            elif char == 0 and prime.e == 1:
-                summand = _Z4
-            else:  # ramified above 2, or characteristic 2
-                summand = _V4
-            out.append(Contribution(prime.label, summand))
+    for sp in splittings:  # at 2 and at 3, the residue field of f = 1 is F_p
+        p = sp.p
+        gone = s.removed_above_2 if p == 2 else s.removed_above_3
+        if gone:  # a cyclotomic splitting counts its primes only when asked
+            _check_indices(gone, sp.count, f"prime(s) above {p}")
+        for i, prime in sp.degree_one:
+            if i not in gone:  # ramified above 2: Z/2 + Z/2
+                summand = _Z3 if p == 3 else _Z4 if prime.e == 1 else _V4
+                out.append(Contribution(prime.label, summand))
     return tuple(out)
+
+
+def _check_indices(gone: frozenset[int], count: int, noun: str) -> None:
+    if gone and max(gone) >= count:
+        raise ValueError(
+            f"removal index {brief(max(gone))} out of range: only {count} {noun}"
+        )
 
 
 # Literature values for the finite-units rings, keyed by the literal field

@@ -16,6 +16,7 @@ import pytest
 from sl2ab import cli, oracle
 from sl2ab.cli import (
     EXIT_BUDGET,
+    EXIT_CLOSED_PIPE,
     EXIT_MISMATCH,
     EXIT_NOT_MAXIMAL,
     EXIT_OK,
@@ -26,8 +27,9 @@ from sl2ab.cli import (
     dump_json,
     run,
 )
-from sl2ab.polyarith import cyclotomic_polynomial
+from sl2ab.polyarith import IntPoly, cyclotomic_polynomial
 from sl2ab.verify import cyclotomic_reference
+from zpoly import product
 
 # The README's compute examples with their full text report and --json
 # document.  These outputs are part of the CLI contract: a change to any of
@@ -118,9 +120,23 @@ class TestComputeCommand:
         assert "  [0] (3, x+1): e=3, f=1" in out
         assert "group: Z/12  (= Z/3 + Z/4)" in out
 
-    def test_reducible_poly_exit(self, capsys):
-        # (x^2+1)(x^2+2): reducible over Q, yet without a rational root
-        code, out, err = invoke(capsys, "compute", "--poly=2,0,3,0,1")
+    @pytest.mark.parametrize(
+        "factors",
+        # (x^2+1)(x^2+2), and products Phi_a Phi_b: reducible over Q, yet
+        # without a rational root
+        [((1, 0, 1), (2, 0, 1))]
+        + [
+            (cyclotomic_polynomial(a).coeffs, cyclotomic_polynomial(b).coeffs)
+            for a, b in [
+                (3, 4), (3, 5), (4, 5), (5, 7), (3, 7), (4, 7), (5, 8), (7, 9),
+                (3, 8), (5, 12), (4, 9), (7, 8), (3, 10), (4, 10), (5, 9), (8, 9),
+            ]
+        ],
+        ids=lambda factors: "*".join(f"({IntPoly(f)})" for f in factors),
+    )
+    def test_reducible_poly_exit(self, capsys, factors):
+        coeffs = ",".join(map(str, product(*factors).coeffs))
+        code, out, err = invoke(capsys, "compute", f"--poly={coeffs}")
         assert code == EXIT_USAGE
         assert out == ""
         assert "is reducible over Q" in err
@@ -868,6 +884,33 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert b"Z/12" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "argv, unbuffered",
+        [
+            # the table is written at once, past the pipe's buffer
+            (["table", "quadratic", "2", "100001"], False),
+            # each line is written as printed, so a later one meets the closed pipe
+            (["verify", "all"], True),
+        ],
+        ids=["table", "verify"],
+    )
+    def test_closed_pipe_exits_141_without_traceback(self, argv, unbuffered):
+        # the reader takes one line and closes the pipe, as `| head -1` does
+        env = dict(os.environ, PYTHONUNBUFFERED="1" if unbuffered else "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sl2ab", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == EXIT_CLOSED_PIPE == 141
+        assert first.strip() and b"Traceback" not in err
+        assert err == b""
 
     def test_verify_all_standard_library_only(self):
         # -S leaves site-packages off the path, so the suites can only pass

@@ -17,6 +17,7 @@ from sl2ab.cli import EXIT_BUDGET, run
 from sl2ab.polyarith import (
     CYCLOTOMIC_POLY_LIMIT,
     FACTOR_DEGREE_LIMIT,
+    INTEGER_LIMIT,
     RECOMBINATION_BUDGET,
     SHOWN_LENGTH,
     IntPoly,
@@ -29,7 +30,7 @@ from sl2ab.polyarith import (
     is_prime,
     is_prime_power,
     is_squarefree,
-    multiplicative_order_factored,
+    multiplicative_order,
     primes_dividing,
     sturm_real_roots,
     _ladd,
@@ -96,6 +97,24 @@ class TestIntegerHelpers:
         assert not is_squarefree(-12)
         assert not is_squarefree(45)
 
+    def test_is_squarefree_matches_factorint(self):
+        # the reference: no exponent above 1 in the factorization
+        for n in range(1, 200_001):
+            expected = all(e == 1 for e in factorint(n).values())
+            assert is_squarefree(n) == is_squarefree(-n) == expected, n
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, INTEGER_LIMIT)
+        | st.sampled_from([2, 3, 7, 997, 999983]).flatmap(
+            lambda p: st.integers(1, INTEGER_LIMIT // (p * p)).map(lambda m: p * p * m)
+        )
+    )
+    def test_is_squarefree_matches_factorint_up_to_the_limit(self, n):
+        # beside plain draws, a prime square up to 10^12 times a cofactor
+        expected = all(e == 1 for e in factorint(n).values())
+        assert is_squarefree(n) == is_squarefree(-n) == expected, n
+
     def test_is_prime_power(self):
         assert is_prime_power(8) == (2, 3)
         assert is_prime_power(7) == (7, 1)
@@ -119,14 +138,19 @@ class TestIntegerHelpers:
         assert euler_phi_factored(factorint(n)) == coprime
 
     def test_multiplicative_order(self):
-        assert multiplicative_order_factored(2, factorint(9)) == 6
-        assert multiplicative_order_factored(3, factorint(8)) == 2
-        assert multiplicative_order_factored(2, factorint(7)) == 3
-        assert multiplicative_order_factored(5, factorint(1)) == 1
+        assert multiplicative_order(2, 9, 6) == 6
+        assert multiplicative_order(3, 8, 4) == 2
+        assert multiplicative_order(2, 7, 6) == 3
+        assert multiplicative_order(5, 1, 1) == 1
+        # an exponent that a does not reach 1 at is refused, not reduced
+        for exponent in (4, 0):
+            with pytest.raises(ValueError, match="is not 1 mod 7"):
+                multiplicative_order(2, 7, exponent)
 
     def test_order_matches_the_loop(self):
         # the loop that the order computation once ran, kept as the reference:
-        # it finds the least order, not just one that divides phi(s)
+        # it finds the least order, not just one that divides phi(s), from
+        # phi(s) and from any multiple of it
         def loop_order(a, s):
             x, f = a % s, 1
             while x != 1 % s:
@@ -134,17 +158,20 @@ class TestIntegerHelpers:
             return f
 
         for s in range(1, 2001):
+            phi = euler_phi_factored(factorint(s))
             for a in (2, 3, 5, 7, 10):
                 if gcd(a, s) == 1:
-                    f = multiplicative_order_factored(a, factorint(s))
-                    assert f == loop_order(a, s), (a, s)
+                    expected = loop_order(a, s)
+                    assert multiplicative_order(a, s, phi) == expected, (a, s)
+                    assert multiplicative_order(a, s, 12 * phi) == expected, (a, s)
 
     @given(st.integers(2, 400))
     def test_order_divides_phi(self, s):
         for a in range(2, min(s, 12)):
             if gcd(a, s) == 1:
-                f = multiplicative_order_factored(a, factorint(s))
-                assert euler_phi_factored(factorint(s)) % f == 0
+                phi = euler_phi_factored(factorint(s))
+                f = multiplicative_order(a, s, phi)
+                assert phi % f == 0
                 assert pow(a, f, s) == 1
 
 

@@ -224,6 +224,24 @@ class TestCyclotomic:
             assert Cyclotomic(6).split_at(p) == Cyclotomic(3).split_at(p)
             assert Cyclotomic(10).split_at(p) == Cyclotomic(5).split_at(p)
 
+    def test_residue_degree_is_the_brute_force_order(self):
+        # writing the normalized n as p^a s: e = phi(p^a), and f is the
+        # least f with p^f = 1 mod s, found by multiplying by p until then
+        for n in range(1, 2001):
+            field = Cyclotomic(n)
+            for p in (2, 3):
+                a, s = 0, field.normalized
+                while s % p == 0:
+                    a, s = a + 1, s // p
+                f, x = 1, p % s
+                while x != 1 % s:
+                    f, x = f + 1, x * p % s
+                e = (p - 1) * p ** (a - 1) if a else 1
+                data = field.split_at(p)
+                assert data.count == field.degree // (e * f), (n, p)
+                assert {(q.e, q.f) for q in data.primes} == {(e, f)}, (n, p)
+                assert len(data.degree_one) == (data.count if f == 1 else 0)
+
     def test_closed_form_matches_dedekind(self):
         from sl2ab.polyarith import cyclotomic_polynomial
 

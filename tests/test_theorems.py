@@ -448,6 +448,38 @@ class TestComputePipeline:
         assert doc["warnings"] == []
         assert [sp["p"] for sp in doc["splittings"]] == [2, 3]
 
+    def test_records_are_immutable_values(self):
+        out = compute(Quadratic(10))
+        contribution = out.contributions[0]
+        for record, name in ((out, "group"), (out, "route"), (contribution, "prime")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        # equality is field by field
+        assert out == compute(Quadratic(10)) and out != compute(Quadratic(13))
+        prime, group = contribution
+        assert contribution == type(contribution)(prime, group)
+        assert contribution != type(contribution)("(2, other)", group)
+
+    def test_cyclotomic_residue_degree_is_found_when_read(self, monkeypatch):
+        # f > 1 at both 2 and 3 for n = 7, so the group reads no order, and
+        # reading the primes (or checking an index against their count)
+        # finds it once per splitting
+        from sl2ab import splitting
+
+        calls = []
+        order = splitting.multiplicative_order
+        monkeypatch.setattr(
+            splitting, "multiplicative_order", lambda *a: calls.append(a) or order(*a)
+        )
+        out = compute(Cyclotomic(7))
+        assert out.group == TRIVIAL_GROUP and calls == []
+        assert [sp.count for sp in out.splittings] == [2, 1]  # f = 3 and 6
+        assert calls == [(2, 7, 6), (3, 7, 6)]
+        assert [len(sp.primes) for sp in out.splittings] == [2, 1]
+        assert len(calls) == 2
+        with pytest.raises(ValueError, match="only 2 prime"):
+            compute(Cyclotomic(7), SSet(removed_above_2=frozenset({2})))
+
     def test_galois_result(self):
         out = compute(galois_field(3, 1, 1, 1, 1, Signature(3, 0)))
         assert out.route == "Main"
