@@ -12,6 +12,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2ab import cli, oracle
 from sl2ab.cli import (
@@ -278,6 +280,90 @@ class TestGoldenOracle:
         assert code == case["exit"]
         assert hashlib.sha256(out.encode()).hexdigest() == case["stdout_sha256"]
         assert hashlib.sha256(err.encode()).hexdigest() == case["stderr_sha256"], err
+
+
+def _stdlib_json(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _outcome(write, doc):
+    """What write returns for doc, or the type and text of the error it raises."""
+    try:
+        return write(doc)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# every character json escapes: quotes, backslashes, control characters,
+# non-ASCII ones and lone surrogates
+_TEXT = st.text(st.characters(exclude_categories=()) | st.sampled_from('"\\\x00\x7f'))
+_PLAIN_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.builds(
+        int.__mul__, st.integers(10**299, 10**300 - 1), st.sampled_from([1, -1])
+    )
+    | _TEXT
+)
+
+
+def _containers(keys):
+    def extend(children):
+        lists = st.lists(children, max_size=4)
+        return lists | lists.map(tuple) | st.dictionaries(keys, children, max_size=4)
+
+    return extend
+
+
+# trees of the types dump_json writes itself before Python 3.13
+_PLAIN_TREES = st.recursive(_PLAIN_LEAVES, _containers(_TEXT), max_leaves=30)
+# trees that may hold what it hands to json.dumps: floats, int keys, and
+# dicts that mix int and str keys, which json.dumps cannot sort
+_ANY_TREES = st.recursive(
+    _PLAIN_LEAVES | st.floats(), _containers(_TEXT | st.integers()), max_leaves=30
+)
+
+
+class TestDumpJson:
+    """dump_json prints what json.dumps(doc, indent=2, sort_keys=True) does,
+    plus a newline: the same bytes, or the same error."""
+
+    def test_golden_documents(self):
+        docs = [case["json"] for case in GOLDEN] + GOLDEN + ORACLE_GOLDEN
+        docs += [a for c in ORACLE_GOLDEN for a in c["args"] if isinstance(a, dict)]
+        for doc in docs:
+            assert dump_json(doc) == _stdlib_json(doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_PLAIN_TREES)
+    def test_plain_trees(self, doc):
+        assert dump_json(doc) == _stdlib_json(doc)
+        # the writer itself, on every Python version, with no fallback
+        out = []
+        cli._write(doc, "\n", out)
+        assert "".join(out) + "\n" == _stdlib_json(doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ANY_TREES)
+    def test_any_trees(self, doc):
+        assert _outcome(dump_json, doc) == _outcome(_stdlib_json, doc)
+
+    def test_errors_are_json_dumps_errors(self):
+        loop = []
+        loop.append(loop)
+        for doc, error in (
+            ({1, 2}, TypeError),
+            ({"a": [1, {"b": {3}}]}, TypeError),
+            ({"a": 1, 2: "b"}, TypeError),
+            ({"a": loop}, ValueError),
+        ):
+            ours = _outcome(dump_json, doc)
+            assert ours == _outcome(_stdlib_json, doc)
+            assert ours[0] is error
+        # past sys.get_int_max_str_digits() both raise the same ValueError
+        huge = [10**5000]
+        assert _outcome(dump_json, huge) == _outcome(_stdlib_json, huge)
 
 
 def _usage_id(case):
@@ -702,6 +788,10 @@ class TestOracleCommand:
         code, _, err = invoke(capsys, "oracle", "--ring", str(bad))
         assert code == EXIT_USAGE
         assert "not valid JSON" in err
+        bad.write_bytes(b'\xff{"zmod": 6}')  # not UTF-8
+        code, out, err = invoke(capsys, "oracle", "--ring", str(bad))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ring spec file is not valid JSON: "), err
         malformed = tmp_path / "malformed.json"
         malformed.write_text(json.dumps({"factors": [{"kind": "zmodpk"}]}))
         code, _, err = invoke(capsys, "oracle", "--ring", str(malformed))
