@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
+import sys
+from array import array
 from math import gcd, isqrt, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -246,6 +249,15 @@ def _render_poly(coeffs: tuple[int, ...]) -> str:
 # helpers on plain sequences of residues in [0, m), lowest degree first, with
 # no trailing zeros; results are lists.  Division by a monic polynomial works
 # for any modulus m; gcds and inverses need m prime.
+#
+# Longer products run on packed integers (Kronecker substitution): a list a
+# becomes the integer sum a_i 2^(w i), so one integer product holds every
+# coefficient of the polynomial product, each in its own w-bit slot.  A slot
+# holds a sum of at most k products of residues, k the shorter operand's
+# length, so w = 2 bits(m) + bits(k), rounded up to whole bytes; slots of 1,
+# 2, 4 and 8 bytes are read and written through array.  Every packed
+# coefficient must be a residue in [0, m): a negative or larger one would
+# spill into its neighbour's slot.
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -270,9 +282,58 @@ def _lsub(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
     return _trim(out)
 
 
+# array codes by item size, for unsigned slots of 1, 2, 4 and 8 bytes; none
+# on a big-endian machine, whose arrays are not little-endian.  (struct would
+# need a format per length, and its cache of 100 formats thrashes.)
+_SLOT_CODES = (
+    {array(c).itemsize: c for c in "QLIHB"} if sys.byteorder == "little" else {}
+)
+
+
+def _slot_bytes(m: int, terms: int) -> int:
+    """Bytes per slot that hold a sum of `terms` products of residues mod m,
+    rounded up to 1, 2, 4 or 8 where that is enough."""
+    size = (2 * m.bit_length() + terms.bit_length() + 7) // 8
+    return size if size > 8 else 1 << (size - 1).bit_length()
+
+
+def _pack(a: Sequence[int], size: int) -> int:
+    """The residues a as one integer, a_i in the i-th slot of `size` bytes."""
+    code = _SLOT_CODES.get(size)
+    if code is None:
+        data = b"".join([c.to_bytes(size, "little") for c in a])
+        return int.from_bytes(data, "little")
+    return int.from_bytes(array(code, a), "little")
+
+
+def _unpack(x: int, size: int, count: int, m: int) -> list[int]:
+    """Slots 0 .. count - 1 of x >= 0, each reduced mod m; x has no others."""
+    data = x.to_bytes(count * size, "little")
+    code = _SLOT_CODES.get(size)
+    if code is None:
+        return [
+            int.from_bytes(data[i : i + size], "little") % m
+            for i in range(0, len(data), size)
+        ]
+    return [c % m for c in array(code, data)]
+
+
+# A product of lists of lengths la and lb runs packed from la lb = _PACK_MIN
+# coefficient products on where slots fit 8 bytes (read and written through
+# array), and from 4 _PACK_MIN on where they are wider (read and written
+# through bytes); below that, schoolbook was as fast or faster.
+_PACK_MIN = 32
+
+
 def _lmul(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
     if not a or not b:
         return []
+    work = len(a) * len(b)
+    if work >= _PACK_MIN:
+        size = _slot_bytes(m, min(len(a), len(b)))
+        if size <= 8 or work >= 4 * _PACK_MIN:
+            x = _pack(a, size) * _pack(b, size)
+            return _trim(_unpack(x, size, len(a) + len(b) - 1, m))
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -281,17 +342,42 @@ def _lmul(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
     return _trim([c % m for c in out])
 
 
+# Division runs packed when its slots fit 8 bytes and the quotient and the
+# divisor both have at least this many coefficients; below it, or with wider
+# slots, long division on lists was as fast or faster.
+_DIVIDE_PACK_MIN = 16
+
+
 def _ldivmod(
     a: Sequence[int], b: Sequence[int], m: int
 ) -> tuple[list[int], list[int]]:
     """(quotient, remainder) of a by b; b's leading coefficient is a unit mod m."""
     db = len(b) - 1
-    if len(a) <= db:
+    k = len(a) - db  # quotient length
+    if k <= 0:
         return [], list(a)
     inv = pow(b[-1], -1, m)
+    if k >= _DIVIDE_PACK_MIN and db >= _DIVIDE_PACK_MIN:
+        size = _slot_bytes(m, k + 1)
+        if size <= 8:
+            # a slot starts at a_i + k m^2, a multiple of m above what the k
+            # subtractions of c b_j < m^2 can take off, so none goes negative
+            # or borrows, and each holds its coefficient of the remainder mod m
+            bits = 8 * size
+            mask = (1 << bits) - 1
+            off = k * m * m
+            x = _pack([c + off for c in a], size)
+            y = _pack(b[:db], size)
+            q = [0] * k
+            for i in range(k - 1, -1, -1):
+                c = (x >> bits * (i + db) & mask) * inv % m
+                if c:
+                    q[i] = c
+                    x -= c * y << bits * i
+            return q, _trim(_unpack(x & (1 << bits * db) - 1, size, db, m))
     rem = list(a)
-    q = [0] * (len(a) - db)
-    for i in range(len(a) - db - 1, -1, -1):
+    q = [0] * k
+    for i in range(k - 1, -1, -1):
         c = rem[i + db] * inv % m
         if c:
             q[i] = c
@@ -331,34 +417,109 @@ def _lxgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     return [c * inv % p for c in s0], [c * inv % p for c in t0]
 
 
-def _lpowmod(a: Sequence[int], e: int, f: Sequence[int], m: int) -> list[int]:
-    """a**e mod f, for monic f, by square-and-multiply."""
-    result, base = [1], _ldivmod(a, f, m)[1]
-    while e:
-        if e & 1:
-            result = _ldivmod(_lmul(result, base, m), f, m)[1]
-        e >>= 1
-        if e:
-            base = _ldivmod(_lmul(base, base, m), f, m)[1]
-    return result
+# Below this degree of f every product mod f is divided: a table of fewer
+# rows never paid for itself.
+_TABLE_MIN = 4
 
 
-# Up to this prime a^p mod f is taken as a(x^p) mod f, the last p at which
-# that beat square-and-multiply at every degree measured (8-64, four random f
-# each, on a Xeon): 1.3-3.4 times as fast at p = 2 and 3, 1.1-2.4 at p = 5.
-# At p = 7 it lost at degree 64, and from p = 11 on at several degrees.
+class _ModF:
+    """Arithmetic mod one monic f of degree n >= 1 over Z/m, on residue lists
+    of length at most n.  Its tables live as long as it does, and its caller
+    builds it for one call.
+
+    A product is reduced by a packed table of x^j mod f for n <= j < 2n - 1:
+    each coefficient above x^(n - 1) costs one multiply-add of a table row,
+    and one unpack reads the result.  The table costs about one long division
+    to build, so the first product is divided and the table is built at the
+    second; below degree _TABLE_MIN every product is divided."""
+
+    def __init__(self, f: Sequence[int], m: int):
+        self.f, self.n, self.m = f, len(f) - 1, m
+        # a reduced slot sums at most n products and n - 1 table terms
+        self.size = _slot_bytes(m, 2 * self.n)
+        self.rows: list[int] = []  # the table, packed
+        self.divided = False
+        self.matrix: list[int] = []  # the Frobenius matrix, packed
+        self.power_products = 0  # products taken by p-th powers so far
+
+    def _table(self) -> list[int]:
+        """Packed x^j mod f for n <= j < 2n - 1, each x times the last."""
+        m, size = self.m, self.size
+        row = first = [-c % m for c in self.f[:-1]]  # x^n mod f
+        rows = [_pack(row, size)]
+        for _ in range(self.n - 2):
+            top = row[-1]
+            row = [0] + row[:-1]
+            if top:
+                row = [(c + top * r) % m for c, r in zip(row, first)]
+            rows.append(_pack(row, size))
+        return rows
+
+    def mul(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
+        n, m, size = self.n, self.m, self.size
+        if not a or not b:
+            return []
+        if not self.rows:
+            if n < _TABLE_MIN or not self.divided:
+                self.divided = True
+                return _ldivmod(_lmul(a, b, m), self.f, m)[1]
+            self.rows = self._table()
+        count = len(a) + len(b) - 1
+        x = _pack(a, size) * _pack(b, size)
+        if count <= n:
+            return _trim(_unpack(x, size, count, m))
+        bits = 8 * size * n
+        high = _unpack(x >> bits, size, count - n, m)
+        low = x & ((1 << bits) - 1)
+        return _trim(_unpack(sum(map(operator.mul, high, self.rows), low), size, n, m))
+
+    def pow(self, a: Sequence[int], e: int) -> list[int]:
+        """a**e mod f by square-and-multiply."""
+        result, base = None, list(a)
+        while e:
+            if e & 1:
+                result = base if result is None else self.mul(result, base)
+            e >>= 1
+            if e:
+                base = self.mul(base, base)
+        return [1] if result is None else result
+
+    def frobenius(self, a: Sequence[int]) -> list[int]:
+        """a^p mod f over F_p, p = m prime, exact since c^p = c on F_p (von
+        zur Gathen & Gerhard, sections 14.3 and 14.5).  Up to
+        _FROBENIUS_SPREAD_LIMIT it is a(x^p) mod f, the coefficients spread p
+        apart and reduced by one long division.  Above it the map is linear,
+        so it is its matrix, the packed rows x^(p i) mod f for i < n (von zur
+        Gathen & Shoup 1992): x^p mod f by square-and-multiply, each later row
+        the one before times it; a^p is then one multiply-add per coefficient
+        and one unpack.  A power takes k products and the matrix k + n - 1, so
+        powers are taken until they have cost that much; then the matrix is
+        built, which keeps the cost within twice the cheaper choice."""
+        n, p = self.n, self.m
+        if p <= _FROBENIUS_SPREAD_LIMIT:
+            out = [0] * (p * (len(a) - 1) + 1)
+            out[::p] = a
+            return _ldivmod(out, self.f, p)[1]
+        if not self.matrix:
+            k = p.bit_length() + p.bit_count() - 2
+            if self.power_products < k + n - 1:
+                self.power_products += k
+                return self.pow(a, p)
+            xp = self.pow([0, 1], p) if n > 1 else []
+            row, self.matrix = [1], [1]
+            for _ in range(n - 1):
+                row = self.mul(row, xp)
+                self.matrix.append(_pack(row, self.size))
+        return _trim(_unpack(sum(map(operator.mul, a, self.matrix)), self.size, n, p))
+
+
+# Up to this prime a^p mod f spreads and divides, about (p - 1) n^2 steps at
+# each use; above it, it is a power, about 1.5 log2 p packed products a use,
+# until the matrix (log2 p + n products once, then n packed multiply-adds a
+# use) is cheaper.  factor_mod_p on random f of degree 8-64 (a Xeon): at p = 3
+# and 5 spreading was as fast or faster up to degree 32 and the matrix won at
+# 64; at p = 7 they were even; at p = 11 the matrix won from degree 16 on.
 _FROBENIUS_SPREAD_LIMIT = 5
-
-
-def _lfrobenius(a: Sequence[int], f: Sequence[int], p: int) -> list[int]:
-    """a**p mod f over F_p, for monic f.  For small p it is a(x^p) mod f, the
-    coefficients spread p apart and reduced once, exact since c^p = c on F_p
-    (von zur Gathen & Gerhard, sections 14.3 and 14.5)."""
-    if p > _FROBENIUS_SPREAD_LIMIT:
-        return _lpowmod(a, p, f, p)
-    spread = [0] * (p * (len(a) - 1) + 1)
-    spread[::p] = a
-    return _ldivmod(spread, f, p)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -470,14 +631,16 @@ def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     out = []
     h = [0, 1]
     d = 0
+    ring = _ModF(f, p)
     while len(f) - 1 >= 2 * (d + 1):
         d += 1
-        h = _lfrobenius(h, f, p)
+        h = ring.frobenius(h)
         g = _lgcd(f, _lsub(h, [0, 1], p), p)
         if len(g) > 1:
             out.append((g, d))
             f = _ldivmod(f, g, p)[0]
             h = _ldivmod(h, f, p)[1]
+            ring = _ModF(f, p)
     if len(f) > 1:
         out.append((f, len(f) - 1))
     return out
@@ -495,18 +658,19 @@ def _equal_degree(g: list[int], d: int, p: int, rng: random.Random) -> list[list
     n = len(g) - 1
     if n == d:
         return [g]
+    ring = _ModF(g, p)
     while True:
         a = _trim([rng.randrange(p) for _ in range(n)])
         if p == 2:
             b = t = a
             for _ in range(d - 1):
-                t = _lfrobenius(t, g, 2)
+                t = ring.frobenius(t)
                 b = _ladd(b, t, 2)
         else:
-            b = t = _lpowmod(a, (p - 1) // 2, g, p)
+            b = t = ring.pow(a, (p - 1) // 2)
             for _ in range(d - 1):
-                t = _lfrobenius(t, g, p)
-                b = _ldivmod(_lmul(b, t, p), g, p)[1]
+                t = ring.frobenius(t)
+                b = ring.mul(b, t)
             b = _lsub(b, [1], p)
         c = _lgcd(g, b, p)
         if 0 < len(c) - 1 < n:
@@ -640,15 +804,27 @@ def _hensel_step(
     f = g h and s g + t h = 1 mod m, with g and h monic, to the same mod m^2.
     The inverse pair (s, t) is lifted only when a further step needs it."""
     m2 = m * m
-    e = _lsub(f, _lmul(g, h, m2), m2)
-    q, r = _ldivmod(_lmul(s, e, m2), h, m2)
-    g = _ladd(g, _ladd(_lmul(t, e, m2), _lmul(q, g, m2), m2), m2)
+    # every sum below is of at most two products and one residue list, all
+    # of length at most len(f); each is unpacked once
+    size = _slot_bytes(m2, 2 * len(f) + 1)
+    bits = 8 * size
+
+    def unpack(x: int) -> list[int]:
+        return _trim(_unpack(x, size, -(-x.bit_length() // bits), m2))
+
+    pg, ph, ps, pt = (_pack(a, size) for a in (g, h, s, t))
+    e = _lsub(f, unpack(pg * ph), m2)
+    pe = _pack(e, size)
+    q, r = _ldivmod(unpack(ps * pe), h, m2)
+    g = unpack(pg + pt * pe + _pack(q, size) * pg)
     h = _ladd(h, r, m2)
     if lift_inverse:
-        b = _lsub(_ladd(_lmul(s, g, m2), _lmul(t, h, m2), m2), [1], m2)
-        c, d = _ldivmod(_lmul(s, b, m2), h, m2)
+        pg, ph = _pack(g, size), _pack(h, size)
+        b = _lsub(unpack(ps * pg + pt * ph), [1], m2)
+        pb = _pack(b, size)
+        c, d = _ldivmod(unpack(ps * pb), h, m2)
         s = _lsub(s, d, m2)
-        t = _lsub(t, _ladd(_lmul(t, b, m2), _lmul(c, g, m2), m2), m2)
+        t = _lsub(t, unpack(pt * pb + _pack(c, size) * pg), m2)
     return g, h, s, t
 
 

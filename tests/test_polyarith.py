@@ -1,12 +1,15 @@
 """Exact arithmetic tests: integer helpers, polynomials over Z and F_p,
 factorization, irreducibility, Sturm sequences, cyclotomic polynomials."""
 
+import collections
 import itertools
+import json
 import random
 import time
 import types
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,10 +36,11 @@ from sl2ab.polyarith import (
     multiplicative_order,
     primes_dividing,
     sturm_real_roots,
+    _ModF,
     _ladd,
-    _lfrobenius,
+    _ldivmod,
     _lmul,
-    _lpowmod,
+    _trim,
     _squarefree_parts,
     _squarefree_over_q,
     brief_poly,
@@ -237,6 +241,227 @@ class TestIntPoly:
         assert IntPoly.from_csv("-4,-1,1") == IntPoly((-4, -1, 1))
 
 
+def _schoolbook_mul(a, b, m):
+    """Reference product of residue lists, one coefficient product at a time."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim([c % m for c in out])
+
+
+def _schoolbook_divmod(a, b, m):
+    """Reference long division by b, whose leading coefficient is a unit."""
+    inv = pow(b[-1], -1, m)
+    rem = list(a)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    for i in reversed(range(len(q))):
+        q[i] = c = rem[i + len(b) - 1] * inv % m
+        for j, y in enumerate(b):
+            rem[i + j] = (rem[i + j] - c * y) % m
+    return _trim(q), _trim(rem[: len(b) - 1])
+
+
+def _square_and_multiply(a, e, f, m):
+    """Reference a**e mod a monic f on the schoolbook kernels."""
+    result, base = [1], _schoolbook_divmod(a, f, m)[1]
+    while e:
+        if e & 1:
+            result = _schoolbook_divmod(_schoolbook_mul(result, base, m), f, m)[1]
+        e >>= 1
+        base = _schoolbook_divmod(_schoolbook_mul(base, base, m), f, m)[1]
+    return result
+
+
+# moduli from F_2 to past 2^256: slots of 1, 2, 4 and 8 bytes and wider
+_MODULI = st.one_of(
+    st.sampled_from([2, 3, 4, 5, 9, 255, 256, 257, 2**31 - 1, 2**32, 2**61 - 1]),
+    st.integers(2, 2**16),
+    st.integers(2**256, 2**260),
+)
+
+
+@st.composite
+def _residue_lists(draw, m, max_len=129):
+    """Residue lists mod m of length 0 to max_len, trimmed: random, sparse
+    (zero interior coefficients), or all m - 1, the fullest slots."""
+    n = draw(st.one_of(st.integers(0, min(8, max_len)), st.integers(0, max_len)))
+    rnd = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["random", "sparse", "largest"]))
+    if kind == "largest":
+        return [m - 1] * n
+    zero = 0.8 if kind == "sparse" else 0.0
+    a = [0 if rnd.random() < zero else rnd.randrange(m) for _ in range(n)]
+    if a:
+        a[-1] = a[-1] or 1
+    return a
+
+
+class TestKernels:
+    """The packed kernels against schoolbook references: a wrong slot width
+    or packing shows as a wrong coefficient."""
+
+    @given(_MODULI, st.integers(1, 300))
+    def test_slot_holds_its_sum(self, m, terms):
+        size = polyarith._slot_bytes(m, terms)
+        assert terms * (m - 1) ** 2 < 256**size
+        assert size <= 8 or size == (2 * m.bit_length() + terms.bit_length() + 7) // 8
+
+    @given(st.data(), _MODULI)
+    @settings(max_examples=300, deadline=None)
+    def test_product_matches_schoolbook(self, data, m):
+        a = data.draw(_residue_lists(m))
+        b = data.draw(_residue_lists(m))
+        assert _lmul(a, b, m) == _schoolbook_mul(a, b, m)
+
+    @given(st.data(), _MODULI)
+    @settings(max_examples=300, deadline=None)
+    def test_division_matches_schoolbook(self, data, m):
+        a = data.draw(_residue_lists(m))
+        b = data.draw(_residue_lists(m, 65))
+        b = b[:-1] + [data.draw(st.sampled_from([1, m - 1]))]  # a unit
+        q, r = _ldivmod(a, b, m)
+        assert (q, r) == _schoolbook_divmod(a, b, m)
+        assert _ladd(_lmul(q, b, m), r, m) == a  # a = q b + r
+        assert len(r) < len(b)
+
+    @pytest.mark.parametrize(
+        "m", [2, 3, 255, 256, 2**31 - 1, 2**32, 2**61 - 1, 2**64 + 13]
+    )
+    def test_fullest_slots(self, m):
+        # every coefficient m - 1, the largest slot sums there are; and f with
+        # x^n = -(1 + x + ... + x^(n - 1)) mod f, a table row all m - 1 too
+        for n in (4, 5, 8, 16, 31, 64, 129):
+            a = [m - 1] * n
+            assert _lmul(a, a, m) == _schoolbook_mul(a, a, m)
+            assert _lmul(a, a[:3], m) == _schoolbook_mul(a, a[:3], m)
+            f = [1] * (n + 1)
+            assert _ldivmod(a + a, f, m) == _schoolbook_divmod(a + a, f, m)
+            ring = _ModF(f, m)
+            expected = _schoolbook_divmod(_schoolbook_mul(a, a, m), f, m)[1]
+            assert ring.mul(a, a) == ring.mul(a, a) == expected
+
+    @given(
+        st.sampled_from([2, 3, 5, 7, 101, 65537, 2**31 - 1, 2**61 - 1]),
+        st.integers(1, 16),
+        st.integers(1, 16),
+        st.booleans(),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_hensel_step_matches_schoolbook(self, p, dg, dh, lift_inverse, seed):
+        # g and h monic and coprime mod p, f = g h mod p with random p-adic
+        # digits above, lifted one quadratic step
+        rnd = random.Random(seed)
+        while True:
+            g = [rnd.randrange(p) for _ in range(dg)] + [1]
+            h = [rnd.randrange(p) for _ in range(dh)] + [1]
+            if len(polyarith._lgcd(g, h, p)) == 1:
+                break
+        s, t = polyarith._lxgcd(g, h, p)
+        m2 = p * p
+        gh = _schoolbook_mul(g, h, m2)
+        f = [(c + p * rnd.randrange(p)) % m2 for c in gh[:-1]] + [1]
+        step = polyarith._hensel_step(f, g, h, s, t, p, lift_inverse)
+        expected = _schoolbook_hensel_step(f, g, h, s, t, p, lift_inverse)
+        if not lift_inverse:
+            step, expected = step[:2], expected[:2]
+        assert step == expected
+        assert _schoolbook_mul(step[0], step[1], m2) == f
+
+    @given(st.data(), _MODULI)
+    @settings(max_examples=200, deadline=None)
+    def test_reduction_table_matches_schoolbook(self, data, m):
+        f = data.draw(_residue_lists(m, 65))
+        f = f[:-1] + [1] if f else [0, 1]
+        n = len(f) - 1
+        a = data.draw(_residue_lists(m, n))
+        b = data.draw(_residue_lists(m, n))
+        expected = _schoolbook_divmod(_schoolbook_mul(a, b, m), f, m)[1]
+        ring = _ModF(f, m)
+        # divided, then from the table, built at the second product
+        assert ring.mul(a, b) == expected
+        assert ring.mul(a, b) == expected
+
+
+def _schoolbook_hensel_step(f, g, h, s, t, m, lift_inverse):
+    """Reference quadratic Hensel step (von zur Gathen & Gerhard, Alg. 15.10)
+    on the schoolbook kernels."""
+    m2 = m * m
+
+    def mul(a, b):
+        return _schoolbook_mul(a, b, m2)
+
+    def add(*terms):
+        out = [0] * max(map(len, terms))
+        for a in terms:
+            for i, c in enumerate(a):
+                out[i] += c
+        return _trim([c % m2 for c in out])
+
+    def neg(a):
+        return [-c % m2 for c in a]
+
+    e = add(f, neg(mul(g, h)))
+    q, r = _schoolbook_divmod(mul(s, e), h, m2)
+    g, h = add(g, mul(t, e), mul(q, g)), add(h, r)
+    if lift_inverse:
+        b = add(mul(s, g), mul(t, h), [m2 - 1])
+        c, d = _schoolbook_divmod(mul(s, b), h, m2)
+        s, t = add(s, neg(d)), add(t, neg(mul(t, b)), neg(mul(c, g)))
+    return g, h, s, t
+
+
+def _golden_polys():
+    """The --poly arguments of tests/compute_golden.json."""
+    golden = json.loads((Path(__file__).parent / "compute_golden.json").read_text())
+    return [a for case in golden for a in case["args"] if a.startswith("--poly=")]
+
+
+class TestPackedOperands:
+    """Packing needs every coefficient to be a residue in [0, m): a negative
+    or larger one would spill into the neighbouring slot.  Spies on every
+    kernel that packs check each list it is given, on the --poly inputs of
+    the golden file, the shifted cyclotomic polynomials of degree 4-20, and
+    a factorization over a prime past 2^32."""
+
+    def test_every_operand_is_a_residue_list(self, monkeypatch, capsys):
+        counts = collections.Counter()
+
+        def check(name, m, *lists):
+            counts[name] += 1
+            for a in lists:
+                assert all(0 <= c < m for c in a), (name, m, a)
+
+        def spy(owner, name, operands):
+            real = getattr(owner, name)
+
+            def wrapped(*args):
+                check(name, *operands(*args))
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, wrapped)
+
+        spy(polyarith, "_lmul", lambda a, b, m: (m, a, b))
+        spy(polyarith, "_ldivmod", lambda a, b, m: (m, a, b))
+        spy(polyarith, "_hensel_step", lambda f, g, h, s, t, m, _: (m, g, h, s, t))
+        spy(_ModF, "mul", lambda ring, a, b: (ring.m, a, b))
+        spy(_ModF, "frobenius", lambda ring, a: (ring.m, a))
+        polys = _golden_polys() + [
+            "--poly=" + ",".join(map(str, _shift(cyclotomic_polynomial(n), k).coeffs))
+            for n in range(3, 100)
+            if 4 <= euler_phi_factored(factorint(n)) <= 20
+            for k in (-17, 7, 19)
+        ]
+        for arg in polys:
+            assert run(["compute", arg]) in (0, 3), arg
+        capsys.readouterr()
+        rng = random.Random(64)
+        p = 999999999989
+        factor_mod_p(ModPoly(p, [rng.randrange(p) for _ in range(64)] + [1]))
+        assert set(counts) == {"_lmul", "_ldivmod", "_hensel_step", "mul", "frobenius"}
+
+
 class TestModPoly:
     def test_construction(self):
         f = ModPoly(3, (4, 6, 1))
@@ -435,16 +660,23 @@ class TestFactorModP:
         assert factor_mod_p(f) == cubics == _reference_factor_mod_p(f)
 
     @given(
-        st.sampled_from([2, 3, 5, 7, 11, 13, 17]),
+        st.sampled_from([2, 3, 5, 7, 11, 13, 17, 999999999989, 2**61 - 1]),
         st.integers(1, 24),
         st.randoms(use_true_random=False),
     )
     @settings(max_examples=200, deadline=None)
     def test_frobenius_matches_square_and_multiply(self, p, n, rnd):
-        # spread-and-reduce below the cut, _lpowmod above it
+        # the Frobenius matrix's rows x^(p i) mod f against a^p by schoolbook
+        # square-and-multiply, for small p and for p past 2^32, where slots
+        # no longer fit a machine word
         f = [rnd.randrange(p) for _ in range(n)] + [1]
-        a = polyarith._trim([rnd.randrange(p) for _ in range(n)])
-        assert _lfrobenius(a, f, p) == _lpowmod(a, p, f, p)
+        a = _trim([rnd.randrange(p) for _ in range(n)])
+        ring = _ModF(f, p)
+        expected = _square_and_multiply(a, p, f, p)
+        # as powers until the matrix is built, where p > 5, then from it
+        for _ in range(n + 2):
+            assert ring.frobenius(a) == expected
+        assert bool(ring.matrix) == (p > 5)
 
     def test_large_prime_and_degree(self):
         # x^p - x is the product of all x - a over F_p
