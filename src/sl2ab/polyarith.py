@@ -250,14 +250,14 @@ def _render_poly(coeffs: tuple[int, ...]) -> str:
 # no trailing zeros; results are lists.  Division by a monic polynomial works
 # for any modulus m; gcds and inverses need m prime.
 #
-# Longer products run on packed integers (Kronecker substitution): a list a
+# Every product runs on packed integers (Kronecker substitution): a list a
 # becomes the integer sum a_i 2^(w i), so one integer product holds every
 # coefficient of the polynomial product, each in its own w-bit slot.  A slot
 # holds a sum of at most k products of residues, k the shorter operand's
 # length, so w = 2 bits(m) + bits(k), rounded up to whole bytes; slots of 1,
-# 2, 4 and 8 bytes are read and written through array.  Every packed
-# coefficient must be a residue in [0, m): a negative or larger one would
-# spill into its neighbour's slot.
+# 2, 4 and 8 bytes are read and written through array.  Long division packs
+# only when divisor and quotient are long.  A packed coefficient must be a
+# residue in [0, m): any other would spill into its neighbour's slot.
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -318,28 +318,12 @@ def _unpack(x: int, size: int, count: int, m: int) -> list[int]:
     return [c % m for c in array(code, data)]
 
 
-# A product of lists of lengths la and lb runs packed from la lb = _PACK_MIN
-# coefficient products on where slots fit 8 bytes (read and written through
-# array), and from 4 _PACK_MIN on where they are wider (read and written
-# through bytes); below that, schoolbook was as fast or faster.
-_PACK_MIN = 32
-
-
 def _lmul(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
     if not a or not b:
         return []
-    work = len(a) * len(b)
-    if work >= _PACK_MIN:
-        size = _slot_bytes(m, min(len(a), len(b)))
-        if size <= 8 or work >= 4 * _PACK_MIN:
-            x = _pack(a, size) * _pack(b, size)
-            return _trim(_unpack(x, size, len(a) + len(b) - 1, m))
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _trim([c % m for c in out])
+    size = _slot_bytes(m, min(len(a), len(b)))
+    x = _pack(a, size) * _pack(b, size)
+    return _trim(_unpack(x, size, len(a) + len(b) - 1, m))
 
 
 # Division runs packed when its slots fit 8 bytes and the quotient and the
@@ -406,20 +390,15 @@ def _lgcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
 
 def _lxgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     """(s, t) with s a + t b = 1 over F_p, deg s < deg b and deg t < deg a,
-    for coprime a and b of positive degree."""
-    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    for coprime a and b of positive degree; t is (1 - s a) / b, exactly."""
+    r0, r1, s0, s1 = a, b, [1], []
     while r1:
         q, r = _ldivmod(r0, r1, p)
         r0, r1 = r1, r
         s0, s1 = s1, _lsub(s0, _lmul(q, s1, p), p)
-        t0, t1 = t1, _lsub(t0, _lmul(q, t1, p), p)
     inv = pow(r0[0], -1, p)  # r0 is the gcd, a nonzero constant
-    return [c * inv % p for c in s0], [c * inv % p for c in t0]
-
-
-# Below this degree of f every product mod f is divided: a table of fewer
-# rows never paid for itself.
-_TABLE_MIN = 4
+    s = [c * inv % p for c in s0]
+    return s, _ldivmod(_lsub([1], _lmul(s, a, p), p), b, p)[0]
 
 
 class _ModF:
@@ -427,18 +406,15 @@ class _ModF:
     of length at most n.  Its tables live as long as it does, and its caller
     builds it for one call.
 
-    A product is reduced by a packed table of x^j mod f for n <= j < 2n - 1:
-    each coefficient above x^(n - 1) costs one multiply-add of a table row,
-    and one unpack reads the result.  The table costs about one long division
-    to build, so the first product is divided and the table is built at the
-    second; below degree _TABLE_MIN every product is divided."""
+    Every product packs and is reduced by a packed table of x^j mod f,
+    n <= j < 2n - 1, built at the first product: one multiply-add of a row
+    per coefficient above x^(n - 1), then one unpack."""
 
     def __init__(self, f: Sequence[int], m: int):
         self.f, self.n, self.m = f, len(f) - 1, m
         # a reduced slot sums at most n products and n - 1 table terms
         self.size = _slot_bytes(m, 2 * self.n)
         self.rows: list[int] = []  # the table, packed
-        self.divided = False
         self.matrix: list[int] = []  # the Frobenius matrix, packed
         self.power_products = 0  # products taken by p-th powers so far
 
@@ -460,9 +436,6 @@ class _ModF:
         if not a or not b:
             return []
         if not self.rows:
-            if n < _TABLE_MIN or not self.divided:
-                self.divided = True
-                return _ldivmod(_lmul(a, b, m), self.f, m)[1]
             self.rows = self._table()
         count = len(a) + len(b) - 1
         x = _pack(a, size) * _pack(b, size)
@@ -742,12 +715,14 @@ def dedekind_obstruction(
     and h the cofactor of f mod p, lifted to [0, p), and t = (g h - f) / p,
     the obstruction is gcd(t, g, h) over F_p, the product of the repeated
     factors of f mod p that divide t; Z[x]/(f) is p-maximal exactly when it
-    is 1."""
-    radical = cofactor = [1]
-    for gbar, e in factors:
-        radical = _lmul(radical, gbar.coeffs, p)
-        for _ in range(e - 1):
-            cofactor = _lmul(cofactor, gbar.coeffs, p)
+    is 1, as it is at once when f mod p is squarefree and h = 1."""
+    repeated = [g.coeffs for g, e in factors for _ in range(e - 1)]
+    if not repeated:
+        return ModPoly(p, [1])
+    radical, cofactor = (
+        functools.reduce(lambda a, b: _lmul(a, b, p), gs)
+        for gs in ([g.coeffs for g, _ in factors], repeated)
+    )
     p2 = p * p
     t = [c // p for c in _lsub(_lmul(radical, cofactor, p2), f.coeffs, p2)]
     return ModPoly(p, _lgcd(_lgcd(t, radical, p), cofactor, p))

@@ -328,10 +328,16 @@ class TestKernels:
     @pytest.mark.parametrize(
         "m", [2, 3, 255, 256, 2**31 - 1, 2**32, 2**61 - 1, 2**64 + 13]
     )
-    def test_fullest_slots(self, m):
+    @pytest.mark.parametrize(
+        "codes", [polyarith._SLOT_CODES, {}], ids=["array", "bytes"]
+    )
+    def test_fullest_slots(self, monkeypatch, codes, m):
         # every coefficient m - 1, the largest slot sums there are; and f with
-        # x^n = -(1 + x + ... + x^(n - 1)) mod f, a table row all m - 1 too
-        for n in (4, 5, 8, 16, 31, 64, 129):
+        # x^n = -(1 + x + ... + x^(n - 1)) mod f, a table row all m - 1 too.
+        # Slots of 1-8 bytes go through array, or through bytes, as on a
+        # big-endian machine, which has no array codes.
+        monkeypatch.setattr(polyarith, "_SLOT_CODES", codes)
+        for n in (1, 2, 3, 4, 5, 8, 16, 31, 64, 129):
             a = [m - 1] * n
             assert _lmul(a, a, m) == _schoolbook_mul(a, a, m)
             assert _lmul(a, a[:3], m) == _schoolbook_mul(a, a[:3], m)
@@ -340,6 +346,10 @@ class TestKernels:
             ring = _ModF(f, m)
             expected = _schoolbook_divmod(_schoolbook_mul(a, a, m), f, m)[1]
             assert ring.mul(a, a) == ring.mul(a, a) == expected
+        if m in (3, 2**31 - 1):  # and a factorization round trip at a prime
+            rng = random.Random(m)
+            f = ModPoly(m, [rng.randrange(m) for _ in range(40)] + [1])
+            assert _product(factor_mod_p(f)) == f
 
     @given(
         st.sampled_from([2, 3, 5, 7, 101, 65537, 2**31 - 1, 2**61 - 1]),
@@ -350,8 +360,9 @@ class TestKernels:
     )
     @settings(max_examples=150, deadline=None)
     def test_hensel_step_matches_schoolbook(self, p, dg, dh, lift_inverse, seed):
-        # g and h monic and coprime mod p, f = g h mod p with random p-adic
-        # digits above, lifted one quadratic step
+        # g and h monic and coprime mod p, with s g + t h = 1 mod p, and
+        # f = g h mod p with random p-adic digits above, lifted one
+        # quadratic step
         rnd = random.Random(seed)
         while True:
             g = [rnd.randrange(p) for _ in range(dg)] + [1]
@@ -359,6 +370,8 @@ class TestKernels:
             if len(polyarith._lgcd(g, h, p)) == 1:
                 break
         s, t = polyarith._lxgcd(g, h, p)
+        assert _ladd(_schoolbook_mul(s, g, p), _schoolbook_mul(t, h, p), p) == [1]
+        assert len(s) < len(h) and len(t) < len(g)
         m2 = p * p
         gh = _schoolbook_mul(g, h, m2)
         f = [(c + p * rnd.randrange(p)) % m2 for c in gh[:-1]] + [1]
@@ -379,7 +392,7 @@ class TestKernels:
         b = data.draw(_residue_lists(m, n))
         expected = _schoolbook_divmod(_schoolbook_mul(a, b, m), f, m)[1]
         ring = _ModF(f, m)
-        # divided, then from the table, built at the second product
+        # from the table, built at the first product, and from it again
         assert ring.mul(a, b) == expected
         assert ring.mul(a, b) == expected
 

@@ -236,6 +236,26 @@ class TestCharPFormula:
         extra = SSet(other_finite_primes=1)
         for q in (4, 5, 8, 9, 25):
             assert group_of(RationalFunction(q), extra) == TRIVIAL_GROUP
+        # F_q(t) lists no place past q = 3; a user field over F_4 with a
+        # degree-one place t - a reaches the guard: its residue field is F_4
+        place = SplittingData(2, 1, (PrimeAbove(2, 1, 1, "(t)"),))
+        field = UserFunctionField(degree=1, q=4, split_t=(place,), infinite_places=2)
+        out = compute(field)
+        assert out.group == TRIVIAL_GROUP
+        assert out.contributions == ()
+
+    def test_places_are_numbered_across_splittings(self):
+        # two splittings of two degree-one places each: indices 0, 1 and then
+        # 2, 3, so removing index 3 leaves the first three places
+        labels = ["(t, P1)", "(t, P2)", "(t-1, P1)", "(t-1, P2)"]
+        split_t = tuple(
+            SplittingData(2, 2, tuple(PrimeAbove(2, 1, 1, label) for label in pair))
+            for pair in (labels[:2], labels[2:])
+        )
+        field = UserFunctionField(degree=2, q=2, split_t=split_t)
+        out = compute(field, SSet(removed_above_2=frozenset({3})))
+        assert [c.prime for c in out.contributions] == labels[:3]
+        assert out.group == AbelianGroup(0, (2,) * 6)
 
     def test_wrong_slot_and_range_errors(self):
         with pytest.raises(ValueError) as exc:
