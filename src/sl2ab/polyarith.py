@@ -1,5 +1,6 @@
-"""Exact polynomial arithmetic over Z and F_p on coefficient lists, with IntPoly
-and ModPoly as the values at the boundary, plus small number-theory helpers.
+"""Exact polynomial arithmetic over Z and F_p on coefficient lists, and over
+F_2 and F_3 on bit-planes, with IntPoly and ModPoly as the values at the
+boundary, plus small number-theory helpers.
 
 Everything is arbitrary-precision integer arithmetic; no floats enter any
 code path.  Polynomials store coefficients lowest degree first with no
@@ -245,10 +246,11 @@ def _render_poly(coeffs: tuple[int, ...]) -> str:
 # ---------------------------------------------------------------------------
 # coefficient lists mod m
 #
-# The factoring and lifting algorithms, and ModPoly division, share these
-# helpers on plain sequences of residues in [0, m), lowest degree first, with
-# no trailing zeros; results are lists.  Division by a monic polynomial works
-# for any modulus m; gcds and inverses need m prime.
+# The lifting algorithms, factoring over F_p for p >= 5, and ModPoly division
+# share these helpers on plain sequences of residues in [0, m), lowest degree
+# first, with no trailing zeros; results are lists.  (Factoring over F_2 and
+# F_3 runs on bit-planes; see "factoring over F_p".)  Division by a monic
+# polynomial works for any modulus m; gcds and inverses need m prime.
 #
 # Every product runs on packed integers (Kronecker substitution): a list a
 # becomes the integer sum a_i 2^(w i), so one integer product holds every
@@ -370,10 +372,6 @@ def _ldivmod(
     return q, _trim([c % m for c in rem[:db]])
 
 
-def _lderiv(a: Sequence[int], m: int) -> list[int]:
-    return _trim([i * c % m for i, c in enumerate(a)][1:])
-
-
 def _lmonic(a: Sequence[int], p: int) -> list[int]:
     if not a or a[-1] == 1:
         return list(a)
@@ -401,7 +399,22 @@ def _lxgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     return s, _ldivmod(_lsub([1], _lmul(s, a, p), p), b, p)[0]
 
 
-class _ModF:
+class _Ring:
+    """Arithmetic mod one monic f: mul, and the powers it gives."""
+
+    def pow(self, a, e: int):
+        """a**e mod f by square-and-multiply, for e >= 1."""
+        result, base = None, a
+        while e:
+            if e & 1:
+                result = base if result is None else self.mul(result, base)
+            e >>= 1
+            if e:
+                base = self.mul(base, base)
+        return result
+
+
+class _ModF(_Ring):
     """Arithmetic mod one monic f of degree n >= 1 over Z/m, on residue lists
     of length at most n.  Its tables live as long as it does, and its caller
     builds it for one call.
@@ -446,17 +459,6 @@ class _ModF:
         low = x & ((1 << bits) - 1)
         return _trim(_unpack(sum(map(operator.mul, high, self.rows), low), size, n, m))
 
-    def pow(self, a: Sequence[int], e: int) -> list[int]:
-        """a**e mod f by square-and-multiply."""
-        result, base = None, list(a)
-        while e:
-            if e & 1:
-                result = base if result is None else self.mul(result, base)
-            e >>= 1
-            if e:
-                base = self.mul(base, base)
-        return [1] if result is None else result
-
     def frobenius(self, a: Sequence[int]) -> list[int]:
         """a^p mod f over F_p, p = m prime, exact since c^p = c on F_p (von
         zur Gathen & Gerhard, sections 14.3 and 14.5).  Up to
@@ -492,6 +494,9 @@ class _ModF:
 # use) is cheaper.  factor_mod_p on random f of degree 8-64 (a Xeon): at p = 3
 # and 5 spreading was as fast or faster up to degree 32 and the matrix won at
 # 64; at p = 7 they were even; at p = 11 the matrix won from degree 16 on.
+# Factoring reaches residue lists at p = 5 and above (p = 2 and 3 run on
+# bit-planes); at p = 5 the irreducibility check of the degree-8 Phi_24(x + k)
+# took about 4 % longer with the matrix than with spreading.
 _FROBENIUS_SPREAD_LIMIT = 5
 
 
@@ -567,34 +572,295 @@ class ModPoly:
 
 # ---------------------------------------------------------------------------
 # factoring over F_p
+#
+# Yun's squarefree split, distinct-degree factorization and Cantor–Zassenhaus
+# splitting are written once, over a kernel K: one representation of F_p[x]
+# with the operations they call (degree, difference, gcd, divmod, mod,
+# derivative, p-th root) and K.ring(f) for arithmetic mod a monic f (product,
+# power, p-th power).  Residue lists serve any prime
+# (_Lists); p = 2 and 3 run on bit-planes (_F2, _F3), where one integer
+# operation acts on every coefficient at once.  K.encode and K.decode convert
+# from and to residue lists at factor_mod_p's boundary.
 
 
-def _squarefree_parts(f: Sequence[int], p: int) -> list[tuple[list[int], int]]:
+class _Lists:
+    """F_p[x] on residue lists, for any prime p."""
+
+    one, x = [1], [0, 1]
+    encode = staticmethod(list)
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def decode(self, a: list[int]) -> list[int]:
+        return a
+
+    def deg(self, a: list[int]) -> int:
+        return len(a) - 1
+
+    def sub(self, a: list[int], b: list[int]) -> list[int]:
+        return _lsub(a, b, self.p)
+
+    def gcd(self, a: list[int], b: list[int]) -> list[int]:
+        return _lgcd(a, b, self.p)
+
+    def divmod(self, a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+        return _ldivmod(a, b, self.p)
+
+    def mod(self, a: list[int], b: list[int]) -> list[int]:
+        return _ldivmod(a, b, self.p)[1]
+
+    def deriv(self, a: list[int]) -> list[int]:
+        return _trim([i * c % self.p for i, c in enumerate(a)][1:])
+
+    def root(self, a: list[int]) -> list[int]:
+        """The p-th root of a in F_p[x^p]: its coefficients at multiples of p."""
+        return a[:: self.p]
+
+    def ring(self, f: list[int]) -> _ModF:
+        return _ModF(f, self.p)
+
+
+# Bit-sliced polynomials (Brent, Gaudry, Thomé and Zimmermann, "Faster
+# multiplication in GF(2)[x]", ANTS VIII, 2008; Boothby and Bradshaw,
+# "Bitslicing and the method of four Russians over larger finite fields",
+# 2009).  Over F_2 a polynomial is one int, bit i the coefficient of x^i.  Over
+# F_3 it is a pair of bit-planes (P, N): bit i of P is set when the coefficient
+# of x^i is 1, and bit i of N when it is 2.  a(x^p) spreads the bits p apart
+# and the p-th root gathers every p-th bit, both through the binary string;
+# the derivative keeps the bits at i = 1 (and 2) mod p and shifts them down.
+
+
+def _spread(a: int, k: int) -> int:
+    """Bit i of a >= 0 moved to bit k i, for 1 <= k <= 5."""
+    return int(format(a, "b"), 1 << k)
+
+
+def _gather(a: int, k: int) -> int:
+    """Bits 0, k, 2k, ... of a >= 0, moved to bits 0, 1, 2, ..."""
+    s = format(a, "b")
+    return int(s[(len(s) - 1) % k :: k], 2)
+
+
+def _every(k: int, n: int) -> int:
+    """The mask of bits 0, k, ..., k (n - 1)."""
+    return ((1 << k * n) - 1) // ((1 << k) - 1)
+
+
+class _F2Kernel:
+    """F_2[x] on ints."""
+
+    p, one, x = 2, 1, 2
+    _DIGITS = bytes.maketrans(b"\0\1", b"01")  # residues as binary digits
+
+    def encode(self, a: Sequence[int]) -> int:
+        return int(bytes(reversed(a)).translate(self._DIGITS) or b"0", 2)
+
+    def decode(self, a: int) -> list[int]:
+        return [int(c) for c in reversed(format(a, "b"))] if a else []
+
+    def deg(self, a: int) -> int:
+        return a.bit_length() - 1
+
+    def sub(self, a: int, b: int) -> int:
+        return a ^ b
+
+    def mul(self, a: int, b: int) -> int:
+        """Carry-less product: a shifted to each set bit of b, summed by XOR."""
+        out = 0
+        while b:
+            low = b & -b
+            out ^= a * low
+            b ^= low
+        return out
+
+    def divmod(self, a: int, b: int) -> tuple[int, int]:
+        q, n = 0, b.bit_length()
+        while (s := a.bit_length() - n) >= 0:
+            a ^= b << s
+            q |= 1 << s
+        return q, a
+
+    def mod(self, a: int, b: int) -> int:
+        n = b.bit_length()
+        while (s := a.bit_length() - n) >= 0:
+            a ^= b << s
+        return a
+
+    def gcd(self, a: int, b: int) -> int:
+        while b:
+            a, b = b, self.mod(a, b)
+        return a
+
+    def deriv(self, a: int) -> int:
+        return a >> 1 & _every(2, a.bit_length())
+
+    def root(self, a: int) -> int:
+        return _gather(a, 2)
+
+    def spread(self, a: int) -> int:
+        return _spread(a, 2)
+
+    def ring(self, f: int) -> "_BitsModF":
+        return _BitsModF(self, f)
+
+
+_F3Poly = tuple[int, int]
+
+
+class _F3Kernel:
+    """F_3[x] on pairs of bit-planes.  The leading coefficient is 1 when the
+    top bit is in P, that is when P > N."""
+
+    p, one, x = 3, (1, 0), (2, 0)
+    # residues as binary digits of the 1-plane and of the 2-plane
+    _ONES = bytes.maketrans(b"\0\1\2", b"010")
+    _TWOS = bytes.maketrans(b"\0\1\2", b"001")
+
+    def encode(self, a: Sequence[int]) -> _F3Poly:
+        digits = bytes(reversed(a))
+        return (
+            int(digits.translate(self._ONES) or b"0", 2),
+            int(digits.translate(self._TWOS) or b"0", 2),
+        )
+
+    def decode(self, a: _F3Poly) -> list[int]:
+        width = f"0{self.deg(a) + 1}b"
+        ones, twos = (reversed(format(plane, width)) for plane in a)
+        return [int(x) + 2 * int(y) for x, y in zip(ones, twos)] if any(a) else []
+
+    def deg(self, a: _F3Poly) -> int:
+        return (a[0] | a[1]).bit_length() - 1
+
+    def add(self, a: _F3Poly, b: _F3Poly) -> _F3Poly:
+        """Coefficientwise sum mod 3 in seven bit operations."""
+        (ap, an), (bp, bn) = a, b
+        t = (ap | bn) ^ (an | bp)
+        return (an | bn) ^ t, (ap | bp) ^ t
+
+    def sub(self, a: _F3Poly, b: _F3Poly) -> _F3Poly:
+        return self.add(a, (b[1], b[0]))  # -b swaps the planes
+
+    def mul(self, a: _F3Poly, b: _F3Poly) -> _F3Poly:
+        """Schoolbook product: a shifted to each nonzero coefficient of b,
+        added, or subtracted (its planes swapped)."""
+        ap, an = a
+        bp, bn = b
+        op = on = 0
+        rest = bp | bn
+        while rest:
+            low = rest & -rest
+            xp, xn = (ap * low, an * low) if bp & low else (an * low, ap * low)
+            t = (op | xn) ^ (on | xp)
+            op, on = (on | xn) ^ t, (op | xp) ^ t
+            rest ^= low
+        return op, on
+
+    def divmod(self, a: _F3Poly, b: _F3Poly) -> tuple[_F3Poly, _F3Poly]:
+        ap, an = a
+        bp, bn = b
+        n = (bp | bn).bit_length()
+        negated = bn > bp  # divide by -b, whose leading coefficient is 1
+        if negated:
+            bp, bn = bn, bp
+        qp = qn = 0
+        while (s := (ap | an).bit_length() - n) >= 0:
+            if ap > an:  # a leads with 1: subtract b x^s
+                qp |= 1 << s
+                xp, xn = bn << s, bp << s
+            else:  # with 2: add b x^s
+                qn |= 1 << s
+                xp, xn = bp << s, bn << s
+            t = (ap | xn) ^ (an | xp)
+            ap, an = (an | xn) ^ t, (ap | xp) ^ t
+        return ((qn, qp) if negated else (qp, qn)), (ap, an)
+
+    def mod(self, a: _F3Poly, b: _F3Poly) -> _F3Poly:
+        """divmod's remainder, without the quotient, whose bookkeeping made
+        factor_mod_p over F_3 7-15 % slower."""
+        ap, an = a
+        bp, bn = b
+        n = (bp | bn).bit_length()
+        if bn > bp:
+            bp, bn = bn, bp
+        while (s := (ap | an).bit_length() - n) >= 0:
+            xp, xn = (bn << s, bp << s) if ap > an else (bp << s, bn << s)
+            t = (ap | xn) ^ (an | xp)
+            ap, an = (an | xn) ^ t, (ap | xp) ^ t
+        return ap, an
+
+    def gcd(self, a: _F3Poly, b: _F3Poly) -> _F3Poly:
+        while b[0] | b[1]:
+            a, b = b, self.mod(a, b)
+        return a if a[0] > a[1] else (a[1], a[0])  # monic
+
+    def deriv(self, a: _F3Poly) -> _F3Poly:
+        """i c at x^(i - 1): c for i = 1 mod 3, -c for i = 2 mod 3."""
+        ap, an = a
+        one = _every(3, (ap | an).bit_length()) << 1  # the bits at 1 mod 3
+        two = one << 1
+        return (ap & one | an & two) >> 1, (an & one | ap & two) >> 1
+
+    def root(self, a: _F3Poly) -> _F3Poly:
+        return _gather(a[0], 3), _gather(a[1], 3)
+
+    def spread(self, a: _F3Poly) -> _F3Poly:
+        return _spread(a[0], 3), _spread(a[1], 3)
+
+    def ring(self, f: _F3Poly) -> "_BitsModF":
+        return _BitsModF(self, f)
+
+
+_F2, _F3 = _F2Kernel(), _F3Kernel()
+
+
+class _BitsModF(_Ring):
+    """Arithmetic mod a monic f over F_2 or F_3, on the kernel K's bits."""
+
+    def __init__(self, K, f):
+        self.K, self.f = K, f
+
+    def mul(self, a, b):
+        return self.K.mod(self.K.mul(a, b), self.f)
+
+    def frobenius(self, a):
+        """a^p = a(x^p) mod f."""
+        return self.K.mod(self.K.spread(a), self.f)
+
+
+def _kernel(p: int):
+    """The representation factoring over F_p runs on."""
+    return _F2 if p == 2 else _F3 if p == 3 else _Lists(p)
+
+
+def _squarefree_parts(K, f) -> list[tuple[object, int]]:
     """Pairs (g, m): the monic squarefree pairwise-coprime parts g of a monic f
     over F_p with multiplicities m, product f; none for f = 1.
 
     Yun's algorithm, characteristic-p aware (mandatory for p = 2 and 3, where
     repeated factors often kill the derivative): what it leaves of gcd(f, f')
-    lies in F_p[x^p], the p-th power of the polynomial of its coefficients at
-    multiples of p (a^p = a on F_p), and is decomposed recursively.
+    lies in F_p[x^p], the p-th power of its p-th root (a^p = a on F_p), and is
+    decomposed recursively.
     """
-    if len(f) < 2:
+    if K.deg(f) < 1:
         return []
+    c = K.gcd(f, K.deriv(f))
+    if K.deg(c) == 0:  # f is squarefree: no loop, no division by 1
+        return [(f, 1)]
     out = []
-    c = _lgcd(f, _lderiv(f, p), p)
-    w = _ldivmod(f, c, p)[0]
+    w = K.divmod(f, c)[0]
     i = 1
-    while len(w) > 1:
-        y = _lgcd(w, c, p)
-        z = _ldivmod(w, y, p)[0]
-        if len(z) > 1:
+    while K.deg(w) > 0:
+        y = K.gcd(w, c)
+        z = K.divmod(w, y)[0]
+        if K.deg(z) > 0:
             out.append((z, i))
         i += 1
-        w, c = y, _ldivmod(c, y, p)[0]
-    return out + [(g, m * p) for g, m in _squarefree_parts(c[::p], p)]
+        w, c = y, K.divmod(c, y)[0]
+    return out + [(g, m * K.p) for g, m in _squarefree_parts(K, K.root(c))]
 
 
-def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
+def _distinct_degree(K, f) -> list[tuple[object, int]]:
     """Pairs (g, d): g is the product of the irreducible factors of degree d of
     a squarefree monic f over F_p (von zur Gathen & Gerhard, Alg. 14.3).
 
@@ -602,24 +868,24 @@ def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     whatever is left when 2d exceeds its degree is irreducible.
     """
     out = []
-    h = [0, 1]
+    h = K.x
     d = 0
-    ring = _ModF(f, p)
-    while len(f) - 1 >= 2 * (d + 1):
+    ring = K.ring(f)
+    while K.deg(f) >= 2 * (d + 1):
         d += 1
         h = ring.frobenius(h)
-        g = _lgcd(f, _lsub(h, [0, 1], p), p)
-        if len(g) > 1:
+        g = K.gcd(f, K.sub(h, K.x))
+        if K.deg(g) > 0:
             out.append((g, d))
-            f = _ldivmod(f, g, p)[0]
-            h = _ldivmod(h, f, p)[1]
-            ring = _ModF(f, p)
-    if len(f) > 1:
-        out.append((f, len(f) - 1))
+            f = K.divmod(f, g)[0]
+            h = K.mod(h, f)
+            ring = K.ring(f)
+    if K.deg(f) > 0:
+        out.append((f, K.deg(f)))
     return out
 
 
-def _equal_degree(g: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
+def _equal_degree(K, g, d: int, rng: random.Random) -> list:
     """Irreducible factors of a squarefree monic g over F_p all of whose
     irreducible factors have degree d (Cantor & Zassenhaus 1981).
 
@@ -628,30 +894,32 @@ def _equal_degree(g: list[int], d: int, p: int, rng: random.Random) -> list[list
     Both run on p-th powers: (p^d-1)/2 = (p-1)/2 (1 + p + ... + p^(d-1)), so
     for odd p the power is c c^p ... c^(p^(d-1)) with c = a^((p-1)/2).
     """
-    n = len(g) - 1
+    n = K.deg(g)
     if n == d:
         return [g]
-    ring = _ModF(g, p)
+    p = K.p
+    ring = K.ring(g)
     while True:
-        a = _trim([rng.randrange(p) for _ in range(n)])
+        # the same draw on every kernel, so bits take the list path's steps
+        a = K.encode(_trim([rng.randrange(p) for _ in range(n)]))
         if p == 2:
             b = t = a
             for _ in range(d - 1):
                 t = ring.frobenius(t)
-                b = _ladd(b, t, 2)
+                b = K.sub(b, t)  # b + t in characteristic 2
         else:
             b = t = ring.pow(a, (p - 1) // 2)
             for _ in range(d - 1):
                 t = ring.frobenius(t)
                 b = ring.mul(b, t)
-            b = _lsub(b, [1], p)
-        c = _lgcd(g, b, p)
-        if 0 < len(c) - 1 < n:
-            rest = _ldivmod(g, c, p)[0]
-            return _equal_degree(c, d, p, rng) + _equal_degree(rest, d, p, rng)
+            b = K.sub(b, K.one)
+        c = K.gcd(g, b)
+        if 0 < K.deg(c) < n:
+            rest = K.divmod(g, c)[0]
+            return _equal_degree(K, c, d, rng) + _equal_degree(K, rest, d, rng)
 
 
-def _split_parts(parts: list[tuple[list[int], int]], p: int) -> list[list[int]]:
+def _split_parts(K, parts: list[tuple[object, int]]) -> list:
     """Irreducible factors behind distinct-degree parts over F_p.  The
     splitting elements come from a generator seeded here, so every run takes
     the same steps; it is built at the first part that holds more than one
@@ -659,12 +927,12 @@ def _split_parts(parts: list[tuple[list[int], int]], p: int) -> list[list[int]]:
     rng = None
     out = []
     for g, d in parts:
-        if len(g) - 1 == d:
+        if K.deg(g) == d:
             out.append(g)
             continue
         if rng is None:
             rng = random.Random(0)
-        out += _equal_degree(g, d, p, rng)
+        out += _equal_degree(K, g, d, rng)
     return out
 
 
@@ -679,20 +947,21 @@ def factor_mod_p(f: ModPoly) -> list[tuple[ModPoly, int]]:
 
     Squarefree decomposition first, then distinct-degree factorization and
     Cantor–Zassenhaus splitting of each squarefree part; any prime p works,
-    and the degree is at most FACTOR_DEGREE_LIMIT.  The pairs are sorted by
-    degree, then by coefficients (lowest degree first), and the result does
-    not depend on the random splitting elements.
+    and the degree is at most FACTOR_DEGREE_LIMIT.  At p = 2 and 3 the
+    polynomials are bit-planes, elsewhere residue lists.  The pairs are
+    sorted by degree, then by coefficients (lowest degree first), and the
+    result does not depend on the random splitting elements.
     """
     check_limit(f.degree, FACTOR_DEGREE_LIMIT, "degree")
     if f.degree < 1:
         raise ValueError(f"need degree >= 1, got {brief_poly(f, repr)}")
     if not f.is_monic:
         raise ValueError(f"need a monic polynomial, got {brief_poly(f, repr)}")
-    p = f.p
+    K = _kernel(f.p)
     found = [
-        (g, m)
-        for part, m in _squarefree_parts(f.coeffs, p)
-        for g in _split_parts(_distinct_degree(part, p), p)
+        (K.decode(g), m)
+        for part, m in _squarefree_parts(K, K.encode(f.coeffs))
+        for g in _split_parts(K, _distinct_degree(K, part))
     ]
     found.sort(key=lambda gm: _factor_order(gm[0]))
     return [(f._new(g), m) for g, m in found]
@@ -756,12 +1025,13 @@ def _squarefree_over_q(f: IntPoly) -> bool:
     return len(_sturm_sequence(f)[-1]) == 1
 
 
-def _degree_mask(parts: list[tuple[list[int], int]]) -> int:
-    """Bit k set when a product of the irreducible factors behind the
-    distinct-degree parts has degree k."""
+def _degree_mask(shape: list[tuple[int, int]]) -> int:
+    """Bit k set when a product of the irreducible factors behind
+    distinct-degree parts, given as (degree of the part, factor degree), has
+    degree k."""
     mask = 1
-    for g, d in parts:
-        for _ in range((len(g) - 1) // d):
+    for n, d in shape:
+        for _ in range(n // d):
             mask |= mask << d
     return mask
 
@@ -772,13 +1042,13 @@ def _hensel_step(
     h: list[int],
     s: list[int],
     t: list[int],
-    m: int,
+    m2: int,
     lift_inverse: bool,
 ) -> tuple[list[int], list[int], list[int], list[int]]:
     """Quadratic Hensel step (von zur Gathen & Gerhard, Alg. 15.10): from
-    f = g h and s g + t h = 1 mod m, with g and h monic, to the same mod m^2.
-    The inverse pair (s, t) is lifted only when a further step needs it."""
-    m2 = m * m
+    f = g h and s g + t h = 1 mod m, with g and h monic, to the same mod m2,
+    a multiple of m that divides m^2 (e = f - g h is 0 mod m, so e^2 is 0 mod
+    m2).  The inverse pair (s, t) is lifted only when a further step needs it."""
     # every sum below is of at most two products and one residue list, all
     # of length at most len(f); each is unpacked once
     size = _slot_bytes(m2, 2 * len(f) + 1)
@@ -804,23 +1074,26 @@ def _hensel_step(
 
 
 def _hensel_lift(
-    f: list[int], factors: list[list[int]], p: int, modulus: int
+    f: list[int], factors: list[list[int]], p: int, moduli: list[int]
 ) -> list[list[int]]:
-    """Monic factors of f mod modulus = p^(2^j) lifting the pairwise coprime
-    monic factors mod p whose product is f mod p, along a balanced factor
-    tree (von zur Gathen & Gerhard, Alg. 15.17)."""
+    """Monic factors of f mod p^k, the last of moduli (p when there are none),
+    lifting the pairwise coprime monic factors mod p whose product is f mod p,
+    along a balanced factor
+    tree (von zur Gathen & Gerhard, Alg. 15.17).  moduli are p^(k_j), ...,
+    p^(k_0) = p^k with k_i = ceil(k_(i-1) / 2) and k_j = 2, none when k = 1:
+    each step lifts to a divisor of the square of the modulus before it, so
+    the last works mod p^k itself, not mod a square of up to twice its
+    digits."""
     if len(factors) == 1:
         return [f]
     half = len(factors) // 2
     g = functools.reduce(lambda a, b: _lmul(a, b, p), factors[:half])
     h = functools.reduce(lambda a, b: _lmul(a, b, p), factors[half:])
     s, t = _lxgcd(g, h, p)
-    m = p
-    while m < modulus:
-        g, h, s, t = _hensel_step(f, g, h, s, t, m, m * m < modulus)
-        m *= m
-    return _hensel_lift(g, factors[:half], p, modulus) + _hensel_lift(
-        h, factors[half:], p, modulus
+    for i, m2 in enumerate(moduli, 1):
+        g, h, s, t = _hensel_step(f, g, h, s, t, m2, i < len(moduli))
+    return _hensel_lift(g, factors[:half], p, moduli) + _hensel_lift(
+        h, factors[half:], p, moduli
     )
 
 
@@ -835,14 +1108,19 @@ def _has_factor_over_z(
     coefficient of a factor of f is at most B = 2^n ||f||_2 in absolute value
     (Mignotte), so once lifted mod p^k > 2B, the product of a subset of the
     lifted factors, in symmetric residues, is the factor itself when it is
-    one.  A factor or its cofactor comes from at most half of the factors.
-    Raises BudgetExceededError past RECOMBINATION_BUDGET subsets.
+    one.  The factors are lifted to the least such p^k.  A factor or its
+    cofactor comes from at most half of the factors.  Raises
+    BudgetExceededError past RECOMBINATION_BUDGET subsets.
     """
     bound = 2 * 2**f.degree * (isqrt(sum(c * c for c in f.coeffs)) + 1)
-    modulus = p
+    k, modulus = 1, p
     while modulus <= bound:
-        modulus *= modulus
-    lifted = _hensel_lift([c % modulus for c in f.coeffs], factors, p, modulus)
+        k, modulus = k + 1, modulus * p
+    exponents = [k]  # k, ceil(k / 2), ..., 1
+    while exponents[-1] > 1:
+        exponents.append((exponents[-1] + 1) // 2)
+    moduli = [p**e for e in reversed(exponents[:-1])]
+    lifted = _hensel_lift([c % modulus for c in f.coeffs], factors, p, moduli)
     half = modulus // 2
     c0 = f.coeffs[0]
     r = len(lifted)
@@ -886,8 +1164,8 @@ def irreducible_over_q_check(
     irreducible factor, or good primes whose factor degrees leave no degree a
     proper factor over Z could have.  Otherwise Zassenhaus's algorithm decides
     at the good prime with the fewest factors: split f fully mod p, lift the
-    factors quadratically past twice a Mignotte bound, and try the products of
-    at most half of them as factors over Z.
+    factors quadratically to the least power of p above twice a Mignotte
+    bound, and try the products of at most half of them as factors over Z.
 
     factorizations maps a prime p to factor_mod_p(f mod p), when the caller
     has it; at those primes the squarefree test, the degree pattern and the
@@ -913,7 +1191,7 @@ def irreducible_over_q_check(
     factorizations = factorizations or {}
     last_known = max(factorizations, default=0)
     degrees = (1 << n) - 2  # bit mask of the degrees a proper factor may have
-    best: tuple[int, int, list] | None = None  # (factor count, p, parts)
+    best: tuple | None = None  # (factor count, p, kernel, parts)
     bad = good = 0
     for p in _primes():
         # two factors leave one subset to try; but a factorization the caller
@@ -921,9 +1199,10 @@ def irreducible_over_q_check(
         if best is not None and best[0] == 2 and p > last_known:
             break
         known = factorizations.get(p)
+        K = _kernel(p)
         if known is None:
-            fp = [c % p for c in f.coeffs]
-            squarefree = len(_lgcd(fp, _lderiv(fp, p), p)) == 1
+            fp = K.encode([c % p for c in f.coeffs])
+            squarefree = K.deg(K.gcd(fp, K.deriv(fp))) == 0
         else:
             squarefree = all(m == 1 for _, m in known)
         if not squarefree:
@@ -934,22 +1213,23 @@ def irreducible_over_q_check(
             continue
         # an irreducible factor is a distinct-degree part of its own degree
         parts = (
-            _distinct_degree(fp, p)
+            _distinct_degree(K, fp)
             if known is None
-            else [(list(g.coeffs), g.degree) for g, _ in known]
+            else [(K.encode(g.coeffs), g.degree) for g, _ in known]
         )
-        degrees &= _degree_mask(parts)
+        shape = [(K.deg(g), d) for g, d in parts]
+        degrees &= _degree_mask(shape)
         if not degrees:  # no degree is left for a proper factor
             return True
-        count = sum((len(g) - 1) // d for g, d in parts)
+        count = sum(n // d for n, d in shape)
         if best is None or count < best[0]:
-            best = (count, p, parts)
+            best = (count, p, K, parts)
         good += 1
         if good == _PATTERN_PRIMES:
             break
-    _, p, parts = best
+    _, p, K, parts = best
     # in factor_mod_p's order; a known factorization comes back as it went in
-    factors = sorted(_split_parts(parts, p), key=_factor_order)
+    factors = sorted(map(K.decode, _split_parts(K, parts)), key=_factor_order)
     return not _has_factor_over_z(f, factors, p, degrees)
 
 

@@ -397,7 +397,7 @@ def _local_factors(f: IntPoly) -> dict[int, list[tuple[str, RingFactor]]]:
         powers = [_power_mod(g, e) for g, e in factors]
         if k > 1:
             modulus = p**k
-            powers = _hensel_lift([c % modulus for c in f.coeffs], powers, p, modulus)
+            powers = _hensel_lift([c % modulus for c in f.coeffs], powers, p, [modulus])
         out[p] = [
             (f"({p}, {g})", RingFactor(p, k, h)) for (g, _), h in zip(factors, powers)
         ]

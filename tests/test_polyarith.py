@@ -8,7 +8,7 @@ import random
 import time
 import types
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -36,11 +36,17 @@ from sl2ab.polyarith import (
     multiplicative_order,
     primes_dividing,
     sturm_real_roots,
+    _F2,
+    _F3,
+    _Lists,
     _ModF,
+    _kernel,
     _ladd,
     _ldivmod,
     _lmul,
     _trim,
+    _distinct_degree,
+    _split_parts,
     _squarefree_parts,
     _squarefree_over_q,
     brief_poly,
@@ -355,14 +361,18 @@ class TestKernels:
         st.sampled_from([2, 3, 5, 7, 101, 65537, 2**31 - 1, 2**61 - 1]),
         st.integers(1, 16),
         st.integers(1, 16),
+        st.sampled_from([(1, 2), (2, 3), (2, 4), (3, 5), (3, 6)]),
         st.booleans(),
         st.integers(0, 2**32),
     )
     @settings(max_examples=150, deadline=None)
-    def test_hensel_step_matches_schoolbook(self, p, dg, dh, lift_inverse, seed):
+    def test_hensel_step_matches_schoolbook(self, p, dg, dh, ij, lift_inverse, seed):
         # g and h monic and coprime mod p, with s g + t h = 1 mod p, and
-        # f = g h mod p with random p-adic digits above, lifted one
-        # quadratic step
+        # f = g h mod p with random p-adic digits above, lifted by reference
+        # steps to p^i, then one step to p^j, i < j <= 2 i: the quadratic
+        # step, and a step to a modulus between m and m^2, as the precision
+        # chain takes
+        i, j = ij
         rnd = random.Random(seed)
         while True:
             g = [rnd.randrange(p) for _ in range(dg)] + [1]
@@ -372,11 +382,15 @@ class TestKernels:
         s, t = polyarith._lxgcd(g, h, p)
         assert _ladd(_schoolbook_mul(s, g, p), _schoolbook_mul(t, h, p), p) == [1]
         assert len(s) < len(h) and len(t) < len(g)
-        m2 = p * p
+        m2 = p**j
         gh = _schoolbook_mul(g, h, m2)
-        f = [(c + p * rnd.randrange(p)) % m2 for c in gh[:-1]] + [1]
-        step = polyarith._hensel_step(f, g, h, s, t, p, lift_inverse)
-        expected = _schoolbook_hensel_step(f, g, h, s, t, p, lift_inverse)
+        f = [(c + p * rnd.randrange(m2)) % m2 for c in gh[:-1]] + [1]
+        k = 1
+        while k < i:
+            k = min(2 * k, i)
+            g, h, s, t = _schoolbook_hensel_step(f, g, h, s, t, p**k, True)
+        step = polyarith._hensel_step(f, g, h, s, t, m2, lift_inverse)
+        expected = _schoolbook_hensel_step(f, g, h, s, t, m2, lift_inverse)
         if not lift_inverse:
             step, expected = step[:2], expected[:2]
         assert step == expected
@@ -397,10 +411,9 @@ class TestKernels:
         assert ring.mul(a, b) == expected
 
 
-def _schoolbook_hensel_step(f, g, h, s, t, m, lift_inverse):
+def _schoolbook_hensel_step(f, g, h, s, t, m2, lift_inverse):
     """Reference quadratic Hensel step (von zur Gathen & Gerhard, Alg. 15.10)
-    on the schoolbook kernels."""
-    m2 = m * m
+    to the modulus m2 on the schoolbook kernels."""
 
     def mul(a, b):
         return _schoolbook_mul(a, b, m2)
@@ -457,7 +470,7 @@ class TestPackedOperands:
 
         spy(polyarith, "_lmul", lambda a, b, m: (m, a, b))
         spy(polyarith, "_ldivmod", lambda a, b, m: (m, a, b))
-        spy(polyarith, "_hensel_step", lambda f, g, h, s, t, m, _: (m, g, h, s, t))
+        spy(polyarith, "_hensel_step", lambda f, g, h, s, t, m2, _: (m2, g, h, s, t))
         spy(_ModF, "mul", lambda ring, a, b: (ring.m, a, b))
         spy(_ModF, "frobenius", lambda ring, a: (ring.m, a))
         polys = _golden_polys() + [
@@ -565,9 +578,14 @@ def _trial_division_squarefree(f):
     return factors
 
 
+def _squarefree_lists(K, coeffs):
+    """_squarefree_parts on the kernel K, its parts as residue lists."""
+    return [(K.decode(g), m) for g, m in _squarefree_parts(K, K.encode(coeffs))]
+
+
 def _reference_factor_mod_p(f):
     found = {}
-    for part, mult in _squarefree_parts(f.coeffs, f.p):
+    for part, mult in _squarefree_lists(_Lists(f.p), f.coeffs):
         for irr in _trial_division_squarefree(ModPoly(f.p, part)):
             found[irr] = found.get(irr, 0) + mult
     return sorted(found.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs))
@@ -619,17 +637,19 @@ class TestFactorModP:
 
     def test_squarefree_decomposition_known(self):
         # (x^2+1)^2 (x+1) over F_3: x^2+1 is squarefree, multiplicity 2
+        # on residue lists and on bit-planes
         f = _product([(ModPoly(3, (1, 0, 1)), 2), (ModPoly(3, (1, 1)), 1)])
-        parts = dict()
-        for g, m in _squarefree_parts(f.coeffs, 3):
-            parts[m] = _lmul(parts.get(m, [1]), g, 3)
-        assert parts == {1: [1, 1], 2: [1, 0, 1]}
-        # p-th power branch: (x+1)^2 over F_2 has zero derivative
         sq = _product([(ModPoly(2, (1, 1)), 2)])
-        assert _squarefree_parts(sq.coeffs, 2) == [([1, 1], 2)]
-        # a monic constant is the empty product
-        for p in (2, 3):
-            assert _squarefree_parts([1], p) == []
+        for K3, K2 in ((_Lists(3), _Lists(2)), (_F3, _F2)):
+            parts = dict()
+            for g, m in _squarefree_lists(K3, f.coeffs):
+                parts[m] = _lmul(parts.get(m, [1]), g, 3)
+            assert parts == {1: [1, 1], 2: [1, 0, 1]}
+            # p-th power branch: (x+1)^2 over F_2 has zero derivative
+            assert _squarefree_lists(K2, sq.coeffs) == [([1, 1], 2)]
+            # a monic constant is the empty product
+            for K in (K2, K3):
+                assert _squarefree_lists(K, [1]) == []
 
     def test_squarefree_decomposition_nested_pth_powers(self):
         # multiplicities divisible by p, by p^2, and past p but prime to it,
@@ -640,11 +660,12 @@ class TestFactorModP:
         }
         for p, expected in cases.items():
             f = _product([(ModPoly(p, g), m) for m, g in expected.items()])
-            parts = dict()
-            for g, m in _squarefree_parts(f.coeffs, p):
-                assert g[-1] == 1 and len(g) >= 2
-                parts[m] = _lmul(parts.get(m, [1]), g, p)
-            assert parts == {m: list(g) for m, g in expected.items()}, p
+            for K in (_Lists(p), _kernel(p)):
+                parts = dict()
+                for g, m in _squarefree_lists(K, f.coeffs):
+                    assert g[-1] == 1 and len(g) >= 2
+                    parts[m] = _lmul(parts.get(m, [1]), g, p)
+                assert parts == {m: list(g) for m, g in expected.items()}, (p, K)
 
     @given(
         st.sampled_from([2, 3, 5, 7]),
@@ -702,9 +723,9 @@ class TestFactorModP:
 
     @given(
         st.sampled_from([2, 3]),
-        st.lists(st.integers(0, 2), min_size=1, max_size=7),
+        st.lists(st.integers(0, 2), min_size=1, max_size=12),
     )
-    @settings(max_examples=150)
+    @settings(max_examples=150, deadline=None)
     def test_factorization_reconstructs_and_is_irreducible(self, p, lower):
         f = ModPoly(p, lower + [1])
         if f.degree < 1:
@@ -714,6 +735,93 @@ class TestFactorModP:
         for g, _ in factors:
             assert g.is_monic
             assert _trial_division_squarefree(g) == [g]
+
+
+def _stages(K, coeffs):
+    """factor_mod_p's stages on the kernel K, as residue lists: the
+    squarefree parts, the distinct-degree parts of each, and the irreducible
+    factors in factor_mod_p's order."""
+    squarefree = _squarefree_parts(K, K.encode(coeffs))
+    ddf = [_distinct_degree(K, g) for g, _ in squarefree]
+    factors = [
+        (K.decode(g), m)
+        for (_, m), parts in zip(squarefree, ddf)
+        for g in _split_parts(K, parts)
+    ]
+    return (
+        [(K.decode(g), m) for g, m in squarefree],
+        [[(K.decode(g), d) for g, d in parts] for parts in ddf],
+        sorted(factors, key=lambda gm: (len(gm[0]), gm[0])),
+    )
+
+
+def _assert_bits_match_lists(p, coeffs):
+    """Every stage on F_p's bit-planes gives what it gives on residue lists,
+    and factor_mod_p returns the factors of that last stage."""
+    stages = _stages(_kernel(p), coeffs)
+    assert stages == _stages(_Lists(p), coeffs), (p, coeffs)
+    assert factor_mod_p(ModPoly(p, coeffs)) == [
+        (ModPoly(p, g), m) for g, m in stages[2]
+    ]
+
+
+class TestBitSlicedKernels:
+    """F_2 on ints and F_3 on bit-planes against the residue-list kernels,
+    which stay the path for p >= 5 and so serve as the reference."""
+
+    def test_f3_sum_and_negation_on_every_pair(self):
+        pairs = list(itertools.product(range(3), repeat=2))
+        for a, b in pairs:
+            assert _F3.add(_F3.encode([a]), _F3.encode([b])) == _F3.encode([(a + b) % 3])
+            assert _F3.sub(_F3.encode([a]), _F3.encode([b])) == _F3.encode([(a - b) % 3])
+            assert _F3.sub(_F3.encode([]), _F3.encode([a])) == _F3.encode([-a % 3])
+        # all nine at once, one pair per coefficient
+        a, b = (_F3.encode([pair[i] for pair in pairs]) for i in (0, 1))
+        assert _F3.decode(_F3.add(a, b)) == _trim([(x + y) % 3 for x, y in pairs])
+        assert _F3.decode(_F3.sub(a, b)) == _trim([(x - y) % 3 for x, y in pairs])
+
+    @pytest.mark.parametrize("p, top", [(2, 12), (3, 7)])
+    def test_every_monic_polynomial(self, p, top):
+        # every monic polynomial over F_2 of degree <= 12, over F_3 <= 7
+        for n in range(1, top + 1):
+            for lower in itertools.product(range(p), repeat=n):
+                _assert_bits_match_lists(p, list(lower) + [1])
+
+    @given(
+        st.sampled_from([2, 3]),
+        st.integers(0, 8),
+        st.integers(1, 64),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_lists_up_to_degree_64(self, p, db, n, rnd):
+        # f = a b^2 of degree at most 64, a squared factor b when db > 0
+        db = min(db, (n - 1) // 2)
+        b = [rnd.randrange(p) for _ in range(db)] + [1]
+        a = [rnd.randrange(p) for _ in range(n - 2 * db)] + [1]
+        f = _schoolbook_mul(a, _schoolbook_mul(b, b, p), p)
+        _assert_bits_match_lists(p, f)
+        # the kernels one by one, from the encoded f and a random c
+        K, L = _kernel(p), _Lists(p)
+        c = _trim([rnd.randrange(p) for _ in range(n)])
+        assert K.decode(K.encode(f)) == f and K.decode(K.encode(c)) == c
+        F, C = K.encode(f), K.encode(c)
+        assert K.deg(F) == L.deg(f) and K.deg(C) == L.deg(c)
+        assert [K.decode(r) for r in K.divmod(C, F)] == list(L.divmod(c, f))
+        if C != K.encode([]):
+            q, r = K.divmod(F, C)
+            assert (K.decode(q), K.decode(r)) == L.divmod(f, c)
+            assert K.decode(K.mod(F, C)) == L.mod(f, c)
+        assert K.decode(K.gcd(F, C)) == L.gcd(f, c)
+        assert K.decode(K.deriv(F)) == L.deriv(f)
+        spread = [0] * (p * len(c) - p + 1) if c else []  # c(x^p)
+        spread[::p] = c
+        assert K.decode(K.root(K.encode(spread))) == L.root(spread) == c
+        assert K.decode(K.sub(F, C)) == L.sub(f, c)
+        ring, lists = K.ring(F), L.ring(f)
+        r = K.mod(C, F)
+        assert K.decode(ring.mul(r, r)) == lists.mul(L.mod(c, f), L.mod(c, f))
+        assert K.decode(ring.frobenius(r)) == lists.frobenius(L.mod(c, f))
 
 
 def swinnerton_dyer(primes) -> IntPoly:
@@ -779,6 +887,35 @@ class TestIrreducibility:
         )
         assert irreducible_over_q_check(f, known) is True
         assert lifts == []
+
+    def test_lift_stops_at_the_least_power_above_the_bound(self, monkeypatch, capsys):
+        # Phi_24(x + 13), of the poly-split workload: Zassenhaus lifts its four
+        # quadratic factors mod 5 through 5^2, 5^3, 5^5 and 5^9 to 5^17, the
+        # least power of 5 above twice its Mignotte bound, and not to 5^32
+        coeffs = [815702161, 501979348, 135149638, 20792356, 1999269, 123032, 4732, 104, 1]
+        assert IntPoly(coeffs) == _shift(cyclotomic_polynomial(24), 13)
+        bound = 2 * 2**8 * (isqrt(sum(c * c for c in coeffs)) + 1)
+        assert 5**16 <= bound < 5**17
+        calls = []
+        lift = polyarith._hensel_lift
+
+        def spy(f, factors, p, moduli):
+            lifted = lift(f, factors, p, moduli)
+            calls.append((p, moduli, factors, lifted))
+            return lifted
+
+        monkeypatch.setattr(polyarith, "_hensel_lift", spy)
+        assert run(["compute", "--poly=" + ",".join(map(str, coeffs))]) == 0
+        capsys.readouterr()
+        p, moduli, factors, lifted = calls[-1]  # the root of the factor tree
+        assert (p, len(factors)) == (5, 4)
+        assert moduli == [5**2, 5**3, 5**5, 5**9, 5**17]
+        m = 5**17
+        product_mod_m = [1]
+        for g in lifted:
+            assert g[-1] == 1 and all(0 <= c < m for c in g)
+            product_mod_m = _lmul(product_mod_m, g, m)
+        assert product_mod_m == [c % m for c in coeffs]
 
     def test_swinnerton_dyer_certified(self):
         # irreducible, but a product of linear and quadratic factors mod every

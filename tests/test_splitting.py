@@ -413,9 +413,9 @@ class TestFieldSpecDispatch:
         def spy(name):
             fn = getattr(polyarith, name)
 
-            def wrapper(arg, p):  # arg: f mod p, or its distinct-degree parts
-                seen.append((name, p, repr(arg)))
-                return fn(arg, p)
+            def wrapper(K, arg):  # arg: f mod p, or its distinct-degree parts
+                seen.append((name, K.p, repr(arg)))
+                return fn(K, arg)
 
             monkeypatch.setattr(polyarith, name, wrapper)
 
