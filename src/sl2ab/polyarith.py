@@ -984,7 +984,12 @@ def dedekind_obstruction(
     and h the cofactor of f mod p, lifted to [0, p), and t = (g h - f) / p,
     the obstruction is gcd(t, g, h) over F_p, the product of the repeated
     factors of f mod p that divide t; Z[x]/(f) is p-maximal exactly when it
-    is 1, as it is at once when f mod p is squarefree and h = 1."""
+    is 1, as it is at once when f mod p is squarefree and h = 1.  f need not
+    be irreducible.  When it is 1, each f mod p = prod g_i^e_i lifts to a
+    Hensel factor F_i of f over Z_p, and Z_p[x]/(F_i) is a discrete valuation
+    ring: the F_i are f's irreducible factors over Q_p, distinct, of degrees
+    e_i deg g_i (Cohen, section 6.2; Neukirch, Algebraic Number Theory,
+    II.8), which irreducible_over_q_check reads as local degrees."""
     repeated = [g.coeffs for g, e in factors for _ in range(e - 1)]
     if not repeated:
         return ModPoly(p, [1])
@@ -1154,22 +1159,31 @@ def _has_factor_over_z(
 
 
 def irreducible_over_q_check(
-    f: IntPoly, factorizations: Mapping[int, list[tuple[ModPoly, int]]] | None = None
+    f: IntPoly,
+    factorizations: Mapping[int, list[tuple[ModPoly, int]]] | None = None,
+    local_degrees: Mapping[int, Sequence[int]] | None = None,
 ) -> bool:
     """Exact irreducibility of a monic integer polynomial over Q.
 
     Cheap certificates come first: degree 1; a zero constant term; an integer
     root, searched when |f(0)| <= 10^6 (without one, degree 2 or 3 is
-    irreducible); a good prime p (f mod p squarefree) at which f has one
-    irreducible factor, or good primes whose factor degrees leave no degree a
-    proper factor over Z could have.  Otherwise Zassenhaus's algorithm decides
-    at the good prime with the fewest factors: split f fully mod p, lift the
-    factors quadratically to the least power of p above twice a Mignotte
-    bound, and try the products of at most half of them as factors over Z.
+    irreducible); local degrees that leave no degree a proper factor over Q
+    could have; a good prime p (f mod p squarefree) at which f has one
+    irreducible factor, or good primes whose factor degrees leave no such
+    degree.  Otherwise Zassenhaus's algorithm decides at the good prime with
+    the fewest factors: split f fully mod p, lift the factors quadratically
+    to the least power of p above twice a Mignotte bound, and try the
+    products of at most half of them, of a degree still possible, as factors
+    over Z.
 
     factorizations maps a prime p to factor_mod_p(f mod p), when the caller
     has it; at those primes the squarefree test, the degree pattern and the
-    factors are read from it rather than computed again.
+    factors are read from it rather than computed again.  local_degrees maps
+    a prime p to the degrees of the irreducible factors of f over Q_p, when
+    the caller knows them and knows that those factors are distinct, so that
+    f is squarefree: a factor of f over Q is a product of some of them, so
+    its degree is a sum of some of theirs.  At a prime where Z[x]/(f) is
+    p-maximal, dedekind_obstruction says what they are.
     """
     if not f.is_monic or f.degree < 1:
         raise ValueError("check needs a monic polynomial of degree >= 1")
@@ -1188,9 +1202,13 @@ def irreducible_over_q_check(
                 return False
         if n <= 3:
             return True
+    degrees = (1 << n) - 2  # bit mask of the degrees a proper factor may have
+    for local in (local_degrees or {}).values():
+        degrees &= _degree_mask([(d, d) for d in local])
+    if not degrees:
+        return True
     factorizations = factorizations or {}
     last_known = max(factorizations, default=0)
-    degrees = (1 << n) - 2  # bit mask of the degrees a proper factor may have
     best: tuple | None = None  # (factor count, p, kernel, parts)
     bad = good = 0
     for p in _primes():
@@ -1207,7 +1225,7 @@ def irreducible_over_q_check(
             squarefree = all(m == 1 for _, m in known)
         if not squarefree:
             bad += 1
-            if best is None and bad == _BAD_PRIMES_BEFORE_GCD:
+            if best is None and bad == _BAD_PRIMES_BEFORE_GCD and not local_degrees:
                 if not _squarefree_over_q(f):
                     return False
             continue

@@ -197,7 +197,10 @@ class Signature:
 
 
 def dedekind_split(
-    f: IntPoly, p: int, factors: list[tuple[ModPoly, int]] | None = None
+    f: IntPoly,
+    p: int,
+    factors: list[tuple[ModPoly, int]] | None = None,
+    obstruction: ModPoly | None = None,
 ) -> SplittingData:
     """Factorization shape of p in the maximal order, via f mod p.
 
@@ -205,7 +208,8 @@ def dedekind_split(
     (dedekind_obstruction) and a failure raises NotPMaximalError rather than
     returning wrong (e, f) data.
     Labels name the ideals (p, g_i(theta)) by their generator polynomials.
-    factors is factor_mod_p(f mod p) when the caller has it already.
+    factors is factor_mod_p(f mod p), and obstruction
+    dedekind_obstruction(f, p, factors), when the caller has them already.
     """
     _check_p(p)
     if not f.is_monic or f.degree < 1:
@@ -214,7 +218,8 @@ def dedekind_split(
         )
     if factors is None:
         factors = factor_mod_p(ModPoly(p, f.coeffs))
-    obstruction = dedekind_obstruction(f, p, factors)
+    if obstruction is None:
+        obstruction = dedekind_obstruction(f, p, factors)
     if obstruction.coeffs != (1,):
         raise NotPMaximalError(p, f, obstruction)
     primes = tuple(
@@ -415,14 +420,20 @@ class GeneralPoly(NumberField):
 
     The ring used downstream is Z[x]/(f); splitting at 2 and 3 goes through
     the Dedekind criterion and fails loudly when Z[theta] is not maximal there.
-    f is factored mod 2 and mod 3 once, on construction, and the irreducibility
-    certificate and the criterion both read those factorizations.
+    f is factored mod 2 and mod 3 once, on construction, and the criterion is
+    read there once per prime.  The irreducibility check reads those
+    factorizations and, at each of 2 and 3 where the criterion holds, the
+    degrees e_i deg g_i of f's irreducible factors over Q_p that it gives
+    (dedekind_obstruction); often they alone leave no degree for a proper
+    factor, and nothing is lifted.  A failed criterion is raised by split_at,
+    not on construction, so a reducible f is refused as reducible first.
     """
 
     poly: IntPoly
     factorizations: dict[int, list[tuple[ModPoly, int]]] = field(
         init=False, repr=False, compare=False
     )
+    obstructions: dict[int, ModPoly] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # the limits first, so that no message renders a polynomial past them
@@ -435,8 +446,18 @@ class GeneralPoly(NumberField):
         factorizations = {
             p: factor_mod_p(ModPoly(p, self.poly.coeffs)) for p in (2, 3)
         }
+        obstructions = {
+            p: dedekind_obstruction(self.poly, p, factors)
+            for p, factors in factorizations.items()
+        }
         object.__setattr__(self, "factorizations", factorizations)
-        if not irreducible_over_q_check(self.poly, factorizations):
+        object.__setattr__(self, "obstructions", obstructions)
+        local_degrees = {
+            p: [e * g.degree for g, e in factorizations[p]]
+            for p, obstruction in obstructions.items()
+            if obstruction.coeffs == (1,)
+        }
+        if not irreducible_over_q_check(self.poly, factorizations, local_degrees):
             raise ValueError(
                 f"{brief_poly(self.poly)} is reducible over Q and does not define "
                 "a field"
@@ -453,7 +474,9 @@ class GeneralPoly(NumberField):
         return Signature(r1, (self.poly.degree - r1) // 2)
 
     def split_at(self, p: int) -> SplittingData:
-        return dedekind_split(self.poly, p, self.factorizations.get(p))
+        return dedekind_split(
+            self.poly, p, self.factorizations.get(p), self.obstructions.get(p)
+        )
 
     def to_json(self) -> dict:
         return {"kind": "poly", "coefficients": list(self.poly.coeffs)}

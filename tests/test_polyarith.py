@@ -26,6 +26,7 @@ from sl2ab.polyarith import (
     IntPoly,
     ModPoly,
     cyclotomic_polynomial,
+    dedekind_obstruction,
     euler_phi_factored,
     factor_mod_p,
     factorint,
@@ -51,7 +52,7 @@ from sl2ab.polyarith import (
     _squarefree_over_q,
     brief_poly,
 )
-from zpoly import combination, product
+from zpoly import combination, product, shift
 
 
 class TestIntegerHelpers:
@@ -474,7 +475,7 @@ class TestPackedOperands:
         spy(_ModF, "mul", lambda ring, a, b: (ring.m, a, b))
         spy(_ModF, "frobenius", lambda ring, a: (ring.m, a))
         polys = _golden_polys() + [
-            "--poly=" + ",".join(map(str, _shift(cyclotomic_polynomial(n), k).coeffs))
+            "--poly=" + ",".join(map(str, shift(cyclotomic_polynomial(n), k).coeffs))
             for n in range(3, 100)
             if 4 <= euler_phi_factored(factorint(n)) <= 20
             for k in (-17, 7, 19)
@@ -874,7 +875,7 @@ class TestIrreducibility:
     def test_given_factorizations_are_all_read(self, monkeypatch, n, k):
         # two factors mod 2, one mod 3: the factorization mod 3 the caller
         # gave settles irreducibility, so nothing is lifted
-        f = _shift(cyclotomic_polynomial(n), k)
+        f = shift(cyclotomic_polynomial(n), k)
         known = {p: factor_mod_p(ModPoly(p, f.coeffs)) for p in (2, 3)}
         assert [len(known[p]) for p in (2, 3)] == [2, 1]
         assert irreducible_over_q_check(f) is True
@@ -888,12 +889,67 @@ class TestIrreducibility:
         assert irreducible_over_q_check(f, known) is True
         assert lifts == []
 
-    def test_lift_stops_at_the_least_power_above_the_bound(self, monkeypatch, capsys):
+    def test_local_degrees_keep_the_verdict(self, monkeypatch):
+        # the local degrees GeneralPoly gives, at each of 2 and 3 where
+        # Z[x]/(f) is p-maximal, change no verdict: on Phi_a Phi_b(x + k), on
+        # squares g(x + k)^2, which are maximal nowhere, and on random monic
+        # f = g^2 h + p r, ramified at p whenever the criterion holds there
+        rng = random.Random(33)
+        ns = [n for n in range(3, 40) if cyclotomic_polynomial(n).degree <= 10]
+        cases = []
+        for _ in range(40):
+            a, b = rng.sample(ns, 2)
+            f = product(cyclotomic_polynomial(a), cyclotomic_polynomial(b))
+            cases.append(("product", shift(f, rng.randint(-9, 9))))
+        for _ in range(40):
+            g = [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))] + [1]
+            cases.append(("square", shift(product(g, g), rng.randint(-9, 9))))
+        for _ in range(120):
+            p = rng.choice((2, 3))
+            g, h = (
+                [rng.randrange(p) for _ in range(rng.randint(lo, 3))] + [1]
+                for lo in (1, 0)
+            )
+            base = product(g, g, h)
+            r = [rng.randint(-5, 5) for _ in range(base.degree)]
+            f = combination((1, base), (p, r))
+            if rng.random() < 0.3:
+                f = product(f, [rng.randint(-9, 9) for _ in range(rng.randint(1, 3))] + [1])
+            cases.append(("ramified", f))
+        lifts = []
+        has_factor = polyarith._has_factor_over_z
+        monkeypatch.setattr(
+            polyarith,
+            "_has_factor_over_z",
+            lambda *args: lifts.append(args) or has_factor(*args),
+        )
+        seen = collections.Counter()
+        for kind, f in cases:
+            known = {p: factor_mod_p(ModPoly(p, f.coeffs)) for p in (2, 3)}
+            local = {
+                p: [e * g.degree for g, e in fs]
+                for p, fs in known.items()
+                if dedekind_obstruction(f, p, fs).coeffs == (1,)
+            }
+            expected = irreducible_over_q_check(f)
+            lifts.clear()
+            assert irreducible_over_q_check(f, known, local) is expected, (kind, f)
+            if kind == "square":
+                assert local == {}, f
+            seen[kind, expected, bool(local), bool(lifts)] += 1
+        assert seen["product", False, True, True] >= 30
+        # irreducible, and certified by the local degrees with nothing lifted
+        assert seen["ramified", True, True, False] >= 40
+        assert seen["ramified", False, True, True] >= 8
+
+    def test_lift_stops_at_the_least_power_above_the_bound(self, monkeypatch):
         # Phi_24(x + 13), of the poly-split workload: Zassenhaus lifts its four
         # quadratic factors mod 5 through 5^2, 5^3, 5^5 and 5^9 to 5^17, the
-        # least power of 5 above twice its Mignotte bound, and not to 5^32
+        # least power of 5 above twice its Mignotte bound, and not to 5^32.
+        # GeneralPoly certifies it without lifting, from its one local degree
+        # 8 at 2, so the check is called here without the local degrees.
         coeffs = [815702161, 501979348, 135149638, 20792356, 1999269, 123032, 4732, 104, 1]
-        assert IntPoly(coeffs) == _shift(cyclotomic_polynomial(24), 13)
+        assert IntPoly(coeffs) == shift(cyclotomic_polynomial(24), 13)
         bound = 2 * 2**8 * (isqrt(sum(c * c for c in coeffs)) + 1)
         assert 5**16 <= bound < 5**17
         calls = []
@@ -905,8 +961,7 @@ class TestIrreducibility:
             return lifted
 
         monkeypatch.setattr(polyarith, "_hensel_lift", spy)
-        assert run(["compute", "--poly=" + ",".join(map(str, coeffs))]) == 0
-        capsys.readouterr()
+        assert irreducible_over_q_check(IntPoly(coeffs)) is True
         p, moduli, factors, lifted = calls[-1]  # the root of the factor tree
         assert (p, len(factors)) == (5, 4)
         assert moduli == [5**2, 5**3, 5**5, 5**9, 5**17]
@@ -1003,14 +1058,6 @@ def _reference_sturm(f):
     return changes(at_neg) - changes(at_pos), len(g) == 1
 
 
-def _shift(f, k):
-    """f(x + k), by Horner's rule."""
-    out = IntPoly(())
-    for c in reversed(f.coeffs):
-        out = combination((1, product(out, (k, 1))), (c, [1]))
-    return out
-
-
 def _int_polys(max_degree):
     """Integer polynomials of degree 1 to max_degree, mostly not monic."""
     return (
@@ -1066,7 +1113,7 @@ class TestSturm:
         assert len(ns) == 36
         for n in ns:
             for k in (-17, -11, 7, 13, 19):
-                assert sturm_real_roots(_shift(cyclotomic_polynomial(n), k)) == 0, (n, k)
+                assert sturm_real_roots(shift(cyclotomic_polynomial(n), k)) == 0, (n, k)
 
     def test_swinnerton_dyer_roots_are_all_real(self):
         for primes in ([2, 3, 5, 7], [2, 3, 5, 7, 11], [2, 3, 5, 7, 11, 13]):

@@ -15,6 +15,7 @@ from sl2ab.polyarith import (
     IntPoly,
     ModPoly,
     _lmul,
+    cyclotomic_polynomial,
     euler_phi_factored,
     factor_mod_p,
     factorint,
@@ -35,7 +36,7 @@ from sl2ab.splitting import (
     dedekind_split,
     quadratic_min_poly,
 )
-from zpoly import combination, product
+from zpoly import combination, product, shift
 
 SQUAREFREE_RANGE = [
     d for d in range(-200, 201) if d not in (0, 1) and is_squarefree(d)
@@ -398,8 +399,14 @@ class TestFieldSpecDispatch:
     @pytest.mark.parametrize(
         "coeffs, zassenhaus_prime",
         [
-            ("1,4,14,28,39,36,21,7,1", 2),  # Phi_15(x + 1)
-            ("2,8,28,56,70,56,28,8,1", 3),  # Phi_16(x + 1), x^8 mod 2
+            # Phi_33(x + 1): two factors of degree 10 mod 2, ramified at 3
+            (
+                "1,10,85,480,2040,6732,17613,37101,63673,89785,104543,100673,"
+                "80028,52221,27693,11748,3892,970,171,19,1",
+                2,
+            ),
+            # Phi_28(x + 1): two factors of degree 6 mod 3, ramified at 2
+            ("1,6,39,140,341,590,741,680,451,210,65,12,1", 3),
         ],
     )
     def test_each_factorization_runs_once(
@@ -407,7 +414,8 @@ class TestFieldSpecDispatch:
     ):
         # f is factored mod 2 and mod 3 once: the irreducibility certificate
         # and Dedekind's criterion read those factorizations, also when 2 or 3
-        # is the prime Zassenhaus's algorithm runs at
+        # is the prime Zassenhaus's algorithm runs at; both local degree sets
+        # leave half the degree possible, so these two still lift
         seen, lifted = [], []
 
         def spy(name):
@@ -432,6 +440,88 @@ class TestFieldSpecDispatch:
         assert lifted == [zassenhaus_prime]
         assert any(p == zassenhaus_prime for _, p, _ in seen)
         assert len(seen) == len(set(seen)), seen
+
+    @pytest.mark.parametrize(
+        "coeffs, local_degrees",
+        [
+            # Phi_15(x + 1): two factors of degree 4 mod 2, and Phi_5^2 mod 3
+            # with Phi_5 irreducible there, so one local degree 8 at 3
+            ("1,4,14,28,39,36,21,7,1", {2: [4, 4], 3: [8]}),
+            # Phi_16(x + 1): x^8 mod 2, totally ramified
+            ("2,8,28,56,70,56,28,8,1", {2: [8], 3: [4, 4]}),
+        ],
+    )
+    def test_local_degrees_certify_without_lifting(
+        self, coeffs, local_degrees, monkeypatch, capsys
+    ):
+        # Z[x]/(f) is maximal at 2 and 3, and no proper subset of the local
+        # degrees at 3 (at 2 for Phi_16) sums to a degree below 8
+        check = polyarith.irreducible_over_q_check
+        given, lifted = [], []
+        monkeypatch.setattr(
+            splitting,
+            "irreducible_over_q_check",
+            lambda f, known, local: given.append(local) or check(f, known, local),
+        )
+        monkeypatch.setattr(polyarith, "_has_factor_over_z", lambda *a: lifted.append(a))
+        assert run(["compute", f"--poly={coeffs}"]) == 0, capsys.readouterr().err
+        assert given == [local_degrees]
+        assert lifted == []
+
+    @pytest.mark.parametrize(
+        "n, zassenhaus_prime",
+        [
+            *((n, None) for n in (12, 15, 16, 20, 21, 24, 32, 36, 40, 42, 44, 48)),
+            (28, 3),
+            (33, 2),
+            (60, 7),
+            (66, 2),
+        ],
+    )
+    def test_which_shifted_cyclotomics_lift(self, n, zassenhaus_prime, monkeypatch):
+        # Phi_n(x + k) with 2 or 3 ramified; Z[x]/(Phi_n(x + k)) is Z[zeta_n]
+        # and f mod p has the same shape for every k, so the verdict path does
+        # not depend on k.  Those that lift have phi(n)/2 as the one degree
+        # the local degrees at 2 and 3 leave.
+        lifted = []
+        zassenhaus = polyarith._has_factor_over_z
+        monkeypatch.setattr(
+            polyarith,
+            "_has_factor_over_z",
+            lambda f, factors, p, degrees: lifted.append((p, degrees))
+            or zassenhaus(f, factors, p, degrees),
+        )
+        phi_n = cyclotomic_polynomial(n)
+        for k in (1, -17, 13):
+            GeneralPoly(shift(phi_n, k))
+        if zassenhaus_prime is None:
+            assert lifted == []
+        else:
+            half = 1 << phi_n.degree // 2
+            assert lifted == [(zassenhaus_prime, half)] * 3
+
+    @pytest.mark.parametrize(
+        "coeffs, code",
+        [
+            ("-5,0,0,1", 0),  # x^3 - 5, maximal at 2 and 3
+            ("-5,0,1", 3),  # not maximal at 2
+            ("1,0,2,0,1", 4),  # (x^2 + 1)^2, maximal nowhere
+            ("-15,0,-2,0,1", 4),  # (x^2 - 5)(x^2 + 3), not maximal at 2
+        ],
+    )
+    def test_criterion_runs_once_per_prime(self, coeffs, code, monkeypatch, capsys):
+        # GeneralPoly reads Dedekind's criterion at 2 and 3 on construction,
+        # for the certificate, and split_at reuses it; a reducible f that is
+        # not maximal is refused as reducible (exit 4) before exit 3
+        calls = []
+        criterion = splitting.dedekind_obstruction
+        monkeypatch.setattr(
+            splitting,
+            "dedekind_obstruction",
+            lambda f, p, factors: calls.append(p) or criterion(f, p, factors),
+        )
+        assert run(["compute", f"--poly={coeffs}"]) == code, capsys.readouterr().err
+        assert sorted(calls) == [2, 3]
 
     def test_user_supplied_char0(self):
         split2, split3 = Quadratic(3).splittings()

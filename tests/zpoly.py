@@ -30,3 +30,11 @@ def combination(*terms) -> IntPoly:
         for i, b in enumerate(cs):
             out[i] += c * b
     return IntPoly(out)
+
+
+def shift(f, k) -> IntPoly:
+    """f(x + k), by Horner's rule."""
+    out = IntPoly(())
+    for c in reversed(f.coeffs):
+        out = combination((1, product(out, (k, 1))), (c, [1]))
+    return out
