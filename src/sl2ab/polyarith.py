@@ -399,22 +399,7 @@ def _lxgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     return s, _ldivmod(_lsub([1], _lmul(s, a, p), p), b, p)[0]
 
 
-class _Ring:
-    """Arithmetic mod one monic f: mul, and the powers it gives."""
-
-    def pow(self, a, e: int):
-        """a**e mod f by square-and-multiply, for e >= 1."""
-        result, base = None, a
-        while e:
-            if e & 1:
-                result = base if result is None else self.mul(result, base)
-            e >>= 1
-            if e:
-                base = self.mul(base, base)
-        return result
-
-
-class _ModF(_Ring):
+class _ModF:
     """Arithmetic mod one monic f of degree n >= 1 over Z/m, on residue lists
     of length at most n.  Its tables live as long as it does, and its caller
     builds it for one call.
@@ -458,6 +443,17 @@ class _ModF(_Ring):
         high = _unpack(x >> bits, size, count - n, m)
         low = x & ((1 << bits) - 1)
         return _trim(_unpack(sum(map(operator.mul, high, self.rows), low), size, n, m))
+
+    def pow(self, a: Sequence[int], e: int) -> list[int]:
+        """a**e mod f by square-and-multiply, for e >= 1."""
+        result, base = None, a
+        while e:
+            if e & 1:
+                result = base if result is None else self.mul(result, base)
+            e >>= 1
+            if e:
+                base = self.mul(base, base)
+        return result
 
     def frobenius(self, a: Sequence[int]) -> list[int]:
         """a^p mod f over F_p, p = m prime, exact since c^p = c on F_p (von
@@ -573,14 +569,15 @@ class ModPoly:
 # ---------------------------------------------------------------------------
 # factoring over F_p
 #
-# Yun's squarefree split, distinct-degree factorization and Cantor–Zassenhaus
+# Yun's squarefree split, distinct-degree factorization and equal-degree
 # splitting are written once, over a kernel K: one representation of F_p[x]
-# with the operations they call (degree, difference, gcd, divmod, mod,
-# derivative, p-th root) and K.ring(f) for arithmetic mod a monic f (product,
-# power, p-th power).  Residue lists serve any prime
-# (_Lists); p = 2 and 3 run on bit-planes (_F2, _F3), where one integer
-# operation acts on every coefficient at once.  K.encode and K.decode convert
-# from and to residue lists at factor_mod_p's boundary.
+# with the operations they call (degree, sum, difference, gcd, divmod, mod,
+# derivative, p-th root) and K.ring(f) for p-th powers mod a monic f.
+# Residue lists serve any prime (_Lists), and their ring also multiplies and
+# powers, which only splitting above p = 3 asks for; p = 2 and 3 run on
+# bit-planes (_F2, _F3), where one integer operation acts on every
+# coefficient at once.  K.encode and K.decode convert from and to residue
+# lists at factor_mod_p's boundary.
 
 
 class _Lists:
@@ -597,6 +594,9 @@ class _Lists:
 
     def deg(self, a: list[int]) -> int:
         return len(a) - 1
+
+    def add(self, a: list[int], b: list[int]) -> list[int]:
+        return _ladd(a, b, self.p)
 
     def sub(self, a: list[int], b: list[int]) -> list[int]:
         return _lsub(a, b, self.p)
@@ -662,17 +662,10 @@ class _F2Kernel:
     def deg(self, a: int) -> int:
         return a.bit_length() - 1
 
-    def sub(self, a: int, b: int) -> int:
+    def add(self, a: int, b: int) -> int:
         return a ^ b
 
-    def mul(self, a: int, b: int) -> int:
-        """Carry-less product: a shifted to each set bit of b, summed by XOR."""
-        out = 0
-        while b:
-            low = b & -b
-            out ^= a * low
-            b ^= low
-        return out
+    sub = add  # in characteristic 2
 
     def divmod(self, a: int, b: int) -> tuple[int, int]:
         q, n = 0, b.bit_length()
@@ -741,21 +734,6 @@ class _F3Kernel:
     def sub(self, a: _F3Poly, b: _F3Poly) -> _F3Poly:
         return self.add(a, (b[1], b[0]))  # -b swaps the planes
 
-    def mul(self, a: _F3Poly, b: _F3Poly) -> _F3Poly:
-        """Schoolbook product: a shifted to each nonzero coefficient of b,
-        added, or subtracted (its planes swapped)."""
-        ap, an = a
-        bp, bn = b
-        op = on = 0
-        rest = bp | bn
-        while rest:
-            low = rest & -rest
-            xp, xn = (ap * low, an * low) if bp & low else (an * low, ap * low)
-            t = (op | xn) ^ (on | xp)
-            op, on = (on | xn) ^ t, (op | xp) ^ t
-            rest ^= low
-        return op, on
-
     def divmod(self, a: _F3Poly, b: _F3Poly) -> tuple[_F3Poly, _F3Poly]:
         ap, an = a
         bp, bn = b
@@ -814,14 +792,12 @@ class _F3Kernel:
 _F2, _F3 = _F2Kernel(), _F3Kernel()
 
 
-class _BitsModF(_Ring):
-    """Arithmetic mod a monic f over F_2 or F_3, on the kernel K's bits."""
+class _BitsModF:
+    """p-th powers mod a monic f over F_2 or F_3, on the kernel K's bits;
+    nothing at these primes multiplies mod f."""
 
     def __init__(self, K, f):
         self.K, self.f = K, f
-
-    def mul(self, a, b):
-        return self.K.mod(self.K.mul(a, b), self.f)
 
     def frobenius(self, a):
         """a^p = a(x^p) mod f."""
@@ -887,12 +863,17 @@ def _distinct_degree(K, f) -> list[tuple[object, int]]:
 
 def _equal_degree(K, g, d: int, rng: random.Random) -> list:
     """Irreducible factors of a squarefree monic g over F_p all of whose
-    irreducible factors have degree d (Cantor & Zassenhaus 1981).
+    irreducible factors have degree d.
 
-    A random a splits g by gcd(a^((p^d-1)/2) - 1, g) for odd p, and by
-    gcd(a + a^2 + a^4 + ... + a^(2^(d-1)), g), the trace map, for p = 2.
-    Both run on p-th powers: (p^d-1)/2 = (p-1)/2 (1 + p + ... + p^(d-1)), so
-    for odd p the power is c c^p ... c^(p^(d-1)) with c = a^((p-1)/2).
+    A random a gives b whose value mod each factor lies in F_p; gcd(g, b - c)
+    collects the factors where it is c, and a draw that leaves two such
+    parts nonempty splits g.  At p = 2 and 3, b is the absolute trace a + a^p
+    + ... + a^(p^(d-1)), with no product mod g, and c runs over F_p but its
+    last element: two factors part with probability 1 - 1/p (Berlekamp,
+    Math. Comp. 24, 1970; von zur Gathen & Gerhard, section 14.3).  Above 3,
+    b = a^((p^d-1)/2) and c = 1 (Cantor & Zassenhaus 1981), the power taken
+    on p-th powers: (p^d-1)/2 = (p-1)/2 (1 + p + ... + p^(d-1)), so b is
+    e e^p ... e^(p^(d-1)) with e = a^((p-1)/2).
     """
     n = K.deg(g)
     if n == d:
@@ -902,21 +883,28 @@ def _equal_degree(K, g, d: int, rng: random.Random) -> list:
     while True:
         # the same draw on every kernel, so bits take the list path's steps
         a = K.encode(_trim([rng.randrange(p) for _ in range(n)]))
-        if p == 2:
+        if p <= 3:
             b = t = a
             for _ in range(d - 1):
                 t = ring.frobenius(t)
-                b = K.sub(b, t)  # b + t in characteristic 2
+                b = K.add(b, t)
+            shifts = [b, K.sub(b, K.one)][: p - 1]
         else:
             b = t = ring.pow(a, (p - 1) // 2)
             for _ in range(d - 1):
                 t = ring.frobenius(t)
                 b = ring.mul(b, t)
-            b = K.sub(b, K.one)
-        c = K.gcd(g, b)
-        if 0 < K.deg(c) < n:
-            rest = K.divmod(g, c)[0]
-            return _equal_degree(K, c, d, rng) + _equal_degree(K, rest, d, rng)
+            shifts = [K.sub(b, K.one)]
+        parts, rest = [], g
+        for s in shifts:
+            c = K.gcd(rest, s)
+            if K.deg(c) > 0:
+                parts.append(c)
+                rest = K.divmod(rest, c)[0]
+        if K.deg(rest) > 0:
+            parts.append(rest)
+        if len(parts) > 1:
+            return [h for part in parts for h in _equal_degree(K, part, d, rng)]
 
 
 def _split_parts(K, parts: list[tuple[object, int]]) -> list:
@@ -946,9 +934,10 @@ def factor_mod_p(f: ModPoly) -> list[tuple[ModPoly, int]]:
     """Complete factorization of monic f over F_p into (irreducible, multiplicity).
 
     Squarefree decomposition first, then distinct-degree factorization and
-    Cantor–Zassenhaus splitting of each squarefree part; any prime p works,
-    and the degree is at most FACTOR_DEGREE_LIMIT.  At p = 2 and 3 the
-    polynomials are bit-planes, elsewhere residue lists.  The pairs are
+    equal-degree splitting of each squarefree part; any prime p works, and
+    the degree is at most FACTOR_DEGREE_LIMIT.  At p = 2 and 3 the
+    polynomials are bit-planes, split by the trace with no product mod f;
+    elsewhere residue lists, split by Cantor–Zassenhaus.  The pairs are
     sorted by degree, then by coefficients (lowest degree first), and the
     result does not depend on the random splitting elements.
     """
@@ -981,25 +970,28 @@ def dedekind_obstruction(
 ) -> ModPoly:
     """Dedekind's criterion for a monic f at the prime p, from factors =
     factor_mod_p(f mod p) (Cohen, GTM 138, section 6.1).  With g the radical
-    and h the cofactor of f mod p, lifted to [0, p), and t = (g h - f) / p,
-    the obstruction is gcd(t, g, h) over F_p, the product of the repeated
-    factors of f mod p that divide t; Z[x]/(f) is p-maximal exactly when it
-    is 1, as it is at once when f mod p is squarefree and h = 1.  f need not
-    be irreducible.  When it is 1, each f mod p = prod g_i^e_i lifts to a
-    Hensel factor F_i of f over Z_p, and Z_p[x]/(F_i) is a discrete valuation
-    ring: the F_i are f's irreducible factors over Q_p, distinct, of degrees
-    e_i deg g_i (Cohen, section 6.2; Neukirch, Algebraic Number Theory,
-    II.8), which irreducible_over_q_check reads as local degrees."""
-    repeated = [g.coeffs for g, e in factors for _ in range(e - 1)]
-    if not repeated:
+    and h = (f mod p) / g, by one exact division, the cofactor of f mod p,
+    both lifted to [0, p), and t = (g h - f) / p, the obstruction is
+    gcd(t, g, h) over F_p, taken on F_p's kernel (bit-planes at 2 and 3): the
+    product of the repeated factors of f mod p that divide t.  Z[x]/(f) is
+    p-maximal exactly when it is 1, as it is at once when f mod p is
+    squarefree and h = 1.  f need not be irreducible.  When it is 1, each
+    f mod p = prod g_i^e_i lifts to a Hensel factor F_i of f over Z_p, and
+    Z_p[x]/(F_i) is a discrete valuation ring: the F_i are f's irreducible
+    factors over Q_p, distinct, of degrees e_i deg g_i (Cohen, section 6.2;
+    Neukirch, Algebraic Number Theory, II.8), which irreducible_over_q_check
+    reads as local degrees."""
+    if all(e == 1 for _, e in factors):
         return ModPoly(p, [1])
-    radical, cofactor = (
-        functools.reduce(lambda a, b: _lmul(a, b, p), gs)
-        for gs in ([g.coeffs for g, _ in factors], repeated)
+    radical = functools.reduce(
+        lambda a, b: _lmul(a, b, p), [g.coeffs for g, _ in factors]
     )
+    cofactor = _ldivmod([c % p for c in f.coeffs], radical, p)[0]
     p2 = p * p
     t = [c // p for c in _lsub(_lmul(radical, cofactor, p2), f.coeffs, p2)]
-    return ModPoly(p, _lgcd(_lgcd(t, radical, p), cofactor, p))
+    K = _kernel(p)
+    t, radical, cofactor = map(K.encode, (t, radical, cofactor))
+    return ModPoly(p, K.decode(K.gcd(K.gcd(t, radical), cofactor)))
 
 
 # ---------------------------------------------------------------------------

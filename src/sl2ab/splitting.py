@@ -469,7 +469,8 @@ class GeneralPoly(NumberField):
 
     @cached_property
     def signature(self) -> Signature:
-        """(r1, r2), with r1 counted by a Sturm sequence once per form."""
+        """(r1, r2), with r1 counted by a Sturm sequence once per form, when
+        read: compute() reads it only below degree 3, and the text report."""
         r1 = sturm_real_roots(self.poly)
         return Signature(r1, (self.poly.degree - r1) // 2)
 

@@ -208,20 +208,24 @@ def compute(field: FieldSpec, s: SSet = EMPTY_S) -> ComputeOutcome:
     direct sum of the per-prime contributions.  Below the gate a known case
     comes back on route "known-case", with a warning.
 
+    Every field has an infinite place, so a finite prime in S opens the
+    gate, as does degree n >= 3 in a number field (r1 + 2 r2 = n gives
+    r1 + r2 >= 2), where a GeneralPoly's real roots go uncounted.  A function
+    field's infinite places are read at any degree.
+
     Raises FiniteUnitsError when the unit group is finite and no known case
     applies, NotPMaximalError when a polynomial form is not 2- or 3-maximal,
     and ValueError for invalid inputs.
     """
     splittings = field.splittings()
-    infinite = field.infinite_places
-    if infinite + s.finite_count < 2:
-        # every field has an infinite place, so here S has no finite prime
+    opened = s.finite_count or not field.characteristic and field.degree >= 3
+    if not opened and (infinite := field.infinite_places) < 2:
         known = _KNOWN_CASES.get(field)
         if known is None:
             raise FiniteUnitsError(
                 "infinitely many units are required (|S| >= 2), but |S| = "
-                f"{infinite + s.finite_count} ({infinite} infinite place(s), "
-                f"{s.finite_count} finite); no known case covers this ring"
+                f"{infinite} ({infinite} infinite place(s), 0 finite); no known "
+                "case covers this ring"
             )
         warning = (
             "the unit group is finite (|S| >= 2 fails); reporting a known "

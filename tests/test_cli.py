@@ -104,6 +104,10 @@ class TestComputeCommand:
         assert err.startswith("error: infinitely many units are required")
         code, _, err = invoke(capsys, "compute", "--poly=5,0,1")
         assert code == EXIT_PRECONDITION
+        # Q(i) as a polynomial: degree 2, one complex place, no known case
+        code, _, err = invoke(capsys, "compute", "--poly=1,0,1")
+        assert code == EXIT_PRECONDITION
+        assert err.startswith("error: infinitely many units are required")
 
     def test_not_maximal_exit(self, capsys):
         code, _, err = invoke(capsys, "compute", "--poly=-5,0,1")

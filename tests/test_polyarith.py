@@ -2,13 +2,14 @@
 factorization, irreducibility, Sturm sequences, cyclotomic polynomials."""
 
 import collections
+import functools
 import itertools
 import json
 import random
 import time
 import types
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from pathlib import Path
 
 import pytest
@@ -44,9 +45,12 @@ from sl2ab.polyarith import (
     _kernel,
     _ladd,
     _ldivmod,
+    _lgcd,
     _lmul,
+    _lsub,
     _trim,
     _distinct_degree,
+    _equal_degree,
     _split_parts,
     _squarefree_parts,
     _squarefree_over_q,
@@ -821,8 +825,175 @@ class TestBitSlicedKernels:
         assert K.decode(K.sub(F, C)) == L.sub(f, c)
         ring, lists = K.ring(F), L.ring(f)
         r = K.mod(C, F)
-        assert K.decode(ring.mul(r, r)) == lists.mul(L.mod(c, f), L.mod(c, f))
+        assert K.decode(K.add(F, C)) == L.add(f, c)
         assert K.decode(ring.frobenius(r)) == lists.frobenius(L.mod(c, f))
+
+
+def _irreducible_count(p, d):
+    """Gauss's count of the monic irreducibles of degree d over F_p: the sum
+    of mu(e) p^(d/e) over the divisors e of d, divided by d."""
+    primes = [q for q in range(2, d + 1) if d % q == 0 and is_prime(q)]
+    return sum(
+        (-1) ** r * p ** (d // prod(ps))
+        for r in range(len(primes) + 1)
+        for ps in itertools.combinations(primes, r)
+    ) // d
+
+
+def _irreducibles(p, d, count, rnd):
+    """Up to count distinct monic irreducibles of degree d over F_p, drawn
+    at random and kept when trial division finds no factor."""
+    found = set()
+    while len(found) < min(count, _irreducible_count(p, d)):
+        g = ModPoly(p, [rnd.randrange(p) for _ in range(d)] + [1])
+        if _trial_division_squarefree(g) == [g]:
+            found.add(g)
+    return sorted(found, key=lambda g: g.coeffs)
+
+
+class TestTraceSplitting:
+    """Equal-degree splitting at p = 2 and 3 by the absolute trace, and
+    above 3 by Cantor–Zassenhaus's power."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_products_of_one_degree(self, p, d):
+        # r = 2..6 distinct irreducibles of degree d, as many as exist
+        rnd = random.Random(p * 100 + d)
+        pool = _irreducibles(p, d, 6, rnd)
+        for r in range(2, len(pool) + 1):
+            factors = [(g, 1) for g in rnd.sample(pool, r)]
+            f = _product(factors)
+            expected = sorted(factors, key=lambda gm: gm[0].coeffs)
+            assert factor_mod_p(f) == expected, (p, d, r)
+            if p**d <= 3**6:  # the reference tries every monic of degree <= d
+                assert _reference_factor_mod_p(f) == expected
+            _assert_bits_match_lists(p, list(f.coeffs))
+
+    @pytest.mark.parametrize("p, d", [(2, 1), (2, 4), (3, 1), (3, 2), (3, 3)])
+    def test_a_draw_that_splits_nothing_is_drawn_again(self, p, d):
+        # a constant a has the trace d a in every factor's residue field, so
+        # the first draw (1, 0, ..., 0) parts nothing and the loop draws again
+        factors = _irreducibles(p, d, 3, random.Random(d))
+        g = _product([(h, 1) for h in factors]).coeffs
+
+        class Stub:
+            def __init__(self):
+                self.draws = 0
+                self.rest = random.Random(0)
+
+            def randrange(self, n):
+                self.draws += 1
+                if self.draws <= len(g) - 1:
+                    return int(self.draws == 1)
+                return self.rest.randrange(n)
+
+        for K in (_kernel(p), _Lists(p)):
+            rng = Stub()
+            found = _equal_degree(K, K.encode(list(g)), d, rng)
+            expected = sorted(list(h.coeffs) for h in factors)
+            assert sorted(map(K.decode, found)) == expected
+            assert rng.draws > len(g) - 1
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_only_primes_above_3_take_the_power_map(self, p, monkeypatch):
+        # on residue lists the ring mod g multiplies and powers only for the
+        # power a^((p^d-1)/2): never at 2 and 3, where the trace needs neither
+        calls = collections.Counter()
+        for name in ("mul", "pow"):
+            fn = getattr(_ModF, name)
+
+            def spy(self, *args, name=name, fn=fn):
+                calls[name] += 1
+                return fn(self, *args)
+
+            monkeypatch.setattr(_ModF, name, spy)
+        factors = _irreducibles(p, 3, 4, random.Random(p))
+        f = _product([(h, 1) for h in factors])
+        L = _Lists(p)
+        found = _split_parts(L, [(list(f.coeffs), 3)])
+        assert sorted(found) == sorted(list(h.coeffs) for h in factors)
+        assert (calls["pow"] > 0) == (p > 3)
+        assert (calls["mul"] > 0) == (p > 3)
+
+
+def _reference_obstruction(f, p, factors):
+    """Dedekind's criterion as first written: the cofactor h as the product
+    of the repeated factors, each e - 1 times, and both gcds on residue
+    lists."""
+    repeated = [g.coeffs for g, e in factors for _ in range(e - 1)]
+    if not repeated:
+        return ModPoly(p, [1])
+    radical, cofactor = (
+        functools.reduce(lambda a, b: _lmul(a, b, p), gs)
+        for gs in ([g.coeffs for g, _ in factors], repeated)
+    )
+    p2 = p * p
+    t = [c // p for c in _lsub(_lmul(radical, cofactor, p2), f.coeffs, p2)]
+    return ModPoly(p, _lgcd(_lgcd(t, radical, p), cofactor, p))
+
+
+class TestDedekindObstruction:
+    @given(
+        st.sampled_from([2, 3, 5, 7]),
+        st.lists(st.integers(-9, 9), min_size=1, max_size=3),
+        st.integers(2, 4),
+        st.lists(st.integers(-9, 9), max_size=3),
+        st.lists(st.integers(-9, 9), max_size=10),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_product_of_repeated_factors(self, p, g, e, h, r):
+        # f = g^e h + p r, monic, has the factor g mod p at least e >= 2
+        # times; whether Z[x]/(f) is p-maximal depends on r
+        top = product(*[g + [1]] * e, h + [1])
+        f = combination((1, top), (p, r[: top.degree]))
+        factors = factor_mod_p(ModPoly(p, f.coeffs))
+        assert any(m > 1 for _, m in factors)
+        assert dedekind_obstruction(f, p, factors) == _reference_obstruction(
+            f, p, factors
+        )
+
+    def test_both_verdicts(self):
+        for f, p, maximal in (
+            ((-2, 0, 1), 2, True),
+            ((-5, 0, 1), 5, True),
+            ((-5, 0, 0, 1), 3, True),
+            ((-5, 0, 1), 2, False),
+            ((-10, 0, 0, 1), 3, False),
+            ((-98, 0, 1), 7, False),
+        ):
+            f = IntPoly(f)
+            factors = factor_mod_p(ModPoly(p, f.coeffs))
+            verdict = dedekind_obstruction(f, p, factors)
+            assert verdict == _reference_obstruction(f, p, factors)
+            assert (verdict.coeffs == (1,)) == maximal, (f, p)
+
+    def test_exit_3_message_is_unchanged(self, capsys):
+        assert run(["compute", "--poly=-5,0,1"]) == 3
+        assert capsys.readouterr().err == (
+            "error: Z[x]/(x^2-5) is not maximal at 2 (Dedekind criterion "
+            "obstruction: x+1); give its splitting of 2 and 3 through "
+            "sl2ab.UserNumberField, or use --quadratic or --cyclotomic when "
+            "the field is one of those\n"
+        )
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize(
+        "p, k, counts", [(2, 6, {1: 2, 2: 1, 3: 2, 6: 9}), (3, 4, {1: 3, 2: 3, 4: 18})]
+    )
+    def test_every_irreducible_of_degree_dividing_k_once(self, p, k, counts):
+        # x^(p^k) - x is the product of the monic irreducibles over F_p whose
+        # degree divides k, each once; Gauss's formula counts them
+        f = ModPoly(p, [0, -1] + [0] * (p**k - 2) + [1])
+        factors = factor_mod_p(f)
+        assert all(m == 1 for _, m in factors)
+        assert len(set(g for g, _ in factors)) == len(factors)
+        assert _product(factors) == f
+        assert collections.Counter(g.degree for g, _ in factors) == counts
+        assert counts == {d: _irreducible_count(p, d) for d in counts}
+        for g, _ in factors:
+            assert g.is_monic and _trial_division_squarefree(g) == [g]
 
 
 def swinnerton_dyer(primes) -> IntPoly:

@@ -397,6 +397,30 @@ class TestFieldSpecDispatch:
         assert len(calls) == 1
 
     @pytest.mark.parametrize(
+        "coeffs, signature",
+        [("-5,0,0,1", "(1, 1)"), ("2,-4,6,-4,1", "(0, 2)"), ("5,0,1", None)],
+    )
+    def test_json_counts_real_roots_only_below_degree_3(
+        self, coeffs, signature, monkeypatch, capsys
+    ):
+        # degree >= 3 opens the unit gate by itself, so compute --json never
+        # counts real roots there; the text report still prints the signature
+        calls = []
+        fn = splitting.sturm_real_roots
+        monkeypatch.setattr(
+            splitting, "sturm_real_roots", lambda *a: calls.append(a) or fn(*a)
+        )
+        code = run(["compute", f"--poly={coeffs}", "--json"])
+        capsys.readouterr()
+        if signature is None:  # x^2 + 5: one complex place, refused
+            assert code == 2 and len(calls) == 1
+            return
+        assert code == 0 and calls == []
+        assert run(["compute", f"--poly={coeffs}"]) == 0
+        assert f"signature: {signature}" in capsys.readouterr().out
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
         "coeffs, zassenhaus_prime",
         [
             # Phi_33(x + 1): two factors of degree 10 mod 2, ramified at 3

@@ -119,6 +119,18 @@ class TestSSet:
             else:
                 assert compute(field, s).group == group, sig
 
+    def test_degree_opens_the_gate_for_number_fields_only(self):
+        # r1 + 2 r2 = n gives a number field of degree n >= 3 two infinite
+        # places at least; a function field's places at infinity do not
+        # follow from its degree, so one of them and an empty S stay refused
+        for degree in (1, 3, 5):
+            with pytest.raises(FiniteUnitsError):
+                compute(UserFunctionField(degree, 5))
+        two = UserFunctionField(3, 5, infinite_places=2)
+        assert compute(two).group == TRIVIAL_GROUP
+        cubic = GeneralPoly(IntPoly((-5, 0, 0, 1)))
+        assert compute(cubic).group == AbelianGroup(0, (12,))
+
 
 class TestChar0Formula:
     def test_argument_order_is_checked(self):
