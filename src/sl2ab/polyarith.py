@@ -249,17 +249,18 @@ def _render_poly(coeffs: tuple[int, ...]) -> str:
 # The lifting algorithms, factoring over F_p for p >= 5, and ModPoly division
 # share these helpers on plain sequences of residues in [0, m), lowest degree
 # first, with no trailing zeros; results are lists.  (Factoring over F_2 and
-# F_3 runs on bit-planes; see "factoring over F_p".)  Division by a monic
-# polynomial works for any modulus m; gcds and inverses need m prime.
+# F_3 runs on bit-planes; see "factoring over F_p".)  Long division is the
+# schoolbook loop; by a monic polynomial it works for any modulus m, while
+# gcds and inverses need m prime.
 #
 # Every product runs on packed integers (Kronecker substitution): a list a
 # becomes the integer sum a_i 2^(w i), so one integer product holds every
 # coefficient of the polynomial product, each in its own w-bit slot.  A slot
 # holds a sum of at most k products of residues, k the shorter operand's
 # length, so w = 2 bits(m) + bits(k), rounded up to whole bytes; slots of 1,
-# 2, 4 and 8 bytes are read and written through array.  Long division packs
-# only when divisor and quotient are long.  A packed coefficient must be a
-# residue in [0, m): any other would spill into its neighbour's slot.
+# 2, 4 and 8 bytes are read and written through array.  A packed
+# coefficient must be a residue in [0, m): any other would spill into its
+# neighbour's slot.
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -328,12 +329,6 @@ def _lmul(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
     return _trim(_unpack(x, size, len(a) + len(b) - 1, m))
 
 
-# Division runs packed when its slots fit 8 bytes and the quotient and the
-# divisor both have at least this many coefficients; below it, or with wider
-# slots, long division on lists was as fast or faster.
-_DIVIDE_PACK_MIN = 16
-
-
 def _ldivmod(
     a: Sequence[int], b: Sequence[int], m: int
 ) -> tuple[list[int], list[int]]:
@@ -343,24 +338,6 @@ def _ldivmod(
     if k <= 0:
         return [], list(a)
     inv = pow(b[-1], -1, m)
-    if k >= _DIVIDE_PACK_MIN and db >= _DIVIDE_PACK_MIN:
-        size = _slot_bytes(m, k + 1)
-        if size <= 8:
-            # a slot starts at a_i + k m^2, a multiple of m above what the k
-            # subtractions of c b_j < m^2 can take off, so none goes negative
-            # or borrows, and each holds its coefficient of the remainder mod m
-            bits = 8 * size
-            mask = (1 << bits) - 1
-            off = k * m * m
-            x = _pack([c + off for c in a], size)
-            y = _pack(b[:db], size)
-            q = [0] * k
-            for i in range(k - 1, -1, -1):
-                c = (x >> bits * (i + db) & mask) * inv % m
-                if c:
-                    q[i] = c
-                    x -= c * y << bits * i
-            return q, _trim(_unpack(x & (1 << bits * db) - 1, size, db, m))
     rem = list(a)
     q = [0] * k
     for i in range(k - 1, -1, -1):
@@ -401,8 +378,8 @@ def _lxgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
 
 class _ModF:
     """Arithmetic mod one monic f of degree n >= 1 over Z/m, on residue lists
-    of length at most n.  Its tables live as long as it does, and its caller
-    builds it for one call.
+    of length at most n: products, powers and, for m prime, p-th powers.
+    Its tables live as long as it does, and its caller builds it for one call.
 
     Every product packs and is reduced by a packed table of x^j mod f,
     n <= j < 2n - 1, built at the first product: one multiply-add of a row
@@ -456,21 +433,15 @@ class _ModF:
         return result
 
     def frobenius(self, a: Sequence[int]) -> list[int]:
-        """a^p mod f over F_p, p = m prime, exact since c^p = c on F_p (von
-        zur Gathen & Gerhard, sections 14.3 and 14.5).  Up to
-        _FROBENIUS_SPREAD_LIMIT it is a(x^p) mod f, the coefficients spread p
-        apart and reduced by one long division.  Above it the map is linear,
-        so it is its matrix, the packed rows x^(p i) mod f for i < n (von zur
-        Gathen & Shoup 1992): x^p mod f by square-and-multiply, each later row
-        the one before times it; a^p is then one multiply-add per coefficient
-        and one unpack.  A power takes k products and the matrix k + n - 1, so
-        powers are taken until they have cost that much; then the matrix is
-        built, which keeps the cost within twice the cheaper choice."""
+        """a^p mod f over F_p, p = m prime.  The map is linear (c^p = c on
+        F_p), so it is its matrix, the packed rows x^(p i) mod f for i < n
+        (von zur Gathen & Shoup 1992): x^p mod f by square-and-multiply, each
+        later row the one before times it; a^p is then one multiply-add per
+        coefficient and one unpack.  A power takes k products and the matrix
+        k + n - 1, so powers are taken until they have cost that much; then
+        the matrix is built, which keeps the cost within twice the cheaper
+        choice."""
         n, p = self.n, self.m
-        if p <= _FROBENIUS_SPREAD_LIMIT:
-            out = [0] * (p * (len(a) - 1) + 1)
-            out[::p] = a
-            return _ldivmod(out, self.f, p)[1]
         if not self.matrix:
             k = p.bit_length() + p.bit_count() - 2
             if self.power_products < k + n - 1:
@@ -482,18 +453,6 @@ class _ModF:
                 row = self.mul(row, xp)
                 self.matrix.append(_pack(row, self.size))
         return _trim(_unpack(sum(map(operator.mul, a, self.matrix)), self.size, n, p))
-
-
-# Up to this prime a^p mod f spreads and divides, about (p - 1) n^2 steps at
-# each use; above it, it is a power, about 1.5 log2 p packed products a use,
-# until the matrix (log2 p + n products once, then n packed multiply-adds a
-# use) is cheaper.  factor_mod_p on random f of degree 8-64 (a Xeon): at p = 3
-# and 5 spreading was as fast or faster up to degree 32 and the matrix won at
-# 64; at p = 7 they were even; at p = 11 the matrix won from degree 16 on.
-# Factoring reaches residue lists at p = 5 and above (p = 2 and 3 run on
-# bit-planes); at p = 5 the irreducibility check of the degree-8 Phi_24(x + k)
-# took about 4 % longer with the matrix than with spreading.
-_FROBENIUS_SPREAD_LIMIT = 5
 
 
 # ---------------------------------------------------------------------------
@@ -573,11 +532,11 @@ class ModPoly:
 # splitting are written once, over a kernel K: one representation of F_p[x]
 # with the operations they call (degree, sum, difference, gcd, divmod, mod,
 # derivative, p-th root) and K.ring(f) for p-th powers mod a monic f.
-# Residue lists serve any prime (_Lists), and their ring also multiplies and
-# powers, which only splitting above p = 3 asks for; p = 2 and 3 run on
-# bit-planes (_F2, _F3), where one integer operation acts on every
-# coefficient at once.  K.encode and K.decode convert from and to residue
-# lists at factor_mod_p's boundary.
+# Residue lists serve any prime (_Lists), and their ring also powers, which
+# only splitting above p = 3 asks for, to raise the trace to (p - 1)/2; p = 2
+# and 3 run on bit-planes (_F2, _F3), where one integer operation acts on
+# every coefficient at once.  K.encode and K.decode convert from and to
+# residue lists at factor_mod_p's boundary.
 
 
 class _Lists:
@@ -865,15 +824,14 @@ def _equal_degree(K, g, d: int, rng: random.Random) -> list:
     """Irreducible factors of a squarefree monic g over F_p all of whose
     irreducible factors have degree d.
 
-    A random a gives b whose value mod each factor lies in F_p; gcd(g, b - c)
-    collects the factors where it is c, and a draw that leaves two such
-    parts nonempty splits g.  At p = 2 and 3, b is the absolute trace a + a^p
-    + ... + a^(p^(d-1)), with no product mod g, and c runs over F_p but its
-    last element: two factors part with probability 1 - 1/p (Berlekamp,
-    Math. Comp. 24, 1970; von zur Gathen & Gerhard, section 14.3).  Above 3,
-    b = a^((p^d-1)/2) and c = 1 (Cantor & Zassenhaus 1981), the power taken
-    on p-th powers: (p^d-1)/2 = (p-1)/2 (1 + p + ... + p^(d-1)), so b is
-    e e^p ... e^(p^(d-1)) with e = a^((p-1)/2).
+    A random a gives its absolute trace b = a + a^p + ... + a^(p^(d-1)),
+    whose value mod each factor lies in F_p (Berlekamp, Math. Comp. 24,
+    1970; von zur Gathen & Gerhard, section 14.3).  At p = 2 and 3,
+    gcd(g, b - c) collects the factors where it is c, for c in F_p but its
+    last element, with no product mod g; above 3, gcd(g, b^((p-1)/2) - 1)
+    collects those where it is a nonzero square (Cantor & Zassenhaus, Math.
+    Comp. 36, 1981).  A draw that leaves two parts nonempty splits g; a zero
+    trace leaves one, and is drawn again.
     """
     n = K.deg(g)
     if n == d:
@@ -883,18 +841,14 @@ def _equal_degree(K, g, d: int, rng: random.Random) -> list:
     while True:
         # the same draw on every kernel, so bits take the list path's steps
         a = K.encode(_trim([rng.randrange(p) for _ in range(n)]))
+        b = t = a
+        for _ in range(d - 1):
+            t = ring.frobenius(t)
+            b = K.add(b, t)
         if p <= 3:
-            b = t = a
-            for _ in range(d - 1):
-                t = ring.frobenius(t)
-                b = K.add(b, t)
             shifts = [b, K.sub(b, K.one)][: p - 1]
         else:
-            b = t = ring.pow(a, (p - 1) // 2)
-            for _ in range(d - 1):
-                t = ring.frobenius(t)
-                b = ring.mul(b, t)
-            shifts = [K.sub(b, K.one)]
+            shifts = [K.sub(ring.pow(b, (p - 1) // 2), K.one)]
         parts, rest = [], g
         for s in shifts:
             c = K.gcd(rest, s)
@@ -936,8 +890,8 @@ def factor_mod_p(f: ModPoly) -> list[tuple[ModPoly, int]]:
     Squarefree decomposition first, then distinct-degree factorization and
     equal-degree splitting of each squarefree part; any prime p works, and
     the degree is at most FACTOR_DEGREE_LIMIT.  At p = 2 and 3 the
-    polynomials are bit-planes, split by the trace with no product mod f;
-    elsewhere residue lists, split by Cantor–Zassenhaus.  The pairs are
+    polynomials are bit-planes, elsewhere residue lists.  Every prime splits
+    by the absolute trace, raised to (p - 1)/2 above 3.  The pairs are
     sorted by degree, then by coefficients (lowest degree first), and the
     result does not depend on the random splitting elements.
     """

@@ -712,10 +712,14 @@ class TestFactorModP:
         a = _trim([rnd.randrange(p) for _ in range(n)])
         ring = _ModF(f, p)
         expected = _square_and_multiply(a, p, f, p)
-        # as powers until the matrix is built, where p > 5, then from it
+        # as powers until they have cost the matrix's k + n - 1 products, k
+        # those of one power, then from the matrix, at every p
+        k = p.bit_length() + p.bit_count() - 2
+        powers = 0
         for _ in range(n + 2):
             assert ring.frobenius(a) == expected
-        assert bool(ring.matrix) == (p > 5)
+            powers += not ring.matrix
+        assert ring.matrix and (powers - 1) * k < k + n - 1 <= powers * k
 
     def test_large_prime_and_degree(self):
         # x^p - x is the product of all x - a over F_p
@@ -852,11 +856,15 @@ def _irreducibles(p, d, count, rnd):
 
 
 class TestTraceSplitting:
-    """Equal-degree splitting at p = 2 and 3 by the absolute trace, and
-    above 3 by Cantor–Zassenhaus's power."""
+    """Equal-degree splitting by the absolute trace at every p, raised to
+    (p - 1)/2 above 3."""
 
-    @pytest.mark.parametrize("p", [2, 3])
-    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize(
+        "p, d",
+        [(p, d) for p in (2, 3) for d in range(1, 9)]
+        + [(5, d) for d in range(1, 5)]
+        + [(7, d) for d in range(1, 4)],
+    )
     def test_products_of_one_degree(self, p, d):
         # r = 2..6 distinct irreducibles of degree d, as many as exist
         rnd = random.Random(p * 100 + d)
@@ -870,10 +878,13 @@ class TestTraceSplitting:
                 assert _reference_factor_mod_p(f) == expected
             _assert_bits_match_lists(p, list(f.coeffs))
 
-    @pytest.mark.parametrize("p, d", [(2, 1), (2, 4), (3, 1), (3, 2), (3, 3)])
+    @pytest.mark.parametrize(
+        "p, d", [(2, 1), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 3)]
+    )
     def test_a_draw_that_splits_nothing_is_drawn_again(self, p, d):
-        # a constant a has the trace d a in every factor's residue field, so
-        # the first draw (1, 0, ..., 0) parts nothing and the loop draws again
+        # a constant a has the trace d a in every factor's residue field, and
+        # so one quadratic character, so the first draw (1, 0, ..., 0) parts
+        # nothing and the loop draws again
         factors = _irreducibles(p, d, 3, random.Random(d))
         g = _product([(h, 1) for h in factors]).coeffs
 
@@ -897,24 +908,22 @@ class TestTraceSplitting:
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_only_primes_above_3_take_the_power_map(self, p, monkeypatch):
-        # on residue lists the ring mod g multiplies and powers only for the
-        # power a^((p^d-1)/2): never at 2 and 3, where the trace needs neither
-        calls = collections.Counter()
-        for name in ("mul", "pow"):
-            fn = getattr(_ModF, name)
+        # on residue lists the ring mod g powers to p for p-th powers, and
+        # above 3 also to (p - 1)/2, for the trace's quadratic character
+        exponents = set()
+        pow_ = _ModF.pow
 
-            def spy(self, *args, name=name, fn=fn):
-                calls[name] += 1
-                return fn(self, *args)
+        def spy(self, a, e):
+            exponents.add(e)
+            return pow_(self, a, e)
 
-            monkeypatch.setattr(_ModF, name, spy)
+        monkeypatch.setattr(_ModF, "pow", spy)
         factors = _irreducibles(p, 3, 4, random.Random(p))
         f = _product([(h, 1) for h in factors])
         L = _Lists(p)
         found = _split_parts(L, [(list(f.coeffs), 3)])
         assert sorted(found) == sorted(list(h.coeffs) for h in factors)
-        assert (calls["pow"] > 0) == (p > 3)
-        assert (calls["mul"] > 0) == (p > 3)
+        assert exponents == ({p} if p <= 3 else {p, (p - 1) // 2})
 
 
 def _reference_obstruction(f, p, factors):
@@ -980,7 +989,13 @@ class TestDedekindObstruction:
 
 class TestClosedForm:
     @pytest.mark.parametrize(
-        "p, k, counts", [(2, 6, {1: 2, 2: 1, 3: 2, 6: 9}), (3, 4, {1: 3, 2: 3, 4: 18})]
+        "p, k, counts",
+        [
+            (2, 6, {1: 2, 2: 1, 3: 2, 6: 9}),
+            (3, 4, {1: 3, 2: 3, 4: 18}),
+            (5, 2, {1: 5, 2: 10}),
+            (7, 2, {1: 7, 2: 21}),
+        ],
     )
     def test_every_irreducible_of_degree_dividing_k_once(self, p, k, counts):
         # x^(p^k) - x is the product of the monic irreducibles over F_p whose
