@@ -239,7 +239,7 @@ def _oracle_arguments(p_oracle: argparse.ArgumentParser) -> None:
         type=int,
         default=DEFAULT_RING_CAP,
         metavar="B",
-        help=f"ring-order budget, about B^3 steps (default {DEFAULT_RING_CAP})",
+        help=f"ring-order budget, about B^2 steps (default {DEFAULT_RING_CAP})",
     )
     p_oracle.add_argument("--json", action="store_true", help="emit a JSON report")
 

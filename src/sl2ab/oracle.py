@@ -10,13 +10,13 @@ mod p^k.  FiniteRing(spec, cap) holds them and is the one budget check:
 each call builds its own ring, and the module keeps no memo between calls.
 FiniteRing answers every SL2(R) question: sl2_order counts the group from
 the multiplication table, only sl2_elements() lists it, as index tuples, and
-sl2_quotient walks G' and its cosets: X, the elementary matrices of the
-additive basis of R, has G' as the normal closure of its commutators, and the
-cosets are words in X, found breadth first.  sl2ab certifies that X
-generates by |words| |G'| = |SL2(R)| before it reads the relations.  A word
-r x that lands in the coset of a word s found before is a relation of G/G'
-in the exponents of X, and these relations present it: the invariants are
-Z^X modulo them.  These routines are the ground truth the structure formulas
+sl2_orbit walks the orbit of e1 = (1, 0) on the unimodular columns of R^2
+under X, the E12 matrices of the additive basis of R and E21(1), breadth
+first.  The stabilizer of e1 is {E12(b)}, of order |R|, so sl2ab certifies
+that X generates by |orbit| |R| = |SL2(R)|; each edge of the orbit outside
+its search tree is a relation of SL2(R)^ab in the exponents of X, and with
+those of (R, +) they present it: the invariants are Z^X modulo them.  These
+routines are the ground truth the structure formulas
 are tested against; prop_local_formula, the formula summed over the roots
 of h mod p at p = 2 and 3, is read off (p, k, h) alone and shares no code
 with them.
@@ -28,8 +28,9 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from operator import sub
-from typing import Iterator, NamedTuple, Sequence
+from math import prod
+from operator import mul
+from typing import Iterable, Iterator
 
 from .abgroup import TRIVIAL_GROUP, AbelianGroup, canonicalize, from_relations
 from .polyarith import (
@@ -258,9 +259,8 @@ class FiniteRing:
     BudgetExceededError is raised before any table is built.  Elements are
     numbered in the lexicographic order of their factor components; all
     group-level work downstream runs on the integer indexes, and a matrix is
-    the index tuple (a, b, c, d) of its entries.  |SL2(R)|, the quotient by
-    its commutator subgroup and its abelianization are computed once per
-    ring, on first use.
+    the index tuple (a, b, c, d) of its entries.  |SL2(R)| and its
+    abelianization are computed once per ring, on first use.
     """
 
     def __init__(self, spec: FiniteRingSpec, cap: int = DEFAULT_RING_CAP):
@@ -268,8 +268,8 @@ class FiniteRing:
         if order > cap:
             raise BudgetExceededError(
                 f"ring order {order} exceeds the enumeration cap {cap} "
-                f"(enumerating SL2 takes {order}^3 = {order**3} steps); raise the "
-                "cap explicitly to override"
+                f"(the SL2 orbit takes about {order}^2 = {order**2} steps); raise "
+                "the cap explicitly to override"
             )
         if order > _CONSTRUCTION_CAP:
             raise BudgetExceededError(
@@ -311,147 +311,97 @@ class FiniteRing:
                     (a, b, c, d) for c in rng for d in solutions[one_plus[Mb[c]]]
                 ]
 
-    @cached_property
-    def sl2_quotient(self) -> _Quotient:
-        """SL2(R)/SL2(R)' for X = the elementary matrices of the additive
-        basis of R, uncertified: X generates the group of |reps| |derived|
-        elements, which sl2ab checks against sl2_order."""
-        return _derived_quotient(self, _elementary_gens(self))
+    def sl2_orbit(self) -> tuple[int, list[tuple[int, ...]]]:
+        """The orbit of e1 = (1, 0) under G = <X>, X = _elementary_gens, on
+        the unimodular columns of R^2: its size, and the relations in Z^X
+        that present G^ab, uncertified.
+
+        The stabilizer of e1 in SL2(R) is U = {E12(b)}, which is (R, +).  The
+        orbit is searched breadth first; each new point v keeps the second
+        column of its transversal t_v (t_v e1 = v) and its exponent vector
+        w(t_v).  An edge x: v -> u to a point found before gives t_u^-1 x t_v
+        = E12(b), b = d_u y_12 - b_u y_22 for x t_v = (y_ij), so the relation
+        w(t_v) + e_x - w(t_u) - coords(b), b on the E12 of the basis; m_i e_i
+        for each basis element of additive order m_i presents U^ab.  These
+        are the Schreier relations of a point stabilizer (Holt, Eick and
+        O'Brien, Handbook of Computational Group Theory, 2005, ch. 6), so
+        they present G^ab.  An exponent vector is one int, a signed field of
+        _FIELD bits per generator, so that rows compare as ints."""
+        N, A, M, neg = self.order, self.add_table, self.mul_table, self.neg
+        one, zero = self.one_index, self.zero_index
+        gens = _elementary_gens(self)
+        unit = [1 << (_FIELD * i) for i in range(len(gens))]
+        # E12(r) adds r c to a and r d to b; E21(s) adds s a to c and s b to d
+        moves = [
+            (c == zero, M[b] if c == zero else M[c], e)
+            for (_, b, c, _), e in zip(gens, unit)
+        ]
+        digits = map(itertools.chain.from_iterable, self.elements)
+        coords = [sum(map(mul, v, unit)) for v in digits]
+        moduli = [f.modulus for f in self.spec.factors for _ in range(f.degree)]
+        relations = set(map(mul, moduli, unit))
+        # seen[a N + c] = (b, d, w) for the point (a, c) found with t_v =
+        # [[a, b], [c, d]] and w = w(t_v)
+        seen: list[tuple[int, int, int] | None] = [None] * (N * N)
+        seen[one * N + zero] = (zero, one, 0)
+        queue = [(one, zero)]
+        for a, c in queue:  # grows while it is read
+            b, d, w = seen[a * N + c]
+            for upper, row, e in moves:
+                if upper:
+                    ua, uc, ub, ud = A[a][row[c]], c, A[b][row[d]], d
+                else:
+                    ua, uc, ub, ud = a, A[c][row[a]], b, A[d][row[b]]
+                found = seen[ua * N + uc]
+                if found is None:
+                    seen[ua * N + uc] = (ub, ud, w + e)
+                    queue.append((ua, uc))
+                else:
+                    bu, du, wu = found
+                    beta = A[M[du][ub]][neg[M[bu][ud]]]
+                    relations.add(w + e - wu - coords[beta])
+        return len(queue), _unpack(relations, len(gens))
 
     @cached_property
     def sl2ab(self) -> AbelianGroup:
-        """SL2(R)^ab, read from sl2_quotient's relations.  SL2 = E2 over
-        every finite commutative ring, a product of local rings, so X
-        generates; the count |reps| |G'| = |SL2(R)| certifies it, and
+        """SL2(R)^ab, read from sl2_orbit's relations.  SL2 = E2 over every
+        finite commutative ring, a product of local rings, so X generates;
+        the count |orbit| |U| = |orbit| |R| = |SL2(R)| certifies it, and
         RuntimeError is raised if it ever fails."""
-        quotient = self.sl2_quotient
-        found = len(quotient.reps) * len(quotient.derived)
+        size, relations = self.sl2_orbit()
+        found = size * self.order
         if found != self.sl2_order:
             r = self.spec.describe()
             raise RuntimeError(f"X generates {found} of |SL2({r})| = {self.sl2_order}")
-        return from_relations(quotient.relations, len(quotient.gens))
+        return from_relations(relations, len(relations[0]))
 
 
 _IndexMat = tuple[int, int, int, int]
+# bits per signed exponent in a packed vector: under the construction cap an
+# entry is below |R|^2 + p^k <= 2^21 in absolute value
+_FIELD = 32
 
 
-def _mmul(x: _IndexMat, y: _IndexMat, M, A) -> _IndexMat:
-    a, b, c, d = x
-    e, f, g, h = y
-    Ma, Mb, Mc, Md = M[a], M[b], M[c], M[d]
-    return (
-        A[Ma[e]][Mb[g]],
-        A[Ma[f]][Mb[h]],
-        A[Mc[e]][Md[g]],
-        A[Mc[f]][Md[h]],
-    )
-
-
-def _identity(ring: FiniteRing) -> _IndexMat:
-    return (ring.one_index, ring.zero_index, ring.zero_index, ring.one_index)
-
-
-def _inverse(m: _IndexMat, ring: FiniteRing) -> _IndexMat:
-    # adjugate; valid because det = 1
-    a, b, c, d = m
-    neg = ring.neg
-    return (d, neg[b], neg[c], a)
-
-
-def _elementary(ring: FiniteRing, entries: Sequence[int]) -> list[_IndexMat]:
-    """E12(a) and E21(a) for every a in entries, sorted (E12(0) = E21(0) = 1)."""
-    one, zero = ring.one_index, ring.zero_index
-    upper = {(one, a, zero, one) for a in entries}
-    return sorted(upper | {(one, zero, a, one) for a in entries})
-
-
-def _extend(
-    ring: FiniteRing, closed: set[_IndexMat], gens: list[_IndexMat], g: _IndexMat
-) -> set[_IndexMat]:
-    """Grow closed = <gens> = H in place to <gens, g>, append g to gens and
-    return closed.  The new group is a union of cosets H r (Dimino's
-    algorithm): each new coset is filled at once, from the rows of r's
-    entries in the symmetric multiplication table, and only its
-    representative r is multiplied by the generators to find the next."""
-    M, A = ring.mul_table, ring.add_table
-    old = list(closed)
-    gens.append(g)
-    queue = [g]
-    while queue:
-        r = queue.pop()
-        if r not in closed:
-            Me, Mf, Mg, Mh = M[r[0]], M[r[1]], M[r[2]], M[r[3]]
-            closed.update(
-                [
-                    (A[Me[a]][Mg[b]], A[Mf[a]][Mh[b]], A[Me[c]][Mg[d]], A[Mf[c]][Mh[d]])
-                    for a, b, c, d in old
-                ]
-            )
-            queue += [_mmul(r, x, M, A) for x in gens]
-    return closed
-
-
-class _Quotient(NamedTuple):
-    """G/G' for a group G = <gens>: derived is G', reps holds one word in
-    gens per coset of G', and each row of relations is a difference of
-    exponent vectors in Z^gens of two words in one coset."""
-
-    gens: list[_IndexMat]
-    derived: set[_IndexMat]
-    reps: list[_IndexMat]
-    relations: list[tuple[int, ...]]
-
-
-def _derived_quotient(ring: FiniteRing, xs: list[_IndexMat]) -> _Quotient:
-    """G/G' for the group G = <X> that the matrices xs generate.
-
-    N is the normal closure of the commutators [x, y] = x y x^-1 y^-1 of X:
-    an element n outside N joins N's generators and queues each x^-1 n x.
-    Then X normalizes N, <X>/N is abelian and N <= <X>', so N = <X>'.  The
-    cosets of N are found as words in X, breadth first from 1, each with its
-    exponent vector w in Z^X: a product r x joins, with w(r) + e_x, when
-    r x s^-1 lies outside N for every word s found so far, and otherwise
-    gives the relation w(r) + e_x - w(s).  Those are the relations of every
-    edge outside the search tree of the Cayley graph of <X>/N, so they span
-    the kernel of Z^X -> <X>/N (Schreier's lemma)."""
-    M, A = ring.mul_table, ring.add_table
-    one = _identity(ring)
-    pairs = [(_inverse(x, ring), x) for x in xs]
-    work = [
-        _mmul(_mmul(_mmul(x, g, M, A), xi, M, A), gi, M, A)
-        for j, (gi, g) in enumerate(pairs)
-        for xi, x in pairs[:j]
-    ]
-    derived, dgens = {one}, []
-    while work:
-        n = work.pop()
-        if n not in derived:
-            _extend(ring, derived, dgens, n)
-            work += [_mmul(_mmul(xi, n, M, A), x, M, A) for xi, x in pairs]
-    reps, inverses, words = [one], [one], [[0] * len(xs)]
-    relations = []
-    for r, w in zip(reps, words):  # both grow while they are read
-        for j, x in enumerate(xs):
-            y = _mmul(r, x, M, A)
-            wy = w.copy()
-            wy[j] += 1
-            for t, ws in zip(inverses, words):
-                if _mmul(y, t, M, A) in derived:
-                    relations.append(tuple(map(sub, wy, ws)))
-                    break
-            else:
-                reps.append(y)
-                inverses.append(_inverse(y, ring))
-                words.append(wy)
-    return _Quotient(xs, derived, reps, relations)
+def _unpack(vectors: Iterable[int], n: int) -> list[tuple[int, ...]]:
+    """Each packed exponent vector as its n signed _FIELD-bit fields, lowest
+    first: half is added to every field first, so that none is negative."""
+    half, mask = 1 << (_FIELD - 1), (1 << _FIELD) - 1
+    shifts = range(0, _FIELD * n, _FIELD)
+    bias = sum(half << s for s in shifts)
+    biased = (v + bias for v in vectors)
+    return [tuple((b >> s & mask) - half for s in shifts) for b in biased]
 
 
 def _elementary_gens(ring: FiniteRing) -> list[_IndexMat]:
-    """The elementary matrices of the additive basis of R: x^i in one factor
-    (Z/p^k)[x]/(h), for i < deg h, and 0 in the others, which are the
-    elements whose coefficients sum to 1."""
-    basis = [i for i, v in enumerate(ring.elements) if sum(map(sum, v)) == 1]
-    return _elementary(ring, basis)
+    """X: E12(r) for the additive basis r of R, x^i in one factor
+    (Z/p^k)[x]/(h) for i < deg h and 0 in the others, in digit order, then
+    E21(1).  E12(1) E21(-1) E12(1) conjugates E12(a) to E21(-a), so X
+    generates E2(R)."""
+    one, zero = ring.one_index, ring.zero_index
+    # an element's index has its digits as mixed-radix digits, the last lowest
+    moduli = [f.modulus for f in ring.spec.factors for _ in range(f.degree)]
+    basis = [prod(moduli[i + 1 :]) for i in range(len(moduli))]
+    return [(one, r, zero, one) for r in basis] + [(one, zero, one, one)]
 
 
 def prop_local_formula(factor: RingFactor) -> AbelianGroup:

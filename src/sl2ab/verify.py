@@ -239,21 +239,21 @@ def suite_oracle_local() -> list[CaseResult]:
 
 def suite_ge2() -> list[CaseResult]:
     """Elementary matrices generate all of SL2 over every test ring: the
-    group the E12/E21 matrices of an additive basis generate, counted as
-    |words| |G'| from the cosets of its commutator subgroup, has as many
-    elements as the direct determinant-one enumeration."""
+    orbit of e1 = (1, 0) under the E12 matrices of an additive basis and
+    E21(1), times the |R| elements of its stabilizer, has as many elements
+    as the direct determinant-one enumeration."""
     out: list[CaseResult] = []
     for label, spec in GE2_RINGS:
         ring = FiniteRing(spec)
         direct = sum(1 for _ in ring.sl2_elements())
-        quotient = ring.sl2_quotient
-        words, derived = len(quotient.reps), len(quotient.derived)
+        orbit = ring.sl2_orbit()[0]
+        found = orbit * ring.order
         out.append(
             CaseResult(
                 f"SL2({label})",
-                words * derived == direct,
-                f"direct {direct} element(s) | generated {words} word(s) x "
-                f"{derived} in G' = {words * derived}",
+                found == direct,
+                f"direct {direct} element(s) | orbit {orbit} column(s) x "
+                f"{ring.order} = {found}",
             )
         )
     return out

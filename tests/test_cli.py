@@ -743,8 +743,8 @@ class TestOracleCommand:
         assert doc["compare"]["match"] is True
 
     def test_sl2_is_counted_not_listed(self, capsys, monkeypatch):
-        # the request walks G' and the coset words only: the lazy list of
-        # SL2(R) is never pulled
+        # the request walks the orbit of e1 on the unimodular columns only:
+        # the lazy list of SL2(R) is never pulled
         def refuse(ring):
             raise AssertionError("SL2(R) listed")
             yield
@@ -861,9 +861,9 @@ class TestOracleCommand:
         code, _, err = invoke(capsys, "oracle", "--zmod", "1000")
         assert code == EXIT_BUDGET
         assert err == (
-            "error: ring order 1000 exceeds the enumeration cap 16 (enumerating "
-            "SL2 takes 1000^3 = 1000000000 steps); raise the cap explicitly to "
-            "override\n"
+            "error: ring order 1000 exceeds the enumeration cap 16 (the SL2 "
+            "orbit takes about 1000^2 = 1000000 steps); raise the cap explicitly "
+            "to override\n"
         )
 
     def test_one_ring_per_request(self, capsys, monkeypatch):

@@ -109,12 +109,13 @@ class TestSuiteRunner:
         assert len(cases) == 20 and all(c.ok for c in cases)
         assert cases[1].name == "SL2(F_3)"
         assert cases[1].detail == (
-            "direct 24 element(s) | generated 3 word(s) x 8 in G' = 24"
+            "direct 24 element(s) | orbit 8 column(s) x 3 = 24"
         )
 
     def test_ge2_reports_failures(self, monkeypatch):
-        # with only the E12 matrices, X generates the upper unitriangular
-        # group, abelian of order |R|: every ring fails, as rows, without raising
+        # with only the E12 matrices, X fixes e1: the orbit is one column and
+        # X generates the |R| upper unitriangular matrices, so every ring
+        # fails, as rows, without raising
         elementary_gens = oracle._elementary_gens
 
         def upper_only(ring):
@@ -124,5 +125,5 @@ class TestSuiteRunner:
         cases = suite_ge2()
         assert len(cases) == 20 and not any(c.ok for c in cases)
         assert cases[1].detail == (
-            "direct 24 element(s) | generated 3 word(s) x 1 in G' = 3"
+            "direct 24 element(s) | orbit 1 column(s) x 3 = 3"
         )
