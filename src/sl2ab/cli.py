@@ -36,9 +36,9 @@ from .abgroup import direct_sum
 from .oracle import (
     DEFAULT_RING_CAP,
     BudgetExceededError,
-    FiniteRing,
     FiniteRingSpec,
     prop_local_formula,
+    sl2ab_by_factors,
 )
 from .polyarith import INTEGER_LIMIT, SHOWN_LENGTH, IntPoly, brief, check_limit
 from .splitting import (
@@ -418,8 +418,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.cap < 1:
         raise CliError(f"--cap must be >= 1, got {brief(args.cap)}")
     spec = _ring_spec_from_args(args)
-    ring = FiniteRing(spec, cap=args.cap)
-    ab, sl2_order = ring.sl2ab, ring.sl2_order
+    sl2_order, ab = sl2ab_by_factors(spec, cap=args.cap)
     match = True
     formula = None
     if args.compare:

@@ -6,8 +6,9 @@ Galois ring GR(4, 2) = (Z/4)[x]/(x^2+x+1).  A factor element is its tuple of
 deg h coefficients mod p^k; products are reduced mod h.  At the scale this
 package cares about (ring order <= 16 by default) everything is done over
 index-space addition and multiplication tables, built by digit arithmetic
-mod p^k.  FiniteRing(spec, cap) holds them and is the one budget check:
-each call builds its own ring, and the module keeps no memo between calls.
+mod p^k.  FiniteRing(spec, cap) holds them; it and sl2ab_by_factors check
+the budget through one helper, before any table is built.  Each call builds
+its own rings, and the module keeps no memo between calls.
 FiniteRing answers every SL2(R) question: sl2_order counts the group from
 the multiplication table, only sl2_elements() lists it, as index tuples, and
 sl2_orbit walks the orbit of e1 = (1, 0) on the unimodular columns of R^2
@@ -15,11 +16,19 @@ under X, the E12 matrices of the additive basis of R and E21(1), breadth
 first.  The stabilizer of e1 is {E12(b)}, of order |R|, so sl2ab certifies
 that X generates by |orbit| |R| = |SL2(R)|; each edge of the orbit outside
 its search tree is a relation of SL2(R)^ab in the exponents of X, and with
-those of (R, +) they present it: the invariants are Z^X modulo them.  These
-routines are the ground truth the structure formulas
-are tested against; prop_local_formula, the formula summed over the roots
-of h mod p at p = 2 and 3, is read off (p, k, h) alone and shares no code
-with them.
+those of (R, +) they present it: the invariants are Z^X modulo them.  Each
+generator x of additive order m_x has x^(m_x) = I, E21(1) too, with m the
+additive order of 1, so the rows m_x e_x join them and every other row is
+reduced mod them, field by field: at most prod m_x + |X| short rows reach
+the diagonalization.  sl2ab_by_factors, the oracle command's entry point,
+reads SL2(R)^ab one factor at a time, as SL2(R_1 x R_2) = SL2(R_1) x
+SL2(R_2): each factor gets its own FiniteRing and certificate, and the
+answer is the direct sum.  FiniteRing(spec).sl2ab still walks a product
+whole, so the tests that compare the two check the product lemma.  The
+caps still bound |R|, so a product costs less than they allow.  These
+routines are the ground truth the structure formulas are tested against;
+prop_local_formula, the formula summed over the roots of h mod p at p = 2
+and 3, is read off (p, k, h) alone and shares no code with them.
 """
 
 from __future__ import annotations
@@ -32,7 +41,13 @@ from math import prod
 from operator import mul
 from typing import Iterable, Iterator
 
-from .abgroup import TRIVIAL_GROUP, AbelianGroup, canonicalize, from_relations
+from .abgroup import (
+    TRIVIAL_GROUP,
+    AbelianGroup,
+    canonicalize,
+    direct_sum,
+    from_relations,
+)
 from .polyarith import (
     INTEGER_LIMIT,
     POLY_DEGREE_LIMIT,
@@ -253,6 +268,21 @@ def _factor_tables(factor: RingFactor) -> tuple[_Table, _Table]:
     return add, mul
 
 
+def _check_caps(order: int, cap: int) -> None:
+    """BudgetExceededError for a ring of this order past the enumeration cap
+    cap, or past the construction cap whatever cap is."""
+    if order > cap:
+        raise BudgetExceededError(
+            f"ring order {order} exceeds the enumeration cap {cap} "
+            f"(the SL2 orbit takes about {order}^2 = {order**2} steps); raise "
+            "the cap explicitly to override"
+        )
+    if order > _CONSTRUCTION_CAP:
+        raise BudgetExceededError(
+            f"ring of order {order} exceeds the construction cap {_CONSTRUCTION_CAP}"
+        )
+
+
 class FiniteRing:
     """Index-space arithmetic tables for a FiniteRingSpec, within budget:
     past the enumeration cap cap, or the construction cap whatever cap is,
@@ -264,20 +294,9 @@ class FiniteRing:
     """
 
     def __init__(self, spec: FiniteRingSpec, cap: int = DEFAULT_RING_CAP):
-        order = spec.order
-        if order > cap:
-            raise BudgetExceededError(
-                f"ring order {order} exceeds the enumeration cap {cap} "
-                f"(the SL2 orbit takes about {order}^2 = {order**2} steps); raise "
-                "the cap explicitly to override"
-            )
-        if order > _CONSTRUCTION_CAP:
-            raise BudgetExceededError(
-                f"ring of order {order} exceeds the construction cap "
-                f"{_CONSTRUCTION_CAP}"
-            )
+        _check_caps(spec.order, cap)
         self.spec = spec
-        self.order = order
+        self.order = spec.order
         factors = spec.factors
         self.elements = list(itertools.product(*(f.elements() for f in factors)))
         adds, muls = zip(*map(_factor_tables, factors))
@@ -325,21 +344,25 @@ class FiniteRing:
         for each basis element of additive order m_i presents U^ab.  These
         are the Schreier relations of a point stabilizer (Holt, Eick and
         O'Brien, Handbook of Computational Group Theory, 2005, ch. 6), so
-        they present G^ab.  An exponent vector is one int, a signed field of
+        they present G^ab.  E21(1)^m = I for m the additive order of 1, so
+        m e_E21 is a relation too, and with every m_i e_i among the rows,
+        field i of each Schreier row is reduced mod m_i: the rows are these
+        m_i e_i and the distinct reduced Schreier rows, at most prod m_i +
+        |X| of them.  An exponent vector is one int, a signed field of
         _FIELD bits per generator, so that rows compare as ints."""
         N, A, M, neg = self.order, self.add_table, self.mul_table, self.neg
         one, zero = self.one_index, self.zero_index
         gens = _elementary_gens(self)
         unit = [1 << (_FIELD * i) for i in range(len(gens))]
-        # E12(r) adds r c to a and r d to b; E21(s) adds s a to c and s b to d
+        # x is E12(s) or E21(s): E12(s) adds s c to a and s d to b; E21(s)
+        # adds s a to c and s b to d
+        entries = [b if c == zero else c for _, b, c, _ in gens]
         moves = [
-            (c == zero, M[b] if c == zero else M[c], e)
-            for (_, b, c, _), e in zip(gens, unit)
+            (c == zero, M[s], e) for (_, _, c, _), s, e in zip(gens, entries, unit)
         ]
         digits = map(itertools.chain.from_iterable, self.elements)
         coords = [sum(map(mul, v, unit)) for v in digits]
-        moduli = [f.modulus for f in self.spec.factors for _ in range(f.degree)]
-        relations = set(map(mul, moduli, unit))
+        relations = set()
         # seen[a N + c] = (b, d, w) for the point (a, c) found with t_v =
         # [[a, b], [c, d]] and w = w(t_v)
         seen: list[tuple[int, int, int] | None] = [None] * (N * N)
@@ -360,7 +383,12 @@ class FiniteRing:
                     bu, du, wu = found
                     beta = A[M[du][ub]][neg[M[bu][ud]]]
                     relations.add(w + e - wu - coords[beta])
-        return len(queue), _unpack(relations, len(gens))
+        moduli = [_additive_order(A, zero, s) for s in entries]
+        n = len(gens)
+        rows = _unpack(relations, moduli)
+        rows.discard((0,) * n)
+        rows.update(tuple(m * (i == j) for j in range(n)) for i, m in enumerate(moduli))
+        return len(queue), list(rows)
 
     @cached_property
     def sl2ab(self) -> AbelianGroup:
@@ -376,20 +404,45 @@ class FiniteRing:
         return from_relations(relations, len(relations[0]))
 
 
+def sl2ab_by_factors(
+    spec: FiniteRingSpec, cap: int = DEFAULT_RING_CAP
+) -> tuple[int, AbelianGroup]:
+    """|SL2(R)| and SL2(R)^ab for R = R_1 x ... x R_n, read one factor at a
+    time: SL2(R) = SL2(R_1) x ... x SL2(R_n), so the order is the product of
+    the factors' orders and the abelianization the direct sum of theirs, each
+    certified by its own FiniteRing.sl2ab.  The caps bound |R|, as in
+    FiniteRing, and are checked before any table is built."""
+    _check_caps(spec.order, cap)
+    rings = {f: FiniteRing(FiniteRingSpec((f,)), cap) for f in spec.factors}
+    sl2_order = prod(rings[f].sl2_order for f in spec.factors)
+    return sl2_order, direct_sum(*(rings[f].sl2ab for f in spec.factors))
+
+
 _IndexMat = tuple[int, int, int, int]
 # bits per signed exponent in a packed vector: under the construction cap an
-# entry is below |R|^2 + p^k <= 2^21 in absolute value
+# entry is below |R|^2 + p^k <= 2^21 in absolute value, so the bias _unpack
+# adds to a field, below 2^31 + 2^10, keeps it in [0, 2^32)
 _FIELD = 32
 
 
-def _unpack(vectors: Iterable[int], n: int) -> list[tuple[int, ...]]:
-    """Each packed exponent vector as its n signed _FIELD-bit fields, lowest
-    first: half is added to every field first, so that none is negative."""
+def _unpack(vectors: Iterable[int], moduli: list[int]) -> set[tuple[int, ...]]:
+    """The distinct packed exponent vectors, each as its signed _FIELD-bit
+    fields, lowest first, field i reduced mod moduli[i]: a multiple of
+    moduli[i] of at least half the field is added to field i first, so
+    that none is negative."""
     half, mask = 1 << (_FIELD - 1), (1 << _FIELD) - 1
-    shifts = range(0, _FIELD * n, _FIELD)
-    bias = sum(half << s for s in shifts)
-    biased = (v + bias for v in vectors)
-    return [tuple((b >> s & mask) - half for s in shifts) for b in biased]
+    fields = [(_FIELD * i, m) for i, m in enumerate(moduli)]
+    bias = sum(-(-half // m) * m << s for s, m in fields)
+    biased = [v + bias for v in vectors]
+    return set(zip(*([(b >> s & mask) % m for b in biased] for s, m in fields)))
+
+
+def _additive_order(add_table: _Table, zero: int, s: int) -> int:
+    """The order of the element s in (R, +)."""
+    order, acc = 1, s
+    while acc != zero:
+        order, acc = order + 1, add_table[acc][s]
+    return order
 
 
 def _elementary_gens(ring: FiniteRing) -> list[_IndexMat]:

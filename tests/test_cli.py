@@ -866,6 +866,33 @@ class TestOracleCommand:
             "to override\n"
         )
 
+    @pytest.mark.parametrize("n, group", [(1000, "Z/4"), (1008, "Z/12")])
+    def test_large_zmod_is_read_by_factors(self, capsys, n, group):
+        # the orbits of Z/8 and Z/125, or of Z/16, Z/9 and Z/7, are walked,
+        # not that of Z/n, within the budget of the large-ring oracle tests
+        start = time.perf_counter()
+        code, out, err = invoke(
+            capsys, "oracle", "--zmod", str(n), "--cap", str(n), "--compare"
+        )
+        elapsed = time.perf_counter() - start
+        assert (code, err) == (EXIT_OK, "")
+        assert f"abelianization: {group}\n" in out
+        assert "comparison: matches the local-ring formula" in out
+        assert elapsed < 3.0, f"took {elapsed:.2f}s"
+
+    def test_certificate_failure_refuses(self, capsys, monkeypatch):
+        # with only the E12 matrices, X fixes e1 in each factor: the command
+        # fails on the first factor's certificate instead of printing a group
+        elementary_gens = oracle._elementary_gens
+
+        def upper_only(ring):
+            return [g for g in elementary_gens(ring) if g[2] == ring.zero_index]
+
+        monkeypatch.setattr(oracle, "_elementary_gens", upper_only)
+        with pytest.raises(RuntimeError, match="generate"):
+            run(["oracle", "--zmod", "6"])
+        assert capsys.readouterr().out == ""
+
     def test_one_ring_per_request(self, capsys, monkeypatch):
         # the tables of each factor are built once, and nothing is kept
         built = []

@@ -12,7 +12,7 @@ import json
 import random
 import time
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -31,6 +31,7 @@ from sl2ab.oracle import (
     FiniteRingSpec,
     RingFactor,
     prop_local_formula,
+    sl2ab_by_factors,
     _elementary_gens,
     _unpack,
 )
@@ -210,7 +211,8 @@ class TestFiniteRing:
             if getattr(value, "__module__", None) == oracle.__name__
             and hasattr(value, "cache_info")
         ]
-        # FiniteRing is the one way in: no wrapper restates it
+        # FiniteRing is the one way in, and sl2ab_by_factors reads each factor
+        # through it: no wrapper restates it
         removed = (
             "_ring_cache", "ring_for", "_check_budget", "Mat2",
             "sl2_abelianization", "enumerate_sl2_direct",
@@ -226,22 +228,28 @@ class TestFiniteRing:
             raise AssertionError("ring tables built")
 
         monkeypatch.setattr(oracle, "_factor_tables", refuse)
-        with pytest.raises(BudgetExceededError) as exc:
-            FiniteRing(FiniteRingSpec.zmod(1000))
-        assert str(exc.value) == (
-            "ring order 1000 exceeds the enumeration cap 16 (the SL2 orbit takes "
-            "about 1000^2 = 1000000 steps); raise the cap explicitly to override"
-        )
-        # the enumeration cap is checked first, then the construction cap
-        with pytest.raises(BudgetExceededError) as exc:
-            FiniteRing(FiniteRingSpec.zmod(2048))
-        assert "enumeration cap 16" in str(exc.value)
-        for n, cap in ((1031, 2000), (2048, 2048)):
+        # the factor-by-factor reading bounds the order of the whole ring, as
+        # FiniteRing does, though each factor of Z/20 or Z/1000 is in budget
+        for read in (FiniteRing, sl2ab_by_factors):
             with pytest.raises(BudgetExceededError) as exc:
-                FiniteRing(FiniteRingSpec.zmod(n), cap=cap)
+                read(FiniteRingSpec.zmod(1000))
             assert str(exc.value) == (
-                f"ring of order {n} exceeds the construction cap 1024"
+                "ring order 1000 exceeds the enumeration cap 16 (the SL2 orbit "
+                "takes about 1000^2 = 1000000 steps); raise the cap explicitly to "
+                "override"
             )
+            with pytest.raises(BudgetExceededError, match="enumeration cap 16"):
+                read(FiniteRingSpec.zmod(20))
+            # the enumeration cap is checked first, then the construction cap
+            with pytest.raises(BudgetExceededError) as exc:
+                read(FiniteRingSpec.zmod(2048))
+            assert "enumeration cap 16" in str(exc.value)
+            for n, cap in ((1031, 2000), (2048, 2048)):
+                with pytest.raises(BudgetExceededError) as exc:
+                    read(FiniteRingSpec.zmod(n), cap=cap)
+                assert str(exc.value) == (
+                    f"ring of order {n} exceeds the construction cap 1024"
+                )
 
 
 SL2_ORDERS = {
@@ -663,15 +671,66 @@ class TestAgainstReferences:
             assert size == len(columns), spec.describe()
             assert {len(row) for row in relations} == {len(xs)}
 
+    def test_relation_rows_are_reduced_mod_the_additive_orders(self):
+        # field i of a Schreier row is reduced mod m_i, the additive order of
+        # generator i's entry: p^k for x^i in a factor (Z/p^k)[x]/(h), and
+        # for E21(1) the additive order of 1; the rows m_i e_i, E21's among
+        # them, are the only other rows
+        specs = [spec for _, spec in GE2_RINGS] + list(PRODUCT_RINGS)
+        specs += [FiniteRingSpec.zmod(n) for n in (13, 14, 15, 16, 25, 27)]
+        for spec in dict.fromkeys(specs):
+            moduli = [f.modulus for f in spec.factors for _ in range(f.degree)]
+            moduli.append(lcm(*(f.modulus for f in spec.factors)))
+            n = len(moduli)
+            units = {
+                tuple(m * (i == j) for j in range(n)) for i, m in enumerate(moduli)
+            }
+            _, relations = _ring(spec).sl2_orbit()
+            assert len(set(relations)) == len(relations) <= prod(moduli) + n
+            assert units <= set(relations), spec.describe()
+            for row in set(relations) - units:
+                assert all(0 <= e < m for e, m in zip(row, moduli)), spec.describe()
+        # 8 generators of additive order 2, where the unreduced Schreier rows
+        # number 35 807
+        spec = FiniteRingSpec((RingFactor(2, 1, (1, 1, 0, 0, 0, 0, 0, 1)),))
+        _, relations = _ring(spec).sl2_orbit()
+        assert len(relations) <= 2**8 + 8
+
+    def test_factorwise_reading_is_the_whole_ring_reading(self):
+        # sl2ab_by_factors reads SL2 one factor at a time, FiniteRing over the
+        # whole ring, so the product lemma stays a check: on the rings of the
+        # oracle-cold benchmark workload, Z/4 to Z/12 and the products, and
+        # the README's ring of order 36
+        readme = FiniteRingSpec.from_json(
+            {"factors": [{"kind": "zmodpk", "p": 2, "k": 2},
+                         {"kind": "polyquot", "p": 3, "h": [1, 0, 1]}]}
+        )
+        cases = [(FiniteRingSpec.zmod(n), DEFAULT_RING_CAP) for n in range(4, 13)]
+        cases += [(spec, DEFAULT_RING_CAP) for spec in PRODUCT_RINGS]
+        cases.append((readme, 36))
+        assert len(cases) == 25
+        for spec, cap in cases:
+            ring = FiniteRing(spec, cap)
+            expected = (ring.sl2_order, ring.sl2ab)
+            assert sl2ab_by_factors(spec, cap) == expected, spec.describe()
+
     def test_packed_exponent_vectors_round_trip(self):
-        # signed entries up to the bound the construction cap gives
+        # signed entries up to the bound the construction cap gives, each
+        # field read back mod its modulus; a modulus past twice the bound
+        # gives the signed entry back exactly, and vectors that agree mod
+        # the moduli are read once
         rng = random.Random(36)
         bound = 1024**2 + 1024
         for n in (1, 2, 5, 11):
             for _ in range(200):
                 row = [rng.randint(-bound, bound) for _ in range(n)]
+                moduli = [rng.choice((2, 3, 4, 9, 1024, 2 * bound + 1)) for _ in row]
                 packed = sum(e << (oracle._FIELD * i) for i, e in enumerate(row))
-                assert _unpack([packed], n) == [tuple(row)]
+                step = rng.choice((-1, 1)) * moduli[-1]
+                shifted = packed + (step << oracle._FIELD * (n - 1))
+                expected = tuple(e % m for e, m in zip(row, moduli))
+                assert _unpack([packed], moduli) == {expected}
+                assert _unpack([packed, shifted], moduli) == {expected}
 
     @pytest.mark.parametrize("factor", LARGE_FACTORS, ids=str)
     def test_large_rings_match_local_formula(self, factor):
