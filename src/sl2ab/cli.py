@@ -388,7 +388,12 @@ def _print_compute_report(outcome: ComputeOutcome) -> None:
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    outcome = compute(_field_from_args(args), _s_from_args(args))
+    try:
+        field = _field_from_args(args)
+    except NotPMaximalError:
+        _s_from_args(args)  # a usage error in S is reported before the refusal
+        raise
+    outcome = compute(field, _s_from_args(args))
     if args.json:
         sys.stdout.write(dump_json(outcome.to_json()))
     else:

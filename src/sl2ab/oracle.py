@@ -6,9 +6,12 @@ Galois ring GR(4, 2) = (Z/4)[x]/(x^2+x+1).  A factor element is its tuple of
 deg h coefficients mod p^k; products are reduced mod h.  At the scale this
 package cares about (ring order <= 16 by default) everything is done over
 index-space addition and multiplication tables, built by digit arithmetic
-mod p^k.  FiniteRing(spec, cap) holds them; it and sl2ab_by_factors check
-the budget through one helper, before any table is built.  Each call builds
-its own rings, and the module keeps no memo between calls.
+mod p^k.  FiniteRing(spec, cap) holds them, and reads the index of 1,
+negation, the generators and relation coordinates off one numbering of the
+elements, their coefficients as mixed-radix digits.  It and
+sl2ab_by_factors check the budget through one helper, before any table is
+built.  Each call builds its own rings, and the module keeps no memo
+between calls.
 FiniteRing answers every SL2(R) question: sl2_order counts the group from
 the multiplication table, only sl2_elements() lists it, as index tuples, and
 sl2_orbit walks the orbit of e1 = (1, 0) on the unimodular columns of R^2
@@ -37,8 +40,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from math import prod
-from operator import mul
+from math import gcd, lcm, prod
 from typing import Iterable, Iterator
 
 from .abgroup import (
@@ -103,10 +105,6 @@ class RingFactor:
     @property
     def order(self) -> int:
         return self.modulus**self.degree
-
-    def elements(self) -> list[tuple[int, ...]]:
-        """Every element as its coefficient tuple, in lexicographic order."""
-        return list(itertools.product(range(self.modulus), repeat=self.degree))
 
     def __str__(self) -> str:
         if self.h == (0, 1):
@@ -253,7 +251,7 @@ def _factor_tables(factor: RingFactor) -> tuple[_Table, _Table]:
     zmod_add = [[(i + j) % m for j in range(m)] for i in range(m)]
     add = reduce(_product_table, [zmod_add] * n)
     mul = []
-    for a in factor.elements():
+    for a in itertools.product(range(m), repeat=n):
         row, v = [0], list(a)
         for _ in range(n):
             multiples, acc = [], 0
@@ -286,26 +284,28 @@ def _check_caps(order: int, cap: int) -> None:
 class FiniteRing:
     """Index-space arithmetic tables for a FiniteRingSpec, within budget:
     past the enumeration cap cap, or the construction cap whatever cap is,
-    BudgetExceededError is raised before any table is built.  Elements are
-    numbered in the lexicographic order of their factor components; all
-    group-level work downstream runs on the integer indexes, and a matrix is
-    the index tuple (a, b, c, d) of its entries.  |SL2(R)| and its
-    abelianization are computed once per ring, on first use.
+    BudgetExceededError is raised before any table is built.  digits holds
+    the (radix p^k, place value) of each coefficient, factor by factor and
+    constant term first, the first most significant: elements are numbered
+    lexicographically.  All group-level work downstream runs on the integer
+    indexes, and a matrix is the index tuple (a, b, c, d) of its entries.
+    |SL2(R)| and its abelianization are computed once per ring, on first use.
     """
 
     def __init__(self, spec: FiniteRingSpec, cap: int = DEFAULT_RING_CAP):
         _check_caps(spec.order, cap)
         self.spec = spec
-        self.order = spec.order
+        self.order = N = spec.order
         factors = spec.factors
-        self.elements = list(itertools.product(*(f.elements() for f in factors)))
+        radices = [f.modulus for f in factors for _ in range(f.degree)]
+        self.digits = [(r, prod(radices[i + 1 :])) for i, r in enumerate(radices)]
         adds, muls = zip(*map(_factor_tables, factors))
         self.add_table = reduce(_product_table, adds)
         self.mul_table = reduce(_product_table, muls)
         self.zero_index = 0  # every coefficient 0 comes first
-        one = tuple((1,) + (0,) * (f.degree - 1) for f in factors)
-        self.one_index = self.elements.index(one)
-        self.neg = [row.index(self.zero_index) for row in self.add_table]
+        constants = itertools.accumulate((f.degree for f in factors[:-1]), initial=0)
+        self.one_index = sum(self.digits[i][1] for i in constants)
+        self.neg = [sum(-(i // v) % r * v for r, v in self.digits) for i in range(N)]
 
     @cached_property
     def sl2_order(self) -> int:
@@ -351,7 +351,7 @@ class FiniteRing:
         |X| of them.  An exponent vector is one int, a signed field of
         _FIELD bits per generator, so that rows compare as ints."""
         N, A, M, neg = self.order, self.add_table, self.mul_table, self.neg
-        one, zero = self.one_index, self.zero_index
+        one, zero, digits = self.one_index, self.zero_index, self.digits
         gens = _elementary_gens(self)
         unit = [1 << (_FIELD * i) for i in range(len(gens))]
         # x is E12(s) or E21(s): E12(s) adds s c to a and s d to b; E21(s)
@@ -360,8 +360,9 @@ class FiniteRing:
         moves = [
             (c == zero, M[s], e) for (_, _, c, _), s, e in zip(gens, entries, unit)
         ]
-        digits = map(itertools.chain.from_iterable, self.elements)
-        coords = [sum(map(mul, v, unit)) for v in digits]
+        coords = [
+            sum(i // v % r * e for (r, v), e in zip(digits, unit)) for i in range(N)
+        ]
         relations = set()
         # seen[a N + c] = (b, d, w) for the point (a, c) found with t_v =
         # [[a, b], [c, d]] and w = w(t_v)
@@ -383,7 +384,8 @@ class FiniteRing:
                     bu, du, wu = found
                     beta = A[M[du][ub]][neg[M[bu][ud]]]
                     relations.add(w + e - wu - coords[beta])
-        moduli = [_additive_order(A, zero, s) for s in entries]
+        # the order of s in (R, +): the lcm over its digits d of r / gcd(d, r)
+        moduli = [lcm(*(r // gcd(s // v % r, r) for r, v in digits)) for s in entries]
         n = len(gens)
         rows = _unpack(relations, moduli)
         rows.discard((0,) * n)
@@ -437,24 +439,13 @@ def _unpack(vectors: Iterable[int], moduli: list[int]) -> set[tuple[int, ...]]:
     return set(zip(*([(b >> s & mask) % m for b in biased] for s, m in fields)))
 
 
-def _additive_order(add_table: _Table, zero: int, s: int) -> int:
-    """The order of the element s in (R, +)."""
-    order, acc = 1, s
-    while acc != zero:
-        order, acc = order + 1, add_table[acc][s]
-    return order
-
-
 def _elementary_gens(ring: FiniteRing) -> list[_IndexMat]:
     """X: E12(r) for the additive basis r of R, x^i in one factor
     (Z/p^k)[x]/(h) for i < deg h and 0 in the others, in digit order, then
     E21(1).  E12(1) E21(-1) E12(1) conjugates E12(a) to E21(-a), so X
     generates E2(R)."""
     one, zero = ring.one_index, ring.zero_index
-    # an element's index has its digits as mixed-radix digits, the last lowest
-    moduli = [f.modulus for f in ring.spec.factors for _ in range(f.degree)]
-    basis = [prod(moduli[i + 1 :]) for i in range(len(moduli))]
-    return [(one, r, zero, one) for r in basis] + [(one, zero, one, one)]
+    return [(one, v, zero, one) for _, v in ring.digits] + [(one, zero, one, one)]
 
 
 def prop_local_formula(factor: RingFactor) -> AbelianGroup:

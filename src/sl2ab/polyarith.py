@@ -102,14 +102,7 @@ def factorint(n: int) -> dict[int, int]:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in itertools.chain((2,), itertools.count(3, 2)):
-        if p * p > n:
-            return True
-        if n % p == 0:
-            return False
-    return True
+    return factorint(n) == {n: 1}
 
 
 def is_squarefree(n: int) -> bool:

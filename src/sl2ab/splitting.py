@@ -5,9 +5,9 @@ The group-structure formulas downstream consume only the multiset of
 (ramification index e, inertia degree f) pairs above 2 and above 3, bundled
 here as SplittingData.  Each field form knows its own degree, signature (or
 places), splitting, JSON form and display name, and owns its splitting
-route: dedekind_split, which reads Dedekind's criterion on a defining
-polynomial from polyarith's dedekind_obstruction, behind
-GeneralPoly.split_at; the congruence rules for quadratic fields in
+route: Dedekind's criterion on a defining polynomial, read from polyarith's
+dedekind_obstruction by dedekind_split and, once on construction, by
+GeneralPoly; the congruence rules for quadratic fields in
 Quadratic.split_at; the closed form for cyclotomic fields in
 Cyclotomic.split_at; and the shared degree-one places of F_2(t) and F_3(t)
 in RationalFunction.splittings.  The closed forms and the criterion
@@ -97,10 +97,10 @@ class SplittingData:
     """Decomposition of one rational prime in a degree-n field.
 
     count is the number of primes and degree_one the (index, prime) pairs of
-    inertia degree one, the only ones a summand reads.  A splitting whose
-    primes all have f > 1 (from uniform() or a cyclotomic form) counts and
-    labels them only when count or primes is first read (for display, JSON,
-    comparison or an index check); a cyclotomic form finds f only then.
+    inertia degree one, the only ones a summand reads.  A cyclotomic form's
+    splitting whose primes all have f > 1 counts and labels them only when
+    count or primes is first read (for display, JSON, comparison or an index
+    check), and finds f only then.
     """
 
     p: int
@@ -119,7 +119,7 @@ class SplittingData:
         self.__dict__.update(count=len(self.primes), degree_one=ones)
 
     def __getattr__(self, name: str):
-        # reached only while a splitting with f > 1 has not built its primes
+        # reached only while a cyclotomic splitting has not built its primes
         shape = self.__dict__.get("_shape")
         if name not in ("count", "primes") or shape is None:
             raise AttributeError(name)
@@ -156,9 +156,7 @@ class SplittingData:
                 f"invalid decomposition at {brief(p)}: e*f = {brief(e)}*{brief(f)} "
                 f"must divide n = {brief(degree)}"
             )
-        if f == 1:  # every prime gives a summand, so all are read
-            return cls(p, degree, _uniform_primes(p, degree, e, f))
-        return cls._unread(p, degree, e, partial(int, f))  # f; a lambda won't pickle
+        return cls(p, degree, _uniform_primes(p, degree, e, f))
 
     @classmethod
     def _unread(cls, p: int, degree: int, e: int, inertia) -> "SplittingData":
@@ -196,30 +194,28 @@ class Signature:
 # splitting by Dedekind's criterion
 
 
-def dedekind_split(
-    f: IntPoly,
-    p: int,
-    factors: list[tuple[ModPoly, int]] | None = None,
-    obstruction: ModPoly | None = None,
-) -> SplittingData:
+def dedekind_split(f: IntPoly, p: int) -> SplittingData:
     """Factorization shape of p in the maximal order, via f mod p.
 
     Requires Z[x]/(f) to be p-maximal; Dedekind's criterion is checked
     (dedekind_obstruction) and a failure raises NotPMaximalError rather than
     returning wrong (e, f) data.
     Labels name the ideals (p, g_i(theta)) by their generator polynomials.
-    factors is factor_mod_p(f mod p), and obstruction
-    dedekind_obstruction(f, p, factors), when the caller has them already.
     """
     _check_p(p)
     if not f.is_monic or f.degree < 1:
         raise ValueError(
             f"need a monic polynomial of degree >= 1: {brief_poly(f, repr)}"
         )
-    if factors is None:
-        factors = factor_mod_p(ModPoly(p, f.coeffs))
-    if obstruction is None:
-        obstruction = dedekind_obstruction(f, p, factors)
+    factors = factor_mod_p(ModPoly(p, f.coeffs))
+    return _split_or_refuse(f, p, factors, dedekind_obstruction(f, p, factors))
+
+
+def _split_or_refuse(
+    f: IntPoly, p: int, factors: list[tuple[ModPoly, int]], obstruction: ModPoly
+) -> SplittingData:
+    """The splitting of p read off f mod p = prod g_i^e_i, or NotPMaximalError
+    when Dedekind's obstruction is not 1."""
     if obstruction.coeffs != (1,):
         raise NotPMaximalError(p, f, obstruction)
     primes = tuple(
@@ -418,50 +414,42 @@ class GeneralPoly(NumberField):
     """Q[x]/(f) for monic f irreducible over Q (checked on construction), of
     degree <= POLY_DEGREE_LIMIT with |coefficients| <= POLY_COEFFICIENT_LIMIT.
 
-    The ring used downstream is Z[x]/(f); splitting at 2 and 3 goes through
-    the Dedekind criterion and fails loudly when Z[theta] is not maximal there.
-    f is factored mod 2 and mod 3 once, on construction, and the criterion is
-    read there once per prime.  The irreducibility check reads those
+    The ring used downstream is Z[x]/(f), split at 2 and 3 by the Dedekind
+    criterion on construction: f is factored mod 2 and mod 3 once, and the
+    criterion read once per prime.  The irreducibility check reads those
     factorizations and, at each of 2 and 3 where the criterion holds, the
     degrees e_i deg g_i of f's irreducible factors over Q_p that it gives
     (dedekind_obstruction); often they alone leave no degree for a proper
-    factor, and nothing is lifted.  A failed criterion is raised by split_at,
-    not on construction, so a reducible f is refused as reducible first.
+    factor, and nothing is lifted.  A reducible f raises ValueError; then
+    NotPMaximalError is raised at the first of 2 and 3 where Z[theta] is not
+    maximal.  A form that is built keeps both splittings, which split_at
+    hands back.
     """
 
     poly: IntPoly
-    factorizations: dict[int, list[tuple[ModPoly, int]]] = field(
-        init=False, repr=False, compare=False
-    )
-    obstructions: dict[int, ModPoly] = field(init=False, repr=False, compare=False)
+    splits: dict[int, SplittingData] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        f = self.poly
         # the limits first, so that no message renders a polynomial past them
-        check_limit(self.poly.degree, POLY_DEGREE_LIMIT, "degree")
-        for c in self.poly.coeffs:
+        check_limit(f.degree, POLY_DEGREE_LIMIT, "degree")
+        for c in f.coeffs:
             check_limit(c, POLY_COEFFICIENT_LIMIT, "coefficient")
-        if not self.poly.is_monic or self.poly.degree < 1:
-            shown = brief_poly(self.poly, repr)
+        if not f.is_monic or f.degree < 1:
+            shown = brief_poly(f, repr)
             raise ValueError(f"need a monic polynomial of degree >= 1: {shown}")
-        factorizations = {
-            p: factor_mod_p(ModPoly(p, self.poly.coeffs)) for p in (2, 3)
-        }
-        obstructions = {
-            p: dedekind_obstruction(self.poly, p, factors)
-            for p, factors in factorizations.items()
-        }
-        object.__setattr__(self, "factorizations", factorizations)
-        object.__setattr__(self, "obstructions", obstructions)
+        factors = {p: factor_mod_p(ModPoly(p, f.coeffs)) for p in (2, 3)}
+        obstruction = {p: dedekind_obstruction(f, p, factors[p]) for p in (2, 3)}
         local_degrees = {
-            p: [e * g.degree for g, e in factorizations[p]]
-            for p, obstruction in obstructions.items()
-            if obstruction.coeffs == (1,)
+            p: [e * g.degree for g, e in factors[p]]
+            for p in (2, 3) if obstruction[p].coeffs == (1,)
         }
-        if not irreducible_over_q_check(self.poly, factorizations, local_degrees):
+        if not irreducible_over_q_check(f, factors, local_degrees):
             raise ValueError(
-                f"{brief_poly(self.poly)} is reducible over Q and does not define "
-                "a field"
+                f"{brief_poly(f)} is reducible over Q and does not define a field"
             )
+        splits = {p: _split_or_refuse(f, p, factors[p], obstruction[p]) for p in (2, 3)}
+        object.__setattr__(self, "splits", splits)
 
     @property
     def degree(self) -> int:
@@ -475,9 +463,8 @@ class GeneralPoly(NumberField):
         return Signature(r1, (self.poly.degree - r1) // 2)
 
     def split_at(self, p: int) -> SplittingData:
-        return dedekind_split(
-            self.poly, p, self.factorizations.get(p), self.obstructions.get(p)
-        )
+        _check_p(p)
+        return self.splits[p]
 
     def to_json(self) -> dict:
         return {"kind": "poly", "coefficients": list(self.poly.coeffs)}

@@ -336,11 +336,10 @@ def test_criterion_9a_cubic_fields_match_brute_force_oracle():
             field = GeneralPoly(f)
         except ValueError:
             continue  # reducible over Q
-        try:
-            got = _compute_group(field)
         except NotPMaximalError:
             not_maximal += 1
             continue
+        got = _compute_group(field)
         rings = [FiniteRing(FiniteRingSpec((r,)), cap=64) for r in _oracle_rings(f)]
         assert got == direct_sum(*(ring.sl2ab for ring in rings)), field
         checked += 1
@@ -354,18 +353,53 @@ def test_criterion_9a_cubic_fields_match_brute_force_oracle():
     )
 
 
-def _random_poly_fields(rng: random.Random, count: int):
-    """count seeded random fields Q[x]/(f), f monic of degree 2-8 with
-    coefficients in [-30, 30]; reducible draws are not fields and are
-    drawn again."""
-    fields = []
-    while len(fields) < count:
-        low = [rng.randint(-30, 30) for _ in range(rng.randint(2, 8))]
+# Monic quartics maximal at 2 and 3, one for each splitting of 2, as (e, f)
+# pairs, with a prime of residue field F_2.  "Split completely" cannot occur:
+# F_2 has two elements, so at most two primes above 2 have degree one.
+_QUARTICS_BY_SPLITTING_OF_2 = [
+    ((-2, -3, -2, -2, 1), ((1, 1), (1, 1), (1, 2))),
+    ((-3, -3, -3, 0, 1), ((1, 1), (1, 3))),
+    ((-2, -3, -3, -3, 1), ((1, 1), (3, 1))),
+    ((-3, -3, 0, -1, 1), ((1, 2), (2, 1))),
+    ((-2, -2, -3, 0, 1), ((2, 1), (2, 1))),
+    ((-3, -2, -2, 0, 1), ((4, 1),)),
+]
+
+
+def test_criterion_9a_quartic_fields_match_brute_force_oracle():
+    # O/4O has order 256, read with cap 256
+    start = time.perf_counter()
+    for coeffs, at_2 in _QUARTICS_BY_SPLITTING_OF_2:
+        f = IntPoly(coeffs)
+        field = GeneralPoly(f)
+        assert field.split_at(2).ef_multiset() == at_2, field
+        rings = [FiniteRing(FiniteRingSpec((r,)), cap=256) for r in _oracle_rings(f)]
+        assert _compute_group(field) == direct_sum(*(r.sl2ab for r in rings)), field
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, f"took {elapsed:.2f}s"
+    print(
+        f"ACCEPTANCE 9a (compute = SL2(O/4O)^ab + SL2(O/3O)^ab by the oracle, "
+        f"{len(_QUARTICS_BY_SPLITTING_OF_2)} quartic fields, one per splitting "
+        f"of 2 with a residue field F_2): PASS in {elapsed:.2f}s"
+    )
+
+
+def _random_poly_fields(rng: random.Random, count: int) -> list[IntPoly]:
+    """count seeded random f, monic of degree 2-8 with coefficients in
+    [-30, 30], that define fields Q[x]/(f); reducible draws are not fields
+    and are drawn again.  GeneralPoly(f) refuses some of them as not maximal
+    at 2 or 3."""
+    polys = []
+    while len(polys) < count:
+        f = IntPoly([rng.randint(-30, 30) for _ in range(rng.randint(2, 8))] + [1])
         try:
-            fields.append(GeneralPoly(IntPoly(low + [1])))
+            GeneralPoly(f)
         except ValueError:
             continue
-    return fields
+        except NotPMaximalError:
+            pass
+        polys.append(f)
+    return polys
 
 
 def test_criterion_9b_compute_matches_local_formula():
@@ -380,12 +414,11 @@ def test_criterion_9b_compute_matches_local_formula():
     ]
     assert len(cyclotomic) == 124
     forms += cyclotomic
-    fields = _random_poly_fields(random.Random(9), 400)
-    forms += [(field, field.poly) for field in fields]
+    forms += [(None, f) for f in _random_poly_fields(random.Random(9), 400)]
     checked = not_maximal = 0
     for field, f in forms:
         try:
-            got = _compute_group(field)
+            got = _compute_group(GeneralPoly(f) if field is None else field)
         except NotPMaximalError:
             not_maximal += 1
             continue
@@ -438,22 +471,22 @@ def test_criterion_9c_removals_drop_their_local_factor(capsys):
     # --remove-prime P:i puts the i-th printed prime above P in S, so the
     # group loses the summand of that prime's local factor and keeps the rest
     start = time.perf_counter()
-    fields = [GeneralPoly(IntPoly((-5, 0, 0, 1)))]  # 2 = (2, x+1)(2, x^2+x+1)
-    fields += _random_poly_fields(random.Random(93), 200)
+    polys = [IntPoly((-5, 0, 0, 1))]  # 2 = (2, x+1)(2, x^2+x+1)
+    polys += _random_poly_fields(random.Random(93), 200)
     checked = used = 0
-    for field in fields:
+    for f in polys:
         try:
-            _compute_group(field)
+            GeneralPoly(f)
         except NotPMaximalError:
             continue
         local = {
             p: [(label, prop_local_formula(factor)) for label, factor in pairs]
-            for p, pairs in _local_factors(field.poly).items()
+            for p, pairs in _local_factors(f).items()
         }
         if all(len({g for _, g in pairs}) == 1 for pairs in local.values()):
             continue  # every prime above 2 and above 3 adds the same
         used += 1
-        poly = "--poly=" + ",".join(map(str, field.poly.coeffs))
+        poly = "--poly=" + ",".join(map(str, f.coeffs))
         for p, pairs in local.items():
             for i, (label, _) in enumerate(pairs):
                 argv = [poly, "--extra-s-primes", "2", "--remove-prime", f"{p}:{i}"]
@@ -465,7 +498,7 @@ def test_criterion_9c_removals_drop_their_local_factor(capsys):
                     for j, (_, g) in enumerate(local[q])
                     if (q, j) != (p, i)
                 ]
-                assert got == direct_sum(*kept), (field, p, i)
+                assert got == direct_sum(*kept), (f, p, i)
                 checked += 1
     assert (used, checked) == (99, 422)
     elapsed = time.perf_counter() - start

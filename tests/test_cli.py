@@ -115,6 +115,16 @@ class TestComputeCommand:
         assert "not maximal at 2" in err
         # the message names routes that exist: the library form or a flag
         assert "sl2ab.UserNumberField" in err and "--quadratic" in err
+        # GeneralPoly refuses x^2 - 5 when built, but an invalid S is still
+        # reported first, as a usage error
+        for argv, message in (
+            (["--extra-s-primes=-1"], "--extra-s-primes must be >= 0, got -1"),
+            (["--invert=5"], "--invert applies only to --rational; use"),
+            (["--remove-prime", "7:0"], "--remove-prime: P must be 2 or 3, got 7"),
+        ):
+            code, out, err = invoke(capsys, "compute", "--poly=-5,0,1", *argv)
+            assert (code, out) == (EXIT_USAGE, ""), err
+            assert err.startswith(f"error: {message}")
 
     def test_poly_report(self, capsys):
         code, out, _ = invoke(capsys, "compute", "--poly=-5,0,0,1")

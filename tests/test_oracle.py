@@ -218,6 +218,7 @@ class TestFiniteRing:
             "sl2_abelianization", "enumerate_sl2_direct",
             "_sl2_quotient", "_sl2_indices", "_extend", "_Quotient",
             "_derived_quotient", "_mmul", "_identity", "_inverse", "_elementary",
+            "_additive_order",
         )
         for name in removed:
             assert not hasattr(oracle, name), name
@@ -282,9 +283,22 @@ def _mat_inv(ring, m):
     return (d, ring.neg[b], ring.neg[c], a)
 
 
-def _mat_value(ring, m):
-    """An index 4-tuple as the element values of its entries."""
-    return tuple(ring.elements[i] for i in m)
+def _lexicographic_elements(ring):
+    """Every element of the ring as its factors' coefficient tuples, in
+    lexicographic order, built here; the ring's numbering is checked to give
+    the i-th of them index i."""
+    factors = ring.spec.factors
+    els = list(
+        itertools.product(
+            *(itertools.product(range(f.modulus), repeat=f.degree) for f in factors)
+        )
+    )
+    indexes = [
+        sum(d * v for d, (_, v) in zip(itertools.chain(*value), ring.digits))
+        for value in els
+    ]
+    assert indexes == list(range(ring.order)), ring.spec.describe()
+    return els
 
 
 class TestEnumeration:
@@ -308,11 +322,11 @@ class TestEnumeration:
         # and the matrices of element values are listed in the same order
         for spec in (F3, F4, FiniteRingSpec.zmod(6)):
             ring = FiniteRing(spec)
+            els = _lexicographic_elements(ring)
             group = list(ring.sl2_elements())
             assert group == sorted(group)
-            values = [_mat_value(ring, m) for m in group]
+            values = [tuple(els[i] for i in m) for m in group]
             assert values == sorted(values)
-            assert ring.elements == sorted(ring.elements)
 
     def test_elementary_matrices_generate(self):
         for spec in (F2, F3, Z4, F4, EPS2, FiniteRingSpec.zmod(6)):
@@ -525,7 +539,7 @@ def _factor_mul_reference(factor, a, b):
 
 def _tables_reference(ring):
     """Both ring tables, one element pair at a time, factor by factor."""
-    els, factors = ring.elements, ring.spec.factors
+    els, factors = _lexicographic_elements(ring), ring.spec.factors
     idx = {v: i for i, v in enumerate(els)}
 
     def add(factor, a, b):
@@ -661,7 +675,8 @@ class TestAgainstReferences:
             ring = _ring(spec)
             xs = _elementary_gens(ring)
             one, zero = ring.one_index, ring.zero_index
-            digits = [tuple(itertools.chain(*ring.elements[x[1]])) for x in xs[:-1]]
+            els = _lexicographic_elements(ring)
+            digits = [tuple(itertools.chain(*els[x[1]])) for x in xs[:-1]]
             n = len(digits)
             assert digits == [tuple(int(i == j) for i in range(n)) for j in range(n)]
             assert xs[-1] == (one, zero, one, one)
@@ -769,6 +784,42 @@ class TestAgainstReferences:
             spec = FiniteRingSpec.zmod(n)
             expected = direct_sum(*map(prop_local_formula, spec.factors))
             assert FiniteRing(spec, cap=n).sl2ab == expected, n
+
+    def test_every_factor_of_order_at_most_32_against_tuples(self):
+        # every prime p, every k and every monic h with |R| <= 32: the orbit
+        # reads the formula's group, and one, negation and the generators'
+        # additive orders, read off the numbering, are those the coefficient
+        # tuples give (an order is the largest entry of its relation column:
+        # the row m_i e_i, every other entry reduced below m_i)
+        factors = [
+            RingFactor(p, k, (*low, 1))
+            for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+            for k in range(1, 6)
+            for n in range(1, 6)
+            if p ** (k * n) <= 32
+            for low in itertools.product(range(p**k), repeat=n)
+        ]
+        assert len(factors) == 418
+        for factor in factors:
+            ring, m = _ring(FiniteRingSpec((factor,))), factor.modulus
+            els = _lexicographic_elements(ring)
+            idx = {v: i for i, v in enumerate(els)}
+            assert els[ring.one_index] == ((1,) + (0,) * (factor.degree - 1),)
+            assert ring.neg == [idx[(tuple(-c % m for c in v),)] for (v,) in els]
+
+            def additive_order(value):
+                (v,) = value
+                order, acc = 1, v
+                while any(acc):
+                    order, acc = order + 1, tuple((a + c) % m for a, c in zip(acc, v))
+                return order
+
+            xs = _elementary_gens(ring)
+            entries = [b if c == ring.zero_index else c for _, b, c, _ in xs]
+            _, relations = ring.sl2_orbit()
+            expected = [additive_order(els[s]) for s in entries]
+            assert [max(column) for column in zip(*relations)] == expected, factor
+            assert ring.sl2ab == prop_local_formula(factor), factor
 
     def test_ring_tables_match_elementwise_reference(self):
         specs = [spec for _, spec in GE2_RINGS] + list(PRODUCT_RINGS)

@@ -535,8 +535,9 @@ class TestFieldSpecDispatch:
     )
     def test_criterion_runs_once_per_prime(self, coeffs, code, monkeypatch, capsys):
         # GeneralPoly reads Dedekind's criterion at 2 and 3 on construction,
-        # for the certificate, and split_at reuses it; a reducible f that is
-        # not maximal is refused as reducible (exit 4) before exit 3
+        # for the certificate and the splittings split_at hands back; a
+        # reducible f that is not maximal is refused as reducible (exit 4)
+        # before exit 3
         calls = []
         criterion = splitting.dedekind_obstruction
         monkeypatch.setattr(
@@ -546,6 +547,35 @@ class TestFieldSpecDispatch:
         )
         assert run(["compute", f"--poly={coeffs}"]) == code, capsys.readouterr().err
         assert sorted(calls) == [2, 3]
+
+    def test_constructor_refuses_at_the_first_prime_not_maximal(self):
+        # x^2 - 5 is not maximal at 2, x^2 - 18 is maximal at 2 and not at 3,
+        # x^2 - 45 is maximal at neither: each is refused when built, at the
+        # first of 2 and 3 where it is not maximal, with the text of exit 3
+        routes = (
+            "give its splitting of 2 and 3 through sl2ab.UserNumberField, or use "
+            "--quadratic or --cyclotomic when the field is one of those"
+        )
+        for coeffs, p, obstruction in (
+            ((-5, 0, 1), 2, "x+1"),
+            ((-18, 0, 1), 3, "x"),
+            ((-45, 0, 1), 2, "x+1"),
+        ):
+            f = IntPoly(coeffs)
+            with pytest.raises(NotPMaximalError) as exc:
+                GeneralPoly(f)
+            assert exc.value.p == p
+            assert str(exc.value) == (
+                f"Z[x]/({f}) is not maximal at {p} (Dedekind criterion "
+                f"obstruction: {obstruction}); {routes}"
+            )
+        # a form that is built hands back the splittings it stored
+        field = GeneralPoly(IntPoly((-5, 0, 0, 1)))
+        for p in (2, 3):
+            assert field.split_at(p) is field.split_at(p)
+            assert field.split_at(p) == dedekind_split(field.poly, p)
+        with pytest.raises(ValueError):
+            field.split_at(5)
 
     def test_user_supplied_char0(self):
         split2, split3 = Quadratic(3).splittings()
