@@ -17,7 +17,7 @@ double-check each other in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Union
 
 from .polyarith import (
@@ -123,8 +123,9 @@ class SplittingData:
         shape = self.__dict__.get("_shape")
         if name not in ("count", "primes") or shape is None:
             raise AttributeError(name)
-        e, inertia = shape
-        primes = _uniform_primes(self.p, self.degree, e, inertia())
+        e, s = shape  # f is the order of p mod s, found from phi(s) = degree / e
+        f = multiplicative_order(self.p, s, self.degree // e)
+        primes = _uniform_primes(self.p, self.degree, e, f)
         self.__dict__.update(count=len(primes), primes=primes)
         return self.__dict__[name]
 
@@ -159,11 +160,12 @@ class SplittingData:
         return cls(p, degree, _uniform_primes(p, degree, e, f))
 
     @classmethod
-    def _unread(cls, p: int, degree: int, e: int, inertia) -> "SplittingData":
-        """p splits into primes that share (e, f) with f = inertia() > 1, so
-        that no summand reads them; count and primes are built by __getattr__."""
+    def _unread(cls, p: int, degree: int, e: int, s: int) -> "SplittingData":
+        """p splits into primes that share (e, f) with f > 1 the order of p
+        mod s, so that no summand reads them; count and primes are built by
+        __getattr__."""
         out = object.__new__(cls)
-        out.__dict__.update(p=p, degree=degree, degree_one=(), _shape=(e, inertia))
+        out.__dict__.update(p=p, degree=degree, degree_one=(), _shape=(e, s))
         return out
 
 
@@ -364,14 +366,13 @@ class Cyclotomic(NumberField):
     """Q(zeta_n) for 1 <= n <= CYCLOTOMIC_LIMIT.
 
     n = 2 mod 4 gives the same field as n/2, so forms compare by that
-    normalized n; the normalized n, its factorization, the degree phi(n) and
-    the signature are computed once.
+    normalized n; the normalized n, its factorization and the degree phi(n)
+    are computed once, on construction, and the signature when it is read.
     """
 
     n: int = field(compare=False)
     normalized: int = field(init=False, repr=False)
     degree: int = field(init=False, repr=False, compare=False)
-    signature: Signature = field(init=False, repr=False, compare=False)
     factors: dict[int, int] = field(init=False, repr=False, compare=False)
     route = "cyclotomic"
 
@@ -382,11 +383,15 @@ class Cyclotomic(NumberField):
         normalized = self.n // 2 if self.n % 4 == 2 else self.n
         factors = factorint(normalized)
         degree = euler_phi_factored(factors)
-        # Q(zeta_1) = Q(zeta_2) = Q; every other Q(zeta_n) is totally imaginary
-        signature = _RATIONAL if normalized <= 2 else Signature(0, degree // 2)
         self.__dict__.update(  # the class is frozen; set the derived fields
-            normalized=normalized, factors=factors, degree=degree, signature=signature
+            normalized=normalized, factors=factors, degree=degree
         )
+
+    @cached_property
+    def signature(self) -> Signature:
+        """Q(zeta_1) = Q(zeta_2) = Q; every other Q(zeta_n) is totally
+        imaginary.  Built when read: compute() reads it only below degree 3."""
+        return _RATIONAL if self.normalized <= 2 else Signature(0, self.degree // 2)
 
     def split_at(self, p: int) -> SplittingData:
         """e = phi(p^a) and f = the order of p mod s, writing the normalized
@@ -394,13 +399,18 @@ class Cyclotomic(NumberField):
         all share (e, f).  Unless p = 1 mod s, f > 1 is found from phi(s) =
         phi(n) / e only when the primes are read, as no summand reads them."""
         _check_p(p)
+        return self._split(p)
+
+    def splittings(self) -> tuple[SplittingData, ...]:
+        return self._split(2), self._split(3)  # p needs no check
+
+    def _split(self, p: int) -> SplittingData:
         pa = p ** self.factors.get(p, 0)
         e = pa - pa // p  # phi(p^a), 1 when a = 0
         s = self.normalized // pa
         if p % s == 1 % s:
             return SplittingData.uniform(p, self.degree, e, 1)
-        inertia = partial(multiplicative_order, p, s, self.degree // e)
-        return SplittingData._unread(p, self.degree, e, inertia)
+        return SplittingData._unread(p, self.degree, e, s)
 
     def to_json(self) -> dict:
         return {"kind": "cyclotomic", "n": self.n}

@@ -16,9 +16,10 @@ the contribution of each surviving prime once and takes their direct sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
-from .abgroup import AbelianGroup, direct_sum
+from .abgroup import TRIVIAL_GROUP, AbelianGroup, direct_sum
 from .polyarith import (
     INTEGER_LIMIT,
     brief,
@@ -80,13 +81,18 @@ _FIRST_PRIME = frozenset({0})
 # Each inverted integer is factored by trial division, about 0.07 s near
 # 10^12, so the number of them is bounded as well as their size.
 INVERTED_COUNT_LIMIT = 32
+# S-sets of Z[1/n] kept by shape: one n <= 10^12 has at most 9 prime
+# divisors besides 2 and 3, so its S-set has one of 2 * 2 * 10 shapes.
+_INVERTED_SHAPE_CACHE_SIZE = 64
 
 
 def s_for_inverted(*ns: int) -> SSet:
     """S-set of Z[1/(n1 n2 ...)]: the rational primes dividing any of the
     given integers, sorted into the slots the structure formulas read (2 and
     3 by index, the rest by count).  Each integer must lie in [2, 10^12],
-    and at most INVERTED_COUNT_LIMIT are given."""
+    and at most INVERTED_COUNT_LIMIT are given.  The S-set is frozen and
+    shared: every input of one shape (2 in S, 3 in S, the count of other
+    primes) gets the same one."""
     check_limit(len(ns), INVERTED_COUNT_LIMIT, "number of integers")
     ps: set[int] = set()
     for n in ns:
@@ -95,10 +101,13 @@ def s_for_inverted(*ns: int) -> SSet:
         check_limit(n, INTEGER_LIMIT, "n")
         ps.update(factorint(n))
     two, three = 2 in ps, 3 in ps
+    return _inverted_shape(two, three, len(ps) - two - three)
+
+
+@lru_cache(maxsize=_INVERTED_SHAPE_CACHE_SIZE)
+def _inverted_shape(two: bool, three: bool, others: int) -> SSet:
     return SSet(
-        _FIRST_PRIME if two else _NO_PRIME,
-        _FIRST_PRIME if three else _NO_PRIME,
-        len(ps) - two - three,
+        _FIRST_PRIME if two else _NO_PRIME, _FIRST_PRIME if three else _NO_PRIME, others
     )
 
 
@@ -233,5 +242,7 @@ def compute(field: FieldSpec, s: SSet = EMPTY_S) -> ComputeOutcome:
         )
         return ComputeOutcome(field, s, known, "known-case", (), (warning,), splittings)
     contributions = _contributions(field, splittings, s)
-    group = direct_sum(*[c.group for c in contributions])
+    group = TRIVIAL_GROUP  # when no prime contributes, there is no sum to take
+    if contributions:
+        group = direct_sum(*[c.group for c in contributions])
     return ComputeOutcome(field, s, group, field.route, contributions, (), splittings)

@@ -36,6 +36,7 @@ from sl2ab.splitting import (
     dedekind_split,
     quadratic_min_poly,
 )
+from sl2ab.theorems import compute
 from zpoly import combination, product, shift
 
 SQUAREFREE_RANGE = [
@@ -242,6 +243,7 @@ class TestCyclotomic:
                 assert data.count == field.degree // (e * f), (n, p)
                 assert {(q.e, q.f) for q in data.primes} == {(e, f)}, (n, p)
                 assert len(data.degree_one) == (data.count if f == 1 else 0)
+            assert field.splittings() == (field.split_at(2), field.split_at(3)), n
 
     def test_closed_form_matches_dedekind(self):
         from sl2ab.polyarith import cyclotomic_polynomial
@@ -306,6 +308,17 @@ class TestFieldSpecDispatch:
         # function fields have places at infinity, no archimedean signature
         assert not hasattr(RationalFunction(2), "signature")
         assert RationalFunction(2).infinite_places == 1
+        # a cyclotomic form derives its signature when it is read
+        c7 = Cyclotomic(7)
+        assert "signature" not in vars(c7)
+        compute(c7)  # degree 6 opens the unit gate, so it reads no signature
+        assert "signature" not in vars(c7)
+        assert c7.signature == Signature(0, 3)
+        assert vars(c7)["signature"] is c7.signature
+        # the signature is no field: equality, hash and repr stay as they were
+        assert Cyclotomic(2) == Cyclotomic(1)
+        assert hash(Cyclotomic(2)) == hash(Cyclotomic(1))
+        assert repr(Cyclotomic(5)) == "Cyclotomic(n=5)"
 
     def test_split_at(self):
         for p in (2, 3):

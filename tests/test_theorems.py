@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2ab.abgroup import TRIVIAL_GROUP, AbelianGroup
+from sl2ab import theorems
+from sl2ab.abgroup import TRIVIAL_GROUP, AbelianGroup, direct_sum
 from sl2ab.polyarith import INTEGER_LIMIT, IntPoly, is_squarefree
 from sl2ab.splitting import (
     CYCLOTOMIC_LIMIT,
@@ -95,6 +96,16 @@ class TestSSet:
             s_for_inverted(1)
         with pytest.raises(ValueError):
             s_for_inverted(6, 0)
+        # one shared, frozen S-set per shape
+        assert s_for_inverted(6) is s_for_inverted(12, 18)
+        assert s_for_inverted(35) is s_for_inverted(5, 7)
+        for _ in range(2):  # a refused input is refused again, not cached
+            with pytest.raises(ValueError):
+                s_for_inverted(1)
+            with pytest.raises(ValueError, match="at most"):
+                s_for_inverted(10**12 + 1)
+        maxsize = theorems._inverted_shape.cache_parameters()["maxsize"]
+        assert maxsize == theorems._INVERTED_SHAPE_CACHE_SIZE
 
     def test_s_for_inverted_bound(self):
         assert s_for_inverted(10**12) == SSet(frozenset({0}), frozenset(), 1)
@@ -552,6 +563,15 @@ def number_field_strategy(draw):
     )
 
 
+def assert_sum_of_contributions(out):
+    """compute()'s group is the direct sum of its contributions; with none,
+    it is TRIVIAL_GROUP itself, and only then is it trivial."""
+    assert out.group == direct_sum(*(c.group for c in out.contributions))
+    assert (out.group == TRIVIAL_GROUP) == (out.contributions == ())
+    if out.contributions == ():
+        assert out.group is TRIVIAL_GROUP
+
+
 class TestFormulaProperties:
     @given(number_field_strategy(), st.integers(0, 3))
     @settings(max_examples=200)
@@ -561,7 +581,9 @@ class TestFormulaProperties:
             with pytest.raises(FiniteUnitsError):
                 group_of(field, s)
             return
-        g = group_of(field, s)
+        out = compute(field, s)
+        assert_sum_of_contributions(out)
+        g = out.group
         assert g.free_rank == 0
         assert 12 % g.exponent() == 0
 
@@ -583,8 +605,9 @@ class TestFormulaProperties:
             with pytest.raises(FiniteUnitsError):
                 group_of(field, s)
             return
-        g = group_of(field, s)
-        assert 6 % g.exponent() == 0
+        out = compute(field, s)
+        assert_sum_of_contributions(out)
+        assert 6 % out.group.exponent() == 0
 
     @given(st.integers(2, 500))
     def test_real_quadratic_exponent_divides_12(self, d):
