@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .polyarith import INTEGER_LIMIT, brief, check_limit, factorint
@@ -145,11 +145,13 @@ def from_relations(rows: Iterable[Sequence[int]], n: int) -> AbelianGroup:
     are dropped; integer row and column operations bring the rest to a
     diagonal, one column at a time: the least nonzero entry of the column is
     the pivot, the others are reduced mod it, and a remainder left in the
-    pivot row is swapped into the column as a smaller pivot.  Rows that do
-    not span a lattice of rank n (an infinite quotient) raise ValueError."""
+    pivot row is swapped into the column as a smaller pivot.  A pivot of 1
+    leaves no remainder, and the last column's entry is the gcd of what is
+    left in it.  Rows that do not span a lattice of rank n (an infinite
+    quotient) raise ValueError."""
     matrix = [list(row) for row in dict.fromkeys(map(tuple, rows)) if any(row)]
     diagonal: list[int] = []
-    for c in range(n):
+    for c in range(n - 1):
         while True:
             live = [row for row in matrix if row[c]]
             if not live:
@@ -160,6 +162,8 @@ def from_relations(rows: Iterable[Sequence[int]], n: int) -> AbelianGroup:
                 if row is not pivot:
                     q = row[c] // p
                     row[c:] = [a - q * b for a, b in zip(row[c:], pivot[c:])]
+            if p in (1, -1):
+                break
             if any(row[c] for row in live if row is not pivot):
                 continue
             # column c holds p alone, so subtracting multiples of it from
@@ -172,4 +176,9 @@ def from_relations(rows: Iterable[Sequence[int]], n: int) -> AbelianGroup:
                 row[c], row[rest[0]] = row[rest[0]], row[c]
         diagonal.append(abs(p))
         matrix = [row for row in matrix if row is not pivot]
+    if n:
+        last = gcd(*(row[-1] for row in matrix))
+        if not last:
+            raise ValueError(f"the relations do not span a lattice of rank {n}")
+        diagonal.append(last)
     return canonicalize([d for d in diagonal if d > 1])

@@ -6,32 +6,37 @@ Galois ring GR(4, 2) = (Z/4)[x]/(x^2+x+1).  A factor element is its tuple of
 deg h coefficients mod p^k; products are reduced mod h.  At the scale this
 package cares about (ring order <= 16 by default) everything is done over
 index-space addition and multiplication tables, built by digit arithmetic
-mod p^k.  FiniteRing(spec, cap) holds them, and reads the index of 1,
-negation, the generators and relation coordinates off one numbering of the
-elements, their coefficients as mixed-radix digits.  It and
+mod p^k.  FiniteRing(spec, cap) holds them, reads the index of 1, the
+generators and relation coordinates off one numbering of the elements, their
+coefficients as mixed-radix digits, and negation off the sum table.  It and
 sl2ab_by_factors check the budget through one helper, before any table is
 built.  Each call builds its own rings, and the module keeps no memo
 between calls.
 FiniteRing answers every SL2(R) question: sl2_order counts the group from
 the multiplication table, only sl2_elements() lists it, as index tuples, and
-sl2_orbit walks the orbit of e1 = (1, 0) on the unimodular columns of R^2
-under X, the E12 matrices of the additive basis of R and E21(1), breadth
-first.  The stabilizer of e1 is {E12(b)}, of order |R|, so sl2ab certifies
-that X generates by |orbit| |R| = |SL2(R)|; each edge of the orbit outside
-its search tree is a relation of SL2(R)^ab in the exponents of X, and with
-those of (R, +) they present it: the invariants are Z^X modulo them.  Each
-generator x of additive order m_x has x^(m_x) = I, E21(1) too, with m the
-additive order of 1, so the rows m_x e_x join them and every other row is
-reduced mod them, field by field: at most prod m_x + |X| short rows reach
-the diagonalization.  sl2ab_by_factors, the oracle command's entry point,
-reads SL2(R)^ab one factor at a time, as SL2(R_1 x R_2) = SL2(R_1) x
-SL2(R_2): each factor gets its own FiniteRing and certificate, and the
-answer is the direct sum.  FiniteRing(spec).sl2ab still walks a product
-whole, so the tests that compare the two check the product lemma.  The
-caps still bound |R|, so a product costs less than they allow.  These
-routines are the ground truth the structure formulas are tested against;
-prop_local_formula, the formula summed over the roots of h mod p at p = 2
-and 3, is read off (p, k, h) alone and shares no code with them.
+sl2_orbit walks the orbit of e1 = (1, 0) under X, the E12 matrices of the
+additive basis of R and E21(1), over the lines of R^2 (the unimodular
+columns up to a unit), breadth first.  X generates the torus of diagonal
+matrices through E21(1), so the stabilizer of the line of e1 is the Borel
+subgroup B of upper triangular matrices, of order |R^*| |R|, and sl2ab
+certifies that X generates by |lines| |R^*| |R| = |SL2(R)|.  Each edge of
+the walk outside its search tree is a relation of SL2(R)^ab in the
+exponents of X, and with B's own they present it: the invariants are Z^X
+modulo them.  Each generator x of additive order m_x has x^(m_x) = I,
+E21(1) too, with m the additive order of 1, so the rows m_x e_x join them
+and every other row is reduced mod them, field by field: at most prod m_x +
+|X| short rows reach the diagonalization.  The walk meets about |R| (1 +
+1/q) |X| edges on a local ring with residue field F_q, and marks the
+|SL2(R)| / |R| columns of its lines by table lookups.  sl2ab_by_factors,
+the oracle command's entry point, reads SL2(R)^ab one factor at a time, as
+SL2(R_1 x R_2) = SL2(R_1) x SL2(R_2): each factor gets its own FiniteRing
+and certificate, and the answer is the direct sum.  FiniteRing(spec).sl2ab
+still walks a product whole, so the tests that compare the two check the
+product lemma.  The caps still bound |R|, so a product costs less than they
+allow.  These routines are the ground truth the structure formulas are
+tested against; prop_local_formula, the formula summed over the roots of h
+mod p at p = 2 and 3, is read off (p, k, h) alone and shares no code with
+them.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from math import gcd, lcm, prod
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .abgroup import (
     TRIVIAL_GROUP,
@@ -245,24 +250,32 @@ def _factor_tables(factor: RingFactor) -> tuple[_Table, _Table]:
     """The addition and multiplication tables of a factor on element indexes,
     by digit arithmetic mod m = p^k.  The element c_0 + c_1 x + ... +
     c_(n-1) x^(n-1) is numbered as the digits c_0 ... c_(n-1) in base m, so
-    the sum table is the n-th power of that of Z/m, and row a of the product
-    table is read off the multiples of a, a x, ..., a x^(n-1)."""
+    the sum table is the n-th power of that of Z/m, and multiples[k], the
+    table of b -> k b, is that of Z/m's row k.  Multiplying by x is additive:
+    it is summed from the images x^(i+1) of the basis, x^n read as x^n - h,
+    and row a of the product table is the sum over the digits a_j of a_j
+    times the row of x^j."""
     m, n, h = factor.modulus, factor.degree, factor.h
-    zmod_add = [[(i + j) % m for j in range(m)] for i in range(m)]
+    cycle = list(range(m)) * 2
+    zmod_add = [cycle[i : i + m] for i in range(m)]
+    zmod_mul = [[k * j % m for j in range(m)] for k in range(m)]
     add = reduce(_product_table, [zmod_add] * n)
-    mul = []
-    for a in itertools.product(range(m), repeat=n):
-        row, v = [0], list(a)
-        for _ in range(n):
-            multiples, acc = [], 0
-            vi = reduce(lambda i, c: i * m + c, v, 0)
-            for _ in range(m):
-                multiples.append(acc)
-                acc = add[acc][vi]
-            row = [add[r][t] for r in row for t in multiples]
-            # v x, its x^n term rewritten as x^n - h
-            v = [(c - v[-1] * hc) % m for c, hc in zip([0] + v[:-1], h)]
-        mul.append(row)
+    multiples = reduce(
+        lambda t1, t2: [
+            [x * m + y for x in r1 for y in r2] for r1, r2 in zip(t1, t2)
+        ],
+        [zmod_mul] * n,
+    )
+    places = [m ** (n - 1 - i) for i in range(n)]
+    images = places[1:] + [sum(-c % m * v for c, v in zip(h, places))]
+    times_x = [0]
+    for image in images:
+        times_x = [add[s][k[image]] for s in times_x for k in multiples]
+    mul, row_xj = multiples, list(range(m**n))
+    for _ in range(1, n):
+        row_xj = [times_x[b] for b in row_xj]
+        scaled = [[k[b] for b in row_xj] for k in multiples]
+        mul = [[add[x][y] for x, y in zip(r, s)] for r in mul for s in scaled]
     return add, mul
 
 
@@ -295,7 +308,7 @@ class FiniteRing:
     def __init__(self, spec: FiniteRingSpec, cap: int = DEFAULT_RING_CAP):
         _check_caps(spec.order, cap)
         self.spec = spec
-        self.order = N = spec.order
+        self.order = spec.order
         factors = spec.factors
         radices = [f.modulus for f in factors for _ in range(f.degree)]
         self.digits = [(r, prod(radices[i + 1 :])) for i, r in enumerate(radices)]
@@ -305,7 +318,7 @@ class FiniteRing:
         self.zero_index = 0  # every coefficient 0 comes first
         constants = itertools.accumulate((f.degree for f in factors[:-1]), initial=0)
         self.one_index = sum(self.digits[i][1] for i in constants)
-        self.neg = [sum(-(i // v) % r * v for r, v in self.digits) for i in range(N)]
+        self.neg = [row.index(0) for row in self.add_table]
 
     @cached_property
     def sl2_order(self) -> int:
@@ -332,24 +345,38 @@ class FiniteRing:
 
     def sl2_orbit(self) -> tuple[int, list[tuple[int, ...]]]:
         """The orbit of e1 = (1, 0) under G = <X>, X = _elementary_gens, on
-        the unimodular columns of R^2: its size, and the relations in Z^X
-        that present G^ab, uncertified.
+        the unimodular columns of R^2, walked line by line: the number of
+        columns it is known to hold, and the relations in Z^X that present
+        G^ab, uncertified.
 
-        The stabilizer of e1 in SL2(R) is U = {E12(b)}, which is (R, +).  The
-        orbit is searched breadth first; each new point v keeps the second
-        column of its transversal t_v (t_v e1 = v) and its exponent vector
-        w(t_v).  An edge x: v -> u to a point found before gives t_u^-1 x t_v
-        = E12(b), b = d_u y_12 - b_u y_22 for x t_v = (y_ij), so the relation
-        w(t_v) + e_x - w(t_u) - coords(b), b on the E12 of the basis; m_i e_i
-        for each basis element of additive order m_i presents U^ab.  These
-        are the Schreier relations of a point stabilizer (Holt, Eick and
+        A line is a unimodular column up to a unit.  When X holds E21(1), G
+        holds the torus T = {diag(l, l^-1)}: diag(l, l^-1) = w(l) w(-1), with
+        w(u) = E12(u) E21(-u^-1) E12(u) and E21(r) = w(1) E12(-r) w(1)^-1,
+        so this word for diag(g, g^-1) has the image tau(g) = 2 c(g) +
+        c(g^-1) + 2 c(-1) + e_E21 in Z^X, where c(r) is r on the E12 of the
+        additive basis.  The stabilizer of the line of e1 is then the Borel
+        subgroup B = T U, U = {E12(b)}, and every column of a line found is
+        in the orbit.  Without E21(1) only the unit 1 is used: a line is one
+        column, and its stabilizer U.
+
+        The lines are searched breadth first; each keeps its transversal t_v
+        (t_v e1 = v) and exponent vector w(t_v), and marks its columns l v,
+        by line and l, in one flat table.  An edge x: v -> u to a line found
+        before has x t_v e1 = l u, so t_u^-1 x t_v = E12(l b) diag(l, l^-1),
+        b = d_u y_12 - b_u y_22 for x t_v = (y_ij): the relation w(t_v) + e_x
+        - w(t_u) - c(l b) - tau(l), tau(l) the image of l's word in the
+        generators g of the units (_unit_words).  B's own relations present
+        B^ab: m_i e_i for each basis element s_i of additive order m_i, one
+        power relation per g, and c(g^2 s_i) - e_i, as diag(g, g^-1)
+        conjugates E12(s_i) to E12(g^2 s_i).  With the edges' rows these are
+        the Schreier relations of a point stabilizer (Holt, Eick and
         O'Brien, Handbook of Computational Group Theory, 2005, ch. 6), so
-        they present G^ab.  E21(1)^m = I for m the additive order of 1, so
-        m e_E21 is a relation too, and with every m_i e_i among the rows,
-        field i of each Schreier row is reduced mod m_i: the rows are these
-        m_i e_i and the distinct reduced Schreier rows, at most prod m_i +
-        |X| of them.  An exponent vector is one int, a signed field of
-        _FIELD bits per generator, so that rows compare as ints."""
+        they present G^ab.  E21(1)^m = I for m the additive order of 1, so m
+        e_E21 is a relation too, and with every m_i e_i among the rows,
+        field i of each other row is reduced mod m_i: the rows are these m_i
+        e_i and the distinct reduced rows, at most prod m_i + |X| of them.
+        An exponent vector is one int, a signed field of _FIELD bits per
+        generator, so that rows compare as ints."""
         N, A, M, neg = self.order, self.add_table, self.mul_table, self.neg
         one, zero, digits = self.one_index, self.zero_index, self.digits
         gens = _elementary_gens(self)
@@ -360,44 +387,62 @@ class FiniteRing:
         moves = [
             (c == zero, M[s], e) for (_, _, c, _), s, e in zip(gens, entries, unit)
         ]
-        coords = [
-            sum(i // v % r * e for (r, v), e in zip(digits, unit)) for i in range(N)
-        ]
-        relations = set()
-        # seen[a N + c] = (b, d, w) for the point (a, c) found with t_v =
-        # [[a, b], [c, d]] and w = w(t_v)
-        seen: list[tuple[int, int, int] | None] = [None] * (N * N)
-        seen[one * N + zero] = (zero, one, 0)
-        queue = [(one, zero)]
-        for a, c in queue:  # grows while it is read
-            b, d, w = seen[a * N + c]
+        coords = [0]  # c(r), built digit by digit in the order of the numbering
+        for e, (r, _) in zip(unit, digits):
+            coords = [x + d * e for x in coords for d in range(r)]
+        e21 = (one, zero, one, one)
+        if e21 in gens:
+            shift = 2 * coords[neg[one]] + unit[gens.index(e21)]
+            tau, generators, relations = _unit_words(
+                M, one, lambda g, inverse: 2 * coords[g] + coords[inverse] + shift
+            )
+            basis = [(s, e) for (_, s, c, _), e in zip(gens, unit) if c == zero]
+            for g in generators:
+                g2 = M[M[g][g]]
+                relations.update(coords[g2[s]] - e for s, e in basis)
+        else:
+            tau, relations = {one: 0}, set()
+        # lines[k] = (a, c, b, d, w) for line k, found with t_v = [[a, b],
+        # [c, d]] and w = w(t_v); mark[a N + c] = k N + l for the column (a,
+        # c) = l t_v e1
+        lines = [(one, zero, zero, one, 0)]
+        mark = [-1] * (N * N)
+        for lam in tau:
+            mark[lam * N + zero] = lam
+        for a, c, b, d, w in lines:  # grows while it is read
             for upper, row, e in moves:
                 if upper:
                     ua, uc, ub, ud = A[a][row[c]], c, A[b][row[d]], d
                 else:
                     ua, uc, ub, ud = a, A[c][row[a]], b, A[d][row[b]]
-                found = seen[ua * N + uc]
-                if found is None:
-                    seen[ua * N + uc] = (ub, ud, w + e)
-                    queue.append((ua, uc))
+                found = mark[ua * N + uc]
+                if found < 0:
+                    base, Ma, Mc = len(lines) * N, M[ua], M[uc]
+                    for lam in tau:
+                        mark[Ma[lam] * N + Mc[lam]] = base + lam
+                    lines.append((ua, uc, ub, ud, w + e))
                 else:
-                    bu, du, wu = found
+                    k, lam = divmod(found, N)
+                    _, _, bu, du, wu = lines[k]
                     beta = A[M[du][ub]][neg[M[bu][ud]]]
-                    relations.add(w + e - wu - coords[beta])
+                    relations.add(w + e - wu - coords[M[lam][beta]] - tau[lam])
         # the order of s in (R, +): the lcm over its digits d of r / gcd(d, r)
         moduli = [lcm(*(r // gcd(s // v % r, r) for r, v in digits)) for s in entries]
         n = len(gens)
         rows = _unpack(relations, moduli)
         rows.discard((0,) * n)
         rows.update(tuple(m * (i == j) for j in range(n)) for i, m in enumerate(moduli))
-        return len(queue), list(rows)
+        return len(lines) * len(tau), list(rows)
 
     @cached_property
     def sl2ab(self) -> AbelianGroup:
         """SL2(R)^ab, read from sl2_orbit's relations.  SL2 = E2 over every
         finite commutative ring, a product of local rings, so X generates;
-        the count |orbit| |U| = |orbit| |R| = |SL2(R)| certifies it, and
-        RuntimeError is raised if it ever fails."""
+        the count |orbit| |R| = |lines| |B| = |SL2(R)| certifies it, and
+        RuntimeError is raised if it ever fails.  The orbit counts the |R^*|
+        columns of each line only when X holds E21(1), so that T, and with
+        it B = T U, is known to lie in <X>; otherwise a line is one column,
+        and its stabilizer U = {E12(b)}, of order |R|."""
         size, relations = self.sl2_orbit()
         found = size * self.order
         if found != self.sl2_order:
@@ -415,15 +460,17 @@ def sl2ab_by_factors(
     certified by its own FiniteRing.sl2ab.  The caps bound |R|, as in
     FiniteRing, and are checked before any table is built."""
     _check_caps(spec.order, cap)
-    rings = {f: FiniteRing(FiniteRingSpec((f,)), cap) for f in spec.factors}
+    factors = dict.fromkeys(spec.factors)  # a factor met twice is built once
+    rings = {f: FiniteRing(FiniteRingSpec((f,)), cap) for f in factors}
     sl2_order = prod(rings[f].sl2_order for f in spec.factors)
     return sl2_order, direct_sum(*(rings[f].sl2ab for f in spec.factors))
 
 
 _IndexMat = tuple[int, int, int, int]
 # bits per signed exponent in a packed vector: under the construction cap an
-# entry is below |R|^2 + p^k <= 2^21 in absolute value, so the bias _unpack
-# adds to a field, below 2^31 + 2^10, keeps it in [0, 2^32)
+# entry is below 2^24 in absolute value (w(t_v) has fewer than |R|^2 letters,
+# a unit's word image below 5 p^k |R^*| <= 5 * 2^20 in each field), so the
+# bias _unpack adds to a field, below 2^31 + 2^10, keeps it in [0, 2^32)
 _FIELD = 32
 
 
@@ -432,11 +479,43 @@ def _unpack(vectors: Iterable[int], moduli: list[int]) -> set[tuple[int, ...]]:
     fields, lowest first, field i reduced mod moduli[i]: a multiple of
     moduli[i] of at least half the field is added to field i first, so
     that none is negative."""
-    half, mask = 1 << (_FIELD - 1), (1 << _FIELD) - 1
-    fields = [(_FIELD * i, m) for i, m in enumerate(moduli)]
-    bias = sum(-(-half // m) * m << s for s, m in fields)
-    biased = [v + bias for v in vectors]
-    return set(zip(*([(b >> s & mask) % m for b in biased] for s, m in fields)))
+    half, mask, bias = 1 << (_FIELD - 1), (1 << _FIELD) - 1, 0
+    for m in reversed(moduli):
+        bias = (bias << _FIELD) + -(-half // m) * m
+    rest = [v + bias for v in vectors]
+    fields = []
+    for m in moduli:
+        fields.append([(v & mask) % m for v in rest])
+        rest = [v >> _FIELD for v in rest]
+    return set(zip(*fields))
+
+
+def _unit_words(
+    M: _Table, one: int, image: Callable[[int, int], int]
+) -> tuple[dict[int, int], list[int], set[int]]:
+    """The units of the ring with multiplication table M, each as a word in
+    greedy generators: a dict from each unit to its word's image in Z^X, the
+    generators, and one relation per generator, a generator g having the
+    image image(g, g^-1).  The elements are scanned in index order, and each
+    unit outside the subgroup H the earlier generators span is the next g;
+    H then grows by its cosets g^k H, the word of g^k h being k times g's
+    plus h's, until g^K lies in H, and g^K = h is the relation.  With the
+    commutators these relations present the unit group (a polycyclic
+    presentation of an abelian group)."""
+    words, generators, relations = {one: 0}, [], set()
+    for g, row in enumerate(M):
+        if g in words or one not in row:
+            continue
+        step, subgroup = image(g, row.index(one)), list(words.items())
+        x, power = g, step
+        while x not in words:
+            Mx = M[x]
+            for h, word in subgroup:
+                words[Mx[h]] = power + word
+            x, power = M[g][x], power + step
+        generators.append(g)
+        relations.add(power - words[x])
+    return words, generators, relations
 
 
 def _elementary_gens(ring: FiniteRing) -> list[_IndexMat]:

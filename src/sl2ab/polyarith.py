@@ -77,7 +77,10 @@ def check_limit(value: int, limit: int, name: str) -> None:
 
 
 def factorint(n: int) -> dict[int, int]:
-    """Prime factorization of |n| by trial division, as {prime: exponent}."""
+    """Prime factorization of |n| by trial division, as {prime: exponent}.
+    Where trial division would pass 1000, the cofactor left by the primes
+    below 1000, found by one gcd, is tested for primality once, so that a
+    prime past 10^6 is not divided up to its square root."""
     n = abs(n)
     if n < 2:
         return {}
@@ -86,6 +89,17 @@ def factorint(n: int) -> dict[int, int]:
     if twos:
         out[2] = twos
         n >>= twos
+    if n >= _COFACTOR_TEST:
+        # what trial division below 1000 leaves, tested once: a prime is split
+        # off, and trial division runs on the rest, a 1000-smooth number
+        rest, g = n, gcd(n, _ODD_BELOW_1000)
+        while g > 1:
+            rest //= g
+            g = gcd(rest, g)
+        if rest >= _COFACTOR_TEST and _strong_probable_prime(rest):
+            out.update(factorint(n // rest))
+            out[rest] = 1
+            return out
     p = 3
     while p * p <= n:
         if n % p == 0:
@@ -101,7 +115,49 @@ def factorint(n: int) -> dict[int, int]:
     return out
 
 
+# Miller-Rabin to the first twelve prime bases is exact below _MILLER_RABIN_EXACT:
+# no composite below it is a strong pseudoprime to all of them (Sorenson and
+# Webster, Strong pseudoprimes to twelve prime bases, Math. Comp. 86, 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MILLER_RABIN_EXACT = 318665857834031151167461
+# is_prime trial-divides up to this; factorint tests its cofactor by primes
+# past 1000 only from _COFACTOR_TEST on, where trial division would pass 1000:
+# no n of at most 10^6 reaches either test
+_TRIAL_DIVISION_ONLY = 10**6
+_COFACTOR_TEST = 1001**2
+# the odd numbers below 1000 multiplied: its gcd with n is divisible by n's
+# odd primes below 1000 and by no other prime
+_ODD_BELOW_1000 = prod(range(3, 1000, 2))
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """n, odd and past 37, passes Miller-Rabin to every base in
+    _MILLER_RABIN_BASES; below _MILLER_RABIN_EXACT, exactly when n is prime.
+    Past it the answer is False, as it cannot be trusted."""
+    if n >= _MILLER_RABIN_EXACT:
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def is_prime(n: int) -> bool:
+    """n is prime: by trial division up to 10^6, and by Miller-Rabin past it
+    up to _MILLER_RABIN_EXACT (about 3.2 * 10^23), where that is exact."""
+    if _TRIAL_DIVISION_ONLY < n < _MILLER_RABIN_EXACT:
+        return n % 2 == 1 and _strong_probable_prime(n)
     return factorint(n) == {n: 1}
 
 

@@ -621,12 +621,26 @@ PRODUCT_RINGS = tuple(
 )
 
 
-# rings past the default cap, of orders 128 to 256
+# rings past the default cap, of orders 128 to 1024: Z/1024 and the cubic
+# (Z/8)[x]/(x^3+5x+3), of order 512, are walked at the construction cap
 LARGE_FACTORS = [
     RingFactor(2, 7),
     RingFactor(3, 5),
     RingFactor(2, 8),
     RingFactor(2, 1, (1, 1, 0, 0, 0, 0, 0, 1)),
+    RingFactor(2, 10),
+    RingFactor(2, 3, (3, 5, 0, 1)),
+]
+
+# every factor (Z/p^k)[x]/(h) with p^(k deg h) <= 32: every prime p, every k
+# and every monic h
+FACTORS_UP_TO_32 = [
+    RingFactor(p, k, (*low, 1))
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+    for k in range(1, 6)
+    for n in range(1, 6)
+    if p ** (k * n) <= 32
+    for low in itertools.product(range(p**k), repeat=n)
 ]
 
 
@@ -749,7 +763,8 @@ class TestAgainstReferences:
 
     @pytest.mark.parametrize("factor", LARGE_FACTORS, ids=str)
     def test_large_rings_match_local_formula(self, factor):
-        # past the default cap: the orbit takes about |R|^2 (deg + 1) steps
+        # past the default cap: the walk meets about |R| (1 + 1/q) lines under
+        # deg + 1 generators and marks the |SL2(R)| / |R| columns they hold
         start = time.perf_counter()
         ring = _ring(FiniteRingSpec((factor,)))
         assert ring.sl2ab == prop_local_formula(factor)
@@ -791,16 +806,8 @@ class TestAgainstReferences:
         # additive orders, read off the numbering, are those the coefficient
         # tuples give (an order is the largest entry of its relation column:
         # the row m_i e_i, every other entry reduced below m_i)
-        factors = [
-            RingFactor(p, k, (*low, 1))
-            for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
-            for k in range(1, 6)
-            for n in range(1, 6)
-            if p ** (k * n) <= 32
-            for low in itertools.product(range(p**k), repeat=n)
-        ]
-        assert len(factors) == 418
-        for factor in factors:
+        assert len(FACTORS_UP_TO_32) == 418
+        for factor in FACTORS_UP_TO_32:
             ring, m = _ring(FiniteRingSpec((factor,))), factor.modulus
             els = _lexicographic_elements(ring)
             idx = {v: i for i, v in enumerate(els)}
@@ -820,6 +827,40 @@ class TestAgainstReferences:
             expected = [additive_order(els[s]) for s in entries]
             assert [max(column) for column in zip(*relations)] == expected, factor
             assert ring.sl2ab == prop_local_formula(factor), factor
+
+    def test_torus_words_multiply_out(self):
+        # the words the walk reads the torus and E21 through, multiplied out
+        # on the ring tables: w(u) = E12(u) E21(-u^-1) E12(u), w(l) w(-1) =
+        # diag(l, l^-1) for every unit l, and w(1) E12(-r) w(1)^-1 = E21(r)
+        # for every r, on every factor of order at most 32 and the product
+        # rings of order at most 12
+        specs = [FiniteRingSpec((factor,)) for factor in FACTORS_UP_TO_32]
+        specs += PRODUCT_RINGS
+        for spec in specs:
+            ring = _ring(spec)
+            M, neg = ring.mul_table, ring.neg
+            one, zero = ring.one_index, ring.zero_index
+
+            def e12(r):
+                return (one, r, zero, one)
+
+            def e21(r):
+                return (one, zero, r, one)
+
+            def w(u, u_inverse):
+                upper = e12(u)
+                return _mat_mul(ring, _mat_mul(ring, upper, e21(neg[u_inverse])), upper)
+
+            inverses = {a: row.index(one) for a, row in enumerate(M) if one in row}
+            w_minus_one = w(neg[one], neg[one])
+            for lam, lam_inverse in inverses.items():
+                torus = _mat_mul(ring, w(lam, lam_inverse), w_minus_one)
+                assert torus == (lam, zero, zero, lam_inverse), spec.describe()
+            w_one = w(one, one)
+            for r in range(ring.order):
+                conjugate = _mat_mul(ring, w_one, e12(neg[r]))
+                conjugate = _mat_mul(ring, conjugate, _mat_inv(ring, w_one))
+                assert conjugate == e21(r), spec.describe()
 
     def test_ring_tables_match_elementwise_reference(self):
         specs = [spec for _, spec in GE2_RINGS] + list(PRODUCT_RINGS)

@@ -59,6 +59,28 @@ from sl2ab.polyarith import (
 from zpoly import combination, product, shift
 
 
+def _sieve_primes(limit):
+    """The primes up to limit, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\x00\x00"
+    for p in range(2, isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return [p for p, flag in enumerate(sieve) if flag]
+
+
+def _is_prime_by_trial_division(n, primes):
+    """n is prime, for n up to the square of the last of the given primes."""
+    if n < 2:
+        return False
+    for p in primes:
+        if p * p > n:
+            return True
+        if n % p == 0:
+            return n == p
+    return True
+
+
 class TestIntegerHelpers:
     def test_factorint(self):
         assert factorint(360) == {2: 3, 3: 2, 5: 1}
@@ -102,6 +124,46 @@ class TestIntegerHelpers:
         primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
         for n in range(-3, 50):
             assert is_prime(n) == (n in primes)
+
+    def test_is_prime_matches_trial_division(self, monkeypatch):
+        # is_prime trial-divides up to 10^6 and runs Miller-Rabin to the bases
+        # 2-37 past it; factorint tests its cofactor once trial division
+        # passes 1000.  The reference divides by the primes of a sieve.
+        primes = _sieve_primes(10**6)
+        small = set(primes)
+        for n in range(10**5 + 1):
+            assert is_prime(n) == (n in small), n
+            if n > 37 and n % 2:
+                assert polyarith._strong_probable_prime(n) == (n in small), n
+        rng = random.Random(12)
+        draws = [rng.randint(2, INTEGER_LIMIT) for _ in range(600)]
+        draws += [p * q for p, q in ((1009, 999983), (1013, 1019), (1009, 10**9 + 7))]
+        for n in draws:
+            expected = _is_prime_by_trial_division(n, primes)
+            assert is_prime(n) == expected, n
+            fac = factorint(n)
+            assert prod(p**e for p, e in fac.items()) == n, n
+            assert all(_is_prime_by_trial_division(p, primes) for p in fac), n
+        # 151 * 751 * 28351 is a strong pseudoprime to the bases 2, 3, 5 and 7
+        pseudoprime = 3215031751
+        assert not is_prime(pseudoprime)
+        assert factorint(pseudoprime) == {151: 1, 751: 1, 28351: 1}
+        monkeypatch.setattr(polyarith, "_MILLER_RABIN_BASES", (2, 3, 5, 7))
+        assert polyarith._strong_probable_prime(pseudoprime)
+
+    def test_primes_near_the_integer_limit_are_settled_at_once(self):
+        # trial division would run to 10^6 for each: about 2 s for these 32
+        primes = _sieve_primes(10**6)
+        largest = []
+        n = INTEGER_LIMIT - 1
+        while len(largest) < 32:
+            if _is_prime_by_trial_division(n, primes):
+                largest.append(n)
+            n -= 2
+        start = time.perf_counter()
+        assert all(is_prime(p) and factorint(p) == {p: 1} for p in largest)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.5, f"took {elapsed:.2f}s"
 
     def test_is_squarefree(self):
         assert is_squarefree(1)
