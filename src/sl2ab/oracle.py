@@ -45,7 +45,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from math import gcd, lcm, prod
+from math import lcm, prod
 from typing import Callable, Iterable, Iterator
 
 from .abgroup import (
@@ -344,20 +344,20 @@ class FiniteRing:
                 ]
 
     def sl2_orbit(self) -> tuple[int, list[tuple[int, ...]]]:
-        """The orbit of e1 = (1, 0) under G = <X>, X = _elementary_gens, on
-        the unimodular columns of R^2, walked line by line: the number of
-        columns it is known to hold, and the relations in Z^X that present
-        G^ab, uncertified.
+        """The orbit of e1 = (1, 0) under G = <X> on the unimodular columns
+        of R^2, walked line by line: the number of columns it is known to
+        hold, and the relations in Z^X that present G^ab, uncertified.  X is
+        E12(s) for the additive basis s of R, the element whose index is a
+        digit's place value (x^i in one factor (Z/p^k)[x]/(h), 0 in the
+        others), in digit order, then E21(1).
 
-        A line is a unimodular column up to a unit.  When X holds E21(1), G
-        holds the torus T = {diag(l, l^-1)}: diag(l, l^-1) = w(l) w(-1), with
-        w(u) = E12(u) E21(-u^-1) E12(u) and E21(r) = w(1) E12(-r) w(1)^-1,
-        so this word for diag(g, g^-1) has the image tau(g) = 2 c(g) +
-        c(g^-1) + 2 c(-1) + e_E21 in Z^X, where c(r) is r on the E12 of the
-        additive basis.  The stabilizer of the line of e1 is then the Borel
-        subgroup B = T U, U = {E12(b)}, and every column of a line found is
-        in the orbit.  Without E21(1) only the unit 1 is used: a line is one
-        column, and its stabilizer U.
+        A line is a unimodular column up to a unit.  G holds the torus T =
+        {diag(l, l^-1)}: diag(l, l^-1) = w(l) w(-1), with w(u) = E12(u)
+        E21(-u^-1) E12(u) and E21(r) = w(1) E12(-r) w(1)^-1, so this word
+        for diag(g, g^-1) has the image tau(g) = 2 c(g) + c(g^-1) + 2 c(-1)
+        + e_E21 in Z^X, where c(r) is r on the E12 of the additive basis.
+        The stabilizer of the line of e1 is the Borel subgroup B = T U, U =
+        {E12(b)}, and every column of a line found is in the orbit.
 
         The lines are searched breadth first; each keeps its transversal t_v
         (t_v e1 = v) and exponent vector w(t_v), and marks its columns l v,
@@ -371,37 +371,29 @@ class FiniteRing:
         conjugates E12(s_i) to E12(g^2 s_i).  With the edges' rows these are
         the Schreier relations of a point stabilizer (Holt, Eick and
         O'Brien, Handbook of Computational Group Theory, 2005, ch. 6), so
-        they present G^ab.  E21(1)^m = I for m the additive order of 1, so m
-        e_E21 is a relation too, and with every m_i e_i among the rows,
-        field i of each other row is reduced mod m_i: the rows are these m_i
-        e_i and the distinct reduced rows, at most prod m_i + |X| of them.
-        An exponent vector is one int, a signed field of _FIELD bits per
-        generator, so that rows compare as ints."""
+        they present G^ab.  s_i is one digit's place value, so m_i is its
+        radix, and E21(1)^m = I for m the additive order of 1, the lcm of
+        the radices, so m e_E21 is a relation too.  With every m_i e_i among
+        the rows, field i of each other row is reduced mod m_i: the rows are
+        these m_i e_i and the distinct reduced rows, at most prod m_i + |X|
+        of them.  An exponent vector is one int, a signed field of _FIELD
+        bits per generator, so that rows compare as ints."""
         N, A, M, neg = self.order, self.add_table, self.mul_table, self.neg
         one, zero, digits = self.one_index, self.zero_index, self.digits
-        gens = _elementary_gens(self)
-        unit = [1 << (_FIELD * i) for i in range(len(gens))]
-        # x is E12(s) or E21(s): E12(s) adds s c to a and s d to b; E21(s)
-        # adds s a to c and s b to d
-        entries = [b if c == zero else c for _, b, c, _ in gens]
-        moves = [
-            (c == zero, M[s], e) for (_, _, c, _), s, e in zip(gens, entries, unit)
-        ]
+        *unit, e21 = [1 << (_FIELD * i) for i in range(len(digits) + 1)]
+        basis = [(v, e) for (_, v), e in zip(digits, unit)]
+        # E12(s) adds s c to a and s d to b; E21(s) adds s a to c and s b to d
+        moves = [(True, M[v], e) for v, e in basis] + [(False, M[one], e21)]
         coords = [0]  # c(r), built digit by digit in the order of the numbering
         for e, (r, _) in zip(unit, digits):
             coords = [x + d * e for x in coords for d in range(r)]
-        e21 = (one, zero, one, one)
-        if e21 in gens:
-            shift = 2 * coords[neg[one]] + unit[gens.index(e21)]
-            tau, generators, relations = _unit_words(
-                M, one, lambda g, inverse: 2 * coords[g] + coords[inverse] + shift
-            )
-            basis = [(s, e) for (_, s, c, _), e in zip(gens, unit) if c == zero]
-            for g in generators:
-                g2 = M[M[g][g]]
-                relations.update(coords[g2[s]] - e for s, e in basis)
-        else:
-            tau, relations = {one: 0}, set()
+        shift = 2 * coords[neg[one]] + e21
+        tau, generators, relations = _unit_words(
+            M, one, lambda g, inverse: 2 * coords[g] + coords[inverse] + shift
+        )
+        for g in generators:
+            g2 = M[M[g][g]]
+            relations.update(coords[g2[v]] - e for v, e in basis)
         # lines[k] = (a, c, b, d, w) for line k, found with t_v = [[a, b],
         # [c, d]] and w = w(t_v); mark[a N + c] = k N + l for the column (a,
         # c) = l t_v e1
@@ -426,11 +418,10 @@ class FiniteRing:
                     _, _, bu, du, wu = lines[k]
                     beta = A[M[du][ub]][neg[M[bu][ud]]]
                     relations.add(w + e - wu - coords[M[lam][beta]] - tau[lam])
-        # the order of s in (R, +): the lcm over its digits d of r / gcd(d, r)
-        moduli = [lcm(*(r // gcd(s // v % r, r) for r, v in digits)) for s in entries]
-        n = len(gens)
+        moduli = [r for r, _ in digits]
+        moduli.append(lcm(*moduli))
         rows = _unpack(relations, moduli)
-        rows.discard((0,) * n)
+        n = len(moduli)
         rows.update(tuple(m * (i == j) for j in range(n)) for i, m in enumerate(moduli))
         return len(lines) * len(tau), list(rows)
 
@@ -439,10 +430,7 @@ class FiniteRing:
         """SL2(R)^ab, read from sl2_orbit's relations.  SL2 = E2 over every
         finite commutative ring, a product of local rings, so X generates;
         the count |orbit| |R| = |lines| |B| = |SL2(R)| certifies it, and
-        RuntimeError is raised if it ever fails.  The orbit counts the |R^*|
-        columns of each line only when X holds E21(1), so that T, and with
-        it B = T U, is known to lie in <X>; otherwise a line is one column,
-        and its stabilizer U = {E12(b)}, of order |R|."""
+        RuntimeError is raised if it ever fails."""
         size, relations = self.sl2_orbit()
         found = size * self.order
         if found != self.sl2_order:
@@ -516,15 +504,6 @@ def _unit_words(
         generators.append(g)
         relations.add(power - words[x])
     return words, generators, relations
-
-
-def _elementary_gens(ring: FiniteRing) -> list[_IndexMat]:
-    """X: E12(r) for the additive basis r of R, x^i in one factor
-    (Z/p^k)[x]/(h) for i < deg h and 0 in the others, in digit order, then
-    E21(1).  E12(1) E21(-1) E12(1) conjugates E12(a) to E21(-a), so X
-    generates E2(R)."""
-    one, zero = ring.one_index, ring.zero_index
-    return [(one, v, zero, one) for _, v in ring.digits] + [(one, zero, one, one)]
 
 
 def prop_local_formula(factor: RingFactor) -> AbelianGroup:

@@ -273,6 +273,18 @@ class TestGoldenTables:
         assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
 
 
+class TestGoldenVerify:
+    def test_verify_all_stdout(self, capsys):
+        # every suite's rows, the oracle's among them, byte for byte
+        code, out, err = invoke(capsys, "verify", "all")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.count("\n") == 435
+        assert out.endswith("428/428 passed, 0 failed\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "5c8b0414b85002a832ff4ac56b61dc6b40a02e66fc3390fa91a0eb90b2323c18"
+        )
+
+
 def _golden_id(case):
     return " ".join(
         a if isinstance(a, str) else json.dumps(a, separators=(",", ":"))
@@ -891,14 +903,13 @@ class TestOracleCommand:
         assert elapsed < 3.0, f"took {elapsed:.2f}s"
 
     def test_certificate_failure_refuses(self, capsys, monkeypatch):
-        # with only the E12 matrices, X fixes e1 in each factor: the command
-        # fails on the first factor's certificate instead of printing a group
-        elementary_gens = oracle._elementary_gens
-
-        def upper_only(ring):
-            return [g for g in elementary_gens(ring) if g[2] == ring.zero_index]
-
-        monkeypatch.setattr(oracle, "_elementary_gens", upper_only)
+        # with the independent count of SL2(R) one too large in each factor,
+        # the command fails on the first factor's certificate instead of
+        # printing a group
+        count = oracle.FiniteRing.sl2_order.func
+        monkeypatch.setattr(
+            oracle.FiniteRing, "sl2_order", property(lambda ring: count(ring) + 1)
+        )
         with pytest.raises(RuntimeError, match="generate"):
             run(["oracle", "--zmod", "6"])
         assert capsys.readouterr().out == ""

@@ -32,7 +32,6 @@ from sl2ab.oracle import (
     RingFactor,
     prop_local_formula,
     sl2ab_by_factors,
-    _elementary_gens,
     _unpack,
 )
 from sl2ab.cli import dump_json
@@ -331,7 +330,7 @@ class TestEnumeration:
     def test_elementary_matrices_generate(self):
         for spec in (F2, F3, Z4, F4, EPS2, FiniteRingSpec.zmod(6)):
             ring = FiniteRing(spec)
-            generated = _generated_subgroup(ring, _elementary_gens(ring))
+            generated = _generated_subgroup(ring, _walk_gens(ring))
             assert generated == list(ring.sl2_elements())
 
     def test_budget(self):
@@ -508,6 +507,13 @@ def _all_pairs_commutator_closure(ring, group_idx):
     return set(_generated_subgroup(ring, sorted(comms)))
 
 
+def _walk_gens(ring):
+    """X as FiniteRing.sl2_orbit moves by it: E12(v) for the place value v of
+    each digit, in digit order, then E21(1)."""
+    one, zero = ring.one_index, ring.zero_index
+    return [(one, v, zero, one) for _, v in ring.digits] + [(one, zero, one, one)]
+
+
 def _generated_subgroup(ring, gens):
     one, zero = ring.one_index, ring.zero_index
     closed = {(one, zero, zero, one)}
@@ -681,24 +687,21 @@ class TestAgainstReferences:
 
     def test_orbit_is_every_unimodular_column(self):
         # every ring the oracle handles under the default cap, and two past
-        # it: X is E12 of the additive basis in digit order, then E21(1), and
-        # the orbit of e1 under X is every first column of SL2(R)
+        # it: the digits' place values are the additive basis, so X is E12
+        # of the basis in digit order, then E21(1), and the orbit of e1 under
+        # X is every first column of SL2(R)
         specs = [spec for _, spec in GE2_RINGS] + list(PRODUCT_RINGS)
         specs += [FiniteRingSpec.zmod(n) for n in (13, 14, 15, 16, 25, 27)]
         for spec in dict.fromkeys(specs):
             ring = _ring(spec)
-            xs = _elementary_gens(ring)
-            one, zero = ring.one_index, ring.zero_index
             els = _lexicographic_elements(ring)
-            digits = [tuple(itertools.chain(*els[x[1]])) for x in xs[:-1]]
+            digits = [tuple(itertools.chain(*els[v])) for _, v in ring.digits]
             n = len(digits)
             assert digits == [tuple(int(i == j) for i in range(n)) for j in range(n)]
-            assert xs[-1] == (one, zero, one, one)
-            assert xs[:-1] == [(one, b, zero, one) for _, b, _, _ in xs[:-1]]
             size, relations = ring.sl2_orbit()
             columns = {(a, c) for a, _, c, _ in ring.sl2_elements()}
             assert size == len(columns), spec.describe()
-            assert {len(row) for row in relations} == {len(xs)}
+            assert {len(row) for row in relations} == {n + 1}
 
     def test_relation_rows_are_reduced_mod_the_additive_orders(self):
         # field i of a Schreier row is reduced mod m_i, the additive order of
@@ -781,15 +784,13 @@ class TestAgainstReferences:
             assert ring.sl2_order == len(list(ring.sl2_elements())) == 81**3 - 81**2
 
     def test_sl2_certificate_failure_raises(self, monkeypatch):
-        # with only the E12 matrices, X fixes e1: |orbit| |R| = |R| falls
-        # short of |SL2(R)|, and the abelianization must be refused, not read
-        # from the relations
-        elementary_gens = oracle._elementary_gens
-
-        def upper_only(ring):
-            return [g for g in elementary_gens(ring) if g[2] == ring.zero_index]
-
-        monkeypatch.setattr(oracle, "_elementary_gens", upper_only)
+        # with the independent count of SL2(R) one too large, |orbit| |R|
+        # falls short of it, and the abelianization must be refused, not
+        # read from the relations
+        count = FiniteRing.sl2_order.func
+        monkeypatch.setattr(
+            FiniteRing, "sl2_order", property(lambda ring: count(ring) + 1)
+        )
         for spec in (F2, Z4, FiniteRingSpec.zmod(6)):
             with pytest.raises(RuntimeError, match="generate"):
                 FiniteRing(spec).sl2ab
@@ -821,8 +822,7 @@ class TestAgainstReferences:
                     order, acc = order + 1, tuple((a + c) % m for a, c in zip(acc, v))
                 return order
 
-            xs = _elementary_gens(ring)
-            entries = [b if c == ring.zero_index else c for _, b, c, _ in xs]
+            entries = [v for _, v in ring.digits] + [ring.one_index]
             _, relations = ring.sl2_orbit()
             expected = [additive_order(els[s]) for s in entries]
             assert [max(column) for column in zip(*relations)] == expected, factor

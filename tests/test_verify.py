@@ -113,17 +113,17 @@ class TestSuiteRunner:
         )
 
     def test_ge2_reports_failures(self, monkeypatch):
-        # with only the E12 matrices, X fixes e1: the orbit is one column and
-        # X generates the |R| upper unitriangular matrices, so every ring
-        # fails, as rows, without raising
-        elementary_gens = oracle._elementary_gens
+        # with the walk reporting one column short, |orbit| |R| falls short
+        # of the direct count, so every ring fails, as rows, without raising
+        walk = oracle.FiniteRing.sl2_orbit
 
-        def upper_only(ring):
-            return [g for g in elementary_gens(ring) if g[2] == ring.zero_index]
+        def one_short(ring):
+            size, relations = walk(ring)
+            return size - 1, relations
 
-        monkeypatch.setattr(oracle, "_elementary_gens", upper_only)
+        monkeypatch.setattr(oracle.FiniteRing, "sl2_orbit", one_short)
         cases = suite_ge2()
         assert len(cases) == 20 and not any(c.ok for c in cases)
         assert cases[1].detail == (
-            "direct 24 element(s) | orbit 1 column(s) x 3 = 3"
+            "direct 24 element(s) | orbit 7 column(s) x 3 = 21"
         )
