@@ -40,7 +40,14 @@ from .oracle import (
     prop_local_formula,
     sl2ab_by_factors,
 )
-from .polyarith import INTEGER_LIMIT, SHOWN_LENGTH, IntPoly, brief, check_limit
+from .polyarith import (
+    INTEGER_LIMIT,
+    SHOWN_LENGTH,
+    IntPoly,
+    brief,
+    check_limit,
+    squarefree_sieve,
+)
 from .splitting import (
     CYCLOTOMIC_LIMIT,
     Cyclotomic,
@@ -50,6 +57,7 @@ from .splitting import (
     Quadratic,
     Rational,
     RationalFunction,
+    quadratic_splits,
 )
 from .theorems import (
     EMPTY_S,
@@ -467,6 +475,10 @@ def _check_rows(rows: int) -> None:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    """Print one classification table.  The quadratic table finds its
+    squarefree radicands with one sieve over the range, and it and the z-inv-n
+    table compute each distinct splitting, or S-set, once: a later row that
+    shares it prints the group stored for the first."""
     if args.table_kind == "quadratic":
         if args.d_min <= 1 or args.d_min > args.d_max:
             bounds = f"{brief(args.d_min)}..{brief(args.d_max)}"
@@ -474,13 +486,21 @@ def _cmd_table(args: argparse.Namespace) -> int:
         check_limit(args.d_max, INTEGER_LIMIT, "d_max")
         _check_rows(args.d_max - args.d_min + 1)
         rows = [f"{'d':>5}  {'d mod 24':>8}  group"]
-        for d in range(args.d_min, args.d_max + 1):
-            try:
-                spec = Quadratic(d)
-            except ValueError:
+        # Every row is a real quadratic field with S empty, so its two
+        # infinite places open the unit gate, and compute's group then depends
+        # on the splittings of 2 and 3 alone.  quadratic_splits returns one of
+        # nine pairs built once, so the pair's identity is the splitting.
+        groups: dict[int, str] = {}
+        squarefree = squarefree_sieve(args.d_min, args.d_max)
+        for d, flag in zip(range(args.d_min, args.d_max + 1), squarefree):
+            if not flag:
                 rows.append(f"{d:>5}  {d % 24:>8}  (skipped: not squarefree)")
-            else:
-                rows.append(f"{d:>5}  {d % 24:>8}  {compute(spec).group}")
+                continue
+            key = id(quadratic_splits(d))
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = str(compute(Quadratic(d)).group)
+            rows.append(f"{d:>5}  {d % 24:>8}  {group}")
     elif args.table_kind == "cyclotomic":
         if args.n_max < 1:
             raise CliError(f"need N_max >= 1, got {brief(args.n_max)}")
@@ -497,8 +517,14 @@ def _cmd_table(args: argparse.Namespace) -> int:
         _check_rows(args.n_max - 1)
         rows = [f"{'n':>4}  {'2|n':>4}  {'3|n':>4}  group"]
         rational = Rational()
+        # Every row is Q with a finite prime of n in S, which opens the unit
+        # gate, so compute's group depends on S alone.
+        groups_by_s: dict[SSet, str] = {}
         for n in range(2, args.n_max + 1):
-            group = compute(rational, s_for_inverted(n)).group
+            s = s_for_inverted(n)
+            group = groups_by_s.get(s)
+            if group is None:
+                group = groups_by_s[s] = str(compute(rational, s).group)
             two = "yes" if n % 2 == 0 else "no"
             three = "yes" if n % 3 == 0 else "no"
             rows.append(f"{n:>4}  {two:>4}  {three:>4}  {group}")

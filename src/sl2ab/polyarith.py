@@ -77,10 +77,12 @@ def check_limit(value: int, limit: int, name: str) -> None:
 
 
 def factorint(n: int) -> dict[int, int]:
-    """Prime factorization of |n| by trial division, as {prime: exponent}.
-    Where trial division would pass 1000, the cofactor left by the primes
-    below 1000, found by one gcd, is tested for primality once, so that a
-    prime past 10^6 is not divided up to its square root."""
+    """Prime factorization of |n|, as {prime: exponent} in increasing order.
+    Trial division finds the primes below 1000.  Where it would pass 1000,
+    the cofactor those primes leave, found by one gcd, is split instead:
+    Miller-Rabin tells a prime piece, and Pollard's rho splits a composite
+    one.  A cofactor past _MILLER_RABIN_EXACT, where Miller-Rabin is not
+    exact, is trial-divided."""
     n = abs(n)
     if n < 2:
         return {}
@@ -90,15 +92,17 @@ def factorint(n: int) -> dict[int, int]:
         out[2] = twos
         n >>= twos
     if n >= _COFACTOR_TEST:
-        # what trial division below 1000 leaves, tested once: a prime is split
+        # what trial division below 1000 leaves: its prime factors are split
         # off, and trial division runs on the rest, a 1000-smooth number
         rest, g = n, gcd(n, _ODD_BELOW_1000)
         while g > 1:
             rest //= g
             g = gcd(rest, g)
-        if rest >= _COFACTOR_TEST and _strong_probable_prime(rest):
+        if _COFACTOR_TEST <= rest < _MILLER_RABIN_EXACT:
             out.update(factorint(n // rest))
-            out[rest] = 1
+            rough: dict[int, int] = {}
+            _split_rough(rest, rough)
+            out.update(sorted(rough.items()))
             return out
     p = 3
     while p * p <= n:
@@ -115,12 +119,59 @@ def factorint(n: int) -> dict[int, int]:
     return out
 
 
+def _split_rough(n: int, out: dict[int, int]) -> None:
+    """Add the prime factors of n to out, n below _MILLER_RABIN_EXACT with
+    no prime factor below 1000."""
+    if _strong_probable_prime(n):
+        out[n] = out.get(n, 0) + 1
+    else:
+        d = _brent_rho(n)
+        _split_rough(d, out)
+        _split_rough(n // d, out)
+
+
+# _brent_rho takes the gcd of n with a product of this many differences at once
+_RHO_BATCH = 128
+
+
+def _brent_rho(n: int) -> int:
+    """A divisor 1 < d < n of the odd composite n: Pollard's rho on
+    y -> y^2 + c mod n with Brent's cycle detection (Brent, An improved Monte
+    Carlo factorization algorithm, BIT 20, 1980), for c = 1, 2, ... until
+    one gives a proper divisor.  A prime factor p of n is found after about
+    sqrt(p) steps, so at most about 10^3 for n up to 10^12."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y  # where this batch starts, to step through it again
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:  # the batch took in every factor of n: step through it alone
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
 # Miller-Rabin to the first twelve prime bases is exact below _MILLER_RABIN_EXACT:
 # no composite below it is a strong pseudoprime to all of them (Sorenson and
 # Webster, Strong pseudoprimes to twelve prime bases, Math. Comp. 86, 2017).
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MILLER_RABIN_EXACT = 318665857834031151167461
-# is_prime trial-divides up to this; factorint tests its cofactor by primes
+# is_prime trial-divides up to this; factorint splits its cofactor by primes
 # past 1000 only from _COFACTOR_TEST on, where trial division would pass 1000:
 # no n of at most 10^6 reaches either test
 _TRIAL_DIVISION_ONLY = 10**6
@@ -178,6 +229,38 @@ def is_squarefree(n: int) -> bool:
                 return False
         p += 2
     return n == 1 or isqrt(n) ** 2 != n
+
+
+def squarefree_sieve(lo: int, hi: int) -> bytearray:
+    """flags with flags[i] = 1 when lo + i is squarefree, else 0, for
+    1 <= lo <= hi <= INTEGER_LIMIT: the multiples of p^2 in [lo, hi] are
+    struck for every prime p up to isqrt(hi), a segmented sieve of
+    Eratosthenes (Crandall and Pomerance, Prime Numbers, section 3.2).  It
+    takes a byte per integer of the range and per odd integer up to
+    isqrt(hi), which is at most 10^6."""
+    if not 1 <= lo <= hi:
+        raise ValueError(f"need 1 <= lo <= hi, got {brief(lo)}..{brief(hi)}")
+    check_limit(hi, INTEGER_LIMIT, "hi")
+    size = hi - lo + 1
+    flags = bytearray(b"\x01") * size
+    for p in itertools.chain((2,), _odd_primes_up_to(isqrt(hi))):
+        square = p * p
+        first = -lo % square  # index of the first multiple of p^2 from lo on
+        if first < size:
+            flags[first::square] = bytes(len(range(first, size, square)))
+    return flags
+
+
+def _odd_primes_up_to(n: int) -> Iterator[int]:
+    """The odd primes up to n >= 1, by the sieve of Eratosthenes on the odd
+    numbers alone: flags[i] stands for 2 i + 1."""
+    flags = bytearray(b"\x01") * ((n + 1) // 2)
+    flags[0] = 0
+    for i in range(1, (isqrt(n) + 1) // 2):
+        if flags[i]:
+            p = 2 * i + 1
+            flags[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(flags), p)))
+    return itertools.compress(range(1, n + 1, 2), flags)
 
 
 def is_prime_power(q: int) -> tuple[int, int] | None:

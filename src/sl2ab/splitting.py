@@ -8,7 +8,7 @@ places), splitting, JSON form and display name, and owns its splitting
 route: Dedekind's criterion on a defining polynomial, read from polyarith's
 dedekind_obstruction by dedekind_split and, once on construction, by
 GeneralPoly; the congruence rules for quadratic fields in
-Quadratic.split_at; the closed form for cyclotomic fields in
+quadratic_splits; the closed form for cyclotomic fields in
 Cyclotomic.split_at; and the shared degree-one places of F_2(t) and F_3(t)
 in RationalFunction.splittings.  The closed forms and the criterion
 double-check each other in the test suite.
@@ -255,6 +255,11 @@ _QUADRATIC_SPLITS = {
         ("ramified", (PrimeAbove(p, 2, 1, f"({p}, ramified)"),)),
     )
 }
+_QUADRATIC_PAIRS = {
+    (two, three): (_QUADRATIC_SPLITS[2, two], _QUADRATIC_SPLITS[3, three])
+    for two in ("inert", "split", "ramified")
+    for three in ("inert", "split", "ramified")
+}
 _RATIONAL_FUNCTION_SPLITS = {
     q: tuple(
         SplittingData(q, 1, (PrimeAbove(q, 1, 1, label),))
@@ -268,6 +273,19 @@ _RATIONAL_SPLITS = {
 _RATIONAL = Signature(1, 0)
 _REAL_QUADRATIC = Signature(2, 0)
 _IMAGINARY_QUADRATIC = Signature(0, 1)
+
+
+def quadratic_splits(d: int) -> tuple[SplittingData, SplittingData]:
+    """The splittings of 2 and 3 in Q(sqrt(d)), d squarefree, read off d's
+    residues.  p = 2: inert when d = 5 mod 8, split when d = 1 mod 8, ramified
+    otherwise.  p = 3: inert when d = 2 mod 3, split when d = 1 mod 3,
+    ramified when 3 | d.  The pair is one of nine built once, so that two
+    radicands that split alike get the same pair object."""
+    r = d % 8
+    two = "inert" if r == 5 else "split" if r == 1 else "ramified"
+    r = d % 3
+    three = "inert" if r == 2 else "split" if r == 1 else "ramified"
+    return _QUADRATIC_PAIRS[two, three]
 
 
 class NumberField:
@@ -342,17 +360,8 @@ class Quadratic(NumberField):
         return _REAL_QUADRATIC if self.d > 0 else _IMAGINARY_QUADRATIC
 
     def split_at(self, p: int) -> SplittingData:
-        """p = 2: inert when d = 5 mod 8, split when d = 1 mod 8, ramified
-        otherwise.  p = 3: inert when d = 2 mod 3, split when d = 1 mod 3,
-        ramified when 3 | d."""
         _check_p(p)
-        if p == 2:
-            r = self.d % 8
-            kind = "inert" if r == 5 else "split" if r == 1 else "ramified"
-        else:
-            r = self.d % 3
-            kind = "inert" if r == 2 else "split" if r == 1 else "ramified"
-        return _QUADRATIC_SPLITS[p, kind]
+        return quadratic_splits(self.d)[p - 2]
 
     def to_json(self) -> dict:
         return {"kind": "quadratic", "d": self.d}

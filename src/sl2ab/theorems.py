@@ -78,8 +78,8 @@ EMPTY_S = SSet()
 _NO_PRIME: frozenset[int] = frozenset()
 _FIRST_PRIME = frozenset({0})
 
-# Each inverted integer is factored by trial division, about 0.07 s near
-# 10^12, so the number of them is bounded as well as their size.
+# Each inverted integer is factored, about 1 ms near 10^12 at most, and the
+# number of them is bounded as well as their size.
 INVERTED_COUNT_LIMIT = 32
 # S-sets of Z[1/n] kept by shape: one n <= 10^12 has at most 9 prime
 # divisors besides 2 and 3, so its S-set has one of 2 * 2 * 10 shapes.

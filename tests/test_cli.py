@@ -5,6 +5,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -30,6 +31,8 @@ from sl2ab.cli import (
     run,
 )
 from sl2ab.polyarith import IntPoly, cyclotomic_polynomial
+from sl2ab.splitting import Quadratic, Rational
+from sl2ab.theorems import compute, s_for_inverted
 from sl2ab.verify import cyclotomic_reference
 from zpoly import product
 
@@ -990,6 +993,47 @@ class TestTableCommand:
         assert code == EXIT_BUDGET
         assert out == ""
         assert f"past the row budget {TABLE_ROW_LIMIT}" in err
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_rows_match_per_row_compute(self, capsys, seed):
+        # a row takes the group stored for the first radicand (or S-set) of
+        # its splitting; here each row is computed on its own instead, from
+        # Quadratic(d) or s_for_inverted(n), on seeded ranges near 2, 10^4,
+        # 10^6 and 10^12
+        rng = random.Random(seed)
+        for low, high in ((2, 50), (2, 10**4), (10**6 - 500, 10**6), (10**12 - 10**5, 10**12 - 600)):
+            lo = rng.randint(low, high)
+            hi = lo + rng.randrange(600)
+            code, out, _ = invoke(capsys, "table", "quadratic", str(lo), str(hi))
+            assert code == EXIT_OK
+            rows = out.splitlines()[1:]
+            assert len(rows) == hi - lo + 1
+            for d, row in zip(range(lo, hi + 1), rows):
+                try:
+                    group = str(compute(Quadratic(d)).group)
+                except ValueError:
+                    group = "(skipped: not squarefree)"
+                assert row == f"{d:>5}  {d % 24:>8}  {group}", row
+        n_max = rng.randint(2, 3000)
+        code, out, _ = invoke(capsys, "table", "z-inv-n", str(n_max))
+        assert code == EXIT_OK
+        rows = out.splitlines()[1:]
+        assert len(rows) == n_max - 1
+        for n, row in zip(range(2, n_max + 1), rows):
+            group = compute(Rational(), s_for_inverted(n)).group
+            two, three = ("no", "yes")[n % 2 == 0], ("no", "yes")[n % 3 == 0]
+            assert row == f"{n:>4}  {two:>4}  {three:>4}  {group}", row
+
+    def test_quadratic_table_near_the_integer_limit_is_sieved_at_once(self, capsys):
+        # trial division of each radicand took about 10 s for these 100 000 rows
+        start = time.perf_counter()
+        code, out, _ = invoke(capsys, "table", "quadratic", "999999900001", "1000000000000")
+        elapsed = time.perf_counter() - start
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert len(lines) == 100_001
+        assert lines[-1] == f"{10**12}  {16:>8}  (skipped: not squarefree)"
+        assert elapsed < 3.0, f"took {elapsed:.2f}s"
 
     def test_row_budget_holds_the_longest_golden_table(self):
         assert TABLE_ROW_LIMIT == 100_000

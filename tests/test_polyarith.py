@@ -1,6 +1,7 @@
 """Exact arithmetic tests: integer helpers, polynomials over Z and F_p,
 factorization, irreducibility, Sturm sequences, cyclotomic polynomials."""
 
+import bisect
 import collections
 import functools
 import itertools
@@ -37,6 +38,7 @@ from sl2ab.polyarith import (
     is_squarefree,
     multiplicative_order,
     primes_dividing,
+    squarefree_sieve,
     sturm_real_roots,
     _F2,
     _F3,
@@ -191,6 +193,76 @@ class TestIntegerHelpers:
         # beside plain draws, a prime square up to 10^12 times a cofactor
         expected = all(e == 1 for e in factorint(n).values())
         assert is_squarefree(n) == is_squarefree(-n) == expected, n
+
+    def test_squarefree_sieve_matches_is_squarefree(self):
+        # seeded ranges near 2, 10^6 and 10^12, the squares of the largest
+        # primes below 10^6 (999983^2 = 999966000289) with and without their
+        # neighbours, and one-row ranges
+        rng = random.Random(26)
+        ranges = [(1, 3000), (2, 2), (4, 4), (1, 1)]
+        for low, high in ((2, 5000), (10**6 - 5000, 10**6), (INTEGER_LIMIT - 10**5, INTEGER_LIMIT)):
+            for _ in range(3):
+                lo = rng.randint(low, high)
+                ranges.append((lo, min(lo + rng.randrange(2000), INTEGER_LIMIT)))
+                ranges.append((lo, lo))
+        for p in (999961, 999979, 999983):
+            ranges += [(p * p - 60, p * p + 60), (p * p, p * p), (p * p - 1, p * p)]
+        ranges.append((INTEGER_LIMIT, INTEGER_LIMIT))
+        for lo, hi in ranges:
+            flags = squarefree_sieve(lo, hi)
+            assert flags == bytearray(map(is_squarefree, range(lo, hi + 1))), (lo, hi)
+        assert squarefree_sieve(999983**2, 999983**2) == b"\x00"
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(0, 5), (-3, 5), (6, 5), (INTEGER_LIMIT, INTEGER_LIMIT + 1)]
+    )
+    def test_squarefree_sieve_refuses_bad_ranges(self, lo, hi):
+        with pytest.raises(ValueError):
+            squarefree_sieve(lo, hi)
+
+    def test_factorint_splits_composite_cofactors(self):
+        # semiprimes, prime squares and prime cubes from primes past 1000,
+        # times a 1000-smooth cofactor or not, up to 10^12: Pollard's rho
+        # splits what trial division below 1000 leaves, and each factorization
+        # is known from how the number was built
+        primes = _sieve_primes(10**6)
+        rough = primes[bisect.bisect(primes, 1000) :]
+        rng = random.Random(42)
+        cases = []
+        for _ in range(150):
+            p = rng.choice(rough)
+            q = rng.choice(rough[: bisect.bisect(rough, INTEGER_LIMIT // p)])
+            cases.append({p: 1, q: 1} if p != q else {p: 2})
+        cases += [{p: 2} for p in rng.sample(rough, 60) + rough[-3:]]
+        cases += [{p: 3} for p in rough[: bisect.bisect(rough, 10**4)][-20:]]
+        cases += [{p: 3} for p in rng.sample(rough[: bisect.bisect(rough, 10**4)], 20)]
+        for fac in cases:
+            n = prod(p**e for p, e in fac.items())
+            small = {}
+            for p in rng.sample(primes[:168], 3):  # primes below 1000
+                if n * p <= INTEGER_LIMIT:
+                    n *= p
+                    small[p] = small.get(p, 0) + 1
+            expected = dict(sorted({**small, **fac}.items()))
+            got = factorint(n)
+            assert got == expected and list(got) == list(expected), n
+            rest = prod(p**e for p, e in fac.items())  # odd and composite
+            d = polyarith._brent_rho(rest)
+            assert 1 < d < rest and rest % d == 0, rest
+
+    def test_semiprimes_near_the_integer_limit_are_split_at_once(self):
+        # trial division would run to the smaller prime, near 10^6, for each:
+        # about 1.5 s for these 32
+        primes = _sieve_primes(1_100_000)
+        below = [p for p in reversed(primes) if p < 10**6][:32]
+        semiprimes = []
+        for p in below:
+            q = primes[bisect.bisect(primes, INTEGER_LIMIT // p) - 1]
+            semiprimes.append((p * q, {p: 1, q: 1}))
+        start = time.perf_counter()
+        assert all(factorint(n) == fac for n, fac in semiprimes)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.5, f"took {elapsed:.2f}s"
 
     def test_is_prime_power(self):
         assert is_prime_power(8) == (2, 3)

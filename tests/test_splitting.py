@@ -35,6 +35,7 @@ from sl2ab.splitting import (
     UserNumberField,
     dedekind_split,
     quadratic_min_poly,
+    quadratic_splits,
 )
 from sl2ab.theorems import compute
 from zpoly import combination, product, shift
@@ -181,7 +182,10 @@ class TestQuadratic:
         assert Quadratic(33).split_at(3).ef_multiset() == ((2, 1),)  # 3 | 33
 
     def test_shared_values_match_a_fresh_build(self):
-        # every class of d mod 24, with both signs
+        # every class of d mod 24, with both signs; `table quadratic` keys its
+        # groups on the identity of the pair, so radicands that split alike
+        # share one pair object, and the nine splittings nine objects
+        pairs = {}
         for sign in (1, -1):
             for r in range(24):
                 ds = [d for d in range(r, 2000, 24) if is_squarefree(d) and d != 1]
@@ -191,6 +195,12 @@ class TestQuadratic:
                     values = [Quadratic(sign * d).split_at(p) for d in ds[:3]]
                     assert values[0] == built_quadratic_split(sign * ds[0], p)
                     assert all(v is values[0] for v in values), (sign, r, p)
+                shared = [quadratic_splits(sign * d) for d in ds[:3]]
+                assert all(pair is shared[0] for pair in shared), (sign, r)
+                d = sign * ds[0]
+                assert shared[0] == (Quadratic(d).split_at(2), Quadratic(d).split_at(3))
+                pairs[id(shared[0])] = shared[0]
+        assert len(pairs) == len(set(pairs.values())) == 9
 
     def test_congruences_match_dedekind(self):
         # the residue rules and the factorization of the true minimal
