@@ -46,6 +46,8 @@ from .polyarith import (
     IntPoly,
     brief,
     check_limit,
+    euler_phi_factored,
+    factorizations_up_to,
     squarefree_sieve,
 )
 from .splitting import (
@@ -57,6 +59,7 @@ from .splitting import (
     Quadratic,
     Rational,
     RationalFunction,
+    cyclotomic_shape,
     quadratic_splits,
 )
 from .theorems import (
@@ -66,6 +69,7 @@ from .theorems import (
     SSet,
     compute,
     s_for_inverted,
+    s_for_primes,
 )
 from .verify import SUITES
 
@@ -475,10 +479,11 @@ def _check_rows(rows: int) -> None:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    """Print one classification table.  The quadratic table finds its
-    squarefree radicands with one sieve over the range, and it and the z-inv-n
-    table compute each distinct splitting, or S-set, once: a later row that
-    shares it prints the group stored for the first."""
+    """Print one classification table.  Each table reads its whole range
+    from one sieve: the quadratic table its squarefree radicands, the
+    cyclotomic and z-inv-n tables the factorization of each N.  Each table
+    computes a field once for each distinct splitting of 2 and 3, or S-set:
+    a later row that shares it prints the group stored for the first."""
     if args.table_kind == "quadratic":
         if args.d_min <= 1 or args.d_min > args.d_max:
             bounds = f"{brief(args.d_min)}..{brief(args.d_max)}"
@@ -507,9 +512,30 @@ def _cmd_table(args: argparse.Namespace) -> int:
         check_limit(args.n_max, CYCLOTOMIC_LIMIT, "N_max")
         _check_rows(args.n_max)
         rows = [f"{'N':>4}  {'phi(N)':>6}  group"]
-        for n in range(1, args.n_max + 1):
-            spec = Cyclotomic(n)
-            rows.append(f"{n:>4}  {spec.degree:>6}  {compute(spec).group}")
+        # Every row has S empty.  Below degree 3 (N = 1, 2, 3, 4, 6) the unit
+        # group is finite and compute looks the form up among the known
+        # cases, where forms compare by their normalized N, so the form is the
+        # key.  From degree 3 the gate is open, and compute's group depends on
+        # the primes of inertia degree f = 1 above 2 and above 3 alone: on the
+        # (e, g) they share, e the ramification index and g the count, or
+        # None when f > 1.  cyclotomic_shape gives e and f = 1 at N itself as
+        # at the normalized N.
+        groups_by_shape: dict[object, str] = {}
+        for n, factors in enumerate(factorizations_up_to(args.n_max), 1):
+            degree = euler_phi_factored(factors)
+            if degree < 3:
+                key: object = Cyclotomic(n)
+            else:
+                e2, _, one2 = cyclotomic_shape(2, n, factors.get(2, 0))
+                e3, _, one3 = cyclotomic_shape(3, n, factors.get(3, 0))
+                key = (
+                    (e2, degree // e2) if one2 else None,
+                    (e3, degree // e3) if one3 else None,
+                )
+            group = groups_by_shape.get(key)
+            if group is None:
+                group = groups_by_shape[key] = str(compute(Cyclotomic(n)).group)
+            rows.append(f"{n:>4}  {degree:>6}  {group}")
     else:
         if args.n_max < 2:
             raise CliError(f"need n_max >= 2, got {brief(args.n_max)}")
@@ -520,8 +546,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
         # Every row is Q with a finite prime of n in S, which opens the unit
         # gate, so compute's group depends on S alone.
         groups_by_s: dict[SSet, str] = {}
-        for n in range(2, args.n_max + 1):
-            s = s_for_inverted(n)
+        factorizations = factorizations_up_to(args.n_max)
+        next(factorizations)  # that of 1, which has no prime
+        for n, factors in zip(range(2, args.n_max + 1), factorizations):
+            s = s_for_primes(factors)
             group = groups_by_s.get(s)
             if group is None:
                 group = groups_by_s[s] = str(compute(rational, s).group)

@@ -173,7 +173,8 @@ _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MILLER_RABIN_EXACT = 318665857834031151167461
 # is_prime trial-divides up to this; factorint splits its cofactor by primes
 # past 1000 only from _COFACTOR_TEST on, where trial division would pass 1000:
-# no n of at most 10^6 reaches either test
+# no n of at most 10^6 reaches either test; factorizations_up_to sieves at
+# most this far
 _TRIAL_DIVISION_ONLY = 10**6
 _COFACTOR_TEST = 1001**2
 # the odd numbers below 1000 multiplied: its gcd with n is divisible by n's
@@ -233,22 +234,73 @@ def is_squarefree(n: int) -> bool:
 
 def squarefree_sieve(lo: int, hi: int) -> bytearray:
     """flags with flags[i] = 1 when lo + i is squarefree, else 0, for
-    1 <= lo <= hi <= INTEGER_LIMIT: the multiples of p^2 in [lo, hi] are
-    struck for every prime p up to isqrt(hi), a segmented sieve of
-    Eratosthenes (Crandall and Pomerance, Prime Numbers, section 3.2).  It
-    takes a byte per integer of the range and per odd integer up to
-    isqrt(hi), which is at most 10^6."""
+    1 <= lo <= hi <= INTEGER_LIMIT.  Write c = icbrt(hi).  If d in the range
+    is not squarefree, then p^2 | d for a prime p, and either p <= c or
+    d = m^2 k with m = p > c and k <= hi // (c + 1)^2, which is at most c.
+    So the multiples of p^2 in [lo, hi] are struck for every prime p up to c,
+    a segmented sieve of Eratosthenes (Crandall and Pomerance, Prime Numbers,
+    section 3.2), and then, for each such k, the m^2 k in [lo, hi] with
+    m > c, one by one.  It takes a byte per integer of the range, and about
+    c steps besides, at most 10^4, whatever the range's length."""
     if not 1 <= lo <= hi:
         raise ValueError(f"need 1 <= lo <= hi, got {brief(lo)}..{brief(hi)}")
     check_limit(hi, INTEGER_LIMIT, "hi")
     size = hi - lo + 1
     flags = bytearray(b"\x01") * size
-    for p in itertools.chain((2,), _odd_primes_up_to(isqrt(hi))):
+    c = _icbrt(hi)
+    for p in itertools.chain((2,), _odd_primes_up_to(c)):
         square = p * p
         first = -lo % square  # index of the first multiple of p^2 from lo on
         if first < size:
             flags[first::square] = bytes(len(range(first, size, square)))
+    for k in range(1, hi // (c + 1) ** 2 + 1):
+        # m^2 k >= lo exactly when m^2 > (lo - 1) // k
+        for m in range(max(c + 1, isqrt((lo - 1) // k) + 1), isqrt(hi // k) + 1):
+            flags[m * m * k - lo] = 0
     return flags
+
+
+def _icbrt(n: int) -> int:
+    """The integer cube root of n >= 1: Newton's method from a power of 2 at
+    or above it, in integers, which decreases until it reaches the root."""
+    x = 1 << -(-n.bit_length() // 3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
+
+
+def factorizations_up_to(n: int) -> Iterator[dict[int, int]]:
+    """The prime factorizations {prime: exponent} of 1, 2, ..., n in turn,
+    each in increasing order, for 1 <= n <= 10^6: one sieve, built before
+    this returns, stores the least prime factor of every composite up to n,
+    and each integer is divided by it until a prime is left.  The sieve
+    takes 2 bytes per integer up to n, where factorint factors one integer."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {brief(n)}")
+    check_limit(n, _TRIAL_DIVISION_ONLY, "n")
+    least = array("H", [0]) * (n + 1)  # 0 for 0, 1 and every prime
+    # each prime up to isqrt(n) marks its multiples from its square on, the
+    # least prime last, so that it is the one left
+    for p in reversed([2, *_odd_primes_up_to(isqrt(n))]):
+        least[p * p :: p] = array("H", [p]) * len(range(p * p, n + 1, p))
+    return _divide_out(least)
+
+
+def _divide_out(least: array) -> Iterator[dict[int, int]]:
+    """The factorizations of 1, ..., len(least) - 1 from least prime factors:
+    each m is divided by them while it is composite, and a prime is left."""
+    yield {}
+    for m in range(2, len(least)):
+        factors: dict[int, int] = {}
+        p = least[m]
+        while p:
+            factors[p] = factors.get(p, 0) + 1
+            m //= p
+            p = least[m]
+        factors[m] = factors.get(m, 0) + 1
+        yield factors
 
 
 def _odd_primes_up_to(n: int) -> Iterator[int]:
@@ -280,7 +332,10 @@ def primes_dividing(n: int) -> tuple[int, ...]:
 
 def euler_phi_factored(factors: Mapping[int, int]) -> int:
     """Euler totient of the integer with prime factorization {p: k}."""
-    return prod((p - 1) * p ** (k - 1) for p, k in factors.items())
+    phi = 1
+    for p, k in factors.items():
+        phi *= (p - 1) * p ** (k - 1)
+    return phi
 
 
 def multiplicative_order(a: int, s: int, exponent: int) -> int:

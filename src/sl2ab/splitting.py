@@ -8,9 +8,9 @@ places), splitting, JSON form and display name, and owns its splitting
 route: Dedekind's criterion on a defining polynomial, read from polyarith's
 dedekind_obstruction by dedekind_split and, once on construction, by
 GeneralPoly; the congruence rules for quadratic fields in
-quadratic_splits; the closed form for cyclotomic fields in
-Cyclotomic.split_at; and the shared degree-one places of F_2(t) and F_3(t)
-in RationalFunction.splittings.  The closed forms and the criterion
+quadratic_splits; the closed form for cyclotomic fields in cyclotomic_shape,
+which Cyclotomic.split_at reads; and the shared degree-one places of F_2(t)
+and F_3(t) in RationalFunction.splittings.  The closed forms and the criterion
 double-check each other in the test suite.
 """
 
@@ -288,6 +288,16 @@ def quadratic_splits(d: int) -> tuple[SplittingData, SplittingData]:
     return _QUADRATIC_PAIRS[two, three]
 
 
+def cyclotomic_shape(p: int, n: int, a: int) -> tuple[int, int, bool]:
+    """(e, s, f = 1) for the primes above p in Q(zeta_n), n >= 1, p^a the
+    power of p in n: e = phi(p^a), s = n / p^a, and the inertia degree f is
+    the order of p mod s, so f = 1 exactly when p = 1 mod s.  For n = 2 mod 4
+    it gives the e and the f = 1 of n / 2, the same field."""
+    pa = p**a
+    s = n // pa
+    return pa - pa // p, s, p % s == 1 % s  # phi(p^a) is 1 when a = 0
+
+
 class NumberField:
     """Base of the number-field forms.
 
@@ -414,10 +424,8 @@ class Cyclotomic(NumberField):
         return self._split(2), self._split(3)  # p needs no check
 
     def _split(self, p: int) -> SplittingData:
-        pa = p ** self.factors.get(p, 0)
-        e = pa - pa // p  # phi(p^a), 1 when a = 0
-        s = self.normalized // pa
-        if p % s == 1 % s:
+        e, s, degree_one = cyclotomic_shape(p, self.normalized, self.factors.get(p, 0))
+        if degree_one:
             return SplittingData.uniform(p, self.degree, e, 1)
         return SplittingData._unread(p, self.degree, e, s)
 

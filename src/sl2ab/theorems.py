@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Collection, NamedTuple
 
 from .abgroup import TRIVIAL_GROUP, AbelianGroup, direct_sum
 from .polyarith import (
@@ -100,6 +100,13 @@ def s_for_inverted(*ns: int) -> SSet:
             raise ValueError(f"need integers >= 2, got {brief(n)}")
         check_limit(n, INTEGER_LIMIT, "n")
         ps.update(factorint(n))
+    return s_for_primes(ps)
+
+
+def s_for_primes(ps: Collection[int]) -> SSet:
+    """S-set of Z[1/m] from the distinct rational primes ps dividing m (a
+    set, or the keys of a factorization), sorted as s_for_inverted sorts
+    them, and as frozen and shared."""
     two, three = 2 in ps, 3 in ps
     return _inverted_shape(two, three, len(ps) - two - three)
 

@@ -31,7 +31,7 @@ from sl2ab.cli import (
     run,
 )
 from sl2ab.polyarith import IntPoly, cyclotomic_polynomial
-from sl2ab.splitting import Quadratic, Rational
+from sl2ab.splitting import Cyclotomic, Quadratic, Rational
 from sl2ab.theorems import compute, s_for_inverted
 from sl2ab.verify import cyclotomic_reference
 from zpoly import product
@@ -996,10 +996,12 @@ class TestTableCommand:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_rows_match_per_row_compute(self, capsys, seed):
-        # a row takes the group stored for the first radicand (or S-set) of
+        # a row takes the group stored for the first radicand, N or S-set of
         # its splitting; here each row is computed on its own instead, from
-        # Quadratic(d) or s_for_inverted(n), on seeded ranges near 2, 10^4,
-        # 10^6 and 10^12
+        # Quadratic(d), Cyclotomic(N) or s_for_inverted(n), on seeded ranges
+        # near 2, 10^4, 10^6 and 10^12, and on seeded cyclotomic and Z[1/n]
+        # tables, each from its first row: N <= 12 holds the known cases and
+        # N = 2 mod 4
         rng = random.Random(seed)
         for low, high in ((2, 50), (2, 10**4), (10**6 - 500, 10**6), (10**12 - 10**5, 10**12 - 600)):
             lo = rng.randint(low, high)
@@ -1023,6 +1025,14 @@ class TestTableCommand:
             group = compute(Rational(), s_for_inverted(n)).group
             two, three = ("no", "yes")[n % 2 == 0], ("no", "yes")[n % 3 == 0]
             assert row == f"{n:>4}  {two:>4}  {three:>4}  {group}", row
+        for n_max in (12, rng.randint(13, 3000)):
+            code, out, _ = invoke(capsys, "table", "cyclotomic", str(n_max))
+            assert code == EXIT_OK
+            rows = out.splitlines()[1:]
+            assert len(rows) == n_max
+            for n, row in zip(range(1, n_max + 1), rows):
+                spec = Cyclotomic(n)
+                assert row == f"{n:>4}  {spec.degree:>6}  {compute(spec).group}", row
 
     def test_quadratic_table_near_the_integer_limit_is_sieved_at_once(self, capsys):
         # trial division of each radicand took about 10 s for these 100 000 rows

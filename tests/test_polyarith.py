@@ -32,6 +32,7 @@ from sl2ab.polyarith import (
     euler_phi_factored,
     factor_mod_p,
     factorint,
+    factorizations_up_to,
     irreducible_over_q_check,
     is_prime,
     is_prime_power,
@@ -208,10 +209,42 @@ class TestIntegerHelpers:
         for p in (999961, 999979, 999983):
             ranges += [(p * p - 60, p * p + 60), (p * p, p * p), (p * p - 1, p * p)]
         ranges.append((INTEGER_LIMIT, INTEGER_LIMIT))
+        # the squares of p are struck by the sieve up to c = icbrt(hi), and
+        # one by one past it: ranges ending at, just below and just above a
+        # cube, where c changes, and around p^2 for the first primes past c,
+        # with one-row ranges among them
+        for c in (2, 3, 10, 21, 46, 100, 999, 9999):
+            for hi in (c**3 - 1, c**3, c**3 + 1):
+                ranges += [(max(1, hi - 500), hi), (hi, hi)]
+        primes = _sieve_primes(10**4 + 100)
+        for hi in (10**4, 10**6, 10**9, 10**12 - 1):
+            c = next(x for x in range(1, 10**4 + 1) if (x + 1) ** 3 > hi)
+            for p in primes[bisect.bisect(primes, c) :][:3]:
+                for k in (1, 2, hi // p**2):
+                    if p * p * k <= hi:
+                        d = p * p * k
+                        ranges += [(max(1, d - 40), min(hi, d + 40)), (d, d)]
+                ranges.append((max(1, hi - 40), hi))
         for lo, hi in ranges:
             flags = squarefree_sieve(lo, hi)
             assert flags == bytearray(map(is_squarefree, range(lo, hi + 1))), (lo, hi)
         assert squarefree_sieve(999983**2, 999983**2) == b"\x00"
+
+    def test_factorizations_up_to_match_factorint(self):
+        # every n up to 10^4, and seeded n up to 100 001 from one sieve
+        assert list(factorizations_up_to(1)) == [{}]
+        assert list(factorizations_up_to(4)) == [{}, {2: 1}, {3: 1}, {2: 2}]
+        rows = list(factorizations_up_to(100_001))
+        assert len(rows) == 100_001
+        rng = random.Random(43)
+        checked = [*range(1, 10**4 + 1), *rng.sample(range(10**4, 100_002), 3000)]
+        for n in checked + [100_001, 65536, 99991, 97 * 1021]:
+            factors = rows[n - 1]
+            assert factors == factorint(n), n
+            assert list(factors) == sorted(factors), n
+        for n in (0, -1, 10**6 + 1):
+            with pytest.raises(ValueError):
+                factorizations_up_to(n)  # refused before any row is read
 
     @pytest.mark.parametrize(
         "lo, hi", [(0, 5), (-3, 5), (6, 5), (INTEGER_LIMIT, INTEGER_LIMIT + 1)]

@@ -33,6 +33,7 @@ from sl2ab.splitting import (
     SplittingData,
     UserFunctionField,
     UserNumberField,
+    cyclotomic_shape,
     dedekind_split,
     quadratic_min_poly,
     quadratic_splits,
@@ -235,6 +236,12 @@ class TestCyclotomic:
         for p in (2, 3):
             assert Cyclotomic(6).split_at(p) == Cyclotomic(3).split_at(p)
             assert Cyclotomic(10).split_at(p) == Cyclotomic(5).split_at(p)
+        # table cyclotomic reads the rule at N itself: N = 2 m, m odd, gives
+        # the e and the f = 1 of m
+        for m in range(1, 3000, 2):
+            for p in (2, 3):
+                e, _, one = cyclotomic_shape(p, 2 * m, factorint(2 * m).get(p, 0))
+                assert (e, one) == cyclotomic_shape(p, m, factorint(m).get(p, 0))[::2]
 
     def test_residue_degree_is_the_brute_force_order(self):
         # writing the normalized n as p^a s: e = phi(p^a), and f is the

@@ -33,6 +33,7 @@ from sl2ab.theorems import (
     SSet,
     compute,
     s_for_inverted,
+    s_for_primes,
 )
 
 Z12 = AbelianGroup(0, (12,))
@@ -99,6 +100,9 @@ class TestSSet:
         # one shared, frozen S-set per shape
         assert s_for_inverted(6) is s_for_inverted(12, 18)
         assert s_for_inverted(35) is s_for_inverted(5, 7)
+        # the same S-sets from the primes themselves, a set or a factorization
+        assert s_for_primes({2, 3}) is s_for_inverted(6)
+        assert s_for_primes({5: 1, 7: 2}) is s_for_inverted(245)
         for _ in range(2):  # a refused input is refused again, not cached
             with pytest.raises(ValueError):
                 s_for_inverted(1)
